@@ -1,8 +1,8 @@
 //! Criterion benches for the unified client API.
 //!
-//! The contrast that justifies multi-op requests (ISSUE 5 / experiment
-//! `e4`): 8 concurrent clients each needing a block of 64 query answers
-//! from the same service, through
+//! The contrast that justifies multi-op requests: 8 concurrent clients
+//! each needing a block of 64 query answers from the same service,
+//! through
 //!
 //! * `client/multi_op` — ONE composed `Request` per block: one
 //!   submission, one ticket, reads guaranteed to fuse into one dispatch
@@ -16,8 +16,7 @@
 //!   API forced): every op pays a full dispatch round trip.
 //!
 //! The acceptance bar is ≥ 2× throughput for `multi_op` over the
-//! sequential individual shape at 8 clients; the repro binary's `e4`
-//! measures the same contrast and writes `BENCH_client.json`.
+//! sequential individual shape at 8 clients.
 
 use std::time::Duration;
 
@@ -26,28 +25,28 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ddrs_bench::uniform_points;
 use ddrs_cgm::Machine;
 use ddrs_client::{RangeStore, Request};
-use ddrs_rangetree::{DynamicDistRangeTree, Point, Rect, Sum};
-use ddrs_service::{Service, ServiceConfig};
+use ddrs_rangetree::{Point, Rect, Sum};
+use ddrs_shard::{PartitionPolicy, ShardedConfig, ShardedService};
 use ddrs_workloads::{QueryDistribution, QueryWorkload};
 
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 64;
 
-fn start_service() -> (Service<Sum, 2>, Vec<Vec<Rect<2>>>) {
-    let machine = Machine::new(8).unwrap();
+fn start_service() -> (ShardedService<Sum, 2>, Vec<Vec<Rect<2>>>) {
     let pts: Vec<Point<2>> = uniform_points(51, 1 << 12);
-    let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-    tree.insert_batch(&machine, &pts).unwrap();
-    let service = Service::start(
-        machine,
-        tree,
+    let service = ShardedService::start(
+        vec![Machine::new(8).unwrap()],
+        1 << 9,
+        &pts,
         Sum,
-        ServiceConfig {
+        PartitionPolicy::Hash,
+        ShardedConfig {
             max_batch: 512,
             max_delay: Duration::from_micros(200),
-            ..ServiceConfig::default()
+            ..ShardedConfig::default()
         },
-    );
+    )
+    .unwrap();
     let qw = QueryWorkload::from_points(&pts, 77);
     let all =
         qw.queries(QueryDistribution::Selectivity { fraction: 0.01 }, CLIENTS * QUERIES_PER_CLIENT);

@@ -16,8 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use ddrs_bench::uniform_points;
 use ddrs_cgm::Machine;
-use ddrs_engine::QueryBatch;
-use ddrs_rangetree::{DynamicDistRangeTree, Point, Sum};
+use ddrs_rangetree::{DynamicDistRangeTree, Point, QueryBatch, Sum};
 use ddrs_workloads::{QueryDistribution, QueryMode, QueryWorkload};
 
 fn bench_fused_vs_per_mode(c: &mut Criterion) {

@@ -9,9 +9,9 @@
 //!   requests submitted through a `RemoteStore` and resolved over a
 //!   real loopback connection against an `InlineStore`.
 //!
-//! The repro binary's `e6` experiment measures the closed-loop
-//! throughput of the same stack against the in-process reference and
-//! writes `BENCH_net.json`.
+//! `stackbench`'s `served_block_reads` workload measures the closed-loop
+//! throughput of the same stack; its layer ladder's last rung is the
+//! remote-minus-in-process difference.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

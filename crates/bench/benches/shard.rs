@@ -1,15 +1,15 @@
 //! Criterion benches for the sharded scatter-gather router.
 //!
-//! The scaling contrast (ISSUE 4 / experiment `e3`): the same 8-client
-//! closed-loop query load against
+//! The scaling contrast: the same 8-client closed-loop query load
+//! against
 //!
 //! * `shard/s4` — four range-partitioned shard groups answering
 //!   per-shard fused sub-batches concurrently, vs
 //! * `shard/s1` — one group behind the same router (the router-overhead
 //!   baseline: identical code path, no partition parallelism).
 //!
-//! The repro binary's `e3` experiment measures the same contrast
-//! open-loop at saturation and writes `BENCH_shard.json`.
+//! `stackbench`'s layer ladder measures the same contrast on its S = 1
+//! and S = 2 rungs.
 
 use std::time::Duration;
 

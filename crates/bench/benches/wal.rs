@@ -8,9 +8,8 @@
 //!   replay it into a fresh store on a `Machine` (what
 //!   `ShardedService::recover_shard` runs between two dispatches).
 //!
-//! The repro binary's `e5` experiment measures the same recovery path
-//! end-to-end inside a live sharded service and writes
-//! `BENCH_recovery.json`.
+//! `stackbench`'s `crash_recover` workload measures the same recovery
+//! path end-to-end inside a live sharded service.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

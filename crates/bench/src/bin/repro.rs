@@ -18,27 +18,13 @@ use ddrs_baselines::{
 };
 use ddrs_bench::{hotspot_queries, print_table, selectivity_queries, time_ms, uniform_points};
 use ddrs_cgm::Machine;
-use ddrs_client::RangeStore;
-use ddrs_engine::QueryBatch;
 use ddrs_rangetree::dist::construct::construct;
 use ddrs_rangetree::dist::search::{balance_visits, hat_stage, tree_for, QueryRec};
 use ddrs_rangetree::{
-    heap, label, DistRangeTree, DynamicDistRangeTree, Point, RankSpace, SeqRangeTree, Sum,
+    heap, label, DistRangeTree, DynamicDistRangeTree, Point, QueryBatch, RankSpace, SeqRangeTree,
+    Sum,
 };
-use ddrs_service::{Service, ServiceConfig};
-use ddrs_workloads::{ArrivalProcess, ArrivalTrace, QueryDistribution, QueryMode, QueryWorkload};
-
-/// The per-stage latency attribution as a JSON object (mean µs per
-/// stage), for the `stage_breakdown_us` field of the BENCH files.
-fn stage_json(stages: &ddrs_trace::StageBreakdown) -> String {
-    let fields = stages
-        .stages()
-        .iter()
-        .map(|(name, agg)| format!("\"{name}\": {:.1}", agg.mean_us()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("{{{fields}}}")
-}
+use ddrs_workloads::{QueryDistribution, QueryMode, QueryWorkload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,11 +60,6 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("a1", a1),
     ("a2", a2),
     ("e1", e1),
-    ("e2", e2),
-    ("e3", e3),
-    ("e4", e4),
-    ("e5", e5),
-    ("e6", e6),
 ];
 
 /// Figure 1: the segment tree structure for [1, 8].
@@ -640,691 +621,6 @@ fn e1() {
     );
 }
 
-/// Service: the serving layer under open-loop load — throughput and
-/// latency vs offered load, coalesced dispatch vs one machine run per
-/// query. Emits `BENCH_service.json` to start the perf trajectory.
-fn e2() {
-    use std::time::Instant;
-
-    let p = 8;
-    let clients = 8usize;
-    let n_requests = 1600usize;
-    let pts: Vec<Point<2>> = uniform_points(61, 1 << 13);
-    let qw = QueryWorkload::from_points(&pts, 67);
-    let queries = qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, n_requests);
-    let build_store = |machine: &Machine| {
-        let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-        tree.insert_batch(machine, &pts).unwrap();
-        tree
-    };
-
-    // Baseline: every query pays its own machine run, 8 closed-loop
-    // client threads sharing the machine.
-    let machine = Machine::new(p).unwrap();
-    let tree = build_store(&machine);
-    let chunk = n_requests.div_ceil(clients);
-    let naive_lat: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for qs in queries.chunks(chunk) {
-            let (machine, tree, naive_lat) = (&machine, &tree, &naive_lat);
-            s.spawn(move || {
-                let mut lats = Vec::with_capacity(qs.len());
-                for q in qs {
-                    let t = Instant::now();
-                    std::hint::black_box(tree.count_batch(machine, &[*q]));
-                    lats.push(t.elapsed().as_micros() as u64);
-                }
-                naive_lat.lock().unwrap().extend(lats);
-            });
-        }
-    });
-    let naive_wall = t0.elapsed().as_secs_f64();
-    let naive_rps = n_requests as f64 / naive_wall;
-    // Same estimator as ServiceStats::latency_us (base-2 histogram
-    // bucket upper bounds), so the two sides of the table and the JSON
-    // are commensurable.
-    let mut naive_hist = ddrs_service::Histogram::default();
-    for l in naive_lat.into_inner().unwrap() {
-        naive_hist.record(l);
-    }
-    let naive_p50 = naive_hist.quantile(0.5);
-    let naive_p99 = naive_hist.quantile(0.99);
-
-    // The service, swept over offered loads (open loop: arrivals do not
-    // wait for completions).
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut best_rps = 0.0f64;
-    for &rate in &[10_000.0f64, 40_000.0, 160_000.0] {
-        let machine = Machine::new(p).unwrap();
-        let tree = build_store(&machine);
-        let service = Service::start(
-            machine,
-            tree,
-            Sum,
-            ServiceConfig {
-                max_batch: 128,
-                max_delay: std::time::Duration::from_micros(300),
-                ..ServiceConfig::default()
-            },
-        );
-        let trace =
-            ArrivalTrace::generate(13, ArrivalProcess::Poisson { rate_hz: rate }, n_requests);
-        let schedule: Vec<(std::time::Duration, ddrs_rangetree::Rect<2>)> =
-            trace.at.iter().copied().zip(queries.iter().copied()).collect();
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for k in 0..clients {
-                let service = &service;
-                let schedule = &schedule;
-                s.spawn(move || {
-                    let mut tickets = Vec::new();
-                    for (at, q) in schedule.iter().skip(k).step_by(clients) {
-                        let target = start + *at;
-                        let now = Instant::now();
-                        if target > now {
-                            std::thread::sleep(target - now);
-                        }
-                        tickets.push(service.count(*q).expect("submission rejected"));
-                    }
-                    for t in tickets {
-                        t.wait().unwrap();
-                    }
-                });
-            }
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let stats = service.stats();
-        let rps = n_requests as f64 / wall;
-        best_rps = best_rps.max(rps);
-        rows.push(vec![
-            format!("{rate:.0}"),
-            format!("{rps:.0}"),
-            format!("{:.1}", stats.mean_batch_size()),
-            format!("{:.1}", stats.coalescing_factor()),
-            stats.machine.runs.to_string(),
-            stats.p50_latency_us().to_string(),
-            stats.p99_latency_us().to_string(),
-        ]);
-        json_rows.push(format!(
-            "    {{\"offered_rps\": {rate:.0}, \"achieved_rps\": {rps:.1}, \
-             \"mean_batch\": {:.2}, \"queries_per_run\": {:.2}, \"machine_runs\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"mean_us\": {:.1}, \"max_us\": {}, \
-             \"stage_breakdown_us\": {}}}",
-            stats.mean_batch_size(),
-            stats.coalescing_factor(),
-            stats.machine.runs,
-            stats.p50_latency_us(),
-            stats.p99_latency_us(),
-            stats.latency_us.mean(),
-            stats.latency_us.max(),
-            stage_json(&stats.stages),
-        ));
-    }
-    rows.push(vec![
-        "naive".into(),
-        format!("{naive_rps:.0}"),
-        "1.0".into(),
-        "1.0".into(),
-        n_requests.to_string(),
-        naive_p50.to_string(),
-        naive_p99.to_string(),
-    ]);
-    print_table(
-        &format!(
-            "E2 — service: open-loop load sweep, p = {p}, {clients} clients, {n_requests} queries"
-        ),
-        &["offered rps", "achieved rps", "mean batch", "q/run", "runs", "p50 µs", "p99 µs"],
-        &rows,
-    );
-    println!(
-        "\nclaim: the service coalesces concurrent arrivals into few fused runs\n\
-         (mean batch ≫ 1), sustaining ≥ 3× the one-run-per-query throughput at\n\
-         saturation (measured: {:.1}×).",
-        best_rps / naive_rps
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e2\",\n  \"p\": {p},\n  \"clients\": {clients},\n  \
-         \"requests\": {n_requests},\n  \"coalesced\": [\n{}\n  ],\n  \
-         \"one_run_per_query\": {{\"achieved_rps\": {naive_rps:.1}, \"p50_us\": {naive_p50}, \
-         \"p99_us\": {naive_p99}, \"mean_us\": {:.1}, \"max_us\": {}}},\n  \
-         \"speedup_at_saturation\": {:.2}\n}}\n",
-        json_rows.join(",\n"),
-        naive_hist.mean(),
-        naive_hist.max(),
-        best_rps / naive_rps
-    );
-    match std::fs::write("BENCH_service.json", &json) {
-        Ok(()) => println!("(json written to BENCH_service.json)"),
-        Err(e) => eprintln!("warning: could not write BENCH_service.json: {e}"),
-    }
-}
-
-/// Sharding: strong scaling at a fixed total simulated-processor budget
-/// P — S range-partitioned groups of p = P/S processors each, serving
-/// closed-loop clients that submit multi-op request blocks. Routing
-/// sends each narrow query only to the slab(s) it overlaps, so more
-/// shards mean smaller per-run SPMD choreography *and* concurrent
-/// per-shard windows — machine runs no longer scale with S. Plus the
-/// rebalance-pause measurement. Emits `BENCH_shard.json`.
-fn e3() {
-    use std::time::Instant;
-
-    use ddrs_client::Request;
-
-    let budget = 4usize; // total simulated processors, fixed across the sweep
-    let clients = 8usize;
-    let per_block = 64usize;
-    let blocks = 3usize;
-    let n_requests = clients * per_block * blocks;
-    let pts: Vec<Point<2>> = uniform_points(61, 1 << 13);
-    let qw = QueryWorkload::from_points(&pts, 67);
-    let queries =
-        qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, clients * per_block);
-
-    let run_sweep = |shards: usize| -> (f64, ddrs_shard::ShardedStats) {
-        let p = budget / shards;
-        let machines: Vec<Machine> = (0..shards).map(|_| Machine::new(p).unwrap()).collect();
-        let service = ddrs_shard::ShardedService::start(
-            machines,
-            1 << 9,
-            &pts,
-            Sum,
-            ddrs_shard::PartitionPolicy::range_from_sample(shards, &pts),
-            ddrs_shard::ShardedConfig {
-                max_batch: 128,
-                max_delay: std::time::Duration::from_micros(300),
-                queue_capacity: 1 << 16,
-                ..Default::default()
-            },
-        )
-        .expect("building the sharded store");
-        // Closed-loop clients, one multi-op block of `per_block` counts
-        // per round: the e4-proven submission shape, so the sweep
-        // measures dispatch and machine cost, not queue transactions.
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for qs in queries.chunks(per_block) {
-                let service = &service;
-                s.spawn(move || {
-                    for _ in 0..blocks {
-                        let mut req = Request::new();
-                        let handles: Vec<_> = qs.iter().map(|q| req.count(*q)).collect();
-                        let resp = service.submit(req).unwrap().wait().unwrap().value;
-                        std::hint::black_box(
-                            handles.into_iter().map(|h| resp.count(h)).sum::<u64>(),
-                        );
-                    }
-                });
-            }
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let stats = service.stats();
-        service.shutdown();
-        (n_requests as f64 / wall, stats)
-    };
-
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut rps_by_s = std::collections::BTreeMap::new();
-    for shards in [1usize, 2, 4] {
-        let (rps, stats) = run_sweep(shards);
-        rps_by_s.insert(shards, rps);
-        rows.push(vec![
-            format!("{shards}×p{}", budget / shards),
-            format!("{rps:.0}"),
-            format!("{:.1}", stats.mean_batch_size()),
-            format!("{:.2}", stats.mean_read_fanout()),
-            stats.machine.runs.to_string(),
-            stats.p50_latency_us().to_string(),
-            stats.p99_latency_us().to_string(),
-        ]);
-        json_rows.push(format!(
-            "    {{\"shards\": {shards}, \"p_per_shard\": {}, \"achieved_rps\": {rps:.1}, \
-             \"mean_batch\": {:.2}, \"mean_read_fanout\": {:.3}, \"machine_runs\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"mean_us\": {:.1}, \"max_us\": {}, \
-             \"stage_breakdown_us\": {}}}",
-            budget / shards,
-            stats.mean_batch_size(),
-            stats.mean_read_fanout(),
-            stats.machine.runs,
-            stats.p50_latency_us(),
-            stats.p99_latency_us(),
-            stats.latency_us.mean(),
-            stats.latency_us.max(),
-            stage_json(&stats.stages),
-        ));
-    }
-
-    // Rebalance pause: pile everything onto one shard of a two-group
-    // service, then measure the wall time of one skew-healing split
-    // while the service keeps its serving loop (the split runs between
-    // dispatches — the pause is what a client-visible request would
-    // wait behind the migration).
-    let machines: Vec<Machine> = (0..2).map(|_| Machine::new(budget / 2).unwrap()).collect();
-    let service = ddrs_shard::ShardedService::start(
-        machines,
-        1 << 9,
-        &pts, // bounds put every point on shard 0
-        Sum,
-        ddrs_shard::PartitionPolicy::Range { bounds: vec![i64::MAX] },
-        ddrs_shard::ShardedConfig::default(),
-    )
-    .expect("building the rebalance store");
-    let t0 = Instant::now();
-    let report = service.split_shard(0).unwrap().wait().unwrap().value;
-    let pause_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let probe = service
-        .count(ddrs_rangetree::Rect::new([i64::MIN, i64::MIN], [i64::MAX, i64::MAX]))
-        .unwrap();
-    let post_split_count = probe.wait().unwrap().value;
-    assert_eq!(post_split_count, pts.len() as u64, "no point lost in migration");
-    service.shutdown();
-
-    rows.push(vec![
-        format!("split {}→{}", report.from, report.to),
-        format!("{:.1}ms", pause_ms),
-        report.moved.to_string(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]);
-    print_table(
-        &format!(
-            "E3 — sharding: strong scaling at a fixed budget of {budget} simulated \
-             processors ({clients} clients × blocks of {per_block}, {n_requests} queries)"
-        ),
-        &["S×p", "achieved rps", "mean batch", "read fanout", "runs", "p50 µs", "p99 µs"],
-        &rows,
-    );
-    let speedup = rps_by_s[&4] / rps_by_s[&1];
-    if speedup < 3.0 {
-        eprintln!(
-            "warning: e3 shard-scaling regression — speedup_s4_vs_s1 = {speedup:.2}, \
-             expected >= 3.0 (single-shard routing + concurrent per-shard windows)"
-        );
-    }
-    // The PR 3 reference point: the unsharded service's saturation rps
-    // as recorded by experiment e2 (one p = 8 group). Crude but
-    // dependency-free extraction: the largest achieved_rps in the file.
-    let reference = std::fs::read_to_string("BENCH_service.json")
-        .ok()
-        .map(|text| {
-            text.match_indices("\"achieved_rps\":")
-                .filter_map(|(i, key)| {
-                    let rest = &text[i + key.len()..];
-                    let num: String = rest
-                        .trim_start()
-                        .chars()
-                        .take_while(|c| c.is_ascii_digit() || *c == '.')
-                        .collect();
-                    num.parse::<f64>().ok()
-                })
-                .fold(0.0f64, f64::max)
-        })
-        .filter(|&r| r > 0.0);
-    let vs_reference = reference.map(|r| rps_by_s[&4] / r);
-    println!(
-        "\nclaim: at a fixed budget of {budget} simulated processors, splitting\n\
-         the store into S=4 single-processor groups beats one p=4 group by\n\
-         {speedup:.2}× (goal ≥ 3×): single-shard routing keeps the mean read\n\
-         fan-out near 1, each window dispatches concurrently on its own\n\
-         shard thread, and every run pays p=1 choreography instead of p=4.\n\
-         Against the e2 single-service reference ({}) the S=4 router\n\
-         sustains {:.0} rps ({}). A skew-healing split migrates {} points\n\
-         with a {pause_ms:.1}ms pause, serving before and after.",
-        reference.map_or("<BENCH_service.json missing>".into(), |r| format!("{r:.0} rps")),
-        rps_by_s[&4],
-        vs_reference.map_or("n/a".into(), |x| format!("{x:.2}×")),
-        report.moved
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e3\",\n  \"processor_budget\": {budget},\n  \
-         \"clients\": {clients},\n  \"queries_per_block\": {per_block},\n  \
-         \"requests\": {n_requests},\n  \"sweep\": [\n{}\n  ],\n  \
-         \"speedup_s4_vs_s1\": {speedup:.2},\n  \
-         \"reference_service_saturation_rps\": {},\n  \
-         \"speedup_s4_vs_service_reference\": {},\n  \
-         \"rebalance\": {{\"from\": {}, \"to\": {}, \"moved\": {}, \"pause_ms\": {pause_ms:.2}}}\n}}\n",
-        json_rows.join(",\n"),
-        reference.map_or("null".into(), |r| format!("{r:.1}")),
-        vs_reference.map_or("null".into(), |x| format!("{x:.2}")),
-        report.from,
-        report.to,
-        report.moved,
-    );
-    match std::fs::write("BENCH_shard.json", &json) {
-        Ok(()) => println!("(json written to BENCH_shard.json)"),
-        Err(e) => eprintln!("warning: could not write BENCH_shard.json: {e}"),
-    }
-}
-
-/// Client API: multi-op `Request` vs N individual submissions against
-/// the same service — the submission-amortization contrast of the
-/// unified client contract. Emits `BENCH_client.json`.
-fn e4() {
-    use std::time::Instant;
-
-    use ddrs_client::Request;
-
-    let p = 8;
-    let clients = 8usize;
-    let per_client = 64usize;
-    let blocks = 3usize; // blocks of `per_client` queries per client
-    let pts: Vec<Point<2>> = uniform_points(61, 1 << 13);
-    let qw = QueryWorkload::from_points(&pts, 67);
-    let queries =
-        qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, clients * per_client);
-    let n_requests = clients * per_client * blocks;
-
-    let start_service = || {
-        let machine = Machine::new(p).unwrap();
-        let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-        tree.insert_batch(&machine, &pts).unwrap();
-        Service::start(
-            machine,
-            tree,
-            Sum,
-            ServiceConfig {
-                max_batch: 512,
-                max_delay: std::time::Duration::from_micros(200),
-                ..ServiceConfig::default()
-            },
-        )
-    };
-
-    // Each mode answers the same `n_requests` counting queries with 8
-    // closed-loop client threads; what varies is how a client hands a
-    // block of 64 queries to the service.
-    let run = |mode: &str| -> (f64, ddrs_service::ServiceStats) {
-        let service = start_service();
-        let t0 = Instant::now();
-        for _ in 0..blocks {
-            std::thread::scope(|s| {
-                for qs in queries.chunks(per_client) {
-                    let service = &service;
-                    s.spawn(move || match mode {
-                        "multi_op" => {
-                            let mut req = Request::new();
-                            let handles: Vec<_> = qs.iter().map(|q| req.count(*q)).collect();
-                            let resp = service.submit(req).unwrap().wait().unwrap().value;
-                            handles.into_iter().map(|h| resp.count(h)).sum::<u64>()
-                        }
-                        "individual_pipelined" => {
-                            let tickets: Vec<_> =
-                                qs.iter().map(|q| service.count(*q).unwrap()).collect();
-                            tickets.into_iter().map(|t| t.wait().unwrap().value).sum::<u64>()
-                        }
-                        "individual_sequential" => qs
-                            .iter()
-                            .map(|q| service.count(*q).unwrap().wait().unwrap().value)
-                            .sum::<u64>(),
-                        _ => unreachable!(),
-                    });
-                }
-            });
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = service.stats();
-        service.shutdown();
-        (n_requests as f64 / wall, stats)
-    };
-
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut rps_by_mode = std::collections::BTreeMap::new();
-    for mode in ["multi_op", "individual_pipelined", "individual_sequential"] {
-        let (rps, stats) = run(mode);
-        rps_by_mode.insert(mode, rps);
-        rows.push(vec![
-            mode.to_string(),
-            format!("{rps:.0}"),
-            format!("{:.1}", stats.mean_batch_size()),
-            stats.dispatches.to_string(),
-            stats.machine.runs.to_string(),
-            stats.p50_latency_us().to_string(),
-            stats.p99_latency_us().to_string(),
-        ]);
-        json_rows.push(format!(
-            "    {{\"mode\": \"{mode}\", \"achieved_rps\": {rps:.1}, \"mean_batch\": {:.2}, \
-             \"dispatches\": {}, \"machine_runs\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"mean_us\": {:.1}, \"max_us\": {}}}",
-            stats.mean_batch_size(),
-            stats.dispatches,
-            stats.machine.runs,
-            stats.p50_latency_us(),
-            stats.p99_latency_us(),
-            stats.latency_us.mean(),
-            stats.latency_us.max(),
-        ));
-    }
-    print_table(
-        &format!(
-            "E4 — client API: one multi-op Request vs {per_client} individual \
-             submissions (p = {p}, {clients} clients, {n_requests} queries)"
-        ),
-        &["mode", "achieved rps", "mean batch", "dispatches", "runs", "p50 µs", "p99 µs"],
-        &rows,
-    );
-    let vs_sequential = rps_by_mode["multi_op"] / rps_by_mode["individual_sequential"];
-    let vs_pipelined = rps_by_mode["multi_op"] / rps_by_mode["individual_pipelined"];
-    println!(
-        "\nclaim: a client needing a block of answers should compose ONE\n\
-         request — its reads fuse into one guaranteed dispatch instead of\n\
-         paying {per_client} queue transactions (and, for dependent-flow\n\
-         clients, {per_client} dispatch round trips). Goal ≥ 2× over\n\
-         individual sequential submissions at {clients} clients; measured\n\
-         {vs_sequential:.1}× (and {vs_pipelined:.2}× vs the pipelined\n\
-         request-less best case)."
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e4\",\n  \"p\": {p},\n  \"clients\": {clients},\n  \
-         \"queries_per_block\": {per_client},\n  \"requests\": {n_requests},\n  \
-         \"modes\": [\n{}\n  ],\n  \"speedup_multi_op_vs_sequential\": {vs_sequential:.2},\n  \
-         \"speedup_multi_op_vs_pipelined\": {vs_pipelined:.2}\n}}\n",
-        json_rows.join(",\n"),
-    );
-    match std::fs::write("BENCH_client.json", &json) {
-        Ok(()) => println!("(json written to BENCH_client.json)"),
-        Err(e) => eprintln!("warning: could not write BENCH_client.json: {e}"),
-    }
-}
-
-/// Durability: kill one of two shard groups mid-load with a simulated
-/// processor panic, recover it live from its per-shard write-ahead log,
-/// and verify the healed service against a sequential oracle replay of
-/// every committed seq. Emits `BENCH_recovery.json` with the recovery
-/// time for a ≥ 64k-point shard.
-fn e5() {
-    use std::time::Instant;
-
-    use ddrs_rangetree::Rect;
-
-    let shards = 2usize;
-    let p = 2usize;
-    let n_initial = 1usize << 17; // 64k per shard before streaming
-    let block_size = 1024usize;
-    let n_blocks = 32usize;
-    let kill_at = n_blocks / 2;
-    let killed = 1usize;
-
-    let all_pts: Vec<Point<2>> = uniform_points(91, n_initial + n_blocks * block_size);
-    let initial = &all_pts[..n_initial];
-    let machines: Vec<Machine> = (0..shards).map(|_| Machine::new(p).unwrap()).collect();
-    let service = ddrs_shard::ShardedService::start(
-        machines,
-        1 << 9,
-        initial,
-        Sum,
-        ddrs_shard::PartitionPolicy::range_from_sample(shards, initial),
-        ddrs_shard::ShardedConfig {
-            max_delay: std::time::Duration::from_micros(200),
-            queue_capacity: 1 << 14,
-            ..Default::default()
-        },
-    )
-    .expect("building the recovery store");
-
-    // The injected processor panic (and the sibling-cancellation
-    // unwinds it triggers) is expected: silence panic output from the
-    // simulated processors — any real failure there still surfaces as a
-    // structured machine error. The default hook handles everything else.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let simulated = std::thread::current().name().is_some_and(|n| n.starts_with("cgm-worker"));
-        if !simulated {
-            default_hook(info);
-        }
-    }));
-
-    // The committed history, (seq, event), for the post-recovery oracle
-    // replay. Uniform blocks span both range slabs, so every block after
-    // the kill fails against the quarantine until recovery heals it.
-    enum Ev {
-        Insert(std::ops::Range<usize>),
-        Count(Rect<2>, u64),
-    }
-    let everything = Rect::new([i64::MIN, i64::MIN], [i64::MAX, i64::MAX]);
-    let mut events: Vec<(u64, Ev)> = Vec::new();
-    let c0 = service.count(everything).unwrap().wait().unwrap();
-    events.push((c0.seq, Ev::Count(everything, c0.value)));
-    let (mut committed_blocks, mut failed_blocks) = (0usize, 0usize);
-    for b in 0..n_blocks {
-        if b == kill_at {
-            service.fail_next_write_epoch(killed);
-        }
-        let lo = n_initial + b * block_size;
-        let block = &all_pts[lo..lo + block_size];
-        match service.insert(block.to_vec()).unwrap().wait() {
-            Ok(c) => {
-                committed_blocks += 1;
-                events.push((c.seq, Ev::Insert(lo..lo + block_size)));
-            }
-            Err(ddrs_service::ServiceError::Machine(msg)) => {
-                assert!(
-                    msg.contains("write epoch aborted") || msg.contains("poisoned"),
-                    "unexpected load failure: {msg}"
-                );
-                failed_blocks += 1;
-            }
-            Err(other) => panic!("unexpected load failure: {other:?}"),
-        }
-    }
-    let pre = service.stats();
-    let reason = pre.per_shard[killed].poisoned.clone().expect("the kill must quarantine");
-    assert!(pre.per_shard[1 - killed].poisoned.is_none(), "blast radius must stop at the shard");
-
-    // Live recovery from the shard's write-ahead log.
-    let t0 = Instant::now();
-    let rec = service.recover_shard(killed).unwrap().wait().expect("recovery must succeed").value;
-    let recover_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(rec.clean_tail, "in-memory log must decode cleanly");
-    assert!(
-        rec.live_points >= 1 << 16,
-        "acceptance: a >= 64k-point shard must be recovered, got {}",
-        rec.live_points
-    );
-
-    // Post-recovery: the whole keyspace serves again, and every
-    // committed response replays exactly through the flat oracle.
-    let c1 = service.count(everything).unwrap().wait().unwrap();
-    events.push((c1.seq, Ev::Count(everything, c1.value)));
-    let quarter = Rect::new([i64::MIN, i64::MIN], [0, 0]);
-    let c2 = service.count(quarter).unwrap().wait().unwrap();
-    events.push((c2.seq, Ev::Count(quarter, c2.value)));
-    events.sort_by_key(|(seq, _)| *seq);
-    let mut oracle: Vec<Point<2>> = initial.to_vec();
-    for (seq, ev) in &events {
-        match ev {
-            Ev::Insert(range) => oracle.extend_from_slice(&all_pts[range.clone()]),
-            Ev::Count(q, observed) => {
-                let want = oracle.iter().filter(|pt| q.contains(pt)).count() as u64;
-                assert_eq!(want, *observed, "oracle replay diverged at seq {seq}");
-            }
-        }
-    }
-    let total = oracle.len();
-
-    // The registry carries the same recovery telemetry the report does.
-    let stats = service.stats();
-    let registry = ddrs_trace::MetricsRegistry::new();
-    stats.register_into(&registry, "sharded");
-    let registry_p50 = match registry.snapshot().get("sharded.recovery_us") {
-        Some(ddrs_trace::MetricValue::Histogram(h)) => h.quantile(0.5),
-        other => panic!("sharded.recovery_us missing from the registry: {other:?}"),
-    };
-    service.shutdown();
-    let _ = std::panic::take_hook(); // back to the default hook
-
-    print_table(
-        &format!(
-            "E5 — durability: kill shard {killed} mid-load, recover from its WAL \
-             ({shards} shards × p{p}, {n_initial} initial + {n_blocks}×{block_size} streamed)"
-        ),
-        &["phase", "blocks", "shard points", "wal records", "recovery ms"],
-        &[
-            vec![
-                "committed".into(),
-                committed_blocks.to_string(),
-                pre.per_shard[killed].live_points.to_string(),
-                pre.per_shard[killed].wal_records.to_string(),
-                "-".into(),
-            ],
-            vec![
-                format!("failed ({})", reason.split(':').next().unwrap_or("quarantined")),
-                failed_blocks.to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ],
-            vec![
-                "recovered".into(),
-                "-".into(),
-                rec.live_points.to_string(),
-                rec.replayed_records.to_string(),
-                format!("{:.1}", rec.duration.as_secs_f64() * 1e3),
-            ],
-        ],
-    );
-    println!(
-        "\nclaim: a mid-load processor panic quarantines exactly one shard;\n\
-         recover_shard() replays its {} WAL records into a fresh {}-point\n\
-         store in {:.1}ms (wall incl. dispatch {recover_wall_ms:.1}ms), the shard\n\
-         rejoins live, and the oracle replay of all {} committed seqs\n\
-         reproduces every response exactly ({} points total).",
-        rec.replayed_records,
-        rec.live_points,
-        rec.duration.as_secs_f64() * 1e3,
-        events.len(),
-        total,
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e5\",\n  \"shards\": {shards},\n  \"p_per_shard\": {p},\n  \
-         \"initial_points\": {n_initial},\n  \"block_size\": {block_size},\n  \
-         \"streamed_blocks\": {n_blocks},\n  \"committed_blocks\": {committed_blocks},\n  \
-         \"failed_blocks\": {failed_blocks},\n  \"killed_shard\": {killed},\n  \
-         \"quarantine\": \"{}\",\n  \"wal_records_at_kill\": {},\n  \
-         \"wal_bytes_at_kill\": {},\n  \"replayed_records\": {},\n  \
-         \"recovered_live_points\": {},\n  \"clean_tail\": {},\n  \
-         \"recovery_ms\": {:.2},\n  \"recovery_wall_ms\": {recover_wall_ms:.2},\n  \
-         \"registry_recovery_p50_us\": {registry_p50},\n  \
-         \"oracle_replay\": \"exact\",\n  \"post_recovery_total_points\": {total}\n}}\n",
-        reason.split(':').next().unwrap_or("quarantined"),
-        pre.per_shard[killed].wal_records,
-        pre.per_shard[killed].wal_bytes,
-        rec.replayed_records,
-        rec.live_points,
-        rec.clean_tail,
-        rec.duration.as_secs_f64() * 1e3,
-    );
-    match std::fs::write("BENCH_recovery.json", &json) {
-        Ok(()) => println!("(json written to BENCH_recovery.json)"),
-        Err(e) => eprintln!("warning: could not write BENCH_recovery.json: {e}"),
-    }
-}
-
 /// The construction caveat (Section 5): per-phase sorted record volume.
 fn a2() {
     let mut rows = Vec::new();
@@ -1362,162 +658,4 @@ fn a2() {
         "\nclaim: |S^0| = n (padded); later phases sort ≈ n·log^j p records,\n\
          not n — the acknowledged sub-optimality of Construct."
     );
-}
-
-/// Network front-end: the E4 closed-loop multi-op workload, but over a
-/// real TCP loopback — `NetServer` + `RemoteStore` — swept across
-/// client connection-pool sizes against the in-process reference.
-/// Emits `BENCH_net.json`.
-fn e6() {
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    use ddrs_client::Request;
-    use ddrs_net::{NetConfig, NetServer, RemoteConfig, RemoteStore};
-
-    let p = 8;
-    let clients = 8usize;
-    let per_client = 64usize;
-    let blocks = 3usize;
-    let pts: Vec<Point<2>> = uniform_points(61, 1 << 13);
-    let qw = QueryWorkload::from_points(&pts, 67);
-    let queries =
-        qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, clients * per_client);
-    let n_queries = clients * per_client * blocks;
-
-    let start_service = || {
-        let machine = Machine::new(p).unwrap();
-        let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-        tree.insert_batch(&machine, &pts).unwrap();
-        Arc::new(Service::start(
-            machine,
-            tree,
-            Sum,
-            ServiceConfig {
-                max_batch: 512,
-                max_delay: std::time::Duration::from_micros(200),
-                ..ServiceConfig::default()
-            },
-        ))
-    };
-
-    // Closed-loop driver: `clients` threads, each submitting one
-    // multi-op request of `per_client` counts per block and waiting for
-    // it. Returns (wall seconds, per-request latencies in µs).
-    let drive = |store: &(dyn RangeStore<Sum, 2> + Sync)| -> (f64, Vec<u64>) {
-        let mut latencies = Vec::with_capacity(clients * blocks);
-        let t0 = Instant::now();
-        for _ in 0..blocks {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = queries
-                    .chunks(per_client)
-                    .map(|qs| {
-                        s.spawn(move || {
-                            let mut req = Request::new();
-                            let handles: Vec<_> = qs.iter().map(|q| req.count(*q)).collect();
-                            let t = Instant::now();
-                            let resp = store.submit(req).unwrap().wait().unwrap().value;
-                            let us = t.elapsed().as_micros() as u64;
-                            let total: u64 = handles.into_iter().map(|h| resp.count(h)).sum();
-                            assert!(total < u64::MAX);
-                            us
-                        })
-                    })
-                    .collect();
-                latencies.extend(handles.into_iter().map(|h| h.join().unwrap()));
-            });
-        }
-        (t0.elapsed().as_secs_f64(), latencies)
-    };
-
-    let pct = |sorted: &[u64], q: f64| -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    };
-
-    // In-process reference: the same driver straight at the service.
-    let service = start_service();
-    let (wall, mut lats) = drive(service.as_ref());
-    lats.sort_unstable();
-    let inproc_rps = n_queries as f64 / wall;
-    let (inproc_p50, inproc_p99) = (pct(&lats, 0.5), pct(&lats, 0.99));
-    let inproc_stats = service.stats();
-    Arc::try_unwrap(service).unwrap_or_else(|_| panic!("sole owner")).shutdown();
-
-    let mut rows = vec![vec![
-        "in-process".into(),
-        "-".into(),
-        format!("{inproc_rps:.0}"),
-        "1.00".into(),
-        inproc_p50.to_string(),
-        inproc_p99.to_string(),
-        inproc_stats.machine.runs.to_string(),
-    ]];
-    let mut json_rows = vec![format!(
-        "    {{\"mode\": \"in_process\", \"connections\": 0, \"achieved_rps\": {inproc_rps:.1}, \
-         \"relative_to_in_process\": 1.0, \"p50_us\": {inproc_p50}, \"p99_us\": {inproc_p99}, \
-         \"machine_runs\": {}, \"dispatches\": {}}}",
-        inproc_stats.machine.runs, inproc_stats.dispatches,
-    )];
-    let mut best_rel = 0.0f64;
-    for conns in [1usize, 2, 4] {
-        let service = start_service();
-        let server =
-            NetServer::serve(Box::new(Arc::clone(&service)), "127.0.0.1:0", NetConfig::default())
-                .unwrap();
-        let store: RemoteStore<Sum, 2> =
-            RemoteStore::connect(server.local_addr(), RemoteConfig { connections: conns }).unwrap();
-        let (wall, mut lats) = drive(&store);
-        lats.sort_unstable();
-        let rps = n_queries as f64 / wall;
-        let rel = rps / inproc_rps;
-        best_rel = best_rel.max(rel);
-        let (p50, p99) = (pct(&lats, 0.5), pct(&lats, 0.99));
-        let stats = service.stats();
-        let net = server.stats();
-        drop(store);
-        server.shutdown();
-        Arc::try_unwrap(service).unwrap_or_else(|_| panic!("sole owner")).shutdown();
-        rows.push(vec![
-            "remote".into(),
-            conns.to_string(),
-            format!("{rps:.0}"),
-            format!("{rel:.2}"),
-            p50.to_string(),
-            p99.to_string(),
-            stats.machine.runs.to_string(),
-        ]);
-        json_rows.push(format!(
-            "    {{\"mode\": \"remote\", \"connections\": {conns}, \"achieved_rps\": {rps:.1}, \
-             \"relative_to_in_process\": {rel:.3}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-             \"machine_runs\": {}, \"dispatches\": {}, \"net_requests\": {}, \
-             \"net_responses\": {}}}",
-            stats.machine.runs, stats.dispatches, net.requests, net.responses,
-        ));
-    }
-    print_table(
-        &format!(
-            "E6 — network front-end: {clients} closed-loop clients × {per_client}-op \
-             requests over TCP loopback vs in-process (p = {p}, {n_queries} queries)"
-        ),
-        &["mode", "conns", "achieved rps", "vs in-proc", "p50 µs", "p99 µs", "runs"],
-        &rows,
-    );
-    println!(
-        "\nclaim: the hand-rolled framed protocol plus pipelined RemoteStore\n\
-         keeps the serving fast path intact — same fused dispatches, same\n\
-         machine-run counts — and costs only encode/transport/decode.\n\
-         Goal ≥ 0.50× the in-process closed-loop throughput over loopback;\n\
-         measured best {best_rel:.2}×."
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e6\",\n  \"p\": {p},\n  \"clients\": {clients},\n  \
-         \"queries_per_block\": {per_client},\n  \"queries\": {n_queries},\n  \
-         \"modes\": [\n{}\n  ],\n  \"best_relative_to_in_process\": {best_rel:.3},\n  \
-         \"goal\": \"remote >= 0.5x in-process closed-loop throughput\"\n}}\n",
-        json_rows.join(",\n"),
-    );
-    match std::fs::write("BENCH_net.json", &json) {
-        Ok(()) => println!("(json written to BENCH_net.json)"),
-        Err(e) => eprintln!("warning: could not write BENCH_net.json: {e}"),
-    }
 }

@@ -6,7 +6,7 @@
 //! collective call, so the experiment harness can verify the bounds on real
 //! executions instead of trusting the proofs.
 
-use ddrs_trace::RankStep;
+use ddrs_trace::{MetricsRegistry, RankStep};
 use parking_lot::Mutex;
 
 /// Accumulated measurements for one superstep (one collective call).
@@ -128,6 +128,15 @@ impl RunStatsRollup {
         } else {
             self.supersteps as f64 / self.runs as f64
         }
+    }
+
+    /// Publish the rollup into a [`MetricsRegistry`] under `<prefix>.*`.
+    pub fn register_into(&self, registry: &MetricsRegistry, prefix: &str) {
+        registry.set_counter(&format!("{prefix}.runs"), self.runs);
+        registry.set_counter(&format!("{prefix}.supersteps"), self.supersteps);
+        registry.set_counter(&format!("{prefix}.max_h"), self.max_h);
+        registry.set_counter(&format!("{prefix}.total_words"), self.total_words);
+        registry.set_gauge(&format!("{prefix}.rounds_per_run"), self.rounds_per_run());
     }
 }
 

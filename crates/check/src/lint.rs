@@ -14,7 +14,7 @@
 //!   a tracked guard is live in scheduler/worker code. (A condvar wait
 //!   consuming its *own* guard is the one legal form.)
 //! * **`unwrap`** (L3) — no `.unwrap()` / `.expect()` in non-test
-//!   scheduler/service/shard code: a panic there poisons a whole shard.
+//!   scheduler/shard code: a panic there poisons a whole shard.
 //! * **`relaxed`** (L4) — no `Ordering::Relaxed` in the scheduler
 //!   stack, where atomics gate commit sequencing and consistency.
 //!
@@ -50,12 +50,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// The canonical acquisition order over the scheduler stack's named
-/// lock classes, outermost first. `stats` covers both `service.stats`
-/// and `shard.stats` (they never nest with each other); `shard.cross`
-/// is the per-`CrossOp` merge state; `net.conn` is the network
-/// front-end's connection-scoped state (server connection table,
-/// remote-client pending maps and write halves); `ticket.watch` is the
-/// `on_resolve` watch cell and `ticket.state` the ticket cell itself,
+/// lock classes, outermost first. `stats` is the router's
+/// `shard.stats`; `shard.cross` is the per-`CrossOp` merge state;
+/// `net.conn` is the network front-end's connection-scoped state
+/// (server connection table, remote-client pending maps and write
+/// halves); `ticket.watch` is the `on_resolve` watch cell and
+/// `ticket.state` the ticket cell itself,
 /// innermost of the scheduling locks because resolving a ticket is the
 /// last thing a completion path does. The two telemetry classes sit
 /// below everything: `metrics.registry` is the unified export registry,
@@ -202,13 +202,12 @@ impl LintSet {
     }
 
     /// The workspace policy for a source path. The scheduler crates
-    /// (`sched`, `service`, `shard`) get every lint; the client crate
+    /// (`sched`, `shard`) get every lint; the client crate
     /// gets the lock-order and memory-ordering lints (its public API
     /// legitimately exposes blocking waits, and `unwrap` is allowed
     /// outside the serving hot path).
     pub fn for_workspace_path(path: &str) -> LintSet {
-        let sched_stack =
-            ["crates/sched", "crates/service", "crates/shard"].iter().any(|c| path.contains(c));
+        let sched_stack = ["crates/sched", "crates/shard"].iter().any(|c| path.contains(c));
         LintSet { lock_order: true, blocking: sched_stack, unwrap: sched_stack, relaxed: true }
     }
 
@@ -810,7 +809,6 @@ impl Analyzer<'_> {
 /// The crates the workspace pass covers.
 const WORKSPACE_CRATES: &[&str] = &[
     "crates/sched/src",
-    "crates/service/src",
     "crates/shard/src",
     "crates/client/src",
     "crates/trace/src",

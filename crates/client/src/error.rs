@@ -3,8 +3,8 @@
 //! Every [`RangeStore`](crate::RangeStore) backend speaks these two
 //! types: [`SubmitError`] for requests turned away at the door,
 //! [`ServiceError`] for accepted requests that did not produce a value.
-//! They used to live in `ddrs-service`; they moved here so that the
-//! contract — not one particular backend — owns its failure vocabulary.
+//! The contract — not one particular backend — owns its failure
+//! vocabulary.
 
 use ddrs_rangetree::BuildError;
 
@@ -21,10 +21,12 @@ pub enum SubmitError {
     /// new work.
     ShutDown,
     /// The request alone carries more ops than the backend's total
-    /// queue capacity, so it could never be admitted no matter how long
-    /// the caller waits. Unlike [`Overloaded`](SubmitError::Overloaded)
-    /// this is **not** transient: retrying is futile — split the
-    /// request, or raise the backend's `queue_capacity`.
+    /// queue capacity (or, on a remote backend, encodes to more bytes
+    /// than one wire frame may carry), so it could never be admitted no
+    /// matter how long the caller waits. Unlike
+    /// [`Overloaded`](SubmitError::Overloaded) this is **not**
+    /// transient: retrying is futile — split the request, or raise the
+    /// backend's `queue_capacity`.
     RequestTooLarge {
         /// Ops in the rejected request.
         ops: usize,

@@ -3,8 +3,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use ddrs_cgm::Machine;
-use ddrs_engine::QueryBatch;
-use ddrs_rangetree::{DynamicDistRangeTree, Point, Semigroup, PAD_ID};
+use ddrs_rangetree::{DynamicDistRangeTree, Point, QueryBatch, Semigroup, PAD_ID};
 
 use crate::request::{PlannedOp, Request, Response};
 use crate::store::RangeStore;

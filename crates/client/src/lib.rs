@@ -1,10 +1,9 @@
 //! # ddrs-client — one client API over every front-end
 //!
-//! The repo grew three ways to talk to the paper's distributed range
-//! tree — direct `QueryBatch` execution, the coalescing `Service`, and
-//! the multi-group `ShardedService` — and with them three copy-pasted,
-//! subtly divergent client surfaces. This crate is the replacement: the
-//! **contract** every backend implements, so workloads, differential
+//! There are three ways to talk to the paper's distributed range tree —
+//! direct `QueryBatch` execution, the coalescing `ShardedService` (one
+//! machine or many), and a `RemoteStore` across a socket. This crate is
+//! the **contract** every backend implements, so workloads, differential
 //! tests and benches are written once and run against any of them.
 //!
 //! * [`RangeStore`] — the object-safe trait with the full read/write
@@ -28,13 +27,12 @@
 //!   `DynamicDistRangeTree` behind the same trait, tickets resolved
 //!   synchronously. Even the raw engine speaks the client API.
 //!
-//! ## The same code, three backends
+//! ## The same code, every backend
 //!
 //! ```
 //! use ddrs_cgm::Machine;
 //! use ddrs_client::{InlineStore, RangeStore, Request};
 //! use ddrs_rangetree::{DynamicDistRangeTree, Point, Rect, Sum};
-//! use ddrs_service::{Service, ServiceConfig};
 //! use ddrs_shard::{PartitionPolicy, ShardedConfig, ShardedService};
 //!
 //! // One workload, written once against the trait.
@@ -57,13 +55,13 @@
 //! tree.insert_batch(&machine, &pts).unwrap();
 //! let inline = InlineStore::new(machine, tree, Sum);
 //!
-//! // Backend 2: the coalescing service.
-//! let machine = Machine::new(2).unwrap();
-//! let mut tree = DynamicDistRangeTree::<2>::new(8);
-//! tree.insert_batch(&machine, &pts).unwrap();
-//! let service = Service::start(machine, tree, Sum, ServiceConfig::default());
+//! // Backend 2: the coalescing service over one machine.
+//! let service = ShardedService::start(
+//!     vec![Machine::new(2).unwrap()], 8, &pts, Sum, PartitionPolicy::Hash,
+//!     ShardedConfig::default(),
+//! ).unwrap();
 //!
-//! // Backend 3: the sharded scatter-gather router.
+//! // Backend 3: the same service scatter-gathering over two shard groups.
 //! let machines = vec![Machine::new(1).unwrap(), Machine::new(1).unwrap()];
 //! let sharded = ShardedService::start(
 //!     machines, 8, &pts, Sum, PartitionPolicy::Hash, ShardedConfig::default(),
@@ -75,9 +73,9 @@
 //! ```
 //!
 //! (The doctest above is the README's "Client API" example; CI runs it
-//! as this crate's doc-test job. The `dev-dependencies` on the serving
-//! crates exist only for it — the library itself depends on nothing
-//! above the engine.)
+//! as this crate's doc-test job. The `dev-dependency` on the serving
+//! crate exists only for it — the library itself depends on nothing
+//! above the range tree.)
 
 #![warn(missing_docs)]
 

@@ -171,9 +171,9 @@ pub struct Ticket<T> {
 /// [`ServiceError::ShuttingDown`] — a safety net that keeps clients from
 /// blocking forever if a scheduler abandons a request.
 ///
-/// Public so serving front-ends (`ddrs-service`'s scheduler, the sharded
-/// scatter-gather router in `ddrs-shard`, custom backends) can hand out
-/// the same [`Ticket`] API without re-implementing the channel.
+/// Public so serving front-ends (the scatter-gather router in
+/// `ddrs-shard`, the remote client in `ddrs-net`, custom backends) can
+/// hand out the same [`Ticket`] API without re-implementing the channel.
 pub struct Resolver<T> {
     repr: ResolverRepr<T>,
     span: SpanId,

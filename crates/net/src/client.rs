@@ -16,8 +16,11 @@
 //! error vocabulary instead of inventing a parallel one:
 //!
 //! * connect/handshake problems — [`NetError`], before a store exists;
-//! * a request too large for the server's advertised capacity —
-//!   [`SubmitError::RequestTooLarge`], decided locally;
+//! * a request too large for the server's advertised capacity, or whose
+//!   encoding exceeds the wire's frame cap —
+//!   [`SubmitError::RequestTooLarge`], decided locally (sent anyway, the
+//!   frame would be refused as a protocol error and take the pooled
+//!   connection and every other ticket in flight on it down with it);
 //! * more in-flight ops than the advertised capacity —
 //!   [`SubmitError::Overloaded`], decided locally (the Hello frame
 //!   advertises the server's admission bound exactly so the client can
@@ -44,6 +47,7 @@ use ddrs_trace::{complete, now_ns, SpanId, Stage};
 
 use crate::codec::{
     decode_server_msg, encode_request, read_frame, RefusedReason, ServerMsg, WireValue,
+    MAX_FRAME_PAYLOAD,
 };
 
 /// Client tuning knobs.
@@ -287,6 +291,10 @@ where
         let t0 = now_ns();
         let frame = encode_request(req_id, &req);
         complete(span, Stage::Encode, t0, false);
+        if !ddrs_wal::frame::fits(&frame, MAX_FRAME_PAYLOAD) {
+            self.inflight.fetch_sub(ops, Ordering::SeqCst);
+            return Err(SubmitError::RequestTooLarge { ops, capacity: self.capacity });
+        }
         let sent_ns = now_ns();
         {
             let mut pending = conn.pending.lock();

@@ -1,18 +1,9 @@
 //! The wire codec: CRC-framed binary encoding of the client contract.
 //!
-//! # Frame layout
-//!
-//! Every message is one length-prefixed, checksummed frame — the same
-//! shape as `ddrs-wal`'s epoch records, because the same idiom solves
-//! the same problem (decode untrusted bytes without ever reading past a
-//! buffer or trusting a length):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     payload length `len`, u32 little-endian
-//! 4       4     CRC-32 (IEEE polynomial, reflected) of the payload
-//! 8       len   payload
-//! ```
+//! Every message is one length-prefixed, checksummed
+//! [`ddrs_wal::frame`] frame — the frame the write-ahead log uses,
+//! under a tighter cap ([`MAX_FRAME_PAYLOAD`]) because the peer is
+//! untrusted.
 //!
 //! # Payload layout
 //!
@@ -65,36 +56,25 @@ use std::io::Read;
 use std::time::Duration;
 
 use ddrs_client::{Commit, Consistency, Outcome, Request, Response, ServiceError, WriteOp};
-use ddrs_rangetree::{BuildError, Point, Rect, Semigroup};
+use ddrs_rangetree::{BuildError, Rect, Semigroup};
+use ddrs_wal::frame::{self, point_len, put_i64, put_point, put_u32, put_u64};
+
+pub use ddrs_wal::frame::{Reader, FRAME_HEADER};
 
 /// Current protocol version byte.
 pub const PROTO_VERSION: u8 = 1;
 
-/// Bytes of frame header preceding every payload (length + checksum).
-pub const FRAME_HEADER: usize = 8;
-
-/// Upper bound on a sane payload length; a declared length above this
-/// is treated as corruption rather than an allocation request.
+/// The wire's cap on a frame's payload length: a declared length above
+/// this is treated as corruption rather than an allocation request, and
+/// neither side sends a frame the other would refuse: both check
+/// [`ddrs_wal::frame::fits`] where a frame is handed to a socket, so an
+/// over-cap message fails alone instead of killing its connection.
 pub const MAX_FRAME_PAYLOAD: u32 = 1 << 26;
 
 const MSG_HELLO: u8 = 0;
 const MSG_REFUSED: u8 = 1;
 const MSG_REQUEST: u8 = 2;
 const MSG_RESPONSE: u8 = 3;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected, init/xorout `!0`),
-/// implemented bitwise to stay dependency-free. Corruption detection
-/// only; not cryptographic.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c: u32 = !0;
-    for &b in bytes {
-        c ^= u32::from(b);
-        for _ in 0..8 {
-            c = if c & 1 != 0 { (c >> 1) ^ 0xEDB8_8320 } else { c >> 1 };
-        }
-    }
-    !c
-}
 
 /// Why the server turned a connection (or its byte stream) away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,75 +140,6 @@ impl WireValue for u32 {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Cursor over a payload with bounds-checked little-endian reads.
-/// Public so [`WireValue`] implementations outside this crate can
-/// decode their value bytes; every accessor returns `None` instead of
-/// reading past the buffer.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Take the next `n` bytes, or `None` if fewer remain.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    /// Next byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    /// Next little-endian u32.
-    pub fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    /// Next little-endian u64.
-    pub fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    /// Next little-endian i64.
-    pub fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
-    }
-}
-
-/// Wrap `payload` in a frame (length prefix + checksum).
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD as usize);
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
-}
-
 fn header(tag: u8) -> Vec<u8> {
     vec![PROTO_VERSION, tag]
 }
@@ -238,7 +149,7 @@ pub fn encode_hello(dim: u8, queue_capacity: u64) -> Vec<u8> {
     let mut p = header(MSG_HELLO);
     p.push(dim);
     put_u64(&mut p, queue_capacity);
-    frame(p)
+    frame::wrap(&p)
 }
 
 /// Encode a typed refusal frame (terminal for its connection).
@@ -247,15 +158,12 @@ pub fn encode_refused(reason: RefusedReason, detail: &str) -> Vec<u8> {
     p.push(reason.to_byte());
     put_u32(&mut p, detail.len() as u32);
     p.extend_from_slice(detail.as_bytes());
-    frame(p)
+    frame::wrap(&p)
 }
 
 fn put_rect<const D: usize>(out: &mut Vec<u8>, q: &Rect<D>) {
-    for c in &q.lo {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
-    for c in &q.hi {
-        out.extend_from_slice(&c.to_le_bytes());
+    for c in q.lo.iter().chain(&q.hi) {
+        put_i64(out, *c);
     }
 }
 
@@ -291,11 +199,7 @@ pub fn encode_request<S: Semigroup, const D: usize>(req_id: u64, req: &Request<S
                 p.push(0);
                 put_u32(&mut p, pts.len() as u32);
                 for pt in pts {
-                    put_u32(&mut p, pt.id);
-                    put_u64(&mut p, pt.weight);
-                    for c in &pt.coords {
-                        p.extend_from_slice(&c.to_le_bytes());
-                    }
+                    put_point(&mut p, pt);
                 }
             }
             WriteOp::Delete(ids) => {
@@ -310,7 +214,7 @@ pub fn encode_request<S: Semigroup, const D: usize>(req_id: u64, req: &Request<S
     put_rects(&mut p, req.count_queries());
     put_rects(&mut p, req.aggregate_queries());
     put_rects(&mut p, req.report_queries());
-    frame(p)
+    frame::wrap(&p)
 }
 
 fn take_rect<const D: usize>(r: &mut Reader<'_>) -> Option<Rect<D>> {
@@ -325,19 +229,8 @@ fn take_rect<const D: usize>(r: &mut Reader<'_>) -> Option<Rect<D>> {
     Some(Rect { lo, hi })
 }
 
-/// Sanity-check an untrusted element count against the bytes that
-/// remain: `n` elements of at least `min_size` bytes each cannot decode
-/// from fewer than `n * min_size` remaining bytes.
-fn check_count(r: &Reader<'_>, n: usize, min_size: usize, what: &str) -> Result<(), String> {
-    if n.saturating_mul(min_size) > r.remaining() {
-        return Err(format!("{what} count {n} exceeds payload"));
-    }
-    Ok(())
-}
-
 fn take_rects<const D: usize>(r: &mut Reader<'_>, what: &str) -> Result<Vec<Rect<D>>, String> {
-    let n = r.u32().ok_or_else(|| format!("truncated {what} count"))? as usize;
-    check_count(r, n, 16 * D, what)?;
+    let n = r.count(16 * D, what)?;
     let mut qs = Vec::with_capacity(n);
     for _ in 0..n {
         qs.push(take_rect(r).ok_or_else(|| format!("truncated {what} rect"))?);
@@ -384,28 +277,19 @@ pub fn decode_request<S: Semigroup, const D: usize>(
         }
         b => return Err(format!("bad consistency tag {b}")),
     }
-    let nw = r.u32().ok_or("truncated write count")? as usize;
-    check_count(&r, nw, 5, "write")?;
+    let nw = r.count(5, "write")?;
     for _ in 0..nw {
         match r.u8().ok_or("truncated write kind")? {
             0 => {
-                let n = r.u32().ok_or("truncated insert count")? as usize;
-                check_count(&r, n, 12 + 8 * D, "insert point")?;
+                let n = r.count(point_len(D), "insert point")?;
                 let mut pts = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let id = r.u32().ok_or("truncated insert id")?;
-                    let weight = r.u64().ok_or("truncated insert weight")?;
-                    let mut coords = [0i64; D];
-                    for c in &mut coords {
-                        *c = r.i64().ok_or("truncated insert coord")?;
-                    }
-                    pts.push(Point::weighted(coords, id, weight));
+                    pts.push(r.point().ok_or("truncated insert point")?);
                 }
                 req.insert(pts);
             }
             1 => {
-                let n = r.u32().ok_or("truncated delete count")? as usize;
-                check_count(&r, n, 4, "delete id")?;
+                let n = r.count(4, "delete id")?;
                 let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(r.u32().ok_or("truncated delete id")?);
@@ -540,7 +424,7 @@ where
             put_service_error(&mut p, e);
         }
     }
-    frame(p)
+    frame::wrap(&p)
 }
 
 fn take_response<S: Semigroup>(r: &mut Reader<'_>) -> Result<Outcome<Response<S>>, String>
@@ -550,14 +434,12 @@ where
     match r.u8().ok_or("truncated outcome tag")? {
         0 => {
             let seq = r.u64().ok_or("truncated commit seq")?;
-            let nc = r.u32().ok_or("truncated count-result count")? as usize;
-            check_count(r, nc, 8, "count result")?;
+            let nc = r.count(8, "count result")?;
             let mut counts = Vec::with_capacity(nc);
             for _ in 0..nc {
                 counts.push(r.u64().ok_or("truncated count result")?);
             }
-            let na = r.u32().ok_or("truncated aggregate-result count")? as usize;
-            check_count(r, na, 1, "aggregate result")?;
+            let na = r.count(1, "aggregate result")?;
             let mut aggregates = Vec::with_capacity(na);
             for _ in 0..na {
                 aggregates.push(match r.u8().ok_or("truncated aggregate flag")? {
@@ -566,20 +448,17 @@ where
                     b => return Err(format!("bad aggregate flag {b}")),
                 });
             }
-            let nr = r.u32().ok_or("truncated report-result count")? as usize;
-            check_count(r, nr, 4, "report result")?;
+            let nr = r.count(4, "report result")?;
             let mut reports = Vec::with_capacity(nr);
             for _ in 0..nr {
-                let n = r.u32().ok_or("truncated report length")? as usize;
-                check_count(r, n, 4, "report id")?;
+                let n = r.count(4, "report id")?;
                 let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(r.u32().ok_or("truncated report id")?);
                 }
                 reports.push(ids);
             }
-            let nw = r.u32().ok_or("truncated verdict count")? as usize;
-            check_count(r, nw, 1, "verdict")?;
+            let nw = r.count(1, "verdict")?;
             let mut writes = Vec::with_capacity(nw);
             for _ in 0..nw {
                 writes.push(match r.u8().ok_or("truncated verdict")? {
@@ -697,12 +576,9 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError>
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(FrameError::Protocol(format!("frame length {len} exceeds cap")));
-    }
-    let stored_crc = u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]);
-    let mut payload = vec![0u8; len as usize];
+    let (len, stored_crc) =
+        frame::parse_header(hdr, MAX_FRAME_PAYLOAD).map_err(FrameError::Protocol)?;
+    let mut payload = vec![0u8; len];
     let mut got = 0usize;
     while got < payload.len() {
         match stream.read(&mut payload[got..]) {
@@ -712,16 +588,14 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError>
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    if crc32(&payload) != stored_crc {
-        return Err(FrameError::Protocol("frame checksum mismatch".into()));
-    }
+    frame::verify(&payload, stored_crc).map_err(FrameError::Protocol)?;
     Ok(Some(payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddrs_rangetree::Sum;
+    use ddrs_rangetree::{Point, Sum};
 
     fn sample_request() -> Request<Sum, 2> {
         let mut req = Request::new();

@@ -18,10 +18,13 @@
 //!
 //! [`NetServer::begin_shutdown`] stops accepting, half-closes every
 //! connection's read side (readers see EOF and stop admitting), then
-//! joins the readers. Each reader in turn joins its writer — and the
-//! writer only exits once every in-flight response callback has fired
-//! and released its channel handle. When `begin_shutdown` returns,
-//! every admitted request has had its response flushed to the socket.
+//! joins every reader thread the server ever spawned — including those
+//! whose connection had already closed. Each reader in turn joins its
+//! writer — and the writer only exits once every in-flight response
+//! callback has fired and released its channel handle. When
+//! `begin_shutdown` returns, every admitted request has had its
+//! response flushed to the socket and no server thread still holds the
+//! store.
 //!
 //! [`Ticket::on_resolve`]: ddrs_client::Ticket::on_resolve
 
@@ -40,7 +43,7 @@ use ddrs_trace::{complete, now_ns, Stage};
 
 use crate::codec::{
     decode_request, encode_hello, encode_refused, encode_response, read_frame, FrameError,
-    RefusedReason, WireValue,
+    RefusedReason, WireValue, MAX_FRAME_PAYLOAD,
 };
 use crate::stats::{Counters, NetStats};
 
@@ -56,7 +59,7 @@ pub struct NetConfig {
     /// The queue capacity advertised in the Hello frame. The
     /// [`RangeStore`] trait has no capacity accessor, so the config
     /// carries it; set it to the served store's admission bound (the
-    /// default matches `ServiceConfig`'s default) and the remote client
+    /// default matches `ShardedConfig`'s default) and the remote client
     /// will reproduce the store's local admission behavior.
     pub queue_capacity: usize,
 }
@@ -78,12 +81,25 @@ struct ConnEntry {
     reader: JoinHandle<()>,
 }
 
+/// The connection registry: what drain must half-close and join.
+#[derive(Default)]
+struct Conns {
+    /// Connections being served; its size is what the connection limit
+    /// counts.
+    live: HashMap<u64, ConnEntry>,
+    /// Readers whose connection has closed. A reader moves its own
+    /// handle here on its way out (it cannot join itself), and the next
+    /// accept or the drain joins it — so no reader thread, and with it
+    /// no handle on the store, outlives `shutdown`.
+    finished: Vec<JoinHandle<()>>,
+}
+
 struct Inner<S: Semigroup, const D: usize> {
     store: Box<dyn RangeStore<S, D> + Send + Sync>,
     cfg: NetConfig,
     stats: Counters,
     draining: AtomicBool,
-    conns: TrackedMutex<HashMap<u64, ConnEntry>>,
+    conns: TrackedMutex<Conns>,
     next_conn: AtomicU64,
     local: SocketAddr,
 }
@@ -128,7 +144,7 @@ where
             cfg,
             stats: Counters::default(),
             draining: AtomicBool::new(false),
-            conns: TrackedMutex::new("net.conn", HashMap::new()),
+            conns: TrackedMutex::new("net.conn", Conns::default()),
             next_conn: AtomicU64::new(0),
             local,
         });
@@ -168,17 +184,17 @@ impl<S: Semigroup, const D: usize> NetServer<S, D> {
         // Pop the accept thread out of its blocking accept; it observes
         // `draining` and exits, dropping (closing) the listener.
         drop(TcpStream::connect(self.inner.local));
-        let drained: Vec<ConnEntry> = {
+        let (drained, finished): (Vec<ConnEntry>, Vec<JoinHandle<()>>) = {
             let mut conns = self.inner.conns.lock();
-            conns.drain().map(|(_, e)| e).collect()
+            (conns.live.drain().map(|(_, e)| e).collect(), std::mem::take(&mut conns.finished))
         };
         for e in &drained {
             // Readers blocked in a frame read see EOF and stop
             // admitting; everything already admitted still resolves.
             let _ = e.stream.shutdown(std::net::Shutdown::Read);
         }
-        for e in drained {
-            let _ = e.reader.join();
+        for reader in drained.into_iter().map(|e| e.reader).chain(finished) {
+            let _ = reader.join();
         }
     }
 
@@ -232,6 +248,12 @@ where
         (Ok(a), Ok(b)) => (a, b),
         _ => return,
     };
+    // Reap the readers of connections that have closed since the last
+    // accept; they are past their last use of the registry.
+    let finished = std::mem::take(&mut inner.conns.lock().finished);
+    for reader in finished {
+        let _ = reader.join();
+    }
     // Admission is decided under the connection map lock so a drain
     // that races with an accept either sees the entry (and joins it)
     // or wins the flag check here (and the connection is refused).
@@ -242,7 +264,7 @@ where
         refuse(stream, RefusedReason::Draining, "server is draining");
         return;
     }
-    if conns.len() >= inner.cfg.max_connections {
+    if conns.live.len() >= inner.cfg.max_connections {
         let n = inner.cfg.max_connections;
         drop(conns);
         inner.stats.bump(&inner.stats.refused);
@@ -258,7 +280,7 @@ where
         let inner = Arc::clone(inner);
         std::thread::spawn(move || serve_conn(inner, id, stream, writer_clone))
     };
-    conns.insert(id, ConnEntry { stream: shutdown_clone, reader });
+    conns.live.insert(id, ConnEntry { stream: shutdown_clone, reader });
 }
 
 /// The per-connection reader: pulls frames, decodes, submits, and wires
@@ -326,7 +348,16 @@ fn serve_conn<S: Semigroup, const D: usize>(
                 let inner = Arc::clone(&inner);
                 ticket.on_resolve(move |out| {
                     let t_enc = now_ns();
-                    let frame = encode_response::<S>(req_id, &out);
+                    let mut frame = encode_response::<S>(req_id, &out);
+                    if !ddrs_wal::frame::fits(&frame, MAX_FRAME_PAYLOAD) {
+                        // The client would refuse it as a protocol error
+                        // and drop the connection; fail this request alone.
+                        let e = ServiceError::Machine(format!(
+                            "response of {} bytes exceeds the wire's frame cap",
+                            frame.len()
+                        ));
+                        frame = encode_response::<S>(req_id, &Err(e));
+                    }
                     complete(span, Stage::Encode, t_enc, out.is_err());
                     if tx.send(frame).is_err() {
                         // The writer is gone entirely (its channel is
@@ -334,6 +365,11 @@ fn serve_conn<S: Semigroup, const D: usize>(
                         // writer's call.
                         inner.stats.bump(&inner.stats.responses_dropped);
                     }
+                    // Let go of the server (and with it the store)
+                    // before the channel handle whose release lets the
+                    // writer, the reader and then `shutdown` finish.
+                    drop(inner);
+                    drop(tx);
                 });
             }
             Err(e) => {
@@ -364,7 +400,12 @@ fn serve_conn<S: Semigroup, const D: usize>(
     // response, which is exactly the drain guarantee.
     drop(tx);
     let _ = writer.join();
+    {
+        // Absent when a drain already took the entry and is joining us.
+        let mut conns = inner.conns.lock();
+        if let Some(e) = conns.live.remove(&id) {
+            conns.finished.push(e.reader);
+        }
+    }
     inner.stats.active.fetch_sub(1, Ordering::SeqCst);
-    let mut conns = inner.conns.lock();
-    conns.remove(&id);
 }

@@ -1,12 +1,11 @@
-//! # ddrs-engine — the one-submission-per-batch query engine
+//! The one-submission-per-batch query engine.
 //!
-//! The serving layer of the reproduction: clients accumulate
-//! heterogeneous range queries — counts, semigroup aggregations and
-//! reports — into a [`QueryBatch`], and the whole batch is planned into a
-//! **single** SPMD program on the CGM machine, whatever the mix of modes
-//! and (for a [`DynamicDistRangeTree`]) however many logarithmic-method
-//! levels are occupied. This matches the paper's shape: a constant number
-//! of communication rounds per batch, end to end.
+//! Clients accumulate heterogeneous range queries — counts, semigroup
+//! aggregations and reports — into a [`QueryBatch`], and the whole batch
+//! is planned into a **single** SPMD program on the CGM machine, whatever
+//! the mix of modes and (for a [`DynamicDistRangeTree`]) however many
+//! logarithmic-method levels are occupied. This matches the paper's
+//! shape: a constant number of communication rounds per batch, end to end.
 //!
 //! ```text
 //!   client queries            engine                      machine
@@ -29,8 +28,7 @@
 //!
 //! ```
 //! use ddrs_cgm::Machine;
-//! use ddrs_engine::QueryBatch;
-//! use ddrs_rangetree::{DistRangeTree, Point, Rect, Sum};
+//! use ddrs_rangetree::{DistRangeTree, Point, QueryBatch, Rect, Sum};
 //!
 //! let machine = Machine::new(4).unwrap();
 //! let pts: Vec<Point<2>> =
@@ -47,10 +45,9 @@
 //! assert_eq!(out.reports[r], vec![5, 6, 7]);
 //! ```
 
-#![warn(missing_docs)]
-
 use ddrs_cgm::{CgmError, Machine};
-use ddrs_rangetree::{
+
+use crate::{
     fused_query_batch, try_fused_query_batch, DistRangeTree, DynamicDistRangeTree, FusedOutputs,
     Rect, Semigroup,
 };
@@ -122,6 +119,17 @@ impl<S: Semigroup, const D: usize> QueryBatch<S, D> {
         (&self.counts, &self.aggs, &self.reports)
     }
 
+    /// Move every query of `other` behind this batch's own, mode by
+    /// mode: query `i` of `other`'s count list lands at count index
+    /// `self.parts().0.len() + i`, and likewise for the other two modes.
+    /// The shard worker uses this to run queued read sub-batches as one
+    /// machine submission and split the results back by per-mode length.
+    pub fn append(&mut self, other: QueryBatch<S, D>) {
+        self.counts.extend(other.counts);
+        self.aggs.extend(other.aggs);
+        self.reports.extend(other.reports);
+    }
+
     /// Total queries across all modes.
     pub fn len(&self) -> usize {
         self.counts.len() + self.aggs.len() + self.reports.len()
@@ -147,9 +155,9 @@ impl<S: Semigroup, const D: usize> QueryBatch<S, D> {
     /// Fallible counterpart of [`execute`](QueryBatch::execute): routed
     /// through [`Machine::try_run`], so a panicked simulated processor
     /// surfaces as [`CgmError::ProcessorPanicked`] and the machine stays
-    /// usable. This is the entry point long-lived callers (the
-    /// `ddrs-service` scheduler) use so one poisoned batch cannot take
-    /// the dispatcher down with it.
+    /// usable. This is the entry point long-lived callers (the shard
+    /// workers) use so one poisoned batch cannot take the dispatcher
+    /// down with it.
     pub fn try_execute(
         &self,
         machine: &Machine,
@@ -197,113 +205,5 @@ impl<S: Semigroup, const D: usize> QueryBatch<S, D> {
             &self.aggs,
             &self.reports,
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ddrs_rangetree::{Point, Sum};
-
-    fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
-        range
-            .map(|i| Point::weighted([((i * 193) % 777) as i64, ((i * 71) % 555) as i64], i, 3))
-            .collect()
-    }
-
-    #[test]
-    fn batch_indices_map_to_results() {
-        let machine = Machine::new(2).unwrap();
-        let tree = DistRangeTree::<2>::build(&machine, &pts(0..50)).unwrap();
-        let mut batch = QueryBatch::new(Sum);
-        let all = Rect::new([0, 0], [800, 600]);
-        let none = Rect::new([900, 900], [901, 901]);
-        let c0 = batch.count(all);
-        let c1 = batch.count(none);
-        let a0 = batch.aggregate(all);
-        let r0 = batch.report(none);
-        assert_eq!(batch.len(), 4);
-        assert!(!batch.is_empty());
-        let out = batch.execute(&machine, &tree);
-        assert_eq!(out.counts[c0], 50);
-        assert_eq!(out.counts[c1], 0);
-        assert_eq!(out.aggregates[a0], Some(150));
-        assert!(out.reports[r0].is_empty());
-    }
-
-    #[test]
-    fn dynamic_execution_is_one_run() {
-        let machine = Machine::new(4).unwrap();
-        let mut t = DynamicDistRangeTree::<2>::new(8);
-        t.insert_batch(&machine, &pts(0..32)).unwrap();
-        t.insert_batch(&machine, &pts(40..56)).unwrap();
-        t.insert_batch(&machine, &pts(60..67)).unwrap();
-        assert_eq!(t.occupied_levels(), 3);
-        let mut batch = QueryBatch::new(Sum);
-        batch.count(Rect::new([0, 0], [800, 600]));
-        batch.aggregate(Rect::new([0, 0], [400, 300]));
-        batch.report(Rect::new([0, 0], [100, 100]));
-        machine.take_stats();
-        let out = batch.execute_dynamic(&machine, &t);
-        let stats = machine.take_stats();
-        assert_eq!(stats.runs, 1);
-        assert_eq!(out.counts[0], 55);
-    }
-
-    #[test]
-    fn try_execute_agrees_with_execute() {
-        let machine = Machine::new(4).unwrap();
-        let tree = DistRangeTree::<2>::build(&machine, &pts(0..80)).unwrap();
-        let mut dynamic = DynamicDistRangeTree::<2>::new(8);
-        dynamic.insert_batch(&machine, &pts(0..40)).unwrap();
-        dynamic.insert_batch(&machine, &pts(50..70)).unwrap();
-        let mut batch = QueryBatch::new(Sum);
-        batch.count(Rect::new([0, 0], [800, 600]));
-        batch.aggregate(Rect::new([0, 0], [400, 300]));
-        batch.report(Rect::new([0, 0], [100, 100]));
-        let (a, b) = (batch.execute(&machine, &tree), batch.try_execute(&machine, &tree).unwrap());
-        assert_eq!(a.counts, b.counts);
-        assert_eq!(a.aggregates, b.aggregates);
-        assert_eq!(a.reports, b.reports);
-        let (a, b) = (
-            batch.execute_dynamic(&machine, &dynamic),
-            batch.try_execute_dynamic(&machine, &dynamic).unwrap(),
-        );
-        assert_eq!(a.counts, b.counts);
-        assert_eq!(a.aggregates, b.aggregates);
-        assert_eq!(a.reports, b.reports);
-    }
-
-    #[test]
-    fn from_parts_round_trips_and_matches_builder() {
-        let machine = Machine::new(2).unwrap();
-        let tree = DistRangeTree::<2>::build(&machine, &pts(0..40)).unwrap();
-        let all = Rect::new([0, 0], [800, 600]);
-        let corner = Rect::new([0, 0], [100, 100]);
-        let batch = QueryBatch::from_parts(Sum, vec![all, corner], vec![all], vec![corner]);
-        let (c, a, r) = batch.parts();
-        assert_eq!((c.len(), a.len(), r.len()), (2, 1, 1));
-        assert_eq!(c[1], corner);
-        let mut built = QueryBatch::new(Sum);
-        built.count(all);
-        built.count(corner);
-        built.aggregate(all);
-        built.report(corner);
-        let (x, y) = (batch.execute(&machine, &tree), built.execute(&machine, &tree));
-        assert_eq!(x.counts, y.counts);
-        assert_eq!(x.aggregates, y.aggregates);
-        assert_eq!(x.reports, y.reports);
-    }
-
-    #[test]
-    fn empty_batch_costs_nothing() {
-        let machine = Machine::new(2).unwrap();
-        let tree = DistRangeTree::<2>::build(&machine, &pts(0..20)).unwrap();
-        machine.take_stats();
-        let batch: QueryBatch<Sum, 2> = QueryBatch::new(Sum);
-        assert!(batch.is_empty());
-        let out = batch.execute(&machine, &tree);
-        assert!(out.counts.is_empty());
-        assert_eq!(machine.take_stats().runs, 0);
     }
 }

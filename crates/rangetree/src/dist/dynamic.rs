@@ -200,8 +200,7 @@ impl<const D: usize> DynamicDistRangeTree<D> {
 
     /// A heterogeneous count + aggregate + report batch over all levels
     /// in a single machine submission — the dynamic store's native query
-    /// interface for mixed traffic (the `ddrs-engine` crate's
-    /// `QueryBatch` builds on this).
+    /// interface for mixed traffic.
     pub fn query_batch_fused<S: Semigroup>(
         &self,
         machine: &Machine,

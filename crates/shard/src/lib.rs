@@ -1,12 +1,15 @@
-//! # ddrs-shard — the multi-group scatter-gather router
+//! # ddrs-shard — the serving front-end: a scatter-gather router over
+//! `S ≥ 1` shard groups
 //!
-//! One `Machine` + one store + one scheduler (the `ddrs-service` stack)
-//! saturates at whatever a single SPMD group can sustain. This crate adds
-//! the next scaling axis: the id/key domain is partitioned across `S`
+//! The layers below this crate are synchronous and single-caller: a
+//! `QueryBatch` turns one batch into one SPMD submission, but somebody
+//! has to *assemble* large batches out of many small concurrent requests
+//! and interleave updates safely. [`ShardedService`] is that somebody.
+//! With one machine it is the whole serving layer of a single SPMD
+//! group; with `S` machines the id/key domain is partitioned across `S`
 //! *shard groups*, each owning its own [`Machine`], its own
-//! [`DynamicDistRangeTree`] and its own scheduler thread, behind a single
-//! [`ShardedService`] façade with the same `Ticket`/`Commit { value, seq }`
-//! API as the unsharded service:
+//! [`DynamicDistRangeTree`] and its own worker thread, behind the same
+//! `Ticket`/`Commit { value, seq }` API:
 //!
 //! ```text
 //!  client threads        router thread                 shard groups
@@ -27,7 +30,7 @@
 //! ## Routing and merging
 //!
 //! * **Reads.** A coalesced read window is planned into at most one fused
-//!   sub-batch per *touched* shard ([`ddrs_engine::QueryBatch`]), so a
+//!   sub-batch per *touched* shard ([`ddrs_rangetree::QueryBatch`]), so a
 //!   mixed cross-shard read batch costs **at most one machine run per
 //!   shard it overlaps** however many queries it coalesced. Under the
 //!   range policy a query is enqueued only on the slabs its first-axis
@@ -52,9 +55,9 @@
 //!   splits stay synchronous on the router thread — that barrier *is*
 //!   the epoch protocol.
 //! * **Global sequence.** The router assigns every committed response a
-//!   position in one *global* commit order at planning time, exactly
-//!   like the unsharded service: replaying committed requests in `seq`
-//!   order through a sequential oracle reproduces every response. The
+//!   position in one *global* commit order at planning time: replaying
+//!   committed requests in `seq` order through a sequential oracle
+//!   reproduces every response. The
 //!   invariant survives concurrent reads because each worker executes
 //!   its jobs in FIFO order and every write epoch is a router barrier:
 //!   a read planned between write epochs `W_k` and `W_{k+1}` reaches
@@ -136,9 +139,10 @@ use ddrs_client::{
     ticket, Commit, PlannedOp, RangeStore, Request, Resolver, Response, ServiceError, SubmitError,
     Ticket,
 };
-use ddrs_engine::{BatchResults, QueryBatch};
 use ddrs_rangetree::semigroup::comb_opt;
-use ddrs_rangetree::{BuildError, DynamicDistRangeTree, Point, Rect, Semigroup, PAD_ID};
+use ddrs_rangetree::{
+    BatchResults, BuildError, DynamicDistRangeTree, Point, QueryBatch, Rect, Semigroup, PAD_ID,
+};
 use ddrs_sched::{gate_reads, Pending, SchedConfig, SchedCore, StopMode, Window};
 use ddrs_trace::{SpanId, Stage};
 use ddrs_wal::{EpochRecord, EpochWal, LogSink, LogTail, MemSink, RecordKind};
@@ -299,10 +303,10 @@ pub struct ShardParts<const D: usize> {
 /// The sharded serving front-end: `S` shard groups behind one
 /// serializable façade.
 ///
-/// Submission methods take `&self` from any thread and return the same
-/// [`Ticket`]s as the unsharded [`ddrs_service::Service`]; every
-/// committed response carries a position in one *global* commit order
-/// (see the crate docs for the serializability contract).
+/// Submission methods take `&self` from any thread and return
+/// [`Ticket`]s; every committed response carries a position in one
+/// *global* commit order (see the crate docs for the serializability
+/// contract).
 pub struct ShardedService<S: Semigroup, const D: usize> {
     inner: Arc<Inner<S, D>>,
     router: Option<JoinHandle<Vec<ShardParts<D>>>>,
@@ -386,8 +390,7 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         let wals: Vec<EpochWal<D>> = sinks.into_iter().map(EpochWal::with_sink).collect();
 
         // Parallel bulk load; construction statistics are not part of
-        // the service telemetry (mirrors the unsharded service, whose
-        // stats cover exactly its own dispatches).
+        // the service telemetry, which covers exactly its own dispatches.
         let (tx, rx) = mpsc::channel();
         let mut loading = 0usize;
         for (sh, pts) in parts.into_iter().enumerate() {
@@ -454,6 +457,9 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
             wals,
             capacity,
         };
+        // The bulk-load records are already in the logs: a store that is
+        // only ever read must still report them.
+        router_state.publish(&inner);
         let sched_inner = Arc::clone(&inner);
         let router = std::thread::Builder::new()
             .name("ddrs-shard-router".into())
@@ -718,10 +724,9 @@ fn router_loop<S: Semigroup, const D: usize>(
         // splits and recoveries are the exclusive kinds (they dispatch
         // alone, between windows, so no in-flight request observes a
         // half-migrated or half-rebuilt store).
-        let window =
-            inner.core.next_window(None, Op::kind, |k| matches!(k, Kind::Split | Kind::Recover));
+        let window = inner.core.next_window(Op::kind, |k| matches!(k, Kind::Split | Kind::Recover));
         let (batch, expired) = match window {
-            Window::Shutdown { rejected, .. } => {
+            Window::Shutdown { rejected } => {
                 inner.stats.lock().completed += rejected.len() as u64;
                 for p in rejected {
                     ddrs_trace::end_err(p.op.span(), Stage::Queue);
@@ -732,7 +737,6 @@ fn router_loop<S: Semigroup, const D: usize>(
                 // shard parts.
                 return stop_workers(router);
             }
-            Window::Idle => continue,
             Window::Dispatch { batch, expired } => (batch, expired),
         };
 
@@ -749,7 +753,8 @@ fn router_loop<S: Semigroup, const D: usize>(
         }
         // Consistency bounds gate reads only (a write observes
         // nothing), judged at dispatch time against the global commit
-        // counter, exactly as in the unsharded service.
+        // counter: a read demanding a commit the store has not performed
+        // fails instead of serving state it promised not to serve.
         let (batch, unmet) = gate_reads(batch, router.next_seq, |op| op.kind() == Kind::Read);
         if !unmet.is_empty() {
             inner.stats.lock().completed += unmet.len() as u64;
@@ -811,8 +816,8 @@ fn router_loop<S: Semigroup, const D: usize>(
                     if let Ok(report) = &outcome {
                         // The rebuild is the recovery's window work —
                         // surfaced through the always-on breakdown so
-                        // BENCH_recovery.json and the metrics registry
-                        // see the duration without span recording.
+                        // the metrics registry sees the duration
+                        // without span recording.
                         st.stages.window.record(report.duration.as_micros() as u64);
                     }
                 }
@@ -970,9 +975,10 @@ impl<S: Semigroup, const D: usize> ShardPlan<S, D> {
 /// Window-level read telemetry, shared by every shard callback of one
 /// scattered window: `dispatches` counts *windows* that reached at least
 /// one machine (not sub-batches), and the batch-size histogram records
-/// client queries per window — the same semantics as the single-store
-/// service, so coalescing numbers stay comparable across front-ends.
-/// The first shard to finish with a real run claims the count.
+/// client queries per window. The first shard to finish after a real run
+/// claims the count — its own run or one it shared with sub-batches
+/// queued next to it (`ran`), so a window counts the same whether or not
+/// it ran alone.
 struct WindowTally {
     routed: u64,
     counted: AtomicBool,
@@ -1116,12 +1122,13 @@ fn dispatch_reads<S: Semigroup, const D: usize>(
         let qb = QueryBatch::from_parts(inner.sg, counts, aggs, reports);
         let cb_inner = Arc::clone(inner);
         let cb_tally = Arc::clone(&tally);
-        let complete: ReadComplete<S> = Box::new(move |result, run_stats| {
+        let complete: ReadComplete<S> = Box::new(move |result, run_stats, ran| {
             finish_shard_reads(
                 &cb_inner,
                 s,
                 result,
                 run_stats,
+                ran,
                 count_slots,
                 agg_slots,
                 report_slots,
@@ -1140,7 +1147,8 @@ fn dispatch_reads<S: Semigroup, const D: usize>(
 }
 
 /// Worker-thread completion of one shard's fused read sub-batch: absorb
-/// the run's stats, resolve single-shard tickets directly, and fold
+/// the run's stats (empty when an earlier sub-batch of the same run
+/// already reported them), resolve single-shard tickets directly, and fold
 /// cross-shard partials into their shared countdowns (the last shard to
 /// arrive resolves). Stats mutation and partial-folding happen in one
 /// critical section — so a final cross arrival always observes every
@@ -1156,6 +1164,7 @@ fn finish_shard_reads<S: Semigroup, const D: usize>(
     shard: usize,
     result: Result<BatchResults<S>, String>,
     run_stats: RunStats,
+    ran: bool,
     count_slots: Vec<Slot<u64>>,
     agg_slots: Vec<Slot<Option<S::Val>>>,
     report_slots: Vec<Slot<Vec<u32>>>,
@@ -1171,7 +1180,7 @@ fn finish_shard_reads<S: Semigroup, const D: usize>(
     st.per_shard[shard].machine.absorb(&run_stats);
     // ddrs-check: allow(relaxed) — telemetry-only once-flag: it orders
     // no data (all stats mutate under the `stats` lock held here).
-    if run_stats.runs > 0 && !tally.counted.swap(true, Ordering::Relaxed) {
+    if ran && !tally.counted.swap(true, Ordering::Relaxed) {
         st.dispatches += 1;
         st.queries_coalesced += tally.routed;
         st.batch_sizes.record(tally.routed);
@@ -2025,6 +2034,89 @@ mod tests {
         }
     }
 
+    // The one-machine case: the whole serving layer of a single SPMD
+    // group (every read is a solo slot, every epoch one sub-epoch).
+
+    #[test]
+    fn serves_all_three_read_modes() {
+        let service = quick(1, PartitionPolicy::Hash);
+        let all = Rect::new([0, 0], [800, 600]);
+        let c = service.count(all).unwrap();
+        let a = service.aggregate(all).unwrap();
+        let r = service.report(Rect::new([0, 0], [0, 0])).unwrap();
+        assert_eq!(c.wait().unwrap().value, 60);
+        assert_eq!(a.wait().unwrap().value, Some(120));
+        assert_eq!(r.wait().unwrap().value, vec![0]); // point (0,0) is id 0
+        let stats = service.stats();
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.completed, 3);
+    }
+
+    #[test]
+    fn writes_commit_and_reads_observe_them() {
+        let service = quick(1, PartitionPolicy::Hash);
+        let all = Rect::new([0, 0], [800, 600]);
+        service.insert(pts(100..110)).unwrap().wait().unwrap();
+        assert_eq!(service.count(all).unwrap().wait().unwrap().value, 70);
+        service.delete((100..105).collect()).unwrap().wait().unwrap();
+        assert_eq!(service.count(all).unwrap().wait().unwrap().value, 65);
+        let (_, tree) = service.shutdown().pop().unwrap();
+        assert_eq!(tree.len(), 65);
+    }
+
+    #[test]
+    fn insert_delete_reinsert_in_one_epoch() {
+        // Both writes queue before the router can wake: they land in one
+        // epoch and must still behave sequentially.
+        let service = ShardedService::start(
+            machines(1, 2),
+            8,
+            &pts(0..8),
+            Sum,
+            PartitionPolicy::Hash,
+            ShardedConfig { max_delay: Duration::from_millis(50), ..Default::default() },
+        )
+        .unwrap();
+        // Delete id 3, then re-insert it at a new location.
+        let moved = vec![Point::weighted([700, 500], 3, 9)];
+        let t1 = service.delete(vec![3]).unwrap();
+        let t2 = service.insert(moved).unwrap();
+        let s1 = t1.wait().unwrap().seq;
+        let s2 = t2.wait().unwrap().seq;
+        assert!(s1 < s2, "epoch preserves arrival order in commit seqs");
+        let hit = service.report(Rect::new([700, 500], [700, 500])).unwrap().wait().unwrap();
+        assert_eq!(hit.value, vec![3]);
+        let (_, tree) = service.shutdown().pop().unwrap();
+        assert_eq!(tree.len(), 8);
+    }
+
+    #[test]
+    fn commit_seqs_are_dense_and_ordered() {
+        let service = quick(1, PartitionPolicy::Hash);
+        let seqs: Vec<u64> = (0..5)
+            .map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().seq)
+            .collect();
+        assert_eq!(seqs, (seqs[0]..seqs[0] + 5).collect::<Vec<u64>>(), "dense, in order");
+    }
+
+    #[test]
+    fn stats_snapshot_shape() {
+        let service = quick(1, PartitionPolicy::Hash);
+        for _ in 0..10 {
+            service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap();
+        }
+        let stats = service.stats();
+        assert_eq!(stats.submitted, 10);
+        assert_eq!(stats.completed, 10);
+        assert!(stats.machine.runs >= 1);
+        assert!(stats.dispatches >= 1 && stats.dispatches <= 10);
+        assert_eq!(stats.queries_coalesced, 10);
+        assert!(stats.mean_batch_size() >= 1.0);
+        assert!(stats.latency_us.count() == 10);
+        assert_eq!(stats.queue_depth, 0);
+        assert_eq!(stats.mean_read_fanout(), 1.0);
+    }
+
     #[test]
     fn writes_route_and_reads_observe_them() {
         let service = quick(2, PartitionPolicy::range_uniform(2, 0, 777));
@@ -2231,6 +2323,70 @@ mod tests {
         };
         assert_eq!(seqs, sorted, "sequential submission commits in order");
         assert_eq!(seqs, (seqs[0]..seqs[0] + 4).collect::<Vec<u64>>(), "seqs are dense");
+        service.shutdown();
+    }
+
+    /// Read windows queued behind a busy worker ride one machine run;
+    /// each still counts as its own dispatch and resolves with the seq
+    /// the router pre-assigned it.
+    #[test]
+    fn queued_read_windows_share_one_machine_run() {
+        const QUEUED: u64 = 7;
+        let service = ShardedService::start(
+            machines(1, 1),
+            16,
+            &pts(0..60),
+            Sum,
+            PartitionPolicy::Hash,
+            ShardedConfig { max_batch: 2, max_delay: Duration::from_secs(5), ..Default::default() },
+        )
+        .unwrap();
+        let all = Rect::new([0, 0], [800, 600]);
+        // Window 0: its first ticket's callback runs on the worker thread
+        // and parks it there (registered before the window can fire — one
+        // op is below max_batch — so it cannot run on this thread).
+        let (entered_tx, entered) = mpsc::channel::<u64>();
+        let (release, gate) = mpsc::channel::<()>();
+        service.count(all).unwrap().on_resolve(move |out| {
+            let _ = entered_tx.send(out.unwrap().seq);
+            let _ = gate.recv();
+        });
+        let mut tickets = vec![service.count(all).unwrap()];
+        assert_eq!(entered.recv().unwrap(), 0);
+        // Every further pair is a window of its own. Once the router has
+        // planned the last one, all earlier ones sit in the worker's
+        // channel; only the last may still be on its way there.
+        for _ in 0..2 * QUEUED {
+            tickets.push(service.count(all).unwrap());
+        }
+        let t0 = Instant::now();
+        while service.stats().read_ops_routed < 2 + 2 * QUEUED {
+            assert!(t0.elapsed() < Duration::from_secs(10), "router never planned the windows");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(service.stats().machine.runs, 1, "only window 0 has run so far");
+        release.send(()).unwrap();
+        let seqs: Vec<u64> = tickets
+            .into_iter()
+            .map(|t| {
+                let c = t.wait().unwrap();
+                assert_eq!(c.value, 60);
+                c.seq
+            })
+            .collect();
+        assert_eq!(seqs, (1..2 + 2 * QUEUED).collect::<Vec<u64>>(), "planning order is seq order");
+        let stats = service.stats();
+        assert_eq!(stats.completed, 2 + 2 * QUEUED);
+        assert_eq!(stats.dispatches, 1 + QUEUED, "a window that rode a run is still a dispatch");
+        assert_eq!(stats.batch_sizes.count(), 1 + QUEUED);
+        assert_eq!(stats.queries_coalesced, 2 + 2 * QUEUED);
+        // Window 0, then one run for the queued windows — two if the last
+        // window reached the channel after the drain had started.
+        assert!(
+            (2..=3).contains(&stats.machine.runs),
+            "{QUEUED} queued windows must share a run, measured {} runs",
+            stats.machine.runs
+        );
         service.shutdown();
     }
 

@@ -1,10 +1,9 @@
-//! Sharded-service telemetry: the single-service counters plus a
-//! per-shard breakdown, all bounded-memory.
+//! Service telemetry: scalar counters, fixed-size histograms, the
+//! always-on per-stage latency breakdown and machine-side rollups, in
+//! total and per shard — O(1) space per shard whatever the traffic.
 
 use ddrs_cgm::RunStatsRollup;
-use ddrs_service::register_rollup;
-use ddrs_service::Histogram;
-use ddrs_trace::{MetricsRegistry, StageBreakdown};
+use ddrs_trace::{Histogram, MetricsRegistry, StageBreakdown};
 
 /// Telemetry of one shard group, as seen by the router.
 #[derive(Debug, Clone, Default)]
@@ -140,9 +139,7 @@ impl ShardedStats {
     }
 
     /// Publish this snapshot into a [`MetricsRegistry`] under
-    /// `<prefix>.*` — the same export vocabulary as
-    /// `ServiceStats::register_into`, plus the routing metrics and one
-    /// `<prefix>.shard.<i>.*` group per shard.
+    /// `<prefix>.*`, with one `<prefix>.shard.<i>.*` group per shard.
     pub fn register_into(&self, registry: &MetricsRegistry, prefix: &str) {
         registry.set_counter(&format!("{prefix}.submitted"), self.submitted);
         registry.set_counter(&format!("{prefix}.completed"), self.completed);
@@ -165,14 +162,14 @@ impl ShardedStats {
         registry.set_histogram(&format!("{prefix}.batch_sizes"), self.batch_sizes.clone());
         registry.set_histogram(&format!("{prefix}.latency_us"), self.latency_us.clone());
         self.stages.register_into(registry, &format!("{prefix}.stage"));
-        register_rollup(&self.machine, registry, &format!("{prefix}.machine"));
+        self.machine.register_into(registry, &format!("{prefix}.machine"));
         for (i, shard) in self.per_shard.iter().enumerate() {
             let sp = format!("{prefix}.shard.{i}");
             registry.set_counter(&format!("{sp}.live_points"), shard.live_points as u64);
             registry.set_counter(&format!("{sp}.poisoned"), u64::from(shard.poisoned.is_some()));
             registry.set_counter(&format!("{sp}.wal_records"), shard.wal_records);
             registry.set_counter(&format!("{sp}.wal_bytes"), shard.wal_bytes);
-            register_rollup(&shard.machine, registry, &format!("{sp}.machine"));
+            shard.machine.register_into(registry, &format!("{sp}.machine"));
         }
     }
 }
@@ -180,6 +177,52 @@ impl ShardedStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddrs_trace::MetricValue;
+
+    #[test]
+    fn empty_stats_quantiles_are_zero() {
+        let s = ShardedStats::default();
+        assert_eq!(s.p50_latency_us(), 0);
+        assert_eq!(s.p99_latency_us(), 0);
+        assert_eq!(s.latency_us.max(), 0);
+        assert_eq!(s.latency_us.mean(), 0.0);
+    }
+
+    #[test]
+    fn coalescing_factor_and_batch_mean() {
+        let mut s = ShardedStats::default();
+        assert_eq!(s.coalescing_factor(), 0.0);
+        s.queries_coalesced = 120;
+        s.machine.runs = 3;
+        s.batch_sizes.record(40);
+        s.batch_sizes.record(40);
+        s.batch_sizes.record(40);
+        assert_eq!(s.coalescing_factor(), 40.0);
+        assert_eq!(s.mean_batch_size(), 40.0);
+    }
+
+    #[test]
+    fn register_into_publishes_counters_stages_and_rollup() {
+        let mut s = ShardedStats { submitted: 7, completed: 7, ..Default::default() };
+        s.machine.runs = 2;
+        s.machine.supersteps = 6;
+        s.latency_us.record(100);
+        s.stages.queue.record(40);
+        let reg = MetricsRegistry::new();
+        s.register_into(&reg, "service");
+        let snap = reg.snapshot();
+        assert_eq!(snap.get("service.submitted"), Some(&MetricValue::Counter(7)));
+        assert_eq!(snap.get("service.machine.runs"), Some(&MetricValue::Counter(2)));
+        assert_eq!(snap.get("service.stage.queue.max_us"), Some(&MetricValue::Counter(40)));
+        match snap.get("service.latency_us") {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 1),
+            other => panic!("latency_us missing or mistyped: {other:?}"),
+        }
+        assert!(matches!(
+            snap.get("service.machine.rounds_per_run"),
+            Some(MetricValue::Gauge(g)) if (*g - 3.0).abs() < 1e-9
+        ));
+    }
 
     #[test]
     fn skew_and_totals() {
@@ -195,7 +238,6 @@ mod tests {
 
     #[test]
     fn register_into_publishes_per_shard_groups() {
-        use ddrs_trace::MetricValue;
         let mut s = ShardedStats {
             submitted: 9,
             read_ops_routed: 4,

@@ -14,23 +14,30 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 use ddrs_cgm::{panic_message, CgmError, Machine, RunStats};
-use ddrs_engine::{BatchResults, QueryBatch};
-use ddrs_rangetree::{DynamicDistRangeTree, Point, Semigroup};
+use ddrs_rangetree::{BatchResults, DynamicDistRangeTree, Point, QueryBatch, Semigroup};
 use ddrs_wal::EpochRecord;
 
 /// What a read sub-batch does with its outcome: invoked on the worker
-/// thread with the fused results (or the failure) and the run's stats.
+/// thread with the fused results (or the failure), the run's stats, and
+/// whether the sub-batch reached the machine at all. Sub-batches that
+/// shared one run (see [`ShardJob::Reads`]) all see `ran == true`, but
+/// only the first is handed the run's stats — the rest get empty ones,
+/// so absorbing every callback's stats counts the run once.
 /// The router builds these to resolve tickets and account telemetry
 /// without ever blocking on the read — reads gather asynchronously,
 /// while writes and splits keep their synchronous reply channels
 /// (the router *must* barrier on those to order the epoch protocol).
-pub(crate) type ReadComplete<S> = Box<dyn FnOnce(Result<BatchResults<S>, String>, RunStats) + Send>;
+pub(crate) type ReadComplete<S> =
+    Box<dyn FnOnce(Result<BatchResults<S>, String>, RunStats, bool) + Send>;
 
 /// One planned unit of work for a shard group.
 pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
-    /// Execute a fused read sub-batch: exactly one `Machine::run` (zero
+    /// Execute a fused read sub-batch: at most one `Machine::run` (zero
     /// when the sub-batch or the shard's store is empty), then hand the
-    /// outcome to `complete` on this worker thread.
+    /// outcome to `complete` on this worker thread. Read sub-batches
+    /// already queued behind this one ride the same run: writes are
+    /// router barriers and seqs are pre-assigned, so adjacent read
+    /// sub-batches observe the same store.
     Reads { batch: QueryBatch<S, D>, complete: ReadComplete<S> },
     /// Apply one write sub-epoch: extract `deletes` (returning the
     /// removed points so the router can roll the epoch back on sibling
@@ -119,18 +126,53 @@ fn worker_loop<S: Semigroup, const D: usize>(
 ) {
     // Start clean so every reply's stats cover exactly its own job.
     machine.take_stats();
-    while let Ok(job) = rx.recv() {
+    // A non-read job that ended a read drain; it runs next.
+    let mut held: Option<ShardJob<S, D>> = None;
+    while let Some(job) = held.take().or_else(|| rx.recv().ok()) {
         match job {
-            ShardJob::Reads { batch, complete } => {
+            ShardJob::Reads { mut batch, complete } => {
+                let lens = |b: &QueryBatch<S, D>| {
+                    let (c, a, r) = b.parts();
+                    (c.len(), a.len(), r.len())
+                };
+                let mut riders = vec![(lens(&batch), complete)];
+                while let Ok(next) = rx.try_recv() {
+                    match next {
+                        ShardJob::Reads { batch: more, complete } => {
+                            riders.push((lens(&more), complete));
+                            batch.append(more);
+                        }
+                        other => {
+                            held = Some(other);
+                            break;
+                        }
+                    }
+                }
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| batch.try_execute_dynamic(&machine, &tree)));
                 let stats = machine.take_stats();
-                let result = match outcome {
-                    Ok(Ok(out)) => Ok(out),
+                let ran = stats.runs > 0;
+                let mut stats = Some(stats);
+                let mut split = match outcome {
+                    Ok(Ok(out)) => Ok((
+                        out.counts.into_iter(),
+                        out.aggregates.into_iter(),
+                        out.reports.into_iter(),
+                    )),
                     Ok(Err(e)) => Err(cgm_error_string(&e)),
                     Err(payload) => Err(panic_message(&*payload)),
                 };
-                complete(result, stats);
+                for ((nc, na, nr), complete) in riders {
+                    let part = match &mut split {
+                        Ok((counts, aggs, reports)) => Ok(BatchResults {
+                            counts: counts.by_ref().take(nc).collect(),
+                            aggregates: aggs.by_ref().take(na).collect(),
+                            reports: reports.by_ref().take(nr).collect(),
+                        }),
+                        Err(e) => Err(e.clone()),
+                    };
+                    complete(part, stats.take().unwrap_or_default(), ran);
+                }
             }
             ShardJob::Write { deletes, inserts, inject_fault, reply } => {
                 let outcome =

@@ -1,12 +1,11 @@
 //! The fixed-size base-2 histogram shared by every telemetry surface.
 //!
-//! Relocated here from `ddrs-service` (which re-exports it) so the
-//! metrics registry, the serving stats and the repro harness all speak
-//! one estimator. This revision also tracks the exact maximum sample:
-//! the base-2 buckets resolve quantiles only to within a factor of two,
-//! which made distinct sweep points indistinguishable whenever p50 and
-//! p99 landed in one bucket — exact `mean()` and [`max`](Histogram::max)
-//! disambiguate them.
+//! It lives here so the metrics registry, the serving stats and the
+//! harnesses all speak one estimator. Besides the buckets it tracks the
+//! exact sum and maximum: the base-2 buckets resolve quantiles only to
+//! within a factor of two, which makes distinct measurements
+//! indistinguishable whenever p50 and p99 land in one bucket — exact
+//! `mean()` and [`max`](Histogram::max) disambiguate them.
 
 /// A fixed-size base-2 histogram over `u64` samples.
 ///

@@ -17,13 +17,11 @@
 //!   `lock-check`): the hot path of a default release build pays
 //!   nothing, not even a branch on an atomic.
 //! * **Stage aggregates** ([`StageBreakdown`]): always-on O(1)-space
-//!   per-stage sums/maxima the serving stats embed, so `BENCH_*.json`
-//!   can report a `stage_breakdown_us` section even in default release
-//!   builds.
+//!   per-stage sums/maxima the serving stats embed, so a benchmark can
+//!   report a per-stage breakdown even in default release builds.
 //! * **A unified registry** ([`MetricsRegistry`]): counters, gauges and
-//!   the (relocated) [`Histogram`] under one namespace with one
-//!   `snapshot()`, which `ServiceStats`, `ShardedStats` and
-//!   `RunStatsRollup` register into.
+//!   the [`Histogram`] under one namespace with one `snapshot()`, which
+//!   `ShardedStats`, `NetStats` and `RunStatsRollup` register into.
 //! * **Exporters**: [`Trace::export_chrome`] renders captured spans (and
 //!   per-rank machine timelines) as chrome://tracing / Perfetto JSON;
 //!   [`StageBreakdown::render_table`] prints the plain-text breakdown

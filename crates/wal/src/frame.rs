@@ -1,8 +1,10 @@
-//! Binary framing of epoch records.
+//! The one CRC frame of the stack, and the bounds-checked primitives
+//! every payload in it is built from.
 //!
-//! # Frame layout
-//!
-//! Every record is one length-prefixed, checksummed frame:
+//! The write-ahead log (`crate::record`) and the wire protocol
+//! (`ddrs-net`'s codec) solve the same problem — decode untrusted or
+//! crash-damaged bytes without ever reading past a buffer or trusting a
+//! length — with the same frame:
 //!
 //! ```text
 //! offset  size  field
@@ -11,165 +13,17 @@
 //! 8       len   payload
 //! ```
 //!
-//! # Payload layout
-//!
-//! All integers little-endian:
-//!
-//! ```text
-//! u8            record-format version (currently 1)
-//! u8            record kind (0 load, 1 epoch, 2 migrate-out, 3 migrate-in)
-//! u8            dimension D (cross-checked on decode)
-//! u64           first_seq — global commit seq of the first committed op
-//! u32 V         verdict count, then V bytes (0 commit, 1 rejected,
-//!               2 unavailable)
-//! u32 N         delete count, then N × u32 point ids
-//! u32 M         insert count, then M × (u32 id, u64 weight, D × i64
-//!               coords)
-//! ```
-//!
-//! # Replay invariants
-//!
-//! [`decode_log`] walks frames front to back and **stops cleanly at the
-//! first incomplete or corrupt frame**: every record before the bad
-//! frame is returned, the bad frame and everything after it is
-//! discarded, and the [`LogTail`] reports where and why the walk
-//! stopped. A torn tail (partial final frame after a crash mid-append)
-//! therefore recovers exactly the epochs that fully committed — never a
-//! partial epoch, never a panic. Decoding never reads past the buffer
-//! and rejects frames whose declared length exceeds
-//! [`MAX_FRAME_PAYLOAD`].
+//! Each caller brings its own payload layout and its own cap on `len`
+//! (a local log trusts more than a network peer). The cap guards both
+//! directions: a reader treats a declared length above it as corruption
+//! rather than an allocation request ([`parse_header`]), and a writer
+//! checks [`fits`] where it hands a frame to a sink or socket, so it
+//! never emits a frame its own reader would refuse.
 
 use ddrs_rangetree::Point;
 
-/// Current record-format version byte.
-pub const RECORD_VERSION: u8 = 1;
-
 /// Bytes of frame header preceding every payload (length + checksum).
 pub const FRAME_HEADER: usize = 8;
-
-/// Upper bound on a sane payload length; a declared length above this
-/// is treated as corruption rather than an allocation request.
-pub const MAX_FRAME_PAYLOAD: u32 = 1 << 30;
-
-/// What a logged record represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// Initial bulk load of the shard at service start.
-    Load,
-    /// A committed client write epoch (merged delete+insert batches).
-    Epoch,
-    /// Points migrated out of this shard by a split/rebalance.
-    MigrateOut,
-    /// Points migrated into this shard by a split/rebalance.
-    MigrateIn,
-}
-
-impl RecordKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            RecordKind::Load => 0,
-            RecordKind::Epoch => 1,
-            RecordKind::MigrateOut => 2,
-            RecordKind::MigrateIn => 3,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(RecordKind::Load),
-            1 => Some(RecordKind::Epoch),
-            2 => Some(RecordKind::MigrateOut),
-            3 => Some(RecordKind::MigrateIn),
-            _ => None,
-        }
-    }
-}
-
-/// Per-op outcome of a committed write epoch, in submission order.
-/// Committed ops consume global seqs `first_seq, first_seq+1, …` in
-/// this order; rejected/unavailable ops consume none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// The op committed and consumed a global seq.
-    Commit,
-    /// The op was rejected by sequential validation (duplicate id,
-    /// reserved id, unknown id).
-    Rejected,
-    /// The op addressed a quarantined shard.
-    Unavailable,
-}
-
-impl Verdict {
-    fn to_byte(self) -> u8 {
-        match self {
-            Verdict::Commit => 0,
-            Verdict::Rejected => 1,
-            Verdict::Unavailable => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(Verdict::Commit),
-            1 => Some(Verdict::Rejected),
-            2 => Some(Verdict::Unavailable),
-            _ => None,
-        }
-    }
-}
-
-/// One write-ahead log record: a committed epoch (or load/migration
-/// event) exactly as the router applied it to the shard's store.
-///
-/// Replay applies `deletes` before `inserts`, matching the epoch apply
-/// order on the live shard (extract then insert), so replaying a log
-/// front to back reproduces the store byte for byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochRecord<const D: usize> {
-    /// What this record represents.
-    pub kind: RecordKind,
-    /// Global commit seq of the epoch's first committed op (forensic;
-    /// load/migration records carry the router's next seq at the time).
-    pub first_seq: u64,
-    /// Per-op outcomes in submission order (empty for load/migration).
-    pub verdicts: Vec<Verdict>,
-    /// Ids deleted from this shard's store by the epoch.
-    pub deletes: Vec<u32>,
-    /// Points inserted into this shard's store by the epoch.
-    pub inserts: Vec<Point<D>>,
-}
-
-impl<const D: usize> EpochRecord<D> {
-    /// A record with no verdicts — load and migration events.
-    pub fn event(
-        kind: RecordKind,
-        first_seq: u64,
-        deletes: Vec<u32>,
-        inserts: Vec<Point<D>>,
-    ) -> Self {
-        EpochRecord { kind, first_seq, verdicts: Vec::new(), deletes, inserts }
-    }
-}
-
-/// Why and where [`decode_log`] stopped walking the byte stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogTail {
-    /// The stream ended exactly on a frame boundary.
-    Clean,
-    /// The final frame is incomplete — a crash mid-append. `offset` is
-    /// where the torn frame starts.
-    Torn {
-        /// Byte offset of the incomplete frame's header.
-        offset: usize,
-    },
-    /// A complete frame failed its checksum or structural validation.
-    Corrupt {
-        /// Byte offset of the corrupt frame's header.
-        offset: usize,
-        /// Human-readable reason (checksum mismatch, bad version, …).
-        reason: String,
-    },
-}
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected, init/xorout `!0`) — the
 /// ubiquitous `crc32` of zlib/gzip, implemented bitwise to stay
@@ -185,53 +39,94 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Append a little-endian u32.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Append a little-endian u64.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Encode one record as a complete frame (header + payload), ready to
-/// append to a sink.
-pub fn encode_record<const D: usize>(rec: &EpochRecord<D>) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(
-        32 + rec.verdicts.len() + 4 * rec.deletes.len() + (12 + 8 * D) * rec.inserts.len(),
-    );
-    payload.push(RECORD_VERSION);
-    payload.push(rec.kind.to_byte());
-    payload.push(D as u8);
-    put_u64(&mut payload, rec.first_seq);
-    put_u32(&mut payload, rec.verdicts.len() as u32);
-    payload.extend(rec.verdicts.iter().map(|v| v.to_byte()));
-    put_u32(&mut payload, rec.deletes.len() as u32);
-    for id in &rec.deletes {
-        put_u32(&mut payload, *id);
-    }
-    put_u32(&mut payload, rec.inserts.len() as u32);
-    for p in &rec.inserts {
-        put_u32(&mut payload, p.id);
-        put_u64(&mut payload, p.weight);
-        for c in &p.coords {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
-    frame
+/// Append a little-endian i64.
+#[inline]
+pub fn put_i64(out: &mut Vec<u8>, v: i64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Cursor over a payload with bounds-checked little-endian reads.
-struct Reader<'a> {
+/// Encoded size of one `D`-dimensional point.
+pub const fn point_len(d: usize) -> usize {
+    12 + 8 * d
+}
+
+/// Append a point: `u32 id · u64 weight · D × i64 coords`.
+#[inline]
+pub fn put_point<const D: usize>(out: &mut Vec<u8>, p: &Point<D>) {
+    put_u32(out, p.id);
+    put_u64(out, p.weight);
+    for c in &p.coords {
+        put_i64(out, *c);
+    }
+}
+
+/// Whether an encoded frame's payload is within `cap`.
+pub fn fits(frame: &[u8], cap: u32) -> bool {
+    frame.len().saturating_sub(FRAME_HEADER) <= cap as usize
+}
+
+/// Wrap `payload` in a frame (length prefix + checksum). The caller
+/// owns the cap: check [`fits`] before handing the frame on.
+pub fn wrap(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    put_u32(&mut out, payload.len() as u32);
+    put_u32(&mut out, crc32(payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Split a frame header into the declared payload length and the stored
+/// checksum, refusing a length above `cap`.
+pub fn parse_header(hdr: [u8; FRAME_HEADER], cap: u32) -> Result<(usize, u32), String> {
+    let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
+    if len > cap {
+        return Err(format!("frame length {len} exceeds cap"));
+    }
+    Ok((len as usize, u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]])))
+}
+
+/// Check a complete payload against the checksum its header stored.
+pub fn verify(payload: &[u8], stored_crc: u32) -> Result<(), String> {
+    if crc32(payload) == stored_crc {
+        Ok(())
+    } else {
+        Err("frame checksum mismatch".into())
+    }
+}
+
+/// Cursor over a payload with bounds-checked little-endian reads: every
+/// accessor returns `None` instead of reading past the buffer.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Take the next `n` bytes, or `None` if fewer remain.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         if end > self.buf.len() {
             return None;
@@ -241,106 +136,70 @@ impl<'a> Reader<'a> {
         Some(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    /// Next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    /// Next little-endian u32.
+    #[inline]
+    pub fn u32(&mut self) -> Option<u32> {
         self.take(4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    /// Next little-endian u64.
+    #[inline]
+    pub fn u64(&mut self) -> Option<u64> {
         self.take(8).map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
     }
 
-    fn i64(&mut self) -> Option<i64> {
+    /// Next little-endian i64.
+    #[inline]
+    pub fn i64(&mut self) -> Option<i64> {
         self.u64().map(|v| v as i64)
     }
-}
 
-fn decode_payload<const D: usize>(payload: &[u8]) -> Result<EpochRecord<D>, String> {
-    let mut r = Reader { buf: payload, pos: 0 };
-    let version = r.u8().ok_or("payload shorter than version byte")?;
-    if version != RECORD_VERSION {
-        return Err(format!("unknown record version {version}"));
-    }
-    let kind = r.u8().and_then(RecordKind::from_byte).ok_or("bad record kind")?;
-    let dim = r.u8().ok_or("payload shorter than dimension byte")?;
-    if usize::from(dim) != D {
-        return Err(format!("record dimension {dim} != store dimension {D}"));
-    }
-    let first_seq = r.u64().ok_or("truncated first_seq")?;
-    let nv = r.u32().ok_or("truncated verdict count")? as usize;
-    if nv > payload.len() {
-        return Err("verdict count exceeds payload".into());
-    }
-    let mut verdicts = Vec::with_capacity(nv);
-    for _ in 0..nv {
-        let v = r.u8().and_then(Verdict::from_byte).ok_or("bad verdict byte")?;
-        verdicts.push(v);
-    }
-    let nd = r.u32().ok_or("truncated delete count")? as usize;
-    if nd.saturating_mul(4) > payload.len() {
-        return Err("delete count exceeds payload".into());
-    }
-    let mut deletes = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        deletes.push(r.u32().ok_or("truncated delete id")?);
-    }
-    let ni = r.u32().ok_or("truncated insert count")? as usize;
-    if ni.saturating_mul(12 + 8 * D) > payload.len() {
-        return Err("insert count exceeds payload".into());
-    }
-    let mut inserts = Vec::with_capacity(ni);
-    for _ in 0..ni {
-        let id = r.u32().ok_or("truncated insert id")?;
-        let weight = r.u64().ok_or("truncated insert weight")?;
+    /// Next point, as [`put_point`] wrote it.
+    #[inline]
+    pub fn point<const D: usize>(&mut self) -> Option<Point<D>> {
+        let id = self.u32()?;
+        let weight = self.u64()?;
         let mut coords = [0i64; D];
         for c in &mut coords {
-            *c = r.i64().ok_or("truncated insert coord")?;
+            *c = self.i64()?;
         }
-        inserts.push(Point::weighted(coords, id, weight));
+        Some(Point::weighted(coords, id, weight))
     }
-    if r.pos != payload.len() {
-        return Err(format!("{} trailing payload bytes", payload.len() - r.pos));
+
+    /// Read an untrusted element count and sanity-check it against the
+    /// bytes that remain: `n` elements of at least `min_size` bytes each
+    /// cannot decode from fewer than `n * min_size` remaining bytes, so
+    /// nothing is ever allocated from a length the payload cannot back.
+    pub fn count(&mut self, min_size: usize, what: &str) -> Result<usize, String> {
+        let n = self.u32().ok_or_else(|| format!("truncated {what} count"))? as usize;
+        if n.saturating_mul(min_size) > self.remaining() {
+            return Err(format!("{what} count {n} exceeds payload"));
+        }
+        Ok(n)
     }
-    Ok(EpochRecord { kind, first_seq, verdicts, deletes, inserts })
 }
 
-/// Decode a whole log byte stream into the records that fully
-/// committed, stopping cleanly at the first torn or corrupt frame (see
-/// the module docs for the exact invariants). Never panics on
-/// attacker-controlled or crash-damaged input.
-pub fn decode_log<const D: usize>(bytes: &[u8]) -> (Vec<EpochRecord<D>>, LogTail) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_HEADER {
-            return (records, LogTail::Torn { offset: pos });
-        }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-        if len > MAX_FRAME_PAYLOAD {
-            return (
-                records,
-                LogTail::Corrupt { offset: pos, reason: format!("frame length {len} exceeds cap") },
-            );
-        }
-        let stored_crc =
-            u32::from_le_bytes([bytes[pos + 4], bytes[pos + 5], bytes[pos + 6], bytes[pos + 7]]);
-        let len = len as usize;
-        if remaining - FRAME_HEADER < len {
-            return (records, LogTail::Torn { offset: pos });
-        }
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-        if crc32(payload) != stored_crc {
-            return (records, LogTail::Corrupt { offset: pos, reason: "checksum mismatch".into() });
-        }
-        match decode_payload::<D>(payload) {
-            Ok(rec) => records.push(rec),
-            Err(reason) => return (records, LogTail::Corrupt { offset: pos, reason }),
-        }
-        pos += FRAME_HEADER + len;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_cap_is_enforced_in_both_directions() {
+        let frame = wrap(&[7u8; 16]);
+        assert!(fits(&frame, 16));
+        assert!(!fits(&frame, 15));
+        let hdr: [u8; FRAME_HEADER] = frame[..FRAME_HEADER].try_into().unwrap();
+        let (len, crc) = parse_header(hdr, 16).unwrap();
+        assert_eq!(len, 16);
+        assert!(verify(&frame[FRAME_HEADER..], crc).is_ok());
+        assert!(verify(&frame[FRAME_HEADER..FRAME_HEADER + 15], crc).is_err());
+        // A reader under a tighter cap refuses exactly what `fits` refuses.
+        assert!(parse_header(hdr, 15).unwrap_err().contains("exceeds cap"));
     }
-    (records, LogTail::Clean)
 }

@@ -6,7 +6,7 @@
 //! committed op, the per-op verdicts, and the exact delete/insert
 //! batches the shard's worker applied (see
 //! [`EpochRecord`]). Load and migration events use the same record with
-//! no verdicts. The framing (length prefix + CRC-32, [`encode_record`]) makes
+//! no verdicts. The framing (length prefix + CRC-32, [`frame`]) makes
 //! the log self-delimiting and torn-tail-safe: [`decode_log`] stops
 //! cleanly at the first incomplete or corrupt frame and returns exactly
 //! the epochs that fully committed.
@@ -33,12 +33,13 @@
 
 #![forbid(unsafe_code)]
 
-mod frame;
+pub mod frame;
+mod record;
 mod sink;
 
-pub use frame::{
-    crc32, decode_log, encode_record, EpochRecord, LogTail, RecordKind, Verdict, FRAME_HEADER,
-    MAX_FRAME_PAYLOAD, RECORD_VERSION,
+pub use record::{
+    decode_log, encode_record, EpochRecord, LogTail, RecordKind, Verdict, MAX_FRAME_PAYLOAD,
+    RECORD_VERSION,
 };
 pub use sink::{FileSink, LogSink, MemSink};
 
@@ -84,15 +85,24 @@ impl<const D: usize> EpochWal<D> {
     }
 
     /// Append one record; returns the frame size in bytes. An `Err`
-    /// means the sink rejected the write — the caller must treat the
-    /// epoch as failed (the log no longer reproduces the store).
+    /// means the record was not written — it exceeds
+    /// [`MAX_FRAME_PAYLOAD`] (`InvalidInput`: [`decode_log`] would call
+    /// the frame corrupt) or the sink rejected the write — and the
+    /// caller must treat the epoch as failed (the log no longer
+    /// reproduces the store).
     pub fn append_record(&self, rec: &EpochRecord<D>) -> io::Result<u64> {
-        let frame = encode_record(rec);
+        let bytes = encode_record(rec);
+        if !frame::fits(&bytes, MAX_FRAME_PAYLOAD) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("record of {} bytes exceeds the log's frame cap", bytes.len()),
+            ));
+        }
         let mut inner = self.append.lock();
-        inner.sink.append(&frame)?;
+        inner.sink.append(&bytes)?;
         inner.stats.records += 1;
-        inner.stats.bytes += frame.len() as u64;
-        Ok(frame.len() as u64)
+        inner.stats.bytes += bytes.len() as u64;
+        Ok(bytes.len() as u64)
     }
 
     /// Append-side counters (records / bytes appended so far).

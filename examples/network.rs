@@ -1,8 +1,8 @@
 //! The network front-end end to end: a served store behind a TCP
 //! socket, and remote clients that cannot tell the difference.
 //!
-//! A `Service` fronting a dynamic distributed range tree is wrapped in
-//! a `NetServer` on an ephemeral loopback port. Four client threads
+//! A one-machine `ShardedService` fronting a dynamic distributed range
+//! tree is wrapped in a `NetServer` on an ephemeral loopback port. Four client threads
 //! each connect a pooled, pipelining `RemoteStore` and fire composed
 //! multi-op requests — writes plus fused reads in one unit — over the
 //! wire. The example ends with the two stats surfaces side by side:
@@ -27,21 +27,24 @@ fn main() {
     let all: Vec<Point<2>> =
         WorkloadBuilder::new(3, 5120).points(PointDistribution::UniformCube { side: 1 << 16 });
     let (seed_pts, fresh) = all.split_at(4096);
-    let mut tree = DynamicDistRangeTree::<2>::new(1 << 8);
-    tree.insert_batch(&machine, seed_pts).unwrap();
 
     // The served store, behind an Arc so we keep a stats handle to the
     // exact instance on the far side of the socket.
-    let service = std::sync::Arc::new(Service::start(
-        machine,
-        tree,
-        Sum,
-        ServiceConfig {
-            max_batch: 96,
-            max_delay: Duration::from_micros(250),
-            ..ServiceConfig::default()
-        },
-    ));
+    let service = std::sync::Arc::new(
+        ShardedService::start(
+            vec![machine],
+            1 << 8,
+            seed_pts,
+            Sum,
+            PartitionPolicy::Hash,
+            ShardedConfig {
+                max_batch: 96,
+                max_delay: Duration::from_micros(250),
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap(),
+    );
     let server = NetServer::serve(
         Box::new(std::sync::Arc::clone(&service)),
         "127.0.0.1:0",

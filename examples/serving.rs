@@ -1,11 +1,11 @@
 //! The serving layer end to end: concurrent clients, micro-batch
 //! coalescing, epoch-scheduled updates and the telemetry surface.
 //!
-//! Eight client threads fire mixed read/write traffic at a `Service`
-//! fronting a dynamic distributed range tree on an 8-processor machine.
-//! None of them ever assembles a batch — the scheduler group-commits
-//! their small independent requests into few fused SPMD runs, and the
-//! final stats show the coalescing leverage.
+//! Eight client threads fire mixed read/write traffic at a one-machine
+//! `ShardedService` fronting a dynamic distributed range tree on an
+//! 8-processor machine. None of them ever assembles a batch — the
+//! scheduler group-commits their small independent requests into few
+//! fused SPMD runs, and the final stats show the coalescing leverage.
 //!
 //! ```sh
 //! cargo run --release --example serving
@@ -26,19 +26,20 @@ fn main() {
     let all: Vec<Point<2>> =
         WorkloadBuilder::new(3, 5120).points(PointDistribution::UniformCube { side: 1 << 16 });
     let (seed_pts, fresh) = all.split_at(4096);
-    let mut tree = DynamicDistRangeTree::<2>::new(1 << 8);
-    tree.insert_batch(&machine, seed_pts).unwrap();
 
-    let service = Service::start(
-        machine,
-        tree,
+    let service = ShardedService::start(
+        vec![machine],
+        1 << 8,
+        seed_pts,
         Sum,
-        ServiceConfig {
+        PartitionPolicy::Hash,
+        ShardedConfig {
             max_batch: 96,
             max_delay: Duration::from_micros(250),
-            ..ServiceConfig::default()
+            ..ShardedConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     // Open-loop mixed traffic: Poisson arrivals at 30k req/s, 1 write
     // per 16 requests.
@@ -75,7 +76,7 @@ fn main() {
     });
     let wall = start.elapsed();
     let stats = service.stats();
-    let (machine, tree) = service.shutdown();
+    let (machine, tree) = service.shutdown().pop().expect("one machine, one shard group");
 
     let served = served.into_inner();
     println!("served {served} requests from {clients} clients in {wall:.2?}");

@@ -8,7 +8,10 @@
 //!   (SPMD supersteps, collective communication, h-relation accounting),
 //! * [`rangetree`] — sequential and distributed d-dimensional range trees
 //!   (hat/forest decomposition, batched multisearch, associative-function
-//!   and report query modes),
+//!   and report query modes; [`QueryBatch`](rangetree::QueryBatch) plans
+//!   any mix of them into one SPMD submission, one
+//!   [`Machine::run`](cgm::Machine::run) per client batch however many
+//!   dynamization levels are occupied),
 //! * [`baselines`] — k-d tree, brute-force scan, layered range tree and the
 //!   fully-replicated parallel scheme the paper argues against,
 //! * [`workloads`] — deterministic point/query generators used by the
@@ -19,28 +22,23 @@
 //!   `Future`-based [`Ticket`](client::Ticket)s, per-request
 //!   [`Consistency`](client::Consistency) bounds, and the zero-thread
 //!   [`InlineStore`](client::InlineStore) backend,
-//! * [`engine`] — the mixed-mode query engine: heterogeneous
-//!   count/aggregate/report batches planned into one SPMD submission
-//!   (one [`Machine::run`](cgm::Machine::run) per client batch, however
-//!   many dynamization levels are occupied),
 //! * [`trace`] — the observability layer: per-thread ring-buffer span
 //!   recording of the request lifecycle (queue → window → machine-run →
 //!   merge → resolve), per-superstep machine timelines, the unified
 //!   [`MetricsRegistry`](trace::MetricsRegistry), and the
 //!   chrome://tracing exporter — all compiled out of release builds
 //!   unless the `trace` feature is on,
-//! * [`service`] — the concurrent serving front-end: multi-producer
+//! * [`shard`] — the concurrent serving front-end
+//!   ([`ShardedService`](shard::ShardedService)): multi-producer
 //!   submission with future-like tickets, adaptive micro-batch
 //!   coalescing into fused runs, bounded-queue admission control,
 //!   per-request deadlines and epoch-scheduled updates with a
-//!   batch-serializability guarantee,
-//! * [`shard`] — the multi-group scatter-gather router: the id/key
-//!   domain partitioned (hash or range policy) across `S` shard groups,
-//!   each with its own machine, store and scheduler, behind one
-//!   [`ShardedService`](shard::ShardedService) façade that plans
-//!   cross-shard read batches into per-shard fused sub-batches (≤ `S`
-//!   machine runs per window), routes writes by key, assigns one global
-//!   commit order, and rebalances skewed shards by subtree migration,
+//!   batch-serializability guarantee — over one machine, or with the
+//!   id/key domain partitioned (hash or range policy) across `S` shard
+//!   groups, each with its own machine, store and worker: cross-shard
+//!   read batches plan into per-shard fused sub-batches (≤ `S` machine
+//!   runs per window), writes route by key, one global commit order, and
+//!   skewed shards rebalance by subtree migration,
 //! * [`net`] — the TCP network front-end: a dependency-free
 //!   CRC-framed binary protocol over `std::net`, the
 //!   [`NetServer`](net::NetServer) connection fan-in (per-connection
@@ -83,11 +81,9 @@ pub use ddrs_baselines as baselines;
 pub use ddrs_cgm as cgm;
 pub use ddrs_check as check;
 pub use ddrs_client as client;
-pub use ddrs_engine as engine;
 pub use ddrs_net as net;
 pub use ddrs_rangetree as rangetree;
 pub use ddrs_sched as sched;
-pub use ddrs_service as service;
 pub use ddrs_shard as shard;
 pub use ddrs_trace as trace;
 pub use ddrs_wal as wal;
@@ -99,14 +95,14 @@ pub mod prelude {
         BruteForce, KdTree, LayeredRangeTree2d, ReplicatedRangeTree, WeightedDominance2d,
     };
     pub use ddrs_cgm::{Machine, RunStats, RunStatsRollup};
-    pub use ddrs_client::{Consistency, InlineStore, RangeStore, Request, Response, WaitFor};
-    pub use ddrs_engine::{BatchResults, QueryBatch};
+    pub use ddrs_client::{
+        Commit, Consistency, InlineStore, RangeStore, Request, Response, ServiceError, SubmitError,
+        Ticket, WaitFor,
+    };
     pub use ddrs_net::{NetConfig, NetServer, NetStats, RemoteConfig, RemoteStore};
     pub use ddrs_rangetree::{
-        Count, DistRangeTree, DynamicDistRangeTree, Point, Rect, SeqRangeTree, Sum,
-    };
-    pub use ddrs_service::{
-        Commit, Service, ServiceConfig, ServiceError, ServiceStats, SubmitError, Ticket,
+        BatchResults, Count, DistRangeTree, DynamicDistRangeTree, Point, QueryBatch, Rect,
+        SeqRangeTree, Sum,
     };
     pub use ddrs_shard::{
         PartitionPolicy, RecoveryReport, ShardedConfig, ShardedService, ShardedStats, SplitReport,

@@ -12,14 +12,13 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use ddrs::cgm::Machine;
-use ddrs::client::{Commit, InlineStore, Request, Response};
+use ddrs::client::{Commit, InlineStore, Request, Response, ServiceError};
 use ddrs::net::codec::{
     decode_request, decode_server_msg, encode_request, encode_response, read_frame, FrameError,
     ServerMsg, FRAME_HEADER,
 };
 use ddrs::net::{NetConfig, NetServer, RemoteConfig, RemoteStore};
 use ddrs::rangetree::{BuildError, DynamicDistRangeTree, Point, Rect, Sum};
-use ddrs::service::ServiceError;
 
 fn sample_request() -> Request<Sum, 2> {
     let mut req = Request::new();

@@ -7,10 +7,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ddrs::cgm::Machine;
-use ddrs::client::{ticket, InlineStore, RangeStore, Request, Response, Ticket};
+use ddrs::client::{
+    ticket, InlineStore, RangeStore, Request, Response, ServiceError, SubmitError, Ticket,
+};
 use ddrs::net::{NetConfig, NetError, NetServer, RemoteConfig, RemoteStore};
 use ddrs::rangetree::{DynamicDistRangeTree, Point, Rect, Sum};
-use ddrs::service::{Service, ServiceConfig, SubmitError};
+use ddrs::shard::{PartitionPolicy, ShardedConfig, ShardedService};
 
 fn inline_store(n: u32) -> InlineStore<Sum, 2> {
     let machine = Machine::new(1).unwrap();
@@ -83,7 +85,7 @@ fn client_disconnect_with_tickets_in_flight_is_accounted_and_survivable() {
     for t in tickets {
         // The pool's drop resolves every orphaned ticket the way an
         // in-process store's shutdown would.
-        assert_eq!(t.wait(), Err(ddrs::service::ServiceError::ShuttingDown));
+        assert_eq!(t.wait(), Err(ServiceError::ShuttingDown));
     }
 
     // Every admitted response is accounted — flushed into a doomed
@@ -193,14 +195,21 @@ fn idle_connections_are_reaped_by_the_read_deadline() {
 
 #[test]
 fn fused_dispatch_pin_holds_through_the_wire() {
-    let machine = Machine::new(2).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(8);
     let pts: Vec<Point<2>> =
         (0..48).map(|i| Point::weighted([i as i64 * 16, (i as i64 * 37) % 600], i, 2)).collect();
-    tree.insert_batch(&machine, &pts).unwrap();
     // Served behind an `Arc` so the test keeps a stats handle to the
     // very service instance on the far side of the socket.
-    let service = Arc::new(Service::start(machine, tree, Sum, ServiceConfig::default()));
+    let service = Arc::new(
+        ShardedService::start(
+            vec![Machine::new(2).unwrap()],
+            8,
+            &pts,
+            Sum,
+            PartitionPolicy::Hash,
+            ShardedConfig::default(),
+        )
+        .unwrap(),
+    );
     let server =
         NetServer::serve(Box::new(Arc::clone(&service)), "127.0.0.1:0", NetConfig::default())
             .unwrap();
@@ -228,6 +237,62 @@ fn fused_dispatch_pin_holds_through_the_wire() {
     assert_eq!(stats.dispatches, 1);
     assert_eq!(stats.queries_coalesced, 5);
 
+    drop(client);
+    server.shutdown();
+}
+
+/// `shutdown` joins every thread that held the store — including the
+/// reader of a connection that had already closed — so the caller gets
+/// its store back the moment it returns. The window a detached reader
+/// left open was a few microseconds wide (about one round in 1 300 in a
+/// debug build, one in 130 in release), hence the round count.
+#[test]
+fn shutdown_releases_the_served_store() {
+    let pts: Vec<Point<2>> = (0..8).map(|i| Point::weighted([i as i64, i as i64], i, 2)).collect();
+    for round in 0..2000 {
+        let store = Arc::new(
+            ShardedService::start(
+                vec![Machine::new(1).unwrap()],
+                8,
+                &pts,
+                Sum,
+                PartitionPolicy::Hash,
+                ShardedConfig { max_delay: Duration::from_micros(50), ..Default::default() },
+            )
+            .unwrap(),
+        );
+        let server =
+            NetServer::serve(Box::new(Arc::clone(&store)), "127.0.0.1:0", NetConfig::default())
+                .unwrap();
+        let client: RemoteStore<Sum, 2> =
+            RemoteStore::connect(server.local_addr(), RemoteConfig::default()).unwrap();
+        let (req, c) = count_all();
+        assert_eq!(client.submit(req).unwrap().wait().unwrap().value.count(c), 8);
+        drop(client);
+        server.shutdown();
+        let store = Arc::try_unwrap(store)
+            .unwrap_or_else(|_| panic!("round {round}: a server thread still owns the store"));
+        store.shutdown();
+    }
+}
+
+/// A request that cannot fit one wire frame is refused at `submit`; the
+/// pooled connection, and the tickets in flight on it, are untouched.
+#[test]
+fn an_over_cap_request_is_refused_locally_and_the_connection_survives() {
+    let server =
+        NetServer::serve(Box::new(inline_store(3)), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let client: RemoteStore<Sum, 2> =
+        RemoteStore::connect(server.local_addr(), RemoteConfig { connections: 1 }).unwrap();
+    // 4 bytes an id: just over the 64 MiB (1 << 26) frame cap.
+    let mut huge = Request::new();
+    huge.delete(vec![0; (1 << 24) + 1]);
+    let capacity = client.capacity();
+    assert_eq!(client.submit(huge).err(), Some(SubmitError::RequestTooLarge { ops: 1, capacity }));
+    assert_eq!(client.inflight(), 0, "the refused request holds no admission slot");
+    let (req, c) = count_all();
+    assert_eq!(client.submit(req).unwrap().wait().unwrap().value.count(c), 3);
+    assert_eq!(server.stats().decode_errors, 0, "nothing over the cap reached the server");
     drop(client);
     server.shutdown();
 }

@@ -1,6 +1,8 @@
-//! Serving-layer integration tests: batch serializability under
-//! concurrent clients and interleaved updates, shutdown under load,
-//! deadlines, backpressure and the zero-run short-circuit pins.
+//! Serving-layer integration tests, on a one-machine `ShardedService`
+//! (the one-SPMD-group case of the serving front-end): batch
+//! serializability under concurrent clients and interleaved updates,
+//! shutdown under load, deadlines, backpressure and the zero-run
+//! short-circuit pins.
 //!
 //! The central instrument is a *sequential oracle*: a naive, obviously
 //! correct model of the store (a flat vector of points). Every committed
@@ -17,7 +19,6 @@ use std::time::Duration;
 
 use ddrs::prelude::*;
 use ddrs::rangetree::{BuildError, PAD_ID};
-use ddrs::service::ServiceError;
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
     range
@@ -139,17 +140,9 @@ fn replay(initial: &[Point<2>], mut events: Vec<(u64, Event)>) {
     }
 }
 
-fn start_service(
-    p: usize,
-    initial: &[Point<2>],
-    cfg: ServiceConfig,
-) -> ddrs::service::Service<Sum, 2> {
+fn start_service(p: usize, initial: &[Point<2>], cfg: ShardedConfig) -> ShardedService<Sum, 2> {
     let machine = Machine::new(p).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(32);
-    if !initial.is_empty() {
-        tree.insert_batch(&machine, initial).unwrap();
-    }
-    ddrs::service::Service::start(machine, tree, Sum, cfg)
+    ShardedService::start(vec![machine], 32, initial, Sum, PartitionPolicy::Hash, cfg).unwrap()
 }
 
 /// 8 query-only client threads; every response must match the oracle (no
@@ -161,7 +154,7 @@ fn concurrent_readers_match_oracle() {
     let service = start_service(
         4,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 32,
             max_delay: Duration::from_micros(300),
             ..Default::default()
@@ -212,7 +205,7 @@ fn interleaved_updates_are_batch_serializable() {
     let service = start_service(
         4,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 24,
             max_delay: Duration::from_micros(200),
             ..Default::default()
@@ -293,7 +286,7 @@ fn interleaved_updates_are_batch_serializable() {
     }
     let stats = service.stats();
     assert!(stats.write_epochs >= 1, "updates must have applied in epochs");
-    let (machine, tree) = service.shutdown();
+    let (machine, tree) = service.shutdown().pop().unwrap();
     let events = events.into_inner().unwrap();
     // The final store must agree with the oracle end-state, too.
     let mut oracle = Oracle::new(&initial);
@@ -321,13 +314,13 @@ fn shutdown_under_load_drains_accepted_work() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 16,
             max_delay: Duration::from_micros(200),
             ..Default::default()
         },
     );
-    let accepted: Mutex<Vec<ddrs::service::Ticket<u64>>> = Mutex::new(Vec::new());
+    let accepted: Mutex<Vec<Ticket<u64>>> = Mutex::new(Vec::new());
     let shut_out = Mutex::new(0u64);
     std::thread::scope(|s| {
         for t in 0..6u64 {
@@ -367,7 +360,7 @@ fn shutdown_under_load_drains_accepted_work() {
         served += 1;
         assert!(c.value <= oracle.pts.len() as u64);
     }
-    let (_, tree) = service.shutdown();
+    let (_, tree) = service.shutdown().pop().unwrap();
     assert_eq!(tree.len(), 150, "read-only load leaves the store unchanged");
     assert!(served > 0);
 }
@@ -380,11 +373,16 @@ fn abort_rejects_pending_requests() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig { max_batch: 1024, max_delay: Duration::from_secs(5), queue_capacity: 1024 },
+        ShardedConfig {
+            max_batch: 1024,
+            max_delay: Duration::from_secs(5),
+            queue_capacity: 1024,
+            ..Default::default()
+        },
     );
     let tickets: Vec<_> =
         (0..20).map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap()).collect();
-    let (_, tree) = service.abort();
+    let (_, tree) = service.abort().pop().unwrap();
     for t in tickets {
         assert_eq!(t.wait(), Err(ServiceError::ShuttingDown));
     }
@@ -399,7 +397,7 @@ fn queued_deadline_expires_without_touching_the_machine() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 1024,
             max_delay: Duration::from_millis(80),
             ..Default::default()
@@ -426,7 +424,12 @@ fn backpressure_rejects_beyond_capacity() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig { max_batch: 1024, max_delay: Duration::from_millis(300), queue_capacity: 4 },
+        ShardedConfig {
+            max_batch: 1024,
+            max_delay: Duration::from_millis(300),
+            queue_capacity: 4,
+            ..Default::default()
+        },
     );
     let q = Rect::new([0, 0], [800, 600]);
     let mut tickets = Vec::new();
@@ -461,7 +464,7 @@ fn empty_store_and_empty_writes_cost_zero_runs() {
     let service = start_service(
         2,
         &[],
-        ServiceConfig { max_batch: 8, max_delay: Duration::from_micros(100), ..Default::default() },
+        ShardedConfig { max_batch: 8, max_delay: Duration::from_micros(100), ..Default::default() },
     );
     let q = Rect::new([0, 0], [800, 600]);
     assert_eq!(service.count(q).unwrap().wait().unwrap().value, 0);
@@ -486,7 +489,7 @@ fn a_full_window_coalesces_into_one_dispatch() {
     let service = start_service(
         4,
         &initial,
-        ServiceConfig { max_batch: 32, max_delay: Duration::from_secs(2), ..Default::default() },
+        ShardedConfig { max_batch: 32, max_delay: Duration::from_secs(2), ..Default::default() },
     );
     let mut rng = TestRng(42);
     let tickets: Vec<_> = (0..32)

@@ -18,7 +18,6 @@ use std::time::Duration;
 
 use ddrs::prelude::*;
 use ddrs::rangetree::BuildError;
-use ddrs::service::ServiceError;
 
 /// splitmix64, as in tests/service.rs — fixed seeds, reproducible boxes.
 struct TestRng(u64);

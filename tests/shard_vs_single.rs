@@ -1,5 +1,6 @@
 //! Differential tests: the sharded service must be observationally
-//! identical to the unsharded service and to a flat sequential oracle —
+//! identical to the same service over one machine and to a flat
+//! sequential oracle —
 //! same values, same rejection verdicts, same dense global commit
 //! sequences — across shard counts S ∈ {1, 2, 4}, machine sizes
 //! p ∈ {1, 2, 4}, dimensions d ∈ {1, 2, 3}, both partition policies, and
@@ -17,7 +18,6 @@ use proptest::prelude::*;
 
 use ddrs::prelude::*;
 use ddrs::rangetree::BuildError;
-use ddrs::service::ServiceError;
 
 type RawPoint = (i64, i64, i64, u64);
 type RawRect = ((i64, i64, i64), (i64, i64, i64));
@@ -114,24 +114,6 @@ fn sharded_start<const D: usize>(
     .unwrap()
 }
 
-fn single_start<const D: usize>(p: usize, initial: &[Point<D>]) -> Service<Sum, D> {
-    let machine = Machine::new(p).unwrap();
-    let mut tree = DynamicDistRangeTree::<D>::new(8);
-    if !initial.is_empty() {
-        tree.insert_batch(&machine, initial).unwrap();
-    }
-    Service::start(
-        machine,
-        tree,
-        Sum,
-        ServiceConfig {
-            max_batch: 16,
-            max_delay: Duration::from_micros(100),
-            ..Default::default()
-        },
-    )
-}
-
 /// One differential case: a sequential mixed stream (exact three-way
 /// equality, committed responses *and* commit seqs), then a racing
 /// duplicate-insert phase, then final-state equality.
@@ -150,7 +132,7 @@ fn run_case<const D: usize>(
 
     let mut oracle = Oracle::new(initial);
     let sharded = sharded_start(s, p, range_policy, initial);
-    let single = single_start(p, initial);
+    let single = sharded_start(1, p, false, initial);
 
     for (kind, raw_rect, pick) in ops {
         match kind % 5 {
@@ -261,7 +243,7 @@ fn run_case<const D: usize>(
     let mut oracle_ids: Vec<u32> = oracle.ids.iter().copied().collect();
     oracle_ids.sort_unstable();
     assert_eq!(sharded_ids, oracle_ids, "sharded union must equal the oracle id set");
-    let (_, tree) = single.shutdown();
+    let (_, tree) = single.shutdown().pop().unwrap();
     assert_eq!(tree.len(), oracle.pts.len());
 }
 

@@ -24,7 +24,6 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use ddrs::prelude::*;
-use ddrs::service::ServiceError;
 use ddrs::trace::{MetricValue, MetricsRegistry};
 use ddrs::wal::{decode_log, replay_into_store, EpochRecord, FileSink, LogSink, LogTail, MemSink};
 
@@ -147,6 +146,12 @@ fn kill_mid_epoch_recover_and_heal() {
         },
     )
     .unwrap();
+    // The bulk load is each shard's first log record, and a store that
+    // has served nothing yet already says so.
+    for shard in &service.stats().per_shard {
+        assert_eq!(shard.wal_records, 1);
+        assert!(shard.wal_bytes > 0);
+    }
 
     // Committed pre-crash traffic: the log must carry these epochs.
     let c0 = service.count(ALL).unwrap().wait().unwrap();
