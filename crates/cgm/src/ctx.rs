@@ -60,7 +60,15 @@ impl<'a> Ctx<'a> {
     /// what everyone sent to this processor, indexed by source rank.
     ///
     /// This is the paper's *personalized all-to-all broadcast*; every other
-    /// collective is built on it. Counted as one h-relation.
+    /// collective is built on it. Counted as one h-relation, and costs one
+    /// barrier: deposit, synchronise, drain. No second barrier closes the
+    /// superstep, because consecutive rounds use alternating mailbox
+    /// parities (see the `mailbox` module docs); a rank that finishes draining
+    /// early goes straight back to computing.
+    ///
+    /// The words metered are each bucket's [`Payload::words`], i.e. what a
+    /// real multicomputer would put on the wire. The buckets themselves
+    /// move by pointer.
     ///
     /// # Panics
     /// Panics if `out.len() != p`.
@@ -94,7 +102,6 @@ impl<'a> Ctx<'a> {
             ddrs_trace::now_ns().saturating_sub(enter_ns),
         );
         self.round += 1;
-        self.fabric.sync();
         self.compute_start_ns = ddrs_trace::now_ns();
         inbound
     }

@@ -23,6 +23,9 @@
 //! of words any processor sent or received (`h`), the label of the
 //! collective, and the total traffic. The experiment harness uses these to
 //! verify the "constant number of h-relations with h = s/p" corollaries.
+//! Words are the model's, not the host's: the simulator's transport is
+//! shared memory and hands messages over by pointer, but every message is
+//! charged the size it would have on a wire (see [`Payload`]).
 //!
 //! ## The persistent executor
 //!

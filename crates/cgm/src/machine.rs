@@ -13,6 +13,25 @@
 //! until every worker has finished. Runs are serialised by an internal
 //! gate, so a `Machine` can be shared freely.
 //!
+//! # What a superstep costs on the host
+//!
+//! A collective is one exchange: every rank deposits one message per
+//! destination into a `[parity][dst][src]` slot matrix, all ranks meet at
+//! **one** barrier, and every rank drains its column. Consecutive
+//! supersteps alternate the parity, so no second barrier is needed to
+//! keep a fast rank's next deposits apart from a slow rank's pending
+//! drain. The barrier spins for a few tens of microseconds before it
+//! parks the thread, and parks at once when `p` exceeds the host's
+//! hardware parallelism (a spinning rank would only hold the core the
+//! awaited rank needs). The `mailbox` module documents both.
+//!
+//! None of this is the paper's cost. The model's costs are what
+//! [`RunStats`] meters: supersteps, and words per h-relation as reported
+//! by [`Payload::words`](crate::Payload::words), which is the serialized
+//! size of a message on a real interconnect. The simulator's transport
+//! is shared memory: buckets and `Arc`-shared payloads move by pointer
+//! and are still charged in full.
+//!
 //! # The `try_run` / `run` contract
 //!
 //! [`try_run`](Machine::try_run) is the fallible entry point: a panic in
@@ -280,6 +299,14 @@ impl Machine {
             return Err(CgmError::ProcessorPanicked { rank, payload });
         }
         debug_assert_eq!(results.len(), p, "no origin panic but results are missing");
+        if !self.fabric.ranks_aligned() {
+            // A rank paired an exchange with a sibling's bare barrier:
+            // nobody hung, but the ranks now disagree on the mailbox
+            // parity, and the next run would read the wrong half.
+            self.fabric.reset();
+            self.collector.clear();
+            panic!("SPMD processors diverged: ranks completed different numbers of collectives");
+        }
 
         {
             let mut stats = self.stats.lock();

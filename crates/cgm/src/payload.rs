@@ -6,6 +6,16 @@
 //! processors; for those, the heap payload is what a real multicomputer
 //! would serialize onto the wire. The [`Payload`] trait lets every shippable
 //! type report its true transfer size.
+//!
+//! **Words are a property of the model, not of the simulator's transport.**
+//! The transport is shared memory: an exchange hands each `Vec<T>` bucket
+//! to its destination by pointer, and a value behind an [`Arc`] is shared
+//! rather than duplicated. Neither makes the message smaller in the
+//! model, so `words` always reports the full serialized size — an `Arc<T>`
+//! weighs what its `T` weighs — and `h`, total traffic and the superstep
+//! count are what a message-passing machine would have seen.
+
+use std::sync::Arc;
 
 /// A value that can be sent through a CGM collective.
 ///
@@ -79,6 +89,16 @@ impl<T: Payload> Payload for Box<T> {
     }
 }
 
+/// A shared value is metered as the value: shipping an `Arc` clone is how
+/// the simulator moves a large read-only payload (a congestion copy of a
+/// forest tree) without duplicating it on the host, and the model still
+/// charges every word of the pointee.
+impl<T: Payload + Sync> Payload for Arc<T> {
+    fn words(&self) -> u64 {
+        (**self).words()
+    }
+}
+
 impl Payload for String {
     fn words(&self) -> u64 {
         1 + (self.len() as u64).div_ceil(8)
@@ -127,6 +147,15 @@ mod tests {
         assert_eq!(nested.words(), 1 + 2 * (1 + 4));
         assert_eq!(Some(7u64).words(), 2);
         assert_eq!(Option::<u64>::None.words(), 1);
+    }
+
+    #[test]
+    fn pointers_weigh_their_pointee() {
+        let v = vec![1u64, 2, 3];
+        assert_eq!(Box::new(v.clone()).words(), v.words());
+        let shared = Arc::new(v);
+        assert_eq!(shared.words(), 4);
+        assert_eq!(Arc::clone(&shared).words(), 4, "a second handle is a full copy in the model");
     }
 
     #[test]

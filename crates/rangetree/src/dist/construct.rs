@@ -30,6 +30,7 @@
 //! caveat, recorded in [`ProcState::phase_records`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ddrs_cgm::{log2_exact, Ctx, Payload};
 
@@ -40,7 +41,14 @@ use crate::seq::DimTree;
 
 /// One forest element: a sequential range tree over one `n/p`-point
 /// group, starting at the dimension of the hat tree it hangs from.
-#[derive(Debug, Clone)]
+///
+/// Deliberately not `Clone`: an element is built once, held in an [`Arc`]
+/// by its owner, and a congestion copy is another handle to the same
+/// tree. The *model* still pays for a full copy per shipment (see the
+/// [`Payload`] impl); the host does not, because the simulator's transport
+/// is shared memory and moves pointers, for this payload as for every
+/// `Vec` bucket.
+#[derive(Debug)]
 pub struct ForestEntry<const D: usize> {
     /// The group's subtree: dimensions `start_dim..D` over `g` points
     /// (pads included as trailing leaves).
@@ -56,7 +64,8 @@ pub struct ForestEntry<const D: usize> {
 impl<const D: usize> Payload for ForestEntry<D> {
     fn words(&self) -> u64 {
         // Key/group/dim header plus the whole subtree payload — what a
-        // real machine would serialize when shipping a congestion copy.
+        // real machine would serialize when shipping a congestion copy,
+        // however the simulator hands the copy over.
         2 + self.tree.payload_words()
     }
 }
@@ -68,8 +77,9 @@ pub struct ProcState<const D: usize> {
     /// The hat replica (identical on every processor).
     pub hat: Hat,
     /// Forest elements owned by this processor, by forest id
-    /// (`owner(fid) = fid mod p`).
-    pub forest: BTreeMap<u32, ForestEntry<D>>,
+    /// (`owner(fid) = fid mod p`). Shared handles, so a congestion copy
+    /// is an `Arc` clone.
+    pub forest: BTreeMap<u32, Arc<ForestEntry<D>>>,
     /// Global record volume `|S^j|` of each construction phase (identical
     /// on every processor; the paper's Section 5 caveat quantities).
     pub phase_records: Vec<u64>,
@@ -105,7 +115,7 @@ pub fn construct<const D: usize>(
     let key_shift = log2_exact(p) + 1;
 
     let mut hats: BTreeMap<u64, HatTree> = BTreeMap::new();
-    let mut forest: BTreeMap<u32, ForestEntry<D>> = BTreeMap::new();
+    let mut forest: BTreeMap<u32, Arc<ForestEntry<D>>> = BTreeMap::new();
     let mut phase_records: Vec<u64> = Vec::with_capacity(D);
     let mut next_fid: u32 = 0;
 
@@ -183,7 +193,8 @@ pub fn construct<const D: usize>(
                 if real == 0 { (u32::MAX, 0) } else { (pts[0].ranks[j], pts[real - 1].ranks[j]) };
             summaries.push((key, gidx, fid, lo, hi, real as u32));
             let tree = DimTree::build(j, pts);
-            forest.insert(fid, ForestEntry { tree, start_dim: j as u8, key, group: gidx });
+            let entry = ForestEntry { tree, start_dim: j as u8, key, group: gidx };
+            forest.insert(fid, Arc::new(entry));
             built.push((key, gidx, fid));
         }
 

@@ -12,12 +12,14 @@
 //! 1. one all-gather fills the final-dimension hat aggregates of every
 //!    level at once (skipped when the batch has no aggregate queries —
 //!    counting reads the replicated `cnt` arrays directly);
-//! 2. the hat stages of every mode and level run locally; forest visits
-//!    are tagged with a *composite* resource id `(level << 32) | fid` so
-//!    one multisearch balancing round (three supersteps,
-//!    [`Ctx::load_balance_weighted_with`]) evens out the forest work of
-//!    the whole batch — report visits weighted by their group's output
-//!    volume, exactly as Algorithm Report prescribes;
+//! 2. each rank translates its own `qid mod p` share of the batch into
+//!    every level's rank space (the submitting thread translates nothing)
+//!    and runs the hat stages of every mode and level locally; forest
+//!    visits are tagged with a *composite* resource id
+//!    `(level << 32) | fid` so one multisearch balancing round (three
+//!    supersteps, [`Ctx::load_balance_weighted_with`]) evens out the
+//!    forest work of the whole batch — report visits weighted by their
+//!    group's output volume, exactly as Algorithm Report prescribes;
 //! 3. count/aggregate partials from all levels share one global sort +
 //!    segmented fold; report pairs from all levels share one
 //!    order-preserving rebalance.
@@ -31,6 +33,7 @@
 //! [`Ctx::load_balance_weighted_with`]: ddrs_cgm::Ctx::load_balance_weighted_with
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use ddrs_cgm::{CgmError, Machine};
 
@@ -63,6 +66,18 @@ fn compose(level: usize, fid: u32) -> u64 {
 #[inline]
 fn decompose(cid: u64) -> (usize, u32) {
     ((cid >> 32) as usize, cid as u32)
+}
+
+/// Rank `me`'s share of one mode's queries: those whose global id
+/// `base + i` is `me` modulo `p`, in id order, still in coordinate space.
+fn share<const D: usize>(
+    qs: &[Rect<D>],
+    base: usize,
+    p: usize,
+    me: usize,
+) -> impl Iterator<Item = (u32, &Rect<D>)> {
+    let first = (me + p - base % p) % p;
+    qs.iter().enumerate().skip(first).step_by(p).map(move |(i, q)| ((base + i) as u32, q))
 }
 
 /// A count/aggregate partial: `(count part, aggregate part)`. Count
@@ -135,33 +150,6 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
     let has_ca = n_c + n_a > 0;
     let has_r = n_r > 0;
 
-    // Per level: the count+aggregate records and the report records,
-    // translated into that level's rank space, under global query ids
-    // (count i → i, aggregate i → n_c + i, report i → n_c + n_a + i).
-    let rqs_ca: Vec<Vec<QueryRec<D>>> = levels
-        .iter()
-        .map(|t| {
-            counts
-                .iter()
-                .enumerate()
-                .map(|(i, q)| (i as u32, t.ranks.translate(q)))
-                .chain(
-                    aggs.iter().enumerate().map(|(i, q)| ((n_c + i) as u32, t.ranks.translate(q))),
-                )
-                .collect()
-        })
-        .collect();
-    let rqs_r: Vec<Vec<QueryRec<D>>> = levels
-        .iter()
-        .map(|t| {
-            reports
-                .iter()
-                .enumerate()
-                .map(|(i, q)| ((n_c + n_a + i) as u32, t.ranks.translate(q)))
-                .collect()
-        })
-        .collect();
-
     type Share<V> = (Vec<(u64, Partial<V>)>, Vec<(u32, u32)>);
     let per_rank: Vec<Share<S::Val>> = machine.try_run(|ctx| {
         let me = ctx.rank();
@@ -200,12 +188,16 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
         };
 
         // (2) Hat stages of every mode and level (local), emitting hat
-        // partials and composite-tagged forest visits.
+        // partials and composite-tagged forest visits. This rank owns the
+        // queries with `qid mod p == me` (global ids: count i → i,
+        // aggregate i → n_c + i, report i → n_c + n_a + i) and translates
+        // just those into each level's rank space.
         let mut pairs: Vec<(u64, Partial<S::Val>)> = Vec::new();
         let mut items: Vec<(u64, QueryRec<D>, u64)> = Vec::new();
-        for (li, state) in states.iter().enumerate() {
+        for (li, (state, level)) in states.iter().zip(levels).enumerate() {
+            let translate = |(qid, q): (u32, &Rect<D>)| (qid, level.ranks.translate(q));
             let mine_ca: Vec<QueryRec<D>> =
-                rqs_ca[li].iter().filter(|(qid, _)| *qid as usize % p == me).copied().collect();
+                share(counts, 0, p, me).chain(share(aggs, n_c, p, me)).map(translate).collect();
             let stage = hat_stage(state, &mine_ca);
             for &(qid, (key, v)) in &stage.sels {
                 if (qid as usize) < n_c {
@@ -219,7 +211,7 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
             );
             if has_r {
                 let mine_r: Vec<QueryRec<D>> =
-                    rqs_r[li].iter().filter(|(qid, _)| *qid as usize % p == me).copied().collect();
+                    share(reports, n_c + n_a, p, me).map(translate).collect();
                 // Report visits carry their group's output volume as
                 // weight (Algorithm Report's balancing measure).
                 let group_count = group_weights(state);
@@ -241,12 +233,11 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
             &owned_ids,
             |cid| {
                 let (li, fid) = decompose(cid);
-                states[li].forest[&fid].clone()
+                Arc::clone(&states[li].forest[&fid])
             },
             items,
         );
-        let copies: HashMap<u64, &ForestEntry<D>> =
-            outcome.resources.iter().map(|(cid, entry)| (*cid, entry)).collect();
+        let copies: HashMap<u64, Arc<ForestEntry<D>>> = outcome.resources.into_iter().collect();
 
         // (4) Forest finishes (local) for all three modes.
         let mut cache: AggCache<S> = AggCache::new();
@@ -254,7 +245,7 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
         let mut sels = Vec::new();
         let mut ids = Vec::new();
         for (cid, (qid, q)) in outcome.items {
-            let entry = copies.get(&cid).copied().unwrap_or_else(|| {
+            let entry: &ForestEntry<D> = copies.get(&cid).unwrap_or_else(|| {
                 let (li, fid) = decompose(cid);
                 &states[li].forest[&fid]
             });

@@ -22,6 +22,7 @@
 //! share of forest searches regardless of skew.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use ddrs_cgm::Ctx;
 
@@ -137,8 +138,10 @@ pub(crate) fn report_visits<const D: usize>(
 }
 
 /// Result of [`balance_visits`]: the forest-tree copies shipped to this
-/// processor and the `(forest id, subquery)` visits routed to it.
-pub type BalancedVisits<const D: usize> = (Vec<(u64, ForestEntry<D>)>, Vec<(u64, QueryRec<D>)>);
+/// processor (handles to their owners' trees, metered as whole trees) and
+/// the `(forest id, subquery)` visits routed to it.
+pub type BalancedVisits<const D: usize> =
+    (Vec<(u64, Arc<ForestEntry<D>>)>, Vec<(u64, QueryRec<D>)>);
 
 /// The multisearch balancing step (Search steps 2–4): replicate
 /// congested forest trees and route every visit to a processor holding a
@@ -192,7 +195,7 @@ fn balance_weighted<const D: usize>(
         visits.into_iter().map(|(fid, rec)| (fid, rec, weight(fid))).collect();
     let outcome = ctx.load_balance_weighted_with(
         &owned_ids,
-        |fid| state.forest[&(fid as u32)].clone(),
+        |fid| Arc::clone(&state.forest[&(fid as u32)]),
         items,
     );
     (outcome.resources, outcome.items)
@@ -201,15 +204,11 @@ fn balance_weighted<const D: usize>(
 /// Resolve a balanced visit's target tree: a copy shipped by
 /// [`balance_visits`], or this processor's own original.
 pub fn tree_for<'a, const D: usize>(
-    trees: &'a [(u64, ForestEntry<D>)],
+    trees: &'a [(u64, Arc<ForestEntry<D>>)],
     state: &'a ProcState<D>,
     fid: u64,
 ) -> &'a ForestEntry<D> {
-    trees
-        .iter()
-        .find(|(f, _)| *f == fid)
-        .map(|(_, entry)| entry)
-        .unwrap_or_else(|| &state.forest[&(fid as u32)])
+    trees.iter().find(|(f, _)| *f == fid).map_or_else(|| &*state.forest[&(fid as u32)], |(_, e)| e)
 }
 
 /// Algorithm AssociativeFunction step 1 for the hat: given the
@@ -240,4 +239,61 @@ pub(crate) fn fill_hat_values<S: Semigroup, const D: usize>(
         out.insert(key, vals);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::DistRangeTree;
+    use crate::point::{Point, Rect};
+    use ddrs_cgm::Machine;
+
+    /// A hot-spot batch at p = 4: every query cuts through the same
+    /// group, so that group's tree is congested and copied to every other
+    /// rank. The copies are handles to the owner's tree, not duplicates,
+    /// and the round is still charged the full size of every shipped tree.
+    #[test]
+    fn congestion_copies_share_the_owners_tree_and_are_metered_whole() {
+        let p = 4;
+        let n = 1024u32;
+        let machine = Machine::new(p).unwrap();
+        let pts: Vec<Point<2>> =
+            (0..n).map(|i| Point::new([i as i64, ((i * 389) % n) as i64], i)).collect();
+        let tree = DistRangeTree::<2>::build(&machine, &pts).unwrap();
+        // x ∈ [3, 40 + i] lies inside the first group of 256 and never
+        // covers it, so the hat hands every query to that group's tree.
+        let rqs: Vec<QueryRec<2>> = (0..64u32)
+            .map(|i| (i, tree.ranks.translate(&Rect::new([3, 0], [40 + i as i64, n as i64]))))
+            .collect();
+        machine.take_stats();
+        let shipped: Vec<Vec<(u64, Arc<ForestEntry<2>>)>> = machine.run(|ctx| {
+            let state = &tree.states()[ctx.rank()];
+            let mine: Vec<QueryRec<2>> =
+                rqs.iter().filter(|(qid, _)| *qid as usize % p == ctx.rank()).copied().collect();
+            balance_visits(ctx, state, hat_stage(state, &mine).visits).0
+        });
+        let stats = machine.take_stats();
+
+        let copies: Vec<&(u64, Arc<ForestEntry<2>>)> = shipped.iter().flatten().collect();
+        assert!(
+            copies.len() >= p - 1,
+            "the hot tree must reach every other rank: {}",
+            copies.len()
+        );
+        for (fid, copy) in &copies {
+            let owner = &tree.states()[*fid as usize % p];
+            assert!(
+                Arc::ptr_eq(copy, &owner.forest[&(*fid as u32)]),
+                "copy of forest tree {fid} is not the owner's tree"
+            );
+        }
+        // Per shipped pair: the resource id, the entry header, the tree.
+        let walked: u64 = copies.iter().map(|(_, e)| 1 + 2 + e.tree.payload_words_walk()).sum();
+        let round = stats.rounds.iter().find(|r| r.label == "balance_resources").unwrap();
+        assert_eq!(
+            round.total_words, walked,
+            "shipping by reference must not shrink the h-relation"
+        );
+        assert!(walked > 0);
+    }
 }

@@ -30,6 +30,10 @@ pub struct DimTree<const D: usize> {
     /// empty). `None` for leaves, for the unused slot 0, and for nodes
     /// spanning no real points.
     pub desc: Vec<Option<Box<DimTree<D>>>>,
+    /// Transfer size of the whole tree in words, summed from the
+    /// descendants' as [`build`](DimTree::build) creates them, so metering
+    /// a shipped tree never walks it.
+    words: u64,
 }
 
 impl<const D: usize> DimTree<D> {
@@ -50,6 +54,7 @@ impl<const D: usize> DimTree<D> {
         let r = pts.iter().take_while(|p| !p.is_pad()).count();
         debug_assert!(pts[r..].iter().all(RPoint::is_pad), "pads must form a suffix");
 
+        let mut words = own_words::<D>(m);
         let mut desc: Vec<Option<Box<DimTree<D>>>> = Vec::new();
         if dim + 1 < D && m >= 2 {
             // Merge next-dimension orderings bottom-up.
@@ -64,11 +69,13 @@ impl<const D: usize> DimTree<D> {
             for v in 1..m {
                 let lv = std::mem::take(&mut lists[v]);
                 if lv.iter().any(|p| !p.is_pad()) {
-                    desc[v] = Some(Box::new(DimTree::build(dim + 1, lv)));
+                    let dt = DimTree::build(dim + 1, lv);
+                    words += dt.words;
+                    desc[v] = Some(Box::new(dt));
                 }
             }
         }
-        DimTree { dim: dim as u8, m: m as u32, r: r as u32, leaves: pts, desc }
+        DimTree { dim: dim as u8, m: m as u32, r: r as u32, leaves: pts, desc, words }
     }
 
     /// Leaf-position range of node `v` clipped to real points: `[a, b)`.
@@ -146,10 +153,29 @@ impl<const D: usize> DimTree<D> {
     }
 
     /// Approximate transfer size in words: leaves plus descendant trees.
+    /// O(1): the sum is stored when the tree is built.
     pub fn payload_words(&self) -> u64 {
-        let own = 2 + self.leaves.len() as u64 * ddrs_cgm::shallow_words::<RPoint<D>>();
-        own + self.desc.iter().filter_map(|d| d.as_deref()).map(DimTree::payload_words).sum::<u64>()
+        self.words
     }
+
+    /// [`payload_words`](DimTree::payload_words) recomputed by walking the
+    /// whole tree: the reference the stored sum is pinned against.
+    #[cfg(test)]
+    pub(crate) fn payload_words_walk(&self) -> u64 {
+        own_words::<D>(self.leaves.len())
+            + self
+                .desc
+                .iter()
+                .filter_map(|d| d.as_deref())
+                .map(DimTree::payload_words_walk)
+                .sum::<u64>()
+    }
+}
+
+/// Words one segment tree over `m` leaves contributes by itself: a
+/// two-word header plus its leaf points.
+fn own_words<const D: usize>(m: usize) -> u64 {
+    2 + m as u64 * ddrs_cgm::shallow_words::<RPoint<D>>()
 }
 
 impl<const D: usize> Payload for DimTree<D> {
@@ -281,6 +307,58 @@ mod tests {
         assert_eq!(covered, (3..=12).collect::<Vec<u32>>());
         // O(2 log n) canonical pieces.
         assert!(sels.len() <= 8, "too many canonical pieces: {}", sels.len());
+    }
+
+    /// `n` real points whose rank in each dimension `j` is a permutation
+    /// derived from `seeds[j]`, sorted by `ranks[0]` and padded to the next
+    /// power of two (at least `min_m`) with pads ranking above every real
+    /// point in every dimension.
+    fn scattered<const D: usize>(n: u32, min_m: u32, seeds: [u64; D]) -> Vec<RPoint<D>> {
+        let m = n.max(min_m).next_power_of_two();
+        let perm = |j: usize| {
+            let mut ranks: Vec<u32> = (0..n).collect();
+            // Dimension 0 stays the identity so the input is sorted.
+            if j > 0 {
+                ranks.sort_unstable_by_key(|&i| (i as u64 + 1).wrapping_mul(seeds[j] | 1) >> 7);
+            }
+            ranks
+        };
+        let perms: Vec<Vec<u32>> = (0..D).map(perm).collect();
+        let mut pts: Vec<RPoint<D>> = (0..n)
+            .map(|i| RPoint {
+                ranks: std::array::from_fn(|j| perms[j][i as usize]),
+                id: i,
+                weight: 1,
+            })
+            .collect();
+        pts.extend((n..m).map(|t| RPoint { ranks: [t; D], id: PAD_ID, weight: 0 }));
+        pts
+    }
+
+    fn stored_words_match_walk<const D: usize>(n: u32, min_m: u32, seeds: [u64; D]) {
+        let t = DimTree::<D>::build(0, scattered(n, min_m, seeds));
+        assert_eq!(t.payload_words(), t.payload_words_walk(), "d = {D}, n = {n}, m = {}", t.m);
+        // Every descendant carries its own sum too (it may be shipped alone).
+        for dt in t.desc.iter().filter_map(|d| d.as_deref()) {
+            assert_eq!(dt.payload_words(), dt.payload_words_walk());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The word count stored at build equals the recursive walk, in
+        /// every dimension count the crate is used at, pads included.
+        #[test]
+        fn stored_words_equal_the_recursive_walk(
+            n in 1u32..200,
+            min_m in 1u32..300,
+            seeds in (1u64..u64::MAX, 1u64..u64::MAX, 1u64..u64::MAX),
+        ) {
+            stored_words_match_walk::<1>(n, min_m, [seeds.0]);
+            stored_words_match_walk::<2>(n, min_m, [seeds.0, seeds.1]);
+            stored_words_match_walk::<3>(n.min(64), min_m.min(64), [seeds.0, seeds.1, seeds.2]);
+        }
     }
 
     #[test]

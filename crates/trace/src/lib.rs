@@ -208,7 +208,8 @@ pub struct RankStep {
     pub start_ns: u64,
     /// Local computation time before entering the collective.
     pub compute_ns: u64,
-    /// Time blocked in the collective's exchange barrier.
+    /// Time in the collective's exchange: deposit, the wait at the
+    /// superstep's barrier, drain and metering.
     pub barrier_ns: u64,
 }
 
