@@ -839,7 +839,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let path = entry.path();
         if path.is_dir() {
             collect_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        } else if path.extension().is_some_and(|e| e == "rs")
+            // `tests.rs` is the file form of a `#[cfg(test)] mod tests`
+            // item, which `lint_source` skips wholesale.
+            && path.file_name().is_some_and(|n| n != "tests.rs")
+        {
             out.push(path);
         }
     }

@@ -1,0 +1,329 @@
+//! The router thread: its state, the dispatch loop, the one worker
+//! round-trip helper every synchronous protocol step goes through,
+//! telemetry publishing and shutdown.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::time::Instant;
+
+use ddrs_check::TrackedMutex;
+use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
+use ddrs_rangetree::Semigroup;
+use ddrs_sched::{gate_reads, Pending, SchedCore, Window};
+use ddrs_trace::{SpanId, Stage};
+use ddrs_wal::EpochWal;
+
+use crate::partition::Partitioner;
+use crate::reads::dispatch_reads;
+use crate::recover::do_recover;
+use crate::split::do_split;
+use crate::worker::{Reply, ShardJob, WorkerHandle};
+use crate::writes::dispatch_write_epoch;
+use crate::{RecoveryReport, ShardParts, ShardedConfig, ShardedStats, SplitReport};
+
+/// One request as it sits in the router queue: a client-contract op, or
+/// one of the router's own commands (split / recover — the ops with no
+/// `RangeStore` spelling).
+pub(crate) enum Op<S: Semigroup, const D: usize> {
+    Client(PlannedOp<S, D>),
+    Split(usize, Resolver<SplitReport>),
+    Recover(usize, Resolver<RecoveryReport>),
+}
+
+/// What a window is made of. Splits and recoveries are the exclusive
+/// kind: they dispatch alone, between windows, so no in-flight request
+/// observes a half-migrated or half-rebuilt store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Read,
+    Write,
+    Exclusive,
+}
+
+impl<S: Semigroup, const D: usize> Op<S, D> {
+    fn kind(&self) -> Kind {
+        match self {
+            Op::Client(op) if op.is_read() => Kind::Read,
+            Op::Client(_) => Kind::Write,
+            Op::Split(..) | Op::Recover(..) => Kind::Exclusive,
+        }
+    }
+
+    fn fail(self, e: ServiceError) {
+        match self {
+            Op::Client(op) => op.fail(e),
+            Op::Split(_, r) => r.resolve(Err(e)),
+            Op::Recover(_, r) => r.resolve(Err(e)),
+        }
+    }
+
+    pub(crate) fn span(&self) -> SpanId {
+        match self {
+            Op::Client(op) => op.span(),
+            Op::Split(_, r) => r.span(),
+            Op::Recover(_, r) => r.span(),
+        }
+    }
+}
+
+/// Whole microseconds between two instants (saturating at zero).
+pub(crate) fn us_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from).as_micros() as u64
+}
+
+/// What the service handle and the router thread share.
+pub(crate) struct Inner<S: Semigroup, const D: usize> {
+    pub cfg: ShardedConfig,
+    pub sg: S,
+    /// The shared group-commit scheduler core (admission, window firing,
+    /// group-preserving carve, deadline expiry — see `ddrs-sched`).
+    pub core: SchedCore<Op<S, D>>,
+    /// Lock class `stats` — taken after `sched.queue`, before
+    /// `shard.faults` and `shard.cross` (see `ddrs_check`'s canonical
+    /// order).
+    pub stats: TrackedMutex<ShardedStats>,
+    /// Shards whose next write sub-epoch should suffer an injected
+    /// mid-epoch processor panic (deterministic fault injection for the
+    /// test harness). Lock class `shard.faults`.
+    pub faults: TrackedMutex<HashSet<usize>>,
+}
+
+pub(crate) struct Router<S: Semigroup, const D: usize> {
+    pub workers: Vec<WorkerHandle<S, D>>,
+    pub part: Partitioner,
+    /// Authoritative id → owning shard index for every live point.
+    pub owner: HashMap<u32, usize>,
+    pub shard_len: Vec<usize>,
+    pub poisoned: Vec<Option<String>>,
+    pub next_seq: u64,
+    /// One write-ahead log per shard (lock class `wal.append`): every
+    /// committed epoch, bulk load and migration is appended before any
+    /// of its tickets resolve, so a quarantined shard can always be
+    /// rebuilt to its last committed state by `recover_shard`.
+    pub wals: Vec<EpochWal<D>>,
+    /// The rebuild-unit capacity every shard store was built with —
+    /// recovery rebuilds with the same value.
+    pub capacity: usize,
+}
+
+/// Scatter one job per listed shard — `job(shard, reply_sender)` builds
+/// it — and gather exactly one reply each: parallel across the shards, a
+/// barrier for the caller. `Err` only when a worker thread is gone; job
+/// failures travel as `Err` *data* inside the replies.
+pub(crate) fn exchange<S: Semigroup, T, const D: usize>(
+    workers: &[WorkerHandle<S, D>],
+    shards: &[usize],
+    mut job: impl FnMut(usize, mpsc::Sender<Reply<T>>) -> ShardJob<S, D>,
+) -> Result<Vec<Reply<T>>, String> {
+    let (tx, rx) = mpsc::channel();
+    for &s in shards {
+        workers[s]
+            .tx
+            .send(job(s, tx.clone()))
+            .map_err(|_| format!("shard {s}'s worker is gone"))?;
+    }
+    drop(tx);
+    shards
+        .iter()
+        .map(|_| rx.recv().map_err(|_| "a shard worker dropped its reply".to_string()))
+        .collect()
+}
+
+impl<S: Semigroup, const D: usize> Router<S, D> {
+    pub(crate) fn shards(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// The quarantine error of `shard`, if it is poisoned.
+    pub(crate) fn quarantine(&self, shard: usize) -> Option<String> {
+        self.poisoned[shard].as_ref().map(|reason| format!("shard {shard} is poisoned: {reason}"))
+    }
+
+    /// Take the next position in the global commit order.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// The router's synchronous worker round trip: an [`exchange`] whose
+    /// replies' machine stats are absorbed into the telemetry, globally
+    /// and per shard. Replies come back in arrival order; match them to
+    /// shards by `Reply::shard`.
+    ///
+    /// # Panics
+    /// If a worker thread is gone.
+    pub(crate) fn round_trip<T>(
+        &self,
+        inner: &Inner<S, D>,
+        shards: &[usize],
+        job: impl FnMut(usize, mpsc::Sender<Reply<T>>) -> ShardJob<S, D>,
+    ) -> Vec<Reply<T>> {
+        let replies = exchange(&self.workers, shards, job)
+            // ddrs-check: allow(unwrap) — workers only exit via the Stop
+            // job the router itself sends at shutdown and report every
+            // failure as `Err` data, so a dead channel means a worker
+            // panicked outside the poisoning protocol; that must stay
+            // loud rather than fabricate a reply.
+            .expect("shard worker died outside the poisoning protocol");
+        let mut st = inner.stats.lock();
+        for reply in &replies {
+            st.absorb_run(reply.shard, &reply.stats);
+        }
+        drop(st);
+        replies
+    }
+
+    /// Publish per-shard health, sizes and WAL counters into the shared
+    /// stats.
+    pub(crate) fn publish(&self, inner: &Inner<S, D>) {
+        let mut st = inner.stats.lock();
+        for (i, snap) in st.per_shard.iter_mut().enumerate() {
+            snap.live_points = self.shard_len[i];
+            snap.poisoned = self.poisoned[i].clone();
+            // `stats` precedes `wal.append` in the canonical order, so
+            // reading the log counters under the stats guard is legal.
+            let ws = self.wals[i].stats();
+            snap.wal_records = ws.records;
+            snap.wal_bytes = ws.bytes;
+        }
+        st.range_bounds = self.part.bounds();
+    }
+}
+
+/// The reply of a one-job round trip.
+pub(crate) fn sole<T>(mut replies: Vec<Reply<T>>) -> Reply<T> {
+    debug_assert_eq!(replies.len(), 1, "one job, one reply");
+    replies.swap_remove(0)
+}
+
+pub(crate) fn router_loop<S: Semigroup, const D: usize>(
+    inner: &Arc<Inner<S, D>>,
+    mut router: Router<S, D>,
+) -> Vec<ShardParts<D>> {
+    loop {
+        // The shared scheduler core decides when and what to dispatch.
+        let window = inner.core.next_window(Op::kind, |k| *k == Kind::Exclusive);
+        let (batch, expired) = match window {
+            Window::Shutdown { rejected } => {
+                fail_queued(inner, rejected, |_| ServiceError::ShuttingDown);
+                // stop_workers joins every worker thread, so all
+                // in-flight read callbacks finish before we return the
+                // shard parts.
+                return stop_workers(inner, router);
+            }
+            Window::Dispatch { batch, expired } => (batch, expired),
+        };
+
+        if !expired.is_empty() {
+            inner.stats.lock().expired += expired.len() as u64;
+            fail_queued(inner, expired, |_| ServiceError::DeadlineExpired);
+        }
+        // Consistency bounds gate reads only (a write observes
+        // nothing), judged at dispatch time against the global commit
+        // counter: a read demanding a commit the store has not performed
+        // fails instead of serving state it promised not to serve.
+        let (mut batch, unmet) = gate_reads(batch, router.next_seq, |op| op.kind() == Kind::Read);
+        fail_queued(inner, unmet, |p| ServiceError::Consistency {
+            // ddrs-check: allow(unwrap) — `gate_reads` puts an op in
+            // `unmet` only when it carries a `min_seq` bound.
+            required: p.min_seq.expect("partitioned on min_seq"),
+            committed: router.next_seq,
+        });
+        let Some(first) = batch.first() else { continue };
+        match first.op.kind() {
+            Kind::Read => dispatch_reads(inner, &mut router, batch),
+            Kind::Write => dispatch_write_epoch(inner, &mut router, batch),
+            Kind::Exclusive => {
+                debug_assert_eq!(batch.len(), 1);
+                let Some(p) = batch.pop() else { continue };
+                let (router, t0) = (&mut router, p.submitted);
+                match p.op {
+                    Op::Split(donor, r) => run_exclusive(inner, router, r, t0, do_split, donor),
+                    Op::Recover(shard, r) => run_exclusive(inner, router, r, t0, do_recover, shard),
+                    Op::Client(_) => unreachable!("exclusive window holding a client op"),
+                }
+            }
+        }
+    }
+}
+
+/// Fail ops that never left the queue, counting them completed first.
+fn fail_queued<S: Semigroup, const D: usize>(
+    inner: &Inner<S, D>,
+    ops: Vec<Pending<Op<S, D>>>,
+    error: impl Fn(&Pending<Op<S, D>>) -> ServiceError,
+) {
+    if ops.is_empty() {
+        return;
+    }
+    inner.stats.lock().completed += ops.len() as u64;
+    for p in ops {
+        ddrs_trace::end_err(p.op.span(), Stage::Queue);
+        let e = error(&p);
+        p.op.fail(e);
+    }
+}
+
+/// End an op's span in `stage` and resolve its ticket — the last thing
+/// every completion path does.
+pub(crate) fn settle<V>(
+    resolver: Resolver<V>,
+    stage: Stage,
+    outcome: Result<Commit<V>, ServiceError>,
+) {
+    match outcome {
+        Ok(_) => ddrs_trace::end(resolver.span(), stage),
+        Err(_) => ddrs_trace::end_err(resolver.span(), stage),
+    }
+    resolver.resolve(outcome);
+}
+
+/// Run one exclusive op — `work` on `shard` — on the router thread and
+/// resolve its ticket with the next global seq.
+fn run_exclusive<S: Semigroup, V, const D: usize>(
+    inner: &Inner<S, D>,
+    router: &mut Router<S, D>,
+    resolver: Resolver<V>,
+    submitted: Instant,
+    work: impl FnOnce(&Inner<S, D>, &mut Router<S, D>, usize) -> Result<V, String>,
+    shard: usize,
+) {
+    ddrs_trace::transition(resolver.span(), Stage::Queue, Stage::Window);
+    let outcome = work(inner, router, shard);
+    {
+        let mut st = inner.stats.lock();
+        st.completed += 1;
+        st.latency_us.record(submitted.elapsed().as_micros() as u64);
+    }
+    // Publish before resolution: the op's effects (health, sizes,
+    // boundaries, counters) must be visible in the telemetry by the time
+    // its ticket resolves.
+    router.publish(inner);
+    let outcome = outcome.map(|value| Commit { value, seq: router.take_seq() });
+    settle(resolver, Stage::Window, outcome.map_err(ServiceError::Machine));
+}
+
+fn stop_workers<S: Semigroup, const D: usize>(
+    inner: &Inner<S, D>,
+    router: Router<S, D>,
+) -> Vec<ShardParts<D>> {
+    let all: Vec<usize> = (0..router.shards()).collect();
+    let mut stopped = router.round_trip(inner, &all, |_, reply| ShardJob::Stop { reply });
+    stopped.sort_unstable_by_key(|reply| reply.shard);
+    let Router { workers, poisoned, .. } = router;
+    workers
+        .into_iter()
+        .zip(poisoned)
+        .zip(stopped)
+        .map(|((handle, poisoned), reply)| {
+            // ddrs-check: allow(unwrap) — a worker panic is a worker bug;
+            // surfacing it beats returning an inconsistent store silently.
+            handle.join.join().expect("shard worker panicked");
+            let Ok((machine, tree)) = reply.result else {
+                unreachable!("the Stop job only moves the machine and the store into its reply")
+            };
+            ShardParts { machine, tree, poisoned }
+        })
+        .collect()
+}

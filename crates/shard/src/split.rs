@@ -1,0 +1,126 @@
+//! The split migration: move half of a shard's points to a lighter
+//! sibling, between dispatches.
+
+use ddrs_rangetree::Semigroup;
+use ddrs_wal::{EpochRecord, RecordKind};
+
+use crate::router::{sole, Inner, Router};
+use crate::worker::ShardJob;
+use crate::SplitReport;
+
+/// Migrate half of `donor`'s points to a lighter sibling. Runs between
+/// dispatches on the router thread, so no in-flight request observes a
+/// half-migrated store and the global commit order is untouched.
+pub(crate) fn do_split<S: Semigroup, const D: usize>(
+    inner: &Inner<S, D>,
+    router: &mut Router<S, D>,
+    donor: usize,
+) -> Result<SplitReport, String> {
+    if router.shards() < 2 {
+        return Err("split impossible: only one shard".into());
+    }
+    if let Some(reason) = &router.poisoned[donor] {
+        return Err(format!("split impossible: donor {donor} is poisoned: {reason}"));
+    }
+    if router.shard_len[donor] < 2 {
+        return Err(format!(
+            "split impossible: donor {donor} holds {} point(s)",
+            router.shard_len[donor]
+        ));
+    }
+    // Pick the recipient: under the range policy only an adjacent shard
+    // keeps slabs contiguous; under hash placement any shard works, so
+    // take the lightest.
+    let candidates: Vec<usize> = if router.part.bounds().is_some() {
+        [donor.checked_sub(1), (donor + 1 < router.shards()).then_some(donor + 1)]
+            .into_iter()
+            .flatten()
+            .filter(|&s| router.poisoned[s].is_none())
+            .collect()
+    } else {
+        (0..router.shards()).filter(|&s| s != donor && router.poisoned[s].is_none()).collect()
+    };
+    let Some(&to) = candidates.iter().min_by_key(|&&s| router.shard_len[s]) else {
+        return Err(format!("split impossible: donor {donor} has no healthy sibling"));
+    };
+    let upper = to > donor;
+
+    // Extraction failures travel as `Err` data in the reply.
+    let extraction =
+        sole(router.round_trip(inner, &[donor], |_, reply| ShardJob::SplitHalf { upper, reply }));
+    let (moved, boundary) = match extraction.result {
+        Ok(ok) => ok,
+        Err(e) => {
+            if !e.starts_with("split impossible") {
+                // The donor mutated (extraction failed mid-rebuild).
+                router.poisoned[donor] = Some(format!("split extraction failed: {e}"));
+            }
+            return Err(e);
+        }
+    };
+
+    // Land the migrated points on the recipient.
+    let land = |router: &Router<S, D>, shard: usize| {
+        let job = |_, reply| ShardJob::Write {
+            deletes: Vec::new(),
+            inserts: moved.clone(),
+            inject_fault: false,
+            reply,
+        };
+        sole(router.round_trip(inner, &[shard], job)).result
+    };
+    if let Err(e) = land(router, to) {
+        router.poisoned[to] = Some(format!("migration landing failed: {e}"));
+        // Try to put the extracted points back so the donor stays whole.
+        if let Err(e2) = land(router, donor) {
+            router.poisoned[donor] = Some(format!("restore after failed migration failed: {e2}"));
+        }
+        return Err(format!("split failed landing on shard {to}: {e}"));
+    }
+
+    // Log the migration on both shards' WALs before the routing state
+    // changes (the same log-before-resolve discipline as write epochs:
+    // by the time the split ticket resolves, both logs reproduce their
+    // stores). A failed landing or restore logs nothing — the logs then
+    // still describe the consistent pre-split state recovery targets.
+    // An append IO failure quarantines both ends: whichever log kept
+    // the record no longer agrees with a store the other end rolled
+    // forward, so neither may serve until an operator recovers them.
+    let migrated_ids: Vec<u32> = moved.iter().map(|p| p.id).collect();
+    let out_rec =
+        EpochRecord::event(RecordKind::MigrateOut, router.next_seq, migrated_ids, Vec::new());
+    let in_rec =
+        EpochRecord::event(RecordKind::MigrateIn, router.next_seq, Vec::new(), moved.clone());
+    let append = router.wals[donor]
+        .append_record(&out_rec)
+        .and_then(|_| router.wals[to].append_record(&in_rec));
+    if let Err(e) = append {
+        router.poisoned[donor] = Some(format!("wal append failed during migration: {e}"));
+        router.poisoned[to] = Some(format!("wal append failed during migration: {e}"));
+        return Err(format!("split failed: wal append: {e}"));
+    }
+
+    // Commit the migration in the routing state. Under the range policy
+    // the shifted boundary re-describes residency exactly; under hash
+    // placement the moved points no longer live where the placement mix
+    // says, so degenerate-read routing must fall back to full fan-out
+    // from now on (the ownership index is keyed by id, which a
+    // coordinate rect cannot consult).
+    for p in &moved {
+        router.owner.insert(p.id, to);
+    }
+    router.shard_len[donor] -= moved.len();
+    router.shard_len[to] += moved.len();
+    if router.part.bounds().is_some() {
+        debug_assert!(donor.abs_diff(to) == 1, "range split picked a non-adjacent sibling");
+        router.part.shift_boundary(donor, to, boundary);
+    } else {
+        router.part.note_hash_migration();
+    }
+    {
+        let mut st = inner.stats.lock();
+        st.rebalances += 1;
+        st.rebalance_moved += moved.len() as u64;
+    }
+    Ok(SplitReport { from: donor, to, moved: moved.len(), boundary })
+}

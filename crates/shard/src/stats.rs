@@ -2,7 +2,7 @@
 //! always-on per-stage latency breakdown and machine-side rollups, in
 //! total and per shard — O(1) space per shard whatever the traffic.
 
-use ddrs_cgm::RunStatsRollup;
+use ddrs_cgm::{RunStats, RunStatsRollup};
 use ddrs_trace::{Histogram, MetricsRegistry, StageBreakdown};
 
 /// Telemetry of one shard group, as seen by the router.
@@ -86,6 +86,13 @@ pub struct ShardedStats {
 }
 
 impl ShardedStats {
+    /// Account the machine work of one job on `shard`, globally and per
+    /// shard.
+    pub(crate) fn absorb_run(&mut self, shard: usize, run: &RunStats) {
+        self.machine.absorb(run);
+        self.per_shard[shard].machine.absorb(run);
+    }
+
     /// Mean queries per coalesced read dispatch (0 before any dispatch).
     pub fn mean_batch_size(&self) -> f64 {
         self.batch_sizes.mean()

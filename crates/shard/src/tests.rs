@@ -1,0 +1,564 @@
+//! Unit tests of the serving front-end, through its public API only.
+
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
+use ddrs_cgm::Machine;
+use ddrs_client::{RangeStore, Request, ServiceError, SubmitError};
+use ddrs_rangetree::{BuildError, Point, Rect, Semigroup, Sum};
+
+use crate::{PartitionPolicy, ShardedConfig, ShardedService};
+
+fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
+    range
+        .map(|i| Point::weighted([((i * 193) % 777) as i64, ((i * 71) % 555) as i64], i, 2))
+        .collect()
+}
+
+fn machines(s: usize, p: usize) -> Vec<Machine> {
+    (0..s).map(|_| Machine::new(p).unwrap()).collect()
+}
+
+fn quick(s: usize, policy: PartitionPolicy) -> ShardedService<Sum, 2> {
+    ShardedService::start(
+        machines(s, 2),
+        16,
+        &pts(0..60),
+        Sum,
+        policy,
+        ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() },
+    )
+    .unwrap()
+}
+
+#[test]
+fn serves_all_read_modes_across_shards() {
+    for policy in [PartitionPolicy::Hash, PartitionPolicy::range_uniform(3, 0, 777)] {
+        let service = quick(3, policy);
+        let all = Rect::new([0, 0], [800, 600]);
+        let c = service.count(all).unwrap();
+        let a = service.aggregate(all).unwrap();
+        let r = service.report(Rect::new([0, 0], [0, 0])).unwrap();
+        assert_eq!(c.wait().unwrap().value, 60);
+        assert_eq!(a.wait().unwrap().value, Some(120));
+        assert_eq!(r.wait().unwrap().value, vec![0]);
+        let stats = service.stats();
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.total_points(), 60);
+    }
+}
+
+// The one-machine case: the whole serving layer of a single SPMD
+// group (every read is a solo slot, every epoch one sub-epoch).
+
+#[test]
+fn serves_all_three_read_modes() {
+    let service = quick(1, PartitionPolicy::Hash);
+    let all = Rect::new([0, 0], [800, 600]);
+    let c = service.count(all).unwrap();
+    let a = service.aggregate(all).unwrap();
+    let r = service.report(Rect::new([0, 0], [0, 0])).unwrap();
+    assert_eq!(c.wait().unwrap().value, 60);
+    assert_eq!(a.wait().unwrap().value, Some(120));
+    assert_eq!(r.wait().unwrap().value, vec![0]); // point (0,0) is id 0
+    let stats = service.stats();
+    assert_eq!(stats.submitted, 3);
+    assert_eq!(stats.completed, 3);
+}
+
+#[test]
+fn writes_commit_and_reads_observe_them() {
+    let service = quick(1, PartitionPolicy::Hash);
+    let all = Rect::new([0, 0], [800, 600]);
+    service.insert(pts(100..110)).unwrap().wait().unwrap();
+    assert_eq!(service.count(all).unwrap().wait().unwrap().value, 70);
+    service.delete((100..105).collect()).unwrap().wait().unwrap();
+    assert_eq!(service.count(all).unwrap().wait().unwrap().value, 65);
+    let (_, tree) = service.shutdown().pop().unwrap();
+    assert_eq!(tree.len(), 65);
+}
+
+#[test]
+fn insert_delete_reinsert_in_one_epoch() {
+    // Both writes queue before the router can wake: they land in one
+    // epoch and must still behave sequentially.
+    let service = ShardedService::start(
+        machines(1, 2),
+        8,
+        &pts(0..8),
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig { max_delay: Duration::from_millis(50), ..Default::default() },
+    )
+    .unwrap();
+    // Delete id 3, then re-insert it at a new location.
+    let moved = vec![Point::weighted([700, 500], 3, 9)];
+    let t1 = service.delete(vec![3]).unwrap();
+    let t2 = service.insert(moved).unwrap();
+    let s1 = t1.wait().unwrap().seq;
+    let s2 = t2.wait().unwrap().seq;
+    assert!(s1 < s2, "epoch preserves arrival order in commit seqs");
+    let hit = service.report(Rect::new([700, 500], [700, 500])).unwrap().wait().unwrap();
+    assert_eq!(hit.value, vec![3]);
+    let (_, tree) = service.shutdown().pop().unwrap();
+    assert_eq!(tree.len(), 8);
+}
+
+#[test]
+fn commit_seqs_are_dense_and_ordered() {
+    let service = quick(1, PartitionPolicy::Hash);
+    let seqs: Vec<u64> = (0..5)
+        .map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().seq)
+        .collect();
+    assert_eq!(seqs, (seqs[0]..seqs[0] + 5).collect::<Vec<u64>>(), "dense, in order");
+}
+
+#[test]
+fn stats_snapshot_shape() {
+    let service = quick(1, PartitionPolicy::Hash);
+    for _ in 0..10 {
+        service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap();
+    }
+    let stats = service.stats();
+    assert_eq!(stats.submitted, 10);
+    assert_eq!(stats.completed, 10);
+    assert!(stats.machine.runs >= 1);
+    assert!(stats.dispatches >= 1 && stats.dispatches <= 10);
+    assert_eq!(stats.queries_coalesced, 10);
+    assert!(stats.mean_batch_size() >= 1.0);
+    assert!(stats.latency_us.count() == 10);
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.mean_read_fanout(), 1.0);
+}
+
+#[test]
+fn writes_route_and_reads_observe_them() {
+    let service = quick(2, PartitionPolicy::range_uniform(2, 0, 777));
+    let all = Rect::new([0, 0], [800, 600]);
+    service.insert(pts(100..110)).unwrap().wait().unwrap();
+    assert_eq!(service.count(all).unwrap().wait().unwrap().value, 70);
+    service.delete((100..105).collect()).unwrap().wait().unwrap();
+    assert_eq!(service.count(all).unwrap().wait().unwrap().value, 65);
+    let parts = service.shutdown();
+    assert_eq!(parts.iter().map(|(_, t)| t.len()).sum::<usize>(), 65);
+}
+
+#[test]
+fn duplicate_insert_is_rejected_sequentially() {
+    let service = quick(2, PartitionPolicy::Hash);
+    let verdict = service.insert(pts(5..6)).unwrap().wait();
+    assert_eq!(verdict, Err(ServiceError::Rejected(BuildError::DuplicateId(5))));
+    assert_eq!(service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().value, 60);
+}
+
+#[test]
+fn initial_load_validates_ids() {
+    let mut bad = pts(0..4);
+    bad.push(bad[1]);
+    let err = ShardedService::start(
+        machines(2, 1),
+        8,
+        &bad,
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig::default(),
+    )
+    .err();
+    assert_eq!(err, Some(BuildError::DuplicateId(1)));
+}
+
+#[test]
+fn explicit_split_moves_points_and_boundary() {
+    // Everything starts on shard 0: the boundary is far right.
+    let service = ShardedService::start(
+        machines(2, 2),
+        8,
+        &pts(0..40),
+        Sum,
+        PartitionPolicy::Range { bounds: vec![10_000] },
+        ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() },
+    )
+    .unwrap();
+    assert_eq!(service.stats().per_shard[0].live_points, 40);
+    let report = service.split_shard(0).unwrap().wait().unwrap().value;
+    assert_eq!((report.from, report.to), (0, 1));
+    assert!(report.moved >= 10 && report.moved <= 30, "roughly half: {report:?}");
+    let stats = service.stats();
+    assert_eq!(stats.rebalances, 1);
+    assert_eq!(stats.per_shard[0].live_points + stats.per_shard[1].live_points, 40);
+    assert_eq!(stats.range_bounds, Some(vec![report.boundary]));
+    // Cross-shard reads still see everything, exactly.
+    assert_eq!(service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().value, 40);
+    // New inserts route by the *new* boundary.
+    let left = vec![Point::weighted([report.boundary - 1, 0], 9000, 1)];
+    let right = vec![Point::weighted([report.boundary, 0], 9001, 1)];
+    service.insert(left).unwrap().wait().unwrap();
+    service.insert(right).unwrap().wait().unwrap();
+    let parts = service.shutdown();
+    assert!(parts[0].1.contains_id(9000));
+    assert!(parts[1].1.contains_id(9001));
+}
+
+/// Regression: a splittable shard whose lower half is a plateau of
+/// one coordinate must still split (the boundary retreats past the
+/// plateau instead of spuriously reporting "all points share the
+/// splitting coordinate").
+#[test]
+fn split_retreats_past_a_median_plateau() {
+    let initial: Vec<Point<2>> =
+        (0..10u32).map(|i| Point::new([if i < 7 { 5 } else { 9 }, i as i64], i)).collect();
+    let service = ShardedService::start(
+        machines(2, 1),
+        8,
+        &initial,
+        Sum,
+        PartitionPolicy::Range { bounds: vec![10_000] },
+        ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() },
+    )
+    .unwrap();
+    let report = service.split_shard(0).unwrap().wait().unwrap().value;
+    assert_eq!(report.boundary, 9, "boundary must retreat past the x = 5 plateau");
+    assert_eq!(report.moved, 3, "exactly the points above the plateau move");
+    let stats = service.stats();
+    assert_eq!(stats.per_shard[0].live_points, 7);
+    assert_eq!(stats.per_shard[1].live_points, 3);
+    assert_eq!(service.count(Rect::new([0, 0], [100, 100])).unwrap().wait().unwrap().value, 10);
+    // A single-coordinate shard is still a clean error, not a panic.
+    let verdict = service.split_shard(0).unwrap().wait();
+    match verdict {
+        Err(ServiceError::Machine(msg)) => {
+            assert!(msg.contains("split impossible"), "{msg}")
+        }
+        other => panic!("expected split-impossible, got {other:?}"),
+    }
+    service.shutdown();
+}
+
+/// Regression (review): a hash-policy split migrates points away
+/// from their placement shard; degenerate reads used to keep
+/// trusting the placement mix and silently answered 0/None/empty
+/// for every migrated point. Post-split they must fall back to full
+/// fan-out and stay byte-identical to the unsharded answer.
+#[test]
+fn hash_split_widens_point_routing_but_stays_exact() {
+    let service = quick(2, PartitionPolicy::Hash);
+    let report = service.split_shard(0).unwrap().wait().unwrap().value;
+    assert_eq!(report.from, 0);
+    assert!(report.moved > 0, "hash split must migrate points: {report:?}");
+    // Every point — including every migrated one — is still found
+    // by a degenerate lookup at its coordinate.
+    for i in 0..60u32 {
+        let at = [((i * 193) % 777) as i64, ((i * 71) % 555) as i64];
+        let ids = service.report(Rect::new(at, at)).unwrap().wait().unwrap().value;
+        assert!(ids.contains(&i), "point {i} lost after a hash-policy split");
+    }
+    let stats = service.stats();
+    // The fallback is visible in the routing telemetry: 60 point
+    // reads × both shards, not ×1.
+    assert_eq!(stats.read_ops_routed, 60);
+    assert_eq!(stats.read_shards_touched, 120);
+    assert_eq!(stats.total_points(), 60);
+    service.shutdown();
+}
+
+#[test]
+fn skew_trigger_rebalances_automatically() {
+    let service = ShardedService::start(
+        machines(2, 1),
+        8,
+        &[],
+        Sum,
+        PartitionPolicy::Range { bounds: vec![10_000] },
+        ShardedConfig {
+            max_delay: Duration::from_micros(100),
+            rebalance_factor: 1.5,
+            rebalance_min: 16,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    // All inserts land left of the boundary → shard 0 holds 100% of
+    // the points (skew 2.0 > 1.5) → the trigger must fire.
+    service.insert(pts(0..32)).unwrap().wait().unwrap();
+    let stats = service.stats();
+    assert!(stats.rebalances >= 1, "skew trigger did not fire: {stats:?}");
+    assert!(stats.per_shard[1].live_points > 0);
+    assert_eq!(stats.total_points(), 32);
+    assert_eq!(service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().value, 32);
+    service.shutdown();
+}
+
+#[test]
+fn empty_store_and_empty_writes_cost_zero_runs() {
+    let service = ShardedService::start(
+        machines(2, 2),
+        8,
+        &[],
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() },
+    )
+    .unwrap();
+    let q = Rect::new([0, 0], [800, 600]);
+    assert_eq!(service.count(q).unwrap().wait().unwrap().value, 0);
+    assert_eq!(service.aggregate(q).unwrap().wait().unwrap().value, None);
+    service.insert(Vec::new()).unwrap().wait().unwrap();
+    service.delete(vec![7]).unwrap().wait().unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.machine.runs, 0, "empty traffic must not run any machine");
+    assert_eq!(stats.dispatches, 0);
+    assert_eq!(stats.write_epochs, 0);
+    service.shutdown();
+}
+
+#[test]
+fn empty_rect_answers_locally() {
+    let service = quick(2, PartitionPolicy::Hash);
+    let degenerate = Rect::new([5, 5], [4, 4]);
+    assert_eq!(service.count(degenerate).unwrap().wait().unwrap().value, 0);
+    assert_eq!(service.aggregate(degenerate).unwrap().wait().unwrap().value, None);
+    assert!(service.report(degenerate).unwrap().wait().unwrap().value.is_empty());
+}
+
+#[test]
+fn commit_seqs_are_global_and_ordered() {
+    let service = quick(2, PartitionPolicy::range_uniform(2, 0, 777));
+    let seqs = vec![
+        service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().seq,
+        service.insert(pts(500..504)).unwrap().wait().unwrap().seq,
+        service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().seq,
+        service.delete(vec![500]).unwrap().wait().unwrap().seq,
+    ];
+    let sorted = {
+        let mut s = seqs.clone();
+        s.sort_unstable();
+        s
+    };
+    assert_eq!(seqs, sorted, "sequential submission commits in order");
+    assert_eq!(seqs, (seqs[0]..seqs[0] + 4).collect::<Vec<u64>>(), "seqs are dense");
+    service.shutdown();
+}
+
+/// Read windows queued behind a busy worker ride one machine run;
+/// each still counts as its own dispatch and resolves with the seq
+/// the router pre-assigned it.
+#[test]
+fn queued_read_windows_share_one_machine_run() {
+    const QUEUED: u64 = 7;
+    let service = ShardedService::start(
+        machines(1, 1),
+        16,
+        &pts(0..60),
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig { max_batch: 2, max_delay: Duration::from_secs(5), ..Default::default() },
+    )
+    .unwrap();
+    let all = Rect::new([0, 0], [800, 600]);
+    // Window 0: its first ticket's callback runs on the worker thread
+    // and parks it there (registered before the window can fire — one
+    // op is below max_batch — so it cannot run on this thread).
+    let (entered_tx, entered) = mpsc::channel::<u64>();
+    let (release, gate) = mpsc::channel::<()>();
+    service.count(all).unwrap().on_resolve(move |out| {
+        let _ = entered_tx.send(out.unwrap().seq);
+        let _ = gate.recv();
+    });
+    let mut tickets = vec![service.count(all).unwrap()];
+    assert_eq!(entered.recv().unwrap(), 0);
+    // Every further pair is a window of its own. Once the router has
+    // planned the last one, all earlier ones sit in the worker's
+    // channel; only the last may still be on its way there.
+    for _ in 0..2 * QUEUED {
+        tickets.push(service.count(all).unwrap());
+    }
+    let t0 = Instant::now();
+    while service.stats().read_ops_routed < 2 + 2 * QUEUED {
+        assert!(t0.elapsed() < Duration::from_secs(10), "router never planned the windows");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(service.stats().machine.runs, 1, "only window 0 has run so far");
+    release.send(()).unwrap();
+    let seqs: Vec<u64> = tickets
+        .into_iter()
+        .map(|t| {
+            let c = t.wait().unwrap();
+            assert_eq!(c.value, 60);
+            c.seq
+        })
+        .collect();
+    assert_eq!(seqs, (1..2 + 2 * QUEUED).collect::<Vec<u64>>(), "planning order is seq order");
+    let stats = service.stats();
+    assert_eq!(stats.completed, 2 + 2 * QUEUED);
+    assert_eq!(stats.dispatches, 1 + QUEUED, "a window that rode a run is still a dispatch");
+    assert_eq!(stats.batch_sizes.count(), 1 + QUEUED);
+    assert_eq!(stats.queries_coalesced, 2 + 2 * QUEUED);
+    // Window 0, then one run for the queued windows — two if the last
+    // window reached the channel after the drain had started.
+    assert!(
+        (2..=3).contains(&stats.machine.runs),
+        "{QUEUED} queued windows must share a run, measured {} runs",
+        stats.machine.runs
+    );
+    service.shutdown();
+}
+
+#[test]
+fn abort_rejects_pending_requests() {
+    let service = ShardedService::start(
+        machines(2, 1),
+        8,
+        &pts(0..16),
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig { max_batch: 1024, max_delay: Duration::from_secs(5), ..Default::default() },
+    )
+    .unwrap();
+    let tickets: Vec<_> =
+        (0..10).map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap()).collect();
+    let parts = service.abort();
+    for t in tickets {
+        assert_eq!(t.wait(), Err(ServiceError::ShuttingDown));
+    }
+    assert_eq!(parts.iter().map(|(_, t)| t.len()).sum::<usize>(), 16);
+}
+
+#[test]
+fn queued_deadline_expires_without_touching_any_machine() {
+    let service = ShardedService::start(
+        machines(2, 1),
+        8,
+        &pts(0..16),
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig {
+            max_batch: 1024,
+            max_delay: Duration::from_millis(80),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let doomed = service
+        .count_within(Rect::new([0, 0], [800, 600]), Some(Duration::from_millis(1)))
+        .unwrap();
+    assert_eq!(doomed.wait(), Err(ServiceError::DeadlineExpired));
+    let stats = service.stats();
+    assert_eq!(stats.expired, 1);
+    assert_eq!(stats.machine.runs, 0);
+    assert_eq!(service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().value, 16);
+    service.shutdown();
+}
+
+#[test]
+fn backpressure_rejects_beyond_capacity() {
+    let service = ShardedService::start(
+        machines(2, 1),
+        8,
+        &pts(0..16),
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig {
+            max_batch: 1024,
+            max_delay: Duration::from_millis(300),
+            queue_capacity: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let q = Rect::new([0, 0], [800, 600]);
+    let mut admitted = Vec::new();
+    let mut overloaded = 0;
+    for _ in 0..6 {
+        match service.count(q) {
+            Ok(t) => admitted.push(t),
+            Err(SubmitError::Overloaded { depth }) => {
+                assert_eq!(depth, 4);
+                overloaded += 1;
+            }
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+    }
+    assert_eq!((admitted.len(), overloaded), (4, 2));
+    for t in admitted {
+        assert_eq!(t.wait().unwrap().value, 16);
+    }
+    assert_eq!(service.stats().overloaded, 2);
+    service.shutdown();
+}
+
+/// A semigroup whose `lift` panics on one sentinel weight: the only
+/// way to make a *read* fail on a chosen shard (the service offers
+/// write-fault injection only). Count queries never lift, so the
+/// shard keeps answering them.
+#[derive(Debug, Clone, Copy)]
+struct Tripwire;
+
+const SENTINEL: u64 = u64::MAX;
+
+impl Semigroup for Tripwire {
+    type Val = u64;
+    fn lift(&self, _id: u32, weight: u64) -> u64 {
+        assert_ne!(weight, SENTINEL, "tripwire weight lifted");
+        weight
+    }
+    fn comb(&self, a: u64, b: u64) -> u64 {
+        a + b
+    }
+}
+
+/// The `Err` arm of a shard's read completion: a processor panic
+/// during a fused read sub-batch fails exactly the ops that needed
+/// that shard — solo slots directly, cross-shard slots through their
+/// countdown, whichever shard arrives last — and poisons nothing.
+#[test]
+fn read_failure_fails_only_the_ops_that_needed_the_shard() {
+    // Shard 0 owns x < 100, shard 1 owns x >= 100 and the tripwire.
+    let mut initial: Vec<Point<2>> =
+        (0..20u32).map(|i| Point::weighted([i as i64 * 10, 0], i, 1)).collect();
+    initial.push(Point::weighted([150, 5], 99, SENTINEL));
+    let service = ShardedService::start(
+        machines(2, 2),
+        16,
+        &initial,
+        Tripwire,
+        PartitionPolicy::Range { bounds: vec![100] },
+        // Long enough that both requests share one read window.
+        ShardedConfig { max_delay: Duration::from_millis(200), ..Default::default() },
+    )
+    .unwrap();
+    let everything = Rect::new([0, 0], [300, 10]);
+    let left = Rect::new([0, 0], [99, 10]);
+    let right = Rect::new([100, 0], [300, 10]);
+
+    // A: an aggregate confined to shard 1 (its lift trips the wire)
+    // and a count spanning both shards. B: a count confined to
+    // shard 0, riding the same window.
+    let mut a = Request::new();
+    a.aggregate(right);
+    a.count(everything);
+    let mut b = Request::new();
+    let b_count = b.count(left);
+    let ta = service.submit(a).unwrap();
+    let tb = service.submit(b).unwrap();
+
+    match ta.wait() {
+        Err(ServiceError::Machine(msg)) => {
+            assert!(msg.contains("shard 1"), "{msg}");
+            assert!(msg.contains("ProcessorPanicked"), "{msg}");
+        }
+        other => panic!("request A needed the failing shard, got {other:?}"),
+    }
+    assert_eq!(tb.wait().unwrap().value.count(b_count), 10);
+
+    // A failed read poisons nothing: shard 1 still answers reads
+    // that do not lift.
+    let stats = service.stats();
+    assert!(stats.per_shard[1].poisoned.is_none(), "{:?}", stats.per_shard[1].poisoned);
+    assert_eq!(service.count(right).unwrap().wait().unwrap().value, 11);
+    let stats = service.stats();
+    assert_eq!(stats.completed, stats.submitted);
+    assert_eq!(stats.submitted, 4);
+    service.shutdown();
+}

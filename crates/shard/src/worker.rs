@@ -44,45 +44,37 @@ pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
     /// failure), then insert `inserts`. `inject_fault` makes a simulated
     /// processor panic *between* the two cascades via
     /// [`Machine::try_run`] — the deterministic mid-epoch fault the test
-    /// harness injects.
+    /// harness injects. Replies with the points the delete cascade
+    /// removed (rollback capital); on failure the shard's store may be
+    /// inconsistent.
     Write {
         deletes: Vec<u32>,
         inserts: Vec<Point<D>>,
         inject_fault: bool,
-        reply: mpsc::Sender<WriteReply<D>>,
+        reply: mpsc::Sender<Reply<Vec<Point<D>>>>,
     },
     /// Extract one half of the store, split by the first coordinate
-    /// (ties kept together), for migration to a sibling group.
-    SplitHalf { upper: bool, reply: mpsc::Sender<SplitReply<D>> },
+    /// (ties kept together), for migration to a sibling group. Replies
+    /// with the migrated points and the axis-0 boundary separating them
+    /// from the points the donor kept.
+    SplitHalf { upper: bool, reply: mpsc::Sender<Reply<(Vec<Point<D>>, i64)>> },
     /// Rebuild the store from the shard's write-ahead log: replay
     /// `records` into a fresh tree and swap it in place of the current
     /// (possibly inconsistent) one. On failure the old store is kept
     /// untouched, so the router can leave the shard quarantined and
-    /// retry later.
-    Recover { capacity: usize, records: Vec<EpochRecord<D>>, reply: mpsc::Sender<RecoverReply> },
+    /// retry later. Replies with the live point ids of the rebuilt
+    /// store (the router re-derives the ownership index from them).
+    Recover { capacity: usize, records: Vec<EpochRecord<D>>, reply: mpsc::Sender<Reply<Vec<u32>>> },
     /// Hand the machine and store back and exit the thread.
-    Stop { reply: mpsc::Sender<(Machine, DynamicDistRangeTree<D>)> },
+    Stop { reply: mpsc::Sender<Reply<(Machine, DynamicDistRangeTree<D>)>> },
 }
 
-pub(crate) struct WriteReply<const D: usize> {
+/// A worker's answer to one synchronous job: which shard, the job's
+/// outcome (a failure — a machine error or a contained panic — travels
+/// as `Err` data), and the stats of exactly the machine runs it cost.
+pub(crate) struct Reply<T> {
     pub shard: usize,
-    /// On success, the points removed by the delete cascade (rollback
-    /// capital). On failure, the shard's store may be inconsistent.
-    pub result: Result<Vec<Point<D>>, String>,
-    pub stats: RunStats,
-}
-
-pub(crate) struct SplitReply<const D: usize> {
-    /// The migrated points and the axis-0 boundary separating them from
-    /// the points the donor kept.
-    pub result: Result<(Vec<Point<D>>, i64), String>,
-    pub stats: RunStats,
-}
-
-pub(crate) struct RecoverReply {
-    /// On success, the live point ids of the rebuilt store (the router
-    /// re-derives the ownership index from them).
-    pub result: Result<Vec<u32>, String>,
+    pub result: Result<T, String>,
     pub stats: RunStats,
 }
 
@@ -118,6 +110,19 @@ fn cgm_error_string(e: &CgmError) -> String {
     }
 }
 
+/// Run one job with panic containment and drain the machine's stats, so
+/// the reply covers exactly this job's runs.
+fn contain<T>(
+    shard: usize,
+    machine: &Machine,
+    job: impl FnOnce() -> Result<T, String>,
+) -> Reply<T> {
+    let outcome = catch_unwind(AssertUnwindSafe(job));
+    let stats = machine.take_stats();
+    let result = outcome.unwrap_or_else(|payload| Err(panic_message(&*payload)));
+    Reply { shard, result, stats }
+}
+
 fn worker_loop<S: Semigroup, const D: usize>(
     shard: usize,
     machine: Machine,
@@ -148,20 +153,14 @@ fn worker_loop<S: Semigroup, const D: usize>(
                         }
                     }
                 }
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| batch.try_execute_dynamic(&machine, &tree)));
-                let stats = machine.take_stats();
+                let Reply { result, stats, .. } = contain(shard, &machine, || {
+                    batch.try_execute_dynamic(&machine, &tree).map_err(|e| cgm_error_string(&e))
+                });
                 let ran = stats.runs > 0;
                 let mut stats = Some(stats);
-                let mut split = match outcome {
-                    Ok(Ok(out)) => Ok((
-                        out.counts.into_iter(),
-                        out.aggregates.into_iter(),
-                        out.reports.into_iter(),
-                    )),
-                    Ok(Err(e)) => Err(cgm_error_string(&e)),
-                    Err(payload) => Err(panic_message(&*payload)),
-                };
+                let mut split = result.map(|out| {
+                    (out.counts.into_iter(), out.aggregates.into_iter(), out.reports.into_iter())
+                });
                 for ((nc, na, nr), complete) in riders {
                     let part = match &mut split {
                         Ok((counts, aggs, reports)) => Ok(BatchResults {
@@ -175,63 +174,48 @@ fn worker_loop<S: Semigroup, const D: usize>(
                 }
             }
             ShardJob::Write { deletes, inserts, inject_fault, reply } => {
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Point<D>>, String> {
-                        let extracted = if deletes.is_empty() {
-                            Vec::new()
-                        } else {
-                            tree.extract_batch(&machine, &deletes).map_err(|e| e.to_string())?
-                        };
-                        if inject_fault {
-                            machine
-                                .try_run(|ctx| {
-                                    if ctx.rank() == ctx.p() - 1 {
-                                        panic!("injected fault: processor panic mid-epoch");
-                                    }
-                                    ctx.barrier();
-                                })
-                                .map_err(|e| cgm_error_string(&e))?;
-                        }
-                        if !inserts.is_empty() {
-                            tree.insert_batch(&machine, &inserts).map_err(|e| e.to_string())?;
-                        }
-                        Ok(extracted)
-                    }));
-                let stats = machine.take_stats();
-                let result = match outcome {
-                    Ok(r) => r,
-                    Err(payload) => Err(panic_message(&*payload)),
-                };
-                let _ = reply.send(WriteReply { shard, result, stats });
+                let _ = reply.send(contain(shard, &machine, || {
+                    let extracted = if deletes.is_empty() {
+                        Vec::new()
+                    } else {
+                        tree.extract_batch(&machine, &deletes).map_err(|e| e.to_string())?
+                    };
+                    if inject_fault {
+                        machine
+                            .try_run(|ctx| {
+                                if ctx.rank() == ctx.p() - 1 {
+                                    panic!("injected fault: processor panic mid-epoch");
+                                }
+                                ctx.barrier();
+                            })
+                            .map_err(|e| cgm_error_string(&e))?;
+                    }
+                    if !inserts.is_empty() {
+                        tree.insert_batch(&machine, &inserts).map_err(|e| e.to_string())?;
+                    }
+                    Ok(extracted)
+                }));
             }
             ShardJob::SplitHalf { upper, reply } => {
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| split_half(&machine, &mut tree, upper)));
-                let stats = machine.take_stats();
-                let result = match outcome {
-                    Ok(r) => r,
-                    Err(payload) => Err(panic_message(&*payload)),
-                };
-                let _ = reply.send(SplitReply { result, stats });
+                let _ =
+                    reply.send(contain(shard, &machine, || split_half(&machine, &mut tree, upper)));
             }
             ShardJob::Recover { capacity, records, reply } => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    ddrs_wal::replay_into_store(&machine, capacity, &records)
+                // The fresh store replaces the old one only if the whole
+                // replay succeeded.
+                let _ = reply.send(contain(shard, &machine, || {
+                    let fresh = ddrs_wal::replay_into_store(&machine, capacity, &records)?;
+                    let live = fresh.points().map(|p| p.id).collect();
+                    tree = fresh;
+                    Ok(live)
                 }));
-                let stats = machine.take_stats();
-                let result = match outcome {
-                    Ok(Ok(fresh)) => {
-                        let live = fresh.points().map(|p| p.id).collect();
-                        tree = fresh;
-                        Ok(live)
-                    }
-                    Ok(Err(e)) => Err(e),
-                    Err(payload) => Err(panic_message(&*payload)),
-                };
-                let _ = reply.send(RecoverReply { result, stats });
             }
             ShardJob::Stop { reply } => {
-                let _ = reply.send((machine, tree));
+                let _ = reply.send(Reply {
+                    shard,
+                    result: Ok((machine, tree)),
+                    stats: RunStats::default(),
+                });
                 return;
             }
         }

@@ -1,0 +1,346 @@
+//! The write path: validate a run of writes sequentially, apply it as
+//! one sub-epoch per touched shard, log it, and commit — or abort the
+//! whole epoch, rolling healthy shards back and quarantining failed
+//! ones. Also the skew trigger that runs after a committed epoch.
+
+use std::collections::{BTreeMap, HashSet};
+use std::time::Instant;
+
+use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
+use ddrs_rangetree::{BuildError, Point, Semigroup, PAD_ID};
+use ddrs_sched::Pending;
+use ddrs_trace::Stage;
+use ddrs_wal::{EpochRecord, RecordKind};
+
+use crate::router::{settle, us_between, Inner, Op, Router};
+use crate::split::do_split;
+use crate::worker::ShardJob;
+
+/// Per-request validation verdict inside a write epoch.
+enum Verdict {
+    Commit,
+    Rejected(BuildError),
+    /// The request needed a poisoned shard; it fails before any routing
+    /// and mutates nothing.
+    Unavailable(String),
+}
+
+/// Validate a run of writes sequentially, scatter them as one sub-epoch
+/// per touched shard, and either commit all of them under the global
+/// sequence or abort the whole epoch (rolling back healthy shards,
+/// poisoning failed ones).
+pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
+    inner: &Inner<S, D>,
+    router: &mut Router<S, D>,
+    batch: Vec<Pending<Op<S, D>>>,
+) {
+    let t_carve = Instant::now();
+    // Epoch delta: Some((pt, shard)) = live, inserted this epoch at
+    // `shard`; None = dead. Ids absent defer to the ownership index.
+    let mut delta: BTreeMap<u32, Option<(Point<D>, usize)>> = BTreeMap::new();
+    let mut tree_deleted: Vec<Vec<u32>> = vec![Vec::new(); router.shards()];
+    let mut outcomes: Vec<(Resolver<()>, Verdict, Instant)> = Vec::with_capacity(batch.len());
+
+    for p in batch {
+        ddrs_trace::transition(p.op.span(), Stage::Queue, Stage::Window);
+        match p.op {
+            Op::Client(PlannedOp::Insert(pts, r)) => {
+                let mut verdict = Verdict::Commit;
+                let mut seen: HashSet<u32> = HashSet::with_capacity(pts.len());
+                let mut placements: Vec<usize> = Vec::with_capacity(pts.len());
+                for pt in &pts {
+                    if pt.id == PAD_ID {
+                        verdict = Verdict::Rejected(BuildError::ReservedId);
+                        break;
+                    }
+                    let live = match delta.get(&pt.id) {
+                        Some(Some(_)) => true,
+                        Some(None) => false,
+                        None => router.owner.contains_key(&pt.id),
+                    };
+                    if live || !seen.insert(pt.id) {
+                        verdict = Verdict::Rejected(BuildError::DuplicateId(pt.id));
+                        break;
+                    }
+                    let sh = router.part.place(pt);
+                    if let Some(quarantined) = router.quarantine(sh) {
+                        verdict = Verdict::Unavailable(quarantined);
+                        break;
+                    }
+                    placements.push(sh);
+                }
+                if matches!(verdict, Verdict::Commit) {
+                    for (pt, sh) in pts.into_iter().zip(placements) {
+                        delta.insert(pt.id, Some((pt, sh)));
+                    }
+                }
+                outcomes.push((r, verdict, p.submitted));
+            }
+            Op::Client(PlannedOp::Delete(ids, r)) => {
+                // First pass: the delete must not touch a poisoned
+                // shard; if it would, it fails atomically (no partial
+                // application anywhere).
+                let bad = ids.iter().find_map(|id| match delta.get(id) {
+                    Some(_) => None,
+                    None => router.owner.get(id).and_then(|&sh| router.quarantine(sh)),
+                });
+                if let Some(quarantined) = bad {
+                    outcomes.push((r, Verdict::Unavailable(quarantined), p.submitted));
+                    continue;
+                }
+                for id in ids {
+                    match delta.get(&id) {
+                        Some(Some(_)) => {
+                            delta.insert(id, None);
+                        }
+                        Some(None) => {}
+                        None => {
+                            if let Some(&sh) = router.owner.get(&id) {
+                                tree_deleted[sh].push(id);
+                                delta.insert(id, None);
+                            }
+                        }
+                    }
+                }
+                outcomes.push((r, Verdict::Commit, p.submitted));
+            }
+            _ => unreachable!("carve() mixed non-writes into a write run"),
+        }
+    }
+
+    // Route the net effect: one sub-epoch per touched shard.
+    let mut inserts: Vec<Vec<Point<D>>> = vec![Vec::new(); router.shards()];
+    for (pt, sh) in delta.values().flatten() {
+        inserts[*sh].push(*pt);
+    }
+    let involved: Vec<usize> = (0..router.shards())
+        .filter(|&s| !tree_deleted[s].is_empty() || !inserts[s].is_empty())
+        .collect();
+
+    // `end_stage` is the lifecycle stage the ops' spans are in when the
+    // epoch's fate is decided: Window on the validation-only path (no
+    // machine ever ran), Merge once a machine run happened.
+    let resolve_all = |outcomes: Vec<(Resolver<()>, Verdict, Instant)>,
+                       router: &mut Router<S, D>,
+                       epoch_error: Option<&String>,
+                       end_stage: Stage| {
+        for (r, verdict, _) in outcomes {
+            let outcome = match (epoch_error, verdict) {
+                // The epoch aborted: nothing in it committed, and a
+                // sequential rejection computed against the aborted
+                // prefix is void too.
+                (Some(e), Verdict::Commit | Verdict::Rejected(_)) => {
+                    Err(ServiceError::Machine(format!("write epoch aborted: {e}")))
+                }
+                (None, Verdict::Commit) => Ok(Commit { value: (), seq: router.take_seq() }),
+                (None, Verdict::Rejected(e)) => Err(ServiceError::Rejected(e)),
+                (_, Verdict::Unavailable(msg)) => Err(ServiceError::Machine(msg)),
+            };
+            settle(r, end_stage, outcome);
+        }
+    };
+
+    // Count the run completed and record its latency and always-on
+    // stage breakdown: queue and window for every op, machine-run once a
+    // machine ran (`gathered`).
+    let account = |outcomes: &[(Resolver<()>, Verdict, Instant)],
+                   window_end: Instant,
+                   gathered: Option<Instant>| {
+        let mut st = inner.stats.lock();
+        st.completed += outcomes.len() as u64;
+        for (_, _, submitted) in outcomes {
+            st.latency_us.record(submitted.elapsed().as_micros() as u64);
+            st.stages.queue.record(us_between(*submitted, t_carve));
+            st.stages.window.record(us_between(t_carve, window_end));
+            if let Some(gathered) = gathered {
+                st.stages.machine_run.record(us_between(window_end, gathered));
+            }
+        }
+    };
+
+    if involved.is_empty() {
+        // Nothing reaches any machine: validation-only outcomes (empty
+        // batches, rejections, no-op deletes) still commit/fail in order.
+        account(&outcomes, Instant::now(), None);
+        resolve_all(outcomes, router, None, Stage::Window);
+        router.publish(inner);
+        return;
+    }
+
+    // Every involved shard's log record carries the full verdict list —
+    // the epoch is global — plus its own sub-batches.
+    let wal_verdicts: Vec<ddrs_wal::Verdict> = outcomes
+        .iter()
+        .map(|(_, v, _)| match v {
+            Verdict::Commit => ddrs_wal::Verdict::Commit,
+            Verdict::Rejected(_) => ddrs_wal::Verdict::Rejected,
+            Verdict::Unavailable(_) => ddrs_wal::Verdict::Unavailable,
+        })
+        .collect();
+    // The whole run shares the epoch's fate — even a sequentially
+    // rejected op's resolution waits on the machine run — so every span
+    // advances through MachineRun together.
+    let t_scatter = Instant::now();
+    for (r, _, _) in &outcomes {
+        ddrs_trace::transition(r.span(), Stage::Window, Stage::MachineRun);
+    }
+    let mut replies: Vec<Option<Result<Vec<Point<D>>, String>>> =
+        (0..router.shards()).map(|_| None).collect();
+    let mut runs_total = 0u64;
+    // Scatter the sub-epochs (consuming any injected faults), then
+    // gather. The jobs get copies: the batches themselves go on to the
+    // log records, or name what a rollback has to undo.
+    for reply in router.round_trip(inner, &involved, |s, reply| ShardJob::Write {
+        deletes: tree_deleted[s].clone(),
+        inserts: inserts[s].clone(),
+        inject_fault: inner.faults.lock().remove(&s),
+        reply,
+    }) {
+        runs_total += reply.stats.runs as u64;
+        replies[reply.shard] = Some(reply.result);
+    }
+    let t_gather = Instant::now();
+    for (r, _, _) in &outcomes {
+        ddrs_trace::transition(r.span(), Stage::MachineRun, Stage::Merge);
+    }
+    if runs_total > 0 {
+        let mut st = inner.stats.lock();
+        st.write_epochs += 1;
+        st.write_shards_touched += involved.len() as u64;
+    }
+    account(&outcomes, t_scatter, Some(t_gather));
+
+    let mut epoch_error: Option<String> = involved.iter().find_map(|&s| match &replies[s] {
+        Some(Err(e)) => Some(format!("shard {s}: {e}")),
+        _ => None,
+    });
+
+    // Log-before-resolve: a committed epoch reaches every involved
+    // shard's WAL before any of its tickets resolve, so a crash between
+    // commit and resolution never yields a response the log cannot
+    // reproduce. The in-memory sink is infallible; a file sink's IO
+    // failure aborts the epoch, and any sibling whose log already
+    // carries the aborted record is quarantined (its log is ahead of
+    // the epoch outcome, so only an operator-driven recovery may touch
+    // it again).
+    if epoch_error.is_none() {
+        let mut appended: Vec<usize> = Vec::with_capacity(involved.len());
+        for &s in &involved {
+            let rec = EpochRecord {
+                kind: RecordKind::Epoch,
+                first_seq: router.next_seq,
+                verdicts: wal_verdicts.clone(),
+                deletes: std::mem::take(&mut tree_deleted[s]),
+                inserts: std::mem::take(&mut inserts[s]),
+            };
+            match router.wals[s].append_record(&rec) {
+                Ok(_) => appended.push(s),
+                Err(e) => {
+                    epoch_error = Some(format!("shard {s}: wal append failed: {e}"));
+                    router.poisoned[s] = Some(format!("wal append failed: {e}"));
+                    for &a in &appended {
+                        router.poisoned[a] = Some(
+                            "wal carries an epoch that aborted on a sibling's log failure".into(),
+                        );
+                    }
+                    break;
+                }
+            }
+        }
+    }
+
+    match &epoch_error {
+        None => {
+            // Commit: fold the delta into the ownership index.
+            for (id, v) in delta {
+                match v {
+                    Some((_, sh)) => {
+                        if let Some(old) = router.owner.insert(id, sh) {
+                            router.shard_len[old] -= 1;
+                        }
+                        router.shard_len[sh] += 1;
+                    }
+                    None => {
+                        if let Some(old) = router.owner.remove(&id) {
+                            router.shard_len[old] -= 1;
+                        }
+                    }
+                }
+            }
+            maybe_rebalance(inner, router);
+        }
+        Some(_) => {
+            // Abort: poison the failed shards, roll the healthy
+            // participants back to their pre-epoch state.
+            for &s in &involved {
+                if let Some(Err(e)) = &replies[s] {
+                    router.poisoned[s] = Some(e.clone());
+                }
+            }
+            // A shard already quarantined (machine failure, or a log
+            // that carries the aborted epoch) is never rolled back: its
+            // store must not move out from under a log that disagrees.
+            // The others still hold their batches — no log took them.
+            let rolling: Vec<usize> = involved
+                .iter()
+                .copied()
+                .filter(|&s| match &replies[s] {
+                    Some(Ok(extracted)) => {
+                        router.poisoned[s].is_none()
+                            && !(inserts[s].is_empty() && extracted.is_empty())
+                    }
+                    _ => false,
+                })
+                .collect();
+            for reply in router.round_trip(inner, &rolling, |s, reply| {
+                let Some(Ok(extracted)) = replies[s].take() else {
+                    unreachable!("rollback targets only successful sub-epochs")
+                };
+                let deletes = inserts[s].iter().map(|p| p.id).collect();
+                ShardJob::Write { deletes, inserts: extracted, inject_fault: false, reply }
+            }) {
+                if let Err(e) = reply.result {
+                    router.poisoned[reply.shard] =
+                        Some(format!("rollback after epoch abort failed: {e}"));
+                }
+            }
+        }
+    }
+    // Publish before resolution: a client that has observed its write
+    // response must also observe the epoch's effects in the telemetry —
+    // a skew-triggered migration it caused, or the quarantine behind its
+    // abort.
+    router.publish(inner);
+    let n_ops = outcomes.len();
+    let t_merge1 = Instant::now();
+    resolve_all(outcomes, router, epoch_error.as_ref(), Stage::Merge);
+    let t_resolve1 = Instant::now();
+    // Merge/resolve durations are only knowable after the resolutions
+    // ran, so they land in a second stats acquisition — a deliberate
+    // relaxation of the stats-before-resolve rule: their duration IS the
+    // resolution work itself.
+    let mut st = inner.stats.lock();
+    for _ in 0..n_ops {
+        st.stages.merge.record(us_between(t_gather, t_merge1));
+        st.stages.resolve.record(us_between(t_merge1, t_resolve1));
+    }
+}
+
+/// Run the skew trigger after a committed write epoch (the caller
+/// publishes).
+fn maybe_rebalance<S: Semigroup, const D: usize>(inner: &Inner<S, D>, router: &mut Router<S, D>) {
+    if inner.cfg.rebalance_factor <= 1.0 || router.shards() < 2 {
+        return;
+    }
+    let Some((donor, &max)) = router.shard_len.iter().enumerate().max_by_key(|(_, &n)| n) else {
+        return;
+    };
+    // An empty store never trips the trigger: 0 <= factor × 0.
+    let mean = router.shard_len.iter().sum::<usize>() as f64 / router.shards() as f64;
+    if max < inner.cfg.rebalance_min || (max as f64) <= inner.cfg.rebalance_factor * mean {
+        return;
+    }
+    // A failed automatic split (no healthy sibling, degenerate
+    // coordinates) is not an error — the trigger just stays armed.
+    let _ = do_split(inner, router, donor);
+}

@@ -29,7 +29,9 @@
 //! its `recover_shard()` on top of this: decode the quarantined shard's
 //! log, rebuild the store on the shard's own `Machine`, re-derive the
 //! id→shard ownership index from the live ids, and let the rebuilt
-//! shard rejoin the service.
+//! shard rejoin the service. A log that ended in a torn or corrupt tail
+//! is cut back to its clean prefix first ([`EpochWal::truncate`]), so
+//! the epochs committed after the recovery stay reachable.
 
 #![forbid(unsafe_code)]
 
@@ -103,6 +105,20 @@ impl<const D: usize> EpochWal<D> {
         inner.stats.records += 1;
         inner.stats.bytes += bytes.len() as u64;
         Ok(bytes.len() as u64)
+    }
+
+    /// Cut the log back to its first `len` bytes, which hold `records`
+    /// complete records — the clean prefix [`replay`](Self::replay)
+    /// returned ahead of a [`LogTail::Torn`] or [`LogTail::Corrupt`]
+    /// tail at offset `len` — and re-base the counters on it. After a
+    /// recovery that stopped at damage, this must happen before the next
+    /// append: a frame written behind the damage is unreachable to every
+    /// later decode. An `Err` means the sink could not be cut.
+    pub fn truncate(&self, len: u64, records: u64) -> io::Result<()> {
+        let mut inner = self.append.lock();
+        inner.sink.truncate(len)?;
+        inner.stats = WalStats { records, bytes: len };
+        Ok(())
     }
 
     /// Append-side counters (records / bytes appended so far).
@@ -313,6 +329,40 @@ mod tests {
         assert_eq!(tail, LogTail::Clean);
         assert_eq!(out, vec![records[0].clone(), records[1].clone(), extra]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Cutting a damaged tail puts the next append right behind the
+    /// clean prefix, whichever way the sink was opened.
+    #[test]
+    fn truncate_cuts_a_torn_tail_and_rebases_the_counters() {
+        let dir = std::env::temp_dir();
+        let tag = std::process::id();
+        let created = dir.join(format!("ddrs-wal-truncate-{tag}-created.log"));
+        let opened = dir.join(format!("ddrs-wal-truncate-{tag}-opened.log"));
+        let _ = std::fs::remove_file(&opened);
+        let sinks: Vec<Box<dyn LogSink>> = vec![
+            Box::new(MemSink::new()),
+            Box::new(FileSink::create(&created).expect("create sink")),
+            Box::new(FileSink::open(&opened).expect("open sink")),
+        ];
+        for mut sink in sinks {
+            let torn = encode_record(&rec(9, 50..60));
+            sink.append(&encode_record(&rec(0, 0..3))).expect("append");
+            sink.append(&torn[..torn.len() / 2]).expect("append half a frame");
+            let wal = EpochWal::<2>::with_sink(sink);
+            let (clean, tail) = wal.replay().expect("replay");
+            let LogTail::Torn { offset } = tail else { panic!("expected a torn tail: {tail:?}") };
+            wal.truncate(offset as u64, clean.len() as u64).expect("truncate");
+            assert_eq!(wal.stats(), WalStats { records: 1, bytes: offset as u64 });
+            wal.append_record(&rec(7, 3..6)).expect("append behind the cut");
+            let (out, tail) = wal.replay().expect("replay after the cut");
+            assert_eq!(tail, LogTail::Clean);
+            assert_eq!(out, vec![rec(0, 0..3), rec(7, 3..6)]);
+            assert_eq!(wal.stats().records, 2);
+            assert_eq!(wal.stats().bytes, wal.snapshot_bytes().expect("snapshot").len() as u64);
+        }
+        let _ = std::fs::remove_file(&created);
+        let _ = std::fs::remove_file(&opened);
     }
 
     #[test]

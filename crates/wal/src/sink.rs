@@ -9,7 +9,7 @@
 //! disk persistence. Nothing here ever calls `fsync`.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Somewhere frames can be appended to and read back from.
@@ -23,6 +23,12 @@ pub trait LogSink: Send {
     fn append(&mut self, frame: &[u8]) -> io::Result<()>;
     /// Read back the full byte stream appended so far.
     fn snapshot(&self) -> io::Result<Vec<u8>>;
+    /// Cut the stream back to its first `len` bytes, so the next
+    /// `append` lands right behind them. Recovery uses this to drop a
+    /// torn or corrupt tail ([`crate::LogTail`] reports where it starts)
+    /// before new frames are written behind it, where no later decode
+    /// would ever reach them.
+    fn truncate(&mut self, len: u64) -> io::Result<()>;
 }
 
 /// The default sink: a growable in-memory buffer. Infallible.
@@ -51,6 +57,11 @@ impl LogSink for MemSink {
 
     fn snapshot(&self) -> io::Result<Vec<u8>> {
         Ok(self.buf.clone())
+    }
+
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.buf.truncate(len as usize);
+        Ok(())
     }
 }
 
@@ -92,5 +103,12 @@ impl LogSink for FileSink {
 
     fn snapshot(&self) -> io::Result<Vec<u8>> {
         fs::read(&self.path)
+    }
+
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)?;
+        // An `open`ed sink appends wherever the file ends; a `create`d
+        // one writes at its cursor, which must come back with the end.
+        self.file.seek(SeekFrom::Start(len)).map(drop)
     }
 }

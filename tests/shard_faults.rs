@@ -209,7 +209,10 @@ fn mid_epoch_panic_poisons_one_shard_and_siblings_keep_serving() {
 /// mutate nothing, so only the requests needing the panicked run fail
 /// and the shard keeps serving afterwards. (The panic is induced by
 /// poisoning a write first, then verifying reads on the *other* shards
-/// — plus the converse: a healthy machine read after a failed read.)
+/// — plus the converse: a healthy machine read after a failed read. A
+/// panic *inside* a read run is `ddrs-shard`'s unit test
+/// `read_failure_fails_only_the_ops_that_needed_the_shard`, which trips
+/// it with a semigroup whose `lift` panics.)
 #[test]
 fn reads_fail_without_poisoning_on_write_fault_elsewhere() {
     let service = start(ShardedConfig {

@@ -397,6 +397,77 @@ fn file_backed_recovery_and_torn_tail_fuzz() {
     }
 }
 
+/// Regression: recovering from a torn tail used to leave the damaged
+/// bytes in the log, so every epoch committed after the recovery was
+/// appended *behind* them — and the next recovery, stopping at the same
+/// offset, silently dropped all of it. The recovery must cut the tail
+/// off before the shard rejoins.
+#[test]
+fn recovery_after_a_torn_tail_keeps_every_later_commit() {
+    let path =
+        std::env::temp_dir().join(format!("ddrs-wal-recovery-{}-twice.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let base: Vec<Point<2>> =
+        (0..24u32).map(|i| Point::weighted([i as i64, i as i64], i, 1 + i as u64 % 3)).collect();
+    // An append-mode sink, as after a restart: what lands in the file
+    // behind its back stays ahead of whatever it appends next.
+    let sink: Box<dyn LogSink> = Box::new(FileSink::open(&path).unwrap());
+    let service = ShardedService::start_with_sinks(
+        machines(1, 2),
+        8,
+        &base,
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() },
+        vec![sink],
+    )
+    .unwrap();
+    let poison = |id: u32| {
+        service.fail_next_write_epoch(0);
+        let doomed = service.insert(vec![Point::weighted([500, 500], id, 1)]).unwrap().wait();
+        assert_definite_failure(&doomed.unwrap_err());
+    };
+    service.insert(vec![Point::weighted([100, 1], 1000, 2)]).unwrap().wait().unwrap();
+
+    // Crash mid-append: the log ends in the first half of a frame.
+    poison(9001);
+    let frame = ddrs::wal::encode_record(&EpochRecord::<2>::event(
+        ddrs::wal::RecordKind::Epoch,
+        99,
+        Vec::new(),
+        vec![Point::weighted([7, 7], 7777, 1)],
+    ));
+    {
+        use std::io::Write;
+        let mut log = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        log.write_all(&frame[..frame.len() / 2]).unwrap();
+    }
+    let first = service.recover_shard(0).unwrap().wait().unwrap().value;
+    assert!(!first.clean_tail, "the torn half-frame must be reported");
+    assert_eq!(first.replayed_records, 2, "load + one epoch precede the tear");
+    assert_eq!(first.live_points, 25);
+
+    // Two more acknowledged epochs, then a second crash and recovery.
+    service.insert(vec![Point::weighted([101, 1], 1001, 2)]).unwrap().wait().unwrap();
+    service.delete(vec![0, 1]).unwrap().wait().unwrap();
+    poison(9002);
+    let second = service.recover_shard(0).unwrap().wait().unwrap().value;
+    assert!(second.clean_tail, "the first recovery must have cut the torn tail off");
+    assert_eq!(second.replayed_records, 4, "the two later epochs are reachable");
+    assert_eq!(second.live_points, 24, "24 initial + 1000 + 1001 − {{0, 1}}");
+
+    // Every acknowledged write is present, none of the failed ones is.
+    let mut want: Vec<u32> = (2..24).chain([1000, 1001]).collect();
+    want.sort_unstable();
+    assert_eq!(service.report(ALL).unwrap().wait().unwrap().value, want);
+    // The counters were re-based on the cut log: they describe the file.
+    let shard = &service.stats().per_shard[0];
+    assert_eq!(shard.wal_records, 4);
+    assert_eq!(shard.wal_bytes, std::fs::metadata(&path).unwrap().len());
+    service.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Frame size of one record (header + payload), for locating the final
 /// record's start without re-encoding assumptions leaking into tests.
 fn frame_len(rec: &EpochRecord<2>) -> usize {
