@@ -3,8 +3,10 @@
 //!
 //! The paper (a theory paper) has no empirical tables; its results are
 //! Figures 1–3 (structural) and Theorems 1–4 with Corollaries (complexity
-//! bounds). Each subcommand reproduces one of them on the CGM simulator;
-//! EXPERIMENTS.md records the expected-vs-measured outcome per experiment.
+//! bounds). Each subcommand reproduces one of them on the CGM simulator
+//! and prints the expected outcome as a "claim:" line under its table;
+//! the README's "Paper map" section says which experiment backs which
+//! theorem.
 //!
 //! ```text
 //! cargo run --release -p ddrs-bench --bin repro -- all
@@ -250,7 +252,7 @@ fn t3() {
                 rq.iter().filter(|(qid, _)| *qid as usize % p == ctx.rank()).copied().collect();
             let hat_work = mine.len();
             let stage = hat_stage(&state, &mine);
-            let (_trees, items) = balance_visits(ctx, &state, stage.visits);
+            let (_trees, items) = balance_visits(ctx, &[&state], stage.visits);
             hat_work + items.len()
         });
         machine.take_stats();
@@ -463,10 +465,10 @@ fn a1() {
                 let mut sels = Vec::new();
                 let mut work = 0usize;
                 if balanced {
-                    let (trees, items) = balance_visits(ctx, &state, stage.visits);
+                    let (trees, items) = balance_visits(ctx, &[&state], stage.visits);
                     for (fid, (_qid, q)) in items {
                         sels.clear();
-                        tree_for(&trees, &state, fid).tree.search(&q, &mut sels);
+                        tree_for(&trees, &[&state], fid).tree.search(&q, &mut sels);
                         work += 1;
                     }
                 } else {
@@ -486,7 +488,7 @@ fn a1() {
                         stage
                             .visits
                             .into_iter()
-                            .map(|(fid, q)| (owners[&fid], (fid, q)))
+                            .map(|(fid, q, _)| (owners[&fid], (fid, q)))
                             .collect::<Vec<_>>(),
                     );
                     for (fid, (_qid, q)) in routed {
@@ -538,8 +540,9 @@ fn a1() {
     );
 }
 
-/// Engine: fused mixed-mode batches vs per-mode dispatch over a
-/// multi-level dynamic store — machine submissions, supersteps, wall.
+/// Engine: one fused mixed-mode batch vs the same program submitted once
+/// per mode, over a multi-level dynamic store — machine submissions,
+/// supersteps, wall.
 fn e1() {
     let p = 8;
     let machine = Machine::new(p).unwrap();
@@ -590,6 +593,7 @@ fn e1() {
         });
         let pm_stats = machine.take_stats();
         assert_eq!(fused_out.counts, pm_counts, "fused and per-mode counts agree");
+        assert_eq!((fused_stats.runs, pm_stats.runs), (1, 3), "one submission vs one per mode");
         rows.push(vec![
             waves.to_string(),
             fused_stats.runs.to_string(),
@@ -616,8 +620,8 @@ fn e1() {
     println!(
         "\nclaim: the fused batch is exactly one machine submission and a\n\
          constant number of supersteps independent of the level count and\n\
-         mode mix; per-mode dispatch pays three submissions (and before the\n\
-         fused engine it paid 3·levels)."
+         mode mix; per-mode dispatch submits the same program three times,\n\
+         once per mode (and before the fused engine it paid 3·levels)."
     );
 }
 

@@ -1,9 +1,9 @@
 //! # ddrs-bench — experiment harness
 //!
 //! Shared helpers for the Criterion benches and the `repro` binary that
-//! regenerates every figure/theorem-scale experiment of the paper (see
-//! DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-//! outcomes).
+//! regenerates every figure/theorem-scale experiment of the paper (the
+//! README's "Paper map" section indexes them; each prints its own
+//! expected-vs-measured "claim:" line).
 
 use std::time::Instant;
 

@@ -113,7 +113,8 @@ impl Ctx<'_> {
 
     /// Redistribute a globally ordered distributed sequence so that counts
     /// are even (first `total % p` ranks hold one extra), preserving order.
-    /// One superstep.
+    /// Two supersteps: the all-gather inside `exclusive_scan_sum_total`
+    /// (global offsets), then the exchange.
     pub fn rebalance<T: Payload>(&mut self, data: Vec<T>) -> Vec<T> {
         let p = self.p();
         let (offset, total) = self.exclusive_scan_sum_total(data.len() as u64);

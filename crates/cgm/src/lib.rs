@@ -68,7 +68,7 @@ pub mod model;
 
 pub use ctx::Ctx;
 pub use error::CgmError;
-pub use machine::{panic_message, Machine};
+pub use machine::{panic_message, unwrap_run, Machine};
 pub use payload::{shallow_words, slice_words, Payload};
 pub use stats::{RoundStat, RunStats, RunStatsRollup};
 

@@ -331,13 +331,7 @@ impl Machine {
         F: Fn(&mut Ctx<'_>) -> R + Sync,
         R: Send,
     {
-        match self.try_run(program) {
-            Ok(results) => results,
-            Err(CgmError::ProcessorPanicked { rank, payload }) => {
-                panic!("simulated processor panicked: rank {rank}: {payload}")
-            }
-            Err(e) => panic!("{e}"),
-        }
+        unwrap_run(self.try_run(program))
     }
 
     /// Snapshot the accumulated statistics without clearing them.
@@ -349,6 +343,14 @@ impl Machine {
     pub fn take_stats(&self) -> RunStats {
         std::mem::take(&mut *self.stats.lock())
     }
+}
+
+/// The infallible half of the [`Machine::run`] / [`Machine::try_run`]
+/// contract, for any layer that offers both: unwrap a fallible run's
+/// result, panicking with the error's own text (for a failed program
+/// that is `"simulated processor panicked: rank r: <its message>"`).
+pub fn unwrap_run<R>(outcome: Result<R, CgmError>) -> R {
+    outcome.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Render a panic payload: the conventional `String` / `&str` payloads

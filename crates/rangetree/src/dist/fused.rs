@@ -1,13 +1,14 @@
-//! The fused mixed-mode query engine: one machine submission per batch.
+//! Algorithm Search as one SPMD program: the only query program in this
+//! crate, one machine submission per batch.
 //!
-//! The paper's optimality claim is a *constant* number of communication
-//! rounds per query batch. The per-mode drivers in [`super`] honour that
-//! for a single static tree, but a heterogeneous workload against a
+//! The paper has one Algorithm Search — hat multisearch, congestion-copy
+//! balancing, forest finish — whose modes differ only in what a selected
+//! node contributes. This module states it once, for *all* count,
+//! aggregate and report queries of a batch over *all* the static trees
+//! ("levels") searched: the per-mode methods of
+//! [`DistRangeTree`] are its single-mode, single-level shapes, and a
 //! [`DynamicDistRangeTree`](crate::DynamicDistRangeTree) with `L`
-//! occupied levels used to pay `3·L` full [`Machine::run`] submissions
-//! (one per logarithmic-method level per mode). This module plans *all*
-//! count, aggregate and report queries over *all* levels into a single
-//! SPMD program:
+//! occupied levels pays one run, not `3·L`.
 //!
 //! 1. one all-gather fills the final-dimension hat aggregates of every
 //!    level at once (skipped when the batch has no aggregate queries —
@@ -17,9 +18,10 @@
 //!    and runs the hat stages of every mode and level locally; forest
 //!    visits are tagged with a *composite* resource id
 //!    `(level << 32) | fid` so one multisearch balancing round (three
-//!    supersteps, [`Ctx::load_balance_weighted_with`]) evens out the
-//!    forest work of the whole batch — report visits weighted by their
-//!    group's output volume, exactly as Algorithm Report prescribes;
+//!    supersteps, [`balance_visits`]) evens out the forest work of the
+//!    whole batch — report visits weighted by their group's output
+//!    volume, exactly as Algorithm Report prescribes (the hat stage
+//!    states each visit's weight);
 //! 3. count/aggregate partials from all levels share one global sort +
 //!    segmented fold; report pairs from all levels share one
 //!    order-preserving rebalance.
@@ -28,17 +30,17 @@
 //! *uniformly* (the decision depends only on host-provided query counts,
 //! so SPMD superstep alignment is preserved). The result: a mixed batch
 //! costs at most 10 supersteps and exactly **one** run, independent of
-//! the number of levels and of the mode mix.
-//!
-//! [`Ctx::load_balance_weighted_with`]: ddrs_cgm::Ctx::load_balance_weighted_with
+//! the number of levels and of the mode mix; an aggregate-only batch
+//! costs 8, a count-only batch 7 and a report-only batch 5.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
-use ddrs_cgm::{CgmError, Machine};
+use ddrs_cgm::{unwrap_run, CgmError, Machine};
 
-use crate::dist::construct::ForestEntry;
-use crate::dist::search::{fill_hat_values, group_weights, hat_stage, report_visits, QueryRec};
+use crate::dist::search::{
+    balance_visits, compose, decompose, fill_hat_values, hat_stage, report_visits, tree_for,
+    QueryRec,
+};
 use crate::dist::DistRangeTree;
 use crate::point::Rect;
 use crate::semigroup::{comb_opt, fold_points, Semigroup};
@@ -53,19 +55,6 @@ pub struct FusedOutputs<S: Semigroup> {
     pub aggregates: Vec<Option<S::Val>>,
     /// Matching point ids per report query, ascending.
     pub reports: Vec<Vec<u32>>,
-}
-
-/// Composite resource id: `(level, forest id)` packed so one balancing
-/// round can route visits of every level.
-#[inline]
-fn compose(level: usize, fid: u32) -> u64 {
-    ((level as u64) << 32) | fid as u64
-}
-
-/// Inverse of [`compose`].
-#[inline]
-fn decompose(cid: u64) -> (usize, u32) {
-    ((cid >> 32) as usize, cid as u32)
 }
 
 /// Rank `me`'s share of one mode's queries: those whose global id
@@ -84,6 +73,11 @@ fn share<const D: usize>(
 /// queries only populate the left, aggregate queries only the right, so
 /// one sorted segmented fold combines both modes.
 type Partial<V> = (u64, Option<V>);
+
+/// What one rank holds when the program ends: its folded
+/// `(global query id, partial)` records and its `⌈k/p⌉` share of the
+/// `(global query id, point id)` report pairs.
+pub(super) type RankOutput<V> = (Vec<(u64, Partial<V>)>, Vec<(u32, u32)>);
 
 /// Execute a heterogeneous count + aggregate + report batch against one
 /// or more static trees ("levels") in a **single** [`Machine::run`].
@@ -109,13 +103,7 @@ pub fn fused_query_batch<S: Semigroup, const D: usize>(
     aggs: &[Rect<D>],
     reports: &[Rect<D>],
 ) -> FusedOutputs<S> {
-    match try_fused_query_batch(machine, levels, sg, counts, aggs, reports) {
-        Ok(out) => out,
-        Err(CgmError::ProcessorPanicked { rank, payload }) => {
-            panic!("simulated processor panicked: rank {rank}: {payload}")
-        }
-        Err(e) => panic!("{e}"),
-    }
+    unwrap_run(try_fused_query_batch(machine, levels, sg, counts, aggs, reports))
 }
 
 /// Fallible counterpart of [`fused_query_batch`]: the same single-run
@@ -133,31 +121,68 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
     aggs: &[Rect<D>],
     reports: &[Rect<D>],
 ) -> Result<FusedOutputs<S>, CgmError> {
-    let (n_c, n_a, n_r) = (counts.len(), aggs.len(), reports.len());
+    let (n_c, n_a) = (counts.len(), aggs.len());
     let mut out = FusedOutputs {
         counts: vec![0; n_c],
         aggregates: vec![None; n_a],
-        reports: vec![Vec::new(); n_r],
+        reports: vec![Vec::new(); reports.len()],
     };
-    if levels.is_empty() || n_c + n_a + n_r == 0 {
-        return Ok(out);
+    // The host merge: a query's partials may end on several ranks (one
+    // per segment boundary), its report pairs on any.
+    for (folded, pairs) in search_program(machine, levels, sg, counts, aggs, reports)? {
+        for (qid, (c, v)) in folded {
+            let qid = qid as usize;
+            if qid < n_c {
+                out.counts[qid] += c;
+            } else {
+                let slot = &mut out.aggregates[qid - n_c];
+                *slot = comb_opt(&sg, slot.take(), v);
+            }
+        }
+        for (qid, id) in pairs {
+            out.reports[qid as usize - n_c - n_a].push(id);
+        }
     }
+    for ids in &mut out.reports {
+        ids.sort_unstable();
+    }
+    Ok(out)
+}
+
+/// The program itself: every rank's [`RankOutput`], in rank order, before
+/// any host-side merging. Global query ids are count `i` → `i`,
+/// aggregate `i` → `n_c + i`, report `i` → `n_c + n_a + i`. A batch with
+/// nothing to search yields `p` empty outputs without a dispatch.
+pub(super) fn search_program<S: Semigroup, const D: usize>(
+    machine: &Machine,
+    levels: &[&DistRangeTree<D>],
+    sg: S,
+    counts: &[Rect<D>],
+    aggs: &[Rect<D>],
+    reports: &[Rect<D>],
+) -> Result<Vec<RankOutput<S::Val>>, CgmError> {
     for t in levels {
         t.assert_machine(machine);
     }
     let p = machine.p();
+    let (n_c, n_a, n_r) = (counts.len(), aggs.len(), reports.len());
+    if levels.is_empty() || n_c + n_a + n_r == 0 {
+        return Ok((0..p).map(|_| Default::default()).collect());
+    }
     let has_agg = n_a > 0;
     let has_ca = n_c + n_a > 0;
     let has_r = n_r > 0;
 
-    type Share<V> = (Vec<(u64, Partial<V>)>, Vec<(u32, u32)>);
-    let per_rank: Vec<Share<S::Val>> = machine.try_run(|ctx| {
+    machine.try_run(|ctx| {
         let me = ctx.rank();
         let states: Vec<_> = levels.iter().map(|t| &t.states[me]).collect();
 
         // (1) Value fill for the aggregate semigroup, all levels in one
-        // all-gather. Counting needs no fill: the hat's replicated `cnt`
-        // arrays already hold the Count folds.
+        // all-gather: the final-dimension forest roots' folds, combined
+        // bottom-up into the final-dimension hat trees (only those
+        // resolve selections from values, so earlier phases' forest
+        // entries need no fold). Counting needs no fill: the hat's
+        // replicated `cnt` arrays already hold the Count folds.
         let hat_vals: Vec<BTreeMap<u64, Vec<Option<S::Val>>>> = if has_agg {
             let mut root_vals: Vec<(u64, Option<S::Val>)> = Vec::new();
             for (li, state) in states.iter().enumerate() {
@@ -189,11 +214,10 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
 
         // (2) Hat stages of every mode and level (local), emitting hat
         // partials and composite-tagged forest visits. This rank owns the
-        // queries with `qid mod p == me` (global ids: count i → i,
-        // aggregate i → n_c + i, report i → n_c + n_a + i) and translates
-        // just those into each level's rank space.
+        // queries with `qid mod p == me` and translates just those into
+        // each level's rank space.
         let mut pairs: Vec<(u64, Partial<S::Val>)> = Vec::new();
-        let mut items: Vec<(u64, QueryRec<D>, u64)> = Vec::new();
+        let mut visits: Vec<(u64, QueryRec<D>, u64)> = Vec::new();
         for (li, (state, level)) in states.iter().zip(levels).enumerate() {
             let translate = |(qid, q): (u32, &Rect<D>)| (qid, level.ranks.translate(q));
             let mine_ca: Vec<QueryRec<D>> =
@@ -206,51 +230,27 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
                     pairs.push((qid as u64, (0, Some(val))));
                 }
             }
-            items.extend(
-                stage.visits.into_iter().map(|(fid, rec)| (compose(li, fid as u32), rec, 1)),
-            );
+            let tag = |(fid, rec, w): (u64, _, u64)| (compose(li, fid as u32), rec, w);
+            visits.extend(stage.visits.into_iter().map(tag));
             if has_r {
                 let mine_r: Vec<QueryRec<D>> =
                     share(reports, n_c + n_a, p, me).map(translate).collect();
-                // Report visits carry their group's output volume as
-                // weight (Algorithm Report's balancing measure).
-                let group_count = group_weights(state);
-                items.extend(
-                    report_visits(state, &mine_r)
-                        .into_iter()
-                        .map(|(fid, rec)| (compose(li, fid as u32), rec, group_count[&fid])),
-                );
+                visits.extend(report_visits(state, &mine_r).into_iter().map(tag));
             }
         }
 
         // (3) One multisearch balancing round for the whole batch.
-        let owned_ids: Vec<u64> = states
-            .iter()
-            .enumerate()
-            .flat_map(|(li, state)| state.forest.keys().map(move |&fid| compose(li, fid)))
-            .collect();
-        let outcome = ctx.load_balance_weighted_with(
-            &owned_ids,
-            |cid| {
-                let (li, fid) = decompose(cid);
-                Arc::clone(&states[li].forest[&fid])
-            },
-            items,
-        );
-        let copies: HashMap<u64, Arc<ForestEntry<D>>> = outcome.resources.into_iter().collect();
+        let (copies, routed) = balance_visits(ctx, &states, visits);
 
-        // (4) Forest finishes (local) for all three modes.
+        // (4) Forest finishes (local) for all three modes, with the
+        // per-batch bottom-up value cache of Algorithm AssociativeFunction.
         let mut cache: AggCache<S> = AggCache::new();
         let mut report_pairs: Vec<(u32, u32)> = Vec::new();
         let mut sels = Vec::new();
         let mut ids = Vec::new();
-        for (cid, (qid, q)) in outcome.items {
-            let entry: &ForestEntry<D> = copies.get(&cid).unwrap_or_else(|| {
-                let (li, fid) = decompose(cid);
-                &states[li].forest[&fid]
-            });
+        for (cid, (qid, q)) in routed {
             sels.clear();
-            entry.tree.search(&q, &mut sels);
+            tree_for(&copies, &states, cid).tree.search(&q, &mut sels);
             if (qid as usize) < n_c {
                 let c: u64 = sels.iter().map(sel_count).sum();
                 if c > 0 {
@@ -288,26 +288,7 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
         let shares: Vec<(u32, u32)> = if has_r { ctx.rebalance(report_pairs) } else { Vec::new() };
 
         (folded, shares)
-    })?;
-
-    for (folded, shares) in per_rank {
-        for (qid, (c, v)) in folded {
-            let qid = qid as usize;
-            if qid < n_c {
-                out.counts[qid] += c;
-            } else {
-                let slot = &mut out.aggregates[qid - n_c];
-                *slot = comb_opt(&sg, slot.take(), v);
-            }
-        }
-        for (qid, id) in shares {
-            out.reports[qid as usize - n_c - n_a].push(id);
-        }
-    }
-    for ids in &mut out.reports {
-        ids.sort_unstable();
-    }
-    Ok(out)
+    })
 }
 
 #[cfg(test)]

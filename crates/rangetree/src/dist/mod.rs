@@ -7,15 +7,19 @@
 //! * [`construct`] — Algorithm Construct: `5d` supersteps building the
 //!   hat replica and the round-robin-dealt forest of `n/p`-point
 //!   subtrees;
-//! * [`search`] — Algorithm Search: the 4-case hat multisearch, the
-//!   congestion-copy balancing, and the forest finishes;
-//! * [`DistRangeTree`] — the host-side handle tying it together:
+//! * [`search`] — the stages of Algorithm Search: the 4-case hat
+//!   multisearch, the one congestion-copy balancing step and the target
+//!   lookup of the forest finishes;
+//! * [`fused`] — Algorithm Search itself, the crate's one SPMD query
+//!   program: every mode, every level, one run per batch;
+//! * [`DistRangeTree`] — the host-side handle tying it together; its
 //!   [`count_batch`](DistRangeTree::count_batch),
 //!   [`aggregate_batch`](DistRangeTree::aggregate_batch) (the
 //!   associative-function mode) and
 //!   [`report_batch`](DistRangeTree::report_batch) /
 //!   [`report_batch_raw`](DistRangeTree::report_batch_raw) (report mode
-//!   with `⌈k/p⌉`-balanced output);
+//!   with `⌈k/p⌉`-balanced output) are the single-mode, single-level
+//!   shapes of that program;
 //! * [`DynamicDistRangeTree`] — Section 5's future-work extension: the
 //!   logarithmic method (Bentley–Saxe) over static distributed trees.
 
@@ -25,9 +29,7 @@ pub mod fused;
 pub mod hat;
 pub mod search;
 
-use std::collections::HashMap;
-
-use ddrs_cgm::Machine;
+use ddrs_cgm::{unwrap_run, Machine};
 
 pub use construct::{construct as construct_spmd, ForestEntry, ProcState};
 pub use dynamic::DynamicDistRangeTree;
@@ -36,12 +38,7 @@ pub use hat::ROOT_KEY;
 
 use crate::point::{Point, Rect};
 use crate::rank::{RankError, RankSpace};
-use crate::semigroup::{comb_opt, fold_points, Count, Semigroup};
-use crate::seq::{sel_fold, sel_report, AggCache};
-use search::{
-    balance_visits, balance_visits_report, fill_hat_values, hat_stage, report_visits, tree_for,
-    QueryRec,
-};
+use crate::semigroup::{Count, Semigroup};
 
 /// Errors from distributed range-tree construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,11 +132,6 @@ impl<const D: usize> DistRangeTree<D> {
         );
     }
 
-    /// Translate a query batch into dealt rank-space records.
-    fn translate_batch(&self, queries: &[Rect<D>]) -> Vec<QueryRec<D>> {
-        queries.iter().enumerate().map(|(i, q)| (i as u32, self.ranks.translate(q))).collect()
-    }
-
     /// Batched counting: the number of points in each query box.
     ///
     /// Counting is the associative-function mode with the [`Count`]
@@ -155,87 +147,15 @@ impl<const D: usize> DistRangeTree<D> {
     /// Eight supersteps regardless of `n`, `p` and the batch: one
     /// value-fill all-gather (forest-root values → replicated hat
     /// aggregates), three balancing rounds, a two-round sort of the
-    /// `(query, value)` partials and a two-round segmented fold.
+    /// `(query, value)` partials and a two-round segmented fold. An empty
+    /// batch pays no machine dispatch.
     pub fn aggregate_batch<S: Semigroup>(
         &self,
         machine: &Machine,
         sg: S,
         queries: &[Rect<D>],
     ) -> Vec<Option<S::Val>> {
-        self.assert_machine(machine);
-        if queries.is_empty() {
-            // Trivial batches must not pay a machine dispatch.
-            return Vec::new();
-        }
-        let p = machine.p();
-        let rqs = self.translate_batch(queries);
-        let per_rank: Vec<Vec<(u64, S::Val)>> = machine.run(|ctx| {
-            let state = &self.states[ctx.rank()];
-
-            // (1) Value fill: the final-dimension forest roots' folds,
-            // all-gathered, then combined bottom-up into the
-            // final-dimension hat trees. Only final-dimension hat trees
-            // resolve selections from values, so earlier phases' forest
-            // entries need no fold.
-            let root_vals: Vec<(u64, Option<S::Val>)> = state
-                .forest
-                .iter()
-                .filter(|(_, entry)| entry.start_dim as usize == D - 1)
-                .map(|(&fid, entry)| {
-                    let real = entry.tree.r as usize;
-                    let fold = fold_points(
-                        &sg,
-                        entry.tree.leaves[..real].iter().map(|pt| (pt.id, pt.weight)),
-                    );
-                    (fid as u64, fold)
-                })
-                .collect();
-            let roots: HashMap<u64, Option<S::Val>> =
-                ctx.all_gather(root_vals).into_iter().flatten().collect();
-            let hat_vals = fill_hat_values(state, &sg, &roots);
-
-            // (2) Hat stage over this processor's query share (local).
-            let mine: Vec<QueryRec<D>> =
-                rqs.iter().filter(|(qid, _)| *qid as usize % p == ctx.rank()).copied().collect();
-            let stage = hat_stage(state, &mine);
-            let mut pairs: Vec<(u64, S::Val)> = Vec::new();
-            for &(qid, (key, v)) in &stage.sels {
-                if let Some(val) = hat_vals[&key][v as usize].clone() {
-                    pairs.push((qid as u64, val));
-                }
-            }
-
-            // (3) Congestion balancing of the forest visits.
-            let (trees, items) = balance_visits(ctx, state, stage.visits);
-
-            // (4) Forest finishes (local), with the per-batch bottom-up
-            // value cache of Algorithm AssociativeFunction.
-            let mut cache: AggCache<S> = AggCache::new();
-            let mut sels = Vec::new();
-            for (fid, (qid, q)) in items {
-                sels.clear();
-                tree_for(&trees, state, fid).tree.search(&q, &mut sels);
-                let mut acc: Option<S::Val> = None;
-                for s in &sels {
-                    acc = comb_opt(&sg, acc, sel_fold(&sg, s, &mut cache));
-                }
-                if let Some(val) = acc {
-                    pairs.push((qid as u64, val));
-                }
-            }
-
-            // (5) Combine partials per query: sort by query id, then the
-            // segmented partial-sum collective.
-            let sorted = ctx.sort_by_key(pairs, |pair: &(u64, S::Val)| pair.0);
-            ctx.segmented_fold(sorted, |a, b| sg.comb(a, b))
-        });
-
-        let mut out: Vec<Option<S::Val>> = vec![None; queries.len()];
-        for (qid, val) in per_rank.into_iter().flatten() {
-            let slot = &mut out[qid as usize];
-            *slot = comb_opt(&sg, slot.take(), Some(val));
-        }
-        out
+        fused_query_batch(machine, &[self], sg, &[], queries, &[]).aggregates
     }
 
     /// Batched report mode, returning the *per-processor output shares*:
@@ -243,49 +163,18 @@ impl<const D: usize> DistRangeTree<D> {
     /// processors (Theorem 4's `O(k/p)` output term).
     ///
     /// Five supersteps: three balancing rounds plus the two-round
-    /// order-preserving redistribution of the output pairs.
+    /// order-preserving redistribution of the output pairs. An empty
+    /// batch is `p` empty shares and no machine dispatch.
     pub fn report_batch_raw(&self, machine: &Machine, queries: &[Rect<D>]) -> Vec<Vec<(u32, u32)>> {
-        self.assert_machine(machine);
-        if queries.is_empty() {
-            // Trivial batches must not pay a machine dispatch.
-            return vec![Vec::new(); machine.p()];
-        }
-        let p = machine.p();
-        let rqs = self.translate_batch(queries);
-        machine.run(|ctx| {
-            let state = &self.states[ctx.rank()];
-            let mine: Vec<QueryRec<D>> =
-                rqs.iter().filter(|(qid, _)| *qid as usize % p == ctx.rank()).copied().collect();
-            let visits = report_visits(state, &mine);
-            let (trees, items) = balance_visits_report(ctx, state, visits);
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            let mut sels = Vec::new();
-            let mut ids = Vec::new();
-            for (fid, (qid, q)) in items {
-                sels.clear();
-                ids.clear();
-                tree_for(&trees, state, fid).tree.search(&q, &mut sels);
-                for s in &sels {
-                    sel_report(s, &mut ids);
-                }
-                pairs.extend(ids.iter().map(|&id| (qid, id)));
-            }
-            ctx.rebalance(pairs)
-        })
+        // Report-only: the semigroup is never consulted.
+        let per_rank = fused::search_program(machine, &[self], Count, &[], &[], queries);
+        unwrap_run(per_rank).into_iter().map(|(_, share)| share).collect()
     }
 
     /// Batched report mode, assembled per query: the ids of the matching
     /// points, ascending.
     pub fn report_batch(&self, machine: &Machine, queries: &[Rect<D>]) -> Vec<Vec<u32>> {
-        let shares = self.report_batch_raw(machine, queries);
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
-        for (qid, id) in shares.into_iter().flatten() {
-            out[qid as usize].push(id);
-        }
-        for ids in &mut out {
-            ids.sort_unstable();
-        }
-        out
+        fused_query_batch(machine, &[self], Count, &[], &[], queries).reports
     }
 
     /// Theorem 1's structural measurements.

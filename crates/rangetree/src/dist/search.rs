@@ -1,5 +1,7 @@
-//! Algorithm Search: batched multisearch through the hat, congestion
-//! balancing, and the forest finishes.
+//! The stages of Algorithm Search: batched multisearch through the hat,
+//! congestion balancing, and the target lookup of the forest finishes.
+//! The one program that strings them together, for every mode and every
+//! level searched, is [`super::fused`].
 //!
 //! Queries are dealt round-robin (`owner(q) = qid mod p`). Each
 //! processor advances its queries through the (local) hat replica with
@@ -14,8 +16,8 @@
 //!
 //! Whenever the walk reaches a *group leaf* (cases 1–3 at the bottom of
 //! a hat tree) the query must continue inside that group's forest
-//! subtree: the walk emits a **visit** `(fid, subquery)`. Visits are
-//! then evened out by [`balance_visits`] — the multisearch balancing of
+//! subtree: the walk emits a **visit** `(fid, subquery, weight)`. Visits
+//! are then evened out by [`balance_visits`] — the multisearch balancing of
 //! Atallah et al. that the paper cites: congested forest trees are
 //! *copied* `c_j = ⌈|QF_j| / (|Q|/p)⌉` times and each visit is routed to
 //! a processor holding a copy, so every processor finishes an `O(|Q|/p)`
@@ -27,7 +29,7 @@ use std::sync::Arc;
 use ddrs_cgm::Ctx;
 
 use crate::dist::construct::{ForestEntry, ProcState};
-use crate::dist::hat::{child_key, ROOT_KEY};
+use crate::dist::hat::{child_key, HatTree, ROOT_KEY};
 use crate::heap;
 use crate::point::RRect;
 use crate::semigroup::{comb_opt, Semigroup};
@@ -38,8 +40,11 @@ pub type QueryRec<const D: usize> = (u32, RRect<D>);
 /// Output of the hat stage for one processor's query share.
 #[derive(Debug, Clone, Default)]
 pub struct HatStage<const D: usize> {
-    /// Forest visits `(forest id, subquery)` still to be finished.
-    pub visits: Vec<(u64, QueryRec<D>)>,
+    /// Forest visits `(forest id, subquery, weight)` still to be finished.
+    /// The weight is the balancing measure: 1 for a count/aggregate visit,
+    /// the group's real-point count for a report visit (Algorithm Report
+    /// weighs a selected tree by its expected output).
+    pub visits: Vec<(u64, QueryRec<D>, u64)>,
     /// Final-dimension hat selections `(qid, (tree key, heap node))`:
     /// canonical nodes whose whole point set matches the query, resolved
     /// from replicated hat aggregates without touching the forest.
@@ -52,6 +57,22 @@ enum Mode {
     /// Contained final-dimension internal nodes expand to visits of every
     /// non-empty group below (report mode must enumerate the points).
     Report,
+}
+
+/// Emit the visit of group leaf `v` of hat tree `t` (which has real
+/// points below: the walk never reaches an empty node).
+fn visit<const D: usize>(
+    t: &HatTree,
+    v: usize,
+    rec: QueryRec<D>,
+    mode: &Mode,
+    out: &mut HatStage<D>,
+) {
+    let weight = match mode {
+        Mode::Aggregate => 1,
+        Mode::Report => t.cnt[v] as u64,
+    };
+    out.visits.push((t.leaf_forest[v - t.nleaves as usize] as u64, rec, weight));
 }
 
 fn walk<const D: usize>(
@@ -77,7 +98,7 @@ fn walk<const D: usize>(
         if t.is_leaf(v) {
             // Continue inside the group's forest subtree (which re-checks
             // dimension j trivially and handles dimensions j+1..d).
-            out.visits.push((t.leaf_forest[v - nleaves] as u64, (qid, *q)));
+            visit(t, v, (qid, *q), mode, out);
         } else if j + 1 < D {
             // Case 1: proceed to the descendant hat tree.
             walk(state, child_key(key, v, state.hat.key_shift), 1, qid, q, mode, out);
@@ -89,7 +110,7 @@ fn walk<const D: usize>(
                     let (a, b) = heap::span(nleaves, v);
                     for leaf in a..b {
                         if t.cnt[nleaves + leaf] > 0 {
-                            out.visits.push((t.leaf_forest[leaf] as u64, (qid, *q)));
+                            visit(t, nleaves + leaf, (qid, *q), mode, out);
                         }
                     }
                 }
@@ -101,7 +122,7 @@ fn walk<const D: usize>(
     if t.is_leaf(v) {
         // The query boundary cuts through this group: finish inside its
         // forest subtree.
-        out.visits.push((t.leaf_forest[v - nleaves] as u64, (qid, *q)));
+        visit(t, v, (qid, *q), mode, out);
     } else {
         walk(state, key, 2 * v, qid, q, mode, out);
         walk(state, key, 2 * v + 1, qid, q, mode, out);
@@ -133,82 +154,75 @@ pub fn hat_stage<const D: usize>(state: &ProcState<D>, queries: &[QueryRec<D>]) 
 pub(crate) fn report_visits<const D: usize>(
     state: &ProcState<D>,
     queries: &[QueryRec<D>],
-) -> Vec<(u64, QueryRec<D>)> {
+) -> Vec<(u64, QueryRec<D>, u64)> {
     stage(state, queries, Mode::Report).visits
 }
 
-/// Result of [`balance_visits`]: the forest-tree copies shipped to this
-/// processor (handles to their owners' trees, metered as whole trees) and
-/// the `(forest id, subquery)` visits routed to it.
-pub type BalancedVisits<const D: usize> =
-    (Vec<(u64, Arc<ForestEntry<D>>)>, Vec<(u64, QueryRec<D>)>);
+/// Composite resource id: `(level, forest id)` packed so one balancing
+/// round routes the visits of every level searched. Level 0's composite
+/// id is the forest id itself, so a static tree's visits need no packing.
+#[inline]
+pub(crate) fn compose(level: usize, fid: u32) -> u64 {
+    ((level as u64) << 32) | fid as u64
+}
 
-/// The multisearch balancing step (Search steps 2–4): replicate
-/// congested forest trees and route every visit to a processor holding a
-/// copy of its target. Three supersteps. Returns the copies shipped to
-/// this processor and its share of the visits; resolve targets with
-/// [`tree_for`].
+/// Inverse of [`compose`].
+#[inline]
+pub(crate) fn decompose(cid: u64) -> (usize, u32) {
+    ((cid >> 32) as usize, cid as u32)
+}
+
+/// Result of [`balance_visits`]: the forest-tree copies shipped to this
+/// processor, keyed by composite id (handles to their owners' trees,
+/// metered as whole trees), and the `(composite id, subquery)` visits
+/// routed to it.
+pub type BalancedVisits<const D: usize> =
+    (HashMap<u64, Arc<ForestEntry<D>>>, Vec<(u64, QueryRec<D>)>);
+
+/// The multisearch balancing step (Search steps 2–4), the only one:
+/// replicate congested forest trees and route every visit to a processor
+/// holding a copy of its target. Three supersteps.
+///
+/// `levels` is this processor's state in every static tree searched (one
+/// for a [`DistRangeTree`](crate::DistRangeTree), one per occupied level
+/// of the logarithmic method) and `visits` are `(composite id, subquery,
+/// weight)`. Returns the copies shipped to this processor and its share
+/// of the visits; resolve targets with [`tree_for`].
 pub fn balance_visits<const D: usize>(
     ctx: &mut Ctx<'_>,
-    state: &ProcState<D>,
-    visits: Vec<(u64, QueryRec<D>)>,
+    levels: &[&ProcState<D>],
+    visits: Vec<(u64, QueryRec<D>, u64)>,
 ) -> BalancedVisits<D> {
-    balance_weighted(ctx, state, visits, |_| 1)
-}
-
-/// Per-group output-volume weights, read from the hat replica's leaf
-/// summaries: forest id → real-point count, floored at 1. This is the
-/// balancing measure of Algorithm Report (a selected tree is weighed by
-/// its expected output), shared by the per-mode driver and the fused
-/// engine so the two can never diverge.
-pub(crate) fn group_weights<const D: usize>(state: &ProcState<D>) -> HashMap<u64, u64> {
-    let mut out = HashMap::new();
-    for t in state.hat.trees.values() {
-        let nleaves = t.nleaves as usize;
-        for i in 0..nleaves {
-            out.insert(t.leaf_forest[i] as u64, (t.cnt[nleaves + i] as u64).max(1));
-        }
-    }
-    out
-}
-
-/// Report-mode balancing: Algorithm Report weighs each selected tree by
-/// its expected output volume ([`group_weights`]) rather than a unit
-/// weight. Same three supersteps as [`balance_visits`].
-pub(crate) fn balance_visits_report<const D: usize>(
-    ctx: &mut Ctx<'_>,
-    state: &ProcState<D>,
-    visits: Vec<(u64, QueryRec<D>)>,
-) -> BalancedVisits<D> {
-    let group_count = group_weights(state);
-    balance_weighted(ctx, state, visits, move |fid| group_count[&fid])
-}
-
-fn balance_weighted<const D: usize>(
-    ctx: &mut Ctx<'_>,
-    state: &ProcState<D>,
-    visits: Vec<(u64, QueryRec<D>)>,
-    weight: impl Fn(u64) -> u64,
-) -> BalancedVisits<D> {
-    let owned_ids: Vec<u64> = state.forest.keys().map(|&fid| fid as u64).collect();
-    let items: Vec<(u64, QueryRec<D>, u64)> =
-        visits.into_iter().map(|(fid, rec)| (fid, rec, weight(fid))).collect();
+    let owned_ids: Vec<u64> = levels
+        .iter()
+        .enumerate()
+        .flat_map(|(li, state)| state.forest.keys().map(move |&fid| compose(li, fid)))
+        .collect();
     let outcome = ctx.load_balance_weighted_with(
         &owned_ids,
-        |fid| Arc::clone(&state.forest[&(fid as u32)]),
-        items,
+        |cid| {
+            let (li, fid) = decompose(cid);
+            Arc::clone(&levels[li].forest[&fid])
+        },
+        visits,
     );
-    (outcome.resources, outcome.items)
+    (outcome.resources.into_iter().collect(), outcome.items)
 }
 
 /// Resolve a balanced visit's target tree: a copy shipped by
 /// [`balance_visits`], or this processor's own original.
 pub fn tree_for<'a, const D: usize>(
-    trees: &'a [(u64, Arc<ForestEntry<D>>)],
-    state: &'a ProcState<D>,
-    fid: u64,
+    copies: &'a HashMap<u64, Arc<ForestEntry<D>>>,
+    levels: &[&'a ProcState<D>],
+    cid: u64,
 ) -> &'a ForestEntry<D> {
-    trees.iter().find(|(f, _)| *f == fid).map_or_else(|| &*state.forest[&(fid as u32)], |(_, e)| e)
+    match copies.get(&cid) {
+        Some(copy) => copy,
+        None => {
+            let (li, fid) = decompose(cid);
+            &levels[li].forest[&fid]
+        }
+    }
 }
 
 /// Algorithm AssociativeFunction step 1 for the hat: given the
@@ -244,47 +258,59 @@ pub(crate) fn fill_hat_values<S: Semigroup, const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::DistRangeTree;
+    use crate::dist::{DistRangeTree, DynamicDistRangeTree};
     use crate::point::{Point, Rect};
     use ddrs_cgm::Machine;
 
-    /// A hot-spot batch at p = 4: every query cuts through the same
-    /// group, so that group's tree is congested and copied to every other
-    /// rank. The copies are handles to the owner's tree, not duplicates,
-    /// and the round is still charged the full size of every shipped tree.
-    #[test]
-    fn congestion_copies_share_the_owners_tree_and_are_metered_whole() {
-        let p = 4;
-        let n = 1024u32;
-        let machine = Machine::new(p).unwrap();
-        let pts: Vec<Point<2>> =
-            (0..n).map(|i| Point::new([i as i64, ((i * 389) % n) as i64], i)).collect();
-        let tree = DistRangeTree::<2>::build(&machine, &pts).unwrap();
-        // x ∈ [3, 40 + i] lies inside the first group of 256 and never
-        // covers it, so the hat hands every query to that group's tree.
-        let rqs: Vec<QueryRec<2>> = (0..64u32)
-            .map(|i| (i, tree.ranks.translate(&Rect::new([3, 0], [40 + i as i64, n as i64]))))
-            .collect();
+    const P: usize = 4;
+    const N: u32 = 1024;
+
+    /// `N` points with distinct x in `x0..x0 + N`, ids from `id0`.
+    fn points(x0: i64, id0: u32) -> Vec<Point<2>> {
+        (0..N).map(|i| Point::new([x0 + i as i64, ((i * 389) % N) as i64], id0 + i)).collect()
+    }
+
+    /// Run the hat stage and the balancing step for a hot-spot batch over
+    /// `levels` at p = 4: every query cuts through the first group of the
+    /// tree whose x range starts at 0 (x ∈ [3, 40 + i] lies inside that
+    /// group of 256 and never covers it), so that group's tree is
+    /// congested and copied to every other rank. Checks that the copies
+    /// are handles to the owner's tree in level `hot`, not duplicates, and
+    /// that the round is still charged the full size of every shipped tree.
+    fn check_hot_spot_copies(machine: &Machine, levels: &[&DistRangeTree<2>], hot: usize) {
+        let qs: Vec<Rect<2>> =
+            (0..64).map(|i| Rect::new([3, 0], [40 + i as i64, N as i64])).collect();
         machine.take_stats();
-        let shipped: Vec<Vec<(u64, Arc<ForestEntry<2>>)>> = machine.run(|ctx| {
-            let state = &tree.states()[ctx.rank()];
-            let mine: Vec<QueryRec<2>> =
-                rqs.iter().filter(|(qid, _)| *qid as usize % p == ctx.rank()).copied().collect();
-            balance_visits(ctx, state, hat_stage(state, &mine).visits).0
+        let shipped: Vec<HashMap<u64, Arc<ForestEntry<2>>>> = machine.run(|ctx| {
+            let states: Vec<_> = levels.iter().map(|t| &t.states()[ctx.rank()]).collect();
+            let mut visits = Vec::new();
+            for (li, (state, level)) in states.iter().zip(levels).enumerate() {
+                let mine: Vec<QueryRec<2>> = (ctx.rank()..qs.len())
+                    .step_by(P)
+                    .map(|i| (i as u32, level.ranks.translate(&qs[i])))
+                    .collect();
+                let stage = hat_stage(state, &mine);
+                visits.extend(
+                    stage.visits.into_iter().map(|(f, rec, w)| (compose(li, f as u32), rec, w)),
+                );
+            }
+            balance_visits(ctx, &states, visits).0
         });
         let stats = machine.take_stats();
 
-        let copies: Vec<&(u64, Arc<ForestEntry<2>>)> = shipped.iter().flatten().collect();
+        let copies: Vec<(&u64, &Arc<ForestEntry<2>>)> = shipped.iter().flatten().collect();
         assert!(
-            copies.len() >= p - 1,
+            copies.len() >= P - 1,
             "the hot tree must reach every other rank: {}",
             copies.len()
         );
-        for (fid, copy) in &copies {
-            let owner = &tree.states()[*fid as usize % p];
+        for (&cid, copy) in &copies {
+            let (li, fid) = decompose(cid);
+            assert_eq!(li, hot, "copy {cid:#x} is not of the hot level");
+            let owner = &levels[li].states()[fid as usize % P];
             assert!(
-                Arc::ptr_eq(copy, &owner.forest[&(*fid as u32)]),
-                "copy of forest tree {fid} is not the owner's tree"
+                Arc::ptr_eq(copy, &owner.forest[&fid]),
+                "copy of forest tree {fid} is not its owner's tree in level {li}"
             );
         }
         // Per shipped pair: the resource id, the entry header, the tree.
@@ -295,5 +321,27 @@ mod tests {
             "shipping by reference must not shrink the h-relation"
         );
         assert!(walked > 0);
+    }
+
+    #[test]
+    fn congestion_copies_share_the_owners_tree_and_are_metered_whole() {
+        let machine = Machine::new(P).unwrap();
+        let tree = DistRangeTree::<2>::build(&machine, &points(0, 0)).unwrap();
+        check_hot_spot_copies(&machine, &[&tree], 0);
+    }
+
+    /// The same hot spot in level 1 of a two-level dynamic store: the
+    /// owner must decode the composite id to the right level's forest
+    /// (level 0 holds trees under the same forest ids).
+    #[test]
+    fn congestion_copies_of_a_higher_level_come_from_that_level() {
+        let machine = Machine::new(P).unwrap();
+        let mut store = DynamicDistRangeTree::<2>::new(N as usize / 2);
+        store.insert_batch(&machine, &points(0, 0)).unwrap(); // 2 × capacity: level 1
+        store.insert_batch(&machine, &points(1 << 20, N)[..N as usize / 2]).unwrap(); // level 0
+        let levels = store.level_trees();
+        assert_eq!(levels.len(), 2);
+        assert_eq!(levels[1].ranks().n(), N as usize, "the hot tree is level 1");
+        check_hot_spot_copies(&machine, &levels, 1);
     }
 }

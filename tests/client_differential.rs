@@ -15,7 +15,6 @@
 //! encode, frame, decode — and must be bit-identical to the in-process
 //! stores, absolute seqs included.
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -23,7 +22,9 @@ use proptest::prelude::*;
 use ddrs::client::{Request, Ticket};
 use ddrs::net::{NetConfig, NetServer, RemoteConfig, RemoteStore};
 use ddrs::prelude::*;
-use ddrs::rangetree::BuildError;
+
+mod common;
+use common::Oracle;
 
 type RawPoint = (i64, i64, u64);
 type RawRect = ((i64, i64), (i64, i64));
@@ -36,63 +37,6 @@ fn to_point(raw: RawPoint, id: u32) -> Point<2> {
 fn to_rect(raw: RawRect) -> Rect<2> {
     let ((x0, y0), (x1, y1)) = raw;
     Rect::new([x0.min(x1), y0.min(y1)], [x0.max(x1), y0.max(y1)])
-}
-
-/// The flat sequential oracle, tracking the same serial commit counter
-/// the backends expose, so seqs are compared absolutely.
-struct Oracle {
-    pts: Vec<Point<2>>,
-    ids: HashSet<u32>,
-    next_seq: u64,
-}
-
-impl Oracle {
-    fn new(initial: &[Point<2>]) -> Self {
-        Oracle { pts: initial.to_vec(), ids: initial.iter().map(|p| p.id).collect(), next_seq: 0 }
-    }
-
-    fn count(&self, q: &Rect<2>) -> u64 {
-        self.pts.iter().filter(|p| q.contains(p)).count() as u64
-    }
-
-    fn aggregate(&self, q: &Rect<2>) -> Option<u64> {
-        self.pts.iter().filter(|p| q.contains(p)).map(|p| p.weight).reduce(|a, b| a + b)
-    }
-
-    fn report(&self, q: &Rect<2>) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.pts.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn insert(&mut self, batch: &[Point<2>]) -> Result<u64, BuildError> {
-        let mut seen = HashSet::new();
-        for p in batch {
-            if self.ids.contains(&p.id) || !seen.insert(p.id) {
-                return Err(BuildError::DuplicateId(p.id));
-            }
-        }
-        self.ids.extend(seen);
-        self.pts.extend_from_slice(batch);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Ok(seq)
-    }
-
-    fn delete(&mut self, ids: &[u32]) -> u64 {
-        let dead: HashSet<u32> = ids.iter().copied().collect();
-        self.pts.retain(|p| !dead.contains(&p.id));
-        self.ids.retain(|id| !dead.contains(id));
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    fn read_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
 }
 
 /// A served store plus the client that reaches it over loopback; keeps
@@ -233,21 +177,21 @@ fn run_case(p: usize, s: usize, raw_pts: Vec<RawPoint>, ops: Vec<(u8, RawRect, u
         let q = to_rect(raw_rect);
         match kind % 6 {
             0 => {
-                let want = (oracle.count(&q), oracle.read_seq());
+                let want = (oracle.count(&q), oracle.next_seq());
                 for (name, store) in &stores {
                     let got = store.count(q).unwrap().wait().unwrap();
                     assert_eq!((got.value, got.seq), want, "{name}: count diverged");
                 }
             }
             1 => {
-                let want = (oracle.aggregate(&q), oracle.read_seq());
+                let want = (oracle.aggregate(&q), oracle.next_seq());
                 for (name, store) in &stores {
                     let got = store.aggregate(q).unwrap().wait().unwrap();
                     assert_eq!((got.value, got.seq), want, "{name}: aggregate diverged");
                 }
             }
             2 => {
-                let want = (oracle.report(&q), oracle.read_seq());
+                let want = (oracle.report(&q), oracle.next_seq());
                 for (name, store) in &stores {
                     let got = store.report(q).unwrap().wait().unwrap();
                     assert_eq!(
@@ -269,7 +213,7 @@ fn run_case(p: usize, s: usize, raw_pts: Vec<RawPoint>, ops: Vec<(u8, RawRect, u
                 if batch.is_empty() {
                     continue;
                 }
-                let want = oracle.insert(&batch);
+                let want = oracle.insert(&batch).map(|()| oracle.next_seq());
                 for (name, store) in &stores {
                     let got = store.insert(batch.clone()).unwrap().wait();
                     match &want {
@@ -296,7 +240,8 @@ fn run_case(p: usize, s: usize, raw_pts: Vec<RawPoint>, ops: Vec<(u8, RawRect, u
                 let mut ids: Vec<u32> =
                     [pick % n, (pick + 5) % n].iter().map(|&i| oracle.pts[i].id).collect();
                 ids.push(u32::MAX - 1); // missing id: a no-op everywhere
-                let want = oracle.delete(&ids);
+                oracle.delete(&ids);
+                let want = oracle.next_seq();
                 for (name, store) in &stores {
                     let got = store.delete(ids.clone()).unwrap().wait().unwrap();
                     assert_eq!(got.seq, want, "{name}: delete commit diverged");
@@ -313,7 +258,10 @@ fn run_case(p: usize, s: usize, raw_pts: Vec<RawPoint>, ops: Vec<(u8, RawRect, u
                     None
                 } else {
                     Some(match oracle.insert(&batch) {
-                        Ok(_) => Ok(()),
+                        Ok(()) => {
+                            oracle.next_seq();
+                            Ok(())
+                        }
                         Err(e) => Err(ServiceError::Rejected(e)),
                     })
                 };
@@ -322,7 +270,7 @@ fn run_case(p: usize, s: usize, raw_pts: Vec<RawPoint>, ops: Vec<(u8, RawRect, u
                 let want_report = oracle.report(&q);
                 let mut last_seq = 0;
                 for _ in 0..3 {
-                    last_seq = oracle.read_seq();
+                    last_seq = oracle.next_seq();
                 }
                 for (name, store) in &stores {
                     let mut req = Request::new();

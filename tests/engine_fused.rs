@@ -1,5 +1,6 @@
 //! Property tests for the fused mixed-mode engine: a heterogeneous
-//! `QueryBatch` must agree with the per-mode APIs and with a sequential
+//! `QueryBatch` must agree with the per-mode APIs (the same SPMD program
+//! in its single-mode shapes, one submission each) and with a sequential
 //! oracle, across machine sizes `p ∈ {1, 2, 4, 8}`, dimensions
 //! `d ∈ {1, 2, 3}`, static trees and dynamic stores mid-cascade — all in
 //! exactly one machine submission per executed batch. Plus executor

@@ -13,12 +13,14 @@
 //! merging happened inside, the observable history is equivalent to some
 //! serial one, and the service tells us which.
 
-use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use ddrs::prelude::*;
-use ddrs::rangetree::{BuildError, PAD_ID};
+use ddrs::rangetree::BuildError;
+
+mod common;
+use common::{replay, Event, Oracle, TestRng};
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
     range
@@ -30,114 +32,6 @@ fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
             )
         })
         .collect()
-}
-
-/// A tiny deterministic generator (splitmix64) so client threads can
-/// produce varied-but-reproducible query boxes without sharing state.
-struct TestRng(u64);
-
-impl TestRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn rect(&mut self) -> Rect<2> {
-        let x = (self.next() % 700) as i64;
-        let y = (self.next() % 500) as i64;
-        let w = (self.next() % 400) as i64;
-        let h = (self.next() % 300) as i64;
-        Rect::new([x, y], [x + w, y + h])
-    }
-}
-
-/// The sequential oracle: a flat, obviously correct model of the store
-/// with the same validation rules as `DynamicDistRangeTree`.
-struct Oracle {
-    pts: Vec<Point<2>>,
-    ids: HashSet<u32>,
-}
-
-impl Oracle {
-    fn new(initial: &[Point<2>]) -> Self {
-        Oracle { pts: initial.to_vec(), ids: initial.iter().map(|p| p.id).collect() }
-    }
-
-    fn count(&self, q: &Rect<2>) -> u64 {
-        self.pts.iter().filter(|p| q.contains(p)).count() as u64
-    }
-
-    fn aggregate(&self, q: &Rect<2>) -> Option<u64> {
-        self.pts.iter().filter(|p| q.contains(p)).map(|p| p.weight).reduce(|a, b| a + b)
-    }
-
-    fn report(&self, q: &Rect<2>) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.pts.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn insert(&mut self, batch: &[Point<2>]) -> Result<(), BuildError> {
-        let mut seen = HashSet::new();
-        for p in batch {
-            if p.id == PAD_ID {
-                return Err(BuildError::ReservedId);
-            }
-            if self.ids.contains(&p.id) || !seen.insert(p.id) {
-                return Err(BuildError::DuplicateId(p.id));
-            }
-        }
-        self.ids.extend(seen);
-        self.pts.extend_from_slice(batch);
-        Ok(())
-    }
-
-    fn delete(&mut self, ids: &[u32]) {
-        let dead: HashSet<u32> = ids.iter().copied().collect();
-        self.pts.retain(|p| !dead.contains(&p.id));
-        self.ids.retain(|id| !dead.contains(id));
-    }
-}
-
-/// One committed request as observed by a client, for seq-ordered replay.
-enum Event {
-    Count(Rect<2>, u64),
-    Aggregate(Rect<2>, Option<u64>),
-    Report(Rect<2>, Vec<u32>),
-    Insert(Vec<Point<2>>),
-    Delete(Vec<u32>),
-}
-
-/// Replay committed events in commit order through the oracle, asserting
-/// every observed response.
-fn replay(initial: &[Point<2>], mut events: Vec<(u64, Event)>) {
-    events.sort_by_key(|(seq, _)| *seq);
-    let mut oracle = Oracle::new(initial);
-    for (i, w) in events.windows(2).enumerate() {
-        assert_ne!(w[0].0, w[1].0, "duplicate commit seq at replay index {i}");
-    }
-    for (seq, ev) in events {
-        match ev {
-            Event::Count(q, observed) => {
-                assert_eq!(oracle.count(&q), observed, "count diverged at seq {seq}")
-            }
-            Event::Aggregate(q, observed) => {
-                assert_eq!(oracle.aggregate(&q), observed, "aggregate diverged at seq {seq}")
-            }
-            Event::Report(q, observed) => {
-                assert_eq!(oracle.report(&q), observed, "report diverged at seq {seq}")
-            }
-            Event::Insert(batch) => {
-                oracle.insert(&batch).unwrap_or_else(|e| {
-                    panic!("committed insert rejected by oracle at seq {seq}: {e}")
-                });
-            }
-            Event::Delete(ids) => oracle.delete(&ids),
-        }
-    }
 }
 
 fn start_service(p: usize, initial: &[Point<2>], cfg: ShardedConfig) -> ShardedService<Sum, 2> {

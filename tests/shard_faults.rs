@@ -10,10 +10,12 @@
 //!   requests in commit-seq order through a sequential oracle
 //!   contradicts.
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use ddrs::prelude::*;
+
+mod common;
+use common::{replay, Event};
 
 fn machines(s: usize, p: usize) -> Vec<Machine> {
     (0..s).map(|_| Machine::new(p).unwrap()).collect()
@@ -36,61 +38,6 @@ fn initial() -> Vec<Point<2>> {
 
 fn slab_rect(s: i64) -> Rect<2> {
     Rect::new([s * 100, 0], [s * 100 + 99, 100])
-}
-
-/// The flat sequential oracle (same validation rules as the store).
-struct Oracle {
-    pts: Vec<Point<2>>,
-}
-
-impl Oracle {
-    fn count(&self, q: &Rect<2>) -> u64 {
-        self.pts.iter().filter(|p| q.contains(p)).count() as u64
-    }
-
-    fn report(&self, q: &Rect<2>) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.pts.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn insert(&mut self, batch: &[Point<2>]) {
-        self.pts.extend_from_slice(batch);
-    }
-
-    fn delete(&mut self, ids: &[u32]) {
-        let dead: HashSet<u32> = ids.iter().copied().collect();
-        self.pts.retain(|p| !dead.contains(&p.id));
-    }
-}
-
-enum Event {
-    Count(Rect<2>, u64),
-    Report(Rect<2>, Vec<u32>),
-    Insert(Vec<Point<2>>),
-    Delete(Vec<u32>),
-}
-
-/// Replay committed events in commit order; every observed read value
-/// must match the oracle at its commit position.
-fn replay(initial_pts: &[Point<2>], mut events: Vec<(u64, Event)>) {
-    events.sort_by_key(|(seq, _)| *seq);
-    for w in events.windows(2) {
-        assert_ne!(w[0].0, w[1].0, "duplicate commit seq");
-    }
-    let mut oracle = Oracle { pts: initial_pts.to_vec() };
-    for (seq, ev) in events {
-        match ev {
-            Event::Count(q, observed) => {
-                assert_eq!(oracle.count(&q), observed, "count diverged at seq {seq}")
-            }
-            Event::Report(q, observed) => {
-                assert_eq!(oracle.report(&q), observed, "report diverged at seq {seq}")
-            }
-            Event::Insert(batch) => oracle.insert(&batch),
-            Event::Delete(ids) => oracle.delete(&ids),
-        }
-    }
 }
 
 fn start(cfg: ShardedConfig) -> ShardedService<Sum, 2> {

@@ -12,33 +12,14 @@
 //!   not on the OS interleaving) is identical across two runs with the
 //!   same seed.
 
-use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use ddrs::prelude::*;
 use ddrs::rangetree::BuildError;
 
-/// splitmix64, as in tests/service.rs — fixed seeds, reproducible boxes.
-struct TestRng(u64);
-
-impl TestRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn rect(&mut self) -> Rect<2> {
-        let x = (self.next() % 700) as i64;
-        let y = (self.next() % 500) as i64;
-        let w = (self.next() % 400) as i64;
-        let h = (self.next() % 300) as i64;
-        Rect::new([x, y], [x + w, y + h])
-    }
-}
+mod common;
+use common::{Event, Oracle, TestRng};
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
     range
@@ -50,52 +31,6 @@ fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
             )
         })
         .collect()
-}
-
-struct Oracle {
-    pts: Vec<Point<2>>,
-    ids: HashSet<u32>,
-}
-
-impl Oracle {
-    fn new(initial: &[Point<2>]) -> Self {
-        Oracle { pts: initial.to_vec(), ids: initial.iter().map(|p| p.id).collect() }
-    }
-
-    fn count(&self, q: &Rect<2>) -> u64 {
-        self.pts.iter().filter(|p| q.contains(p)).count() as u64
-    }
-
-    fn aggregate(&self, q: &Rect<2>) -> Option<u64> {
-        self.pts.iter().filter(|p| q.contains(p)).map(|p| p.weight).reduce(|a, b| a + b)
-    }
-
-    fn report(&self, q: &Rect<2>) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.pts.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn insert(&mut self, batch: &[Point<2>]) {
-        for p in batch {
-            assert!(self.ids.insert(p.id), "committed insert of live id {}", p.id);
-        }
-        self.pts.extend_from_slice(batch);
-    }
-
-    fn delete(&mut self, ids: &[u32]) {
-        let dead: HashSet<u32> = ids.iter().copied().collect();
-        self.pts.retain(|p| !dead.contains(&p.id));
-        self.ids.retain(|id| !dead.contains(id));
-    }
-}
-
-enum Event {
-    Count(Rect<2>, u64),
-    Aggregate(Rect<2>, Option<u64>),
-    Report(Rect<2>, Vec<u32>),
-    Insert(Vec<Point<2>>),
-    Delete(Vec<u32>),
 }
 
 /// One full 8-thread run with the given seed base; returns the sorted
@@ -222,7 +157,9 @@ fn stress_run(seed_base: u64) -> Vec<u32> {
             Event::Report(q, observed) => {
                 assert_eq!(oracle.report(q), *observed, "report diverged at seq {seq}")
             }
-            Event::Insert(batch) => oracle.insert(batch),
+            Event::Insert(batch) => oracle.insert(batch).unwrap_or_else(|e| {
+                panic!("committed insert rejected by oracle at seq {seq}: {e}")
+            }),
             Event::Delete(ids) => oracle.delete(ids),
         }
     }
@@ -368,7 +305,9 @@ fn hash_point_lookup_stress_routes_singly_and_replays() {
             Event::Report(q, observed) => {
                 assert_eq!(oracle.report(q), *observed, "report diverged at seq {seq}")
             }
-            Event::Insert(batch) => oracle.insert(batch),
+            Event::Insert(batch) => oracle.insert(batch).unwrap_or_else(|e| {
+                panic!("committed insert rejected by oracle at seq {seq}: {e}")
+            }),
             Event::Delete(ids) => oracle.delete(ids),
         }
     }

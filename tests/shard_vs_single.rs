@@ -10,7 +10,6 @@
 //! into at most one fused sub-batch per shard, so it costs ≤ S machine
 //! runs however many queries it carried (asserted via `RunStats`).
 
-use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -18,6 +17,9 @@ use proptest::prelude::*;
 
 use ddrs::prelude::*;
 use ddrs::rangetree::BuildError;
+
+mod common;
+use common::Oracle;
 
 type RawPoint = (i64, i64, i64, u64);
 type RawRect = ((i64, i64, i64), (i64, i64, i64));
@@ -41,50 +43,6 @@ fn to_rect<const D: usize>(raw: RawRect) -> Rect<D> {
         b[j] = lo_all[j].max(hi_all[j]);
     }
     Rect::new(a, b)
-}
-
-/// The flat oracle: a vector of points with the store's validation rules.
-struct Oracle<const D: usize> {
-    pts: Vec<Point<D>>,
-    ids: HashSet<u32>,
-}
-
-impl<const D: usize> Oracle<D> {
-    fn new(initial: &[Point<D>]) -> Self {
-        Oracle { pts: initial.to_vec(), ids: initial.iter().map(|p| p.id).collect() }
-    }
-
-    fn count(&self, q: &Rect<D>) -> u64 {
-        self.pts.iter().filter(|p| q.contains(p)).count() as u64
-    }
-
-    fn aggregate(&self, q: &Rect<D>) -> Option<u64> {
-        self.pts.iter().filter(|p| q.contains(p)).map(|p| p.weight).reduce(|a, b| a + b)
-    }
-
-    fn report(&self, q: &Rect<D>) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.pts.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn insert(&mut self, batch: &[Point<D>]) -> Result<(), BuildError> {
-        let mut seen = HashSet::new();
-        for p in batch {
-            if self.ids.contains(&p.id) || !seen.insert(p.id) {
-                return Err(BuildError::DuplicateId(p.id));
-            }
-        }
-        self.ids.extend(seen);
-        self.pts.extend_from_slice(batch);
-        Ok(())
-    }
-
-    fn delete(&mut self, ids: &[u32]) {
-        let dead: HashSet<u32> = ids.iter().copied().collect();
-        self.pts.retain(|p| !dead.contains(&p.id));
-        self.ids.retain(|id| !dead.contains(id));
-    }
 }
 
 fn sharded_start<const D: usize>(

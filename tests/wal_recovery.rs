@@ -18,7 +18,6 @@
 //!   runtime watches the whole battery with `wal.append` registered in
 //!   the canonical order, and must report no inversions.
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -26,6 +25,9 @@ use proptest::prelude::*;
 use ddrs::prelude::*;
 use ddrs::trace::{MetricValue, MetricsRegistry};
 use ddrs::wal::{decode_log, replay_into_store, EpochRecord, FileSink, LogSink, LogTail, MemSink};
+
+mod common;
+use common::{replay, Event};
 
 fn machines(s: usize, p: usize) -> Vec<Machine> {
     (0..s).map(|_| Machine::new(p).unwrap()).collect()
@@ -52,64 +54,6 @@ fn slab_rect(s: i64) -> Rect<2> {
 }
 
 const ALL: Rect<2> = Rect { lo: [i64::MIN, i64::MIN], hi: [i64::MAX, i64::MAX] };
-
-/// The flat sequential oracle (same semantics as the store: deletes of
-/// missing ids are no-ops; callers only insert fresh ids).
-struct Oracle {
-    pts: Vec<Point<2>>,
-}
-
-impl Oracle {
-    fn count(&self, q: &Rect<2>) -> u64 {
-        self.pts.iter().filter(|p| q.contains(p)).count() as u64
-    }
-
-    fn report(&self, q: &Rect<2>) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.pts.iter().filter(|p| q.contains(p)).map(|p| p.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn insert(&mut self, batch: &[Point<2>]) {
-        self.pts.extend_from_slice(batch);
-    }
-
-    fn delete(&mut self, ids: &[u32]) {
-        let dead: HashSet<u32> = ids.iter().copied().collect();
-        self.pts.retain(|p| !dead.contains(&p.id));
-    }
-}
-
-enum Event {
-    Count(Rect<2>, u64),
-    Report(Rect<2>, Vec<u32>),
-    Insert(Vec<Point<2>>),
-    Delete(Vec<u32>),
-}
-
-/// Replay committed events in commit-seq order through the oracle;
-/// every observed read value must match the oracle at its commit
-/// position. Returns the oracle's final state.
-fn replay(initial_pts: &[Point<2>], mut events: Vec<(u64, Event)>) -> Oracle {
-    events.sort_by_key(|(seq, _)| *seq);
-    for w in events.windows(2) {
-        assert_ne!(w[0].0, w[1].0, "duplicate commit seq");
-    }
-    let mut oracle = Oracle { pts: initial_pts.to_vec() };
-    for (seq, ev) in events {
-        match ev {
-            Event::Count(q, observed) => {
-                assert_eq!(oracle.count(&q), observed, "count diverged at seq {seq}")
-            }
-            Event::Report(q, observed) => {
-                assert_eq!(oracle.report(&q), observed, "report diverged at seq {seq}")
-            }
-            Event::Insert(batch) => oracle.insert(&batch),
-            Event::Delete(ids) => oracle.delete(&ids),
-        }
-    }
-    oracle
-}
 
 /// A failed write against a faulted or quarantined shard must say so —
 /// any other failure is a test bug.
