@@ -44,7 +44,7 @@ use crate::dist::search::{
 use crate::dist::DistRangeTree;
 use crate::point::Rect;
 use crate::semigroup::{comb_opt, fold_points, Semigroup};
-use crate::seq::{sel_count, sel_fold, sel_report, AggCache};
+use crate::seq::{sel_count, sel_report, BlockFolds};
 
 /// Results of one fused batch, per mode, in submission order.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,9 +242,11 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
         // (3) One multisearch balancing round for the whole batch.
         let (copies, routed) = balance_visits(ctx, &states, visits);
 
-        // (4) Forest finishes (local) for all three modes, with the
-        // per-batch bottom-up value cache of Algorithm AssociativeFunction.
-        let mut cache: AggCache<S> = AggCache::new();
+        // (4) Forest finishes (local) for all three modes: binary searches
+        // over each routed tree's arrays. An aggregate is a fold over what
+        // was selected; `folds` runs Algorithm AssociativeFunction's step 1
+        // only for a block the batch keeps coming back to.
+        let mut folds: BlockFolds<'_, S, D> = BlockFolds::new();
         let mut report_pairs: Vec<(u32, u32)> = Vec::new();
         let mut sels = Vec::new();
         let mut ids = Vec::new();
@@ -259,7 +261,7 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
             } else if (qid as usize) < n_c + n_a {
                 let mut acc: Option<S::Val> = None;
                 for s in &sels {
-                    acc = comb_opt(&sg, acc, sel_fold(&sg, s, &mut cache));
+                    acc = comb_opt(&sg, acc, folds.fold(&sg, s));
                 }
                 if let Some(val) = acc {
                     pairs.push((qid as u64, (0, Some(val))));
@@ -293,6 +295,8 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
     use crate::point::Point;
     use crate::semigroup::{MaxWeight, Sum};
@@ -355,5 +359,56 @@ mod tests {
         assert_eq!(stats.runs, 0);
         assert_eq!(stats.supersteps(), 0);
         assert!(out.counts.is_empty() && out.aggregates.is_empty() && out.reports.is_empty());
+    }
+
+    /// `Sum` that counts its lifts; the counter is read by one test.
+    #[derive(Debug, Clone, Copy)]
+    struct CountedSum;
+    static LIFTS: AtomicU64 = AtomicU64::new(0);
+
+    impl Semigroup for CountedSum {
+        type Val = u64;
+        fn lift(&self, _id: u32, weight: u64) -> u64 {
+            LIFTS.fetch_add(1, Ordering::Relaxed);
+            weight
+        }
+        fn comb(&self, a: u64, b: u64) -> u64 {
+            a + b
+        }
+    }
+
+    /// The aggregate rule of the forest finish: a batch lifts what its
+    /// queries match, except that a block it keeps selecting from is
+    /// filled once — 64 full-range aggregates cost at most `4 m` lifts,
+    /// not `64 m`.
+    #[test]
+    fn a_batch_lifts_what_it_matches_and_fills_a_hot_block_once() {
+        let m = 4096u32;
+        let pts: Vec<Point<2>> = (0..m)
+            .map(|i| Point::weighted([i as i64, ((i * 389) % m) as i64], i, (i % 5 + 1) as u64))
+            .collect();
+        let expect = |q: &Rect<2>| {
+            let matching: Vec<(u32, u64)> =
+                pts.iter().filter(|p| q.contains(p)).map(|p| (p.id, p.weight)).collect();
+            (matching.len() as u64, fold_points(&Sum, matching))
+        };
+        let machine = Machine::new(1).unwrap();
+        let tree = DistRangeTree::<2>::build(&machine, &pts).unwrap();
+
+        let one = Rect::new([100, 50], [1900, 3000]);
+        let (k, fold) = expect(&one);
+        LIFTS.store(0, Ordering::Relaxed);
+        let out = fused_query_batch(&machine, &[&tree], CountedSum, &[], &[one], &[]);
+        assert_eq!(out.aggregates, vec![fold]);
+        assert_eq!(LIFTS.load(Ordering::Relaxed), k);
+
+        let all = Rect::new([0, 0], [m as i64, m as i64]);
+        let (k, fold) = expect(&all);
+        assert_eq!(k, m as u64);
+        LIFTS.store(0, Ordering::Relaxed);
+        let out = fused_query_batch(&machine, &[&tree], CountedSum, &[], &[all; 64], &[]);
+        assert_eq!(out.aggregates, vec![fold; 64]);
+        let lifts = LIFTS.load(Ordering::Relaxed);
+        assert!(lifts <= 4 * m as u64, "{lifts} lifts for 64 aggregates over {m} points");
     }
 }

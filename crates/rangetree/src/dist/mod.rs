@@ -340,4 +340,47 @@ mod tests {
         assert_eq!(reports[0], vec![5]);
         assert!(reports[1].is_empty());
     }
+
+    /// The model's sizes do not depend on the host's layout: forest
+    /// transfer words and Theorem 1's node counts for four fixed inputs,
+    /// recorded before the forest became arrays (PR 15).
+    #[test]
+    fn model_sizes_are_the_papers_whatever_the_layout() {
+        fn pts<const D: usize>(n: u32) -> Vec<Point<D>> {
+            let mul = [7919, 104_729, 1_299_709];
+            (0..n)
+                .map(|i| Point::new(std::array::from_fn(|j| (i as i64 * mul[j]) % 1009), i))
+                .collect()
+        }
+        /// Per rank: the forest shard's `payload_words` and `size_nodes`.
+        fn sizes<const D: usize>(p: usize, n: u32) -> (Vec<u64>, StructureReport) {
+            let machine = Machine::new(p).unwrap();
+            let tree = DistRangeTree::<D>::build(&machine, &pts::<D>(n)).unwrap();
+            let words = tree
+                .states()
+                .iter()
+                .map(|s| s.forest.values().map(|e| e.tree.payload_words()).sum())
+                .collect();
+            (words, tree.structure_report())
+        }
+        let report = |hat_nodes, forest_nodes: &[u64], trees, real_points| StructureReport {
+            hat_nodes,
+            forest_nodes: forest_nodes.to_vec(),
+            forest_trees: vec![trees; forest_nodes.len()],
+            total_nodes: hat_nodes + forest_nodes.iter().sum::<u64>(),
+            real_points,
+        };
+        assert_eq!(sizes::<1>(1, 100), (vec![258], report(1, &[255], 1, 100)));
+        // 260 points in groups of 128: the third group is 4 points and
+        // 124 pads, the fourth all pads.
+        assert_eq!(
+            sizes::<2>(4, 260),
+            (vec![4100, 4100, 1942, 1158], report(20, &[2430, 2430, 1269, 765], 3, 260))
+        );
+        assert_eq!(
+            sizes::<3>(4, 200),
+            (vec![9672, 9672, 9672, 3424], report(39, &[5244, 5244, 5244, 2096], 6, 200))
+        );
+        assert_eq!(sizes::<2>(1, 300), (vec![11912], report(1, &[7232], 1, 300)));
+    }
 }

@@ -48,6 +48,25 @@ pub fn parent(v: usize) -> usize {
     v / 2
 }
 
+/// The canonical decomposition of leaf positions `[a, b)` in a tree with
+/// `m` leaves: `visit` is called on the maximal nodes whose span lies
+/// within it, `O(log m)` of them, found bottom-up from both ends.
+pub(crate) fn cover(m: usize, a: usize, b: usize, mut visit: impl FnMut(usize)) {
+    let (mut lo, mut hi) = (leaf(m, a), leaf(m, b));
+    while lo < hi {
+        if lo & 1 == 1 {
+            visit(lo);
+            lo += 1;
+        }
+        if hi & 1 == 1 {
+            hi -= 1;
+            visit(hi);
+        }
+        lo /= 2;
+        hi /= 2;
+    }
+}
+
 /// Walk from the leaf at position `i` up to (and including) the root,
 /// yielding the *internal* ancestors (parent of the leaf first).
 pub fn internal_ancestors(m: usize, i: usize) -> impl Iterator<Item = usize> {
@@ -93,6 +112,31 @@ mod tests {
         let anc: Vec<usize> = internal_ancestors(m, 5).collect();
         // leaf(8,5) = 13 → 6 → 3 → 1
         assert_eq!(anc, vec![6, 3, 1]);
+    }
+
+    #[test]
+    fn cover_is_the_maximal_nodes_within_the_interval() {
+        let m = 16;
+        for a in 0..m {
+            for b in a..=m {
+                let mut nodes = Vec::new();
+                cover(m, a, b, |v| nodes.push(v));
+                let mut spans: Vec<(usize, usize)> = nodes.iter().map(|&v| span(m, v)).collect();
+                spans.sort_unstable();
+                // Disjoint, contiguous, exactly [a, b) ...
+                let mut at = a;
+                for &(s, e) in &spans {
+                    assert_eq!(s, at, "[{a}, {b})");
+                    at = e;
+                }
+                assert_eq!(at, b, "[{a}, {b})");
+                // ... and maximal: no node's parent fits too.
+                for &v in nodes.iter().filter(|&&v| v > 1) {
+                    let (s, e) = span(m, parent(v));
+                    assert!(s < a || e > b, "[{a}, {b}): node {v}");
+                }
+            }
+        }
     }
 
     #[test]

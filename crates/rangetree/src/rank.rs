@@ -11,15 +11,19 @@ use crate::point::{Point, RPoint, RRect, Rect, PAD_ID};
 
 /// The rank mapping for one input point set.
 ///
-/// Holds the per-dimension sorted `(coordinate, id)` arrays needed to
-/// translate query boxes into rank space. In a production multicomputer
-/// this translation would be a distributed binary search; keeping the
-/// arrays on the host is an API convenience that does not participate in
-/// the measured CGM algorithms.
+/// Holds the per-dimension sorted coordinate columns needed to translate
+/// query boxes into rank space, and the rank vector each input point got
+/// from those sorts. In a production multicomputer this translation would
+/// be a distributed binary search; keeping the arrays on the host is an
+/// API convenience that does not participate in the measured CGM
+/// algorithms.
 #[derive(Debug, Clone)]
 pub struct RankSpace<const D: usize> {
-    /// Per dimension: `(coordinate, id)` sorted ascending.
-    sorted: Vec<Vec<(i64, u32)>>,
+    /// Per dimension: the coordinates sorted ascending (equal ones in id
+    /// order), so a coordinate's rank is its position.
+    sorted: Vec<Vec<i64>>,
+    /// Rank vector of each input point, in input order.
+    ranks: Vec<[u32; D]>,
     /// Number of real points.
     n: usize,
     /// Padded size: the smallest power of two `>= max(n, min_size)`.
@@ -68,13 +72,21 @@ impl<const D: usize> RankSpace<D> {
         }
         let n = pts.len();
         let m = n.max(min_size).max(1).next_power_of_two();
-        let mut sorted = Vec::with_capacity(D);
-        for j in 0..D {
-            let mut col: Vec<(i64, u32)> = pts.iter().map(|p| (p.coords[j], p.id)).collect();
-            col.sort_unstable();
-            sorted.push(col);
-        }
-        Ok(RankSpace { sorted, n, m })
+        let mut ranks = vec![[0u32; D]; n];
+        let sorted = (0..D)
+            .map(|j| {
+                // The input index rides through the sort, which then knows
+                // every point's rank: scatter it back.
+                let mut col: Vec<(i64, u32, u32)> =
+                    pts.iter().zip(0..).map(|(p, i)| (p.coords[j], p.id, i)).collect();
+                col.sort_unstable();
+                for (&(_, _, i), rank) in col.iter().zip(0..) {
+                    ranks[i as usize][j] = rank;
+                }
+                col.into_iter().map(|(c, _, _)| c).collect()
+            })
+            .collect();
+        Ok(RankSpace { sorted, ranks, n, m })
     }
 
     /// Number of real points.
@@ -90,16 +102,18 @@ impl<const D: usize> RankSpace<D> {
     /// Convert the input points to rank space and append the sentinel pads
     /// (pad `t` has rank `n + t` in every dimension), yielding exactly
     /// [`m`](RankSpace::m) points.
+    ///
+    /// # Panics
+    /// Panics unless `pts` is the set the space was built on, in the same
+    /// order.
     pub fn to_rpoints(&self, pts: &[Point<D>]) -> Vec<RPoint<D>> {
+        assert_eq!(pts.len(), self.n, "points must be the set the rank space was built on");
         let mut out = Vec::with_capacity(self.m);
-        for p in pts {
-            let mut ranks = [0u32; D];
-            for (j, r) in ranks.iter_mut().enumerate() {
-                let idx = self.sorted[j]
-                    .binary_search(&(p.coords[j], p.id))
-                    .expect("point must come from the set the rank space was built on");
-                *r = idx as u32;
-            }
+        for (p, &ranks) in pts.iter().zip(&self.ranks) {
+            assert!(
+                (0..D).all(|j| self.sorted[j][ranks[j] as usize] == p.coords[j]),
+                "point must come from the set the rank space was built on"
+            );
             out.push(RPoint { ranks, id: p.id, weight: p.weight });
         }
         for t in 0..(self.m - self.n) {
@@ -116,17 +130,11 @@ impl<const D: usize> RankSpace<D> {
         let mut hi = [0u32; D];
         for j in 0..D {
             // First rank with coord >= q.lo[j] (any id).
-            let l = self.sorted[j].partition_point(|&(c, _)| c < q.lo[j]);
+            let l = self.sorted[j].partition_point(|&c| c < q.lo[j]);
             // First rank with coord > q.hi[j].
-            let h = self.sorted[j].partition_point(|&(c, _)| c <= q.hi[j]);
-            lo[j] = l as u32;
-            // h == l encodes an empty interval as lo > hi (u32 wrap avoided).
-            if h == 0 || h <= l {
-                lo[j] = 1;
-                hi[j] = 0;
-            } else {
-                hi[j] = (h - 1) as u32;
-            }
+            let h = self.sorted[j].partition_point(|&c| c <= q.hi[j]);
+            // No rank in range encodes as lo > hi (no u32 wrap at h = 0).
+            (lo[j], hi[j]) = if h <= l { (1, 0) } else { (l as u32, (h - 1) as u32) };
         }
         RRect { lo, hi }
     }

@@ -1,102 +1,120 @@
 //! Evaluating selections: count, report, and semigroup folds.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 use crate::heap;
 use crate::point::RPoint;
-use crate::semigroup::{comb_opt, Semigroup};
-use crate::seq::tree::{DimTree, Sel};
+use crate::semigroup::{comb_opt, fold_points, Semigroup};
+use crate::seq::tree::{block_at, DimTree, Sel};
 
 /// Number of real points under a selection.
 pub fn sel_count<const D: usize>(sel: &Sel<'_, D>) -> u64 {
-    match sel {
-        Sel::Node { tree, v } => tree.real_count(*v),
+    match *sel {
+        Sel::Span { lo, hi, .. } => (hi - lo) as u64,
+        Sel::Leaves { a, b, .. } => (b - a) as u64,
         Sel::Point { .. } => 1,
     }
 }
 
 /// Append the point ids under a selection to `out`.
 pub fn sel_report<const D: usize>(sel: &Sel<'_, D>, out: &mut Vec<u32>) {
-    match sel {
-        Sel::Node { tree, v } => {
-            let (a, b) = tree.real_span(*v);
-            out.extend(tree.leaves[a..b].iter().map(|p| p.id));
-        }
-        Sel::Point { pt } => out.push(pt.id),
-    }
+    out.extend(sel_points(sel).map(|p| p.id));
 }
 
-/// Iterate the real points `(id, weight)` under a selection.
+/// Iterate the real points under a selection.
 pub fn sel_points<'t, const D: usize>(
     sel: &Sel<'t, D>,
 ) -> impl Iterator<Item = &'t RPoint<D>> + 't {
-    let slice: &'t [RPoint<D>] = match sel {
-        Sel::Node { tree, v } => {
-            let (a, b) = tree.real_span(*v);
-            &tree.leaves[a..b]
-        }
-        Sel::Point { pt } => std::slice::from_ref(*pt),
+    // A slab interval read in place, or block entries read through the
+    // slab; one of the two is empty.
+    let (direct, entries, slab): (&'t [RPoint<D>], &'t [u32], &'t [RPoint<D>]) = match *sel {
+        Sel::Span { tree, lo, hi } => (&[], &tree.block_idx[lo..hi], &tree.leaves),
+        Sel::Leaves { tree, a, b } => (&tree.leaves[a..b], &[], &[]),
+        Sel::Point { pt } => (std::slice::from_ref(pt), &[], &[]),
     };
-    slice.iter()
+    direct.iter().chain(entries.iter().map(move |&i| &slab[i as usize]))
 }
 
-/// Per-batch bottom-up value arrays for the final-dimension trees, the
-/// sequential analog of Algorithm AssociativeFunction step 1 ("compute
-/// f(v) bottom-up for each node v in dimension d of T"). Trees are keyed
-/// by address; the cache must not outlive the tree borrow it serves.
-pub struct AggCache<S: Semigroup> {
-    map: HashMap<usize, Vec<Option<S::Val>>>,
+/// `⊗` of `f` over the points under a selection: one lift per point.
+pub fn sel_fold<S: Semigroup, const D: usize>(sg: &S, sel: &Sel<'_, D>) -> Option<S::Val> {
+    fold_points(sg, sel_points(sel).map(|p| (p.id, p.weight)))
 }
 
-impl<S: Semigroup> AggCache<S> {
-    /// Empty cache.
-    pub fn new() -> Self {
-        AggCache { map: HashMap::new() }
+/// Algorithm AssociativeFunction step 1 ("compute f(v) bottom-up for
+/// each node v in dimension d of T"), run on demand and per block for
+/// one batch of queries.
+///
+/// A selection's points all match, so its fold costs one lift per point
+/// and most batches need nothing else. A batch that keeps selecting from
+/// the same block would pay that `k` again and again: once the entries
+/// folded directly out of a block exceed twice its width, the block's
+/// bottom-up value array is filled (once) and later selections from it
+/// cost `O(log width)`. A selection no longer than that `log width` is
+/// folded directly and not counted, being within the bound either way. So
+/// a block never costs the batch more than `4·width + Q·log width`.
+pub(crate) struct BlockFolds<'t, S: Semigroup, const D: usize> {
+    /// Per touched block, keyed by `(tree, first entry)`. A tree's
+    /// identity is its address, which the borrow `'t` keeps from being
+    /// reused while the memo lives.
+    blocks: HashMap<(*const DimTree<D>, usize), Touched<S::Val>>,
+    trees: PhantomData<&'t DimTree<D>>,
+}
+
+/// A touched block: entries folded directly so far, and its value array once filled.
+type Touched<V> = (usize, Vec<Option<V>>);
+
+impl<'t, S: Semigroup, const D: usize> BlockFolds<'t, S, D> {
+    /// Nothing touched yet.
+    pub(crate) fn new() -> Self {
+        BlockFolds { blocks: HashMap::new(), trees: PhantomData }
     }
 
-    /// Bottom-up `f` values for every node of `tree` (computed once per
-    /// tree per batch).
-    pub fn values_for<const D: usize>(&mut self, sg: &S, tree: &DimTree<D>) -> &[Option<S::Val>] {
-        let key = tree as *const DimTree<D> as usize;
-        self.map.entry(key).or_insert_with(|| {
-            let m = tree.m as usize;
-            let mut vals: Vec<Option<S::Val>> = vec![None; 2 * m];
-            for i in 0..(tree.r as usize) {
-                let p = &tree.leaves[i];
-                vals[heap::leaf(m, i)] = Some(sg.lift(p.id, p.weight));
+    /// `⊗` of `f` over the points under `sel`, equal to [`sel_fold`].
+    pub(crate) fn fold(&mut self, sg: &S, sel: &Sel<'t, D>) -> Option<S::Val> {
+        // The selection as entries `lo..hi` of a block of its tree.
+        let (tree, (start, width), lo, hi) = match *sel {
+            Sel::Span { tree, lo, hi } => (tree, block_at(tree.m as usize, lo), lo, hi),
+            Sel::Leaves { tree, a, b } => (tree, (0, tree.m as usize), a, b),
+            Sel::Point { .. } => return sel_fold(sg, sel),
+        };
+        if hi - lo <= width.ilog2() as usize {
+            return sel_fold(sg, sel);
+        }
+        let (folded, vals) = self.blocks.entry((std::ptr::from_ref(tree), start)).or_default();
+        if vals.is_empty() {
+            *folded += hi - lo;
+            if *folded <= 2 * width {
+                return sel_fold(sg, sel);
             }
-            for v in (1..m).rev() {
+            let whole = match *sel {
+                Sel::Span { tree, .. } => Sel::Span { tree, lo: start, hi: start + width },
+                _ => Sel::Leaves { tree, a: 0, b: width },
+            };
+            *vals = vec![None; 2 * width];
+            for (slot, p) in vals[width..].iter_mut().zip(sel_points(&whole)) {
+                *slot = (!p.is_pad()).then(|| sg.lift(p.id, p.weight));
+            }
+            for v in (1..width).rev() {
                 vals[v] = comb_opt(sg, vals[2 * v].clone(), vals[2 * v + 1].clone());
             }
-            vals
-        })
-    }
-}
-
-impl<S: Semigroup> Default for AggCache<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// `⊗` of `f` over the points under a selection, using the cache for
-/// canonical-node selections.
-pub fn sel_fold<S: Semigroup, const D: usize>(
-    sg: &S,
-    sel: &Sel<'_, D>,
-    cache: &mut AggCache<S>,
-) -> Option<S::Val> {
-    match sel {
-        Sel::Node { tree, v } => cache.values_for(sg, tree)[*v].clone(),
-        Sel::Point { pt } => Some(sg.lift(pt.id, pt.weight)),
+        }
+        let mut acc = None;
+        heap::cover(width, lo - start, hi - start, |v| {
+            acc = comb_opt(sg, acc.take(), vals[v].clone());
+        });
+        acc
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
-    use crate::point::{RPoint, RRect, PAD_ID};
+    use crate::point::{Point, RPoint, RRect, Rect, PAD_ID};
     use crate::semigroup::{Count, Sum};
+    use crate::seq::SeqRangeTree;
 
     fn tree1d(n: u32, m: u32) -> DimTree<1> {
         let mut pts: Vec<RPoint<1>> =
@@ -129,30 +147,101 @@ mod tests {
         let q = RRect { lo: [2], hi: [6] };
         let mut sels = Vec::new();
         t.search(&q, &mut sels);
-        let mut cache = AggCache::new();
+        let mut cache = BlockFolds::new();
         let mut total: Option<u64> = None;
         for s in &sels {
-            total = comb_opt(&Sum, total, sel_fold(&Sum, s, &mut cache));
+            total = comb_opt(&Sum, total, cache.fold(&Sum, s));
         }
         // weights are i+1 → ranks 2..=6 have weights 3+4+5+6+7 = 25.
         assert_eq!(total, Some(25));
         // Count via the same machinery.
-        let mut cache = AggCache::new();
+        let mut cache = BlockFolds::new();
         let mut cnt: Option<u64> = None;
         for s in &sels {
-            cnt = comb_opt(&Count, cnt, sel_fold(&Count, s, &mut cache));
+            cnt = comb_opt(&Count, cnt, cache.fold(&Count, s));
         }
         assert_eq!(cnt, Some(5));
     }
 
+    /// Filled or not, the memo answers what a direct fold answers, for a
+    /// block of a merge-sort tree and for a final-dimension slab, pads
+    /// and a semigroup without inverses included.
     #[test]
-    fn cache_reuses_computed_arrays() {
-        let t = tree1d(8, 8);
-        let mut cache: AggCache<Count> = AggCache::new();
-        let v1 = cache.values_for(&Count, &t)[1];
-        let v2 = cache.values_for(&Count, &t)[1];
-        assert_eq!(v1, Some(8));
-        assert_eq!(v2, Some(8));
-        assert_eq!(cache.map.len(), 1);
+    fn memo_answers_equal_direct_folds_before_and_after_a_fill() {
+        use crate::semigroup::MinId;
+        fn check<const D: usize>(t: &DimTree<D>) {
+            let (mut sums, mut mins) = (BlockFolds::new(), BlockFolds::new());
+            let mut sels = Vec::new();
+            for round in 0..60u32 {
+                sels.clear();
+                t.search(&RRect { lo: [round % 5; D], hi: [t.r + 3 - round % 7; D] }, &mut sels);
+                for s in &sels {
+                    assert_eq!(sums.fold(&Sum, s), sel_fold(&Sum, s), "round {round}");
+                    assert_eq!(mins.fold(&MinId, s), sel_fold(&MinId, s), "round {round}");
+                }
+            }
+            assert!(sums.blocks.values().any(|(_, vals)| !vals.is_empty()), "nothing was filled");
+        }
+        check(&tree1d(21, 32));
+        let pts: Vec<Point<2>> =
+            (0..21).map(|i| Point::weighted([i, (i * 8) % 21], 40 - i as u32, i as u64)).collect();
+        check(SeqRangeTree::build(&pts).unwrap().root());
+    }
+
+    /// `Sum` that counts its lifts. The counter is this test module's
+    /// alone, and one test reads it.
+    #[derive(Debug, Clone, Copy)]
+    struct CountedSum;
+    static LIFTS: AtomicU64 = AtomicU64::new(0);
+
+    impl Semigroup for CountedSum {
+        type Val = u64;
+        fn lift(&self, _id: u32, weight: u64) -> u64 {
+            LIFTS.fetch_add(1, Ordering::Relaxed);
+            weight
+        }
+        fn comb(&self, a: u64, b: u64) -> u64 {
+            a + b
+        }
+    }
+
+    /// An aggregate is a fold over what matches: `k` lifts, not a value
+    /// fill of every touched tree. And a block selected from again and
+    /// again is filled once, whatever the order of the answers.
+    #[test]
+    fn an_aggregate_lifts_once_per_matching_point() {
+        let n = 4096u32;
+        let pts: Vec<Point<2>> = (0..n)
+            .map(|i| Point::weighted([i as i64, ((i * 389) % n) as i64], i, (i % 7 + 1) as u64))
+            .collect();
+        let t = SeqRangeTree::build(&pts).unwrap();
+        for q in [
+            Rect::new([100, 50], [1900, 3000]),
+            Rect::new([0, 0], [4095, 4095]),
+            Rect::new([77, 77], [77, 4000]),
+        ] {
+            let matching: Vec<&Point<2>> = pts.iter().filter(|p| q.contains(p)).collect();
+            LIFTS.store(0, Ordering::Relaxed);
+            let got = t.aggregate(&CountedSum, &q);
+            assert_eq!(LIFTS.load(Ordering::Relaxed), matching.len() as u64, "query {q:?}");
+            assert_eq!(got, fold_points(&Sum, matching.iter().map(|p| (p.id, p.weight))));
+        }
+
+        // The same selections through one batch's memo: the root block is
+        // folded directly twice, filled on the third, read afterwards.
+        let root = t.root();
+        let mut sels = Vec::new();
+        root.search(&RRect { lo: [0, 0], hi: [n - 1, n - 1] }, &mut sels);
+        let direct = t.aggregate(&Sum, &Rect::new([0, 0], [4095, 4095]));
+        let mut folds = BlockFolds::new();
+        LIFTS.store(0, Ordering::Relaxed);
+        for _ in 0..64 {
+            let mut acc = None;
+            for s in &sels {
+                acc = comb_opt(&CountedSum, acc, folds.fold(&CountedSum, s));
+            }
+            assert_eq!(acc, direct);
+        }
+        assert_eq!(LIFTS.load(Ordering::Relaxed), 3 * n as u64);
     }
 }

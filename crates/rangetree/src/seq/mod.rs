@@ -4,16 +4,25 @@
 //! forest element *is* a sequential range tree on `n/p` points, built
 //! locally by Algorithm Construct step 4) and the sequential baseline whose
 //! running time the speedup experiments divide by.
+//!
+//! Its last two dimensions are arrays, not nodes: a tree of the
+//! second-to-last dimension is a merge-sort tree over one slab of points
+//! and a tree of the last is its sorted slab, so a query is binary
+//! searches (`O(log² n)` comparisons in d = 2, where no descendant is an
+//! object at all). `tree.rs` has the layout, why no query reaches a pad,
+//! and how the searches enumerate the nodes the paper's four cases select;
+//! `eval.rs` turns selections into counts, ids and folds.
 
 mod eval;
 mod tree;
 
-pub use eval::{sel_count, sel_fold, sel_points, sel_report, AggCache};
+pub(crate) use eval::BlockFolds;
+pub use eval::{sel_count, sel_fold, sel_points, sel_report};
 pub use tree::{DimTree, Sel};
 
 use crate::point::{Point, Rect};
 use crate::rank::{RankError, RankSpace};
-use crate::semigroup::Semigroup;
+use crate::semigroup::{comb_opt, Semigroup};
 
 /// A self-contained sequential range tree over a point set, with
 /// rank-space translation at the API boundary.
@@ -58,20 +67,14 @@ impl<const D: usize> SeqRangeTree<D> {
     }
 
     /// Associative-function mode: `⊗` of `f(l)` over matching points, or
-    /// `None` when nothing matches. Uses a per-call bottom-up value cache
-    /// over the touched dimension-`d` trees, mirroring the paper's
-    /// Algorithm AssociativeFunction step 1.
+    /// `None` when nothing matches. Every point under a selection
+    /// matches, so the answer is a fold over the selections: one lift per
+    /// matching point.
     pub fn aggregate<S: Semigroup>(&self, sg: &S, q: &Rect<D>) -> Option<S::Val> {
         let rq = self.ranks.translate(q);
         let mut sels = Vec::new();
         self.root.search(&rq, &mut sels);
-        let mut cache = AggCache::new();
-        let mut acc: Option<S::Val> = None;
-        for s in &sels {
-            let v = sel_fold(sg, s, &mut cache);
-            acc = crate::semigroup::comb_opt(sg, acc, v);
-        }
-        acc
+        sels.iter().fold(None, |acc, s| comb_opt(sg, acc, sel_fold(sg, s)))
     }
 
     /// Total number of tree nodes (all dimensions), the `s`-measure the
@@ -185,5 +188,57 @@ mod tests {
         let large = SeqRangeTree::build(&grid2(8)).unwrap().size_nodes();
         // 16 → 64 points: size should grow superlinearly (log factor).
         assert!(large > 4 * small / 2, "small={small}, large={large}");
+    }
+
+    /// Counts, reports and two semigroups (`MinId` has no inverse)
+    /// against brute force over the first `D` coordinates of `coords`.
+    fn matches_brute_force<const D: usize>(coords: &[[i64; 4]], boxes: &[([i64; 4], [i64; 4])]) {
+        use crate::semigroup::{fold_points, MinId, Sum};
+        let pts: Vec<Point<D>> = coords
+            .iter()
+            .zip(0u32..)
+            .map(|(c, i)| {
+                Point::weighted(std::array::from_fn(|j| c[j]), 3 * i + 1, (i % 17) as u64)
+            })
+            .collect();
+        let t = SeqRangeTree::build(&pts).unwrap();
+        for (lo, len) in boxes {
+            let q =
+                Rect::new(std::array::from_fn(|j| lo[j]), std::array::from_fn(|j| lo[j] + len[j]));
+            let matching: Vec<(u32, u64)> =
+                pts.iter().filter(|p| q.contains(p)).map(|p| (p.id, p.weight)).collect();
+            assert_eq!(t.report(&q), brute(&pts, &q), "d = {D}, query {q:?}");
+            assert_eq!(t.count(&q), matching.len() as u64, "d = {D}, query {q:?}");
+            assert_eq!(t.aggregate(&Sum, &q), fold_points(&Sum, matching.iter().copied()));
+            assert_eq!(t.aggregate(&MinId, &q), fold_points(&MinId, matching.iter().copied()));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Points on even coordinates of a small grid (so coordinates
+        /// repeat and `n` is rarely a power of two); box edges on any
+        /// integer from below the grid to above it (on points, between
+        /// them, outside), some boxes inverted.
+        #[test]
+        fn every_mode_matches_brute_force_in_every_dimension(
+            coords in proptest::collection::vec((0i64..10, 0i64..10, 0i64..10, 0i64..10), 1..70),
+            boxes in proptest::collection::vec(
+                ((-2i64..20, -2i64..20, -2i64..20, -2i64..20), (-2i64..24, -2i64..24, -2i64..24, -2i64..24)),
+                1..24,
+            ),
+        ) {
+            let coords: Vec<[i64; 4]> =
+                coords.into_iter().map(|(a, b, c, d)| [2 * a, 2 * b, 2 * c, 2 * d]).collect();
+            let boxes: Vec<([i64; 4], [i64; 4])> = boxes
+                .into_iter()
+                .map(|(lo, len)| ([lo.0, lo.1, lo.2, lo.3], [len.0, len.1, len.2, len.3]))
+                .collect();
+            matches_brute_force::<1>(&coords, &boxes);
+            matches_brute_force::<2>(&coords, &boxes);
+            matches_brute_force::<3>(&coords, &boxes);
+            matches_brute_force::<4>(&coords, &boxes);
+        }
     }
 }

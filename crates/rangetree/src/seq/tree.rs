@@ -1,4 +1,50 @@
-//! The recursive dimension tree and the 4-case search of the paper.
+//! The dimension tree as arrays, and the paper's 4-case search over it as
+//! binary searches.
+//!
+//! # Layout
+//!
+//! A [`DimTree`] in dimension `j` over `m = 2^h` points (pads included)
+//! stores each point once, in [`leaves`](DimTree::leaves) — the *slab*,
+//! sorted by `ranks[j]` — beside a contiguous `u32` column of those ranks
+//! to search in. What hangs under its segment tree depends on how many
+//! dimensions are left:
+//!
+//! * `j = D − 1` (the final dimension): nothing. The sorted slab *is* the
+//!   segment tree; a canonical node is a slab interval.
+//! * `j = D − 2`: the merge-sort tree. For each depth `k` in `0..h`, `m`
+//!   entries `(rank in dimension D − 1, slab index)`; node `v` of depth `k`
+//!   owns the block `[k·m + offset, k·m + offset + width)` of them, sorted
+//!   by that rank. The block is `descendant(v)` of Definition 1 without
+//!   being an object: two `h·m` vectors per tree, no box.
+//! * `j < D − 2`: one [`DimTree`] in dimension `j + 1` per internal node
+//!   that spans a real point, built from the same merge (a block's order
+//!   is the descendant's input order).
+//!
+//! # Pads
+//!
+//! Pads rank above every real point in every dimension. So they are the
+//! slab's suffix `r..m` and a suffix of every block as well: the block
+//! over slab positions `[a, b)` holds its `min(b, r) − a` real entries
+//! first. Every search clips to that real prefix, so no query reaches a
+//! pad whatever its bounds.
+//!
+//! # The four cases as a walk
+//!
+//! The paper descends from the root: a node whose interval is contained
+//! in the query proceeds to its descendant (case 1) or, in the last
+//! dimension, is selected (case 2); one that overlaps splits to its
+//! children (case 3); a disjoint one is dropped (case 4). Cases 1 and 2
+//! fire at exactly the *maximal* nodes whose real points all lie in the
+//! query's interval: the canonical decomposition of the slab interval
+//! `[a, b)` the query covers. [`DimTree::search`] finds `[a, b)` with two
+//! binary searches over the rank column (`b` becomes `m` when no real
+//! point is above the query, so a node padded out on its right still
+//! counts as contained) and enumerates the decomposition bottom-up
+//! (`l += 1` / `r -= 1` on heap indices); the case-3 ancestors and case-4
+//! siblings are the nodes that walk never visits. In each canonical block
+//! two more binary searches find the final-dimension interval. A
+//! contained leaf is a direct point test, not a chain of single-point
+//! descendants: the standard shortcut.
 
 use ddrs_cgm::Payload;
 
@@ -6,16 +52,8 @@ use crate::heap;
 use crate::point::{RPoint, RRect};
 
 /// One segment tree of the range tree, in dimension `dim`, together with
-/// the descendant structures of its internal nodes (Definition 1).
-///
-/// Leaves are the points of the spanned subset sorted by their rank in
-/// `dim` (sentinel pads, which rank above every real point in every
-/// dimension, always form a suffix). Every *internal* node `v` of a
-/// non-final dimension points to `descendant(v)`: a `DimTree` in `dim + 1`
-/// over the points below `v`. Containment at a leaf is resolved by a
-/// direct point test instead of a chain of single-point descendant trees —
-/// the standard implementation shortcut; the visited-node structure is
-/// otherwise exactly the paper's.
+/// the descendant structures of its internal nodes (Definition 1), laid
+/// out as the module doc describes.
 #[derive(Debug, Clone)]
 pub struct DimTree<const D: usize> {
     /// Dimension index `j` (0-based; the paper's `j+1`).
@@ -24,26 +62,33 @@ pub struct DimTree<const D: usize> {
     pub m: u32,
     /// Number of real (non-pad) leaves; reals occupy leaf positions `0..r`.
     pub r: u32,
-    /// The spanned points sorted by `ranks[dim]`, length `m`.
+    /// The slab: the spanned points, each once, sorted by `ranks[dim]`,
+    /// length `m`.
     pub leaves: Vec<RPoint<D>>,
-    /// `descendant(v)` per heap slot (len `2m` when `dim + 1 < D`, else
-    /// empty). `None` for leaves, for the unused slot 0, and for nodes
-    /// spanning no real points.
-    pub desc: Vec<Option<Box<DimTree<D>>>>,
-    /// Transfer size of the whole tree in words, summed from the
-    /// descendants' as [`build`](DimTree::build) creates them, so metering
-    /// a shipped tree never walks it.
+    /// `ranks[dim]` of `leaves`, the column the own-dimension search reads.
+    keys: Vec<u32>,
+    /// The merge-sort tree's final-dimension ranks: `h·m` entries when
+    /// `dim + 2 == D`, else empty.
+    pub(super) block_keys: Vec<u32>,
+    /// Slab index of each `block_keys` entry.
+    pub(super) block_idx: Vec<u32>,
+    /// `descendant(v)` per internal heap slot (`m` slots when
+    /// `dim + 2 < D`, else empty); `None` for the unused slot 0 and for
+    /// nodes spanning no real point.
+    desc: Vec<Option<DimTree<D>>>,
+    /// The model's transfer size and node count, see [`model_size`].
     words: u64,
+    nodes: u64,
 }
 
 impl<const D: usize> DimTree<D> {
     /// Build the dimension tree for `pts` (already sorted by
     /// `ranks[dim]`; length must be a power of two — pad first).
     ///
-    /// Bottom-up, one dimension after another, as in the optimal
-    /// sequential algorithm: each internal node's descendant is built from
-    /// the merge of its children's next-dimension orderings, so total work
-    /// is linear in the output size `O(m log^(d-1) m)`.
+    /// Bottom-up, as in the optimal sequential algorithm: the next
+    /// dimension's order of every node is the merge of its children's, so
+    /// the work is linear in the size `O(m log^(d-1) m)`. A tree of the
+    /// last two dimensions makes a constant number of allocations.
     pub fn build(dim: usize, pts: Vec<RPoint<D>>) -> DimTree<D> {
         let m = pts.len();
         assert!(m.is_power_of_two(), "DimTree::build requires a power-of-two leaf count");
@@ -54,39 +99,70 @@ impl<const D: usize> DimTree<D> {
         let r = pts.iter().take_while(|p| !p.is_pad()).count();
         debug_assert!(pts[r..].iter().all(RPoint::is_pad), "pads must form a suffix");
 
-        let mut words = own_words::<D>(m);
-        let mut desc: Vec<Option<Box<DimTree<D>>>> = Vec::new();
-        if dim + 1 < D && m >= 2 {
-            // Merge next-dimension orderings bottom-up.
-            let mut lists: Vec<Vec<RPoint<D>>> = vec![Vec::new(); 2 * m];
-            for (i, p) in pts.iter().enumerate() {
-                lists[heap::leaf(m, i)] = vec![*p];
-            }
-            for v in (1..m).rev() {
-                lists[v] = merge_by_rank(&lists[2 * v], &lists[2 * v + 1], dim + 1);
-            }
-            desc = vec![None; 2 * m];
-            for v in 1..m {
-                let lv = std::mem::take(&mut lists[v]);
-                if lv.iter().any(|p| !p.is_pad()) {
-                    let dt = DimTree::build(dim + 1, lv);
-                    words += dt.words;
-                    desc[v] = Some(Box::new(dt));
+        let keys = pts.iter().map(|p| p.ranks[dim]).collect();
+        let (mut block_keys, mut block_idx) =
+            if dim + 1 < D { merge_sort_tree(&pts, dim + 1) } else { (Vec::new(), Vec::new()) };
+        let mut desc = Vec::new();
+        if dim + 2 < D {
+            // Only the order survives: each block seeds a descendant.
+            desc.resize_with(m, || None);
+            for (v, slot) in desc.iter_mut().enumerate().skip(1) {
+                let (a, b) = heap::span(m, v);
+                if a < r {
+                    let depth = v.ilog2() as usize * m;
+                    let below = block_idx[depth + a..depth + b].iter().map(|&i| pts[i as usize]);
+                    *slot = Some(DimTree::build(dim + 1, below.collect()));
                 }
             }
+            (block_keys, block_idx) = (Vec::new(), Vec::new());
         }
-        DimTree { dim: dim as u8, m: m as u32, r: r as u32, leaves: pts, desc, words }
+        let (words, nodes) = model_size::<D>(dim, m, r);
+        DimTree {
+            dim: dim as u8,
+            m: m as u32,
+            r: r as u32,
+            leaves: pts,
+            keys,
+            block_keys,
+            block_idx,
+            desc,
+            words,
+            nodes,
+        }
+    }
+
+    /// The paper's search (Section 4, four cases), collecting into `out`
+    /// the canonical structures its cases 1 and 2 select. The module doc
+    /// says how two binary searches and a bottom-up walk enumerate exactly
+    /// the nodes at which those cases fire.
+    pub fn search<'t>(&'t self, q: &RRect<D>, out: &mut Vec<Sel<'t, D>>) {
+        if q.is_empty() {
+            return;
+        }
+        let j = self.dim as usize;
+        let (m, r) = (self.m as usize, self.r as usize);
+        let reals = &self.keys[..r];
+        let a = reals.partition_point(|&k| k < q.lo[j]);
+        let b = reals.partition_point(|&k| k <= q.hi[j]);
+        if a >= b {
+            return; // case 4 at the root
+        }
+        if j + 1 == D {
+            out.push(Sel::Leaves { tree: self, a, b }); // case 2
+            return;
+        }
+        // Maximal nodes within [a, b), where a node padded out on its
+        // right is within as soon as its real points are.
+        heap::cover(m, a, if b == r { m } else { b }, |v| self.contained(v, q, out));
     }
 
     /// Leaf-position range of node `v` clipped to real points: `[a, b)`.
-    #[inline]
     pub fn real_span(&self, v: usize) -> (usize, usize) {
         let (a, b) = heap::span(self.m as usize, v);
         (a, b.min(self.r as usize))
     }
 
     /// Number of real points below `v`.
-    #[inline]
     pub fn real_count(&self, v: usize) -> u64 {
         let (a, b) = self.real_span(v);
         b.saturating_sub(a) as u64
@@ -94,82 +170,99 @@ impl<const D: usize> DimTree<D> {
 
     /// The rank interval (in `dim`) covered by the real points below `v`,
     /// or `None` if `v` spans no real point.
-    #[inline]
     pub fn node_interval(&self, v: usize) -> Option<(u32, u32)> {
         let (a, b) = self.real_span(v);
+        (a < b).then(|| (self.keys[a], self.keys[b - 1]))
+    }
+
+    /// Node `v` of a non-final dimension is contained in the query's
+    /// interval: case 1, by whichever form `descendant(v)` takes.
+    fn contained<'t>(&'t self, v: usize, q: &RRect<D>, out: &mut Vec<Sel<'t, D>>) {
+        let (a, b) = self.real_span(v);
         if a >= b {
-            return None;
+            return; // padded out entirely
         }
-        let d = self.dim as usize;
-        Some((self.leaves[a].ranks[d], self.leaves[b - 1].ranks[d]))
-    }
-
-    /// The paper's search (Section 4, four cases), collecting selected
-    /// canonical structures into `out`:
-    ///
-    /// 1. node interval ⊆ query, `j < d` → proceed to `descendant(v)`;
-    /// 2. node interval ⊆ query, `j = d` → select the segment tree at `v`;
-    /// 3. intervals overlap → split the query to both children;
-    /// 4. intervals disjoint → delete the query.
-    pub fn search<'t>(&'t self, q: &RRect<D>, out: &mut Vec<Sel<'t, D>>) {
-        if q.is_empty() || self.r == 0 {
-            return;
-        }
-        self.search_node(1, q, out);
-    }
-
-    fn search_node<'t>(&'t self, v: usize, q: &RRect<D>, out: &mut Vec<Sel<'t, D>>) {
-        let Some((lo, hi)) = self.node_interval(v) else { return };
-        let j = self.dim as usize;
-        if q.disjoint_interval(j, lo, hi) {
-            return; // case 4
-        }
-        if q.contains_interval(j, lo, hi) {
-            if j == D - 1 {
-                out.push(Sel::Node { tree: self, v }); // case 2
-            } else if heap::is_leaf(self.m as usize, v) {
-                // Single point: verify the remaining dimensions directly.
-                let (a, _) = self.real_span(v);
-                let pt = &self.leaves[a];
-                if q.contains_ranks_from(pt, j + 1) {
-                    out.push(Sel::Point { pt });
-                }
-            } else if let Some(dt) = self.desc[v].as_deref() {
-                dt.search_node(1, q, out); // case 1
+        let m = self.m as usize;
+        if heap::is_leaf(m, v) {
+            // Single point: verify the remaining dimensions directly.
+            let pt = &self.leaves[a];
+            if q.contains_ranks_from(pt, self.dim as usize + 1) {
+                out.push(Sel::Point { pt });
             }
-            return;
+        } else if self.dim as usize + 2 == D {
+            // The real prefix of the node's block, in final-dimension order.
+            let start = v.ilog2() as usize * m + a;
+            let block = &self.block_keys[start..start + (b - a)];
+            let lo = start + block.partition_point(|&k| k < q.lo[D - 1]);
+            let hi = start + block.partition_point(|&k| k <= q.hi[D - 1]);
+            if lo < hi {
+                out.push(Sel::Span { tree: self, lo, hi }); // case 2 in the block
+            }
+        } else if let Some(dt) = &self.desc[v] {
+            dt.search(q, out);
         }
-        // case 3: overlap — split to the children. A leaf's one-point
-        // interval is either contained or disjoint, so `v` is internal.
-        debug_assert!(!heap::is_leaf(self.m as usize, v));
-        self.search_node(2 * v, q, out);
-        self.search_node(2 * v + 1, q, out);
     }
 
-    /// Total node count over all dimensions (the memory measure `s`).
+    /// Total node count over all dimensions (the memory measure `s`) of
+    /// the paper's structure, a tree per descendant, not the host's arrays.
     pub fn size_nodes(&self) -> u64 {
-        let own = (2 * self.m - 1) as u64;
-        own + self.desc.iter().filter_map(|d| d.as_deref()).map(DimTree::size_nodes).sum::<u64>()
+        self.nodes
     }
 
-    /// Approximate transfer size in words: leaves plus descendant trees.
-    /// O(1): the sum is stored when the tree is built.
+    /// Approximate transfer size in words: leaves plus descendant trees,
+    /// what a real machine would ship. O(1): stored at build.
     pub fn payload_words(&self) -> u64 {
         self.words
     }
+}
 
-    /// [`payload_words`](DimTree::payload_words) recomputed by walking the
-    /// whole tree: the reference the stored sum is pinned against.
-    #[cfg(test)]
-    pub(crate) fn payload_words_walk(&self) -> u64 {
-        own_words::<D>(self.leaves.len())
-            + self
-                .desc
-                .iter()
-                .filter_map(|d| d.as_deref())
-                .map(DimTree::payload_words_walk)
-                .sum::<u64>()
+/// The block holding entry `at` of a merge-sort tree over `m` leaves.
+pub(super) fn block_at(m: usize, at: usize) -> (usize, usize) {
+    let width = m >> (at / m);
+    (at & !(width - 1), width)
+}
+
+/// The merge-sort tree of `pts` (in slab order) on `ranks[by]`: for each
+/// depth `0..h`, every node's block of `(rank, slab index)` sorted by
+/// rank, one merge of the depth below per depth.
+fn merge_sort_tree<const D: usize>(pts: &[RPoint<D>], by: usize) -> (Vec<u32>, Vec<u32>) {
+    let m = pts.len();
+    let h = m.ilog2() as usize;
+    let (mut keys, mut idx) = (vec![0u32; h * m], vec![0u32; h * m]);
+    // Depth h, the leaves: what depth h − 1 merges.
+    let leaf_keys: Vec<u32> = pts.iter().map(|p| p.ranks[by]).collect();
+    let leaf_idx: Vec<u32> = (0..m as u32).collect();
+    for depth in (0..h).rev() {
+        let (dst_k, below_k) = keys[depth * m..].split_at_mut(m);
+        let (dst_i, below_i) = idx[depth * m..].split_at_mut(m);
+        let (src_k, src_i) = if depth + 1 == h {
+            (&leaf_keys[..], &leaf_idx[..])
+        } else {
+            (&below_k[..m], &below_i[..m])
+        };
+        let width = m >> depth;
+        let blocks = dst_k.chunks_exact_mut(width).zip(dst_i.chunks_exact_mut(width));
+        for ((dk, di), (sk, si)) in
+            blocks.zip(src_k.chunks_exact(width).zip(src_i.chunks_exact(width)))
+        {
+            // Two sorted halves into one block; the select compiles to a
+            // conditional move, so random ranks cost no mispredictions.
+            let (mut x, mut y, mut out) = (0, width / 2, 0);
+            while x < width / 2 && y < width {
+                let left = sk[x] <= sk[y];
+                let from = if left { x } else { y };
+                dk[out] = sk[from];
+                di[out] = si[from];
+                x += left as usize;
+                y += !left as usize;
+                out += 1;
+            }
+            let rest = if x < width / 2 { x..width / 2 } else { y..width };
+            dk[out..].copy_from_slice(&sk[rest.clone()]);
+            di[out..].copy_from_slice(&si[rest]);
+        }
     }
+    (keys, idx)
 }
 
 /// Words one segment tree over `m` leaves contributes by itself: a
@@ -178,51 +271,72 @@ fn own_words<const D: usize>(m: usize) -> u64 {
     2 + m as u64 * ddrs_cgm::shallow_words::<RPoint<D>>()
 }
 
+/// The paper's size of a dimension-`dim` tree over `m` leaves, `r` of
+/// them real, as `(transfer words, nodes)`: its own segment tree plus one
+/// descendant tree per internal node that spans a real point — at each
+/// depth the first `⌈r / width⌉` nodes, all full except possibly the
+/// last. Theorem 1's `s` and a congestion copy's metered size, whatever
+/// the host's layout.
+fn model_size<const D: usize>(dim: usize, m: usize, r: usize) -> (u64, u64) {
+    let (mut words, mut nodes) = (own_words::<D>(m), 2 * m as u64 - 1);
+    if dim + 1 < D {
+        for depth in 0..m.ilog2() {
+            let width = m >> depth;
+            for (count, real) in [(r / width, width), (1, r % width)] {
+                if count > 0 && real > 0 {
+                    let (w, n) = model_size::<D>(dim + 1, width, real);
+                    words += count as u64 * w;
+                    nodes += count as u64 * n;
+                }
+            }
+        }
+    }
+    (words, nodes)
+}
+
 impl<const D: usize> Payload for DimTree<D> {
     fn words(&self) -> u64 {
         self.payload_words()
     }
 }
 
-/// A structure selected by the search: either a canonical node of a
-/// dimension-`d` segment tree (all real leaves below it match the query)
-/// or a single fully-verified point (the leaf shortcut).
+/// A structure selected by the search. Every real point under a
+/// selection matches the query.
 #[derive(Debug, Clone, Copy)]
 pub enum Sel<'t, const D: usize> {
-    /// Canonical node `v` of a final-dimension tree.
-    Node {
+    /// Entries `lo..hi` of `tree`'s merge-sort arrays, within one block.
+    Span {
+        /// The dimension-`d − 1` tree whose block holds the entries.
+        tree: &'t DimTree<D>,
+        /// First selected entry.
+        lo: usize,
+        /// One past the last selected entry.
+        hi: usize,
+    },
+    /// Slab positions `a..b` of a final-dimension tree.
+    Leaves {
         /// The dimension-`d` tree containing the selection.
         tree: &'t DimTree<D>,
-        /// Heap index of the selected node.
-        v: usize,
+        /// First selected leaf.
+        a: usize,
+        /// One past the last selected leaf.
+        b: usize,
     },
-    /// A single matching point.
+    /// A single matching point (the leaf shortcut).
     Point {
         /// The matching point.
         pt: &'t RPoint<D>,
     },
 }
 
-/// Merge two runs sorted by `ranks[dim]` into one.
-pub(crate) fn merge_by_rank<const D: usize>(
-    a: &[RPoint<D>],
-    b: &[RPoint<D>],
-    dim: usize,
-) -> Vec<RPoint<D>> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].ranks[dim] <= b[j].ranks[dim] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
+#[cfg(test)]
+impl<const D: usize> DimTree<D> {
+    /// [`payload_words`](DimTree::payload_words) recounted node by node
+    /// over the conceptual tree: the reference the stored sum is pinned
+    /// against.
+    pub(crate) fn payload_words_walk(&self) -> u64 {
+        tests::recount::<D>(self.dim as usize, self.m as usize, self.r as usize).0
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -248,13 +362,31 @@ mod tests {
         let t = DimTree::<2>::build(0, diag(6, 8));
         assert_eq!(t.m, 8);
         assert_eq!(t.r, 6);
-        assert_eq!(t.desc.len(), 16);
+        // Second-to-last dimension: h = 3 depths of m entries, no object
+        // per node.
+        assert_eq!(t.block_keys.len(), 24);
+        assert_eq!(t.block_idx.len(), 24);
+        assert!(t.desc.is_empty());
+        // Final dimension: the slab alone.
+        let last = DimTree::<1>::build(
+            0,
+            (0..8).map(|i| RPoint { ranks: [i], id: i, weight: 1 }).collect(),
+        );
+        assert!(last.block_keys.is_empty() && last.desc.is_empty());
+        // Above the last two: a descendant per internal node with a real
+        // point. Node 7 spans leaves 6..8 — all pads, so none.
+        let pts = diag(6, 8).into_iter().map(|p| RPoint {
+            ranks: [p.ranks[0]; 3],
+            id: p.id,
+            weight: p.weight,
+        });
+        let t = DimTree::<3>::build(0, pts.collect());
+        assert_eq!(t.desc.len(), 8);
         assert!(t.desc[0].is_none());
-        // Node 7 spans leaves 6..8 — all pads, so no descendant.
         assert!(t.desc[7].is_none());
         assert!(t.desc[1].is_some());
-        // Final dimension has no descendants.
-        assert!(t.desc[1].as_ref().unwrap().desc.is_empty());
+        assert!(t.block_keys.is_empty());
+        assert_eq!(t.desc[1].as_ref().unwrap().block_keys.len(), 24);
     }
 
     #[test]
@@ -296,10 +428,8 @@ mod tests {
         let mut covered: Vec<u32> = Vec::new();
         for s in &sels {
             match s {
-                Sel::Node { tree, v } => {
-                    let (a, b) = tree.real_span(*v);
-                    covered.extend((a as u32)..(b as u32));
-                }
+                Sel::Leaves { a, b, .. } => covered.extend((*a as u32)..(*b as u32)),
+                Sel::Span { .. } => unreachable!("a final-dimension tree has no blocks"),
                 Sel::Point { pt } => covered.push(pt.ranks[0]),
             }
         }
@@ -307,6 +437,28 @@ mod tests {
         assert_eq!(covered, (3..=12).collect::<Vec<u32>>());
         // O(2 log n) canonical pieces.
         assert!(sels.len() <= 8, "too many canonical pieces: {}", sels.len());
+    }
+
+    /// A box wider than the real ranks in every dimension selects every
+    /// real point and no pad, in each of the three layouts.
+    #[test]
+    fn no_query_reaches_a_pad() {
+        fn selected<const D: usize>() -> Vec<u32> {
+            let t = DimTree::<D>::build(0, scattered(21, 64, [0x9e37_79b9_7f4a_7c15; D]));
+            let mut sels = Vec::new();
+            t.search(&RRect { lo: [0; D], hi: [u32::MAX; D] }, &mut sels);
+            let mut ids = Vec::new();
+            for s in &sels {
+                crate::seq::sel_report(s, &mut ids);
+            }
+            assert_eq!(sels.iter().map(crate::seq::sel_count).sum::<u64>(), ids.len() as u64);
+            ids.sort_unstable();
+            ids
+        }
+        let all: Vec<u32> = (0..21).collect();
+        assert_eq!(selected::<1>(), all);
+        assert_eq!(selected::<2>(), all);
+        assert_eq!(selected::<3>(), all);
     }
 
     /// `n` real points whose rank in each dimension `j` is a permutation
@@ -335,11 +487,30 @@ mod tests {
         pts
     }
 
+    /// `(words, nodes)` of the conceptual tree of Definition 1, counted
+    /// one internal node at a time: the reference for [`model_size`]'s
+    /// per-depth arithmetic.
+    pub(super) fn recount<const D: usize>(dim: usize, m: usize, r: usize) -> (u64, u64) {
+        let (mut words, mut nodes) = (own_words::<D>(m), 2 * m as u64 - 1);
+        if dim + 1 < D {
+            for v in 1..m {
+                let (a, b) = heap::span(m, v);
+                if a < r {
+                    let (w, n) = recount::<D>(dim + 1, b - a, b.min(r) - a);
+                    words += w;
+                    nodes += n;
+                }
+            }
+        }
+        (words, nodes)
+    }
+
     fn stored_words_match_walk<const D: usize>(n: u32, min_m: u32, seeds: [u64; D]) {
         let t = DimTree::<D>::build(0, scattered(n, min_m, seeds));
         assert_eq!(t.payload_words(), t.payload_words_walk(), "d = {D}, n = {n}, m = {}", t.m);
+        assert_eq!(t.size_nodes(), recount::<D>(0, t.m as usize, t.r as usize).1);
         // Every descendant carries its own sum too (it may be shipped alone).
-        for dt in t.desc.iter().filter_map(|d| d.as_deref()) {
+        for dt in t.desc.iter().flatten() {
             assert_eq!(dt.payload_words(), dt.payload_words_walk());
         }
     }
@@ -361,12 +532,24 @@ mod tests {
         }
     }
 
+    /// Every block of the merge-sort tree holds exactly the points of its
+    /// node, sorted by the next dimension's rank, with its pads last.
     #[test]
-    fn merge_by_rank_interleaves() {
-        let a = vec![rp2(0, 1, 0), rp2(2, 5, 1)];
-        let b = vec![rp2(3, 0, 3), rp2(1, 3, 2)];
-        let m = merge_by_rank(&a, &b, 1);
-        let ys: Vec<u32> = m.iter().map(|p| p.ranks[1]).collect();
-        assert_eq!(ys, vec![0, 1, 3, 5]);
+    fn blocks_hold_their_nodes_points_in_next_dimension_order() {
+        let t = DimTree::<2>::build(0, scattered(21, 32, [0, 0x9e37_79b9_7f4a_7c15]));
+        let m = t.m as usize;
+        for v in 1..m {
+            let (a, b) = heap::span(m, v);
+            let start = v.ilog2() as usize * m + a;
+            let block = start..start + (b - a);
+            assert_eq!(block_at(m, start + (b - a) / 2), (start, b - a));
+            let mut below: Vec<u32> = t.block_idx[block.clone()].to_vec();
+            for (&i, &k) in below.iter().zip(&t.block_keys[block.clone()]) {
+                assert_eq!(t.leaves[i as usize].ranks[1], k);
+            }
+            assert!(t.block_keys[block].windows(2).all(|w| w[0] < w[1]), "node {v}");
+            below.sort_unstable();
+            assert_eq!(below, (a as u32..b as u32).collect::<Vec<u32>>(), "node {v}");
+        }
     }
 }

@@ -137,9 +137,24 @@ fn begin_shutdown_drains_inflight_responses_before_closing() {
         assert_eq!(commit.value.count(c), 5);
     }
 
-    // After the drain the pool is dead and new connections fail.
-    let (req, _) = count_all();
-    assert!(matches!(client.submit(req), Err(SubmitError::ShutDown)));
+    // After the drain the pool is dead and new connections fail. The
+    // client learns it when its demux thread reads EOF; until then a
+    // submit can still write into the half-closed socket, and its ticket
+    // resolves `ShuttingDown`. Every attempt ends one of those two ways,
+    // and a refusal follows.
+    wait_until("submit refused", || {
+        let (req, _) = count_all();
+        match client.submit(req) {
+            Err(e) => {
+                assert!(matches!(e, SubmitError::ShutDown), "got {e}");
+                true
+            }
+            Ok(t) => {
+                assert!(matches!(t.wait(), Err(ServiceError::ShuttingDown)));
+                false
+            }
+        }
+    });
     assert!(RemoteStore::<Sum, 2>::connect(addr, RemoteConfig { connections: 1 }).is_err());
     drop(client);
     server.shutdown();
