@@ -542,7 +542,7 @@ fn a1() {
 
 /// Engine: one fused mixed-mode batch vs the same program submitted once
 /// per mode, over a multi-level dynamic store — machine submissions,
-/// supersteps, wall.
+/// supersteps, wall — and what an empty submission costs.
 fn e1() {
     let p = 8;
     let machine = Machine::new(p).unwrap();
@@ -622,6 +622,16 @@ fn e1() {
          constant number of supersteps independent of the level count and\n\
          mode mix; per-mode dispatch submits the same program three times,\n\
          once per mode (and before the fused engine it paid 3·levels)."
+    );
+    // What a submission costs before it does any work: an empty
+    // two-barrier program on the machine's persistent worker pool.
+    let empty = |ctx: &mut ddrs_cgm::Ctx<'_>| (ctx.barrier(), ctx.barrier());
+    let mut empty_us: Vec<f64> = (0..200).map(|_| time_ms(|| machine.run(empty)).0 * 1e3).collect();
+    empty_us.sort_by(f64::total_cmp);
+    println!(
+        "executor: an empty two-barrier run at p = {p} costs {:.1} µs (median of {})",
+        empty_us[empty_us.len() / 2],
+        empty_us.len()
     );
 }
 

@@ -1,9 +1,10 @@
 //! # ddrs-bench — experiment harness
 //!
-//! Shared helpers for the Criterion benches and the `repro` binary that
-//! regenerates every figure/theorem-scale experiment of the paper (the
-//! README's "Paper map" section indexes them; each prints its own
-//! expected-vs-measured "claim:" line).
+//! Shared helpers of the `repro` binary, which regenerates every
+//! figure/theorem-scale experiment of the paper (the README's "Paper
+//! map" section indexes them; each prints its own expected-vs-measured
+//! "claim:" line). The other binary, `stackbench`, is self-contained
+//! under `src/bin/stackbench/`.
 
 use std::time::Instant;
 

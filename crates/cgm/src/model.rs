@@ -59,14 +59,16 @@ pub fn predict_construct(c: &CostParams) -> Prediction {
     Prediction { supersteps: rounds_per_phase * c.d, max_volume: 2.0 * largest_phase / c.p as f64 }
 }
 
-/// Algorithm Search in associative-function / counting mode for a batch
-/// of `m` queries: one value-fill all-gather, three balancing rounds, two
-/// sort rounds for the `(q, f)` pairs and two segmented-fold rounds.
+/// Algorithm Search for a batch of `m` queries with `f` fixed at
+/// construction, as in the paper (this repo's counting mode): three
+/// balancing rounds, two sort rounds for the `(q, f)` pairs and two
+/// segmented-fold rounds. `aggregate_batch`, which takes its semigroup
+/// per batch, is `predict_search + 1`: one value-fill all-gather first.
 pub fn predict_search(c: &CostParams, m_queries: usize) -> Prediction {
     // Queries can split into O(log p) subqueries per dimension while in
     // the hat; each routed visit carries one record.
     let visits = (m_queries as f64) * (c.log_p() as f64).max(1.0).powi(c.d as i32);
-    Prediction { supersteps: 8, max_volume: 2.0 * visits / c.p as f64 }
+    Prediction { supersteps: 7, max_volume: 2.0 * visits / c.p as f64 }
 }
 
 /// Algorithm Report: the search rounds minus the pair-sort, plus the
@@ -107,7 +109,7 @@ mod tests {
     fn search_and_report_predictions() {
         let c = CostParams { p: 8, n: 1 << 14, d: 2 };
         let s = predict_search(&c, 8192);
-        assert_eq!(s.supersteps, 8);
+        assert_eq!(s.supersteps, 7);
         let r = predict_report(&c, 8192, 80_000);
         assert_eq!(r.supersteps, 5);
         assert!(r.max_volume > s.max_volume);

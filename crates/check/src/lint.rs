@@ -14,7 +14,7 @@
 //!   a tracked guard is live in scheduler/worker code. (A condvar wait
 //!   consuming its *own* guard is the one legal form.)
 //! * **`unwrap`** (L3) — no `.unwrap()` / `.expect()` in non-test
-//!   scheduler/shard code: a panic there poisons a whole shard.
+//!   `shard` code: a panic there poisons a whole shard.
 //! * **`relaxed`** (L4) — no `Ordering::Relaxed` in the scheduler
 //!   stack, where atomics gate commit sequencing and consistency.
 //!
@@ -50,8 +50,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// The canonical acquisition order over the scheduler stack's named
-/// lock classes, outermost first. `stats` is the router's
-/// `shard.stats`; `shard.cross` is the per-`CrossOp` merge state;
+/// lock classes, outermost first. `shard.stats` is the router's
+/// telemetry; `shard.cross` is the per-`CrossOp` merge state;
 /// `net.conn` is the network front-end's connection-scoped state
 /// (server connection table, remote-client pending maps and write
 /// halves); `ticket.watch` is the `on_resolve` watch cell and
@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 /// last.
 pub const CANONICAL_LOCK_ORDER: &[&str] = &[
     "sched.queue",
-    "stats",
+    "shard.stats",
     "shard.faults",
     "wal.append",
     "shard.cross",
@@ -99,7 +99,7 @@ const BLOCKING_METHODS: &[&str] = &[
 fn classify(field: &str, path: &str) -> Option<(usize, &'static str)> {
     match field {
         "queue" => Some((0, "sched.queue")),
-        "stats" => Some((1, "stats")),
+        "stats" => Some((1, "shard.stats")),
         "faults" => Some((2, "shard.faults")),
         "append" => Some((3, "wal.append")),
         "state" => {
@@ -201,14 +201,14 @@ impl LintSet {
         LintSet { lock_order: true, blocking: true, unwrap: true, relaxed: true }
     }
 
-    /// The workspace policy for a source path. The scheduler crates
-    /// (`sched`, `shard`) get every lint; the client crate
-    /// gets the lock-order and memory-ordering lints (its public API
-    /// legitimately exposes blocking waits, and `unwrap` is allowed
-    /// outside the serving hot path).
+    /// The workspace policy for a source path. The scheduler crate
+    /// (`shard`) gets every lint; the other crates get the lock-order
+    /// and memory-ordering lints (the client's public API legitimately
+    /// exposes blocking waits, and `unwrap` is allowed outside the
+    /// serving hot path).
     pub fn for_workspace_path(path: &str) -> LintSet {
-        let sched_stack = ["crates/sched", "crates/shard"].iter().any(|c| path.contains(c));
-        LintSet { lock_order: true, blocking: sched_stack, unwrap: sched_stack, relaxed: true }
+        let shard = path.contains("crates/shard");
+        LintSet { lock_order: true, blocking: shard, unwrap: shard, relaxed: true }
     }
 
     fn enabled(self, lint: Lint) -> bool {
@@ -808,7 +808,6 @@ impl Analyzer<'_> {
 
 /// The crates the workspace pass covers.
 const WORKSPACE_CRATES: &[&str] = &[
-    "crates/sched/src",
     "crates/shard/src",
     "crates/client/src",
     "crates/trace/src",

@@ -313,9 +313,13 @@ impl<T> Ticket<T> {
     /// Block for at most `timeout`. On expiry the still-live ticket
     /// rides back inside [`WaitFor::TimedOut`]: it remains registered
     /// with the backend and resolvable, so the caller can wait again,
-    /// poll it, or give up and drop it.
+    /// poll it, or give up and drop it. A timeout past the end of
+    /// representable time is [`wait`](Ticket::wait).
     pub fn wait_for(self, timeout: Duration) -> WaitFor<T> {
-        self.wait_until(Instant::now() + timeout)
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.wait_until(deadline),
+            None => WaitFor::Ready(self.wait()),
+        }
     }
 
     fn wait_until(self, deadline: Instant) -> WaitFor<T> {
@@ -515,6 +519,18 @@ mod tests {
             panic!("resolved ticket must be ready");
         };
         assert_eq!(out, Err(ServiceError::DeadlineExpired));
+    }
+
+    #[test]
+    fn wait_for_a_timeout_too_long_to_represent_waits() {
+        let (t, r) = ticket::<u64>();
+        let t = t.map(|v| v + 1);
+        let h = std::thread::spawn(move || t.wait_for(Duration::MAX));
+        r.resolve(Ok(Commit { value: 7, seq: 3 }));
+        let WaitFor::Ready(out) = h.join().unwrap() else {
+            panic!("an unbounded wait cannot time out");
+        };
+        assert_eq!(out, Ok(Commit { value: 8, seq: 3 }));
     }
 
     #[test]

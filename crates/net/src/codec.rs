@@ -181,7 +181,9 @@ pub fn encode_request<S: Semigroup, const D: usize>(req_id: u64, req: &Request<S
     match req.queue_deadline() {
         Some(d) => {
             p.push(1);
-            put_u64(&mut p, d.as_micros() as u64);
+            // Saturate: wrapping would turn a deadline of over 584 000
+            // years into an arbitrary, possibly tiny, one.
+            put_u64(&mut p, u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
         }
         None => p.push(0),
     }
@@ -623,6 +625,17 @@ mod tests {
         assert_eq!(back.read_consistency(), req.read_consistency());
         assert_eq!(back.writes(), req.writes());
         assert!(back.write_ops().eq(req.write_ops()));
+    }
+
+    #[test]
+    fn a_deadline_past_u64_micros_saturates() {
+        for too_long in [Duration::from_secs(u64::MAX / 1_000_000 + 1), Duration::MAX] {
+            let mut req = sample_request();
+            req.deadline(Some(too_long));
+            let frame = encode_request(1, &req);
+            let (_, back) = decode_request::<Sum, 2>(&frame[FRAME_HEADER..]).unwrap();
+            assert_eq!(back.queue_deadline(), Some(Duration::from_micros(u64::MAX)));
+        }
     }
 
     #[test]

@@ -132,12 +132,14 @@ impl<const D: usize> DistRangeTree<D> {
         );
     }
 
-    /// Batched counting: the number of points in each query box.
+    /// Batched counting: the number of points in each query box; a query
+    /// matching nothing counts 0.
     ///
-    /// Counting is the associative-function mode with the [`Count`]
-    /// semigroup; a query matching nothing counts 0.
+    /// Seven supersteps: the associative-function mode with `f` fixed at
+    /// construction, as in the paper — the hat's replicated `cnt` arrays
+    /// already hold every `Count` fold, so there is no value-fill round.
     pub fn count_batch(&self, machine: &Machine, queries: &[Rect<D>]) -> Vec<u64> {
-        self.aggregate_batch(machine, Count, queries).into_iter().map(|v| v.unwrap_or(0)).collect()
+        fused_query_batch(machine, &[self], Count, queries, &[], &[]).counts
     }
 
     /// Batched associative-function mode (Algorithm AssociativeFunction):
@@ -146,9 +148,10 @@ impl<const D: usize> DistRangeTree<D> {
     ///
     /// Eight supersteps regardless of `n`, `p` and the batch: one
     /// value-fill all-gather (forest-root values → replicated hat
-    /// aggregates), three balancing rounds, a two-round sort of the
-    /// `(query, value)` partials and a two-round segmented fold. An empty
-    /// batch pays no machine dispatch.
+    /// aggregates; the price of choosing the semigroup per batch instead
+    /// of at construction), three balancing rounds, a two-round sort of
+    /// the `(query, value)` partials and a two-round segmented fold. An
+    /// empty batch pays no machine dispatch.
     pub fn aggregate_batch<S: Semigroup>(
         &self,
         machine: &Machine,

@@ -15,7 +15,7 @@
 //!  client threads        router thread                 shard groups
 //!  ──────────────   ┌──────────────────────┐   ┌───────────────────────┐
 //!  count(q) ───┐    │ group-commit window  │   │ shard 0: Machine +    │
-//!  insert(b) ──┼──▶ │  (ddrs-sched core:   │──▶│  tree + worker thread │
+//!  insert(b) ──┼──▶ │  (the `sched` core:  │──▶│  tree + worker thread │
 //!  report(q) ──┘    │   max_batch /        │   ├───────────────────────┤
 //!     │             │   max_delay)         │   │ shard 1: Machine + …  │
 //!     ▼             │                      │   ├───────────────────────┤
@@ -92,8 +92,12 @@
 //!
 //! ## Module map
 //!
-//! * `router` — the router thread: its state, the dispatch loop, the
-//!   one worker round-trip helper, telemetry publishing, shutdown.
+//! * `sched` — the group-commit scheduler core: *when* and *what* to
+//!   dispatch (bounded-queue admission, window firing, the
+//!   group-preserving carve, deadline expiry, the consistency gate).
+//! * `router` — the router thread: its state, the dispatch loop that
+//!   *executes* a carved window, the one worker round-trip helper,
+//!   telemetry publishing, shutdown.
 //! * `reads` — plans a read window into per-shard fused sub-batches and
 //!   settles their results; generic over the query mode's value type.
 //! * `writes` — the write epoch: validate, scatter, log, commit or roll
@@ -136,6 +140,7 @@ mod partition;
 mod reads;
 mod recover;
 mod router;
+mod sched;
 mod split;
 mod stats;
 mod worker;
@@ -153,12 +158,12 @@ use ddrs_cgm::Machine;
 use ddrs_check::TrackedMutex;
 use ddrs_client::{ticket, RangeStore, Request, Resolver, Response, SubmitError, Ticket};
 use ddrs_rangetree::{BuildError, DynamicDistRangeTree, Point, Semigroup, PAD_ID};
-use ddrs_sched::{SchedConfig, SchedCore, StopMode};
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, EpochWal, LogSink, MemSink, RecordKind};
 
 use partition::Partitioner;
 use router::{exchange, router_loop, Inner, Op, Router};
+use sched::{Mode, SchedCore};
 use worker::{spawn_worker, ShardJob, WorkerHandle};
 
 /// Tuning knobs of the sharded serving layer.
@@ -365,11 +370,7 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         let inner = Arc::new(Inner {
             cfg,
             sg,
-            core: SchedCore::new(SchedConfig {
-                max_batch: cfg.max_batch,
-                max_delay: cfg.max_delay,
-                queue_capacity: cfg.queue_capacity,
-            }),
+            core: SchedCore::new(cfg),
             stats: TrackedMutex::new(
                 "shard.stats",
                 ShardedStats {
@@ -455,32 +456,27 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         Ok(t)
     }
 
-    /// Admission shared by [`split_shard`](ShardedService::split_shard)
-    /// and the [`RangeStore`] `submit` impl, delegated to the shared
-    /// scheduler core: ops of one request are admitted all-or-nothing
-    /// and enqueued contiguously under one fresh group id. `make` lowers
-    /// the request only once admission is certain; it runs under the
-    /// core's queue lock and must not take locks of its own.
+    /// Admission shared by the exclusive ops and the [`RangeStore`]
+    /// `submit` impl, delegated to the scheduler core: ops of one
+    /// request are admitted all-or-nothing and enqueued contiguously
+    /// under one fresh group id. `make` lowers the request only once
+    /// admission is certain; it runs under the core's queue lock and
+    /// must not take locks of its own.
     fn enqueue_ops(
         &self,
         n_ops: usize,
         make: impl FnOnce() -> (Vec<Op<S, D>>, Option<Duration>, Option<u64>),
     ) -> Result<(), SubmitError> {
-        self.inner.core.submit_ops(
-            n_ops,
-            || {
-                let (ops, deadline, min_seq) = make();
-                // Lifecycle spans open here — admission is certain, so
-                // every Queue begin is matched by an End on some
-                // dispatch or failure path.
-                for op in &ops {
-                    ddrs_trace::begin(op.span(), Stage::Queue);
-                }
-                (ops, deadline, min_seq)
-            },
-            || self.inner.stats.lock().submitted += n_ops as u64,
-            || self.inner.stats.lock().overloaded += 1,
-        )
+        self.inner.core.submit_ops(n_ops, || {
+            let (ops, deadline, min_seq) = make();
+            // Lifecycle spans open here — admission is certain, so every
+            // Queue begin is matched by an End on some dispatch or
+            // failure path.
+            for op in &ops {
+                ddrs_trace::begin(op.span(), Stage::Queue);
+            }
+            (ops, deadline, min_seq)
+        })
     }
 
     /// Deterministic fault injection for tests and harnesses: the next
@@ -495,13 +491,12 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
 
     /// Snapshot the service telemetry.
     pub fn stats(&self) -> ShardedStats {
-        let depth = self.inner.core.depth();
         let mut snap = self.inner.stats.lock().clone();
-        snap.queue_depth = depth;
+        self.inner.core.fill_admission(&mut snap);
         snap
     }
 
-    fn stop(&mut self, mode: StopMode) -> Vec<ShardParts<D>> {
+    fn stop(&mut self, mode: Mode) -> Vec<ShardParts<D>> {
         self.inner.core.begin_stop(mode);
         self.router
             .take()
@@ -517,11 +512,11 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
     /// Begin a graceful shutdown without blocking: new submissions fail
     /// from this point on while already queued requests are served.
     pub fn begin_shutdown(&self) {
-        self.inner.core.begin_stop(StopMode::Drain);
+        self.inner.core.begin_stop(Mode::Draining);
     }
 
     /// [`stop`](Self::stop), refusing to hand back a poisoned store.
-    fn stop_healthy(&mut self, mode: StopMode) -> Vec<(Machine, DynamicDistRangeTree<D>)> {
+    fn stop_healthy(&mut self, mode: Mode) -> Vec<(Machine, DynamicDistRangeTree<D>)> {
         self.stop(mode)
             .into_iter()
             .map(|p| {
@@ -542,7 +537,7 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
     /// [`dismantle`](ShardedService::dismantle) to recover the healthy
     /// shards around a poisoned one.
     pub fn shutdown(mut self) -> Vec<(Machine, DynamicDistRangeTree<D>)> {
-        self.stop_healthy(StopMode::Drain)
+        self.stop_healthy(Mode::Draining)
     }
 
     /// Stop accepting work and reject everything queued, then hand back
@@ -552,14 +547,14 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
     /// Panics if any shard was poisoned, as with
     /// [`shutdown`](ShardedService::shutdown).
     pub fn abort(mut self) -> Vec<(Machine, DynamicDistRangeTree<D>)> {
-        self.stop_healthy(StopMode::Reject)
+        self.stop_healthy(Mode::Rejecting)
     }
 
     /// Stop (rejecting queued work) and hand back *every* shard's parts,
     /// poisoned or not — the forensic exit the fault harness uses to
     /// inspect healthy siblings around a quarantined shard.
     pub fn dismantle(mut self) -> Vec<ShardParts<D>> {
-        self.stop(StopMode::Reject)
+        self.stop(Mode::Rejecting)
     }
 }
 
@@ -593,7 +588,7 @@ impl<S: Semigroup, const D: usize> RangeStore<S, D> for ShardedService<S, D> {
 impl<S: Semigroup, const D: usize> Drop for ShardedService<S, D> {
     fn drop(&mut self) {
         if self.router.is_some() {
-            let _ = self.stop(StopMode::Drain);
+            let _ = self.stop(Mode::Draining);
         }
     }
 }

@@ -18,11 +18,11 @@ use ddrs_check::TrackedMutex;
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
 use ddrs_rangetree::semigroup::comb_opt;
 use ddrs_rangetree::{BatchResults, QueryBatch, Rect, Semigroup};
-use ddrs_sched::Pending;
 use ddrs_trace::{SpanId, Stage};
 
 use crate::partition::Partitioner;
 use crate::router::{settle, us_between, Inner, Op, Router};
+use crate::sched::Pending;
 use crate::worker::{ReadComplete, ShardJob};
 use crate::ShardedStats;
 

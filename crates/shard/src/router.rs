@@ -10,13 +10,13 @@ use std::time::Instant;
 use ddrs_check::TrackedMutex;
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
 use ddrs_rangetree::Semigroup;
-use ddrs_sched::{gate_reads, Pending, SchedCore, Window};
 use ddrs_trace::{SpanId, Stage};
 use ddrs_wal::EpochWal;
 
 use crate::partition::Partitioner;
 use crate::reads::dispatch_reads;
 use crate::recover::do_recover;
+use crate::sched::{gate_reads, Kind, Pending, Queued, SchedCore, Window};
 use crate::split::do_split;
 use crate::worker::{Reply, ShardJob, WorkerHandle};
 use crate::writes::dispatch_write_epoch;
@@ -31,17 +31,7 @@ pub(crate) enum Op<S: Semigroup, const D: usize> {
     Recover(usize, Resolver<RecoveryReport>),
 }
 
-/// What a window is made of. Splits and recoveries are the exclusive
-/// kind: they dispatch alone, between windows, so no in-flight request
-/// observes a half-migrated or half-rebuilt store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Read,
-    Write,
-    Exclusive,
-}
-
-impl<S: Semigroup, const D: usize> Op<S, D> {
+impl<S: Semigroup, const D: usize> Queued for Op<S, D> {
     fn kind(&self) -> Kind {
         match self {
             Op::Client(op) if op.is_read() => Kind::Read,
@@ -49,7 +39,9 @@ impl<S: Semigroup, const D: usize> Op<S, D> {
             Op::Split(..) | Op::Recover(..) => Kind::Exclusive,
         }
     }
+}
 
+impl<S: Semigroup, const D: usize> Op<S, D> {
     fn fail(self, e: ServiceError) {
         match self {
             Op::Client(op) => op.fail(e),
@@ -76,12 +68,14 @@ pub(crate) fn us_between(from: Instant, to: Instant) -> u64 {
 pub(crate) struct Inner<S: Semigroup, const D: usize> {
     pub cfg: ShardedConfig,
     pub sg: S,
-    /// The shared group-commit scheduler core (admission, window firing,
-    /// group-preserving carve, deadline expiry — see `ddrs-sched`).
+    /// The group-commit scheduler core (admission, window firing,
+    /// group-preserving carve, deadline expiry — see `sched`).
     pub core: SchedCore<Op<S, D>>,
-    /// Lock class `stats` — taken after `sched.queue`, before
-    /// `shard.faults` and `shard.cross` (see `ddrs_check`'s canonical
-    /// order).
+    /// Lock class `shard.stats` — before `shard.faults` and
+    /// `shard.cross` (see `ddrs_check`'s canonical order). The
+    /// `submitted` and `overloaded` fields stay zero in here: admission
+    /// counts them beside the queue and `ShardedService::stats` fills
+    /// them into each snapshot.
     pub stats: TrackedMutex<ShardedStats>,
     /// Shards whose next write sub-epoch should suffer an injected
     /// mid-epoch processor panic (deterministic fault injection for the
@@ -181,7 +175,7 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
         for (i, snap) in st.per_shard.iter_mut().enumerate() {
             snap.live_points = self.shard_len[i];
             snap.poisoned = self.poisoned[i].clone();
-            // `stats` precedes `wal.append` in the canonical order, so
+            // `shard.stats` precedes `wal.append` in the canonical order, so
             // reading the log counters under the stats guard is legal.
             let ws = self.wals[i].stats();
             snap.wal_records = ws.records;
@@ -202,8 +196,8 @@ pub(crate) fn router_loop<S: Semigroup, const D: usize>(
     mut router: Router<S, D>,
 ) -> Vec<ShardParts<D>> {
     loop {
-        // The shared scheduler core decides when and what to dispatch.
-        let window = inner.core.next_window(Op::kind, |k| *k == Kind::Exclusive);
+        // The scheduler core decides when and what to dispatch.
+        let window = inner.core.next_window();
         let (batch, expired) = match window {
             Window::Shutdown { rejected } => {
                 fail_queued(inner, rejected, |_| ServiceError::ShuttingDown);
@@ -223,7 +217,7 @@ pub(crate) fn router_loop<S: Semigroup, const D: usize>(
         // nothing), judged at dispatch time against the global commit
         // counter: a read demanding a commit the store has not performed
         // fails instead of serving state it promised not to serve.
-        let (mut batch, unmet) = gate_reads(batch, router.next_seq, |op| op.kind() == Kind::Read);
+        let (mut batch, unmet) = gate_reads(batch, router.next_seq);
         fail_queued(inner, unmet, |p| ServiceError::Consistency {
             // ddrs-check: allow(unwrap) — `gate_reads` puts an op in
             // `unmet` only when it carries a `min_seq` bound.

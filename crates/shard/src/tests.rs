@@ -1,5 +1,8 @@
-//! Unit tests of the serving front-end, through its public API only.
+//! Unit tests of the serving front-end through its public API, then of
+//! its scheduler core (`sched`) on a fake op.
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -7,6 +10,7 @@ use ddrs_cgm::Machine;
 use ddrs_client::{RangeStore, Request, ServiceError, SubmitError};
 use ddrs_rangetree::{BuildError, Point, Rect, Semigroup, Sum};
 
+use crate::sched::{carve, gate_reads, Kind, Mode, Pending, Queued, SchedCore, Window};
 use crate::{PartitionPolicy, ShardedConfig, ShardedService};
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
@@ -561,4 +565,208 @@ fn read_failure_fails_only_the_ops_that_needed_the_shard() {
     assert_eq!(stats.completed, stats.submitted);
     assert_eq!(stats.submitted, 4);
     service.shutdown();
+}
+
+/// Admission's counters stay ordered with completion under concurrency:
+/// no telemetry snapshot shows more ops completed than submitted,
+/// `overloaded` counts exactly the refusals, and once every ticket has
+/// resolved the two totals meet.
+#[test]
+fn submitted_never_trails_completed_in_any_snapshot() {
+    const ROUNDS: usize = 200;
+    const BURST: usize = 8;
+    let service = ShardedService::start(
+        machines(2, 1),
+        8,
+        &pts(0..16),
+        Sum,
+        PartitionPolicy::Hash,
+        // No delay window, so ops complete while the sampler is between
+        // its two reads; each burst is twice the queue, so four threads
+        // of them overrun it.
+        ShardedConfig { max_delay: Duration::ZERO, queue_capacity: 4, ..Default::default() },
+    )
+    .unwrap();
+    let q = Rect::new([0, 0], [800, 600]);
+    let done = AtomicBool::new(false);
+    let submitter = || {
+        let (mut admitted, mut refused) = (0u64, 0u64);
+        for _ in 0..ROUNDS {
+            let burst: Vec<_> = (0..BURST).map(|_| service.count(q)).collect();
+            for submission in burst {
+                match submission {
+                    Ok(t) => {
+                        assert_eq!(t.wait().unwrap().value, 16);
+                        admitted += 1;
+                    }
+                    Err(SubmitError::Overloaded { .. }) => refused += 1,
+                    Err(e) => panic!("unexpected submit error: {e}"),
+                }
+            }
+        }
+        (admitted, refused)
+    };
+    let (admitted, refused) = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                let st = service.stats();
+                assert!(st.submitted >= st.completed, "{} < {}", st.submitted, st.completed);
+            }
+        });
+        let submitters: Vec<_> = (0..4).map(|_| s.spawn(submitter)).collect();
+        let totals = submitters.into_iter().map(|h| h.join().unwrap());
+        let totals = totals.fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+        done.store(true, Ordering::SeqCst);
+        sampler.join().unwrap();
+        totals
+    });
+    assert!(refused > 0, "bursts of {BURST} into a queue of 4 were never refused");
+    assert_eq!(admitted + refused, (4 * ROUNDS * BURST) as u64);
+    let st = service.stats();
+    assert_eq!((st.submitted, st.overloaded), (admitted, refused));
+    assert_eq!(st.completed, st.submitted);
+    service.shutdown();
+}
+
+// The scheduler core on its own: `sched`'s carve, admission, gate and
+// window firing, with a `u8` standing in for the router's op.
+
+fn pend(op: u8, group: u64) -> Pending<u8> {
+    Pending { op, submitted: Instant::now(), deadline: None, min_seq: None, group }
+}
+
+/// The fake op: ≥ 100 is exclusive, otherwise odd reads and even
+/// writes.
+impl Queued for u8 {
+    fn kind(&self) -> Kind {
+        match *self {
+            100.. => Kind::Exclusive,
+            op if op % 2 == 1 => Kind::Read,
+            _ => Kind::Write,
+        }
+    }
+}
+
+fn core_with(max_batch: usize, max_delay: Duration, queue_capacity: usize) -> SchedCore<u8> {
+    SchedCore::new(ShardedConfig { max_batch, max_delay, queue_capacity, ..Default::default() })
+}
+
+fn carve_kinds(q: &mut VecDeque<Pending<u8>>, max_batch: usize) -> (Vec<u8>, usize) {
+    let (batch, expired) = carve(q, max_batch);
+    (batch.into_iter().map(|p| p.op).collect(), expired.len())
+}
+
+#[test]
+fn carve_pops_same_kind_prefix() {
+    let mut q: VecDeque<Pending<u8>> =
+        [pend(1, 1), pend(1, 2), pend(2, 3), pend(1, 4)].into_iter().collect();
+    assert_eq!(carve_kinds(&mut q, 64), (vec![1, 1], 0));
+    assert_eq!(carve_kinds(&mut q, 64), (vec![2], 0));
+    assert_eq!(carve_kinds(&mut q, 64), (vec![1], 0));
+}
+
+#[test]
+fn carve_never_splits_a_group_past_the_cap() {
+    // Group 7 holds three ops; the cap of 2 must not split it.
+    let mut q: VecDeque<Pending<u8>> =
+        [pend(1, 7), pend(1, 7), pend(1, 7), pend(1, 8)].into_iter().collect();
+    assert_eq!(carve_kinds(&mut q, 2), (vec![1, 1, 1], 0));
+    assert_eq!(carve_kinds(&mut q, 2), (vec![1], 0));
+}
+
+#[test]
+fn carve_exclusive_kind_dispatches_alone() {
+    let mut q: VecDeque<Pending<u8>> =
+        [pend(100, 1), pend(100, 2), pend(1, 3)].into_iter().collect();
+    assert_eq!(carve_kinds(&mut q, 64), (vec![100], 0));
+    assert_eq!(carve_kinds(&mut q, 64), (vec![100], 0));
+    assert_eq!(carve_kinds(&mut q, 64), (vec![1], 0));
+}
+
+#[test]
+fn carve_expires_dead_requests_first() {
+    let mut q: VecDeque<Pending<u8>> = VecDeque::new();
+    let mut dead = pend(1, 1);
+    dead.deadline = Some(Instant::now() - Duration::from_millis(1));
+    q.push_back(dead);
+    q.push_back(pend(2, 2));
+    let (batch, expired) = carve_kinds(&mut q, 64);
+    assert_eq!((batch, expired), (vec![2], 1));
+}
+
+#[test]
+fn admission_is_all_or_nothing() {
+    let core = core_with(4, Duration::from_millis(1), 4);
+    assert!(core.submit_ops(3, || (vec![1, 2, 3], None, None)).is_ok());
+    match core.submit_ops(2, || unreachable!("rejected: must not lower")) {
+        Err(SubmitError::Overloaded { depth }) => assert_eq!(depth, 3),
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    match core.submit_ops(5, || unreachable!()) {
+        Err(SubmitError::RequestTooLarge { ops: 5, capacity: 4 }) => {}
+        other => panic!("expected RequestTooLarge, got {other:?}"),
+    }
+    assert_eq!(core.depth(), 3);
+}
+
+#[test]
+fn stopped_core_rejects_submissions_and_reports_pending() {
+    let core = core_with(4, Duration::from_millis(1), 8);
+    core.submit_ops(2, || (vec![1, 2], None, None)).unwrap();
+    core.begin_stop(Mode::Rejecting);
+    assert!(matches!(core.submit_ops(1, || unreachable!()), Err(SubmitError::ShutDown)));
+    match core.next_window() {
+        Window::Shutdown { rejected } => assert_eq!(rejected.len(), 2),
+        Window::Dispatch { .. } => panic!("expected shutdown"),
+    }
+}
+
+#[test]
+fn gate_fails_only_unmet_reads() {
+    // The committed counter is 3.
+    let batch = vec![
+        pend(1, 1), // read, no bound
+        {
+            let mut p = pend(3, 2);
+            p.min_seq = Some(2); // met: 2 < 3
+            p
+        },
+        {
+            let mut p = pend(5, 3);
+            p.min_seq = Some(3); // unmet: needs a 4th commit
+            p
+        },
+        {
+            let mut p = pend(2, 4);
+            p.min_seq = Some(9); // write: bound ignored
+            p
+        },
+    ];
+    let (ready, unmet) = gate_reads(batch, 3);
+    let ready: Vec<u8> = ready.into_iter().map(|p| p.op).collect();
+    let unmet: Vec<u8> = unmet.into_iter().map(|p| p.op).collect();
+    assert_eq!(ready, vec![1, 3, 2]);
+    assert_eq!(unmet, vec![5]);
+}
+
+#[test]
+fn window_fires_on_batch_size_and_on_delay() {
+    let core = core_with(2, Duration::from_secs(10), 8);
+    core.submit_ops(2, || (vec![1, 1], None, None)).unwrap();
+    match core.next_window() {
+        Window::Dispatch { batch, expired } => {
+            assert_eq!(batch.len(), 2);
+            assert!(expired.is_empty());
+        }
+        Window::Shutdown { .. } => panic!("expected dispatch at max_batch"),
+    }
+    // One op below the cap: fires only after max_delay.
+    let quick = core_with(64, Duration::from_millis(2), 8);
+    quick.submit_ops(1, || (vec![1], None, None)).unwrap();
+    let t0 = Instant::now();
+    match quick.next_window() {
+        Window::Dispatch { batch, .. } => assert_eq!(batch.len(), 1),
+        Window::Shutdown { .. } => panic!("expected dispatch after max_delay"),
+    }
+    assert!(t0.elapsed() >= Duration::from_millis(2));
 }

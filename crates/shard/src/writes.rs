@@ -8,11 +8,11 @@ use std::time::Instant;
 
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
 use ddrs_rangetree::{BuildError, Point, Semigroup, PAD_ID};
-use ddrs_sched::Pending;
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, RecordKind};
 
 use crate::router::{settle, us_between, Inner, Op, Router};
+use crate::sched::Pending;
 use crate::split::do_split;
 use crate::worker::ShardJob;
 

@@ -83,7 +83,6 @@ pub use ddrs_check as check;
 pub use ddrs_client as client;
 pub use ddrs_net as net;
 pub use ddrs_rangetree as rangetree;
-pub use ddrs_sched as sched;
 pub use ddrs_shard as shard;
 pub use ddrs_trace as trace;
 pub use ddrs_wal as wal;

@@ -302,6 +302,22 @@ fn run_case(p: usize, s: usize, raw_pts: Vec<RawPoint>, ops: Vec<(u8, RawRect, u
     }
 }
 
+/// A queue deadline too long to represent as an `Instant` (or, on the
+/// wire, in `u64` microseconds) never expires: the request commits on
+/// every backend.
+#[test]
+fn a_deadline_too_long_to_represent_commits() {
+    let initial: Vec<Point<2>> = (0..16).map(|i| to_point((i, 63 - i, 0), i as u32)).collect();
+    let everything = Rect::new([0, 0], [63, 63]);
+    let forever = Some(Duration::MAX);
+    for (name, store) in backends(2, 2, &initial) {
+        let w = store.insert_within(vec![to_point((7, 7, 0), 99)], forever).unwrap().wait();
+        assert_eq!(w.map(|c| c.seq), Ok(0), "{name}: insert under an unbounded deadline");
+        let c = store.count_within(everything, forever).unwrap().wait().unwrap();
+        assert_eq!((c.value, c.seq), (17, 1), "{name}: count under an unbounded deadline");
+    }
+}
+
 fn arb_raw_points() -> impl Strategy<Value = Vec<RawPoint>> {
     prop::collection::vec((0i64..64, 0i64..64, 0u64..50), 8..32)
 }
