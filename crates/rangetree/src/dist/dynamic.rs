@@ -19,8 +19,14 @@
 //! Deletions rebuild the affected structure wholesale (the conservative
 //! choice: the semigroup aggregates have no inverses to subtract with),
 //! keeping every query mode exact.
+//!
+//! A store *is* its level vector and a level is immutable once built, so
+//! a `clone` is one `Arc` per level: a second **version** sharing every
+//! level. A write to either replaces only the levels it rebuilds, in that
+//! version alone (`ddrs-shard` undoes a write by keeping the old version).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use ddrs_cgm::Machine;
 
@@ -31,22 +37,24 @@ use crate::semigroup::{Count, Semigroup};
 
 struct Level<const D: usize> {
     pts: Vec<Point<D>>,
+    /// The ids of `pts`, ascending: `contains_id` probes it.
+    ids: Vec<u32>,
     tree: DistRangeTree<D>,
 }
 
 /// A dynamic distributed range tree: the logarithmic method over static
-/// [`DistRangeTree`]s.
+/// [`DistRangeTree`]s. `clone` is O(levels): a version, see the module docs.
+#[derive(Clone)]
 pub struct DynamicDistRangeTree<const D: usize> {
     capacity: usize,
-    levels: Vec<Option<Level<D>>>,
-    ids: HashSet<u32>,
+    levels: Vec<Option<Arc<Level<D>>>>,
 }
 
 impl<const D: usize> DynamicDistRangeTree<D> {
     /// An empty store whose smallest rebuild unit holds `capacity`
     /// points (level `i` holds at most `capacity · 2^i`).
     pub fn new(capacity: usize) -> Self {
-        DynamicDistRangeTree { capacity: capacity.max(1), levels: Vec::new(), ids: HashSet::new() }
+        DynamicDistRangeTree { capacity: capacity.max(1), levels: Vec::new() }
     }
 
     /// Capacity of level `i`.
@@ -68,10 +76,12 @@ impl<const D: usize> DynamicDistRangeTree<D> {
             match self.levels[i].take() {
                 None => {
                     let tree = DistRangeTree::build(machine, &carry)?;
-                    self.levels[i] = Some(Level { pts: carry, tree });
+                    let mut ids: Vec<u32> = carry.iter().map(|p| p.id).collect();
+                    ids.sort_unstable();
+                    self.levels[i] = Some(Arc::new(Level { pts: carry, ids, tree }));
                     return Ok(());
                 }
-                Some(level) => carry.extend(level.pts),
+                Some(level) => carry.extend_from_slice(&level.pts),
             }
         }
     }
@@ -86,11 +96,10 @@ impl<const D: usize> DynamicDistRangeTree<D> {
             if p.id == PAD_ID {
                 return Err(BuildError::ReservedId);
             }
-            if self.ids.contains(&p.id) || !batch_ids.insert(p.id) {
+            if self.contains_id(p.id) || !batch_ids.insert(p.id) {
                 return Err(BuildError::DuplicateId(p.id));
             }
         }
-        self.ids.extend(batch_ids);
         self.place(machine, pts.to_vec())
     }
 
@@ -117,22 +126,12 @@ impl<const D: usize> DynamicDistRangeTree<D> {
             return Ok(Vec::new());
         }
         let dead: HashSet<u32> = ids.iter().copied().collect();
-        let mut live: Vec<Point<D>> = Vec::new();
-        let mut removed: Vec<Point<D>> = Vec::new();
-        for level in self.levels.drain(..).flatten() {
-            for p in level.pts {
-                if dead.contains(&p.id) {
-                    removed.push(p);
-                } else {
-                    live.push(p);
-                }
-            }
+        let (removed, live): (Vec<Point<D>>, Vec<Point<D>>) =
+            self.points().partition(|p| dead.contains(&p.id));
+        self.levels.clear();
+        if !live.is_empty() {
+            self.place(machine, live)?;
         }
-        self.ids.retain(|id| !dead.contains(id));
-        if live.is_empty() {
-            return Ok(removed);
-        }
-        self.place(machine, live)?;
         Ok(removed)
     }
 
@@ -145,19 +144,18 @@ impl<const D: usize> DynamicDistRangeTree<D> {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.levels.iter().flatten().map(|level| level.pts.len()).sum()
     }
 
     /// True when no points are stored.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
-    /// True when a point with this id is live in the store. O(1); used by
-    /// the serving layer to pre-validate merged write epochs against
-    /// sequential semantics before paying any rebuild.
+    /// True when a point with this id is live in the store: one binary
+    /// search per occupied level.
     pub fn contains_id(&self, id: u32) -> bool {
-        self.ids.contains(&id)
+        self.levels.iter().flatten().any(|level| level.ids.binary_search(&id).is_ok())
     }
 
     /// Number of non-empty levels (static trees queries fan out over).
@@ -219,7 +217,7 @@ impl<const D: usize> std::fmt::Debug for DynamicDistRangeTree<D> {
             self.levels.iter().map(|l| l.as_ref().map_or(0, |lv| lv.pts.len())).collect();
         f.debug_struct("DynamicDistRangeTree")
             .field("d", &D)
-            .field("points", &self.ids.len())
+            .field("points", &self.len())
             .field("capacity", &self.capacity)
             .field("level_sizes", &level_sizes)
             .finish()
@@ -350,6 +348,55 @@ mod tests {
         let mut ids: Vec<u32> = t.points().map(|p| p.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 3, 5, 6, 7, 8]);
+    }
+
+    /// Writes through one version never show in the other, and the levels
+    /// a write leaves alone stay shared.
+    #[test]
+    fn a_clone_is_an_independent_version() {
+        use crate::semigroup::Sum;
+        let machine = Machine::new(2).unwrap();
+        let qs = [Rect::new([0, 0], [800, 600]), Rect::new([100, 100], [500, 300])];
+        // Every mode's answer against brute force over `expect`.
+        let check = |t: &DynamicDistRangeTree<2>, expect: &[Point<2>]| {
+            assert_eq!(t.len(), expect.len());
+            let out = t.query_batch_fused(&machine, Sum, &qs, &qs, &qs);
+            for (i, q) in qs.iter().enumerate() {
+                let hits: Vec<&Point<2>> = expect.iter().filter(|p| q.contains(p)).collect();
+                let mut ids: Vec<u32> = hits.iter().map(|p| p.id).collect();
+                ids.sort_unstable();
+                assert_eq!(out.counts[i], hits.len() as u64);
+                assert_eq!(out.aggregates[i], hits.iter().map(|p| p.weight).reduce(|a, b| a + b));
+                assert_eq!(out.reports[i], ids);
+            }
+        };
+        let shared = |a: &DynamicDistRangeTree<2>, b: &DynamicDistRangeTree<2>| -> Vec<bool> {
+            let pairs = a.levels.iter().zip(&b.levels);
+            pairs.map(|(x, y)| matches!((x, y), (Some(x), Some(y)) if Arc::ptr_eq(x, y))).collect()
+        };
+        // Binary counter 1001: 4 points in level 0, 40 in level 3.
+        let mut a = DynamicDistRangeTree::<2>::new(8);
+        a.insert_batch(&machine, &pts(0..40)).unwrap();
+        a.insert_batch(&machine, &pts(100..104)).unwrap();
+        let original: Vec<Point<2>> = pts(0..40).into_iter().chain(pts(100..104)).collect();
+        let mut b = a.clone();
+        assert_eq!(shared(&a, &b), [true, false, false, true]);
+
+        // An insert through the clone rebuilds level 0 only.
+        b.insert_batch(&machine, &pts(200..203)).unwrap();
+        let grown: Vec<Point<2>> = original.iter().copied().chain(pts(200..203)).collect();
+        assert_eq!(shared(&a, &b), [false, false, false, true]);
+        assert!(b.contains_id(200) && !a.contains_id(200));
+        check(&a, &original);
+        check(&b, &grown);
+
+        // And the other way: a delete through the original.
+        a.delete_batch(&machine, &[0, 100]).unwrap();
+        let shrunk: Vec<Point<2>> =
+            original.iter().copied().filter(|p| p.id != 0 && p.id != 100).collect();
+        assert!(b.contains_id(0) && !a.contains_id(0));
+        check(&a, &shrunk);
+        check(&b, &grown);
     }
 
     /// Empty and trivial batches must not pay any machine dispatch.

@@ -69,10 +69,15 @@
 //! A simulated-processor panic during a *read* fails only the requests
 //! that needed the failing shard. A panic during a *write sub-epoch*
 //! aborts the whole epoch: every request in it fails, sub-epochs already
-//! applied on healthy shards are **rolled back** (their extracted points
-//! re-inserted, their fresh inserts deleted), and the failing shard is
-//! **poisoned** — quarantined from all further traffic while its
+//! applied on healthy shards are **rolled back**, and the failing shard
+//! is **poisoned** — quarantined from all further traffic while its
 //! siblings keep serving. Committed history is never contradicted.
+//! Undoing a write is no write: a worker applies a sub-epoch (or a
+//! split's extraction) to a clone of its store (shared `Arc` levels),
+//! swaps it in only on success and keeps the replaced version until its
+//! next job. A rollback puts that version back, which cannot fail; a
+//! failed job never swapped, so a poisoned store is the shard's last
+//! committed version.
 //!
 //! ## Rebalancing
 //!
@@ -174,7 +179,8 @@ pub struct ShardedConfig {
     /// cap: a request carrying more reads than `max_batch` still
     /// dispatches as one fused window per shard.
     pub max_batch: usize,
-    /// Dispatch once the oldest pending request has waited this long.
+    /// Dispatch once the oldest pending request has waited this long
+    /// (`Duration::MAX`: never; only `max_batch` fires a window).
     pub max_delay: Duration,
     /// Admission bound: submissions beyond this queue depth are rejected
     /// with [`SubmitError::Overloaded`]; a single request carrying more
@@ -238,7 +244,7 @@ pub struct RecoveryReport {
 
 /// The per-shard state handed back by [`ShardedService::dismantle`]:
 /// the group's machine, its store, and its quarantine reason if a write
-/// sub-epoch failed mid-apply (a poisoned store may be inconsistent).
+/// sub-epoch failed mid-apply (the store is then its pre-epoch version).
 #[derive(Debug)]
 pub struct ShardParts<const D: usize> {
     /// The shard group's machine.
@@ -533,7 +539,7 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
     ///
     /// # Panics
     /// Panics if any shard was poisoned (a failed write sub-epoch left
-    /// its store possibly inconsistent); use
+    /// its store behind its siblings or its log); use
     /// [`dismantle`](ShardedService::dismantle) to recover the healthy
     /// shards around a poisoned one.
     pub fn shutdown(mut self) -> Vec<(Machine, DynamicDistRangeTree<D>)> {

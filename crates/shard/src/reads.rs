@@ -243,14 +243,7 @@ pub(crate) fn dispatch_reads<S: Semigroup, const D: usize>(
         let complete: ReadComplete<S> = Box::new(move |result, run_stats, ran| {
             finish_shard_reads(&inner, s, result, run_stats, ran, slots, &tally);
         });
-        router.workers[s]
-            .tx
-            .send(ShardJob::Reads { batch, complete })
-            // ddrs-check: allow(unwrap) — workers only exit via the Stop
-            // job the router itself sends at shutdown; a dead channel
-            // here means a worker panicked outside the poisoning
-            // protocol, which must stay loud.
-            .expect("shard worker died");
+        router.send(s, ShardJob::Reads { batch, complete });
     }
 }
 

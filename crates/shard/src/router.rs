@@ -1,6 +1,6 @@
 //! The router thread: its state, the dispatch loop, the one worker
-//! round-trip helper every synchronous protocol step goes through,
-//! telemetry publishing and shutdown.
+//! round-trip helper every synchronous protocol step goes through, the
+//! one send for a reply-less job, telemetry publishing and shutdown.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
@@ -138,6 +138,13 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
     pub(crate) fn take_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.next_seq - 1
+    }
+
+    /// Hand `shard`'s worker a job that sends no reply back here: a read
+    /// sub-batch (it completes on the worker thread) or a `Rollback`.
+    pub(crate) fn send(&self, shard: usize, job: ShardJob<S, D>) {
+        // ddrs-check: allow(unwrap) — a dead worker stays loud, as in `round_trip`.
+        self.workers[shard].tx.send(job).expect("shard worker died outside the poisoning protocol");
     }
 
     /// The router's synchronous worker round trip: an [`exchange`] whose

@@ -233,12 +233,13 @@ impl<O: Queued> SchedCore<O> {
                     if q.q.len() >= self.cfg.max_batch {
                         break;
                     }
-                    let dispatch_at = front.submitted + self.cfg.max_delay;
-                    let now = Instant::now();
-                    if now >= dispatch_at {
-                        break;
-                    }
-                    q = self.arrived.wait_timeout(q, dispatch_at - now).0;
+                    // `None`: a delay too long to represent never fires.
+                    let dispatch_at = front.submitted.checked_add(self.cfg.max_delay);
+                    q = match dispatch_at.map(|at| at.saturating_duration_since(Instant::now())) {
+                        Some(Duration::ZERO) => break,
+                        Some(wait) => self.arrived.wait_timeout(q, wait).0,
+                        None => self.arrived.wait(q),
+                    };
                 }
             }
         }

@@ -52,7 +52,7 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
         Ok(ok) => ok,
         Err(e) => {
             if !e.starts_with("split impossible") {
-                // The donor mutated (extraction failed mid-rebuild).
+                // The donor's machine failed mid-rebuild.
                 router.poisoned[donor] = Some(format!("split extraction failed: {e}"));
             }
             return Err(e);
@@ -60,29 +60,24 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
     };
 
     // Land the migrated points on the recipient.
-    let land = |router: &Router<S, D>, shard: usize| {
-        let job = |_, reply| ShardJob::Write {
-            deletes: Vec::new(),
-            inserts: moved.clone(),
-            inject_fault: false,
-            reply,
-        };
-        sole(router.round_trip(inner, &[shard], job)).result
-    };
-    if let Err(e) = land(router, to) {
+    let landing = sole(router.round_trip(inner, &[to], |_, reply| ShardJob::Write {
+        deletes: Vec::new(),
+        inserts: moved.clone(),
+        inject_fault: false,
+        reply,
+    }));
+    if let Err(e) = landing.result {
         router.poisoned[to] = Some(format!("migration landing failed: {e}"));
-        // Try to put the extracted points back so the donor stays whole.
-        if let Err(e2) = land(router, donor) {
-            router.poisoned[donor] = Some(format!("restore after failed migration failed: {e2}"));
-        }
+        // The donor puts back the version that still holds the half.
+        router.send(donor, ShardJob::Rollback);
         return Err(format!("split failed landing on shard {to}: {e}"));
     }
 
     // Log the migration on both shards' WALs before the routing state
     // changes (the same log-before-resolve discipline as write epochs:
     // by the time the split ticket resolves, both logs reproduce their
-    // stores). A failed landing or restore logs nothing — the logs then
-    // still describe the consistent pre-split state recovery targets.
+    // stores). A failed landing logs nothing — the logs then still
+    // describe the consistent pre-split state recovery targets.
     // An append IO failure quarantines both ends: whichever log kept
     // the record no longer agrees with a store the other end rolled
     // forward, so neither may serve until an operator recovers them.

@@ -7,10 +7,13 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use ddrs_cgm::Machine;
-use ddrs_client::{RangeStore, Request, ServiceError, SubmitError};
-use ddrs_rangetree::{BuildError, Point, Rect, Semigroup, Sum};
+use ddrs_client::{RangeStore, Request, ServiceError, SubmitError, WaitFor};
+use ddrs_rangetree::{
+    BatchResults, BuildError, DynamicDistRangeTree, Point, QueryBatch, Rect, Semigroup, Sum,
+};
 
 use crate::sched::{carve, gate_reads, Kind, Mode, Pending, Queued, SchedCore, Window};
+use crate::worker::{spawn_worker, Reply, ShardJob, WorkerHandle};
 use crate::{PartitionPolicy, ShardedConfig, ShardedService};
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
@@ -626,6 +629,210 @@ fn submitted_never_trails_completed_in_any_snapshot() {
     assert_eq!((st.submitted, st.overloaded), (admitted, refused));
     assert_eq!(st.completed, st.submitted);
     service.shutdown();
+}
+
+// A write epoch is a version swap: what an abort costs and leaves
+// behind, on `tests/shard_faults.rs`'s layout (three range slabs on axis
+// 0 of 20 points each: ids 0..20 on shard 0, 20..40 on shard 1, 40..60
+// on shard 2).
+
+fn slabs() -> ShardedService<Sum, 2> {
+    let initial: Vec<Point<2>> = (0..60u32)
+        .map(|i| {
+            let (slab, k) = ((i / 20) as i64, (i % 20) as i64);
+            Point::weighted([slab * 100 + k * 5, k], i, 1 + i as u64 % 3)
+        })
+        .collect();
+    ShardedService::start(
+        machines(3, 2),
+        16,
+        &initial,
+        Sum,
+        PartitionPolicy::Range { bounds: vec![100, 200] },
+        ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() },
+    )
+    .unwrap()
+}
+
+/// One request, so one epoch: a delete on shards 0 and 1 and an insert
+/// into each. Returns whether it committed.
+fn two_shard_epoch(service: &ShardedService<Sum, 2>) -> bool {
+    let mut epoch = Request::new();
+    epoch.delete(vec![0, 20]);
+    epoch.insert(vec![Point::weighted([10, 50], 1000, 2)]);
+    epoch.insert(vec![Point::weighted([150, 50], 1001, 2)]);
+    match service.submit(epoch).unwrap().wait() {
+        Ok(_) => true,
+        Err(ServiceError::Machine(msg)) => {
+            assert!(msg.contains("write epoch aborted"), "{msg}");
+            false
+        }
+        Err(other) => panic!("expected a commit or an abort, got {other:?}"),
+    }
+}
+
+/// Count, weight sum and ids of slab `s`, as the service answers them.
+fn slab_answers(service: &ShardedService<Sum, 2>, s: i64) -> (u64, Option<u64>, Vec<u32>) {
+    let slab = Rect::new([s * 100, 0], [s * 100 + 99, 100]);
+    (
+        service.count(slab).unwrap().wait().unwrap().value,
+        service.aggregate(slab).unwrap().wait().unwrap().value,
+        service.report(slab).unwrap().wait().unwrap().value,
+    )
+}
+
+/// Rolling a healthy participant back is putting its previous version
+/// back: the abort costs it exactly the machine runs of its forward
+/// sub-epoch, the same as on a twin where the epoch commits. (It used to
+/// be sent the inverse write: two more rebuilds.)
+#[test]
+fn an_aborted_epoch_costs_its_healthy_participant_no_rebuild() {
+    let (committing, aborting) = (slabs(), slabs());
+    let before = slab_answers(&aborting, 0);
+    assert_eq!((before.0, &before.2), (20, &(0..20).collect::<Vec<u32>>()));
+    aborting.fail_next_write_epoch(1);
+    let shard0_runs = |service: &ShardedService<Sum, 2>| {
+        let runs = service.stats().per_shard[0].machine.runs;
+        let committed = two_shard_epoch(service);
+        (committed, service.stats().per_shard[0].machine.runs - runs)
+    };
+    let (committed, forward) = shard0_runs(&committing);
+    assert!(committed && forward > 0, "the twin's epoch rebuilds shard 0: {forward} runs");
+    assert_eq!(shard0_runs(&aborting), (false, forward), "an abort costs shard 0 its forward runs");
+    assert_eq!(slab_answers(&aborting, 0), before, "shard 0 answers from its pre-epoch version");
+    assert_eq!(slab_answers(&committing, 0).0, 20, "the twin swapped id 0 for id 1000");
+    let parts = aborting.dismantle();
+    assert!(parts[0].poisoned.is_none() && parts[1].poisoned.is_some());
+    assert_eq!(parts[0].tree.len(), 20);
+    assert!(parts[0].tree.contains_id(0) && !parts[0].tree.contains_id(1000));
+    committing.shutdown();
+}
+
+/// A shard whose own sub-epoch failed never swapped: it is quarantined
+/// holding its pre-epoch version, not the half-applied one (the delete
+/// done, the insert not), and recovery from its log lands on the same
+/// answers.
+#[test]
+fn a_quarantined_shard_holds_its_pre_epoch_version() {
+    let service = slabs();
+    let before = slab_answers(&service, 1);
+    service.fail_next_write_epoch(1);
+    assert!(!two_shard_epoch(&service));
+    let parts = service.dismantle();
+    assert!(parts[1].poisoned.as_deref().unwrap().contains("ProcessorPanicked"));
+    assert_eq!(parts[1].tree.len(), 20);
+    assert!(parts[1].tree.contains_id(20) && !parts[1].tree.contains_id(1001));
+
+    let service = slabs();
+    service.fail_next_write_epoch(1);
+    assert!(!two_shard_epoch(&service));
+    let report = service.recover_shard(1).unwrap().wait().unwrap().value;
+    assert_eq!((report.shard, report.live_points), (1, 20));
+    assert_eq!(slab_answers(&service, 1), before);
+    assert!(two_shard_epoch(&service), "the recovered shard takes the epoch it failed");
+    assert_eq!(service.shutdown()[1].1.len(), 20);
+}
+
+/// Regression: `front.submitted + max_delay` overflowed on the router
+/// thread and killed it. A delay too long to represent never fires; the
+/// window waits for `max_batch`.
+#[test]
+fn an_unrepresentable_max_delay_fires_the_window_on_max_batch_only() {
+    let service = ShardedService::start(
+        machines(1, 1),
+        8,
+        &pts(0..16),
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig { max_delay: Duration::MAX, max_batch: 2, ..Default::default() },
+    )
+    .unwrap();
+    let all = Rect::new([0, 0], [800, 600]);
+    let first = service.count(all).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(!first.is_done(), "one op is below max_batch and the delay never fires");
+    let second = service.count(all).unwrap();
+    for ticket in [first, second] {
+        match ticket.wait_for(Duration::from_secs(10)) {
+            WaitFor::Ready(outcome) => assert_eq!(outcome.unwrap().value, 16),
+            WaitFor::TimedOut(_) => panic!("two ops queued and no window: the router is gone"),
+        }
+    }
+    service.shutdown();
+}
+
+// The worker's side of the version protocol, driven over its channel
+// with no router: the job after a mutation is the verdict on it.
+
+fn worker() -> WorkerHandle<Sum, 2> {
+    let machine = Machine::new(2).unwrap();
+    let mut tree = DynamicDistRangeTree::new(8);
+    tree.insert_batch(&machine, &pts(0..20)).unwrap();
+    spawn_worker(0, machine, tree)
+}
+
+/// Send one job that replies and wait for its reply.
+fn ask<T>(
+    w: &WorkerHandle<Sum, 2>,
+    job: impl FnOnce(mpsc::Sender<Reply<T>>) -> ShardJob<Sum, 2>,
+) -> Result<T, String> {
+    let (tx, rx) = mpsc::channel();
+    w.tx.send(job(tx)).unwrap();
+    rx.recv().unwrap().result
+}
+
+fn write(w: &WorkerHandle<Sum, 2>, inject_fault: bool) -> Result<(), String> {
+    let (deletes, inserts) = (vec![0, 1], pts(100..104));
+    ask(w, |reply| ShardJob::Write { deletes, inserts, inject_fault, reply })
+}
+
+/// Stop the worker and list the ids of the store it hands back.
+fn stop(w: WorkerHandle<Sum, 2>) -> Vec<u32> {
+    let (_, tree) = ask(&w, |reply| ShardJob::Stop { reply }).unwrap();
+    w.join.join().unwrap();
+    let mut ids: Vec<u32> = tree.points().map(|p| p.id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids.len(), tree.len());
+    ids
+}
+
+#[test]
+fn the_job_after_a_mutation_is_the_verdict_on_it() {
+    let original: Vec<u32> = (0..20).collect();
+    let written: Vec<u32> = (2..20).chain(100..104).collect();
+
+    // Write, Rollback: the pre-write store.
+    let w = worker();
+    write(&w, false).unwrap();
+    w.tx.send(ShardJob::Rollback).unwrap();
+    assert_eq!(stop(w), original);
+
+    // SplitHalf, Rollback: every point is back.
+    let w = worker();
+    let (moved, _) = ask(&w, |reply| ShardJob::SplitHalf { upper: true, reply }).unwrap();
+    assert!(!moved.is_empty() && moved.len() < 20);
+    w.tx.send(ShardJob::Rollback).unwrap();
+    assert_eq!(stop(w), original);
+
+    // Write, Reads, Rollback: the read committed the write, and the late
+    // Rollback finds nothing to put back.
+    let w = worker();
+    write(&w, false).unwrap();
+    let (seen_tx, seen) = mpsc::channel();
+    let batch = QueryBatch::from_parts(Sum, vec![Rect::new([0, 0], [800, 600])], vec![], vec![]);
+    let complete = Box::new(move |out: Result<_, String>, _, _| {
+        let _ = seen_tx.send(out.map(|results: BatchResults<Sum>| results.counts));
+    });
+    w.tx.send(ShardJob::Reads { batch, complete }).unwrap();
+    w.tx.send(ShardJob::Rollback).unwrap();
+    assert_eq!(seen.recv().unwrap(), Ok(vec![22]));
+    assert_eq!(stop(w), written);
+
+    // A Write that fails between its two cascades never swapped.
+    let w = worker();
+    let e = write(&w, true).unwrap_err();
+    assert!(e.contains("ProcessorPanicked"), "{e}");
+    assert_eq!(stop(w), original);
 }
 
 // The scheduler core on its own: `sched`'s carve, admission, gate and

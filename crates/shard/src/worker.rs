@@ -5,9 +5,15 @@
 //! receives fully planned jobs over a channel, executes them with
 //! panic containment, and replies with the result plus the run's
 //! [`RunStats`] so the router can account machine work per shard. All
-//! cross-shard reasoning (planning, merging, ordering, rollback,
-//! poisoning) lives in the router — the worker has no idea siblings
-//! exist.
+//! cross-shard reasoning (planning, merging, ordering, the verdict on an
+//! epoch, poisoning) lives in the router — the worker has no idea
+//! siblings exist.
+//!
+//! A mutating job (`Write`, `SplitHalf`) runs on a clone of the store
+//! (O(levels), every level shared) that is swapped in only on success.
+//! The replaced version is kept until the next job, the router's verdict
+//! (mutations are router barriers, the channel is FIFO):
+//! [`ShardJob::Rollback`] puts it back, any other job drops it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -39,28 +45,27 @@ pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
     /// router barriers and seqs are pre-assigned, so adjacent read
     /// sub-batches observe the same store.
     Reads { batch: QueryBatch<S, D>, complete: ReadComplete<S> },
-    /// Apply one write sub-epoch: extract `deletes` (returning the
-    /// removed points so the router can roll the epoch back on sibling
-    /// failure), then insert `inserts`. `inject_fault` makes a simulated
-    /// processor panic *between* the two cascades via
-    /// [`Machine::try_run`] — the deterministic mid-epoch fault the test
-    /// harness injects. Replies with the points the delete cascade
-    /// removed (rollback capital); on failure the shard's store may be
-    /// inconsistent.
+    /// Apply one write sub-epoch: delete `deletes`, then insert `inserts`.
+    /// `inject_fault` makes a simulated processor panic *between* the two
+    /// cascades via [`Machine::try_run`] — the deterministic mid-epoch fault
+    /// the test harness injects. On failure the store is its pre-job version.
     Write {
         deletes: Vec<u32>,
         inserts: Vec<Point<D>>,
         inject_fault: bool,
-        reply: mpsc::Sender<Reply<Vec<Point<D>>>>,
+        reply: mpsc::Sender<Reply<()>>,
     },
     /// Extract one half of the store, split by the first coordinate
     /// (ties kept together), for migration to a sibling group. Replies
     /// with the migrated points and the axis-0 boundary separating them
     /// from the points the donor kept.
     SplitHalf { upper: bool, reply: mpsc::Sender<Reply<(Vec<Point<D>>, i64)>> },
+    /// Put back the version the last `Write` / `SplitHalf` replaced.
+    /// Reply-less; a no-op unless it directly follows that job.
+    Rollback,
     /// Rebuild the store from the shard's write-ahead log: replay
     /// `records` into a fresh tree and swap it in place of the current
-    /// (possibly inconsistent) one. On failure the old store is kept
+    /// (quarantined) one. On failure the old store is kept
     /// untouched, so the router can leave the shard quarantined and
     /// retry later. Replies with the live point ids of the rebuilt
     /// store (the router re-derives the ownership index from them).
@@ -123,6 +128,23 @@ fn contain<T>(
     Reply { shard, result, stats }
 }
 
+/// [`contain`] a mutating job on a clone of `tree` that replaces it only
+/// on success; `prev` takes the replaced version.
+fn swap_version<T, const D: usize>(
+    shard: usize,
+    machine: &Machine,
+    tree: &mut DynamicDistRangeTree<D>,
+    prev: &mut Option<DynamicDistRangeTree<D>>,
+    job: impl FnOnce(&mut DynamicDistRangeTree<D>) -> Result<T, String>,
+) -> Reply<T> {
+    let mut next = tree.clone();
+    let reply = contain(shard, machine, || job(&mut next));
+    if reply.result.is_ok() {
+        *prev = Some(std::mem::replace(tree, next));
+    }
+    reply
+}
+
 fn worker_loop<S: Semigroup, const D: usize>(
     shard: usize,
     machine: Machine,
@@ -133,7 +155,13 @@ fn worker_loop<S: Semigroup, const D: usize>(
     machine.take_stats();
     // A non-read job that ended a read drain; it runs next.
     let mut held: Option<ShardJob<S, D>> = None;
+    // The version the last job replaced, if it was a successful mutation;
+    // dropped before the next job runs, so at most one old version lives.
+    let mut prev: Option<DynamicDistRangeTree<D>> = None;
     while let Some(job) = held.take().or_else(|| rx.recv().ok()) {
+        if !matches!(job, ShardJob::Rollback) {
+            prev = None;
+        }
         match job {
             ShardJob::Reads { mut batch, complete } => {
                 let lens = |b: &QueryBatch<S, D>| {
@@ -174,12 +202,8 @@ fn worker_loop<S: Semigroup, const D: usize>(
                 }
             }
             ShardJob::Write { deletes, inserts, inject_fault, reply } => {
-                let _ = reply.send(contain(shard, &machine, || {
-                    let extracted = if deletes.is_empty() {
-                        Vec::new()
-                    } else {
-                        tree.extract_batch(&machine, &deletes).map_err(|e| e.to_string())?
-                    };
+                let _ = reply.send(swap_version(shard, &machine, &mut tree, &mut prev, |tree| {
+                    tree.delete_batch(&machine, &deletes).map_err(|e| e.to_string())?;
                     if inject_fault {
                         machine
                             .try_run(|ctx| {
@@ -190,16 +214,15 @@ fn worker_loop<S: Semigroup, const D: usize>(
                             })
                             .map_err(|e| cgm_error_string(&e))?;
                     }
-                    if !inserts.is_empty() {
-                        tree.insert_batch(&machine, &inserts).map_err(|e| e.to_string())?;
-                    }
-                    Ok(extracted)
+                    tree.insert_batch(&machine, &inserts).map_err(|e| e.to_string())
                 }));
             }
             ShardJob::SplitHalf { upper, reply } => {
-                let _ =
-                    reply.send(contain(shard, &machine, || split_half(&machine, &mut tree, upper)));
+                let _ = reply.send(swap_version(shard, &machine, &mut tree, &mut prev, |tree| {
+                    split_half(&machine, tree, upper)
+                }));
             }
+            ShardJob::Rollback => tree = prev.take().unwrap_or(tree),
             ShardJob::Recover { capacity, records, reply } => {
                 // The fresh store replaces the old one only if the whole
                 // replay succeeded.

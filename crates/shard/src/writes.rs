@@ -1,7 +1,8 @@
 //! The write path: validate a run of writes sequentially, apply it as
 //! one sub-epoch per touched shard, log it, and commit — or abort the
-//! whole epoch, rolling healthy shards back and quarantining failed
-//! ones. Also the skew trigger that runs after a committed epoch.
+//! whole epoch: healthy participants put back the version their
+//! sub-epoch replaced, failed ones (which never left theirs) are
+//! quarantined. Also the skew trigger that runs after a committed epoch.
 
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
@@ -27,8 +28,8 @@ enum Verdict {
 
 /// Validate a run of writes sequentially, scatter them as one sub-epoch
 /// per touched shard, and either commit all of them under the global
-/// sequence or abort the whole epoch (rolling back healthy shards,
-/// poisoning failed ones).
+/// sequence or abort the whole epoch (healthy shards put their previous
+/// version back, failed ones are poisoned).
 pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     inner: &Inner<S, D>,
     router: &mut Router<S, D>,
@@ -184,12 +185,10 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     for (r, _, _) in &outcomes {
         ddrs_trace::transition(r.span(), Stage::Window, Stage::MachineRun);
     }
-    let mut replies: Vec<Option<Result<Vec<Point<D>>, String>>> =
-        (0..router.shards()).map(|_| None).collect();
+    let mut failed: Vec<Option<String>> = vec![None; router.shards()];
     let mut runs_total = 0u64;
     // Scatter the sub-epochs (consuming any injected faults), then
-    // gather. The jobs get copies: the batches themselves go on to the
-    // log records, or name what a rollback has to undo.
+    // gather. The jobs get copies: the batches go on to the log records.
     for reply in router.round_trip(inner, &involved, |s, reply| ShardJob::Write {
         deletes: tree_deleted[s].clone(),
         inserts: inserts[s].clone(),
@@ -197,7 +196,7 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
         reply,
     }) {
         runs_total += reply.stats.runs as u64;
-        replies[reply.shard] = Some(reply.result);
+        failed[reply.shard] = reply.result.err();
     }
     let t_gather = Instant::now();
     for (r, _, _) in &outcomes {
@@ -210,10 +209,8 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     }
     account(&outcomes, t_scatter, Some(t_gather));
 
-    let mut epoch_error: Option<String> = involved.iter().find_map(|&s| match &replies[s] {
-        Some(Err(e)) => Some(format!("shard {s}: {e}")),
-        _ => None,
-    });
+    let mut epoch_error: Option<String> =
+        involved.iter().find_map(|&s| failed[s].as_ref().map(|e| format!("shard {s}: {e}")));
 
     // Log-before-resolve: a committed epoch reaches every involved
     // shard's WAL before any of its tickets resolve, so a crash between
@@ -270,38 +267,15 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
             maybe_rebalance(inner, router);
         }
         Some(_) => {
-            // Abort: poison the failed shards, roll the healthy
-            // participants back to their pre-epoch state.
+            // Abort: poison the failed shards; every other participant
+            // puts back the version its sub-epoch replaced, unless it is
+            // quarantined for a log that carries the aborted epoch (its
+            // store must not move out from under a log that disagrees).
             for &s in &involved {
-                if let Some(Err(e)) = &replies[s] {
-                    router.poisoned[s] = Some(e.clone());
-                }
-            }
-            // A shard already quarantined (machine failure, or a log
-            // that carries the aborted epoch) is never rolled back: its
-            // store must not move out from under a log that disagrees.
-            // The others still hold their batches — no log took them.
-            let rolling: Vec<usize> = involved
-                .iter()
-                .copied()
-                .filter(|&s| match &replies[s] {
-                    Some(Ok(extracted)) => {
-                        router.poisoned[s].is_none()
-                            && !(inserts[s].is_empty() && extracted.is_empty())
-                    }
-                    _ => false,
-                })
-                .collect();
-            for reply in router.round_trip(inner, &rolling, |s, reply| {
-                let Some(Ok(extracted)) = replies[s].take() else {
-                    unreachable!("rollback targets only successful sub-epochs")
-                };
-                let deletes = inserts[s].iter().map(|p| p.id).collect();
-                ShardJob::Write { deletes, inserts: extracted, inject_fault: false, reply }
-            }) {
-                if let Err(e) = reply.result {
-                    router.poisoned[reply.shard] =
-                        Some(format!("rollback after epoch abort failed: {e}"));
+                match failed[s].take() {
+                    Some(e) => router.poisoned[s] = Some(e),
+                    None if router.poisoned[s].is_none() => router.send(s, ShardJob::Rollback),
+                    None => {}
                 }
             }
         }
