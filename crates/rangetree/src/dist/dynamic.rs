@@ -24,7 +24,30 @@
 //! a `clone` is one `Arc` per level: a second **version** sharing every
 //! level. A write to either replaces only the levels it rebuilds, in that
 //! version alone (`ddrs-shard` undoes a write by keeping the old version).
+//!
+//! ## A write is a fold, then a build
+//!
+//! The **fold** ([`Fold`]) only moves point sets between levels: an insert
+//! is the carry loop of [`Fold::place`], a delete the partition-and-repack
+//! of [`Fold::extract`], and both see a level as its points and its sorted
+//! id column whether or not a tree stands on it. It runs no machine
+//! program and refuses a batch (`ReservedId`, `DuplicateId`) before it
+//! moves a point. The **build** ([`Fold::build`]) then runs Algorithm
+//! Construct on every level the fold left without a tree and keeps the
+//! `Arc` of every level it left alone.
+//!
+//! [`insert_batch`](DynamicDistRangeTree::insert_batch) /
+//! [`delete_batch`](DynamicDistRangeTree::delete_batch) /
+//! [`extract_batch`](DynamicDistRangeTree::extract_batch) are fold-then-build
+//! of one batch: a query may arrive before the next write, so every level
+//! must stand when the call returns.
+//! [`replay`](DynamicDistRangeTree::replay) folds a whole log and builds
+//! once: no query can arrive between two records of a log being replayed,
+//! so a tree built for a level that the next record's carry merges away
+//! would be built for nobody. Both end with the same levels holding the
+//! same points in the same order, because the fold never looks at a tree.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -42,6 +65,132 @@ struct Level<const D: usize> {
     tree: DistRangeTree<D>,
 }
 
+/// A level's point set while a write is being folded.
+struct PointSet<'a, const D: usize> {
+    /// The points, as runs in level order: slices of the base version's
+    /// levels and of the inserted batches, concatenated only by `build`.
+    runs: Vec<Cow<'a, [Point<D>]>>,
+    /// Their ids, ascending.
+    ids: Cow<'a, [u32]>,
+    /// The base version's level over exactly these points, while the fold
+    /// has not touched it.
+    built: Option<&'a Arc<Level<D>>>,
+}
+
+impl<'a, const D: usize> PointSet<'a, D> {
+    /// The level over this point set: the base version's if the fold left
+    /// it alone, else Algorithm Construct over the concatenated runs.
+    fn build(self, machine: &Machine) -> Result<Arc<Level<D>>, BuildError> {
+        if let Some(level) = self.built {
+            return Ok(Arc::clone(level));
+        }
+        let pts = match <[_; 1]>::try_from(self.runs) {
+            Ok([run]) => run.into_owned(),
+            Err(runs) => runs.concat(),
+        };
+        let tree = DistRangeTree::build(machine, &pts)?;
+        Ok(Arc::new(Level { pts, ids: self.ids.into_owned(), tree }))
+    }
+}
+
+/// The level vector of a version being written: see the module docs.
+struct Fold<'a, const D: usize> {
+    capacity: usize,
+    levels: Vec<Option<PointSet<'a, D>>>,
+}
+
+impl<'a, const D: usize> Fold<'a, D> {
+    /// Every level of `base`, its tree standing.
+    fn of(base: &'a DynamicDistRangeTree<D>) -> Self {
+        let built = |level: &'a Arc<Level<D>>| PointSet {
+            runs: vec![Cow::Borrowed(&level.pts[..])],
+            ids: Cow::Borrowed(&level.ids[..]),
+            built: Some(level),
+        };
+        let levels = base.levels.iter().map(|level| level.as_ref().map(built)).collect();
+        Fold { capacity: base.capacity, levels }
+    }
+
+    /// Capacity of level `i`.
+    fn cap(&self, i: usize) -> usize {
+        self.capacity.saturating_mul(1usize << i.min(usize::BITS as usize - 2))
+    }
+
+    fn contains_id(&self, id: u32) -> bool {
+        self.levels.iter().flatten().any(|set| set.ids.binary_search(&id).is_ok())
+    }
+
+    /// Place a carry (its runs, its ids in any order) into the level
+    /// structure, merging upward until a level can absorb it. No tree
+    /// stands on the level it lands in.
+    fn place(&mut self, mut runs: Vec<Cow<'a, [Point<D>]>>, mut ids: Vec<u32>) {
+        let mut i = 0;
+        loop {
+            while ids.len() > self.cap(i) {
+                i += 1;
+            }
+            if self.levels.len() <= i {
+                self.levels.resize_with(i + 1, || None);
+            }
+            match self.levels[i].take() {
+                None => {
+                    // Sorted runs end to end: the stable sort merges them.
+                    ids.sort();
+                    self.levels[i] = Some(PointSet { runs, ids: Cow::Owned(ids), built: None });
+                    return;
+                }
+                Some(set) => {
+                    runs.extend(set.runs);
+                    ids.extend_from_slice(&set.ids);
+                }
+            }
+        }
+    }
+
+    /// Insert a batch of points (ids must be new and not the pad id).
+    fn insert(&mut self, pts: &'a [Point<D>]) -> Result<(), BuildError> {
+        if pts.is_empty() {
+            return Ok(());
+        }
+        let mut batch_ids = HashSet::with_capacity(pts.len());
+        for p in pts {
+            if p.id == PAD_ID {
+                return Err(BuildError::ReservedId);
+            }
+            if self.contains_id(p.id) || !batch_ids.insert(p.id) {
+                return Err(BuildError::DuplicateId(p.id));
+            }
+        }
+        self.place(vec![Cow::Borrowed(pts)], pts.iter().map(|p| p.id).collect());
+        Ok(())
+    }
+
+    /// Remove the points with these ids and hand them back; the survivors
+    /// are repacked into one level. No level is touched when no id is live.
+    fn extract(&mut self, ids: &[u32]) -> Vec<Point<D>> {
+        if !ids.iter().any(|&id| self.contains_id(id)) {
+            return Vec::new();
+        }
+        let dead: HashSet<u32> = ids.iter().copied().collect();
+        let sets = std::mem::take(&mut self.levels);
+        let points = sets.iter().flatten().flat_map(|set| &set.runs).flat_map(|run| run.iter());
+        let (removed, live): (Vec<Point<D>>, Vec<Point<D>>) =
+            points.partition(|p| dead.contains(&p.id));
+        if !live.is_empty() {
+            let ids = live.iter().map(|p| p.id).collect();
+            self.place(vec![Cow::Owned(live)], ids);
+        }
+        removed
+    }
+
+    /// Build every level the fold left without a tree.
+    fn build(self, machine: &Machine) -> Result<DynamicDistRangeTree<D>, BuildError> {
+        let build = |set: Option<PointSet<'a, D>>| set.map(|set| set.build(machine)).transpose();
+        let levels = self.levels.into_iter().map(build).collect::<Result<_, _>>()?;
+        Ok(DynamicDistRangeTree { capacity: self.capacity, levels })
+    }
+}
+
 /// A dynamic distributed range tree: the logarithmic method over static
 /// [`DistRangeTree`]s. `clone` is O(levels): a version, see the module docs.
 #[derive(Clone)]
@@ -57,50 +206,35 @@ impl<const D: usize> DynamicDistRangeTree<D> {
         DynamicDistRangeTree { capacity: capacity.max(1), levels: Vec::new() }
     }
 
-    /// Capacity of level `i`.
-    fn cap(&self, i: usize) -> usize {
-        self.capacity.saturating_mul(1usize << i.min(usize::BITS as usize - 2))
-    }
-
-    /// Place `carry` into the level structure, merging upward until a
-    /// level can absorb it, then rebuild that level's static tree.
-    fn place(&mut self, machine: &Machine, mut carry: Vec<Point<D>>) -> Result<(), BuildError> {
-        let mut i = 0;
-        loop {
-            while carry.len() > self.cap(i) {
-                i += 1;
-            }
-            if self.levels.len() <= i {
-                self.levels.resize_with(i + 1, || None);
-            }
-            match self.levels[i].take() {
-                None => {
-                    let tree = DistRangeTree::build(machine, &carry)?;
-                    let mut ids: Vec<u32> = carry.iter().map(|p| p.id).collect();
-                    ids.sort_unstable();
-                    self.levels[i] = Some(Arc::new(Level { pts: carry, ids, tree }));
-                    return Ok(());
-                }
-                Some(level) => carry.extend_from_slice(&level.pts),
-            }
+    /// The store a log of `(deletes, inserts)` batches leaves behind,
+    /// each batch's deletes applied before its inserts: level for level
+    /// and point for point what [`delete_batch`](Self::delete_batch) then
+    /// [`insert_batch`](Self::insert_batch) per batch leave, at one
+    /// Algorithm Construct per surviving level (see the module docs).
+    /// An `Err` carries the index of the batch whose insert the fold
+    /// refused (a failure of the final build, the number of batches).
+    pub fn replay<'a>(
+        machine: &Machine,
+        capacity: usize,
+        batches: impl IntoIterator<Item = (&'a [u32], &'a [Point<D>])>,
+    ) -> Result<Self, (usize, BuildError)> {
+        let empty = Self::new(capacity);
+        let mut fold = Fold::of(&empty);
+        let mut folded = 0;
+        for (deletes, inserts) in batches {
+            fold.extract(deletes);
+            fold.insert(inserts).map_err(|e| (folded, e))?;
+            folded += 1;
         }
+        fold.build(machine).map_err(|e| (folded, e))
     }
 
     /// Insert a batch of points (ids must be new and not the pad id).
     pub fn insert_batch(&mut self, machine: &Machine, pts: &[Point<D>]) -> Result<(), BuildError> {
-        if pts.is_empty() {
-            return Ok(());
-        }
-        let mut batch_ids = HashSet::with_capacity(pts.len());
-        for p in pts {
-            if p.id == PAD_ID {
-                return Err(BuildError::ReservedId);
-            }
-            if self.contains_id(p.id) || !batch_ids.insert(p.id) {
-                return Err(BuildError::DuplicateId(p.id));
-            }
-        }
-        self.place(machine, pts.to_vec())
+        let mut fold = Fold::of(self);
+        fold.insert(pts)?;
+        *self = fold.build(machine)?;
+        Ok(())
     }
 
     /// Delete points by id (ids not present are ignored). The surviving
@@ -122,16 +256,9 @@ impl<const D: usize> DynamicDistRangeTree<D> {
         machine: &Machine,
         ids: &[u32],
     ) -> Result<Vec<Point<D>>, BuildError> {
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let dead: HashSet<u32> = ids.iter().copied().collect();
-        let (removed, live): (Vec<Point<D>>, Vec<Point<D>>) =
-            self.points().partition(|p| dead.contains(&p.id));
-        self.levels.clear();
-        if !live.is_empty() {
-            self.place(machine, live)?;
-        }
+        let mut fold = Fold::of(self);
+        let removed = fold.extract(ids);
+        *self = fold.build(machine)?;
         Ok(removed)
     }
 
@@ -397,6 +524,138 @@ mod tests {
         assert!(b.contains_id(0) && !a.contains_id(0));
         check(&a, &shrunk);
         check(&b, &grown);
+    }
+
+    /// A delete none of whose ids is live is free: no level is replaced,
+    /// nothing runs.
+    #[test]
+    fn a_delete_of_absent_ids_touches_nothing() {
+        let machine = Machine::new(2).unwrap();
+        let mut t = DynamicDistRangeTree::<2>::new(8);
+        t.insert_batch(&machine, &pts(0..40)).unwrap();
+        t.insert_batch(&machine, &pts(100..104)).unwrap();
+        let before = t.clone();
+        machine.take_stats();
+        t.delete_batch(&machine, &[1000]).unwrap();
+        assert!(t.extract_batch(&machine, &[2000, 3000]).unwrap().is_empty());
+        assert_eq!(machine.take_stats().runs, 0);
+        assert_eq!(t.occupied_levels(), 2);
+        assert_eq!(t.levels.len(), before.levels.len());
+        for (now, was) in t.levels.iter().zip(&before.levels) {
+            match (now, was) {
+                (Some(now), Some(was)) => assert!(Arc::ptr_eq(now, was)),
+                (now, was) => assert!(now.is_none() && was.is_none()),
+            }
+        }
+    }
+
+    /// One log, `(deletes, inserts)` per batch, through both write paths:
+    /// `delete_batch` then `insert_batch` per batch, and one `replay`.
+    fn both_paths(
+        machine: &Machine,
+        capacity: usize,
+        log: &[(Vec<u32>, Vec<Point<2>>)],
+    ) -> [Result<DynamicDistRangeTree<2>, (usize, BuildError)>; 2] {
+        let eager = || {
+            let mut t = DynamicDistRangeTree::new(capacity);
+            for (i, (deletes, inserts)) in log.iter().enumerate() {
+                t.delete_batch(machine, deletes).map_err(|e| (i, e))?;
+                t.insert_batch(machine, inserts).map_err(|e| (i, e))?;
+            }
+            Ok(t)
+        };
+        let batches = log.iter().map(|(deletes, inserts)| (&deletes[..], &inserts[..]));
+        [eager(), DynamicDistRangeTree::replay(machine, capacity, batches)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// `replay` leaves level for level and point for point the store
+        /// the per-batch writes leave, and refuses the batch they refuse.
+        #[test]
+        fn replay_agrees_with_the_eager_fold(
+            steps in proptest::collection::vec((0usize..7, 0usize..64, 0usize..12), 1..14),
+        ) {
+            use crate::semigroup::Sum;
+            const CAPACITY: usize = 4;
+            let at = |id: u32, weight: u64| {
+                let k = i64::from(id);
+                Point::weighted([k * 193 % 777, k * 71 % 555], id, weight)
+            };
+            // The log, and the point set it must leave.
+            let mut log: Vec<(Vec<u32>, Vec<Point<2>>)> = Vec::new();
+            let mut live: Vec<Point<2>> = Vec::new();
+            let mut fresh = 0u32;
+            for (kind, a, n) in steps {
+                let (mut deletes, mut inserts) = (Vec::new(), Vec::new());
+                let mut grow = n;
+                match kind {
+                    // An empty batch.
+                    0 => grow = 0,
+                    // Deletes of ids that are not live, alone.
+                    1 => {
+                        deletes = vec![5000 + a as u32, 6000 + n as u32];
+                        grow = 0;
+                    }
+                    // One id deleted and inserted again, among fresh inserts.
+                    2 if !live.is_empty() => {
+                        let old = live[a % live.len()];
+                        deletes.push(old.id);
+                        inserts.push(at(old.id, old.weight + 1));
+                    }
+                    // An insert one under, on and one over `capacity · 2^i`.
+                    3 => grow = (CAPACITY << (a % 3)) + n % 3 - 1,
+                    // Live and absent ids deleted, fresh points inserted.
+                    _ => {
+                        deletes = live.iter().skip(a % 5).step_by(1 + a % 7).map(|p| p.id).collect();
+                        deletes.push(7000 + a as u32);
+                    }
+                }
+                inserts.extend((fresh..fresh + grow as u32).map(|id| at(id, 1 + u64::from(id) % 5)));
+                fresh += grow as u32;
+                live.retain(|p| !deletes.contains(&p.id));
+                live.extend(&inserts);
+                log.push((deletes, inserts));
+            }
+
+            let qs = [Rect::new([0, 0], [800, 600]), Rect::new([100, 100], [500, 300])];
+            let mut refused = log.clone();
+            for p in [1, 2, 4] {
+                let machine = Machine::new(p).unwrap();
+                let [eager, replayed] = both_paths(&machine, CAPACITY, &log).map(Result::unwrap);
+                proptest::prop_assert_eq!(format!("{replayed:?}"), format!("{eager:?}"));
+                proptest::prop_assert!(replayed.points().eq(eager.points()));
+                proptest::prop_assert_eq!(replayed.len(), live.len());
+                let out = replayed.query_batch_fused(&machine, Sum, &qs, &qs, &qs);
+                for (i, q) in qs.iter().enumerate() {
+                    let hits: Vec<&Point<2>> = live.iter().filter(|p| q.contains(p)).collect();
+                    let mut ids: Vec<u32> = hits.iter().map(|p| p.id).collect();
+                    ids.sort_unstable();
+                    proptest::prop_assert_eq!(out.counts[i], hits.len() as u64);
+                    proptest::prop_assert_eq!(
+                        out.aggregates[i],
+                        hits.iter().map(|p| p.weight).reduce(|a, b| a + b)
+                    );
+                    proptest::prop_assert_eq!(&out.reports[i], &ids);
+                }
+
+                // One more batch that must be refused, by both paths alike.
+                let bad = live.first().map_or(PAD_ID, |p| p.id);
+                for id in [bad, PAD_ID] {
+                    refused.push((vec![], vec![at(fresh, 1), at(id, 1)]));
+                    let [eager, replayed] = both_paths(&machine, CAPACITY, &refused).map(Result::err);
+                    let expect = if id == PAD_ID {
+                        BuildError::ReservedId
+                    } else {
+                        BuildError::DuplicateId(id)
+                    };
+                    proptest::prop_assert_eq!(&replayed, &Some((log.len(), expect)));
+                    proptest::prop_assert_eq!(&replayed, &eager);
+                    refused.pop();
+                }
+            }
+        }
     }
 
     /// Empty and trivial batches must not pay any machine dispatch.

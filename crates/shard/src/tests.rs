@@ -733,6 +733,29 @@ fn a_quarantined_shard_holds_its_pre_epoch_version() {
     assert_eq!(service.shutdown()[1].1.len(), 20);
 }
 
+/// Recovery folds the whole log and only then builds: it costs one
+/// Algorithm Construct (one machine run) per level the recovered store
+/// occupies, however many records were replayed. (It used to build after
+/// every record: R + 1 runs and more.)
+#[test]
+fn recovery_builds_each_surviving_level_once() {
+    for epochs in [4u32, 40] {
+        let service = quick(1, PartitionPolicy::Hash);
+        for e in 0..epochs {
+            service.insert(pts(1000 + 5 * e..1005 + 5 * e)).unwrap().wait().unwrap();
+        }
+        service.fail_next_write_epoch(0);
+        assert!(service.insert(pts(9000..9001)).unwrap().wait().is_err());
+        let runs = service.stats().machine.runs;
+        let report = service.recover_shard(0).unwrap().wait().unwrap().value;
+        let recovery_runs = service.stats().machine.runs - runs;
+        assert_eq!(report.replayed_records, epochs as usize + 1, "one Load, {epochs} epochs");
+        assert_eq!(report.live_points, 60 + 5 * epochs as usize);
+        let (_, store) = service.shutdown().pop().unwrap();
+        assert_eq!(recovery_runs, store.occupied_levels() as u64, "{epochs} epochs: {store:?}");
+    }
+}
+
 /// Regression: `front.submitted + max_delay` overflowed on the router
 /// thread and killed it. A delay too long to represent never fires; the
 /// window waits for `max_batch`.

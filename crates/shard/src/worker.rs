@@ -65,7 +65,10 @@ pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
     Rollback,
     /// Rebuild the store from the shard's write-ahead log: replay
     /// `records` into a fresh tree and swap it in place of the current
-    /// (quarantined) one. On failure the old store is kept
+    /// (quarantined) one. The records are folded into level point sets
+    /// first and each level the log leaves occupied is built once, so the
+    /// job's machine runs are the rebuilt store's levels, not the log's
+    /// length. On failure the old store is kept
     /// untouched, so the router can leave the shard quarantined and
     /// retry later. Replies with the live point ids of the rebuilt
     /// store (the router re-derives the ownership index from them).

@@ -25,10 +25,16 @@
 //!
 //! [`replay_into_store`] folds a decoded record sequence into a fresh
 //! `DynamicDistRangeTree`, applying each record's deletes before its
-//! inserts (the same order the live shard used). `ddrs-shard` builds
-//! its `recover_shard()` on top of this: decode the quarantined shard's
-//! log, rebuild the store on the shard's own `Machine`, re-derive the
-//! id→shard ownership index from the live ids, and let the rebuilt
+//! inserts (the same order the live shard used). It is one
+//! `DynamicDistRangeTree::replay`: the records only move point sets
+//! between the logarithmic method's levels, and Algorithm Construct runs
+//! once per level the whole log leaves occupied, not once per record: no
+//! query can arrive between two records of a replay, so the trees the
+//! live shard built after each epoch would be built here for nobody. The
+//! store is level for level the one the live shard held. `ddrs-shard`
+//! builds its `recover_shard()` on top of this: decode the quarantined
+//! shard's log, rebuild the store on the shard's own `Machine`, re-derive
+//! the id→shard ownership index from the live ids, and let the rebuilt
 //! shard rejoin the service. A log that ended in a torn or corrupt tail
 //! is cut back to its clean prefix first ([`EpochWal::truncate`]), so
 //! the epochs committed after the recovery stay reachable.
@@ -151,26 +157,18 @@ impl<const D: usize> std::fmt::Debug for EpochWal<D> {
 
 /// Rebuild a shard store by replaying `records` front to back on
 /// `machine`: each record's deletes are applied before its inserts,
-/// reproducing exactly the apply order of the live shard. `capacity`
-/// must match the store the log was written against (it shapes the
-/// logarithmic-method levels, not the contents).
+/// reproducing exactly the apply order of the live shard, and every
+/// level the log leaves occupied is built once, after the last record.
+/// `capacity` must match the store the log was written against (it
+/// shapes the logarithmic-method levels, not the contents).
 pub fn replay_into_store<const D: usize>(
     machine: &Machine,
     capacity: usize,
     records: &[EpochRecord<D>],
 ) -> Result<DynamicDistRangeTree<D>, String> {
-    let mut tree = DynamicDistRangeTree::new(capacity);
-    for (i, rec) in records.iter().enumerate() {
-        if !rec.deletes.is_empty() {
-            tree.delete_batch(machine, &rec.deletes)
-                .map_err(|e| format!("wal replay: delete batch of record {i} failed: {e}"))?;
-        }
-        if !rec.inserts.is_empty() {
-            tree.insert_batch(machine, &rec.inserts)
-                .map_err(|e| format!("wal replay: insert batch of record {i} failed: {e}"))?;
-        }
-    }
-    Ok(tree)
+    let batches = records.iter().map(|rec| (&rec.deletes[..], &rec.inserts[..]));
+    DynamicDistRangeTree::replay(machine, capacity, batches)
+        .map_err(|(i, e)| format!("wal replay: insert batch of record {i} failed: {e}"))
 }
 
 #[cfg(test)]
@@ -363,6 +361,21 @@ mod tests {
         }
         let _ = std::fs::remove_file(&created);
         let _ = std::fs::remove_file(&opened);
+    }
+
+    /// The replay folds every record before it builds anything; a record
+    /// it refuses is still named by its position in the log.
+    #[test]
+    fn replay_names_the_record_it_refuses() {
+        let machine = Machine::new(2).expect("machine");
+        let insert = |ids: std::ops::Range<u32>| {
+            let inserts = ids.map(|i| Point::new([i as i64, 1], i)).collect();
+            EpochRecord::<2>::event(RecordKind::Epoch, 0, vec![], inserts)
+        };
+        let records = [insert(0..20), insert(20..25), insert(3..4), insert(30..31)];
+        let err = replay_into_store(&machine, 4, &records).expect_err("id 3 is live");
+        assert_eq!(err, "wal replay: insert batch of record 2 failed: duplicate point id 3");
+        assert_eq!(machine.take_stats().runs, 0, "refused before any level was built");
     }
 
     #[test]
