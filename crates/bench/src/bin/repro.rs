@@ -170,20 +170,25 @@ fn t1() {
 }
 
 /// Theorem 2 / Corollary 1: construction scales as seq/p + O(1) rounds.
+/// Checks its own claim: rounds equal at every p ≥ 2, work speedup
+/// ≥ 0.95·p, every forest holding exactly the input ids. Wall time and
+/// its per-step split are printed, never asserted.
 fn t2() {
     let n = 1 << 15;
     let pts: Vec<Point<2>> = uniform_points(2, n);
     let (seq_ms, seq_tree) = time_ms(|| SeqRangeTree::build(&pts).unwrap());
-    let mut rows = vec![vec![
-        "seq".into(),
-        format!("{seq_ms:.1}"),
-        seq_tree.size_nodes().to_string(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]];
+    let mut seq_row = vec!["seq".into(), format!("{seq_ms:.1}"), seq_tree.size_nodes().to_string()];
+    seq_row.resize(10, "-".into());
+    let mut rows = vec![seq_row];
+    let mut ids: Vec<u32> = pts.iter().map(|p| p.id).collect();
+    ids.sort_unstable();
+    let mut rounds = Vec::new();
+    let mut broken: Vec<String> = Vec::new();
     for p in [1usize, 2, 4, 8, 16] {
         let machine = Machine::new(p).unwrap();
+        // The rank sorts are the host's, before the machine runs: timed
+        // by making the same call `build` opens with.
+        let (rank_ms, _) = time_ms(|| RankSpace::normalize(&pts, p).unwrap());
         let (ms, tree) = time_ms(|| DistRangeTree::<2>::build(&machine, &pts).unwrap());
         let stats = machine.take_stats();
         let rep = tree.structure_report();
@@ -191,18 +196,57 @@ fn t2() {
         // (its forest shard) plus its hat replica; the theorem's claim is
         // that the *maximum* share is s/p.
         let max_work = rep.hat_nodes + rep.forest_nodes.iter().max().unwrap();
+        let speedup = rep.total_nodes as f64 / max_work as f64;
+        // Each step's wall time on the processor it took longest on.
+        let step = |i: usize| {
+            let slowest = tree.states().iter().map(|s| s.step_wall[i]).max().unwrap();
+            format!("{:.1}", slowest.as_secs_f64() * 1e3)
+        };
         rows.push(vec![
             format!("p={p}"),
             format!("{ms:.1}"),
             max_work.to_string(),
-            format!("{:.2}", rep.total_nodes as f64 / max_work as f64),
+            format!("{speedup:.2}"),
             stats.supersteps().to_string(),
             stats.max_h().to_string(),
+            format!("{rank_ms:.1}"),
+            step(0),
+            step(1),
+            step(2),
         ]);
+        if p >= 2 {
+            rounds.push(stats.supersteps());
+        }
+        if speedup < 0.95 * p as f64 {
+            broken.push(format!("p={p}: work speedup {speedup:.2} < 0.95·p"));
+        }
+        let primary = tree.states().iter().flat_map(|s| s.forest.values());
+        let mut held: Vec<u32> = primary
+            .filter(|e| e.start_dim == 0)
+            .flat_map(|e| e.tree.leaves.iter().filter(|pt| !pt.is_pad()).map(|pt| pt.id))
+            .collect();
+        held.sort_unstable();
+        if held != ids {
+            broken.push(format!("p={p}: the forest does not hold exactly the input ids"));
+        }
+    }
+    if rounds.windows(2).any(|w| w[0] != w[1]) {
+        broken.push(format!("rounds differ among p ≥ 2: {rounds:?}"));
     }
     print_table(
         &format!("T2 — Theorem 2/Cor 1: construction, n = {n}, d = 2"),
-        &["machine", "wall(ms)", "max nodes built/proc", "work speedup", "rounds", "max h(words)"],
+        &[
+            "machine",
+            "wall(ms)",
+            "max nodes built/proc",
+            "work speedup",
+            "rounds",
+            "max h(words)",
+            "rank sorts(ms)",
+            "coll. sort",
+            "deal+group",
+            "local build",
+        ],
         &rows,
     );
     println!(
@@ -211,8 +255,13 @@ fn t2() {
          note: wall-clock cannot show parallel speedup on this host (the\n\
          simulator's p threads share the physical cores available — on a\n\
          single-core host they are purely time-sliced); the theorem's\n\
-         quantities are the measured work shares and round counts."
+         quantities are the measured work shares and round counts. The\n\
+         last four columns split the wall: the host's rank sorts, then each\n\
+         step of Algorithm Construct on the processor it took longest on\n\
+         (step 1; steps 2, 3, 5 with their exchanges; step 4). p = 1 runs\n\
+         6 rounds, not 10: a one-processor sort has no sample and no exchange."
     );
+    assert!(broken.is_empty(), "t2 does not hold: {broken:#?}");
 }
 
 /// Theorem 3 / Corollary 2: n queries in O(s log n / p) + O(1) rounds.
@@ -230,7 +279,7 @@ fn t3() {
         "-".into(),
         "-".into(),
     ]];
-    let ranks = RankSpace::build(&pts, 16).unwrap();
+    let (ranks, rpts) = RankSpace::normalize(&pts, 16).unwrap();
     let rq: Vec<QueryRec<2>> =
         queries.iter().enumerate().map(|(i, q)| (i as u32, ranks.translate(q))).collect();
     for p in [1usize, 2, 4, 8, 16] {
@@ -242,7 +291,6 @@ fn t3() {
         assert_eq!(counts.len(), queries.len());
         // Per-processor query work: hat advances (the query share) plus
         // routed forest visits after balancing.
-        let rpts = ranks.to_rpoints(&pts);
         let m = ranks.m();
         let share = m / p;
         let work: Vec<usize> = machine.run(|ctx| {
@@ -446,8 +494,7 @@ fn a1() {
     let p = 8;
     let pts: Vec<Point<2>> = uniform_points(9, n);
     let queries = hotspot_queries(&pts, 23, 4096);
-    let ranks = RankSpace::build(&pts, p).unwrap();
-    let rpts = ranks.to_rpoints(&pts);
+    let (ranks, rpts) = RankSpace::normalize(&pts, p).unwrap();
     let m = ranks.m();
     let share = m / p;
     let rq: Vec<QueryRec<2>> =

@@ -20,82 +20,58 @@ impl Ctx<'_> {
     ///
     /// Ties are broken by `(source rank, local position)`, making the
     /// result deterministic and the sort stable with respect to the global
-    /// input order.
-    pub fn sort_by_key<T, K, KF>(&mut self, data: Vec<T>, key: KF) -> Vec<T>
+    /// input order. The records themselves are sorted and shipped: a stable
+    /// local sort, then a stable merge of the inbound runs in source-rank
+    /// order, is that tie-break, so only the samples carry it. Both are
+    /// the standard library's run-adaptive stable sort, which spends `n`
+    /// comparisons on a share that is already in order and merges the runs
+    /// it finds in an exchanged concatenation without sorting inside them.
+    pub fn sort_by_key<T, K, KF>(&mut self, mut data: Vec<T>, key: KF) -> Vec<T>
     where
         T: Payload,
         K: Ord + Clone + Payload,
         KF: Fn(&T) -> K,
     {
         let p = self.p();
-        let me = self.rank();
-
-        // Decorate with (key, src, pos) for a stable, deterministic order.
-        let mut decorated: Vec<(K, u64, T)> = data
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let k = key(&t);
-                (k, ((me as u64) << 32) | i as u64, t)
-            })
-            .collect();
-        decorated.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-
+        data.sort_by_key(&key);
         if p == 1 {
-            return decorated.into_iter().map(|(_, _, t)| t).collect();
+            return data;
         }
 
-        // Regular sampling: p samples at evenly spaced positions.
-        let n_local = decorated.len();
+        // Regular sampling: p samples at evenly spaced positions, each
+        // with its place in the global tie order, (rank, sorted position).
+        let n_local = data.len();
+        let base = (self.rank() as u64) << 32;
         let samples: Vec<(K, u64)> = (1..=p)
-            .filter_map(|j| {
-                if n_local == 0 {
-                    None
-                } else {
-                    let idx = (j * n_local / p).min(n_local - 1);
-                    Some((decorated[idx].0.clone(), decorated[idx].1))
-                }
-            })
+            .filter(|_| n_local > 0)
+            .map(|j| (j * n_local / p).min(n_local - 1))
+            .map(|idx| (key(&data[idx]), base | idx as u64))
             .collect();
-        let gathered: Vec<(K, u64)> = self.all_gather(samples).into_iter().flatten().collect();
-        let mut all_samples = gathered;
+        let mut all_samples: Vec<(K, u64)> =
+            self.all_gather(samples).into_iter().flatten().collect();
         all_samples.sort();
 
-        // p-1 splitters at regular positions in the sample.
-        let splitters: Vec<(K, u64)> = if all_samples.is_empty() {
-            Vec::new()
-        } else {
-            (1..p)
-                .map(|i| {
-                    let idx = (i * all_samples.len() / p).min(all_samples.len() - 1);
-                    all_samples[idx].clone()
-                })
-                .collect()
-        };
-
-        // Partition the local sorted run by the splitters.
-        let mut buckets: Vec<Vec<(K, u64, T)>> = (0..p).map(|_| Vec::new()).collect();
-        if splitters.is_empty() {
-            buckets[0] = decorated;
-        } else {
-            let mut rest = decorated;
-            // Walk splitters from the last to the first, splitting off tails.
-            for b in (0..p - 1).rev() {
-                let cut = rest.partition_point(|(k, tie, _)| {
-                    (k.clone(), *tie) < (splitters[b].0.clone(), splitters[b].1)
-                });
-                let tail = rest.split_off(cut);
-                buckets[b + 1] = tail;
+        // p-1 splitters at regular positions in the sample. Walk them from
+        // the last to the first, splitting tails off the local sorted run.
+        let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+        if !all_samples.is_empty() {
+            for b in (1..p).rev() {
+                let (k, tie) = &all_samples[(b * all_samples.len() / p).min(all_samples.len() - 1)];
+                // Among the records equal to the splitter's key, those of
+                // an earlier rank, or of this one and earlier in its run.
+                let below = data.partition_point(|t| key(t) < *k) as u64;
+                let through = data.partition_point(|t| key(t) <= *k) as u64;
+                let cut = tie.saturating_sub(base).clamp(below, through) as usize;
+                buckets[b] = data.split_off(cut);
             }
-            buckets[0] = rest;
         }
+        buckets[0] = data;
 
-        let inbound = self.exchange("sort", buckets);
-        // Each inbound run is sorted; merge by full re-sort of the
-        // decorated keys (simple and O((n/p) log(n/p)) local work).
-        let mut merged: Vec<(K, u64, T)> = inbound.into_iter().flatten().collect();
-        merged.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        merged.into_iter().map(|(_, _, t)| t).collect()
+        // Each inbound run is sorted and the runs arrive in source-rank
+        // order: the stable sort finds them and merges.
+        let mut merged: Vec<T> = self.exchange("sort", buckets).into_iter().flatten().collect();
+        merged.sort_by_key(&key);
+        merged
     }
 
     /// Globally sort by key, then redistribute so every processor holds an

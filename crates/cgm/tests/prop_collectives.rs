@@ -2,9 +2,11 @@
 //! results must equal their sequential specifications for arbitrary
 //! inputs, machine sizes and skews.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 
-use ddrs_cgm::Machine;
+use ddrs_cgm::{Machine, Payload};
 
 /// Split `data` into `p` arbitrary contiguous chunks (possibly empty).
 fn chunks<T: Clone>(data: &[T], p: usize, cuts: &[usize]) -> Vec<Vec<T>> {
@@ -45,6 +47,38 @@ proptest! {
         let mut want = data.clone();
         want.sort_unstable();
         prop_assert_eq!(got, want);
+    }
+
+    /// The collective is the stable sort of the rank-order concatenation,
+    /// whatever the keys' shape (random, heavy duplicates, presorted,
+    /// reversed, sawtooth) and however unevenly the records are spread:
+    /// each record carries where it stood, so a tie out of order shows.
+    #[test]
+    fn sort_is_the_stable_sort_of_the_concatenation(
+        raw in prop::collection::vec(0u64..1000, 0..400),
+        cuts in prop::collection::vec(0usize..400, 0..16),
+    ) {
+        let mut ascending = raw.clone();
+        ascending.sort_unstable();
+        let shapes: [Vec<u64>; 5] = [
+            raw.clone(),
+            raw.iter().map(|k| k % 3).collect(),
+            ascending.clone(),
+            ascending.into_iter().rev().collect(),
+            (0..raw.len() as u64).map(|i| i % 17).collect(),
+        ];
+        for keys in shapes {
+            let data: Vec<(u64, u32)> = keys.into_iter().zip(0..).collect();
+            let mut want = data.clone();
+            want.sort_by_key(|r| r.0);
+            for p in [1, 2, 4, 8] {
+                let shares = chunks(&data, p, &cuts);
+                let machine = Machine::new(p).unwrap();
+                let outs = machine.run(|ctx| ctx.sort_by_key(shares[ctx.rank()].clone(), |r| r.0));
+                let got: Vec<(u64, u32)> = outs.into_iter().flatten().collect();
+                prop_assert_eq!(&got, &want, "p = {}", p);
+            }
+        }
     }
 
     /// Balanced sort additionally evens the per-processor counts.
@@ -190,6 +224,49 @@ proptest! {
         for (_, total) in outs {
             prop_assert_eq!(total, acc);
         }
+    }
+}
+
+/// Comparisons made through [`Counted`]'s `Ord`, by every thread.
+static COMPARISONS: AtomicU64 = AtomicU64::new(0);
+
+/// A sort key that counts how often it is compared.
+#[derive(Clone, PartialEq, Eq)]
+struct Counted(u64);
+
+impl Ord for Counted {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        COMPARISONS.fetch_add(1, Ordering::Relaxed);
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Counted {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Payload for Counted {}
+
+/// The collective is run-adaptive: a globally presorted input costs one
+/// scan of each share, a handful of splitter searches and one scan of
+/// each exchanged concatenation, not a sort. (No other test compares a
+/// `Counted`, so the count is this test's alone.)
+#[test]
+fn a_presorted_input_costs_a_linear_number_of_comparisons() {
+    let n = 4096u64;
+    for p in [1usize, 2, 4, 8] {
+        let machine = Machine::new(p).unwrap();
+        let share = n / p as u64;
+        COMPARISONS.store(0, Ordering::Relaxed);
+        let outs = machine.run(|ctx| {
+            let lo = ctx.rank() as u64 * share;
+            ctx.sort_by_key((lo..lo + share).collect(), |&x: &u64| Counted(x))
+        });
+        let spent = COMPARISONS.load(Ordering::Relaxed);
+        assert_eq!(outs.into_iter().flatten().collect::<Vec<u64>>(), (0..n).collect::<Vec<u64>>());
+        assert!(spent <= 3 * n, "p = {p}: {spent} comparisons for {n} presorted records");
     }
 }
 

@@ -22,7 +22,9 @@
 //!    real count, fid)`, from which every processor assembles the
 //!    identical hat replica for this dimension; then locally emit
 //!    `S^(j+1)` — each owned group's points, once per internal hat
-//!    ancestor of its leaf (the descendant structures of hat nodes).
+//!    ancestor of its leaf (the descendant structures of hat nodes), in
+//!    dimension `j+1` order: step 1 never meets an unsorted run (`S^0` is
+//!    dealt in dimension-0 order), so its sort is a scan and a merge.
 //!
 //! That is 5 supersteps per dimension (sample, sort, deal, scan,
 //! summary), `5d` in total — the constant-round bound of Corollary 1 —
@@ -31,6 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ddrs_cgm::{log2_exact, Ctx, Payload};
 
@@ -48,7 +51,7 @@ use crate::seq::DimTree;
 /// [`Payload`] impl); the host does not, because the simulator's transport
 /// is shared memory and moves pointers, for this payload as for every
 /// `Vec` bucket.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ForestEntry<const D: usize> {
     /// The group's subtree: dimensions `start_dim..D` over `g` points
     /// (pads included as trailing leaves).
@@ -83,6 +86,10 @@ pub struct ProcState<const D: usize> {
     /// Global record volume `|S^j|` of each construction phase (identical
     /// on every processor; the paper's Section 5 caveat quantities).
     pub phase_records: Vec<u64>,
+    /// Wall time this processor spent in step 1 (the collective sorts), in
+    /// steps 2, 3 and 5 (scan, deal, summaries) and in step 4 (its local
+    /// builds), summed over the phases: what `repro t2` prints.
+    pub step_wall: [Duration; 3],
     /// Padded global point count (a power of two).
     pub m: usize,
     /// Group size `g = m / p`.
@@ -98,8 +105,9 @@ type PhaseRec<const D: usize> = (u64, RPoint<D>);
 /// SPMD body of Algorithm Construct.
 ///
 /// Every processor passes its `m/p`-point share of the rank-space input
-/// (any order) and the padded global size `m`; all processors must call
-/// with the same `m`. Returns this processor's [`ProcState`].
+/// (any order; a run sorted by `ranks[0]` costs step 1 least) and the
+/// padded global size `m`; all processors must call with the same `m`.
+/// Returns this processor's [`ProcState`].
 ///
 /// # Panics
 /// Panics if `m` is not a positive power of two divisible by `p`.
@@ -118,6 +126,9 @@ pub fn construct<const D: usize>(
     let mut forest: BTreeMap<u32, Arc<ForestEntry<D>>> = BTreeMap::new();
     let mut phase_records: Vec<u64> = Vec::with_capacity(D);
     let mut next_fid: u32 = 0;
+    let (mut step_wall, mut clock) = ([Duration::ZERO; 3], Instant::now());
+    let mut lap =
+        |step: usize| step_wall[step] += std::mem::replace(&mut clock, Instant::now()).elapsed();
 
     // S^0: every input point belongs to the primary tree.
     let mut records: Vec<PhaseRec<D>> = local.into_iter().map(|pt| (ROOT_KEY, pt)).collect();
@@ -126,111 +137,98 @@ pub fn construct<const D: usize>(
         // (1) Sort S^j by (tree, rank in dimension j). Ranks are unique
         // within a tree, so the global order is fully determined.
         let sorted = ctx.sort_by_key(records, move |(key, pt): &PhaseRec<D>| (*key, pt.ranks[j]));
+        lap(0);
 
         // (2) Scan: per-tree local counts, all-gathered. Every processor
         // derives the identical tree table: total sizes, own offsets,
         // forest-id bases (trees in key order, phases consecutive).
-        let mut local_counts: Vec<(u64, u64)> = Vec::new();
-        for (key, _) in &sorted {
-            match local_counts.last_mut() {
-                Some((k, c)) if k == key => *c += 1,
-                _ => local_counts.push((*key, 1)),
-            }
-        }
+        let local_counts: Vec<(u64, u64)> =
+            sorted.chunk_by(|a, b| a.0 == b.0).map(|tree| (tree[0].0, tree.len() as u64)).collect();
         let gathered = ctx.all_gather(local_counts);
-        let mut table: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // key -> (total, my_offset)
+        let mut table: BTreeMap<u64, (u64, u64, u32)> = BTreeMap::new(); // key -> (total, my_offset, base)
         for (rank, counts) in gathered.iter().enumerate() {
             for &(key, c) in counts {
-                let entry = table.entry(key).or_insert((0, 0));
+                let entry = table.entry(key).or_insert((0, 0, 0));
                 entry.0 += c;
                 if rank < ctx.rank() {
                     entry.1 += c;
                 }
             }
         }
-        phase_records.push(table.values().map(|&(total, _)| total).sum());
-        let mut bases: BTreeMap<u64, u32> = BTreeMap::new();
-        for (&key, &(total, _)) in &table {
-            debug_assert_eq!(total % g as u64, 0, "tree sizes are multiples of g");
-            bases.insert(key, next_fid);
-            next_fid += (total / g as u64) as u32;
+        phase_records.push(table.values().map(|&(total, ..)| total).sum());
+        for (total, _, base) in table.values_mut() {
+            debug_assert_eq!(*total % g as u64, 0, "tree sizes are multiples of g");
+            *base = next_fid;
+            next_fid += (*total / g as u64) as u32;
         }
 
-        // (3) Deal: route each record to its group's home processor.
-        let mut outgoing: Vec<(usize, (u64, u32, RPoint<D>))> = Vec::with_capacity(sorted.len());
-        let mut run: Option<(u64, u64)> = None; // (current tree, next global pos)
-        for (key, pt) in sorted {
-            let pos = match &mut run {
-                Some((k, pos)) if *k == key => {
-                    *pos += 1;
-                    *pos
-                }
-                _ => {
-                    let pos = table[&key].1;
-                    run = Some((key, pos));
-                    pos
-                }
-            };
-            let gidx = (pos / g as u64) as u32;
-            let fid = bases[&key] + gidx;
-            outgoing.push((fid as usize % p, (key, gidx, pt)));
+        // (3) Deal: route each record to its group's home processor. The
+        // run is sorted by (tree, rank), so a tree's records are one
+        // stretch of it and their positions in the tree count up.
+        let mut outgoing: Vec<Vec<(u64, u32, RPoint<D>)>> =
+            (0..p).map(|_| Vec::with_capacity(sorted.len().div_ceil(p))).collect();
+        for stretch in sorted.chunk_by(|a, b| a.0 == b.0) {
+            let key = stretch[0].0;
+            let (_, offset, base) = table[&key];
+            for (pos, (_, pt)) in (offset..).zip(stretch) {
+                let gidx = (pos / g as u64) as u32;
+                outgoing[(base + gidx) as usize % p].push((key, gidx, *pt));
+            }
         }
-        let received = ctx.route(outgoing);
+        let mut received = ctx.all_to_all(outgoing).into_iter().flatten().peekable();
 
-        // (4) Build owned forest subtrees locally.
-        let mut groups: BTreeMap<(u64, u32), Vec<RPoint<D>>> = BTreeMap::new();
-        for (key, gidx, pt) in received {
-            groups.entry((key, gidx)).or_default().push(pt);
-        }
+        // (4) Build owned forest subtrees locally. Every sender's records
+        // are in (tree, group, rank) order and the senders are in rank
+        // order, so a group is the next run of records with one header,
+        // already sorted (`DimTree::build` asserts that in debug builds).
+        lap(1);
         let mut summaries: Vec<(u64, u32, u32, u32, u32, u32)> = Vec::new();
-        let mut built: Vec<(u64, u32, u32)> = Vec::new(); // (key, gidx, fid)
-        for ((key, gidx), mut pts) in groups {
-            pts.sort_unstable_by_key(|pt| pt.ranks[j]);
+        while let Some(&(key, gidx, _)) = received.peek() {
+            debug_assert!(summaries.last().is_none_or(|s| (s.0, s.1) < (key, gidx)));
+            let mut pts: Vec<RPoint<D>> = Vec::with_capacity(g);
+            let group = std::iter::from_fn(|| received.next_if(|r| (r.0, r.1) == (key, gidx)));
+            pts.extend(group.map(|r| r.2));
             debug_assert_eq!(pts.len(), g, "every group holds exactly g records");
-            let fid = bases[&key] + gidx;
+            let fid = table[&key].2 + gidx;
             let real = pts.iter().take_while(|pt| !pt.is_pad()).count();
             let (lo, hi) =
                 if real == 0 { (u32::MAX, 0) } else { (pts[0].ranks[j], pts[real - 1].ranks[j]) };
             summaries.push((key, gidx, fid, lo, hi, real as u32));
             let tree = DimTree::build(j, pts);
-            let entry = ForestEntry { tree, start_dim: j as u8, key, group: gidx };
-            forest.insert(fid, Arc::new(entry));
-            built.push((key, gidx, fid));
+            forest
+                .insert(fid, Arc::new(ForestEntry { tree, start_dim: j as u8, key, group: gidx }));
         }
+        lap(2);
 
         // (5) Summary broadcast: assemble the dimension-j hat replica.
         let all_summaries: Vec<(u64, u32, u32, u32, u32, u32)> =
             ctx.all_gather(summaries).into_iter().flatten().collect();
-        for (&key, &(total, _)) in &table {
+        for (&key, &(total, ..)) in &table {
             hats.insert(key, HatTree::empty(j as u8, (total / g as u64) as usize));
         }
-        for (key, gidx, fid, lo, hi, cnt) in all_summaries {
-            hats.get_mut(&key).expect("summary for unknown tree").set_leaf(
-                gidx as usize,
-                fid,
-                lo,
-                hi,
-                cnt,
-            );
+        for &(key, gidx, fid, lo, hi, cnt) in &all_summaries {
+            let hat = hats.get_mut(&key).expect("summary for unknown tree");
+            hat.set_leaf(gidx as usize, fid, lo, hi, cnt);
         }
         for &key in table.keys() {
             hats.get_mut(&key).expect("table tree").fill_internal();
         }
 
         // Emit S^(j+1): each owned group's points, once per internal hat
-        // ancestor (the point sets of the descendant structures).
+        // ancestor (the point sets of the descendant structures), in the
+        // next dimension's order: a sorted run per tree for its sort.
         records = Vec::new();
-        if j + 1 < D {
-            for (key, gidx, fid) in built {
-                let nleaves = hats[&key].nleaves as usize;
-                let pts = &forest[&fid].tree.leaves;
-                for anc in heap::internal_ancestors(nleaves, gidx as usize) {
-                    let ck = child_key(key, anc, key_shift);
-                    records.extend(pts.iter().map(|pt| (ck, *pt)));
-                }
+        let mine = all_summaries.iter().filter(|s| j + 1 < D && s.2 as usize % p == ctx.rank());
+        for &(key, gidx, fid, ..) in mine {
+            let nleaves = hats[&key].nleaves as usize;
+            let pts = forest[&fid].tree.in_next_dimension();
+            for anc in heap::internal_ancestors(nleaves, gidx as usize) {
+                let ck = child_key(key, anc, key_shift);
+                records.extend(pts.iter().map(|pt| (ck, *pt)));
             }
         }
+        lap(1);
     }
 
-    ProcState { hat: Hat { trees: hats, key_shift }, forest, phase_records, m, g, p }
+    ProcState { hat: Hat { trees: hats, key_shift }, forest, phase_records, step_wall, m, g, p }
 }

@@ -27,12 +27,12 @@
 //!
 //! ## A write is a fold, then a build
 //!
-//! The **fold** ([`Fold`]) only moves point sets between levels: an insert
-//! is the carry loop of [`Fold::place`], a delete the partition-and-repack
-//! of [`Fold::extract`], and both see a level as its points and its sorted
+//! The **fold** (`Fold`) only moves point sets between levels: an insert
+//! is the carry loop of `Fold::place`, a delete the partition-and-repack
+//! of `Fold::extract`, and both see a level as its points and its sorted
 //! id column whether or not a tree stands on it. It runs no machine
 //! program and refuses a batch (`ReservedId`, `DuplicateId`) before it
-//! moves a point. The **build** ([`Fold::build`]) then runs Algorithm
+//! moves a point. The **build** (`Fold::build`) then runs Algorithm
 //! Construct on every level the fold left without a tree and keeps the
 //! `Arc` of every level it left alone.
 //!
@@ -79,17 +79,26 @@ struct PointSet<'a, const D: usize> {
 
 impl<'a, const D: usize> PointSet<'a, D> {
     /// The level over this point set: the base version's if the fold left
-    /// it alone, else Algorithm Construct over the concatenated runs.
-    fn build(self, machine: &Machine) -> Result<Arc<Level<D>>, BuildError> {
+    /// it alone, else Algorithm Construct over the concatenated runs. The
+    /// fold has refused every id `DistRangeTree::build` would, so the ids
+    /// are not hashed a second time: that they are distinct is the `ids`
+    /// column ascending strictly.
+    fn build(self, machine: &Machine) -> Arc<Level<D>> {
         if let Some(level) = self.built {
-            return Ok(Arc::clone(level));
+            return Arc::clone(level);
         }
         let pts = match <[_; 1]>::try_from(self.runs) {
             Ok([run]) => run.into_owned(),
             Err(runs) => runs.concat(),
         };
-        let tree = DistRangeTree::build(machine, &pts)?;
-        Ok(Arc::new(Level { pts, ids: self.ids.into_owned(), tree }))
+        debug_assert!(self.ids.windows(2).all(|w| w[0] < w[1]) && self.ids.last() < Some(&PAD_ID));
+        debug_assert!({
+            let mut of_pts: Vec<u32> = pts.iter().map(|p| p.id).collect();
+            of_pts.sort_unstable();
+            of_pts == *self.ids
+        });
+        let tree = DistRangeTree::build_distinct(machine, &pts);
+        Arc::new(Level { pts, ids: self.ids.into_owned(), tree })
     }
 }
 
@@ -184,10 +193,12 @@ impl<'a, const D: usize> Fold<'a, D> {
     }
 
     /// Build every level the fold left without a tree.
-    fn build(self, machine: &Machine) -> Result<DynamicDistRangeTree<D>, BuildError> {
-        let build = |set: Option<PointSet<'a, D>>| set.map(|set| set.build(machine)).transpose();
-        let levels = self.levels.into_iter().map(build).collect::<Result<_, _>>()?;
-        Ok(DynamicDistRangeTree { capacity: self.capacity, levels })
+    fn build(self, machine: &Machine) -> DynamicDistRangeTree<D> {
+        let build = |set: Option<PointSet<'a, D>>| set.map(|set| set.build(machine));
+        DynamicDistRangeTree {
+            capacity: self.capacity,
+            levels: self.levels.into_iter().map(build).collect(),
+        }
     }
 }
 
@@ -212,7 +223,7 @@ impl<const D: usize> DynamicDistRangeTree<D> {
     /// [`insert_batch`](Self::insert_batch) per batch leave, at one
     /// Algorithm Construct per surviving level (see the module docs).
     /// An `Err` carries the index of the batch whose insert the fold
-    /// refused (a failure of the final build, the number of batches).
+    /// refused.
     pub fn replay<'a>(
         machine: &Machine,
         capacity: usize,
@@ -220,20 +231,18 @@ impl<const D: usize> DynamicDistRangeTree<D> {
     ) -> Result<Self, (usize, BuildError)> {
         let empty = Self::new(capacity);
         let mut fold = Fold::of(&empty);
-        let mut folded = 0;
-        for (deletes, inserts) in batches {
+        for (at, (deletes, inserts)) in batches.into_iter().enumerate() {
             fold.extract(deletes);
-            fold.insert(inserts).map_err(|e| (folded, e))?;
-            folded += 1;
+            fold.insert(inserts).map_err(|e| (at, e))?;
         }
-        fold.build(machine).map_err(|e| (folded, e))
+        Ok(fold.build(machine))
     }
 
     /// Insert a batch of points (ids must be new and not the pad id).
     pub fn insert_batch(&mut self, machine: &Machine, pts: &[Point<D>]) -> Result<(), BuildError> {
         let mut fold = Fold::of(self);
         fold.insert(pts)?;
-        *self = fold.build(machine)?;
+        *self = fold.build(machine);
         Ok(())
     }
 
@@ -258,7 +267,7 @@ impl<const D: usize> DynamicDistRangeTree<D> {
     ) -> Result<Vec<Point<D>>, BuildError> {
         let mut fold = Fold::of(self);
         let removed = fold.extract(ids);
-        *self = fold.build(machine)?;
+        *self = fold.build(machine);
         Ok(removed)
     }
 

@@ -36,7 +36,7 @@ pub use dynamic::DynamicDistRangeTree;
 pub use fused::{fused_query_batch, try_fused_query_batch, FusedOutputs};
 pub use hat::ROOT_KEY;
 
-use crate::point::{Point, Rect};
+use crate::point::{Point, RPoint, Rect};
 use crate::rank::{RankError, RankSpace};
 use crate::semigroup::{Count, Semigroup};
 
@@ -112,16 +112,26 @@ impl<const D: usize> DistRangeTree<D> {
     /// divisible by `p`, each processor is dealt an `m/p`-point share,
     /// and the SPMD construction runs in `5d` supersteps.
     pub fn build(machine: &Machine, pts: &[Point<D>]) -> Result<Self, BuildError> {
-        let p = machine.p();
-        let ranks = RankSpace::build(pts, p)?;
-        let rpts = ranks.to_rpoints(pts);
-        let m = ranks.m();
-        let share = m / p;
+        let (ranks, rpts) = RankSpace::normalize(pts, machine.p())?;
+        Ok(Self::construct(machine, ranks, &rpts))
+    }
+
+    /// [`build`](Self::build) over points the caller has already checked:
+    /// at least one, no pad id, no id twice.
+    pub(super) fn build_distinct(machine: &Machine, pts: &[Point<D>]) -> Self {
+        let (ranks, rpts) = RankSpace::normalize_distinct(pts, machine.p());
+        Self::construct(machine, ranks, &rpts)
+    }
+
+    /// Deal each processor its share (a run in dimension-0 order) and run
+    /// Algorithm Construct.
+    fn construct(machine: &Machine, ranks: RankSpace<D>, rpts: &[RPoint<D>]) -> Self {
+        let (m, share) = (ranks.m(), ranks.m() / machine.p());
         let states = machine.run(|ctx| {
             let lo = ctx.rank() * share;
             construct::construct(ctx, rpts[lo..lo + share].to_vec(), m)
         });
-        Ok(DistRangeTree { ranks, states })
+        DistRangeTree { ranks, states }
     }
 
     fn assert_machine(&self, machine: &Machine) {
@@ -385,5 +395,48 @@ mod tests {
             (vec![9672, 9672, 9672, 3424], report(39, &[5244, 5244, 5244, 2096], 6, 200))
         );
         assert_eq!(sizes::<2>(1, 300), (vec![11912], report(1, &[7232], 1, 300)));
+    }
+
+    /// Both builds' hat, forest (slabs, key columns, block arrays and
+    /// which processor owns which `fid`) and phase volumes, side by side.
+    fn same_structure<const D: usize>(p: usize, coords: &[(i64, i64, i64)], shuffle: &[u64]) {
+        let pts: Vec<Point<D>> = coords
+            .iter()
+            .zip(0u32..)
+            .map(|(c, i)| {
+                Point::weighted([c.0, c.1, c.2][..D].try_into().unwrap(), 7 * i + 3, i as u64 % 5)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..pts.len()).collect();
+        order.sort_by_key(|&i| shuffle[i]);
+        let shuffled: Vec<Point<D>> = order.iter().map(|&i| pts[i]).collect();
+        let machine = Machine::new(p).unwrap();
+        let straight = DistRangeTree::build(&machine, &pts).unwrap();
+        let mixed = DistRangeTree::build(&machine, &shuffled).unwrap();
+        assert_eq!(straight.phase_records(), mixed.phase_records(), "p = {p}, d = {D}");
+        for (a, b) in straight.states().iter().zip(mixed.states()) {
+            assert_eq!((&a.hat.trees, a.hat.key_shift), (&b.hat.trees, b.hat.key_shift));
+            assert_eq!(a.forest, b.forest, "p = {p}, d = {D}");
+            assert_eq!(a.phase_records, b.phase_records);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A build does not depend on the order its input comes in: few
+        /// enough points that most sizes pad, coordinates on a small grid
+        /// so that ties fall to the ids.
+        #[test]
+        fn a_build_does_not_depend_on_input_order(
+            coords in proptest::collection::vec((0i64..12, 0i64..12, 0i64..12), 1..90),
+            shuffle in proptest::collection::vec(0u64..u64::MAX, 90..91),
+        ) {
+            for p in [1, 2, 4] {
+                same_structure::<1>(p, &coords, &shuffle);
+                same_structure::<2>(p, &coords, &shuffle);
+                same_structure::<3>(p, &coords, &shuffle);
+            }
+        }
     }
 }

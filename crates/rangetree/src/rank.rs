@@ -12,18 +12,15 @@ use crate::point::{Point, RPoint, RRect, Rect, PAD_ID};
 /// The rank mapping for one input point set.
 ///
 /// Holds the per-dimension sorted coordinate columns needed to translate
-/// query boxes into rank space, and the rank vector each input point got
-/// from those sorts. In a production multicomputer this translation would
-/// be a distributed binary search; keeping the arrays on the host is an
-/// API convenience that does not participate in the measured CGM
-/// algorithms.
+/// query boxes into rank space. In a production multicomputer this
+/// translation would be a distributed binary search; keeping the arrays on
+/// the host is an API convenience that does not participate in the measured
+/// CGM algorithms.
 #[derive(Debug, Clone)]
 pub struct RankSpace<const D: usize> {
     /// Per dimension: the coordinates sorted ascending (equal ones in id
     /// order), so a coordinate's rank is its position.
     sorted: Vec<Vec<i64>>,
-    /// Rank vector of each input point, in input order.
-    ranks: Vec<[u32; D]>,
     /// Number of real points.
     n: usize,
     /// Padded size: the smallest power of two `>= max(n, min_size)`.
@@ -58,35 +55,68 @@ impl<const D: usize> RankSpace<D> {
     /// two that is at least `min_size` (pass the processor count so the
     /// padded size is divisible by `p`).
     pub fn build(pts: &[Point<D>], min_size: usize) -> Result<Self, RankError> {
+        Self::normalize(pts, min_size).map(|(space, _)| space)
+    }
+
+    /// [`build`](RankSpace::build) and [`to_rpoints`](RankSpace::to_rpoints)
+    /// from the same sorts.
+    pub fn normalize(
+        pts: &[Point<D>],
+        min_size: usize,
+    ) -> Result<(Self, Vec<RPoint<D>>), RankError> {
         if pts.is_empty() {
             return Err(RankError::Empty);
         }
-        let mut seen = std::collections::HashSet::with_capacity(pts.len());
-        for p in pts {
-            if p.id == PAD_ID {
-                return Err(RankError::ReservedId);
-            }
-            if !seen.insert(p.id) {
-                return Err(RankError::DuplicateId(p.id));
-            }
+        // The first offender in input order: a pad id where it stands, a
+        // repeated id where it stands the second time. Ids that already
+        // ascend, as most inputs' do, cost the sort one pass.
+        let mut ids: Vec<(u32, u32)> = pts.iter().zip(0..).map(|(p, at)| (p.id, at)).collect();
+        ids.sort_unstable();
+        let pad = ids.iter().find(|e| e.0 == PAD_ID).map(|e| (e.1, RankError::ReservedId));
+        let repeats = ids.windows(2).filter(|w| w[0].0 == w[1].0);
+        let refused = repeats.map(|w| (w[1].1, RankError::DuplicateId(w[1].0))).chain(pad);
+        match refused.min_by_key(|&(at, _)| at) {
+            Some((_, refusal)) => Err(refusal),
+            None => Ok(Self::normalize_distinct(pts, min_size)),
         }
+    }
+
+    /// [`normalize`](RankSpace::normalize) for a caller that has already
+    /// refused an empty set, a pad id and a repeated id: one sort per
+    /// dimension and nothing else above linear.
+    pub(crate) fn normalize_distinct(pts: &[Point<D>], min_size: usize) -> (Self, Vec<RPoint<D>>) {
         let n = pts.len();
         let m = n.max(min_size).max(1).next_power_of_two();
-        let mut ranks = vec![[0u32; D]; n];
+        // `order[r]`: the input index of the point of dimension-0 rank `r`,
+        // the identity until dimension 0 is sorted. Where a point stands in
+        // it rides through each sort, which then knows that point's rank.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut col: Vec<(i64, u32, u32)> = Vec::with_capacity(n);
+        let mut rpts: Vec<RPoint<D>> = Vec::with_capacity(m);
         let sorted = (0..D)
             .map(|j| {
-                // The input index rides through the sort, which then knows
-                // every point's rank: scatter it back.
-                let mut col: Vec<(i64, u32, u32)> =
-                    pts.iter().zip(0..).map(|(p, i)| (p.coords[j], p.id, i)).collect();
+                let entry = |(&i, at)| (pts[i as usize].coords[j], pts[i as usize].id, at);
+                col.clear();
+                col.extend(order.iter().zip(0..).map(entry));
                 col.sort_unstable();
-                for (&(_, _, i), rank) in col.iter().zip(0..) {
-                    ranks[i as usize][j] = rank;
+                if j == 0 {
+                    order = col.iter().map(|&(_, _, at)| at).collect();
+                    let point = |(&(_, id, at), rank): (&(i64, u32, u32), u32)| RPoint {
+                        ranks: [rank; D],
+                        id,
+                        weight: pts[at as usize].weight,
+                    };
+                    rpts.extend(col.iter().zip(0..).map(point));
+                } else {
+                    for (&(_, _, at), rank) in col.iter().zip(0..) {
+                        rpts[at as usize].ranks[j] = rank;
+                    }
                 }
-                col.into_iter().map(|(c, _, _)| c).collect()
+                col.iter().map(|&(c, _, _)| c).collect()
             })
             .collect();
-        Ok(RankSpace { sorted, ranks, n, m })
+        rpts.extend((n..m).map(|t| RPoint { ranks: [t as u32; D], id: PAD_ID, weight: 0 }));
+        (RankSpace { sorted, n, m }, rpts)
     }
 
     /// Number of real points.
@@ -99,27 +129,19 @@ impl<const D: usize> RankSpace<D> {
         self.m
     }
 
-    /// Convert the input points to rank space and append the sentinel pads
+    /// Convert the input points to rank space, in dimension-0 rank order
+    /// (every aligned share is a sorted run), and append the sentinel pads
     /// (pad `t` has rank `n + t` in every dimension), yielding exactly
-    /// [`m`](RankSpace::m) points.
+    /// [`m`](RankSpace::m) points. Sorts again, as the space keeps only the
+    /// columns: [`normalize`](RankSpace::normalize) is the one-pass form.
     ///
     /// # Panics
-    /// Panics unless `pts` is the set the space was built on, in the same
-    /// order.
+    /// Panics unless `pts` is the set the space was built on.
     pub fn to_rpoints(&self, pts: &[Point<D>]) -> Vec<RPoint<D>> {
         assert_eq!(pts.len(), self.n, "points must be the set the rank space was built on");
-        let mut out = Vec::with_capacity(self.m);
-        for (p, &ranks) in pts.iter().zip(&self.ranks) {
-            assert!(
-                (0..D).all(|j| self.sorted[j][ranks[j] as usize] == p.coords[j]),
-                "point must come from the set the rank space was built on"
-            );
-            out.push(RPoint { ranks, id: p.id, weight: p.weight });
-        }
-        for t in 0..(self.m - self.n) {
-            out.push(RPoint { ranks: [(self.n + t) as u32; D], id: PAD_ID, weight: 0 });
-        }
-        out
+        let (again, rpts) = Self::normalize_distinct(pts, self.m);
+        assert!(again.sorted == self.sorted, "points must be of the set the space was built on");
+        rpts
     }
 
     /// Translate a query box to inclusive rank intervals. The interval in
@@ -153,14 +175,13 @@ mod tests {
         let pts = pts2(&[[5, 50], [3, 30], [9, 10], [3, 70]]);
         let rs = RankSpace::build(&pts, 1).unwrap();
         let rp = rs.to_rpoints(&pts);
-        // Dimension 0 values: 5,3,9,3 → ranks 2,{0,1},3 (duplicates by id).
-        assert_eq!(rp[0].ranks[0], 2);
-        assert_eq!(rp[2].ranks[0], 3);
-        let dup_ranks: Vec<u32> = vec![rp[1].ranks[0], rp[3].ranks[0]];
-        // id 1 before id 3
-        assert_eq!(dup_ranks, vec![0, 1]);
-        // Dimension 1 values 50,30,10,70 → ranks 2,1,0,3.
-        assert_eq!(rp.iter().take(4).map(|p| p.ranks[1]).collect::<Vec<_>>(), vec![2, 1, 0, 3]);
+        // Dimension 0 values: 5,3,9,3 → ranks 2,{0,1},3 (duplicates by id:
+        // id 1 before id 3), and the points come in that order.
+        assert_eq!(rp.iter().map(|p| p.id).collect::<Vec<_>>(), vec![1, 3, 0, 2]);
+        assert_eq!(rp.iter().map(|p| p.ranks[0]).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        // Dimension 1 values 50,30,10,70 → ranks 2,1,0,3 by id.
+        assert_eq!(rp.iter().map(|p| p.ranks[1]).collect::<Vec<_>>(), vec![1, 3, 2, 0]);
+        assert_eq!(RankSpace::normalize(&pts, 1).unwrap().1, rp);
     }
 
     #[test]

@@ -38,9 +38,7 @@ pub struct SeqRangeTree<const D: usize> {
 impl<const D: usize> SeqRangeTree<D> {
     /// Build from a point set (ids must be unique).
     pub fn build(pts: &[Point<D>]) -> Result<Self, RankError> {
-        let ranks = RankSpace::build(pts, 1)?;
-        let mut rpts = ranks.to_rpoints(pts);
-        rpts.sort_unstable_by_key(|p| p.ranks[0]);
+        let (ranks, rpts) = RankSpace::normalize(pts, 1)?;
         let root = DimTree::build(0, rpts);
         Ok(SeqRangeTree { ranks, root })
     }

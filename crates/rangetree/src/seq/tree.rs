@@ -17,7 +17,7 @@
 //!   by that rank. The block is `descendant(v)` of Definition 1 without
 //!   being an object: two `h·m` vectors per tree, no box.
 //! * `j < D − 2`: one [`DimTree`] in dimension `j + 1` per internal node
-//!   that spans a real point, built from the same merge (a block's order
+//!   that spans a real point, built from the same arrays (a block's order
 //!   is the descendant's input order).
 //!
 //! # Pads
@@ -54,7 +54,7 @@ use crate::point::{RPoint, RRect};
 /// One segment tree of the range tree, in dimension `dim`, together with
 /// the descendant structures of its internal nodes (Definition 1), laid
 /// out as the module doc describes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimTree<const D: usize> {
     /// Dimension index `j` (0-based; the paper's `j+1`).
     pub dim: u8,
@@ -85,10 +85,10 @@ impl<const D: usize> DimTree<D> {
     /// Build the dimension tree for `pts` (already sorted by
     /// `ranks[dim]`; length must be a power of two — pad first).
     ///
-    /// Bottom-up, as in the optimal sequential algorithm: the next
-    /// dimension's order of every node is the merge of its children's, so
-    /// the work is linear in the size `O(m log^(d-1) m)`. A tree of the
-    /// last two dimensions makes a constant number of allocations.
+    /// One sort of the points by the next dimension, then a linear pass per
+    /// depth (`merge_sort_tree`), so the work is linear in the size
+    /// `O(m log^(d-1) m)`. A tree of the last two dimensions makes a
+    /// constant number of allocations.
     pub fn build(dim: usize, pts: Vec<RPoint<D>>) -> DimTree<D> {
         let m = pts.len();
         assert!(m.is_power_of_two(), "DimTree::build requires a power-of-two leaf count");
@@ -154,6 +154,17 @@ impl<const D: usize> DimTree<D> {
         // Maximal nodes within [a, b), where a node padded out on its
         // right is within as soon as its real points are.
         heap::cover(m, a, if b == r { m } else { b }, |v| self.contained(v, q, out));
+    }
+
+    /// The slab in the order of dimension `dim + 1`, read off the root's
+    /// descendant in whichever form it takes: the sorted run this group
+    /// hands the next phase of Algorithm Construct.
+    pub fn in_next_dimension(&self) -> Vec<RPoint<D>> {
+        match (self.block_idx.get(..self.m as usize), self.desc.get(1)) {
+            (Some(order), _) => order.iter().map(|&i| self.leaves[i as usize]).collect(),
+            (_, Some(Some(root))) => root.leaves.clone(),
+            _ => self.leaves.clone(), // a single leaf, or pads alone
+        }
     }
 
     /// Leaf-position range of node `v` clipped to real points: `[a, b)`.
@@ -224,42 +235,32 @@ pub(super) fn block_at(m: usize, at: usize) -> (usize, usize) {
 
 /// The merge-sort tree of `pts` (in slab order) on `ranks[by]`: for each
 /// depth `0..h`, every node's block of `(rank, slab index)` sorted by
-/// rank, one merge of the depth below per depth.
+/// rank. Depth 0 is one sort; below it a node's block is its parent's, in
+/// order, without the other half of the parent's slab interval: a stable
+/// partition, whose stores wait on no compare as a merge's loads do.
 fn merge_sort_tree<const D: usize>(pts: &[RPoint<D>], by: usize) -> (Vec<u32>, Vec<u32>) {
     let m = pts.len();
     let h = m.ilog2() as usize;
     let (mut keys, mut idx) = (vec![0u32; h * m], vec![0u32; h * m]);
-    // Depth h, the leaves: what depth h − 1 merges.
-    let leaf_keys: Vec<u32> = pts.iter().map(|p| p.ranks[by]).collect();
-    let leaf_idx: Vec<u32> = (0..m as u32).collect();
-    for depth in (0..h).rev() {
-        let (dst_k, below_k) = keys[depth * m..].split_at_mut(m);
-        let (dst_i, below_i) = idx[depth * m..].split_at_mut(m);
-        let (src_k, src_i) = if depth + 1 == h {
-            (&leaf_keys[..], &leaf_idx[..])
-        } else {
-            (&below_k[..m], &below_i[..m])
-        };
+    let mut order: Vec<u64> =
+        pts.iter().zip(0..).map(|(p, i)| u64::from(p.ranks[by]) << 32 | i).collect();
+    order.sort_unstable();
+    for ((k, i), entry) in keys.iter_mut().zip(&mut idx).zip(&order) {
+        (*k, *i) = ((entry >> 32) as u32, *entry as u32);
+    }
+    for depth in 1..h {
+        let (above_k, dst_k) = keys[(depth - 1) * m..].split_at_mut(m);
+        let (above_i, dst_i) = idx[(depth - 1) * m..].split_at_mut(m);
         let width = m >> depth;
-        let blocks = dst_k.chunks_exact_mut(width).zip(dst_i.chunks_exact_mut(width));
-        for ((dk, di), (sk, si)) in
-            blocks.zip(src_k.chunks_exact(width).zip(src_i.chunks_exact(width)))
-        {
-            // Two sorted halves into one block; the select compiles to a
-            // conditional move, so random ranks cost no mispredictions.
-            let (mut x, mut y, mut out) = (0, width / 2, 0);
-            while x < width / 2 && y < width {
-                let left = sk[x] <= sk[y];
-                let from = if left { x } else { y };
-                dk[out] = sk[from];
-                di[out] = si[from];
-                x += left as usize;
-                y += !left as usize;
-                out += 1;
+        let parents = above_k.chunks_exact(2 * width).zip(above_i.chunks_exact(2 * width));
+        for (parent, (src_k, src_i)) in parents.enumerate() {
+            let mid = (2 * parent + 1) * width;
+            let mut at = [mid - width, mid];
+            for (&k, &i) in src_k.iter().zip(src_i) {
+                let child = usize::from(i as usize >= mid);
+                (dst_k[at[child]], dst_i[at[child]]) = (k, i);
+                at[child] += 1;
             }
-            let rest = if x < width / 2 { x..width / 2 } else { y..width };
-            dk[out..].copy_from_slice(&sk[rest.clone()]);
-            di[out..].copy_from_slice(&si[rest]);
         }
     }
     (keys, idx)
@@ -532,24 +533,43 @@ mod tests {
         }
     }
 
-    /// Every block of the merge-sort tree holds exactly the points of its
-    /// node, sorted by the next dimension's rank, with its pads last.
-    #[test]
-    fn blocks_hold_their_nodes_points_in_next_dimension_order() {
-        let t = DimTree::<2>::build(0, scattered(21, 32, [0, 0x9e37_79b9_7f4a_7c15]));
-        let m = t.m as usize;
-        for v in 1..m {
-            let (a, b) = heap::span(m, v);
-            let start = v.ilog2() as usize * m + a;
-            let block = start..start + (b - a);
-            assert_eq!(block_at(m, start + (b - a) / 2), (start, b - a));
-            let mut below: Vec<u32> = t.block_idx[block.clone()].to_vec();
-            for (&i, &k) in below.iter().zip(&t.block_keys[block.clone()]) {
-                assert_eq!(t.leaves[i as usize].ranks[1], k);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every block of the merge-sort tree holds exactly the points of
+        /// its node, sorted by the next dimension's rank, with its pads
+        /// last: the definition, whichever way the arrays were filled.
+        #[test]
+        fn blocks_hold_their_nodes_points_in_next_dimension_order(
+            n in 1u32..200,
+            min_m in 1u32..300,
+            seed in 1u64..u64::MAX,
+        ) {
+            let t = DimTree::<2>::build(0, scattered(n, min_m, [0, seed]));
+            let m = t.m as usize;
+            assert_eq!(t.block_keys.len(), m.ilog2() as usize * m);
+            for v in 1..m {
+                let (a, b) = heap::span(m, v);
+                let start = v.ilog2() as usize * m + a;
+                let block = start..start + (b - a);
+                assert_eq!(block_at(m, start + (b - a) / 2), (start, b - a));
+                let mut below: Vec<u32> = t.block_idx[block.clone()].to_vec();
+                for (&i, &k) in below.iter().zip(&t.block_keys[block.clone()]) {
+                    assert_eq!(t.leaves[i as usize].ranks[1], k);
+                }
+                assert!(t.block_keys[block].windows(2).all(|w| w[0] < w[1]), "node {v}");
+                below.sort_unstable();
+                assert_eq!(below, (a as u32..b as u32).collect::<Vec<u32>>(), "node {v}");
             }
-            assert!(t.block_keys[block].windows(2).all(|w| w[0] < w[1]), "node {v}");
-            below.sort_unstable();
-            assert_eq!(below, (a as u32..b as u32).collect::<Vec<u32>>(), "node {v}");
+            // What the root hands Algorithm Construct's next phase, from
+            // the block arrays (d = 2) and from a descendant (d = 3).
+            let mut by_next = t.leaves.clone();
+            by_next.sort_unstable_by_key(|p| p.ranks[1]);
+            assert_eq!(t.in_next_dimension(), by_next);
+            let t = DimTree::<3>::build(0, scattered(n.min(64), min_m.min(64), [0, seed, !seed]));
+            let mut by_next = t.leaves.clone();
+            by_next.sort_unstable_by_key(|p| p.ranks[1]);
+            assert_eq!(t.in_next_dimension(), by_next);
         }
     }
 }

@@ -39,8 +39,10 @@ fn query_rounds_constant_in_n() {
     assert!(c1.supersteps() <= 16 && r1.supersteps() <= 16);
 }
 
-/// Rounds are also constant in p (for p > 1; p = 1 skips communication
-/// payloads but the superstep *structure* is identical by SPMD).
+/// Rounds are also constant in p, for p > 1. At p = 1 a collective sort
+/// is a local sort, with no sample all-gather and no bucket exchange, so
+/// Construct runs 3·d supersteps there, not 5·d (`repro t2` prints 6
+/// against 10 at d = 2).
 #[test]
 fn rounds_constant_in_p() {
     let (b2, c2, r2) = build_and_query(2, 1024);

@@ -3,7 +3,9 @@
 //! superstep counts, within a small constant factor for volumes.
 
 use ddrs::cgm::model::{predict_construct, predict_report, predict_search, CostParams};
+use ddrs::cgm::Payload;
 use ddrs::prelude::*;
+use ddrs::rangetree::RPoint;
 use ddrs::workloads::{PointDistribution, QueryDistribution};
 
 fn setup(p: usize, n: usize) -> (Machine, Vec<Point<2>>, Vec<ddrs::rangetree::Rect<2>>) {
@@ -61,8 +63,10 @@ fn construct_volume_within_constant_of_prediction() {
     DistRangeTree::<2>::build(&machine, &pts).unwrap();
     let measured = machine.take_stats();
     let predicted = predict_construct(&CostParams { p, n, d: 2 });
-    // A construct record is ~7 words on the wire (decorated sort tuples).
-    let measured_records = measured.max_h() as f64 / 7.0;
+    // The largest h-relation is the deal's: what one dealt record, a
+    // `(tree key, point)` phase record and its group index, weighs.
+    let record = (0u64, 0u32, RPoint::<2> { ranks: [0; 2], id: 0, weight: 0 });
+    let measured_records = measured.max_h() as f64 / record.words() as f64;
     assert!(
         measured_records <= 4.0 * predicted.max_volume,
         "measured ~{measured_records:.0} records vs predicted {:.0}",
