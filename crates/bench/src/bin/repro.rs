@@ -671,15 +671,20 @@ fn e1() {
          once per mode (and before the fused engine it paid 3·levels)."
     );
     // What a submission costs before it does any work: an empty
-    // two-barrier program on the machine's persistent worker pool.
+    // two-barrier program, at a p every host runs at once and at one it
+    // oversubscribes, where every wait parks.
     let empty = |ctx: &mut ddrs_cgm::Ctx<'_>| (ctx.barrier(), ctx.barrier());
-    let mut empty_us: Vec<f64> = (0..200).map(|_| time_ms(|| machine.run(empty)).0 * 1e3).collect();
-    empty_us.sort_by(f64::total_cmp);
-    println!(
-        "executor: an empty two-barrier run at p = {p} costs {:.1} µs (median of {})",
-        empty_us[empty_us.len() / 2],
-        empty_us.len()
-    );
+    for p in [1, 2, 8] {
+        let machine = Machine::new(p).unwrap();
+        let mut empty_us: Vec<f64> =
+            (0..200).map(|_| time_ms(|| machine.run(empty)).0 * 1e3).collect();
+        empty_us.sort_by(f64::total_cmp);
+        println!(
+            "executor: an empty two-barrier run at p = {p} costs {:.1} µs (median of {})",
+            empty_us[empty_us.len() / 2],
+            empty_us.len()
+        );
+    }
 }
 
 /// The construction caveat (Section 5): per-phase sorted record volume.

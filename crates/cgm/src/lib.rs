@@ -29,15 +29,16 @@
 //!
 //! ## The persistent executor
 //!
-//! A [`Machine`] owns a pool of `p` rank-pinned worker threads and a
-//! persistent exchange fabric, both created once at [`Machine::new`] and
-//! reused by every run: submitting a program costs one pool wake-up, not
-//! `p` OS thread spawns, which matters when a service dispatches many
-//! small batches. [`Machine::try_run`] is the fallible entry point — a
-//! panicking processor cancels the fabric (no deadlocked siblings),
-//! yields [`CgmError::ProcessorPanicked`], and leaves the machine usable;
-//! [`Machine::run`] delegates to it and re-panics with the original
-//! message. See the docs on [`Machine`] for details.
+//! A [`Machine`] owns `p - 1` rank-pinned worker threads and a persistent
+//! exchange fabric, both created once at [`Machine::new`] and reused by
+//! every run; the submitting thread is rank 0. A run is two rendezvous
+//! around the program, not `p` OS thread spawns, which matters when a
+//! service dispatches many small batches. [`Machine::try_run`] is the
+//! fallible entry point — a panicking processor cancels the fabric (no
+//! deadlocked siblings), yields [`CgmError::ProcessorPanicked`], and
+//! leaves the machine usable; [`Machine::run`] delegates to it and
+//! re-panics with the original message. See the docs on [`Machine`] for
+//! details.
 //!
 //! ## Example
 //!
@@ -71,6 +72,13 @@ pub use error::CgmError;
 pub use machine::{panic_message, unwrap_run, Machine};
 pub use payload::{shallow_words, slice_words, Payload};
 pub use stats::{RoundStat, RunStats, RunStatsRollup};
+
+/// Lock `m`, recovering the data of a poisoned lock: a processor that
+/// panics mid-superstep is contained by the run harness, so its poison
+/// is not news to anyone holding one of the crate's locks.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Returns `log2(x)` for a power of two `x`.
 ///

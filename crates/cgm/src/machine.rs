@@ -1,17 +1,19 @@
 //! The simulated multicomputer and its persistent SPMD executor.
 //!
-//! # Worker-pool model
+//! # The executor
 //!
-//! A [`Machine`] owns `p` worker threads created **once** at
+//! A [`Machine`] owns `p - 1` worker threads created **once** at
 //! [`Machine::new`] and reused by every [`run`](Machine::run) /
-//! [`try_run`](Machine::try_run) until the machine is dropped. Each worker
-//! is pinned to one rank for its whole lifetime (rank affinity: worker `i`
-//! always executes processor `i`'s program text). Submitting a program
-//! wakes the pool, the workers execute the closure against the machine's
-//! persistent [`Fabric`] and stats collector (no per-run thread spawning,
-//! no per-run `Arc` or collector allocation), and the submitter blocks
-//! until every worker has finished. Runs are serialised by an internal
-//! gate, so a `Machine` can be shared freely.
+//! [`try_run`](Machine::try_run) until the machine is dropped. Worker `i`
+//! executes processor `i`'s program text for its whole lifetime, and the
+//! thread that submits a run executes rank 0. A run is two rendezvous of
+//! all `p` threads: the submitter publishes the program, passes the
+//! **start** rendezvous, runs rank 0 and passes the **end** rendezvous,
+//! after which no worker touches the program. Both are waits on a second
+//! instance of the fabric's spin-then-park barrier, under the same spin
+//! rule, that a cancelled run never releases. At `p = 1` there are no
+//! workers and a rendezvous is one atomic increment. Runs are serialised
+//! by an internal gate, so a `Machine` can be shared freely.
 //!
 //! # What a superstep costs on the host
 //!
@@ -44,86 +46,51 @@
 //! call sites.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::error::CgmError;
-use crate::mailbox::{Fabric, FabricCancelled};
+use crate::lock;
+use crate::mailbox::{spin_budget, CancellableBarrier, Fabric, FabricCancelled};
 use crate::stats::{RunStats, StatsCollector};
 
-/// One submitted SPMD program, type-erased for the worker pool.
-///
-/// The pointee lives on the submitting thread's stack; `try_run` blocks
-/// until every worker has finished with it, which is what makes the
-/// lifetime erasure sound.
-#[derive(Clone, Copy)]
-struct Job {
-    task: *const (dyn Fn(usize) + Sync),
+/// One submitted SPMD program, its lifetime erased for the workers (see
+/// the SAFETY argument in [`Machine::try_run`]).
+type Task = &'static (dyn Fn(usize) + Sync);
+
+/// What the submitting thread shares with the workers.
+struct Shared {
+    /// The current run's program, `None` between runs; a start
+    /// rendezvous without one tells the workers to exit.
+    task: Mutex<Option<Task>>,
+    /// Every run's start and end rendezvous. Nothing cancels it.
+    barrier: CancellableBarrier,
+    p: usize,
 }
 
-// SAFETY: the pointer is only dereferenced while the submitting `try_run`
-// call keeps the closure alive (it blocks until `active == 0`).
-unsafe impl Send for Job {}
-
-struct PoolState {
-    /// Monotonic submission counter; a worker runs a job when it observes
-    /// an epoch it has not executed yet.
-    epoch: u64,
-    job: Option<Job>,
-    /// Workers still executing the current job.
-    active: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: StdMutex<PoolState>,
-    /// Workers wait here for the next submission.
-    job_cv: Condvar,
-    /// The submitter waits here for `active` to reach zero.
-    done_cv: Condvar,
-}
-
-fn lock_pool(shared: &PoolShared) -> std::sync::MutexGuard<'_, PoolState> {
-    shared.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+impl Shared {
+    /// Meet the machine's other `p - 1` threads.
+    fn rendezvous(&self) {
+        let met = self.barrier.wait(self.p);
+        debug_assert!(met.is_ok(), "nothing cancels the run barrier");
+    }
 }
 
 thread_local! {
     /// True while this thread is executing a simulated processor's
-    /// program text. Guards against nested submissions, which the single
-    /// worker pool cannot host (they would deadlock silently).
+    /// program text, as a worker or as the submitter running rank 0.
+    /// Guards against nested submissions, which would deadlock silently:
+    /// every thread of the machine is already running the outer program.
     static IN_SPMD_PROGRAM: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-fn worker_loop(rank: usize, shared: Arc<PoolShared>) {
-    let mut seen_epoch = 0u64;
+fn worker_loop(rank: usize, shared: &Shared) {
     loop {
-        let task = {
-            let mut st = lock_pool(&shared);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    break;
-                }
-                st = shared.job_cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            seen_epoch = st.epoch;
-            st.job.expect("epoch advanced without a job").task
-        };
-        // SAFETY: see `Job` — the submitter keeps the closure alive until
-        // every worker has decremented `active` below. The closure itself
-        // never unwinds (it catches panics internally), so the decrement
-        // is always reached.
-        unsafe { (*task)(rank) };
-        let mut st = lock_pool(&shared);
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done_cv.notify_all();
-        }
+        shared.rendezvous();
+        let Some(task) = *lock(&shared.task) else { return };
+        task(rank);
+        shared.rendezvous();
     }
 }
 
@@ -136,26 +103,27 @@ fn worker_loop(rank: usize, shared: Arc<PoolShared>) {
 /// segment tree, so `log p` must be integral (the paper makes the same
 /// assumption implicitly by writing `log n - log p`).
 ///
-/// The machine owns a persistent pool of `p` rank-pinned worker threads
-/// and a persistent exchange fabric, both created once and reused by
-/// every [`run`](Machine::run): submitting a batch costs a pool wake-up,
-/// not `p` thread spawns (the module-level comments above describe the
-/// executor model and the `try_run`/`run` contract). Collective
-/// statistics accumulate across runs until
+/// The machine owns `p - 1` rank-pinned worker threads and a persistent
+/// exchange fabric, both created once and reused by every
+/// [`run`](Machine::run); the submitting thread is rank 0, and a run
+/// costs two rendezvous, not `p` thread spawns (the module-level comments
+/// above describe the executor and the `try_run`/`run` contract).
+/// Collective statistics accumulate across runs until
 /// [`take_stats`](Machine::take_stats) is called.
 pub struct Machine {
     p: usize,
     fabric: Fabric,
     collector: StatsCollector,
-    shared: Arc<PoolShared>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Serialises concurrent `run` calls onto the single pool.
-    run_gate: StdMutex<()>,
+    /// Serialises concurrent `run` calls onto the one set of workers.
+    run_gate: Mutex<()>,
     stats: Mutex<RunStats>,
 }
 
 impl Machine {
-    /// Create a machine with `p` processors (and its `p` pool workers).
+    /// Create a machine with `p` processors: the submitting thread and
+    /// `p - 1` workers.
     pub fn new(p: usize) -> Result<Self, CgmError> {
         if p == 0 {
             return Err(CgmError::NoProcessors);
@@ -163,32 +131,27 @@ impl Machine {
         if !p.is_power_of_two() {
             return Err(CgmError::ProcessorCountNotPowerOfTwo(p));
         }
-        let shared = Arc::new(PoolShared {
-            state: StdMutex::new(PoolState { epoch: 0, job: None, active: 0, shutdown: false }),
-            job_cv: Condvar::new(),
-            done_cv: Condvar::new(),
+        let shared = Arc::new(Shared {
+            task: Mutex::new(None),
+            barrier: CancellableBarrier::new(spin_budget(p)),
+            p,
         });
-        // p = 1 runs inline on the submitting thread; no workers needed.
-        let workers = if p == 1 {
-            Vec::new()
-        } else {
-            (0..p)
-                .map(|rank| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name(format!("cgm-worker-{rank}"))
-                        .spawn(move || worker_loop(rank, shared))
-                        .expect("spawning a pool worker")
-                })
-                .collect()
-        };
+        let workers = (1..p)
+            .map(|rank| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("cgm-worker-{rank}"))
+                    .spawn(move || worker_loop(rank, &shared))
+                    .expect("spawning a worker thread")
+            })
+            .collect();
         Ok(Machine {
             p,
             fabric: Fabric::new(p),
             collector: StatsCollector::new(),
             shared,
             workers,
-            run_gate: StdMutex::new(()),
+            run_gate: Mutex::new(()),
             stats: Mutex::new(RunStats::default()),
         })
     }
@@ -211,15 +174,15 @@ impl Machine {
     /// deadlocking, the partial statistics of the failed run are
     /// discarded, and [`CgmError::ProcessorPanicked`] is returned carrying
     /// the lowest originating rank and its panic message. The machine
-    /// (pool, fabric, accumulated statistics of *previous* runs) remains
-    /// fully usable afterwards.
+    /// (workers, fabric, accumulated statistics of *previous* runs)
+    /// remains fully usable afterwards.
     ///
     /// Submitting from *inside* a running SPMD program (nested `run` on
-    /// any `Machine` from a program closure) is not supported: the
-    /// single worker pool cannot host a second program while every
-    /// worker is pinned to the first. Nested submissions are detected
-    /// and panic immediately (so the outer `try_run` reports a
-    /// `ProcessorPanicked` with a clear message) instead of deadlocking.
+    /// any `Machine` from a program closure) is not supported: every
+    /// thread of the machine is pinned to the first program, the caller
+    /// included. Nested submissions are detected and panic immediately
+    /// (so the outer `try_run` reports a `ProcessorPanicked` with a clear
+    /// message) instead of deadlocking.
     pub fn try_run<F, R>(&self, program: F) -> Result<Vec<R>, CgmError>
     where
         F: Fn(&mut Ctx<'_>) -> R + Sync,
@@ -229,11 +192,11 @@ impl Machine {
             assert!(
                 !flag.get(),
                 "nested Machine::run: submitting an SPMD program from inside a running \
-                 SPMD program is not supported (the worker pool is occupied); restructure \
+                 SPMD program is not supported (the machine's threads are occupied); restructure \
                  the outer program to return before submitting again"
             );
         });
-        let _gate = self.run_gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _gate = lock(&self.run_gate);
         let p = self.p;
         type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
         let slots: Vec<Mutex<Option<Result<R, PanicPayload>>>> =
@@ -251,37 +214,26 @@ impl Machine {
                 // deadlock waiting for this processor.
                 self.fabric.cancel();
             }
-            *slots[rank].lock() = Some(outcome);
+            *lock(&slots[rank]) = Some(outcome);
         };
 
-        if p == 1 {
-            task(0);
-        } else {
-            let erased: &(dyn Fn(usize) + Sync) = &task;
-            // SAFETY: the pointer is dereferenced only by workers running
-            // the epoch submitted below, and this call does not return
-            // before every worker has finished (active == 0), so `task`
-            // outlives every dereference.
-            let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(erased) };
-            {
-                let mut st = lock_pool(&self.shared);
-                st.job = Some(Job { task: erased as *const _ });
-                st.active = p;
-                st.epoch = st.epoch.wrapping_add(1);
-                self.shared.job_cv.notify_all();
-            }
-            let mut st = lock_pool(&self.shared);
-            while st.active > 0 {
-                st =
-                    self.shared.done_cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            st.job = None;
-        }
+        let erased: &(dyn Fn(usize) + Sync) = &task;
+        // SAFETY: workers call the task only between the two rendezvous
+        // below, and this call passes the end one before it returns. The
+        // task catches every unwind, so nothing between them skips it, and
+        // nothing cancels the run barrier, so a failed run does not release
+        // it early. The task is cleared before `task` goes out of scope.
+        let erased: Task = unsafe { std::mem::transmute(erased) };
+        *lock(&self.shared.task) = Some(erased);
+        self.shared.rendezvous();
+        task(0);
+        self.shared.rendezvous();
+        *lock(&self.shared.task) = None;
 
         let mut results: Vec<R> = Vec::with_capacity(p);
         let mut origin: Option<(usize, String)> = None;
         for (rank, slot) in slots.iter().enumerate() {
-            match slot.lock().take().expect("worker finished without reporting") {
+            match lock(slot).take().expect("a rank finished without reporting") {
                 Ok(r) => results.push(r),
                 Err(payload) => {
                     // Cancellation sentinels are secondary casualties of
@@ -309,7 +261,7 @@ impl Machine {
         }
 
         {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.rounds.extend(self.collector.take_rounds());
             stats.timeline.extend(self.collector.take_timeline());
             stats.runs += 1;
@@ -336,12 +288,12 @@ impl Machine {
 
     /// Snapshot the accumulated statistics without clearing them.
     pub fn stats(&self) -> RunStats {
-        self.stats.lock().clone()
+        lock(&self.stats).clone()
     }
 
     /// Take and reset the accumulated statistics.
     pub fn take_stats(&self) -> RunStats {
-        std::mem::take(&mut *self.stats.lock())
+        std::mem::take(&mut *lock(&self.stats))
     }
 }
 
@@ -369,11 +321,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 impl Drop for Machine {
     fn drop(&mut self) {
-        {
-            let mut st = lock_pool(&self.shared);
-            st.shutdown = true;
-            self.shared.job_cv.notify_all();
-        }
+        // No run is in flight: every worker waits at a start rendezvous,
+        // and the task is `None`, which tells it to exit.
+        self.shared.rendezvous();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -547,5 +497,62 @@ mod tests {
             }
         });
         assert_eq!(m.take_stats().runs, 100);
+    }
+
+    #[test]
+    fn rank_zero_runs_on_the_submitting_thread() {
+        for p in [2, 4] {
+            let m = Machine::new(p).unwrap();
+            let ids = m.run(|_ctx| std::thread::current().id());
+            assert_eq!(ids[0], std::thread::current().id(), "p = {p}");
+            for (rank, id) in ids.iter().enumerate().skip(1) {
+                assert!(!ids[..rank].contains(id), "p = {p}: rank {rank} shares a thread");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_submitting_rank_is_contained() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for p in [2, 4] {
+            let m = Machine::new(p).unwrap();
+            let entering = AtomicUsize::new(0);
+            let err = m
+                .try_run(|ctx| {
+                    if ctx.rank() == 0 {
+                        while entering.load(Ordering::SeqCst) < p - 1 {
+                            std::thread::yield_now();
+                        }
+                        panic!("boom at rank 0");
+                    }
+                    entering.fetch_add(1, Ordering::SeqCst);
+                    ctx.all_reduce_sum(1)
+                })
+                .unwrap_err();
+            assert!(matches!(err, CgmError::ProcessorPanicked { rank: 0, .. }), "p = {p}: {err:?}");
+            assert_eq!(m.run(|ctx| ctx.all_reduce_sum(1)), vec![p as u64; p]);
+        }
+    }
+
+    #[test]
+    fn dropping_an_idle_or_a_failed_machine_returns() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, dropped) = channel();
+        let dropper = std::thread::spawn(move || {
+            drop(Machine::new(8).unwrap());
+            let m = Machine::new(8).unwrap();
+            let failed = m.try_run(|ctx| {
+                if ctx.rank() == 5 {
+                    panic!("the last run fails");
+                }
+                ctx.barrier();
+            });
+            drop(m);
+            let _ = done.send(());
+            failed.is_err()
+        });
+        let waited = dropped.recv_timeout(std::time::Duration::from_secs(30));
+        assert_ne!(waited, Err(RecvTimeoutError::Timeout), "dropping a machine hung");
+        assert!(dropper.join().unwrap(), "the last run failed");
     }
 }

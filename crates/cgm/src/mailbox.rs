@@ -35,7 +35,9 @@
 //! a `Condvar`. The last arriver takes the park mutex only when a sleeper
 //! is registered. On a host with fewer hardware threads than `p` the
 //! spin would steal the core the awaited rank needs, so the budget is 0
-//! there (read once, in [`Fabric::new`]) and every wait parks at once.
+//! there (read once, by [`spin_budget`]) and every wait parks at once.
+//! The machine starts and ends each run on a second instance of the same
+//! barrier, one that nothing cancels.
 //!
 //! # Cancellation
 //!
@@ -49,9 +51,9 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Condvar, Mutex};
 
-use parking_lot::Mutex;
+use crate::lock;
 
 type AnyMsg = Box<dyn Any + Send>;
 
@@ -89,7 +91,7 @@ const YIELD_EVERY: u32 = 64;
 /// other, and a notification is sent under `park`, which a registered
 /// waiter only releases inside `Condvar::wait`. `crates/cgm/tests/barrier_model.rs`
 /// explores every interleaving of these steps.
-struct CancellableBarrier {
+pub(crate) struct CancellableBarrier {
     /// Parties that have arrived in the current generation.
     count: AtomicUsize,
     /// Completed rendezvous; a waiter leaves when it changes.
@@ -97,32 +99,28 @@ struct CancellableBarrier {
     cancelled: AtomicBool,
     /// Waiters registered to park (or parked) on `cvar`.
     sleepers: AtomicUsize,
-    park: StdMutex<()>,
+    park: Mutex<()>,
     cvar: Condvar,
     /// Polls of `generation` before parking.
     spin: u32,
 }
 
 impl CancellableBarrier {
-    fn new(spin: u32) -> Self {
+    pub(crate) fn new(spin: u32) -> Self {
         CancellableBarrier {
             count: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
             cancelled: AtomicBool::new(false),
             sleepers: AtomicUsize::new(0),
-            park: StdMutex::new(()),
+            park: Mutex::new(()),
             cvar: Condvar::new(),
             spin,
         }
     }
 
-    fn lock_park(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.park.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Wait for all `p` parties. Returns `Err(())` when the barrier was
     /// cancelled (before or during the wait).
-    fn wait(&self, p: usize) -> Result<(), ()> {
+    pub(crate) fn wait(&self, p: usize) -> Result<(), ()> {
         if self.cancelled.load(Ordering::SeqCst) {
             return Err(());
         }
@@ -133,7 +131,7 @@ impl CancellableBarrier {
             self.count.store(0, Ordering::SeqCst);
             self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
             if self.sleepers.load(Ordering::SeqCst) > 0 {
-                let _park = self.lock_park();
+                let _park = lock(&self.park);
                 self.cvar.notify_all();
             }
             return Ok(());
@@ -152,7 +150,7 @@ impl CancellableBarrier {
             }
         }
         if !done() {
-            let mut park = self.lock_park();
+            let mut park = lock(&self.park);
             self.sleepers.fetch_add(1, Ordering::SeqCst);
             while !done() {
                 park = self.cvar.wait(park).unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -168,7 +166,7 @@ impl CancellableBarrier {
 
     fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
-        let _park = self.lock_park();
+        let _park = lock(&self.park);
         self.cvar.notify_all();
     }
 
@@ -185,18 +183,27 @@ pub(crate) struct Fabric {
     /// Per rank: exchanges drained so far. The low bit is the parity of
     /// the round the rank is depositing into / draining from. Written by
     /// that rank alone (`Relaxed`: it publishes nothing); other threads
-    /// read it only between runs, ordered by the pool's mutex.
+    /// read it only between runs, ordered by the run's end rendezvous.
     rounds: Vec<AtomicUsize>,
     barrier: CancellableBarrier,
     p: usize,
 }
 
+/// The spin budget of a barrier for `p` parties: [`SPIN_BUDGET`] if this
+/// host can run all `p` of them at once, 0 otherwise.
+pub(crate) fn spin_budget(p: usize) -> u32 {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    if p > cores {
+        0
+    } else {
+        SPIN_BUDGET
+    }
+}
+
 impl Fabric {
-    /// A fabric for `p` processors whose barrier spins before parking
-    /// only if this host can run all `p` of them at once.
+    /// A fabric for `p` processors whose barrier spins by [`spin_budget`].
     pub(crate) fn new(p: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::with_spin_budget(p, if p > cores { 0 } else { SPIN_BUDGET })
+        Self::with_spin_budget(p, spin_budget(p))
     }
 
     fn with_spin_budget(p: usize, spin: u32) -> Self {
@@ -220,7 +227,7 @@ impl Fabric {
     /// drained the round this parity last carried, so the SPMD processors
     /// have diverged.
     pub(crate) fn deposit<T: Send + 'static>(&self, src: usize, dst: usize, msg: Vec<T>) {
-        let prev = self.slot(src, dst, src).lock().replace(Box::new(msg));
+        let prev = lock(self.slot(src, dst, src)).replace(Box::new(msg));
         assert!(prev.is_none(), "mailbox slot {src}->{dst} occupied: SPMD processors diverged");
     }
 
@@ -249,7 +256,7 @@ impl Fabric {
     pub(crate) fn reset(&self) {
         self.barrier.reset();
         for slot in &self.slots {
-            *slot.lock() = None;
+            *lock(slot) = None;
         }
         for round in &self.rounds {
             round.store(0, Ordering::Relaxed);
@@ -272,7 +279,7 @@ impl Fabric {
     /// superstep protocol divergence between SPMD processors.
     pub(crate) fn drain<T: Send + 'static>(&self, me: usize, p: usize) -> Vec<Vec<T>> {
         let out = (0..p)
-            .map(|src| match self.slot(me, me, src).lock().take() {
+            .map(|src| match lock(self.slot(me, me, src)).take() {
                 Some(msg) => *msg
                     .downcast::<Vec<T>>()
                     .expect("mailbox type mismatch: SPMD processors diverged"),

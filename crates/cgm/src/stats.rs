@@ -6,8 +6,11 @@
 //! collective call, so the experiment harness can verify the bounds on real
 //! executions instead of trusting the proofs.
 
+use std::sync::Mutex;
+
 use ddrs_trace::{MetricsRegistry, RankStep};
-use parking_lot::Mutex;
+
+use crate::lock;
 
 /// Accumulated measurements for one superstep (one collective call).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -166,7 +169,7 @@ impl StatsCollector {
 
     /// Record `sent`/`recv` words by one processor for round `round`.
     pub(crate) fn record(&self, round: usize, label: &'static str, sent: u64, recv: u64) {
-        let mut rounds = self.rounds.lock();
+        let mut rounds = lock(&self.rounds);
         if rounds.len() <= round {
             rounds.resize(round + 1, RoundStat::default());
         }
@@ -192,7 +195,7 @@ impl StatsCollector {
         if !ddrs_trace::enabled() {
             return;
         }
-        self.timeline.lock().push(RankStep {
+        lock(&self.timeline).push(RankStep {
             rank,
             round,
             label,
@@ -204,19 +207,19 @@ impl StatsCollector {
 
     /// Drain the rounds collected since the last drain/clear.
     pub(crate) fn take_rounds(&self) -> Vec<RoundStat> {
-        std::mem::take(&mut *self.rounds.lock())
+        std::mem::take(&mut *lock(&self.rounds))
     }
 
     /// Drain the per-rank timeline collected since the last drain/clear.
     pub(crate) fn take_timeline(&self) -> Vec<RankStep> {
-        std::mem::take(&mut *self.timeline.lock())
+        std::mem::take(&mut *lock(&self.timeline))
     }
 
     /// Discard the rounds of a failed (cancelled) run: the partial,
     /// possibly divergent measurements would only mislead.
     pub(crate) fn clear(&self) {
-        self.rounds.lock().clear();
-        self.timeline.lock().clear();
+        lock(&self.rounds).clear();
+        lock(&self.timeline).clear();
     }
 }
 

@@ -482,24 +482,6 @@ impl<S: Semigroup, const D: usize> PlannedOp<S, D> {
         }
     }
 
-    /// The points of an insert op, or `None` otherwise. Routers use the
-    /// coordinates to place each point on exactly one shard.
-    pub fn insert_points(&self) -> Option<&[Point<D>]> {
-        match self {
-            PlannedOp::Insert(pts, _) => Some(pts),
-            _ => None,
-        }
-    }
-
-    /// The keys of a delete op, or `None` otherwise. Routers resolve
-    /// each key against their ownership index to route the delete.
-    pub fn delete_keys(&self) -> Option<&[u32]> {
-        match self {
-            PlannedOp::Delete(ids, _) => Some(ids),
-            _ => None,
-        }
-    }
-
     /// Resolve this op's ticket with `e`.
     pub fn fail(self, e: ServiceError) {
         match self {

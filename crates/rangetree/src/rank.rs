@@ -53,13 +53,10 @@ impl std::error::Error for RankError {}
 impl<const D: usize> RankSpace<D> {
     /// Build the rank space for `pts`, padding the size up to a power of
     /// two that is at least `min_size` (pass the processor count so the
-    /// padded size is divisible by `p`).
-    pub fn build(pts: &[Point<D>], min_size: usize) -> Result<Self, RankError> {
-        Self::normalize(pts, min_size).map(|(space, _)| space)
-    }
-
-    /// [`build`](RankSpace::build) and [`to_rpoints`](RankSpace::to_rpoints)
-    /// from the same sorts.
+    /// padded size is divisible by `p`), and convert the points to it: in
+    /// dimension-0 rank order (every aligned share is a sorted run),
+    /// followed by the sentinel pads (pad `t` has rank `n + t` in every
+    /// dimension), exactly [`m`](RankSpace::m) points.
     pub fn normalize(
         pts: &[Point<D>],
         min_size: usize,
@@ -129,21 +126,6 @@ impl<const D: usize> RankSpace<D> {
         self.m
     }
 
-    /// Convert the input points to rank space, in dimension-0 rank order
-    /// (every aligned share is a sorted run), and append the sentinel pads
-    /// (pad `t` has rank `n + t` in every dimension), yielding exactly
-    /// [`m`](RankSpace::m) points. Sorts again, as the space keeps only the
-    /// columns: [`normalize`](RankSpace::normalize) is the one-pass form.
-    ///
-    /// # Panics
-    /// Panics unless `pts` is the set the space was built on.
-    pub fn to_rpoints(&self, pts: &[Point<D>]) -> Vec<RPoint<D>> {
-        assert_eq!(pts.len(), self.n, "points must be the set the rank space was built on");
-        let (again, rpts) = Self::normalize_distinct(pts, self.m);
-        assert!(again.sorted == self.sorted, "points must be of the set the space was built on");
-        rpts
-    }
-
     /// Translate a query box to inclusive rank intervals. The interval in
     /// dimension `j` covers exactly the real points whose coordinate lies
     /// in `[lo[j], hi[j]]`.
@@ -173,23 +155,20 @@ mod tests {
     #[test]
     fn ranks_are_unique_and_order_preserving() {
         let pts = pts2(&[[5, 50], [3, 30], [9, 10], [3, 70]]);
-        let rs = RankSpace::build(&pts, 1).unwrap();
-        let rp = rs.to_rpoints(&pts);
+        let (_, rp) = RankSpace::normalize(&pts, 1).unwrap();
         // Dimension 0 values: 5,3,9,3 → ranks 2,{0,1},3 (duplicates by id:
         // id 1 before id 3), and the points come in that order.
         assert_eq!(rp.iter().map(|p| p.id).collect::<Vec<_>>(), vec![1, 3, 0, 2]);
         assert_eq!(rp.iter().map(|p| p.ranks[0]).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         // Dimension 1 values 50,30,10,70 → ranks 2,1,0,3 by id.
         assert_eq!(rp.iter().map(|p| p.ranks[1]).collect::<Vec<_>>(), vec![1, 3, 2, 0]);
-        assert_eq!(RankSpace::normalize(&pts, 1).unwrap().1, rp);
     }
 
     #[test]
     fn padding_to_power_of_two_with_min_size() {
         let pts = pts2(&[[1, 1], [2, 2], [3, 3]]);
-        let rs = RankSpace::build(&pts, 8).unwrap();
+        let (rs, rp) = RankSpace::normalize(&pts, 8).unwrap();
         assert_eq!(rs.m(), 8);
-        let rp = rs.to_rpoints(&pts);
         assert_eq!(rp.len(), 8);
         assert!(rp[3..].iter().all(|p| p.is_pad()));
         // Pads rank beyond all real ranks, increasing.
@@ -200,7 +179,7 @@ mod tests {
     #[test]
     fn translate_inclusive_bounds() {
         let pts = pts2(&[[10, 0], [20, 0], [30, 0], [40, 0]]);
-        let rs = RankSpace::build(&pts, 1).unwrap();
+        let (rs, _) = RankSpace::normalize(&pts, 1).unwrap();
         let q = rs.translate(&Rect::new([20, 0], [30, 0]));
         assert_eq!((q.lo[0], q.hi[0]), (1, 2));
         // Query between values: [21, 29] matches nothing in dim 0.
@@ -214,7 +193,7 @@ mod tests {
     #[test]
     fn translate_duplicates_cover_all_copies() {
         let pts = pts2(&[[7, 0], [7, 0], [7, 0], [9, 0]]);
-        let rs = RankSpace::build(&pts, 1).unwrap();
+        let (rs, _) = RankSpace::normalize(&pts, 1).unwrap();
         let q = rs.translate(&Rect::new([7, 0], [7, 0]));
         assert_eq!((q.lo[0], q.hi[0]), (0, 2));
     }
@@ -223,10 +202,10 @@ mod tests {
     fn build_rejects_bad_ids() {
         let mut pts = pts2(&[[1, 1], [2, 2]]);
         pts[1].id = 0;
-        assert!(matches!(RankSpace::build(&pts, 1), Err(RankError::DuplicateId(0))));
+        assert!(matches!(RankSpace::normalize(&pts, 1), Err(RankError::DuplicateId(0))));
         let mut pts = pts2(&[[1, 1]]);
         pts[0].id = PAD_ID;
-        assert!(matches!(RankSpace::build(&pts, 1), Err(RankError::ReservedId)));
-        assert!(matches!(RankSpace::<2>::build(&[], 1), Err(RankError::Empty)));
+        assert!(matches!(RankSpace::normalize(&pts, 1), Err(RankError::ReservedId)));
+        assert!(matches!(RankSpace::<2>::normalize(&[], 1), Err(RankError::Empty)));
     }
 }

@@ -15,8 +15,7 @@ fn build(p: usize, n: u32, seed: u64) -> (Vec<ProcState<2>>, usize) {
         })
         .collect();
     let machine = Machine::new(p).unwrap();
-    let ranks = RankSpace::build(&pts, p).unwrap();
-    let rpts = ranks.to_rpoints(&pts);
+    let (ranks, rpts) = RankSpace::normalize(&pts, p).unwrap();
     let m = ranks.m();
     let share = m / p;
     let states = machine.run(|ctx| {

@@ -11,8 +11,7 @@ use ddrs_rangetree::{Point, RankSpace, Rect, SeqRangeTree};
 
 fn ids_via_stages(p: usize, pts: &[Point<2>], queries: &[Rect<2>]) -> Vec<Vec<u32>> {
     let machine = Machine::new(p).unwrap();
-    let ranks = RankSpace::build(pts, p).unwrap();
-    let rpts = ranks.to_rpoints(pts);
+    let (ranks, rpts) = RankSpace::normalize(pts, p).unwrap();
     let m = ranks.m();
     let share = m / p;
     let rq: Vec<QueryRec<2>> =

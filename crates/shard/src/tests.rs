@@ -8,15 +8,12 @@ use std::time::{Duration, Instant};
 
 use ddrs_cgm::Machine;
 use ddrs_client::{RangeStore, Request, ServiceError, SubmitError, WaitFor};
-use ddrs_rangetree::{
-    BatchResults, BuildError, DynamicDistRangeTree, Point, QueryBatch, Rect, Semigroup, Sum,
-};
+use ddrs_rangetree::{BuildError, Point, Rect, Semigroup, Sum};
 
 use crate::sched::{carve, gate_reads, Kind, Mode, Pending, Queued, SchedCore, Window};
-use crate::worker::{spawn_worker, Reply, ShardJob, WorkerHandle};
 use crate::{PartitionPolicy, ShardedConfig, ShardedService};
 
-fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
+pub(crate) fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
     range
         .map(|i| Point::weighted([((i * 193) % 777) as i64, ((i * 71) % 555) as i64], i, 2))
         .collect()
@@ -782,80 +779,6 @@ fn an_unrepresentable_max_delay_fires_the_window_on_max_batch_only() {
         }
     }
     service.shutdown();
-}
-
-// The worker's side of the version protocol, driven over its channel
-// with no router: the job after a mutation is the verdict on it.
-
-fn worker() -> WorkerHandle<Sum, 2> {
-    let machine = Machine::new(2).unwrap();
-    let mut tree = DynamicDistRangeTree::new(8);
-    tree.insert_batch(&machine, &pts(0..20)).unwrap();
-    spawn_worker(0, machine, tree)
-}
-
-/// Send one job that replies and wait for its reply.
-fn ask<T>(
-    w: &WorkerHandle<Sum, 2>,
-    job: impl FnOnce(mpsc::Sender<Reply<T>>) -> ShardJob<Sum, 2>,
-) -> Result<T, String> {
-    let (tx, rx) = mpsc::channel();
-    w.tx.send(job(tx)).unwrap();
-    rx.recv().unwrap().result
-}
-
-fn write(w: &WorkerHandle<Sum, 2>, inject_fault: bool) -> Result<(), String> {
-    let (deletes, inserts) = (vec![0, 1], pts(100..104));
-    ask(w, |reply| ShardJob::Write { deletes, inserts, inject_fault, reply })
-}
-
-/// Stop the worker and list the ids of the store it hands back.
-fn stop(w: WorkerHandle<Sum, 2>) -> Vec<u32> {
-    let (_, tree) = ask(&w, |reply| ShardJob::Stop { reply }).unwrap();
-    w.join.join().unwrap();
-    let mut ids: Vec<u32> = tree.points().map(|p| p.id).collect();
-    ids.sort_unstable();
-    assert_eq!(ids.len(), tree.len());
-    ids
-}
-
-#[test]
-fn the_job_after_a_mutation_is_the_verdict_on_it() {
-    let original: Vec<u32> = (0..20).collect();
-    let written: Vec<u32> = (2..20).chain(100..104).collect();
-
-    // Write, Rollback: the pre-write store.
-    let w = worker();
-    write(&w, false).unwrap();
-    w.tx.send(ShardJob::Rollback).unwrap();
-    assert_eq!(stop(w), original);
-
-    // SplitHalf, Rollback: every point is back.
-    let w = worker();
-    let (moved, _) = ask(&w, |reply| ShardJob::SplitHalf { upper: true, reply }).unwrap();
-    assert!(!moved.is_empty() && moved.len() < 20);
-    w.tx.send(ShardJob::Rollback).unwrap();
-    assert_eq!(stop(w), original);
-
-    // Write, Reads, Rollback: the read committed the write, and the late
-    // Rollback finds nothing to put back.
-    let w = worker();
-    write(&w, false).unwrap();
-    let (seen_tx, seen) = mpsc::channel();
-    let batch = QueryBatch::from_parts(Sum, vec![Rect::new([0, 0], [800, 600])], vec![], vec![]);
-    let complete = Box::new(move |out: Result<_, String>, _, _| {
-        let _ = seen_tx.send(out.map(|results: BatchResults<Sum>| results.counts));
-    });
-    w.tx.send(ShardJob::Reads { batch, complete }).unwrap();
-    w.tx.send(ShardJob::Rollback).unwrap();
-    assert_eq!(seen.recv().unwrap(), Ok(vec![22]));
-    assert_eq!(stop(w), written);
-
-    // A Write that fails between its two cascades never swapped.
-    let w = worker();
-    let e = write(&w, true).unwrap_err();
-    assert!(e.contains("ProcessorPanicked"), "{e}");
-    assert_eq!(stop(w), original);
 }
 
 // The scheduler core on its own: `sched`'s carve, admission, gate and
