@@ -39,10 +39,14 @@
 //! front-end (`ddrs-net`): the server's connection table and the remote
 //! client's per-connection pending map and write half. They rank below
 //! the serving locks (network threads never hold one while submitting
-//! into a scheduler) and above the ticket classes, because a demux
-//! thread may resolve tickets from under its connection state.
-//! `ticket.watch` is the `Ticket::on_resolve` watch cell — held while
-//! polling the parked ticket, so it sits directly above `ticket.state`.
+//! into a scheduler) and above `ticket.state`, because a demux thread
+//! may resolve tickets from under its connection state.
+//!
+//! A lock's class is read off the field name the guard is taken from
+//! (`self.queue.lock()`, `lock(&self.stats)`), so a lock the pass must
+//! see has to keep its field name: the client's ticket mutex is taken
+//! through `state`, which ranks as `ticket.state` under `crates/client`
+//! (and as `shard.cross` elsewhere).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -54,14 +58,13 @@ use std::path::{Path, PathBuf};
 /// telemetry; `shard.cross` is the per-`CrossOp` merge state;
 /// `net.conn` is the network front-end's connection-scoped state
 /// (server connection table, remote-client pending maps and write
-/// halves); `ticket.watch` is the `on_resolve` watch cell and
-/// `ticket.state` the ticket cell itself,
-/// innermost of the scheduling locks because resolving a ticket is the
-/// last thing a completion path does. The two telemetry classes sit
-/// below everything: `metrics.registry` is the unified export registry,
-/// and `trace.ring` guards the per-thread span ring-buffers — recording
-/// an event must be legal from under any scheduler lock, so it ranks
-/// last.
+/// halves); `ticket.state` is the ticket's one mutex (its outcome and
+/// its one listener), innermost of the scheduling locks because
+/// resolving a ticket is the last thing a completion path does. The two
+/// telemetry classes sit below everything: `metrics.registry` is the
+/// unified export registry, and `trace.ring` guards the per-thread span
+/// ring-buffers — recording an event must be legal from under any
+/// scheduler lock, so it ranks last.
 pub const CANONICAL_LOCK_ORDER: &[&str] = &[
     "sched.queue",
     "shard.stats",
@@ -69,21 +72,19 @@ pub const CANONICAL_LOCK_ORDER: &[&str] = &[
     "wal.append",
     "shard.cross",
     "net.conn",
-    "ticket.watch",
     "ticket.state",
     "metrics.registry",
     "trace.ring",
 ];
 
-/// Condvar field names; `cv.wait(guard)` consuming its own guard is the
-/// legal blocking-under-lock form.
-const CONDVAR_FIELDS: &[&str] = &["arrived", "cv"];
+/// Condvar field names; `arrived.wait(guard)` consuming its own guard is
+/// the legal blocking-under-lock form.
+const CONDVAR_FIELDS: &[&str] = &["arrived"];
 
 /// Method names that block the calling thread (L2).
 const BLOCKING_METHODS: &[&str] = &[
     "recv",
     "recv_timeout",
-    "recv_deadline",
     "run",
     "try_run",
     "wait",
@@ -104,7 +105,7 @@ fn classify(field: &str, path: &str) -> Option<(usize, &'static str)> {
         "append" => Some((3, "wal.append")),
         "state" => {
             if path.contains("client") {
-                Some((7, "ticket.state"))
+                Some((6, "ticket.state"))
             } else {
                 Some((4, "shard.cross"))
             }
@@ -114,9 +115,8 @@ fn classify(field: &str, path: &str) -> Option<(usize, &'static str)> {
         // pending map / write half all share one class, and none of
         // them may nest inside another.
         "conns" | "pending" | "stream" if path.contains("net") => Some((5, "net.conn")),
-        "watch" if path.contains("client") => Some((6, "ticket.watch")),
-        "registry" => Some((8, "metrics.registry")),
-        "ring" | "rings" => Some((9, "trace.ring")),
+        "registry" => Some((7, "metrics.registry")),
+        "ring" | "rings" => Some((8, "trace.ring")),
         _ => None,
     }
 }
@@ -948,6 +948,18 @@ mod tests {
     fn helper_lock_form_is_tracked() {
         let src = "fn f(&self) { let st = lock(&self.stats); let q = lock(&self.queue); }";
         assert_eq!(lints_of(src), vec![Lint::LockOrder]);
+    }
+
+    #[test]
+    fn the_client_state_field_ranks_as_the_ticket_mutex() {
+        let lint = |src| lint_source("crates/client/src/ticket.rs", src, LintSet::all());
+        let inverted =
+            lint("fn f(&self) { let m = self.registry.lock(); let s = self.state.lock(); }");
+        assert_eq!(inverted.len(), 1);
+        assert_eq!(inverted[0].lint, Lint::LockOrder);
+        assert!(inverted[0].message.contains("acquiring 'ticket.state'"), "{}", inverted[0]);
+        let canonical = "fn f(&self) { let s = self.state.lock(); let m = self.registry.lock(); }";
+        assert!(lint(canonical).is_empty());
     }
 
     #[test]

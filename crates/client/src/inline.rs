@@ -3,7 +3,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use ddrs_cgm::Machine;
-use ddrs_rangetree::{DynamicDistRangeTree, Point, QueryBatch, Semigroup, PAD_ID};
+use ddrs_rangetree::{DynamicDistRangeTree, QueryBatch, Semigroup};
 
 use crate::request::{PlannedOp, Request, Response};
 use crate::store::RangeStore;
@@ -94,24 +94,6 @@ impl<S: Semigroup, const D: usize> InlineStore<S, D> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Sequential insert validation, identical to the serving layers':
-    /// reserved id, id live in the store, or id repeated in the batch.
-    fn validate_insert(
-        tree: &DynamicDistRangeTree<D>,
-        pts: &[Point<D>],
-    ) -> Result<(), ServiceError> {
-        let mut seen = std::collections::HashSet::with_capacity(pts.len());
-        for pt in pts {
-            if pt.id == PAD_ID {
-                return Err(ServiceError::Rejected(ddrs_rangetree::BuildError::ReservedId));
-            }
-            if tree.contains_id(pt.id) || !seen.insert(pt.id) {
-                return Err(ServiceError::Rejected(ddrs_rangetree::BuildError::DuplicateId(pt.id)));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl<S: Semigroup, const D: usize> RangeStore<S, D> for InlineStore<S, D> {
@@ -129,18 +111,15 @@ impl<S: Semigroup, const D: usize> RangeStore<S, D> for InlineStore<S, D> {
         };
         for op in planned.ops {
             match op {
-                PlannedOp::Insert(pts, r) => match Self::validate_insert(&st.tree, &pts) {
+                // The store refuses a bad batch (reserved id, id live or
+                // repeated) before it moves a point, and keeps its version.
+                PlannedOp::Insert(pts, r) => match st.tree.insert_batch(&self.machine, &pts) {
                     Ok(()) => {
-                        if !pts.is_empty() {
-                            st.tree
-                                .insert_batch(&self.machine, &pts)
-                                .expect("pre-validated insert cannot be rejected");
-                        }
                         let seq = st.next_seq;
                         st.next_seq += 1;
                         r.resolve(Ok(Commit { value: (), seq }));
                     }
-                    Err(e) => r.resolve(Err(e)),
+                    Err(e) => r.resolve(Err(ServiceError::Rejected(e))),
                 },
                 PlannedOp::Delete(ids, r) => {
                     st.tree
@@ -210,5 +189,39 @@ fn fail_slot<S: Semigroup>(slot: ReadSlot<S>, e: ServiceError) {
 impl<S: Semigroup, const D: usize> std::fmt::Debug for InlineStore<S, D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InlineStore").field("d", &D).field("len", &self.len()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddrs_rangetree::{Point, Sum, PAD_ID};
+
+    #[test]
+    fn inserts_get_the_verdict_of_the_store_itself() {
+        let machine = Machine::new(2).unwrap();
+        let mut tree = DynamicDistRangeTree::<2>::new(4);
+        let live: Vec<Point<2>> = (0..6).map(|i| Point::new([i, 2 * i], i as u32)).collect();
+        tree.insert_batch(&machine, &live).unwrap();
+        let bad = [
+            vec![Point::new([9, 9], 7), Point::new([9, 8], PAD_ID)],
+            vec![Point::new([9, 9], 7), Point::new([9, 8], 3)],
+            vec![Point::new([9, 9], 7), Point::new([9, 8], 8), Point::new([9, 7], 7)],
+        ];
+        let verdicts: Vec<_> =
+            bad.iter().map(|pts| tree.clone().insert_batch(&machine, pts).unwrap_err()).collect();
+        let points: Vec<Point<2>> = tree.points().copied().collect();
+        let store = InlineStore::new(machine, tree, Sum);
+        let runs = store.machine().stats().runs;
+        for (pts, verdict) in bad.into_iter().zip(verdicts) {
+            assert_eq!(store.insert(pts).unwrap().wait(), Err(ServiceError::Rejected(verdict)));
+        }
+        assert_eq!(store.len(), 6);
+        assert!(lock(&store.state).tree.points().copied().eq(points));
+        assert_eq!(store.machine().stats().runs, runs, "a refused batch runs nothing");
+        assert_eq!(store.committed(), 0);
+        let ok = store.insert(vec![Point::new([9, 9], 7)]).unwrap().wait();
+        assert_eq!(ok, Ok(Commit { value: (), seq: 0 }));
+        assert_eq!(store.len(), 7);
     }
 }

@@ -19,8 +19,9 @@
 //!   first, so the reads observe them.
 //! * [`Ticket`] — a real [`std::future::Future`] (waker-based, no
 //!   async runtime in the tree), with blocking [`wait`](Ticket::wait) /
-//!   [`wait_for`](Ticket::wait_for) adapters and
-//!   [`map`](Ticket::map) projection.
+//!   [`wait_for`](Ticket::wait_for) adapters,
+//!   [`on_resolve`](Ticket::on_resolve) callbacks and
+//!   [`map`](Ticket::map) projection, all through one listener slot.
 //! * [`Consistency`] — per-request read-your-writes bounds
 //!   ([`Consistency::AtLeast`]) that work identically across backends.
 //! * [`InlineStore`] — the zero-thread backend: `Machine` +

@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ddrs_rangetree::{Point, Rect, Semigroup};
+use ddrs_trace::SpanId;
 
 use crate::ticket::{callback_resolver, ticket, Commit, Outcome, Resolver, Ticket};
 use crate::ServiceError;
@@ -310,43 +311,14 @@ impl<S: Semigroup, const D: usize> Request<S, D> {
             });
         }
         for (i, q) in self.counts.into_iter().enumerate() {
-            let agg = Arc::clone(&agg);
-            let r = callback_resolver(span, move |out: Outcome<u64>| {
-                complete_one(&agg, |g| match out {
-                    Ok(c) => {
-                        g.resp.counts[i] = c.value;
-                        g.note_commit(c.seq);
-                    }
-                    Err(e) => g.note_read_err(e),
-                });
-            });
-            ops.push(PlannedOp::Count(q, r));
+            ops.push(PlannedOp::Count(q, read(&agg, span, move |resp, v| resp.counts[i] = v)));
         }
         for (i, q) in self.aggs.into_iter().enumerate() {
-            let agg = Arc::clone(&agg);
-            let r = callback_resolver(span, move |out: Outcome<Option<S::Val>>| {
-                complete_one(&agg, |g| match out {
-                    Ok(c) => {
-                        g.resp.aggregates[i] = c.value;
-                        g.note_commit(c.seq);
-                    }
-                    Err(e) => g.note_read_err(e),
-                });
-            });
+            let r = read(&agg, span, move |resp, v| resp.aggregates[i] = v);
             ops.push(PlannedOp::Aggregate(q, r));
         }
         for (i, q) in self.reports.into_iter().enumerate() {
-            let agg = Arc::clone(&agg);
-            let r = callback_resolver(span, move |out: Outcome<Vec<u32>>| {
-                complete_one(&agg, |g| match out {
-                    Ok(c) => {
-                        g.resp.reports[i] = c.value;
-                        g.note_commit(c.seq);
-                    }
-                    Err(e) => g.note_read_err(e),
-                });
-            });
-            ops.push(PlannedOp::Report(q, r));
+            ops.push(PlannedOp::Report(q, read(&agg, span, move |resp, v| resp.reports[i] = v)));
         }
         Planned {
             ticket: outer_ticket,
@@ -455,7 +427,7 @@ pub enum PlannedOp<S: Semigroup, const D: usize> {
 impl<S: Semigroup, const D: usize> PlannedOp<S, D> {
     /// The trace span this op reports under — the span of the request
     /// that planned it, shared by every sibling op.
-    pub fn span(&self) -> ddrs_trace::SpanId {
+    pub fn span(&self) -> SpanId {
         match self {
             PlannedOp::Count(_, r) => r.span(),
             PlannedOp::Aggregate(_, r) => r.span(),
@@ -558,6 +530,25 @@ impl<S: Semigroup> AggState<S> {
             self.read_err = Some(e);
         }
     }
+}
+
+/// The resolver of one read op: its committed value lands in the
+/// response through `put`, and its failure fails the whole request.
+fn read<S: Semigroup, V>(
+    agg: &Arc<Mutex<AggState<S>>>,
+    span: SpanId,
+    put: impl FnOnce(&mut Response<S>, V) + Send + 'static,
+) -> Resolver<V> {
+    let agg = Arc::clone(agg);
+    callback_resolver(span, move |out: Outcome<V>| {
+        complete_one(&agg, |g| match out {
+            Ok(c) => {
+                put(&mut g.resp, c.value);
+                g.note_commit(c.seq);
+            }
+            Err(e) => g.note_read_err(e),
+        });
+    })
 }
 
 fn complete_one<S: Semigroup>(agg: &Mutex<AggState<S>>, record: impl FnOnce(&mut AggState<S>)) {

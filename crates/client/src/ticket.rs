@@ -3,7 +3,7 @@
 //! A [`Ticket`] is the client half of a one-shot channel filled in by a
 //! backend's scheduler (or synchronously, by
 //! [`InlineStore`](crate::InlineStore)); [`Resolver`] is the backend
-//! half. A ticket is redeemable three ways, all equivalent:
+//! half. A ticket is redeemable several ways, all equivalent:
 //!
 //! * [`wait`](Ticket::wait) blocks the calling thread (the classic
 //!   shape);
@@ -24,14 +24,22 @@
 //! threads or polling loops, which is how the single-op convenience
 //! methods of [`RangeStore`](crate::RangeStore) carve a `Ticket<u64>`
 //! out of a whole-request `Ticket<Response>`.
+//!
+//! All of them share **one listener slot** in the ticket's state, under
+//! its one mutex (lock class `ticket.state`): a poll leaves the
+//! context's waker there, a blocking wait leaves a waker that unparks
+//! its thread, and `on_resolve` / `map` leave a callback. The backend's
+//! resolution stores the outcome — or hands it straight to a callback —
+//! and tells the listener only after the lock is released.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use ddrs_check::{TrackedCondvar, TrackedMutex};
+use ddrs_check::TrackedMutex;
 use ddrs_trace::{SpanId, Stage};
 
 use crate::ServiceError;
@@ -55,37 +63,48 @@ pub struct Commit<T> {
 /// error that took its place.
 pub type Outcome<T> = Result<Commit<T>, ServiceError>;
 
+type Callback<T> = Box<dyn FnOnce(Outcome<T>) + Send>;
+
+/// Who hears about the resolution.
+enum Notify<T> {
+    Nobody,
+    /// A polled future's waker, or a blocked thread's unparker.
+    Wake(Waker),
+    /// `on_resolve` / `map`: the outcome goes straight to the callback.
+    Call(Callback<T>),
+}
+
 enum State<T> {
-    /// Unresolved; holds the waker of the most recent poll, if any.
-    Waiting(Option<Waker>),
+    Waiting(Notify<T>),
     Done(Outcome<T>),
+    /// Redeemed, or handed to a `Call` listener.
     Taken,
 }
 
-struct Shared<T> {
-    /// Lock class `ticket.state` — the innermost lock of the whole
-    /// stack: resolution paths take it with scheduler or shard locks
-    /// already held, and it must never wrap around to any of them.
-    state: TrackedMutex<State<T>>,
-    cv: TrackedCondvar,
-}
+/// Lock class `ticket.state` — the innermost lock of the whole stack:
+/// resolution paths take it with scheduler or shard locks already held,
+/// and nothing is woken or called while it is held.
+type Cell<T> = Arc<TrackedMutex<State<T>>>;
 
-/// Store `outcome`, then wake every kind of waiter: parked `wait*`
-/// callers via the condvar, and the latest polled waker via `wake`.
-fn fire<T>(shared: &Shared<T>, outcome: Outcome<T>) {
-    let waker = {
-        let mut state = shared.state.lock();
-        let prev = std::mem::replace(&mut *state, State::Done(outcome));
-        shared.cv.notify_all();
-        match prev {
-            State::Waiting(w) => w,
-            // `resolve` consumes the resolver and `Drop` checks for it,
-            // so a second fire is impossible by construction.
-            State::Done(_) | State::Taken => None,
+/// Resolve the ticket behind `state`: store `outcome`, or hand it to a
+/// `Call` listener; a listener hears only after the lock is released.
+fn fire<T>(state: &TrackedMutex<State<T>>, outcome: Outcome<T>) {
+    let mut guard = state.lock();
+    match std::mem::replace(&mut *guard, State::Taken) {
+        State::Waiting(Notify::Call(f)) => {
+            drop(guard);
+            f(outcome);
         }
-    };
-    if let Some(w) = waker {
-        w.wake();
+        State::Waiting(notify) => {
+            *guard = State::Done(outcome);
+            drop(guard);
+            if let Notify::Wake(w) = notify {
+                w.wake();
+            }
+        }
+        // `resolve` consumes the resolver and `Drop` checks for it, so a
+        // second fire is impossible by construction.
+        State::Done(_) | State::Taken => unreachable!("ticket resolved twice"),
     }
 }
 
@@ -101,67 +120,11 @@ pub enum WaitFor<T> {
     TimedOut(Ticket<T>),
 }
 
-/// Erased inner node of a mapped ticket: lets `Ticket<U>` wrap a
-/// `Ticket<T>` plus a projection without exposing `T` in the type.
-trait Node<T>: Send {
-    fn poll_take(&mut self, waker: &Waker) -> Poll<Outcome<T>>;
-    fn wait(self: Box<Self>) -> Outcome<T>;
-    fn wait_until(self: Box<Self>, deadline: Instant) -> Result<Outcome<T>, Box<dyn Node<T>>>;
-    fn is_done(&self) -> bool;
-}
-
-type Projection<R, T> = Box<dyn FnOnce(Outcome<R>) -> Outcome<T> + Send>;
-
-struct MapNode<R, T> {
-    inner: Option<Ticket<R>>,
-    f: Option<Projection<R, T>>,
-}
-
-impl<R: Send + 'static, T: 'static> MapNode<R, T> {
-    fn project(&mut self, out: Outcome<R>) -> Outcome<T> {
-        (self.f.take().expect("mapped ticket resolved twice"))(out)
-    }
-}
-
-impl<R: Send + 'static, T: 'static> Node<T> for MapNode<R, T> {
-    fn poll_take(&mut self, waker: &Waker) -> Poll<Outcome<T>> {
-        let inner = self.inner.as_mut().expect("ticket polled after completion");
-        match inner.poll_take(waker) {
-            Poll::Ready(out) => Poll::Ready(self.project(out)),
-            Poll::Pending => Poll::Pending,
-        }
-    }
-
-    fn wait(mut self: Box<Self>) -> Outcome<T> {
-        let out = self.inner.take().expect("ticket waited twice").wait();
-        self.project(out)
-    }
-
-    fn wait_until(mut self: Box<Self>, deadline: Instant) -> Result<Outcome<T>, Box<dyn Node<T>>> {
-        match self.inner.take().expect("ticket waited twice").wait_until(deadline) {
-            WaitFor::Ready(out) => Ok(self.project(out)),
-            WaitFor::TimedOut(t) => {
-                self.inner = Some(t);
-                Err(self)
-            }
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.as_ref().is_some_and(Ticket::is_done)
-    }
-}
-
-enum Repr<T> {
-    Direct(Arc<Shared<T>>),
-    Mapped(Box<dyn Node<T>>),
-}
-
 /// The client half: redeem it for the response with
 /// [`wait`](Ticket::wait), [`wait_for`](Ticket::wait_for), or by
 /// polling it as a [`Future`].
 pub struct Ticket<T> {
-    repr: Repr<T>,
+    state: Cell<T>,
     span: SpanId,
 }
 
@@ -175,16 +138,26 @@ pub struct Ticket<T> {
 /// `ddrs-shard`, the remote client in `ddrs-net`, custom backends) can
 /// hand out the same [`Ticket`] API without re-implementing the channel.
 pub struct Resolver<T> {
-    repr: ResolverRepr<T>,
+    /// `None` once resolved.
+    target: Option<Target<T>>,
     span: SpanId,
 }
 
-enum ResolverRepr<T> {
-    Channel(Option<Arc<Shared<T>>>),
-    /// Resolution is delivered to a callback instead of a channel — the
+enum Target<T> {
+    Ticket(Cell<T>),
+    /// Resolution is delivered to a callback instead of a ticket — the
     /// plumbing that lets one multi-op [`Request`](crate::Request)
     /// aggregate many per-op resolutions into a single outer ticket.
-    Callback(Option<Box<dyn FnOnce(Outcome<T>) + Send>>),
+    Call(Callback<T>),
+}
+
+impl<T> Target<T> {
+    fn deliver(self, outcome: Outcome<T>) {
+        match self {
+            Target::Ticket(state) => fire(&state, outcome),
+            Target::Call(f) => f(outcome),
+        }
+    }
 }
 
 /// Create a connected ticket/resolver pair.
@@ -192,39 +165,28 @@ enum ResolverRepr<T> {
 /// Public for the same reason as [`Resolver`]: front-ends mint tickets
 /// with it.
 pub fn ticket<T>() -> (Ticket<T>, Resolver<T>) {
-    let shared = Arc::new(Shared {
-        state: TrackedMutex::new("ticket.state", State::Waiting(None)),
-        cv: TrackedCondvar::new(),
-    });
-    let span = SpanId::fresh();
-    (
-        Ticket { repr: Repr::Direct(Arc::clone(&shared)), span },
-        Resolver { repr: ResolverRepr::Channel(Some(shared)), span },
-    )
+    let t = Ticket::unresolved(SpanId::fresh());
+    let r = Resolver { target: Some(Target::Ticket(Arc::clone(&t.state))), span: t.span };
+    (t, r)
 }
 
-/// A resolver whose resolution is handed to `f` instead of a channel,
+/// A resolver whose resolution is handed to `f` instead of a ticket,
 /// recording its lifecycle under `span` (pass the parent request's span
 /// so every op of a request shares one trace identity).
 pub(crate) fn callback_resolver<T>(
     span: SpanId,
     f: impl FnOnce(Outcome<T>) + Send + 'static,
 ) -> Resolver<T> {
-    Resolver { repr: ResolverRepr::Callback(Some(Box::new(f))), span }
+    Resolver { target: Some(Target::Call(Box::new(f))), span }
 }
 
 impl<T> Resolver<T> {
-    /// Resolve the paired ticket and wake its waiter (parked thread or
-    /// polled waker alike).
+    /// Resolve the paired ticket and tell its listener (parked thread,
+    /// polled waker or callback alike).
     pub fn resolve(mut self, outcome: Outcome<T>) {
         let t0 = ddrs_trace::now_ns();
         let err = outcome.is_err();
-        match &mut self.repr {
-            ResolverRepr::Channel(shared) => {
-                fire(&shared.take().expect("resolver used twice"), outcome);
-            }
-            ResolverRepr::Callback(f) => (f.take().expect("resolver used twice"))(outcome),
-        }
+        self.target.take().expect("resolver used twice").deliver(outcome);
         ddrs_trace::complete(self.span, Stage::Resolve, t0, err);
     }
 
@@ -237,76 +199,59 @@ impl<T> Resolver<T> {
 
 impl<T> std::fmt::Debug for Resolver<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let resolved = match &self.repr {
-            ResolverRepr::Channel(s) => s.is_none(),
-            ResolverRepr::Callback(c) => c.is_none(),
-        };
-        f.debug_struct("Resolver").field("resolved", &resolved).finish()
+        f.debug_struct("Resolver").field("resolved", &self.target.is_none()).finish()
     }
 }
 
 impl<T> Drop for Resolver<T> {
     fn drop(&mut self) {
-        let t0 = ddrs_trace::now_ns();
-        let fired = match &mut self.repr {
-            ResolverRepr::Channel(shared) => match shared.take() {
-                Some(shared) => {
-                    fire(&shared, Err(ServiceError::ShuttingDown));
-                    true
-                }
-                None => false,
-            },
-            ResolverRepr::Callback(f) => match f.take() {
-                Some(f) => {
-                    f(Err(ServiceError::ShuttingDown));
-                    true
-                }
-                None => false,
-            },
-        };
-        if fired {
+        if let Some(target) = self.target.take() {
+            let t0 = ddrs_trace::now_ns();
+            target.deliver(Err(ServiceError::ShuttingDown));
             // An abandoned request still closes its span — as an error.
             ddrs_trace::complete(self.span, Stage::Resolve, t0, true);
         }
     }
 }
 
+/// Wakes a thread blocked in [`Ticket::wait`] / [`Ticket::wait_for`].
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
 impl<T> Ticket<T> {
-    /// Non-blocking take: `Ready` exactly once, else registers `waker`.
-    fn poll_take(&mut self, waker: &Waker) -> Poll<Outcome<T>> {
-        match &mut self.repr {
-            Repr::Direct(shared) => {
-                let mut state = shared.state.lock();
-                match std::mem::replace(&mut *state, State::Taken) {
-                    State::Done(out) => Poll::Ready(out),
-                    State::Waiting(_) => {
-                        *state = State::Waiting(Some(waker.clone()));
-                        Poll::Pending
-                    }
-                    State::Taken => panic!("ticket polled after completion"),
-                }
+    fn unresolved(span: SpanId) -> Ticket<T> {
+        Ticket {
+            state: Arc::new(TrackedMutex::new("ticket.state", State::Waiting(Notify::Nobody))),
+            span,
+        }
+    }
+
+    /// Take the outcome if the backend has resolved; otherwise make
+    /// `notify` the listener. The listener left over — `notify` itself
+    /// when the outcome was taken, else the one it displaced — comes
+    /// back, so the caller drops it after the lock is released.
+    fn listen(&self, notify: Notify<T>) -> (Option<Outcome<T>>, Notify<T>) {
+        let mut state = self.state.lock();
+        match std::mem::replace(&mut *state, State::Taken) {
+            State::Done(out) => (Some(out), notify),
+            State::Waiting(old) => {
+                *state = State::Waiting(notify);
+                (None, old)
             }
-            Repr::Mapped(node) => node.poll_take(waker),
+            State::Taken => panic!("ticket polled after completion"),
         }
     }
 
     /// Block until the backend resolves this request.
     pub fn wait(self) -> Outcome<T> {
-        match self.repr {
-            Repr::Direct(shared) => {
-                let mut state = shared.state.lock();
-                loop {
-                    match std::mem::replace(&mut *state, State::Taken) {
-                        State::Done(outcome) => return outcome,
-                        s @ State::Waiting(_) => {
-                            *state = s;
-                            state = shared.cv.wait(state);
-                        }
-                        State::Taken => unreachable!("ticket waited twice"),
-                    }
-                }
-            }
-            Repr::Mapped(node) => node.wait(),
+        match self.park_until(None) {
+            WaitFor::Ready(out) => out,
+            WaitFor::TimedOut(_) => unreachable!("a wait without a deadline cannot time out"),
         }
     }
 
@@ -316,58 +261,48 @@ impl<T> Ticket<T> {
     /// poll it, or give up and drop it. A timeout past the end of
     /// representable time is [`wait`](Ticket::wait).
     pub fn wait_for(self, timeout: Duration) -> WaitFor<T> {
-        match Instant::now().checked_add(timeout) {
-            Some(deadline) => self.wait_until(deadline),
-            None => WaitFor::Ready(self.wait()),
-        }
+        self.park_until(Instant::now().checked_add(timeout))
     }
 
-    fn wait_until(self, deadline: Instant) -> WaitFor<T> {
-        let span = self.span;
-        match self.repr {
-            Repr::Direct(shared) => {
-                let mut state = shared.state.lock();
-                loop {
-                    match std::mem::replace(&mut *state, State::Taken) {
-                        State::Done(outcome) => return WaitFor::Ready(outcome),
-                        s @ State::Waiting(_) => {
-                            *state = s;
-                            let now = Instant::now();
-                            if now >= deadline {
-                                drop(state);
-                                return WaitFor::TimedOut(Ticket {
-                                    repr: Repr::Direct(shared),
-                                    span,
-                                });
-                            }
-                            state = shared.cv.wait_timeout(state, deadline - now).0;
-                        }
-                        State::Taken => unreachable!("ticket waited twice"),
-                    }
-                }
+    /// Listen with a waker that unparks this thread, and park until the
+    /// outcome is in or `deadline` passes. Unparks that find no outcome
+    /// (spurious, or left over from an earlier wait) just loop; a timed
+    /// out wait clears its waker from the slot.
+    fn park_until(self, deadline: Option<Instant>) -> WaitFor<T> {
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        loop {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let notify = match left {
+                Some(Duration::ZERO) => Notify::Nobody,
+                _ => Notify::Wake(waker.clone()),
+            };
+            if let (Some(out), _) = self.listen(notify) {
+                return WaitFor::Ready(out);
             }
-            Repr::Mapped(node) => match node.wait_until(deadline) {
-                Ok(out) => WaitFor::Ready(out),
-                Err(node) => WaitFor::TimedOut(Ticket { repr: Repr::Mapped(node), span }),
-            },
+            match left {
+                None => std::thread::park(),
+                Some(Duration::ZERO) => return WaitFor::TimedOut(self),
+                Some(left) => std::thread::park_timeout(left),
+            }
         }
     }
 
     /// Deliver this ticket's outcome to `f` the moment the backend
     /// resolves it, without parking a thread per request.
     ///
-    /// The ticket is polled once at registration — an already-resolved
-    /// ticket runs `f` synchronously on the calling thread — and
-    /// otherwise parked behind a waker; when the backend fires, `f`
-    /// runs on the resolving thread. Exactly-once either way, including
-    /// the [`ServiceError::ShuttingDown`] outcome of an abandoned
-    /// resolver. This is the hook network front-ends use to fan
-    /// out-of-order resolutions into a per-connection writer.
+    /// An already-resolved ticket runs `f` synchronously on the calling
+    /// thread; otherwise `f` becomes the ticket's listener and runs on
+    /// the resolving thread. Exactly-once either way, including the
+    /// [`ServiceError::ShuttingDown`] outcome of an abandoned resolver.
+    /// This is the hook network front-ends use to fan out-of-order
+    /// resolutions into a per-connection writer.
     pub fn on_resolve(self, f: impl FnOnce(Outcome<T>) + Send + 'static)
     where
         T: Send + 'static,
     {
-        Watch::arm(self, Box::new(f));
+        if let (Some(out), Notify::Call(f)) = self.listen(Notify::Call(Box::new(f))) {
+            f(out);
+        }
     }
 
     /// The trace span every lifecycle event of this request is recorded
@@ -381,32 +316,31 @@ impl<T> Ticket<T> {
     /// True once the backend has resolved this request (`wait` will not
     /// block and polling returns `Ready`).
     pub fn is_done(&self) -> bool {
-        match &self.repr {
-            Repr::Direct(shared) => !matches!(*shared.state.lock(), State::Waiting(_)),
-            Repr::Mapped(node) => node.is_done(),
-        }
+        !matches!(*self.state.lock(), State::Waiting(_))
     }
 
     /// Project the whole outcome — commit and error arms alike — into a
-    /// new ticket, without threads or polling. The projection runs at
-    /// redemption time, on whichever thread redeems the ticket.
-    pub fn map_outcome<U: 'static>(
+    /// new ticket, without threads or polling. The projection runs once,
+    /// when the backend resolves, on the resolving thread (at once, on
+    /// the calling thread, if it already has) — whether or not the
+    /// mapped ticket is ever redeemed.
+    pub fn map_outcome<U: Send + 'static>(
         self,
         f: impl FnOnce(Outcome<T>) -> Outcome<U> + Send + 'static,
     ) -> Ticket<U>
     where
         T: Send + 'static,
     {
-        let span = self.span;
-        Ticket {
-            repr: Repr::Mapped(Box::new(MapNode { inner: Some(self), f: Some(Box::new(f)) })),
-            span,
-        }
+        let mapped = Ticket::unresolved(self.span);
+        let state = Arc::clone(&mapped.state);
+        self.on_resolve(move |out| fire(&state, f(out)));
+        mapped
     }
 
     /// Project a committed value, leaving the sequence number and the
-    /// error arm untouched.
-    pub fn map<U: 'static>(self, f: impl FnOnce(T) -> U + Send + 'static) -> Ticket<U>
+    /// error arm untouched. The projection runs as
+    /// [`map_outcome`](Ticket::map_outcome)'s does.
+    pub fn map<U: Send + 'static>(self, f: impl FnOnce(T) -> U + Send + 'static) -> Ticket<U>
     where
         T: Send + 'static,
     {
@@ -414,68 +348,11 @@ impl<T> Ticket<T> {
     }
 }
 
-type OnResolve<T> = Box<dyn FnOnce(Outcome<T>) + Send>;
-
-/// The engine behind [`Ticket::on_resolve`]: a self-waking cell that
-/// holds the parked ticket and its callback until the backend fires.
-///
-/// Built on [`std::task::Wake`], so it needs no async runtime: arming
-/// polls the ticket once (registering the watch as its waker), and the
-/// backend's `fire` wakes the watch, which re-polls and runs the
-/// callback with the outcome.
-struct Watch<T> {
-    /// Lock class `ticket.watch` — held while polling, so it nests
-    /// *outside* `ticket.state` and must stay ranked before it.
-    watch: TrackedMutex<Option<(Ticket<T>, OnResolve<T>)>>,
-}
-
-impl<T: Send + 'static> Watch<T> {
-    fn arm(ticket: Ticket<T>, f: OnResolve<T>) {
-        let watch = Arc::new(Watch { watch: TrackedMutex::new("ticket.watch", Some((ticket, f))) });
-        watch.poll_cell();
-    }
-
-    fn poll_cell(self: &Arc<Self>) {
-        let waker = std::task::Waker::from(Arc::clone(self));
-        let ready = {
-            let mut cell = self.watch.lock();
-            let Some((mut ticket, f)) = cell.take() else {
-                // A spurious second wake after delivery: nothing to do.
-                return;
-            };
-            match ticket.poll_take(&waker) {
-                Poll::Ready(out) => Some((f, out)),
-                Poll::Pending => {
-                    *cell = Some((ticket, f));
-                    None
-                }
-            }
-        };
-        // Run the callback outside the watch lock: it may take arbitrary
-        // downstream locks (a connection writer, say) of its own.
-        if let Some((f, out)) = ready {
-            f(out);
-        }
-    }
-}
-
-impl<T: Send + 'static> std::task::Wake for Watch<T> {
-    fn wake(self: Arc<Self>) {
-        self.poll_cell();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.poll_cell();
-    }
-}
-
 impl<T> Future for Ticket<T> {
     type Output = Outcome<T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // `Ticket` is `Unpin` (it owns only `Arc` / `Box` fields), so
-        // projecting out of the pin is safe.
-        self.get_mut().poll_take(cx.waker())
+        self.listen(Notify::Wake(cx.waker().clone())).0.map_or(Poll::Pending, Poll::Ready)
     }
 }
 
@@ -632,5 +509,59 @@ mod tests {
             *hits.lock().unwrap(),
             vec![Ok(Commit { value: 5, seq: 1 }), Err(ServiceError::ShuttingDown)]
         );
+    }
+
+    #[test]
+    fn a_mapped_projection_runs_once_when_the_backend_resolves() {
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let project = |tag: &'static str| {
+            let runs = Arc::clone(&runs);
+            move |v: u64| {
+                runs.lock().unwrap().push((tag, std::thread::current().id()));
+                v + 1
+            }
+        };
+        let (kept, r1) = ticket::<u64>();
+        let (dropped, r2) = ticket::<u64>();
+        let kept = kept.map(project("kept"));
+        drop(dropped.map(project("dropped")));
+        assert!(runs.lock().unwrap().is_empty(), "nothing projects before resolution");
+        let resolving = std::thread::spawn(move || {
+            r1.resolve(Ok(Commit { value: 1, seq: 0 }));
+            r2.resolve(Ok(Commit { value: 2, seq: 1 }));
+            std::thread::current().id()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(*runs.lock().unwrap(), vec![("kept", resolving), ("dropped", resolving)]);
+        assert_eq!(kept.wait(), Ok(Commit { value: 2, seq: 0 }));
+        assert_eq!(runs.lock().unwrap().len(), 2, "redeeming does not project again");
+    }
+
+    #[test]
+    fn wait_rides_out_spurious_unparks() {
+        let (t, r) = ticket::<u64>();
+        let h = std::thread::spawn(move || t.wait());
+        for _ in 0..100 {
+            h.thread().unpark();
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(!h.is_finished(), "an unpark without an outcome must not end the wait");
+        r.resolve(Ok(Commit { value: 13, seq: 5 }));
+        assert_eq!(h.join().unwrap(), Ok(Commit { value: 13, seq: 5 }));
+    }
+
+    #[test]
+    fn on_resolve_after_a_timed_out_wait_fires_once() {
+        let (t, r) = ticket::<u64>();
+        let WaitFor::TimedOut(t) = t.wait_for(Duration::from_millis(2)) else {
+            panic!("unresolved ticket must time out");
+        };
+        let hits = Arc::new(Mutex::new(Vec::new()));
+        let h = Arc::clone(&hits);
+        t.on_resolve(move |out| h.lock().unwrap().push(out));
+        r.resolve(Ok(Commit { value: 4, seq: 6 }));
+        assert_eq!(*hits.lock().unwrap(), vec![Ok(Commit { value: 4, seq: 6 })]);
     }
 }

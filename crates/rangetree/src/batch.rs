@@ -22,7 +22,7 @@
 //! ```
 //!
 //! The executor underneath is persistent (see `ddrs-cgm`): submitting a
-//! batch wakes a pool of rank-pinned workers, it does not spawn threads.
+//! batch runs rank 0 on the submitting thread, it does not spawn threads.
 //!
 //! ## Example
 //!

@@ -107,8 +107,8 @@ pub enum Stage {
     /// Run completion → resolution decided: stats absorption, partial
     /// merging (`CrossOp` countdown), commit-sequence assignment.
     Merge,
-    /// Ticket resolution: waker/condvar signalling and callback
-    /// delivery.
+    /// Ticket resolution: telling the ticket's one listener (a waker
+    /// or a callback).
     Resolve,
     /// Wire serialization of a request or response (`ddrs-net` codec).
     /// Only networked requests pass through the three wire stages; for
