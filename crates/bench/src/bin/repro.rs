@@ -21,7 +21,7 @@ use ddrs_baselines::{
 use ddrs_bench::{hotspot_queries, print_table, selectivity_queries, time_ms, uniform_points};
 use ddrs_cgm::Machine;
 use ddrs_rangetree::dist::construct::construct;
-use ddrs_rangetree::dist::search::{balance_visits, hat_stage, tree_for, QueryRec};
+use ddrs_rangetree::dist::search::{balance_visits, hat_stage, search_cost, tree_for, QueryRec};
 use ddrs_rangetree::{
     heap, label, DistRangeTree, DynamicDistRangeTree, Point, QueryBatch, RankSpace, SeqRangeTree,
     Sum,
@@ -171,14 +171,15 @@ fn t1() {
 
 /// Theorem 2 / Corollary 1: construction scales as seq/p + O(1) rounds.
 /// Checks its own claim: rounds equal at every p ≥ 2, work speedup
-/// ≥ 0.95·p, every forest holding exactly the input ids. Wall time and
-/// its per-step split are printed, never asserted.
+/// ≥ 0.95·p, every forest holding exactly the input ids, and no rank
+/// holding more than 1.25·⌈|S^j|/p⌉ records after any phase's collective
+/// sort. Wall time and its per-step split are printed, never asserted.
 fn t2() {
     let n = 1 << 15;
     let pts: Vec<Point<2>> = uniform_points(2, n);
     let (seq_ms, seq_tree) = time_ms(|| SeqRangeTree::build(&pts).unwrap());
     let mut seq_row = vec!["seq".into(), format!("{seq_ms:.1}"), seq_tree.size_nodes().to_string()];
-    seq_row.resize(10, "-".into());
+    seq_row.resize(11, "-".into());
     let mut rows = vec![seq_row];
     let mut ids: Vec<u32> = pts.iter().map(|p| p.id).collect();
     ids.sort_unstable();
@@ -197,6 +198,19 @@ fn t2() {
         // that the *maximum* share is s/p.
         let max_work = rep.hat_nodes + rep.forest_nodes.iter().max().unwrap();
         let speedup = rep.total_nodes as f64 / max_work as f64;
+        // The collective sort's balance: per phase, the largest share of
+        // S^j a rank holds after the sort, against ⌈|S^j|/p⌉.
+        let mut sort_share: f64 = 0.0;
+        for (j, &records) in tree.phase_records().iter().enumerate() {
+            let largest = tree.states().iter().map(|s| s.sorted_records[j]).max().unwrap();
+            let even = records.div_ceil(p as u64);
+            sort_share = sort_share.max(largest as f64 / even as f64);
+            if largest as f64 > 1.25 * even as f64 {
+                broken.push(format!(
+                    "p={p}: phase {j} sorts {largest} records onto one rank, even share {even}"
+                ));
+            }
+        }
         // Each step's wall time on the processor it took longest on.
         let step = |i: usize| {
             let slowest = tree.states().iter().map(|s| s.step_wall[i]).max().unwrap();
@@ -209,6 +223,7 @@ fn t2() {
             format!("{speedup:.2}"),
             stats.supersteps().to_string(),
             stats.max_h().to_string(),
+            format!("{sort_share:.2}"),
             format!("{rank_ms:.1}"),
             step(0),
             step(1),
@@ -242,6 +257,7 @@ fn t2() {
             "work speedup",
             "rounds",
             "max h(words)",
+            "sort share",
             "rank sorts(ms)",
             "coll. sort",
             "deal+group",
@@ -255,8 +271,10 @@ fn t2() {
          note: wall-clock cannot show parallel speedup on this host (the\n\
          simulator's p threads share the physical cores available — on a\n\
          single-core host they are purely time-sliced); the theorem's\n\
-         quantities are the measured work shares and round counts. The\n\
-         last four columns split the wall: the host's rank sorts, then each\n\
+         quantities are the measured work shares and round counts. \"sort\n\
+         share\" is the largest post-sort share of any phase over the even\n\
+         share ⌈|S^j|/p⌉ (asserted ≤ 1.25: regular sampling). The last\n\
+         four columns split the wall: the host's rank sorts, then each\n\
          step of Algorithm Construct on the processor it took longest on\n\
          (step 1; steps 2, 3, 5 with their exchanges; step 4). p = 1 runs\n\
          6 rounds, not 10: a one-processor sort has no sample and no exchange."
@@ -488,7 +506,9 @@ fn b2() {
 }
 
 /// Ablation: the multisearch congestion balancing (Search steps 2–4)
-/// on a hot-spot workload, vs naive route-to-owner.
+/// on a hot-spot workload, vs naive route-to-owner. Checks that the
+/// balanced round leaves no rank more visit weight than the even share
+/// plus the largest visit's weight.
 fn a1() {
     let n = 1 << 14;
     let p = 8;
@@ -500,7 +520,10 @@ fn a1() {
     let rq: Vec<QueryRec<2>> =
         queries.iter().enumerate().map(|(i, q)| (i as u32, ranks.translate(q))).collect();
 
-    let run = |balanced: bool| -> (f64, Vec<usize>) {
+    // Per rank: (visits finished, their weight, the weight of the visits
+    // its hat stage emitted, the largest of those).
+    type Load = (usize, u64, u64, u64);
+    let run = |balanced: bool| -> (f64, Vec<Load>) {
         let machine = Machine::new(p).unwrap();
         time_ms(|| {
             machine.run(|ctx| {
@@ -509,14 +532,18 @@ fn a1() {
                 let mine: Vec<QueryRec<2>> =
                     rq.iter().filter(|(qid, _)| *qid as usize % p == ctx.rank()).copied().collect();
                 let stage = hat_stage(&state, &mine);
+                let emitted: u64 = stage.visits.iter().map(|v| v.2).sum();
+                let heaviest = stage.visits.iter().map(|v| v.2).max().unwrap_or(0);
                 let mut sels = Vec::new();
-                let mut work = 0usize;
+                let (mut work, mut weight) = (0usize, 0u64);
                 if balanced {
                     let (trees, items) = balance_visits(ctx, &[&state], stage.visits);
                     for (fid, (_qid, q)) in items {
                         sels.clear();
-                        tree_for(&trees, &[&state], fid).tree.search(&q, &mut sels);
+                        let tree = &tree_for(&trees, &[&state], fid).tree;
+                        tree.search(&q, &mut sels);
                         work += 1;
+                        weight += search_cost(tree.leaves.len());
                     }
                 } else {
                     // Naive: ship each visit to the tree's owner; no copies.
@@ -540,29 +567,36 @@ fn a1() {
                     );
                     for (fid, (_qid, q)) in routed {
                         sels.clear();
-                        state.forest[&(fid as u32)].tree.search(&q, &mut sels);
+                        let tree = &state.forest[&(fid as u32)].tree;
+                        tree.search(&q, &mut sels);
                         work += 1;
+                        weight += search_cost(tree.leaves.len());
                     }
                 }
-                work
+                (work, weight, emitted, heaviest)
             })
         })
     };
 
     let (ms_bal, loads_bal) = run(true);
     let (ms_naive, loads_naive) = run(false);
-    let summarize = |loads: &[usize]| {
-        let max = *loads.iter().max().unwrap();
-        let total: usize = loads.iter().sum();
+    let summarize = |loads: &[Load]| {
+        let max = loads.iter().map(|l| l.0).max().unwrap();
+        let total: usize = loads.iter().map(|l| l.0).sum();
         (max, total, max as f64 / (total as f64 / p as f64).max(1.0))
     };
     let (bmax, btot, bratio) = summarize(&loads_bal);
     let (nmax, ntot, nratio) = summarize(&loads_naive);
+    // The balancing contract, in the weights the balancer saw.
+    let share = loads_bal.iter().map(|l| l.2).sum::<u64>().div_ceil(p as u64);
+    let heaviest = loads_bal.iter().map(|l| l.3).max().unwrap();
+    let routed = |loads: &[Load]| loads.iter().map(|l| l.1).max().unwrap();
+    let (bweight, nweight) = (routed(&loads_bal), routed(&loads_naive));
     print_table(
         &format!(
             "A1 — ablation: congestion copying on a hot-spot batch (n={n}, p={p}, 4096 queries)"
         ),
-        &["variant", "wall(ms)", "max visits/proc", "total visits", "max/mean"],
+        &["variant", "wall(ms)", "max visits/proc", "total visits", "max/mean", "max weight/share"],
         &[
             vec![
                 "balanced (paper)".into(),
@@ -570,6 +604,7 @@ fn a1() {
                 bmax.to_string(),
                 btot.to_string(),
                 format!("{bratio:.2}"),
+                format!("{:.2}", bweight as f64 / share as f64),
             ],
             vec![
                 "route-to-owner".into(),
@@ -577,13 +612,20 @@ fn a1() {
                 nmax.to_string(),
                 ntot.to_string(),
                 format!("{nratio:.2}"),
+                format!("{:.2}", nweight as f64 / share as f64),
             ],
         ],
     );
     println!(
         "\nclaim: without copying, the hot trees' owners absorb nearly all\n\
-         visits (max/mean → p); with the paper's c_j copies the load is\n\
-         near the mean (max/mean → 1)."
+         visits (max/mean → p); with copies of the hot trees the load is\n\
+         near the mean (max/mean → 1). \"max weight/share\" is the largest\n\
+         rank's visit weight over the even share ⌈total/p⌉; the balanced\n\
+         round is asserted to stay within the share plus one visit's weight."
+    );
+    assert!(
+        bweight <= share + heaviest,
+        "a1: a rank carries visit weight {bweight}, share {share} + heaviest visit {heaviest}"
     );
 }
 

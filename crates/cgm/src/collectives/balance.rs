@@ -2,14 +2,24 @@
 //! balancing step).
 //!
 //! Algorithm Search (steps 2–4 of the paper) must even out query load over
-//! forest trees whose demand is arbitrarily skewed: it computes, for every
-//! forest shard `F_j`, the congestion `c_j = ⌈|QF_j| / (|Q|/p)⌉`, makes
-//! `c_j` **copies** of the shard, distributes the copies evenly, and then
-//! routes every query to a processor holding a copy of the tree it wants to
-//! visit. The paper cites the balancing procedure of the multisearch paper
-//! (Atallah–Dehne–Miller–Rau-Chaplin–Tsay) as a black box with the
-//! guarantee that each processor ends up with O(1) copies and an O(total/p)
-//! share of the demand; this module implements and tests that contract.
+//! forest trees whose demand is arbitrarily skewed: it copies congested
+//! forest shards and routes every query to a processor holding a copy of
+//! the tree it wants to visit. The paper cites the balancing procedure of
+//! the multisearch paper (Atallah–Dehne–Miller–Rau-Chaplin–Tsay) as a
+//! black box with the guarantee that each processor ends up with an
+//! O(total/p) share of the demand. This module meets it with the even
+//! share as a cap, `share = ⌈total/p⌉`:
+//!
+//! * every demanded resource starts whole on its owner, so a resource
+//!   that is not congested never moves;
+//! * an owner whose demand exceeds `share` sheds the excess as tail
+//!   segments of its resources' demand, to the ranks with room below
+//!   `share`, in rank order. It sheds first from the resources with the
+//!   fewest payload words, so the fewest words are shipped;
+//! * an item goes to the segment that holds its first unit of weight.
+//!
+//! No processor ends with more than `share` plus the largest item weight,
+//! and a resource is copied once to every rank its demand is shed to.
 
 use std::collections::BTreeMap;
 
@@ -20,8 +30,8 @@ use crate::payload::Payload;
 /// processor and the work items routed to it.
 ///
 /// Contract: every routed item's resource is either among the shipped
-/// `resources` **or already owned by this processor** (owners serve as
-/// copy 0 from their originals, so uncongested resources never move).
+/// `resources` **or already owned by this processor** (owners serve their
+/// segments from their originals, so an owner never receives a copy).
 #[derive(Debug)]
 pub struct BalanceOutcome<R, W> {
     /// `(resource id, copy)` pairs shipped to this processor.
@@ -32,21 +42,13 @@ pub struct BalanceOutcome<R, W> {
 
 impl Ctx<'_> {
     /// Balance `items` (each demanding the resource with its id) across
-    /// processors, replicating congested resources.
+    /// processors, replicating congested resources. Every item weighs 1.
     ///
     /// * `owned` — resources this processor currently owns (ids must be
     ///   globally unique; ownership is not consumed — owners retain their
     ///   originals independently of the copies shipped here).
     /// * `items` — local work items, each tagged with the resource id it
     ///   must be co-located with.
-    ///
-    /// Three supersteps: demand histogram (all-gather), resource shipping
-    /// (all-to-all), item routing (all-to-all).
-    ///
-    /// Deterministic: all processors compute the same copy assignment from
-    /// the shared histogram; copies of resource `j` are laid out round-robin
-    /// starting at the cumulative copy count, and the `g`-th global item of
-    /// resource `j` goes to copy `⌊g·c_j/d_j⌋`.
     pub fn load_balance<R, W>(
         &mut self,
         owned: &[(u64, R)],
@@ -56,27 +58,38 @@ impl Ctx<'_> {
         R: Payload + Clone,
         W: Payload,
     {
-        let ids: Vec<u64> = owned.iter().map(|(rid, _)| *rid).collect();
-        // Index the owned resources once: resolving each demanded shard
-        // with a linear scan is quadratic when many owned shards are
-        // demanded.
+        let sized: Vec<(u64, u64)> = owned.iter().map(|(rid, r)| (*rid, r.words())).collect();
+        // Index the owned resources once: resolving each shipped resource
+        // with a linear scan is quadratic when many are shipped.
         let index: BTreeMap<u64, &R> = owned.iter().map(|(rid, r)| (*rid, r)).collect();
         let weighted = items.into_iter().map(|(rid, w)| (rid, w, 1)).collect();
         self.load_balance_weighted_with(
-            &ids,
+            &sized,
             |rid| (*index.get(&rid).expect("owned resource")).clone(),
             weighted,
         )
     }
 
     /// [`load_balance`](Ctx::load_balance) with owner-side lazy resource
-    /// lookup (only demanded resources are cloned) and per-item weights:
-    /// congestion `c_j` and item routing are computed over total *weight*
-    /// rather than item count, which is what Algorithm Report needs (its
-    /// items are selected segment trees weighed by their leaf counts).
+    /// lookup (only shipped resources are fetched) and per-item weights
+    /// (a weight of 0 counts as 1): the even share and the segments are
+    /// measured in weight, not in items.
+    ///
+    /// `owned` lists this processor's resources as `(id, payload words)`;
+    /// the words decide which resources an overloaded owner sheds first.
+    ///
+    /// Three supersteps: demand histogram with the ownership entries
+    /// (all-gather), resource shipping (all-to-all), item routing
+    /// (all-to-all). They are the balancing of every fused query batch,
+    /// which runs 10 supersteps on a level's first aggregate batch and 9
+    /// after.
+    ///
+    /// Deterministic: every processor computes the same segments from the
+    /// shared histogram, and the items of a resource are ordered by
+    /// `(source rank, local position)`.
     pub fn load_balance_weighted_with<R, W, F>(
         &mut self,
-        owned_ids: &[u64],
+        owned: &[(u64, u64)],
         get: F,
         items: Vec<(u64, W, u64)>,
     ) -> BalanceOutcome<R, W>
@@ -88,116 +101,118 @@ impl Ctx<'_> {
         let p = self.p();
         let me = self.rank();
 
-        // --- Superstep 1: global demand histogram (by weight), plus
-        //     resource ownership (owners keep copy 0 in place, so
-        //     uncongested resources are never shipped at all — only the
-        //     *congested* trees are copied, as in the paper) ------------
+        // --- Superstep 1: global demand histogram (by weight), plus the
+        //     ownership entries, which carry payload words -------------
         let mut local_counts: BTreeMap<u64, u64> = BTreeMap::new();
         for (rid, _, w) in &items {
             *local_counts.entry(*rid).or_insert(0) += (*w).max(1);
         }
-        // Entries: (rid, count, is_ownership). Ownership entries carry 0.
+        // Entries: (rid, weight or payload words, is_ownership).
         let mut local_hist: Vec<(u64, u64, bool)> =
             local_counts.iter().map(|(&k, &v)| (k, v, false)).collect();
-        local_hist.extend(owned_ids.iter().map(|&rid| (rid, 0, true)));
+        local_hist.extend(owned.iter().map(|&(rid, words)| (rid, words, true)));
         let per_rank_hists: Vec<Vec<(u64, u64, bool)>> = self.all_gather(local_hist);
 
-        // Global demand per resource, this processor's item offset within
-        // each resource's global item sequence, and the owner map.
+        // Global demand per resource, this processor's weight offset within
+        // each resource's global item sequence, and owner and words.
         let mut demand: BTreeMap<u64, u64> = BTreeMap::new();
         let mut my_offset: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut owner: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut owner: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
         for (r, hist) in per_rank_hists.iter().enumerate() {
-            for &(rid, cnt, is_owner) in hist {
+            for &(rid, x, is_owner) in hist {
                 if is_owner {
-                    let prev = owner.insert(rid, r);
+                    let prev = owner.insert(rid, (r, x));
                     debug_assert!(prev.is_none(), "resource {rid} has two owners");
                 } else {
                     if r < me {
-                        *my_offset.entry(rid).or_insert(0) += cnt;
+                        *my_offset.entry(rid).or_insert(0) += x;
                     }
-                    *demand.entry(rid).or_insert(0) += cnt;
+                    *demand.entry(rid).or_insert(0) += x;
                 }
             }
         }
-        let total: u64 = demand.values().sum();
+        let plan = segments(p, &demand, &owner);
 
-        // --- Deterministic copy assignment (computed identically
-        //     everywhere from the shared histogram) ----------------------
-        // c_j = ceil(d_j * p / total), clamped to [1, p]. Copy 0 stays
-        // with the owner *while the owner's pinned demand stays under
-        // twice the even share* (avoiding shipment of uncongested trees —
-        // the paper only copies congested ones); past that the copy is
-        // placed round-robin like the rest, preserving the O(total/p)
-        // per-processor bound even when one owner holds many demanded
-        // resources. Copies t ≥ 1 go round-robin over the other ranks,
-        // offset by the cumulative slot (consecutive values mod (p-1) are
-        // distinct for c-1 ≤ p-1 and never hit the copy-0 rank's slot 0).
-        let share = if total == 0 { 1 } else { total.div_ceil(p as u64) };
-        let mut plan: BTreeMap<u64, (u64, u64, usize)> = BTreeMap::new(); // rid -> (first_slot, c_j, copy0_rank)
-        let mut cum_copies: u64 = 0;
-        let mut pinned: Vec<u64> = vec![0; p];
-        for (&rid, &d) in &demand {
-            let c =
-                if total == 0 { 1 } else { ((d * p as u64).div_ceil(total)).clamp(1, p as u64) };
-            let own = *owner.get(&rid).expect("demanded resource has an owner");
-            let quota = d / c;
-            let copy0 = if pinned[own] + quota <= 2 * share {
-                pinned[own] += quota;
-                own
-            } else {
-                let slot = (cum_copies % p as u64) as usize;
-                pinned[slot] += quota;
-                slot
-            };
-            plan.insert(rid, (cum_copies, c, copy0));
-            cum_copies += c;
-        }
-        let rank_of_copy = |first_slot: u64, c0: usize, t: u64| -> usize {
-            if t == 0 {
-                c0
-            } else {
-                debug_assert!(p > 1, "extra copies require p > 1");
-                (c0 + 1 + ((first_slot + t - 1) % (p as u64 - 1)) as usize) % p
-            }
-        };
-
-        // --- Superstep 2: ship copies (only displaced copy-0s and the
-        //     extra copies of congested resources move) ------------------
+        // --- Superstep 2: ship a copy to every rank a segment went to ---
         let mut res_out: Vec<Vec<(u64, R)>> = (0..p).map(|_| Vec::new()).collect();
-        for &rid in owned_ids {
-            if let Some(&(first, c, c0)) = plan.get(&rid) {
-                for t in 0..c {
-                    let dst = rank_of_copy(first, c0, t);
-                    if dst != me {
-                        res_out[dst].push((rid, get(rid)));
-                    }
+        for &(rid, _) in owned {
+            for &(_, dst) in plan.get(&rid).into_iter().flatten() {
+                if dst != me {
+                    res_out[dst].push((rid, get(rid)));
                 }
             }
         }
         let resources: Vec<(u64, R)> =
             self.exchange("balance_resources", res_out).into_iter().flatten().collect();
 
-        // --- Superstep 3: route items to their assigned copies ----------
-        // The g-th unit of global weight of resource j goes to copy
-        // ⌊g·c_j/d_j⌋; an item is routed by the weight-prefix of its first
-        // unit.
+        // --- Superstep 3: route each item to the segment of its first
+        //     unit of weight ---------------------------------------------
         let mut item_out: Vec<Vec<(u64, W)>> = (0..p).map(|_| Vec::new()).collect();
         let mut next_local: BTreeMap<u64, u64> = BTreeMap::new();
         for (rid, item, w) in items {
-            let &(first, c, c0) = plan.get(&rid).expect("demanded resource has a plan");
-            let d = demand[&rid];
+            let segs = &plan[&rid];
             let local_pos = next_local.entry(rid).or_insert(0);
             let g = my_offset.get(&rid).copied().unwrap_or(0) + *local_pos;
             *local_pos += w.max(1);
-            let t = (g * c / d).min(c - 1);
-            item_out[rank_of_copy(first, c0, t)].push((rid, item));
+            let (_, dst) = segs[segs.partition_point(|&(start, _)| start <= g) - 1];
+            item_out[dst].push((rid, item));
         }
         let items: Vec<(u64, W)> =
             self.exchange("balance_items", item_out).into_iter().flatten().collect();
 
         BalanceOutcome { resources, items }
     }
+}
+
+/// Where each demanded resource's weight goes: `(first unit, rank)`
+/// segments in ascending order, the first one the owner's unless the
+/// owner sheds all of it. Computed identically on every processor.
+fn segments(
+    p: usize,
+    demand: &BTreeMap<u64, u64>,
+    owner: &BTreeMap<u64, (usize, u64)>,
+) -> BTreeMap<u64, Vec<(u64, usize)>> {
+    let share = demand.values().sum::<u64>().div_ceil(p as u64);
+    let mut load = vec![0u64; p];
+    // Per owner: its demanded resources as (payload words, id, demand).
+    let mut held: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); p];
+    let mut plan = BTreeMap::new();
+    for (&rid, &d) in demand {
+        let (own, words) = *owner.get(&rid).expect("demanded resource has an owner");
+        load[own] += d;
+        held[own].push((words, rid, d));
+        plan.insert(rid, vec![(0, own)]);
+    }
+    // The ranks below the share have at least as much room as the ranks
+    // above it have excess, so the cursor never runs off the end.
+    let mut room: Vec<u64> = load.iter().map(|&l| share.saturating_sub(l)).collect();
+    let mut to = 0;
+    for (own, mut trees) in held.into_iter().enumerate() {
+        let mut excess = load[own].saturating_sub(share);
+        trees.sort_unstable();
+        for (_, rid, d) in trees {
+            if excess == 0 {
+                break;
+            }
+            let shed = d.min(excess);
+            excess -= shed;
+            let segs = plan.get_mut(&rid).expect("planned above");
+            if shed == d {
+                segs.clear();
+            }
+            let mut start = d - shed;
+            while start < d {
+                while room[to] == 0 {
+                    to += 1;
+                }
+                let take = room[to].min(d - start);
+                segs.push((start, to));
+                room[to] -= take;
+                start += take;
+            }
+        }
+    }
+    plan
 }
 
 #[cfg(test)]
@@ -322,5 +337,63 @@ mod tests {
         let max = *items.iter().max().unwrap();
         // Contract: no processor carries more than ~2x the even share.
         assert!(max <= 2 * total / 4 + 1, "items: {items:?}");
+    }
+
+    /// Four weighted resources, all owned by rank 0: the owner keeps one
+    /// even share and every rank ends at no more than the share plus the
+    /// largest item weight.
+    #[test]
+    fn the_owner_of_every_hot_tree_keeps_only_its_share() {
+        for p in [2usize, 4] {
+            let m = Machine::new(p).unwrap();
+            // Items are (resource, weight), and carry their weight.
+            let weight = |r: usize, i: usize| 1 + ((i * 7 + r * 3) % 9) as u64;
+            let outs = m.run(|ctx| {
+                let r = ctx.rank();
+                let owned: Vec<(u64, u64)> = if r == 0 {
+                    (0..4).map(|rid| (rid, 100 * (rid + 1))).collect()
+                } else {
+                    vec![]
+                };
+                let items: Vec<(u64, u64, u64)> =
+                    (0..120).map(|i| ((i % 4) as u64, weight(r, i), weight(r, i))).collect();
+                let out = ctx.load_balance_weighted_with(&owned, |rid| rid, items);
+                (out.resources, out.items)
+            });
+            let total: u64 = (0..p).flat_map(|r| (0..120).map(move |i| weight(r, i))).sum();
+            let share = total.div_ceil(p as u64);
+            let mut arrived = 0;
+            for (rank, (res, its)) in outs.iter().enumerate() {
+                let load: u64 = its.iter().map(|(_, w)| w).sum();
+                assert!(load <= share + 9, "p = {p}: rank {rank} carries {load}, share {share}");
+                for (rid, _) in its {
+                    assert!(rank == 0 || res.iter().any(|(c, _)| c == rid), "{rid} stranded");
+                }
+                arrived += its.len();
+            }
+            assert_eq!(arrived, 120 * p);
+        }
+    }
+
+    /// An owner over its share sheds its smallest resource before a
+    /// larger one: here the small tree alone covers the excess, so the
+    /// large one never moves.
+    #[test]
+    fn shedding_starts_with_the_fewest_words() {
+        let m = Machine::new(2).unwrap();
+        let outs = m.run(|ctx| {
+            // Resource 0 is large, resource 1 small; rank 0 owns both.
+            let owned: Vec<(u64, Vec<u64>)> =
+                if ctx.rank() == 0 { vec![(0, vec![7; 1000]), (1, vec![7; 10])] } else { vec![] };
+            let items: Vec<(u64, u64)> = (0..50).map(|i| (i % 2, i)).collect();
+            let out = ctx.load_balance(&owned, items);
+            let shipped: Vec<u64> = out.resources.iter().map(|(rid, _)| *rid).collect();
+            (shipped, out.items.iter().map(|(rid, _)| *rid).collect::<Vec<u64>>())
+        });
+        assert!(outs[0].0.is_empty(), "the owner received a copy");
+        assert_eq!(outs[1].0, vec![1], "only the small resource is shipped");
+        assert!(outs[0].1.iter().all(|&rid| rid == 0));
+        assert!(outs[1].1.iter().all(|&rid| rid == 1));
+        assert_eq!((outs[0].1.len(), outs[1].1.len()), (50, 50));
     }
 }

@@ -38,13 +38,19 @@ impl Ctx<'_> {
             return data;
         }
 
-        // Regular sampling: p samples at evenly spaced positions, each
+        // Regular sampling (Shi–Schaeffer's PSRS), oversampled twice: 2p
+        // samples at evenly spaced positions starting with the first, each
         // with its place in the global tie order, (rank, sorted position).
+        // A splitter is the first sample of a 1/p-quantile of the sample,
+        // so a rank's slice, or a key range every rank holds, splits
+        // exactly, and runs whose layout repeats on every rank (a
+        // Construct phase past the first) split within ≈ 1.1·n/p; with p
+        // samples they read up to 1.34·n/p.
         let n_local = data.len();
         let base = (self.rank() as u64) << 32;
-        let samples: Vec<(K, u64)> = (1..=p)
+        let samples: Vec<(K, u64)> = (0..2 * p)
             .filter(|_| n_local > 0)
-            .map(|j| (j * n_local / p).min(n_local - 1))
+            .map(|j| j * n_local / (2 * p))
             .map(|idx| (key(&data[idx]), base | idx as u64))
             .collect();
         let mut all_samples: Vec<(K, u64)> =
@@ -56,7 +62,7 @@ impl Ctx<'_> {
         let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
         if !all_samples.is_empty() {
             for b in (1..p).rev() {
-                let (k, tie) = &all_samples[(b * all_samples.len() / p).min(all_samples.len() - 1)];
+                let (k, tie) = &all_samples[b * all_samples.len() / p];
                 // Among the records equal to the splitter's key, those of
                 // an earlier rank, or of this one and earlier in its run.
                 let below = data.partition_point(|t| key(t) < *k) as u64;
@@ -199,6 +205,43 @@ mod tests {
         assert_eq!(flat, (0..97).collect::<Vec<u64>>());
         let counts: Vec<usize> = outs.iter().map(Vec::len).collect();
         assert_eq!(counts, vec![25, 24, 24, 24]);
+    }
+
+    /// Regular sampling from each run's first record: no rank ends with
+    /// more than 1.25·⌈n/p⌉ records, whether each rank holds its own
+    /// slice of the keys, every rank holds the same strided key range (a
+    /// Construct phase past the first: every rank holds records of every
+    /// tree) or the keys are scattered at random.
+    #[test]
+    fn sort_buckets_stay_under_the_regular_sampling_bound() {
+        let per_proc = 1000usize;
+        let key = |input: &str, p: usize, r: usize, i: usize| match input {
+            "slices" => (r * per_proc + i) as u64,
+            "strided" => (i * p + r) as u64,
+            _ => {
+                let mut x = (r * per_proc + i) as u64 ^ 0x9e37_79b9_7f4a_7c15;
+                x = (x ^ (x >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x ^ (x >> 29)
+            }
+        };
+        for p in [2usize, 4, 8] {
+            for name in ["slices", "strided", "scattered"] {
+                let m = Machine::new(p).unwrap();
+                let outs = m.run(|ctx| {
+                    let data: Vec<u64> =
+                        (0..per_proc).map(|i| key(name, p, ctx.rank(), i)).collect();
+                    ctx.sort_by_key(data, |x| *x)
+                });
+                let flat: Vec<u64> = outs.iter().flatten().copied().collect();
+                assert!(flat.windows(2).all(|w| w[0] <= w[1]), "{name}, p = {p}: not sorted");
+                let largest = outs.iter().map(Vec::len).max().unwrap();
+                let bound = 1.25 * (p * per_proc).div_ceil(p) as f64;
+                assert!(
+                    largest as f64 <= bound,
+                    "{name}, p = {p}: a rank holds {largest} records, bound {bound}"
+                );
+            }
+        }
     }
 
     #[test]

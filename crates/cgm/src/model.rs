@@ -63,7 +63,10 @@ pub fn predict_construct(c: &CostParams) -> Prediction {
 /// construction, as in the paper (this repo's counting mode): three
 /// balancing rounds, two sort rounds for the `(q, f)` pairs and two
 /// segmented-fold rounds. `aggregate_batch`, which takes its semigroup
-/// per batch, is `predict_search + 1`: one value-fill all-gather first.
+/// per batch, is `predict_search + 1` on a tree's first batch of that
+/// semigroup type (one value-fill all-gather first) and `predict_search`
+/// after, since the tree keeps the values. A fused mixed batch is 10
+/// supersteps on a level's first aggregate batch, 9 after.
 pub fn predict_search(c: &CostParams, m_queries: usize) -> Prediction {
     // Queries can split into O(log p) subqueries per dimension while in
     // the hat; each routed visit carries one record.

@@ -86,6 +86,9 @@ pub struct ProcState<const D: usize> {
     /// Global record volume `|S^j|` of each construction phase (identical
     /// on every processor; the paper's Section 5 caveat quantities).
     pub phase_records: Vec<u64>,
+    /// This processor's share of `S^j` after each phase's collective sort:
+    /// what `repro t2` holds to the sort's balance bound.
+    pub sorted_records: Vec<u64>,
     /// Wall time this processor spent in step 1 (the collective sorts), in
     /// steps 2, 3 and 5 (scan, deal, summaries) and in step 4 (its local
     /// builds), summed over the phases: what `repro t2` prints.
@@ -125,6 +128,7 @@ pub fn construct<const D: usize>(
     let mut hats: BTreeMap<u64, HatTree> = BTreeMap::new();
     let mut forest: BTreeMap<u32, Arc<ForestEntry<D>>> = BTreeMap::new();
     let mut phase_records: Vec<u64> = Vec::with_capacity(D);
+    let mut sorted_records: Vec<u64> = Vec::with_capacity(D);
     let mut next_fid: u32 = 0;
     let (mut step_wall, mut clock) = ([Duration::ZERO; 3], Instant::now());
     let mut lap =
@@ -137,6 +141,7 @@ pub fn construct<const D: usize>(
         // (1) Sort S^j by (tree, rank in dimension j). Ranks are unique
         // within a tree, so the global order is fully determined.
         let sorted = ctx.sort_by_key(records, move |(key, pt): &PhaseRec<D>| (*key, pt.ranks[j]));
+        sorted_records.push(sorted.len() as u64);
         lap(0);
 
         // (2) Scan: per-tree local counts, all-gathered. Every processor
@@ -230,5 +235,14 @@ pub fn construct<const D: usize>(
         lap(1);
     }
 
-    ProcState { hat: Hat { trees: hats, key_shift }, forest, phase_records, step_wall, m, g, p }
+    ProcState {
+        hat: Hat { trees: hats, key_shift },
+        forest,
+        phase_records,
+        sorted_records,
+        step_wall,
+        m,
+        g,
+        p,
+    }
 }

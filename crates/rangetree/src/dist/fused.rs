@@ -11,29 +11,35 @@
 //! occupied levels pays one run, not `3·L`.
 //!
 //! 1. one all-gather fills the final-dimension hat aggregates of every
-//!    level at once (skipped when the batch has no aggregate queries —
-//!    counting reads the replicated `cnt` arrays directly);
+//!    level that has none for the batch's semigroup yet, and the level
+//!    keeps them for every later batch of that semigroup type (skipped
+//!    when the batch has no aggregate queries — counting reads the
+//!    replicated `cnt` arrays directly — or when every level has them);
 //! 2. each rank translates its own `qid mod p` share of the batch into
 //!    every level's rank space (the submitting thread translates nothing)
 //!    and runs the hat stages of every mode and level locally; forest
 //!    visits are tagged with a *composite* resource id
 //!    `(level << 32) | fid` so one multisearch balancing round (three
 //!    supersteps, [`balance_visits`]) evens out the forest work of the
-//!    whole batch — report visits weighted by their group's output
-//!    volume, exactly as Algorithm Report prescribes (the hat stage
-//!    states each visit's weight);
+//!    whole batch — every visit weighted by its search cost, and a
+//!    report visit whose whole group matches also by its output, as
+//!    Algorithm Report prescribes (the hat stage states each visit's
+//!    weight);
 //! 3. count/aggregate partials from all levels share one global sort +
 //!    segmented fold; report pairs from all levels share one
 //!    order-preserving rebalance.
 //!
 //! Every stage that would be a no-op for the batch shape is skipped
-//! *uniformly* (the decision depends only on host-provided query counts,
-//! so SPMD superstep alignment is preserved). The result: a mixed batch
-//! costs at most 10 supersteps and exactly **one** run, independent of
-//! the number of levels and of the mode mix; an aggregate-only batch
-//! costs 8, a count-only batch 7 and a report-only batch 5.
+//! *uniformly* (the decision is the host's, from the query counts and
+//! the values the levels kept, so SPMD superstep alignment is
+//! preserved). The result: a mixed batch costs exactly **one** run,
+//! independent of the number of levels and of the mode mix, and at most
+//! 10 supersteps on a level's first aggregate batch, 9 after; an
+//! aggregate-only batch costs 8, then 7, a count-only batch 7 and a
+//! report-only batch 5.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use ddrs_cgm::{unwrap_run, CgmError, Machine};
 
@@ -41,7 +47,7 @@ use crate::dist::search::{
     balance_visits, compose, decompose, fill_hat_values, hat_stage, report_visits, tree_for,
     QueryRec,
 };
-use crate::dist::DistRangeTree;
+use crate::dist::{DistRangeTree, HatValues};
 use crate::point::Rect;
 use crate::semigroup::{comb_opt, fold_points, Semigroup};
 use crate::seq::{sel_count, sel_report, BlockFolds};
@@ -172,20 +178,26 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
     let has_agg = n_a > 0;
     let has_ca = n_c + n_a > 0;
     let has_r = n_r > 0;
+    // Each level's hat values for this semigroup, if an earlier batch
+    // filled them. The first aggregate batch on a level fills them in its
+    // own run, so a panicking `lift` fails that run like any other.
+    let kept: Vec<Option<Arc<HatValues<S::Val>>>> =
+        levels.iter().map(|t| if has_agg { t.hat_values::<S>() } else { None }).collect();
+    let fill = has_agg && kept.iter().any(Option::is_none);
 
-    machine.try_run(|ctx| {
+    let mut per_rank = machine.try_run(|ctx| {
         let me = ctx.rank();
         let states: Vec<_> = levels.iter().map(|t| &t.states[me]).collect();
 
-        // (1) Value fill for the aggregate semigroup, all levels in one
-        // all-gather: the final-dimension forest roots' folds, combined
-        // bottom-up into the final-dimension hat trees (only those
-        // resolve selections from values, so earlier phases' forest
-        // entries need no fold). Counting needs no fill: the hat's
-        // replicated `cnt` arrays already hold the Count folds.
-        let hat_vals: Vec<BTreeMap<u64, Vec<Option<S::Val>>>> = if has_agg {
+        // (1) Value fill for the aggregate semigroup, every level still
+        // without values in one all-gather: the final-dimension forest
+        // roots' folds, combined bottom-up into the final-dimension hat
+        // trees (only those resolve selections from values, so earlier
+        // phases' forest entries need no fold). Counting needs no fill:
+        // the hat's replicated `cnt` arrays already hold the Count folds.
+        let filled: Vec<Option<HatValues<S::Val>>> = if fill {
             let mut root_vals: Vec<(u64, Option<S::Val>)> = Vec::new();
-            for (li, state) in states.iter().enumerate() {
+            for (li, state) in states.iter().enumerate().filter(|(li, _)| kept[*li].is_none()) {
                 for (&fid, entry) in
                     state.forest.iter().filter(|(_, e)| e.start_dim as usize == D - 1)
                 {
@@ -206,11 +218,14 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
             states
                 .iter()
                 .zip(&per_level)
-                .map(|(state, roots)| fill_hat_values(state, &sg, roots))
+                .zip(&kept)
+                .map(|((state, roots), k)| k.is_none().then(|| fill_hat_values(state, &sg, roots)))
                 .collect()
         } else {
-            Vec::new()
+            (0..levels.len()).map(|_| None).collect()
         };
+        let hat_vals: Vec<Option<&HatValues<S::Val>>> =
+            kept.iter().zip(&filled).map(|(k, f)| k.as_deref().or(f.as_ref())).collect();
 
         // (2) Hat stages of every mode and level (local), emitting hat
         // partials and composite-tagged forest visits. This rank owns the
@@ -226,7 +241,7 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
             for &(qid, (key, v)) in &stage.sels {
                 if (qid as usize) < n_c {
                     pairs.push((qid as u64, (state.hat.trees[&key].cnt[v as usize] as u64, None)));
-                } else if let Some(val) = hat_vals[li][&key][v as usize].clone() {
+                } else if let Some(val) = hat_vals[li].expect("filled")[&key][v as usize].clone() {
                     pairs.push((qid as u64, (0, Some(val))));
                 }
             }
@@ -289,13 +304,20 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
         // (6) ⌈k/p⌉-balance the report output.
         let shares: Vec<(u32, u32)> = if has_r { ctx.rebalance(report_pairs) } else { Vec::new() };
 
-        (folded, shares)
-    })
+        // Rank 0 hands back the values this run filled.
+        (folded, shares, if me == 0 { filled } else { Vec::new() })
+    })?;
+    for (level, vals) in levels.iter().zip(std::mem::take(&mut per_rank[0].2)) {
+        if let Some(vals) = vals {
+            level.keep_hat_values::<S>(vals);
+        }
+    }
+    Ok(per_rank.into_iter().map(|(folded, shares, _)| (folded, shares)).collect())
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     use super::*;
     use crate::point::Point;
@@ -410,5 +432,67 @@ mod tests {
         assert_eq!(out.aggregates, vec![fold; 64]);
         let lifts = LIFTS.load(Ordering::Relaxed);
         assert!(lifts <= 4 * m as u64, "{lifts} lifts for 64 aggregates over {m} points");
+    }
+
+    /// A tree keeps the hat values its first aggregate batch fills: the
+    /// same mixed batch twice gives the same answers, in 10 supersteps,
+    /// then 9.
+    #[test]
+    fn a_second_aggregate_batch_skips_the_value_fill() {
+        let machine = Machine::new(4).unwrap();
+        let pts = pts(200);
+        let tree = DistRangeTree::<2>::build(&machine, &pts).unwrap();
+        let qs = vec![Rect::new([0, 0], [99, 199]), Rect::new([50, 10], [150, 120])];
+        let mut steps = Vec::new();
+        let mut outs = Vec::new();
+        for _ in 0..2 {
+            machine.take_stats();
+            outs.push(fused_query_batch(&machine, &[&tree], Sum, &qs, &qs, &qs));
+            steps.push(machine.take_stats().supersteps());
+        }
+        let brute: Vec<Option<u64>> = qs
+            .iter()
+            .map(|q| {
+                fold_points(&Sum, pts.iter().filter(|p| q.contains(p)).map(|p| (p.id, p.weight)))
+            })
+            .collect();
+        assert_eq!(outs[0].aggregates, brute);
+        assert_eq!(outs[1].aggregates, brute);
+        assert_eq!((&outs[0].counts, &outs[0].reports), (&outs[1].counts, &outs[1].reports));
+        assert_eq!(steps, vec![10, 9]);
+    }
+
+    /// `Sum` whose `lift` panics while the wire is armed.
+    #[derive(Debug, Clone, Copy)]
+    struct Tripwire;
+    static ARMED: AtomicBool = AtomicBool::new(false);
+
+    impl Semigroup for Tripwire {
+        type Val = u64;
+        fn lift(&self, _id: u32, weight: u64) -> u64 {
+            assert!(!ARMED.load(Ordering::Relaxed), "tripwire lifted");
+            weight
+        }
+        fn comb(&self, a: u64, b: u64) -> u64 {
+            a + b
+        }
+    }
+
+    /// A fill whose `lift` panics fails its batch and leaves the tree
+    /// without values: the next batch of the same type fills them again
+    /// and answers.
+    #[test]
+    fn a_failed_fill_caches_nothing() {
+        let machine = Machine::new(4).unwrap();
+        let tree = DistRangeTree::<2>::build(&machine, &pts(200)).unwrap();
+        let qs = vec![Rect::new([0, 0], [99, 199]), Rect::new([50, 10], [150, 120])];
+        ARMED.store(true, Ordering::Relaxed);
+        let failed = try_fused_query_batch(&machine, &[&tree], Tripwire, &[], &qs, &[]);
+        ARMED.store(false, Ordering::Relaxed);
+        assert!(matches!(failed, Err(CgmError::ProcessorPanicked { .. })), "{failed:?}");
+        machine.take_stats();
+        let out = try_fused_query_batch(&machine, &[&tree], Tripwire, &[], &qs, &[]).unwrap();
+        assert_eq!(machine.take_stats().supersteps(), 8, "the fill runs again");
+        assert_eq!(out.aggregates, tree.aggregate_batch(&machine, Sum, &qs));
     }
 }

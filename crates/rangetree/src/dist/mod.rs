@@ -29,6 +29,10 @@ pub mod fused;
 pub mod hat;
 pub mod search;
 
+use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
+
 use ddrs_cgm::{unwrap_run, Machine};
 
 pub use construct::{construct as construct_spmd, ForestEntry, ProcState};
@@ -103,7 +107,15 @@ pub struct StructureReport {
 pub struct DistRangeTree<const D: usize> {
     ranks: RankSpace<D>,
     states: Vec<ProcState<D>>,
+    /// The final-dimension hat values of each semigroup type an aggregate
+    /// batch has asked for, filled by that type's first batch.
+    hat_values: Mutex<Vec<(TypeId, Arc<dyn Any + Send + Sync>)>>,
 }
+
+/// Algorithm AssociativeFunction's step 1 for the hat: `f(v)` of every
+/// node of every final-dimension hat tree, by tree key. Identical on
+/// every processor.
+pub(crate) type HatValues<V> = BTreeMap<u64, Vec<Option<V>>>;
 
 impl<const D: usize> DistRangeTree<D> {
     /// Algorithm Construct: build the distributed tree over `pts`.
@@ -131,7 +143,23 @@ impl<const D: usize> DistRangeTree<D> {
             let lo = ctx.rank() * share;
             construct::construct(ctx, rpts[lo..lo + share].to_vec(), m)
         });
-        DistRangeTree { ranks, states }
+        DistRangeTree { ranks, states, hat_values: Mutex::default() }
+    }
+
+    /// The hat values an earlier batch filled for semigroup type `S`.
+    pub(crate) fn hat_values<S: Semigroup>(&self) -> Option<Arc<HatValues<S::Val>>> {
+        let kept = self.hat_values.lock().unwrap_or_else(PoisonError::into_inner);
+        let (_, vals) = kept.iter().find(|(ty, _)| *ty == TypeId::of::<S>())?;
+        Arc::clone(vals).downcast().ok()
+    }
+
+    /// Keep the hat values a successful batch filled for semigroup type
+    /// `S`, for every later batch of that type.
+    pub(crate) fn keep_hat_values<S: Semigroup>(&self, vals: HatValues<S::Val>) {
+        let mut kept = self.hat_values.lock().unwrap_or_else(PoisonError::into_inner);
+        if kept.iter().all(|(ty, _)| *ty != TypeId::of::<S>()) {
+            kept.push((TypeId::of::<S>(), Arc::new(vals)));
+        }
     }
 
     fn assert_machine(&self, machine: &Machine) {
@@ -156,12 +184,14 @@ impl<const D: usize> DistRangeTree<D> {
     /// `⊗` of `f(l)` over the points matching each query, `None` when a
     /// query matches nothing.
     ///
-    /// Eight supersteps regardless of `n`, `p` and the batch: one
-    /// value-fill all-gather (forest-root values → replicated hat
-    /// aggregates; the price of choosing the semigroup per batch instead
-    /// of at construction), three balancing rounds, a two-round sort of
-    /// the `(query, value)` partials and a two-round segmented fold. An
-    /// empty batch pays no machine dispatch.
+    /// Eight supersteps regardless of `n`, `p` and the batch on the first
+    /// batch of a semigroup type: one value-fill all-gather (forest-root
+    /// values → replicated hat aggregates; the price of choosing the
+    /// semigroup per batch instead of at construction), three balancing
+    /// rounds, a two-round sort of the `(query, value)` partials and a
+    /// two-round segmented fold. The tree keeps the filled values, so
+    /// every later batch of that type costs seven. An empty batch pays no
+    /// machine dispatch.
     pub fn aggregate_batch<S: Semigroup>(
         &self,
         machine: &Machine,

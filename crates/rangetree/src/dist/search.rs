@@ -18,18 +18,20 @@
 //! a hat tree) the query must continue inside that group's forest
 //! subtree: the walk emits a **visit** `(fid, subquery, weight)`. Visits
 //! are then evened out by [`balance_visits`] — the multisearch balancing of
-//! Atallah et al. that the paper cites: congested forest trees are
-//! *copied* `c_j = ⌈|QF_j| / (|Q|/p)⌉` times and each visit is routed to
-//! a processor holding a copy, so every processor finishes an `O(|Q|/p)`
-//! share of forest searches regardless of skew.
+//! Atallah et al. that the paper cites: an owner whose trees draw more
+//! than the even share of the batch's search cost copies trees to
+//! processors with room and routes the excess visits there, so every
+//! processor finishes an `O(|Q|/p)` share of forest searches regardless
+//! of skew.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use ddrs_cgm::Ctx;
+use ddrs_cgm::{Ctx, Payload};
 
 use crate::dist::construct::{ForestEntry, ProcState};
 use crate::dist::hat::{child_key, HatTree, ROOT_KEY};
+use crate::dist::HatValues;
 use crate::heap;
 use crate::point::RRect;
 use crate::semigroup::{comb_opt, Semigroup};
@@ -41,9 +43,11 @@ pub type QueryRec<const D: usize> = (u32, RRect<D>);
 #[derive(Debug, Clone, Default)]
 pub struct HatStage<const D: usize> {
     /// Forest visits `(forest id, subquery, weight)` still to be finished.
-    /// The weight is the balancing measure: 1 for a count/aggregate visit,
-    /// the group's real-point count for a report visit (Algorithm Report
-    /// weighs a selected tree by its expected output).
+    /// The weight is the balancing measure: the visit's search cost,
+    /// [`search_cost`] of the group size, plus the group's real-point
+    /// count for a report visit whose whole group matches (the one visit
+    /// whose output `k` is known before the search; Algorithm Report
+    /// weighs a selected tree by its output).
     pub visits: Vec<(u64, QueryRec<D>, u64)>,
     /// Final-dimension hat selections `(qid, (tree key, heap node))`:
     /// canonical nodes whose whole point set matches the query, resolved
@@ -59,19 +63,30 @@ enum Mode {
     Report,
 }
 
+/// The balancing weight of one forest search in a group of `g = 2^h`
+/// points: `h²` (at least 1), a binary search of `O(h)` steps in each of
+/// the `O(h)` blocks of a two-dimensional canonical cover.
+pub fn search_cost(g: usize) -> u64 {
+    u64::from(g.trailing_zeros()).pow(2).max(1)
+}
+
 /// Emit the visit of group leaf `v` of hat tree `t` (which has real
-/// points below: the walk never reaches an empty node).
+/// points below: the walk never reaches an empty node). `whole` says the
+/// group's every point matches the query.
 fn visit<const D: usize>(
+    state: &ProcState<D>,
     t: &HatTree,
     v: usize,
     rec: QueryRec<D>,
+    whole: bool,
     mode: &Mode,
     out: &mut HatStage<D>,
 ) {
-    let weight = match mode {
-        Mode::Aggregate => 1,
-        Mode::Report => t.cnt[v] as u64,
+    let output = match mode {
+        Mode::Report if whole => t.cnt[v] as u64,
+        _ => 0,
     };
+    let weight = search_cost(state.g) + output;
     out.visits.push((t.leaf_forest[v - t.nleaves as usize] as u64, rec, weight));
 }
 
@@ -98,7 +113,7 @@ fn walk<const D: usize>(
         if t.is_leaf(v) {
             // Continue inside the group's forest subtree (which re-checks
             // dimension j trivially and handles dimensions j+1..d).
-            visit(t, v, (qid, *q), mode, out);
+            visit(state, t, v, (qid, *q), j + 1 == D, mode, out);
         } else if j + 1 < D {
             // Case 1: proceed to the descendant hat tree.
             walk(state, child_key(key, v, state.hat.key_shift), 1, qid, q, mode, out);
@@ -110,7 +125,7 @@ fn walk<const D: usize>(
                     let (a, b) = heap::span(nleaves, v);
                     for leaf in a..b {
                         if t.cnt[nleaves + leaf] > 0 {
-                            visit(t, nleaves + leaf, (qid, *q), mode, out);
+                            visit(state, t, nleaves + leaf, (qid, *q), true, mode, out);
                         }
                     }
                 }
@@ -122,7 +137,7 @@ fn walk<const D: usize>(
     if t.is_leaf(v) {
         // The query boundary cuts through this group: finish inside its
         // forest subtree.
-        visit(t, v, (qid, *q), mode, out);
+        visit(state, t, v, (qid, *q), false, mode, out);
     } else {
         walk(state, key, 2 * v, qid, q, mode, out);
         walk(state, key, 2 * v + 1, qid, q, mode, out);
@@ -180,8 +195,9 @@ pub type BalancedVisits<const D: usize> =
     (HashMap<u64, Arc<ForestEntry<D>>>, Vec<(u64, QueryRec<D>)>);
 
 /// The multisearch balancing step (Search steps 2–4), the only one:
-/// replicate congested forest trees and route every visit to a processor
-/// holding a copy of its target. Three supersteps.
+/// cap every processor's share of the visits' weight at the even share,
+/// copying trees from overloaded owners (smallest first), and route every
+/// visit to a processor holding its target. Three supersteps.
 ///
 /// `levels` is this processor's state in every static tree searched (one
 /// for a [`DistRangeTree`](crate::DistRangeTree), one per occupied level
@@ -193,13 +209,15 @@ pub fn balance_visits<const D: usize>(
     levels: &[&ProcState<D>],
     visits: Vec<(u64, QueryRec<D>, u64)>,
 ) -> BalancedVisits<D> {
-    let owned_ids: Vec<u64> = levels
+    let owned: Vec<(u64, u64)> = levels
         .iter()
         .enumerate()
-        .flat_map(|(li, state)| state.forest.keys().map(move |&fid| compose(li, fid)))
+        .flat_map(|(li, state)| {
+            state.forest.iter().map(move |(&fid, entry)| (compose(li, fid), entry.words()))
+        })
         .collect();
     let outcome = ctx.load_balance_weighted_with(
-        &owned_ids,
+        &owned,
         |cid| {
             let (li, fid) = decompose(cid);
             Arc::clone(&levels[li].forest[&fid])
@@ -233,7 +251,7 @@ pub(crate) fn fill_hat_values<S: Semigroup, const D: usize>(
     state: &ProcState<D>,
     sg: &S,
     roots: &HashMap<u64, Option<S::Val>>,
-) -> BTreeMap<u64, Vec<Option<S::Val>>> {
+) -> HatValues<S::Val> {
     let mut out = BTreeMap::new();
     for (&key, t) in &state.hat.trees {
         if t.dim as usize != D - 1 {

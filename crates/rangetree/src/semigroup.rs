@@ -11,6 +11,12 @@ use ddrs_cgm::Payload;
 ///
 /// `lift` maps a point (its id and weight) to a semigroup value; `comb` is
 /// the associative, commutative operation `⊗`.
+///
+/// A semigroup's behaviour is a function of its type: any two values of
+/// one type lift and combine alike, as a unit struct does. A
+/// [`DistRangeTree`](crate::DistRangeTree) keeps the hat values its first
+/// aggregate batch of a type fills and answers every later batch of that
+/// type from them.
 pub trait Semigroup: Copy + Send + Sync + 'static {
     /// Semigroup element type.
     type Val: Payload + Clone + Send + Sync + std::fmt::Debug + PartialEq;

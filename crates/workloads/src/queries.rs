@@ -17,7 +17,7 @@ pub enum QueryDistribution {
     },
     /// All queries concentrated inside one small region of space — every
     /// search path funnels into the same few forest trees, the workload
-    /// the paper's congestion-copying mechanism (`c_j` copies) exists for.
+    /// the paper's congestion-copying mechanism exists for.
     HotSpot {
         /// Fraction of the domain covered by the hot region (per axis).
         region: f64,
