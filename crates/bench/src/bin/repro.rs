@@ -235,7 +235,7 @@ fn t2() {
         if speedup < 0.95 * p as f64 {
             broken.push(format!("p={p}: work speedup {speedup:.2} < 0.95·p"));
         }
-        let primary = tree.states().iter().flat_map(|s| s.forest.values());
+        let primary = tree.states().iter().flat_map(|s| s.forest.iter());
         let mut held: Vec<u32> = primary
             .filter(|e| e.start_dim == 0)
             .flat_map(|e| e.tree.leaves.iter().filter(|pt| !pt.is_pad()).map(|pt| pt.id))
@@ -551,8 +551,8 @@ fn a1() {
                         .all_gather(
                             state
                                 .forest
-                                .keys()
-                                .map(|&f| (f as u64, ctx.rank()))
+                                .iter()
+                                .map(|e| (e.fid as u64, ctx.rank()))
                                 .collect::<Vec<_>>(),
                         )
                         .into_iter()
@@ -567,7 +567,7 @@ fn a1() {
                     );
                     for (fid, (_qid, q)) in routed {
                         sels.clear();
-                        let tree = &state.forest[&(fid as u32)].tree;
+                        let tree = &state.entry(fid as u32).tree;
                         tree.search(&q, &mut sels);
                         work += 1;
                         weight += search_cost(tree.leaves.len());

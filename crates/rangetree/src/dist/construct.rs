@@ -1,10 +1,10 @@
 //! Algorithm Construct: build the distributed range tree in `d` phases,
 //! each a constant number of h-relations.
 //!
-//! Phase `j` receives the phase records `S^j` — one `(tree key, point)`
+//! Phase `j` receives the phase records `S^j` — one `(hat tree, point)`
 //! pair for every point of every dimension-`j` segment tree whose hat
 //! part is non-trivial (`S^0` is the input itself, assigned to the
-//! primary tree) — and performs, per the paper:
+//! primary tree, hat tree 0) — and performs, per the paper:
 //!
 //! 1. **sort** `S^j` by `(tree, rank_j)`, so every tree's points are
 //!    contiguous and ordered (one sample all-gather + one bucket
@@ -12,7 +12,8 @@
 //! 2. **scan**: all-gather the per-processor per-tree counts, from which
 //!    every processor derives — identically — each tree's total size,
 //!    its own offset inside each tree, and the global forest-id
-//!    numbering (trees in key order, groups of `g = n/p` in rank order);
+//!    numbering (trees in label order, see [`crate::dist::hat`]; groups
+//!    of `g = n/p` in rank order);
 //! 3. **deal**: route every record to the home of its group,
 //!    `owner(fid) = fid mod p` — the round-robin deal of the forest;
 //! 4. locally build each received group's forest subtree (a
@@ -31,13 +32,12 @@
 //! and the phase volumes `|S^j| = n log^j p` of the paper's Section 5
 //! caveat, recorded in [`ProcState::phase_records`].
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ddrs_cgm::{log2_exact, Ctx, Payload};
+use ddrs_cgm::{Ctx, Payload};
 
-use crate::dist::hat::{child_key, Hat, HatTree, ROOT_KEY};
+use crate::dist::hat::HatTree;
 use crate::heap;
 use crate::point::RPoint;
 use crate::seq::DimTree;
@@ -58,15 +58,13 @@ pub struct ForestEntry<const D: usize> {
     pub tree: DimTree<D>,
     /// Dimension of the hat tree this element is a leaf of.
     pub start_dim: u8,
-    /// Path key of that hat tree.
-    pub key: u64,
-    /// Leaf position within that hat tree.
-    pub group: u32,
+    /// This element's forest id.
+    pub fid: u32,
 }
 
 impl<const D: usize> Payload for ForestEntry<D> {
     fn words(&self) -> u64 {
-        // Key/group/dim header plus the whole subtree payload — what a
+        // Id/dim header plus the whole subtree payload — what a
         // real machine would serialize when shipping a congestion copy,
         // however the simulator hands the copy over.
         2 + self.tree.payload_words()
@@ -77,12 +75,13 @@ impl<const D: usize> Payload for ForestEntry<D> {
 /// Construct: the (replicated) hat and this processor's forest shard.
 #[derive(Debug)]
 pub struct ProcState<const D: usize> {
-    /// The hat replica (identical on every processor).
-    pub hat: Hat,
-    /// Forest elements owned by this processor, by forest id
-    /// (`owner(fid) = fid mod p`). Shared handles, so a congestion copy
-    /// is an `Arc` clone.
-    pub forest: BTreeMap<u32, Arc<ForestEntry<D>>>,
+    /// The hat replica (identical on every processor), by hat index.
+    pub hat: Vec<HatTree>,
+    /// Forest elements owned by this processor (`owner(fid) = fid mod
+    /// p`), ascending: entry `i` is forest id `i·p + rank`. Shared
+    /// handles, so a congestion copy is an `Arc` clone. Look one up with
+    /// [`entry`](Self::entry).
+    pub forest: Vec<Arc<ForestEntry<D>>>,
     /// Global record volume `|S^j|` of each construction phase (identical
     /// on every processor; the paper's Section 5 caveat quantities).
     pub phase_records: Vec<u64>,
@@ -101,9 +100,20 @@ pub struct ProcState<const D: usize> {
     pub p: usize,
 }
 
-/// Record of phase `j`: a point tagged with the key of the dimension-`j`
-/// tree it belongs to.
-type PhaseRec<const D: usize> = (u64, RPoint<D>);
+impl<const D: usize> ProcState<D> {
+    /// This processor's forest element `fid`; panics, in every build, if
+    /// this processor does not own it.
+    pub fn entry(&self, fid: u32) -> &Arc<ForestEntry<D>> {
+        match self.forest.get(fid as usize / self.p) {
+            Some(e) if e.fid == fid => e,
+            _ => panic!("forest id {fid} is not held on this processor"),
+        }
+    }
+}
+
+/// Record of phase `j`: a point tagged with the hat index of the
+/// dimension-`j` tree it belongs to.
+type PhaseRec<const D: usize> = (u32, RPoint<D>);
 
 /// SPMD body of Algorithm Construct.
 ///
@@ -123,10 +133,9 @@ pub fn construct<const D: usize>(
     assert!(m.is_power_of_two(), "padded size must be a power of two");
     assert!(m >= p && m.is_multiple_of(p), "padded size must be divisible by p");
     let g = m / p;
-    let key_shift = log2_exact(p) + 1;
 
-    let mut hats: BTreeMap<u64, HatTree> = BTreeMap::new();
-    let mut forest: BTreeMap<u32, Arc<ForestEntry<D>>> = BTreeMap::new();
+    let mut hat: Vec<HatTree> = Vec::new();
+    let mut forest: Vec<Arc<ForestEntry<D>>> = Vec::new();
     let mut phase_records: Vec<u64> = Vec::with_capacity(D);
     let mut sorted_records: Vec<u64> = Vec::with_capacity(D);
     let mut next_fid: u32 = 0;
@@ -135,33 +144,36 @@ pub fn construct<const D: usize>(
         |step: usize| step_wall[step] += std::mem::replace(&mut clock, Instant::now()).elapsed();
 
     // S^0: every input point belongs to the primary tree.
-    let mut records: Vec<PhaseRec<D>> = local.into_iter().map(|pt| (ROOT_KEY, pt)).collect();
+    let mut records: Vec<PhaseRec<D>> = local.into_iter().map(|pt| (0, pt)).collect();
+    // Phase j's trees are hat indices `first..next`.
+    let (mut first, mut next) = (0u32, 1u32);
 
     for j in 0..D {
         // (1) Sort S^j by (tree, rank in dimension j). Ranks are unique
         // within a tree, so the global order is fully determined.
-        let sorted = ctx.sort_by_key(records, move |(key, pt): &PhaseRec<D>| (*key, pt.ranks[j]));
+        let sorted = ctx.sort_by_key(records, move |(t, pt): &PhaseRec<D>| (*t, pt.ranks[j]));
         sorted_records.push(sorted.len() as u64);
         lap(0);
 
         // (2) Scan: per-tree local counts, all-gathered. Every processor
         // derives the identical tree table: total sizes, own offsets,
-        // forest-id bases (trees in key order, phases consecutive).
-        let local_counts: Vec<(u64, u64)> =
+        // forest-id bases (trees in hat order, phases consecutive).
+        let local_counts: Vec<(u32, u64)> =
             sorted.chunk_by(|a, b| a.0 == b.0).map(|tree| (tree[0].0, tree.len() as u64)).collect();
         let gathered = ctx.all_gather(local_counts);
-        let mut table: BTreeMap<u64, (u64, u64, u32)> = BTreeMap::new(); // key -> (total, my_offset, base)
+        // By tree - first: (total, my_offset, base).
+        let mut table: Vec<(u64, u64, u32)> = vec![(0, 0, 0); (next - first) as usize];
         for (rank, counts) in gathered.iter().enumerate() {
-            for &(key, c) in counts {
-                let entry = table.entry(key).or_insert((0, 0, 0));
+            for &(t, c) in counts {
+                let entry = &mut table[(t - first) as usize];
                 entry.0 += c;
                 if rank < ctx.rank() {
                     entry.1 += c;
                 }
             }
         }
-        phase_records.push(table.values().map(|&(total, ..)| total).sum());
-        for (total, _, base) in table.values_mut() {
+        phase_records.push(table.iter().map(|&(total, ..)| total).sum());
+        for (total, _, base) in &mut table {
             debug_assert_eq!(*total % g as u64, 0, "tree sizes are multiples of g");
             *base = next_fid;
             next_fid += (*total / g as u64) as u32;
@@ -170,14 +182,14 @@ pub fn construct<const D: usize>(
         // (3) Deal: route each record to its group's home processor. The
         // run is sorted by (tree, rank), so a tree's records are one
         // stretch of it and their positions in the tree count up.
-        let mut outgoing: Vec<Vec<(u64, u32, RPoint<D>)>> =
+        let mut outgoing: Vec<Vec<(u32, u32, RPoint<D>)>> =
             (0..p).map(|_| Vec::with_capacity(sorted.len().div_ceil(p))).collect();
         for stretch in sorted.chunk_by(|a, b| a.0 == b.0) {
-            let key = stretch[0].0;
-            let (_, offset, base) = table[&key];
+            let t = stretch[0].0;
+            let (_, offset, base) = table[(t - first) as usize];
             for (pos, (_, pt)) in (offset..).zip(stretch) {
                 let gidx = (pos / g as u64) as u32;
-                outgoing[(base + gidx) as usize % p].push((key, gidx, *pt));
+                outgoing[(base + gidx) as usize % p].push((t, gidx, *pt));
             }
         }
         let mut received = ctx.all_to_all(outgoing).into_iter().flatten().peekable();
@@ -187,62 +199,56 @@ pub fn construct<const D: usize>(
         // order, so a group is the next run of records with one header,
         // already sorted (`DimTree::build` asserts that in debug builds).
         lap(1);
-        let mut summaries: Vec<(u64, u32, u32, u32, u32, u32)> = Vec::new();
-        while let Some(&(key, gidx, _)) = received.peek() {
-            debug_assert!(summaries.last().is_none_or(|s| (s.0, s.1) < (key, gidx)));
+        let mut summaries: Vec<(u32, u32, u32, u32, u32, u32)> = Vec::new();
+        while let Some(&(t, gidx, _)) = received.peek() {
+            debug_assert!(summaries.last().is_none_or(|s| (s.0, s.1) < (t, gidx)));
             let mut pts: Vec<RPoint<D>> = Vec::with_capacity(g);
-            let group = std::iter::from_fn(|| received.next_if(|r| (r.0, r.1) == (key, gidx)));
+            let group = std::iter::from_fn(|| received.next_if(|r| (r.0, r.1) == (t, gidx)));
             pts.extend(group.map(|r| r.2));
             debug_assert_eq!(pts.len(), g, "every group holds exactly g records");
-            let fid = table[&key].2 + gidx;
+            let fid = table[(t - first) as usize].2 + gidx;
+            debug_assert_eq!(fid as usize, forest.len() * p + ctx.rank(), "forest ids are dense");
             let real = pts.iter().take_while(|pt| !pt.is_pad()).count();
             let (lo, hi) =
                 if real == 0 { (u32::MAX, 0) } else { (pts[0].ranks[j], pts[real - 1].ranks[j]) };
-            summaries.push((key, gidx, fid, lo, hi, real as u32));
+            summaries.push((t, gidx, fid, lo, hi, real as u32));
             let tree = DimTree::build(j, pts);
-            forest
-                .insert(fid, Arc::new(ForestEntry { tree, start_dim: j as u8, key, group: gidx }));
+            forest.push(Arc::new(ForestEntry { tree, start_dim: j as u8, fid }));
         }
         lap(2);
 
-        // (5) Summary broadcast: assemble the dimension-j hat replica.
-        let all_summaries: Vec<(u64, u32, u32, u32, u32, u32)> =
+        // (5) Summary broadcast: assemble the dimension-j hat replica and
+        // number the next dimension's trees, (tree, heap node) in order.
+        let all_summaries: Vec<(u32, u32, u32, u32, u32, u32)> =
             ctx.all_gather(summaries).into_iter().flatten().collect();
-        for (&key, &(total, ..)) in &table {
-            hats.insert(key, HatTree::empty(j as u8, (total / g as u64) as usize));
+        let mut child_base = next;
+        for &(total, _, base) in &table {
+            let nleaves = (total / g as u64) as usize;
+            hat.push(HatTree::empty(j as u8, nleaves, child_base, base));
+            child_base += nleaves as u32 - 1;
         }
-        for &(key, gidx, fid, lo, hi, cnt) in &all_summaries {
-            let hat = hats.get_mut(&key).expect("summary for unknown tree");
-            hat.set_leaf(gidx as usize, fid, lo, hi, cnt);
+        for &(t, gidx, _, lo, hi, cnt) in &all_summaries {
+            hat[t as usize].set_leaf(gidx as usize, lo, hi, cnt);
         }
-        for &key in table.keys() {
-            hats.get_mut(&key).expect("table tree").fill_internal();
+        for t in &mut hat[first as usize..] {
+            t.fill_internal();
         }
+        (first, next) = (next, child_base);
 
         // Emit S^(j+1): each owned group's points, once per internal hat
         // ancestor (the point sets of the descendant structures), in the
         // next dimension's order: a sorted run per tree for its sort.
         records = Vec::new();
         let mine = all_summaries.iter().filter(|s| j + 1 < D && s.2 as usize % p == ctx.rank());
-        for &(key, gidx, fid, ..) in mine {
-            let nleaves = hats[&key].nleaves as usize;
-            let pts = forest[&fid].tree.in_next_dimension();
-            for anc in heap::internal_ancestors(nleaves, gidx as usize) {
-                let ck = child_key(key, anc, key_shift);
-                records.extend(pts.iter().map(|pt| (ck, *pt)));
+        for &(t, gidx, fid, ..) in mine {
+            let t = &hat[t as usize];
+            let pts = forest[fid as usize / p].tree.in_next_dimension();
+            for anc in heap::internal_ancestors(t.nleaves as usize, gidx as usize) {
+                records.extend(pts.iter().map(|pt| (t.child(anc) as u32, *pt)));
             }
         }
         lap(1);
     }
 
-    ProcState {
-        hat: Hat { trees: hats, key_shift },
-        forest,
-        phase_records,
-        sorted_records,
-        step_wall,
-        m,
-        g,
-        p,
-    }
+    ProcState { hat, forest, phase_records, sorted_records, step_wall, m, g, p }
 }

@@ -38,7 +38,6 @@
 //! aggregate-only batch costs 8, then 7, a count-only batch 7 and a
 //! report-only batch 5.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ddrs_cgm::{unwrap_run, CgmError, Machine};
@@ -198,22 +197,23 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
         let filled: Vec<Option<HatValues<S::Val>>> = if fill {
             let mut root_vals: Vec<(u64, Option<S::Val>)> = Vec::new();
             for (li, state) in states.iter().enumerate().filter(|(li, _)| kept[*li].is_none()) {
-                for (&fid, entry) in
-                    state.forest.iter().filter(|(_, e)| e.start_dim as usize == D - 1)
-                {
+                for entry in state.forest.iter().filter(|e| e.start_dim as usize == D - 1) {
                     let real = entry.tree.r as usize;
                     let fold = fold_points(
                         &sg,
                         entry.tree.leaves[..real].iter().map(|pt| (pt.id, pt.weight)),
                     );
-                    root_vals.push((compose(li, fid), fold));
+                    root_vals.push((compose(li, entry.fid), fold));
                 }
             }
-            let mut per_level: Vec<HashMap<u64, Option<S::Val>>> =
-                (0..levels.len()).map(|_| HashMap::new()).collect();
+            // By forest id (a level's hat leaves number its forest ids).
+            let mut per_level: Vec<Vec<Option<Option<S::Val>>>> = states
+                .iter()
+                .map(|s| vec![None; s.hat.iter().map(|t| t.nleaves as usize).sum()])
+                .collect();
             for (cid, v) in ctx.all_gather(root_vals).into_iter().flatten() {
                 let (li, fid) = decompose(cid);
-                per_level[li].insert(fid as u64, v);
+                per_level[li][fid as usize] = Some(v);
             }
             states
                 .iter()
@@ -238,10 +238,11 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
             let mine_ca: Vec<QueryRec<D>> =
                 share(counts, 0, p, me).chain(share(aggs, n_c, p, me)).map(translate).collect();
             let stage = hat_stage(state, &mine_ca);
-            for &(qid, (key, v)) in &stage.sels {
+            for &(qid, (t, v)) in &stage.sels {
+                let (t, v) = (t as usize, v as usize);
                 if (qid as usize) < n_c {
-                    pairs.push((qid as u64, (state.hat.trees[&key].cnt[v as usize] as u64, None)));
-                } else if let Some(val) = hat_vals[li].expect("filled")[&key][v as usize].clone() {
+                    pairs.push((qid as u64, (state.hat[t].cnt[v] as u64, None)));
+                } else if let Some(val) = hat_vals[li].expect("filled")[t][v].clone() {
                     pairs.push((qid as u64, (0, Some(val))));
                 }
             }

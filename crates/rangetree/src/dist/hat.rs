@@ -10,33 +10,21 @@
 //! hat; a hat leaf stands for one forest tree (a full
 //! `(d-j)`-dimensional range tree on one group, stored by its owner),
 //! and a hat internal node `v` of a non-final dimension points to the
-//! descendant hat tree of the next dimension via [`child_key`].
+//! descendant hat tree of the next dimension, [`HatTree::child`].
+//!
+//! The hat is a `Vec<HatTree>`, numbered once, by Construct, densely and
+//! in the order of the paper's path labels (Definition 2, Lemma 1): the
+//! primary tree is 0, and dimension `j+1`'s trees follow dimension `j`'s
+//! in (tree, heap node) order. That is label order: a descendant's label
+//! is its tree's shifted by a fixed width with `v` below, and all
+//! dimension-`j` labels have one width. Forest ids are dealt in the same
+//! order, a tree's groups consecutive ([`HatTree::fid`]), so no id moves
+//! from where ordering by label puts it and `owner(fid) = fid mod p` is
+//! the paper's round-robin deal.
 //!
 //! Hat nodes carry exactly what the 4-case multisearch needs: the
 //! rank-interval spanned by the *real* (non-pad) points below and their
 //! count.
-
-use std::collections::BTreeMap;
-
-/// The key of the primary (dimension-0) hat tree.
-///
-/// Hat trees are addressed by a path key mirroring the paper's
-/// `Index`/`Level` label algebra (Definition 2): the primary tree is
-/// `ROOT_KEY`, and the descendant tree of internal node `v` of the tree
-/// with key `k` is [`child_key`]`(k, v, key_shift)`. Lemma 1 (the label
-/// of a node's ancestor uniquely identifies its segment tree) is what
-/// makes this addressing sound.
-pub const ROOT_KEY: u64 = 1;
-
-/// Key of the descendant hat tree hanging off internal node `v` of the
-/// hat tree with key `key`. `key_shift` is the machine-wide constant
-/// [`Hat::key_shift`] (enough bits to hold any heap index of a `p`-leaf
-/// tree), so distinct `(key, v)` pairs map to distinct keys.
-#[inline]
-pub fn child_key(key: u64, v: usize, key_shift: u32) -> u64 {
-    debug_assert!((v as u64) < (1u64 << key_shift), "heap index overflows key field");
-    (key << key_shift) | v as u64
-}
 
 /// One segment tree's hat part: a heap-ordered tree over its `n/p`-point
 /// groups, annotated with real-point intervals and counts.
@@ -58,14 +46,15 @@ pub struct HatTree {
     pub hi: Vec<u32>,
     /// Per heap slot: number of real points below.
     pub cnt: Vec<u32>,
-    /// Per *leaf position* `0..nleaves`: the forest id of that group's
-    /// subtree.
-    pub leaf_forest: Vec<u32>,
+    /// Hat index of internal node 1's descendant tree ([`child`](Self::child)).
+    pub child_base: u32,
+    /// Forest id of group 0's subtree; group `i`'s is `fid_base + i`.
+    pub fid_base: u32,
 }
 
 impl HatTree {
     /// An unfilled hat tree with `nleaves` group leaves.
-    pub(crate) fn empty(dim: u8, nleaves: usize) -> Self {
+    pub(crate) fn empty(dim: u8, nleaves: usize, child_base: u32, fid_base: u32) -> Self {
         assert!(nleaves.is_power_of_two(), "hat trees span power-of-two group counts");
         HatTree {
             dim,
@@ -73,17 +62,17 @@ impl HatTree {
             lo: vec![u32::MAX; 2 * nleaves],
             hi: vec![0; 2 * nleaves],
             cnt: vec![0; 2 * nleaves],
-            leaf_forest: vec![0; nleaves],
+            child_base,
+            fid_base,
         }
     }
 
     /// Fill the leaf for group `i` from its summary.
-    pub(crate) fn set_leaf(&mut self, i: usize, fid: u32, lo: u32, hi: u32, cnt: u32) {
+    pub(crate) fn set_leaf(&mut self, i: usize, lo: u32, hi: u32, cnt: u32) {
         let slot = self.nleaves as usize + i;
         self.lo[slot] = lo;
         self.hi[slot] = hi;
         self.cnt[slot] = cnt;
-        self.leaf_forest[i] = fid;
     }
 
     /// Fill internal nodes bottom-up from the leaves.
@@ -100,15 +89,19 @@ impl HatTree {
     pub fn is_leaf(&self, v: usize) -> bool {
         v >= self.nleaves as usize
     }
-}
 
-/// The full hat replica held (identically) by every processor.
-#[derive(Debug, Clone, Default)]
-pub struct Hat {
-    /// All hat trees of all dimensions, by path key.
-    pub trees: BTreeMap<u64, HatTree>,
-    /// Bits reserved per path-key level (see [`child_key`]).
-    pub key_shift: u32,
+    /// Hat index of internal node `v`'s descendant tree: `child_base + v - 1`.
+    #[inline]
+    pub fn child(&self, v: usize) -> usize {
+        debug_assert!(v >= 1 && !self.is_leaf(v), "only internal nodes have descendants");
+        self.child_base as usize + v - 1
+    }
+
+    /// Forest id of group `i`'s subtree.
+    #[inline]
+    pub fn fid(&self, i: usize) -> u32 {
+        self.fid_base + i as u32
+    }
 }
 
 #[cfg(test)]
@@ -116,26 +109,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn child_keys_are_injective() {
-        let shift = 4u32; // p = 8 → heap indices < 16
-        let mut seen = std::collections::HashSet::new();
-        assert!(seen.insert(ROOT_KEY));
-        for v in 1..8 {
-            let k = child_key(ROOT_KEY, v, shift);
-            assert!(seen.insert(k), "collision at primary child {v}");
-            for w in 1..8 {
-                assert!(seen.insert(child_key(k, w, shift)), "collision at ({v},{w})");
-            }
-        }
-    }
-
-    #[test]
     fn fill_internal_aggregates() {
-        let mut t = HatTree::empty(0, 4);
-        t.set_leaf(0, 10, 0, 7, 8);
-        t.set_leaf(1, 11, 8, 15, 8);
-        t.set_leaf(2, 12, 16, 20, 5);
-        t.set_leaf(3, 13, u32::MAX, 0, 0); // all pads
+        let mut t = HatTree::empty(0, 4, 0, 10);
+        t.set_leaf(0, 0, 7, 8);
+        t.set_leaf(1, 8, 15, 8);
+        t.set_leaf(2, 16, 20, 5);
+        t.set_leaf(3, u32::MAX, 0, 0); // all pads
         t.fill_internal();
         assert_eq!(t.cnt[1], 21);
         assert_eq!((t.lo[1], t.hi[1]), (0, 20));
@@ -143,13 +122,13 @@ mod tests {
         assert_eq!(t.cnt[3], 5);
         assert_eq!((t.lo[3], t.hi[3]), (16, 20));
         assert!(t.is_leaf(4) && !t.is_leaf(3));
-        assert_eq!(t.leaf_forest, vec![10, 11, 12, 13]);
+        assert_eq!((0..4).map(|i| t.fid(i)).collect::<Vec<_>>(), vec![10, 11, 12, 13]);
     }
 
     #[test]
     fn single_leaf_hat() {
-        let mut t = HatTree::empty(0, 1);
-        t.set_leaf(0, 0, 0, 63, 64);
+        let mut t = HatTree::empty(0, 1, 0, 0);
+        t.set_leaf(0, 0, 63, 64);
         t.fill_internal(); // no internal nodes
         assert!(t.is_leaf(1));
         assert_eq!(t.cnt[1], 64);

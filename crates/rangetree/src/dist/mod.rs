@@ -3,7 +3,8 @@
 //! logarithmic-method dynamization.
 //!
 //! * [`hat`] — the replicated hat (top `log p` levels of every segment
-//!   tree) and its path-key addressing;
+//!   tree), its trees numbered densely in the order of the paper's path
+//!   labels;
 //! * [`construct`] — Algorithm Construct: `5d` supersteps building the
 //!   hat replica and the round-robin-dealt forest of `n/p`-point
 //!   subtrees;
@@ -30,7 +31,6 @@ pub mod hat;
 pub mod search;
 
 use std::any::{Any, TypeId};
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use ddrs_cgm::{unwrap_run, Machine};
@@ -38,7 +38,6 @@ use ddrs_cgm::{unwrap_run, Machine};
 pub use construct::{construct as construct_spmd, ForestEntry, ProcState};
 pub use dynamic::DynamicDistRangeTree;
 pub use fused::{fused_query_batch, try_fused_query_batch, FusedOutputs};
-pub use hat::ROOT_KEY;
 
 use crate::point::{Point, RPoint, Rect};
 use crate::rank::{RankError, RankSpace};
@@ -113,9 +112,9 @@ pub struct DistRangeTree<const D: usize> {
 }
 
 /// Algorithm AssociativeFunction's step 1 for the hat: `f(v)` of every
-/// node of every final-dimension hat tree, by tree key. Identical on
-/// every processor.
-pub(crate) type HatValues<V> = BTreeMap<u64, Vec<Option<V>>>;
+/// node of every final-dimension hat tree, by hat index (empty for the
+/// trees of other dimensions). Identical on every processor.
+pub(crate) type HatValues<V> = Vec<Vec<Option<V>>>;
 
 impl<const D: usize> DistRangeTree<D> {
     /// Algorithm Construct: build the distributed tree over `pts`.
@@ -222,12 +221,11 @@ impl<const D: usize> DistRangeTree<D> {
 
     /// Theorem 1's structural measurements.
     pub fn structure_report(&self) -> StructureReport {
-        let hat_nodes: u64 =
-            self.states[0].hat.trees.values().map(|t| 2 * t.nleaves as u64 - 1).sum();
+        let hat_nodes: u64 = self.states[0].hat.iter().map(|t| 2 * t.nleaves as u64 - 1).sum();
         let forest_nodes: Vec<u64> = self
             .states
             .iter()
-            .map(|s| s.forest.values().map(|e| e.tree.size_nodes()).sum())
+            .map(|s| s.forest.iter().map(|e| e.tree.size_nodes()).sum())
             .collect();
         let forest_trees: Vec<usize> = self.states.iter().map(|s| s.forest.len()).collect();
         let total_nodes = hat_nodes + forest_nodes.iter().sum::<u64>();
@@ -270,7 +268,7 @@ impl<const D: usize> std::fmt::Debug for DistRangeTree<D> {
             .field("n", &self.ranks.n())
             .field("m", &self.ranks.m())
             .field("p", &self.states.len())
-            .field("hat_trees", &self.states[0].hat.trees.len())
+            .field("hat_trees", &self.states[0].hat.len())
             .field("forest_trees", &forest)
             .finish()
     }
@@ -292,7 +290,7 @@ mod tests {
         for p in [1usize, 2, 4, 8] {
             let machine = Machine::new(p).unwrap();
             let tree = DistRangeTree::<2>::build(&machine, &diagonal(257)).unwrap();
-            let primary = &tree.states()[0].hat.trees[&ROOT_KEY];
+            let primary = &tree.states()[0].hat[0];
             assert_eq!(primary.nleaves as usize, p, "p={p}");
             assert_eq!(
                 log2_exact(primary.nleaves as usize),
@@ -312,7 +310,7 @@ mod tests {
         let g = tree.states()[0].g;
         assert_eq!(g, tree.ranks().m() / p);
         for state in tree.states() {
-            for entry in state.forest.values() {
+            for entry in state.forest.iter() {
                 assert_eq!(entry.tree.leaves.len(), g);
             }
         }
@@ -334,7 +332,7 @@ mod tests {
         let phase0_real: u64 = tree
             .states()
             .iter()
-            .flat_map(|s| s.forest.values())
+            .flat_map(|s| s.forest.iter())
             .filter(|e| e.start_dim == 0)
             .map(|e| e.tree.r as u64)
             .sum();
@@ -348,7 +346,7 @@ mod tests {
         let n = 200u32;
         let machine = Machine::new(4).unwrap();
         let tree = DistRangeTree::<2>::build(&machine, &diagonal(n)).unwrap();
-        let primary = &tree.states()[0].hat.trees[&ROOT_KEY];
+        let primary = &tree.states()[0].hat[0];
         assert_eq!(primary.cnt[1] as u64, n as u64);
     }
 
@@ -402,7 +400,7 @@ mod tests {
             let words = tree
                 .states()
                 .iter()
-                .map(|s| s.forest.values().map(|e| e.tree.payload_words()).sum())
+                .map(|s| s.forest.iter().map(|e| e.tree.payload_words()).sum())
                 .collect();
             (words, tree.structure_report())
         }
@@ -445,7 +443,7 @@ mod tests {
         let mixed = DistRangeTree::build(&machine, &shuffled).unwrap();
         assert_eq!(straight.phase_records(), mixed.phase_records(), "p = {p}, d = {D}");
         for (a, b) in straight.states().iter().zip(mixed.states()) {
-            assert_eq!((&a.hat.trees, a.hat.key_shift), (&b.hat.trees, b.hat.key_shift));
+            assert_eq!(a.hat, b.hat);
             assert_eq!(a.forest, b.forest, "p = {p}, d = {D}");
             assert_eq!(a.phase_records, b.phase_records);
         }

@@ -24,13 +24,12 @@
 //! processor finishes an `O(|Q|/p)` share of forest searches regardless
 //! of skew.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ddrs_cgm::{Ctx, Payload};
 
 use crate::dist::construct::{ForestEntry, ProcState};
-use crate::dist::hat::{child_key, HatTree, ROOT_KEY};
+use crate::dist::hat::HatTree;
 use crate::dist::HatValues;
 use crate::heap;
 use crate::point::RRect;
@@ -49,10 +48,11 @@ pub struct HatStage<const D: usize> {
     /// whose output `k` is known before the search; Algorithm Report
     /// weighs a selected tree by its output).
     pub visits: Vec<(u64, QueryRec<D>, u64)>,
-    /// Final-dimension hat selections `(qid, (tree key, heap node))`:
-    /// canonical nodes whose whole point set matches the query, resolved
-    /// from replicated hat aggregates without touching the forest.
-    pub sels: Vec<(u32, (u64, u32))>,
+    /// Final-dimension hat selections `(qid, (hat index, heap node))`,
+    /// the tree being `state.hat[index]`: canonical nodes whose whole
+    /// point set matches the query, resolved from replicated hat
+    /// aggregates without touching the forest.
+    pub sels: Vec<(u32, (u32, u32))>,
 }
 
 enum Mode {
@@ -87,19 +87,19 @@ fn visit<const D: usize>(
         _ => 0,
     };
     let weight = search_cost(state.g) + output;
-    out.visits.push((t.leaf_forest[v - t.nleaves as usize] as u64, rec, weight));
+    out.visits.push((t.fid(v - t.nleaves as usize) as u64, rec, weight));
 }
 
 fn walk<const D: usize>(
     state: &ProcState<D>,
-    key: u64,
+    ti: usize,
     v: usize,
     qid: u32,
     q: &RRect<D>,
     mode: &Mode,
     out: &mut HatStage<D>,
 ) {
-    let t = &state.hat.trees[&key];
+    let t = &state.hat[ti];
     if t.cnt[v] == 0 {
         return; // no real points below (case 4, vacuously)
     }
@@ -116,11 +116,11 @@ fn walk<const D: usize>(
             visit(state, t, v, (qid, *q), j + 1 == D, mode, out);
         } else if j + 1 < D {
             // Case 1: proceed to the descendant hat tree.
-            walk(state, child_key(key, v, state.hat.key_shift), 1, qid, q, mode, out);
+            walk(state, t.child(v), 1, qid, q, mode, out);
         } else {
             // Case 2: final dimension — the node's whole point set matches.
             match mode {
-                Mode::Aggregate => out.sels.push((qid, (key, v as u32))),
+                Mode::Aggregate => out.sels.push((qid, (ti as u32, v as u32))),
                 Mode::Report => {
                     let (a, b) = heap::span(nleaves, v);
                     for leaf in a..b {
@@ -139,8 +139,8 @@ fn walk<const D: usize>(
         // forest subtree.
         visit(state, t, v, (qid, *q), false, mode, out);
     } else {
-        walk(state, key, 2 * v, qid, q, mode, out);
-        walk(state, key, 2 * v + 1, qid, q, mode, out);
+        walk(state, ti, 2 * v, qid, q, mode, out);
+        walk(state, ti, 2 * v + 1, qid, q, mode, out);
     }
 }
 
@@ -150,7 +150,7 @@ fn stage<const D: usize>(state: &ProcState<D>, queries: &[QueryRec<D>], mode: Mo
         if q.is_empty() {
             continue;
         }
-        walk(state, ROOT_KEY, 1, *qid, q, &mode, &mut out);
+        walk(state, 0, 1, *qid, q, &mode, &mut out);
     }
     out
 }
@@ -188,11 +188,11 @@ pub(crate) fn decompose(cid: u64) -> (usize, u32) {
 }
 
 /// Result of [`balance_visits`]: the forest-tree copies shipped to this
-/// processor, keyed by composite id (handles to their owners' trees,
+/// processor, sorted by composite id (handles to their owners' trees,
 /// metered as whole trees), and the `(composite id, subquery)` visits
 /// routed to it.
 pub type BalancedVisits<const D: usize> =
-    (HashMap<u64, Arc<ForestEntry<D>>>, Vec<(u64, QueryRec<D>)>);
+    (Vec<(u64, Arc<ForestEntry<D>>)>, Vec<(u64, QueryRec<D>)>);
 
 /// The multisearch balancing step (Search steps 2–4), the only one:
 /// cap every processor's share of the visits' weight at the even share,
@@ -213,64 +213,62 @@ pub fn balance_visits<const D: usize>(
         .iter()
         .enumerate()
         .flat_map(|(li, state)| {
-            state.forest.iter().map(move |(&fid, entry)| (compose(li, fid), entry.words()))
+            state.forest.iter().map(move |entry| (compose(li, entry.fid), entry.words()))
         })
         .collect();
     let outcome = ctx.load_balance_weighted_with(
         &owned,
         |cid| {
             let (li, fid) = decompose(cid);
-            Arc::clone(&levels[li].forest[&fid])
+            Arc::clone(levels[li].entry(fid))
         },
         visits,
     );
-    (outcome.resources.into_iter().collect(), outcome.items)
+    let mut copies = outcome.resources;
+    copies.sort_unstable_by_key(|&(cid, _)| cid);
+    (copies, outcome.items)
 }
 
 /// Resolve a balanced visit's target tree: a copy shipped by
 /// [`balance_visits`], or this processor's own original.
 pub fn tree_for<'a, const D: usize>(
-    copies: &'a HashMap<u64, Arc<ForestEntry<D>>>,
+    copies: &'a [(u64, Arc<ForestEntry<D>>)],
     levels: &[&'a ProcState<D>],
     cid: u64,
 ) -> &'a ForestEntry<D> {
-    match copies.get(&cid) {
-        Some(copy) => copy,
-        None => {
+    match copies.binary_search_by_key(&cid, |&(c, _)| c) {
+        Ok(i) => &copies[i].1,
+        Err(_) => {
             let (li, fid) = decompose(cid);
-            &levels[li].forest[&fid]
+            levels[li].entry(fid)
         }
     }
 }
 
 /// Algorithm AssociativeFunction step 1 for the hat: given the
-/// all-gathered forest-root values (`⊗` of `f` over each group's real
-/// points), compute the bottom-up `f(v)` arrays of every final-dimension
-/// hat tree. Selections from [`hat_stage`] read their answers here.
+/// all-gathered forest-root values by forest id (`⊗` of `f` over each
+/// group's real points; `None` for an id that sent none), compute the
+/// bottom-up `f(v)` arrays of every final-dimension hat tree (and an
+/// empty one for every other tree). Selections from [`hat_stage`] read
+/// their answers here.
 pub(crate) fn fill_hat_values<S: Semigroup, const D: usize>(
     state: &ProcState<D>,
     sg: &S,
-    roots: &HashMap<u64, Option<S::Val>>,
+    roots: &[Option<Option<S::Val>>],
 ) -> HatValues<S::Val> {
-    let mut out = BTreeMap::new();
-    for (&key, t) in &state.hat.trees {
-        if t.dim as usize != D - 1 {
-            continue;
-        }
+    let fill = |t: &HatTree| {
         let nleaves = t.nleaves as usize;
         let mut vals: Vec<Option<S::Val>> = vec![None; 2 * nleaves];
         for i in 0..nleaves {
-            vals[nleaves + i] = roots
-                .get(&(t.leaf_forest[i] as u64))
-                .cloned()
-                .expect("every hat leaf has a forest root value");
+            let root = roots.get(t.fid(i) as usize).cloned().flatten();
+            vals[nleaves + i] = root.expect("every hat leaf has a forest root value");
         }
         for v in (1..nleaves).rev() {
             vals[v] = comb_opt(sg, vals[2 * v].clone(), vals[2 * v + 1].clone());
         }
-        out.insert(key, vals);
-    }
-    out
+        vals
+    };
+    state.hat.iter().map(|t| if t.dim as usize == D - 1 { fill(t) } else { Vec::new() }).collect()
 }
 
 #[cfg(test)]
@@ -299,7 +297,7 @@ mod tests {
         let qs: Vec<Rect<2>> =
             (0..64).map(|i| Rect::new([3, 0], [40 + i as i64, N as i64])).collect();
         machine.take_stats();
-        let shipped: Vec<HashMap<u64, Arc<ForestEntry<2>>>> = machine.run(|ctx| {
+        let shipped: Vec<Vec<(u64, Arc<ForestEntry<2>>)>> = machine.run(|ctx| {
             let states: Vec<_> = levels.iter().map(|t| &t.states()[ctx.rank()]).collect();
             let mut visits = Vec::new();
             for (li, (state, level)) in states.iter().zip(levels).enumerate() {
@@ -316,18 +314,18 @@ mod tests {
         });
         let stats = machine.take_stats();
 
-        let copies: Vec<(&u64, &Arc<ForestEntry<2>>)> = shipped.iter().flatten().collect();
+        let copies: Vec<&(u64, Arc<ForestEntry<2>>)> = shipped.iter().flatten().collect();
         assert!(
             copies.len() >= P - 1,
             "the hot tree must reach every other rank: {}",
             copies.len()
         );
-        for (&cid, copy) in &copies {
+        for &&(cid, ref copy) in &copies {
             let (li, fid) = decompose(cid);
             assert_eq!(li, hot, "copy {cid:#x} is not of the hot level");
             let owner = &levels[li].states()[fid as usize % P];
             assert!(
-                Arc::ptr_eq(copy, &owner.forest[&fid]),
+                Arc::ptr_eq(copy, owner.entry(fid)),
                 "copy of forest tree {fid} is not its owner's tree in level {li}"
             );
         }

@@ -1,17 +1,21 @@
 //! Structural invariants of Algorithm Construct, checked directly on the
 //! per-processor states (below the public query API).
 
-use ddrs_cgm::Machine;
+use ddrs_cgm::{log2_exact, Machine};
 use ddrs_rangetree::dist::construct::{construct, ProcState};
-use ddrs_rangetree::dist::ROOT_KEY;
 use ddrs_rangetree::{heap, Point, RankSpace};
 
 fn build(p: usize, n: u32, seed: u64) -> (Vec<ProcState<2>>, usize) {
-    let pts: Vec<Point<2>> = (0..n)
+    build_d(p, n, seed)
+}
+
+fn build_d<const D: usize>(p: usize, n: u32, seed: u64) -> (Vec<ProcState<D>>, usize) {
+    let (mul, add, modulus) = ([7919, 104729, 1299709], [1, 31, 97], [10007, 10009, 10037]);
+    let pts: Vec<Point<D>> = (0..n)
         .map(|i| {
-            let x = ((i as i64) * 7919 + seed as i64) % 10007;
-            let y = ((i as i64) * 104729 + seed as i64 * 31) % 10009;
-            Point::new([x, y], i)
+            let c =
+                std::array::from_fn(|j| ((i as i64) * mul[j] + seed as i64 * add[j]) % modulus[j]);
+            Point::new(c, i)
         })
         .collect();
     let machine = Machine::new(p).unwrap();
@@ -25,7 +29,7 @@ fn build(p: usize, n: u32, seed: u64) -> (Vec<ProcState<2>>, usize) {
     (states, m)
 }
 
-/// Every hat-tree key is reachable through the child-key chain from the
+/// Every hat tree is reachable through the descendant links from the
 /// primary tree, and every internal non-final-dimension hat node has its
 /// descendant tree present.
 #[test]
@@ -33,25 +37,77 @@ fn hat_key_space_is_closed() {
     let (states, _) = build(8, 700, 1);
     let hat = &states[0].hat;
     let mut reachable = std::collections::HashSet::new();
-    let mut stack = vec![ROOT_KEY];
-    while let Some(key) = stack.pop() {
-        assert!(reachable.insert(key), "key {key} reached twice");
-        let t = hat.trees.get(&key).unwrap_or_else(|| panic!("missing hat tree {key}"));
+    let mut stack = vec![0];
+    while let Some(ti) = stack.pop() {
+        assert!(reachable.insert(ti), "tree {ti} reached twice");
+        let t = hat.get(ti).unwrap_or_else(|| panic!("missing hat tree {ti}"));
         if (t.dim as usize) < 1 {
             // d = 2: only dimension-0 trees have descendants.
             let nleaves = t.nleaves as usize;
             for v in 1..nleaves {
-                stack.push(ddrs_rangetree::dist::hat::child_key(key, v, hat.key_shift));
+                stack.push(t.child(v));
             }
         }
     }
     assert_eq!(
         reachable.len(),
-        hat.trees.len(),
+        hat.len(),
         "unreachable hat trees exist: {} reachable vs {} stored",
         reachable.len(),
-        hat.trees.len()
+        hat.len()
     );
+}
+
+/// The hat is numbered in the order of the paper's path labels
+/// (Definition 2): deriving each tree's label through the descendant
+/// links — the primary tree is 1, a child is `label << (log2 p + 1) | v`
+/// — reaches every tree once, with labels rising with the index; every
+/// child is one dimension on and spans its node's groups; and every hat
+/// leaf's forest id is held by its round-robin owner.
+fn check_label_order<const D: usize>(p: usize) {
+    let (states, _) = build_d::<D>(p, 300, 8);
+    let hat = &states[0].hat;
+    let shift = log2_exact(p) + 1;
+    let mut labels: Vec<Option<u64>> = vec![None; hat.len()];
+    labels[0] = Some(1);
+    for (ti, t) in hat.iter().enumerate() {
+        let label = labels[ti].unwrap_or_else(|| panic!("tree {ti} reached after its children"));
+        let nleaves = t.nleaves as usize;
+        for v in (1..nleaves).filter(|_| t.dim as usize + 1 < D) {
+            let c = t.child(v);
+            assert!(
+                labels[c].replace(label << shift | v as u64).is_none(),
+                "tree {c} reached twice"
+            );
+            let (a, b) = heap::span(nleaves, v);
+            assert_eq!((hat[c].dim, hat[c].nleaves as usize), (t.dim + 1, b - a), "child {c}");
+        }
+        for i in 0..nleaves {
+            let fid = t.fid(i);
+            let entry = states[fid as usize % p].entry(fid);
+            assert_eq!((entry.fid, entry.start_dim), (fid, t.dim));
+        }
+    }
+    let labels: Vec<u64> = labels.into_iter().map(|l| l.expect("every tree is reached")).collect();
+    assert!(labels.windows(2).all(|w| w[0] < w[1]), "p = {p}, d = {D}: {labels:?}");
+}
+
+#[test]
+fn hat_trees_are_numbered_in_label_order() {
+    for p in [1, 2, 8] {
+        check_label_order::<2>(p);
+        check_label_order::<3>(p);
+    }
+}
+
+/// A processor refuses a forest id it does not own, in release builds
+/// too: the lookup is an index, and the index alone would hand back a
+/// neighbour's tree.
+#[test]
+#[should_panic(expected = "is not held on this processor")]
+fn entry_refuses_a_forest_id_its_rank_does_not_own() {
+    let (states, _) = build(4, 500, 9);
+    let _ = states[1].entry(0);
 }
 
 /// Hat interval/count consistency: every internal node's count is the sum
@@ -59,7 +115,7 @@ fn hat_key_space_is_closed() {
 #[test]
 fn hat_nodes_are_consistent() {
     let (states, _) = build(4, 500, 2);
-    for t in states[0].hat.trees.values() {
+    for t in states[0].hat.iter() {
         let nleaves = t.nleaves as usize;
         for v in 1..nleaves {
             let (l, r) = (2 * v, 2 * v + 1);
@@ -82,14 +138,14 @@ fn forest_ids_cover_and_locate() {
     let (states, _) = build(p, 600, 3);
     let mut owned: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     for (rank, s) in states.iter().enumerate() {
-        for &fid in s.forest.keys() {
+        for fid in s.forest.iter().map(|e| e.fid) {
             assert!(owned.insert(fid, rank).is_none(), "forest id {fid} duplicated");
         }
     }
     let mut referenced: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    for t in states[0].hat.trees.values() {
+    for t in states[0].hat.iter() {
         for i in 0..t.nleaves as usize {
-            referenced.insert(t.leaf_forest[i]);
+            referenced.insert(t.fid(i));
         }
     }
     assert_eq!(referenced.len(), owned.len(), "hat references and held trees disagree");
@@ -107,7 +163,7 @@ fn phase0_trees_partition_the_input() {
     let (states, _) = build(4, n, 4);
     let mut seen = vec![0u32; n as usize];
     for s in &states {
-        for t in s.forest.values().filter(|t| t.start_dim == 0) {
+        for t in s.forest.iter().filter(|t| t.start_dim == 0) {
             for leaf in t.tree.leaves.iter().filter(|l| !l.is_pad()) {
                 seen[leaf.id as usize] += 1;
             }
@@ -126,7 +182,7 @@ fn phase_record_volumes_match_hat_shape() {
     let recs = &states[0].phase_records;
     assert_eq!(recs[0], m as u64);
     // Sum of spans of internal nodes of the primary hat tree.
-    let primary = &states[0].hat.trees[&ROOT_KEY];
+    let primary = &states[0].hat[0];
     let nleaves = primary.nleaves as usize;
     let mu = (m / p) as u64;
     let mut expect = 0u64;
@@ -154,10 +210,10 @@ fn construction_is_deterministic() {
     let (a, _) = build(4, 400, 7);
     let (b, _) = build(4, 400, 7);
     for (sa, sb) in a.iter().zip(&b) {
-        assert_eq!(sa.hat.trees, sb.hat.trees);
+        assert_eq!(sa.hat, sb.hat);
         assert_eq!(
-            sa.forest.keys().collect::<std::collections::BTreeSet<_>>(),
-            sb.forest.keys().collect::<std::collections::BTreeSet<_>>()
+            sa.forest.iter().map(|e| e.fid).collect::<std::collections::BTreeSet<_>>(),
+            sb.forest.iter().map(|e| e.fid).collect::<std::collections::BTreeSet<_>>()
         );
     }
 }

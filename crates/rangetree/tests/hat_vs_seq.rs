@@ -26,8 +26,8 @@ fn ids_via_stages(p: usize, pts: &[Point<2>], queries: &[Rect<2>]) -> Vec<Vec<u3
         // Hat selections stand for all real points below; they are
         // validated through report_batch in the API tests, so the
         // structural check records the replicated hat count instead.
-        for &(qid, (key, v)) in &stage.sels {
-            let t = &state.hat.trees[&key];
+        for &(qid, (t, v)) in &stage.sels {
+            let t = &state.hat[t as usize];
             // Record a marker pair per point via count (validated below).
             found.push((qid, u32::MAX - t.cnt[v as usize]));
         }
