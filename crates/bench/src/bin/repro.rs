@@ -11,6 +11,7 @@
 //! ```text
 //! cargo run --release -p ddrs-bench --bin repro -- all
 //! cargo run --release -p ddrs-bench --bin repro -- t2
+//! cargo run --release -p ddrs-bench --features ddrs-trace/trace --bin repro -- steps
 //! ```
 
 use std::collections::BTreeMap;
@@ -23,8 +24,8 @@ use ddrs_cgm::Machine;
 use ddrs_rangetree::dist::construct::construct;
 use ddrs_rangetree::dist::search::{balance_visits, hat_stage, search_cost, tree_for, QueryRec};
 use ddrs_rangetree::{
-    heap, label, DistRangeTree, DynamicDistRangeTree, Point, QueryBatch, RankSpace, SeqRangeTree,
-    Sum,
+    heap, label, DistRangeTree, DynamicDistRangeTree, Point, QueryBatch, RankSpace, Rect,
+    SeqRangeTree, Sum,
 };
 use ddrs_workloads::{QueryDistribution, QueryMode, QueryWorkload};
 
@@ -62,6 +63,7 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("a1", a1),
     ("a2", a2),
     ("e1", e1),
+    ("steps", steps),
 ];
 
 /// Figure 1: the segment tree structure for [1, 8].
@@ -765,5 +767,88 @@ fn a2() {
     println!(
         "\nclaim: |S^0| = n (padded); later phases sort ≈ n·log^j p records,\n\
          not n — the acknowledged sub-optimality of Construct."
+    );
+}
+
+/// Where a query batch's time goes, superstep by superstep: the median
+/// compute and barrier time of every rank in every superstep of a
+/// steady-state 256-query mixed batch (mode mix 2:1:1) over a four-level
+/// store (levels 6, 5, 4 and 3 at rebuild unit 1 024, 122 880 points),
+/// uniform and hot-spot, at p = 1 and 2. Read off the machine's
+/// per-superstep timeline, which exists only when span recording is
+/// compiled in.
+fn steps() {
+    println!("\n## STEPS — per-superstep compute / barrier medians per rank\n");
+    if !ddrs_trace::enabled() {
+        println!("recording is compiled out: rerun with --features ddrs-trace/trace");
+        return;
+    }
+    const LEVELS: [usize; 4] = [65_536, 32_768, 16_384, 8_192];
+    let (batches, cycles) = (8, 32);
+    let pts: Vec<Point<2>> = uniform_points(11, LEVELS.iter().sum());
+    let dists = [
+        ("uniform", QueryDistribution::Selectivity { fraction: 0.0005 }),
+        ("hot-spot", QueryDistribution::HotSpot { region: 0.03, fraction: 0.5 }),
+    ];
+    for (name, dist) in dists {
+        let reads: Vec<[Vec<Rect<2>>; 3]> = (0..batches)
+            .map(|i| {
+                let mut modes: [Vec<Rect<2>>; 3] = Default::default();
+                for q in QueryWorkload::from_points(&pts, 100 + i).mixed(dist, (2, 1, 1), 256) {
+                    modes[q.mode as usize].push(q.rect);
+                }
+                modes
+            })
+            .collect();
+        for p in [1usize, 2] {
+            let machine = Machine::new(p).unwrap();
+            let mut tree = DynamicDistRangeTree::<2>::new(1024);
+            let mut lo = 0;
+            for n in LEVELS {
+                tree.insert_batch(&machine, &pts[lo..lo + n]).unwrap();
+                lo += n;
+            }
+            // One warm-up cycle fills every level's hat values, so each
+            // timed batch is a steady-state run.
+            let run =
+                |[c, a, r]: &[Vec<Rect<2>>; 3]| tree.query_batch_fused(&machine, Sum, c, a, r);
+            for b in &reads {
+                run(b);
+            }
+            machine.take_stats();
+            let mut slices = Vec::new();
+            for b in reads.iter().cycle().take(batches as usize * cycles) {
+                run(b);
+                slices.extend(machine.take_stats().timeline);
+            }
+            slices.sort_by_key(|s| (s.round, s.rank));
+            let median_us = |mut ns: Vec<u64>| {
+                ns.sort_unstable();
+                format!("{:.0}", ns[ns.len() / 2] as f64 / 1e3)
+            };
+            let rows: Vec<Vec<String>> = slices
+                .chunk_by(|a, b| a.round == b.round)
+                .map(|round| {
+                    let mut row = vec![round[0].round.to_string(), round[0].label.to_string()];
+                    for rank in round.chunk_by(|a, b| a.rank == b.rank) {
+                        row.push(median_us(rank.iter().map(|s| s.compute_ns).collect()));
+                        row.push(median_us(rank.iter().map(|s| s.barrier_ns).collect()));
+                    }
+                    row
+                })
+                .collect();
+            let header = ["step", "collective", "r0 compute µs", "r0 barrier µs"];
+            let header = [&header[..], &["r1 compute µs", "r1 barrier µs"]].concat();
+            print_table(
+                &format!("STEPS — {name}, p = {p}, {batches}×{cycles} batches of 256"),
+                &header[..2 + 2 * p],
+                &rows,
+            );
+        }
+    }
+    println!(
+        "\nsteps 0-2 are the balancing round: step 0's compute is each rank's own\n\
+         translation and hat stage, step 3's the forest finish. A barrier\n\
+         column is the wait for the slowest rank plus the exchange itself."
     );
 }

@@ -15,16 +15,16 @@
 //!    keeps them for every later batch of that semigroup type (skipped
 //!    when the batch has no aggregate queries — counting reads the
 //!    replicated `cnt` arrays directly — or when every level has them);
-//! 2. each rank translates its own `qid mod p` share of the batch into
-//!    every level's rank space (the submitting thread translates nothing)
-//!    and runs the hat stages of every mode and level locally; forest
-//!    visits are tagged with a *composite* resource id
-//!    `(level << 32) | fid` so one multisearch balancing round (three
-//!    supersteps, [`balance_visits`]) evens out the forest work of the
-//!    whole batch — every visit weighted by its search cost, and a
-//!    report visit whose whole group matches also by its output, as
-//!    Algorithm Report prescribes (the hat stage states each visit's
-//!    weight);
+//! 2. each rank, the submitting thread as rank 0 among them, translates
+//!    its own `qid mod p` share of the batch into every level's rank
+//!    space in lockstep ([`crate::RankSpace::translate_all`]) and runs
+//!    the hat stages of every mode and level locally; forest visits are
+//!    tagged with a *composite* resource id `(level << 32) | fid` so one
+//!    multisearch balancing round (three supersteps, [`balance_visits`])
+//!    evens out the forest work of the whole batch — every visit
+//!    weighted by its search cost, and a report visit whose whole group
+//!    matches also by its output, as Algorithm Report prescribes (the hat
+//!    stage states each visit's weight);
 //! 3. count/aggregate partials from all levels share one global sort +
 //!    segmented fold; report pairs from all levels share one
 //!    order-preserving rebalance.
@@ -60,18 +60,6 @@ pub struct FusedOutputs<S: Semigroup> {
     pub aggregates: Vec<Option<S::Val>>,
     /// Matching point ids per report query, ascending.
     pub reports: Vec<Vec<u32>>,
-}
-
-/// Rank `me`'s share of one mode's queries: those whose global id
-/// `base + i` is `me` modulo `p`, in id order, still in coordinate space.
-fn share<const D: usize>(
-    qs: &[Rect<D>],
-    base: usize,
-    p: usize,
-    me: usize,
-) -> impl Iterator<Item = (u32, &Rect<D>)> {
-    let first = (me + p - base % p) % p;
-    qs.iter().enumerate().skip(first).step_by(p).map(move |(i, q)| ((base + i) as u32, q))
 }
 
 /// A count/aggregate partial: `(count part, aggregate part)`. Count
@@ -127,14 +115,18 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
     reports: &[Rect<D>],
 ) -> Result<FusedOutputs<S>, CgmError> {
     let (n_c, n_a) = (counts.len(), aggs.len());
+    let outputs = search_program(machine, levels, sg, counts, aggs, reports)?;
+    // The host merge: a query's partials may end on several ranks (one
+    // per segment boundary), its report pairs on any. Each report vector
+    // is sized first, so the merge never regrows one.
+    let mut k = vec![0; reports.len()];
+    outputs.iter().flat_map(|o| &o.1).for_each(|&(qid, _)| k[qid as usize - n_c - n_a] += 1);
     let mut out = FusedOutputs {
         counts: vec![0; n_c],
         aggregates: vec![None; n_a],
-        reports: vec![Vec::new(); reports.len()],
+        reports: k.into_iter().map(Vec::with_capacity).collect(),
     };
-    // The host merge: a query's partials may end on several ranks (one
-    // per segment boundary), its report pairs on any.
-    for (folded, pairs) in search_program(machine, levels, sg, counts, aggs, reports)? {
+    for (folded, pairs) in outputs {
         for (qid, (c, v)) in folded {
             let qid = qid as usize;
             if qid < n_c {
@@ -229,15 +221,19 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
 
         // (2) Hat stages of every mode and level (local), emitting hat
         // partials and composite-tagged forest visits. This rank owns the
-        // queries with `qid mod p == me` and translates just those into
-        // each level's rank space.
+        // queries with `qid mod p == me` (a query's global id is its
+        // position in the three modes' concatenation) and translates just
+        // those into each level's rank space, in one lockstep pass.
+        let all = counts.iter().chain(aggs).chain(reports);
+        let (ids, boxes): (Vec<u32>, Vec<&Rect<D>>) = (0..).zip(all).skip(me).step_by(p).unzip();
+        let n_ca = ids.partition_point(|&qid| (qid as usize) < n_c + n_a);
         let mut pairs: Vec<(u64, Partial<S::Val>)> = Vec::new();
         let mut visits: Vec<(u64, QueryRec<D>, u64)> = Vec::new();
         for (li, (state, level)) in states.iter().zip(levels).enumerate() {
-            let translate = |(qid, q): (u32, &Rect<D>)| (qid, level.ranks.translate(q));
-            let mine_ca: Vec<QueryRec<D>> =
-                share(counts, 0, p, me).chain(share(aggs, n_c, p, me)).map(translate).collect();
-            let stage = hat_stage(state, &mine_ca);
+            let mine: Vec<QueryRec<D>> =
+                ids.iter().copied().zip(level.ranks.translate_all(&boxes)).collect();
+            let (mine_ca, mine_r) = mine.split_at(n_ca);
+            let stage = hat_stage(state, mine_ca);
             for &(qid, (t, v)) in &stage.sels {
                 let (t, v) = (t as usize, v as usize);
                 if (qid as usize) < n_c {
@@ -248,11 +244,7 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
             }
             let tag = |(fid, rec, w): (u64, _, u64)| (compose(li, fid as u32), rec, w);
             visits.extend(stage.visits.into_iter().map(tag));
-            if has_r {
-                let mine_r: Vec<QueryRec<D>> =
-                    share(reports, n_c + n_a, p, me).map(translate).collect();
-                visits.extend(report_visits(state, &mine_r).into_iter().map(tag));
-            }
+            visits.extend(report_visits(state, mine_r).into_iter().map(tag));
         }
 
         // (3) One multisearch balancing round for the whole batch.

@@ -126,21 +126,40 @@ impl<const D: usize> RankSpace<D> {
         self.m
     }
 
-    /// Translate a query box to inclusive rank intervals. The interval in
-    /// dimension `j` covers exactly the real points whose coordinate lies
-    /// in `[lo[j], hi[j]]`.
+    /// Translate a query box to inclusive rank intervals: the one-box
+    /// case of [`translate_all`](RankSpace::translate_all).
     pub fn translate(&self, q: &Rect<D>) -> RRect<D> {
-        let mut lo = [0u32; D];
-        let mut hi = [0u32; D];
-        for j in 0..D {
-            // First rank with coord >= q.lo[j] (any id).
-            let l = self.sorted[j].partition_point(|&c| c < q.lo[j]);
-            // First rank with coord > q.hi[j].
-            let h = self.sorted[j].partition_point(|&c| c <= q.hi[j]);
-            // No rank in range encodes as lo > hi (no u32 wrap at h = 0).
-            (lo[j], hi[j]) = if h <= l { (1, 0) } else { (l as u32, (h - 1) as u32) };
+        self.translate_all(&[q])[0]
+    }
+
+    /// Translate query boxes to inclusive rank intervals: in dimension
+    /// `j`, exactly the real points with a coordinate in `[lo[j], hi[j]]`,
+    /// `(1, 0)` (`lo > hi`, no `u32` wrap) when there are none. The binary
+    /// searches of all the bounds run in lockstep, one pass over the batch
+    /// per halving of their common window length, and a step is a select,
+    /// not a branch: the loads of a pass are independent, so their cache
+    /// misses overlap. Each window's start is kept in the output itself.
+    pub fn translate_all(&self, qs: &[&Rect<D>]) -> Vec<RRect<D>> {
+        let mut out = vec![RRect { lo: [0; D], hi: [0; D] }; qs.len()];
+        for (j, col) in self.sorted.iter().map(Vec::as_slice).enumerate() {
+            // To the first rank with coord >= q.lo[j], and the first > q.hi[j].
+            let mut len = col.len();
+            while len > 1 {
+                let half = len / 2;
+                for (r, q) in out.iter_mut().zip(qs) {
+                    let (l, h) = (r.lo[j] as usize, r.hi[j] as usize);
+                    r.lo[j] = if col[l + half - 1] < q.lo[j] { l + half } else { l } as u32;
+                    r.hi[j] = if col[h + half - 1] <= q.hi[j] { h + half } else { h } as u32;
+                }
+                len -= half;
+            }
+            for (r, q) in out.iter_mut().zip(qs) {
+                let l = r.lo[j] + u32::from(col[r.lo[j] as usize] < q.lo[j]);
+                let h = r.hi[j] + u32::from(col[r.hi[j] as usize] <= q.hi[j]);
+                (r.lo[j], r.hi[j]) = if h <= l { (1, 0) } else { (l, h - 1) };
+            }
         }
-        RRect { lo, hi }
+        out
     }
 }
 
@@ -196,6 +215,57 @@ mod tests {
         let (rs, _) = RankSpace::normalize(&pts, 1).unwrap();
         let q = rs.translate(&Rect::new([7, 0], [7, 0]));
         assert_eq!((q.lo[0], q.hi[0]), (0, 2));
+    }
+
+    /// Every interval is the brute-force count of the coordinates below
+    /// `lo` and not above `hi`, `(1, 0)` when they are equal: heavy
+    /// duplicates, the extreme bounds, point boxes and inverted boxes,
+    /// whatever the column or batch length.
+    #[test]
+    fn translate_all_matches_a_brute_force_count() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        for n in [1usize, 2, 3, 1000] {
+            // Coordinates from a handful of values, so most repeat.
+            let mut coord =
+                || edges[next() as usize % edges.len()].saturating_add((next() % 3) as i64 - 1);
+            let pts: Vec<Point<2>> =
+                (0..n as u32).map(|i| Point::new([coord(), coord()], i)).collect();
+            let (rs, _) = RankSpace::normalize(&pts, 1).unwrap();
+            let mut bound = || match next() % 3 {
+                0 => edges[next() as usize % edges.len()],
+                1 => pts[next() as usize % n].coords[(next() % 2) as usize],
+                _ => (next() % 7) as i64 - 3,
+            };
+            for len in [0usize, 1, 2, 257] {
+                let qs: Vec<Rect<2>> = (0..len)
+                    .map(|i| match i % 4 {
+                        0 => {
+                            let c = [bound(), bound()];
+                            Rect::new(c, c) // a point box
+                        }
+                        1 => Rect::new([i64::MIN, bound()], [i64::MAX, bound()]),
+                        _ => Rect::new([bound(), bound()], [bound(), bound()]), // may be inverted
+                    })
+                    .collect();
+                let got = rs.translate_all(&qs.iter().collect::<Vec<_>>());
+                assert_eq!(got.len(), len);
+                for (q, r) in qs.iter().zip(&got) {
+                    for j in 0..2 {
+                        let below = pts.iter().filter(|p| p.coords[j] < q.lo[j]).count() as u32;
+                        let upto = pts.iter().filter(|p| p.coords[j] <= q.hi[j]).count() as u32;
+                        let want = if upto <= below { (1, 0) } else { (below, upto - 1) };
+                        assert_eq!((r.lo[j], r.hi[j]), want, "n = {n}, q = {q:?}, j = {j}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

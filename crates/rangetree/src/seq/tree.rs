@@ -37,14 +37,15 @@
 //! fire at exactly the *maximal* nodes whose real points all lie in the
 //! query's interval: the canonical decomposition of the slab interval
 //! `[a, b)` the query covers. [`DimTree::search`] finds `[a, b)` with two
-//! binary searches over the rank column (`b` becomes `m` when no real
-//! point is above the query, so a node padded out on its right still
-//! counts as contained) and enumerates the decomposition bottom-up
-//! (`l += 1` / `r -= 1` on heap indices); the case-3 ancestors and case-4
-//! siblings are the nodes that walk never visits. In each canonical block
-//! two more binary searches find the final-dimension interval. A
-//! contained leaf is a direct point test, not a chain of single-point
-//! descendants: the standard shortcut.
+//! binary searches over the rank column, or by subtraction when the real
+//! keys are one run of ranks, as every phase-0 forest tree's are (`b`
+//! becomes `m` when no real point is above the query, so a node padded
+//! out on its right still counts as contained), and enumerates the
+//! decomposition bottom-up (`l += 1` / `r -= 1` on heap indices); the
+//! case-3 ancestors and case-4 siblings are the nodes that walk never
+//! visits. In each canonical block two more binary searches find the
+//! final-dimension interval. A contained leaf is a direct point test, not
+//! a chain of single-point descendants: the standard shortcut.
 
 use ddrs_cgm::Payload;
 
@@ -142,8 +143,16 @@ impl<const D: usize> DimTree<D> {
         let j = self.dim as usize;
         let (m, r) = (self.m as usize, self.r as usize);
         let reals = &self.keys[..r];
-        let a = reals.partition_point(|&k| k < q.lo[j]);
-        let b = reals.partition_point(|&k| k <= q.hi[j]);
+        let (lo, hi) = (q.lo[j], q.hi[j]);
+        let (a, b) = match reals.first() {
+            // A run of ranks `k0..k0 + r`: where a bound falls is a
+            // subtraction (in `i64`, so `hi = u32::MAX` cannot wrap).
+            Some(&k0) if (reals[r - 1] - k0) as usize == r - 1 => {
+                let at = |x: i64| (x - i64::from(k0)).clamp(0, r as i64) as usize;
+                (at(lo.into()), at(i64::from(hi) + 1))
+            }
+            _ => (reals.partition_point(|&k| k < lo), reals.partition_point(|&k| k <= hi)),
+        };
         if a >= b {
             return; // case 4 at the root
         }
@@ -460,6 +469,46 @@ mod tests {
         assert_eq!(selected::<1>(), all);
         assert_eq!(selected::<2>(), all);
         assert_eq!(selected::<3>(), all);
+    }
+
+    /// A root whose real dimension-0 keys are one run of ranks finds its
+    /// interval by subtraction; a twin with one gap in its keys takes the
+    /// binary searches. Both answer every bound, below the run, inside it,
+    /// past it, at `u32::MAX` and empty, with the brute-force count and
+    /// id set.
+    #[test]
+    fn a_rank_run_root_agrees_with_the_searched_root() {
+        let (k0, r, m) = (5u32, 11u32, 16u32);
+        let tree = |gap: u32| {
+            let real = (0..r).map(|i| rp2(k0 + i + u32::from(i >= gap), (i * 7) % r + 3, i));
+            let pads =
+                (0..m - r).map(|t| RPoint { ranks: [k0 + r + 1 + t; 2], id: PAD_ID, weight: 0 });
+            DimTree::<2>::build(0, real.chain(pads).collect())
+        };
+        let (run, gapped) = (tree(r), tree(4));
+        let bounds = [0, 1, k0 - 1, k0, k0 + 3, k0 + r - 1, k0 + r, k0 + r + 9, u32::MAX];
+        for (&lo, &hi) in bounds.iter().flat_map(|lo| bounds.iter().map(move |hi| (lo, hi))) {
+            for (ylo, yhi) in [(0, u32::MAX), (4, 9), (9, 4)] {
+                let q = RRect { lo: [lo, ylo], hi: [hi, yhi] };
+                for t in [&run, &gapped] {
+                    let want: Vec<u32> = t.leaves[..r as usize]
+                        .iter()
+                        .filter(|p| q.contains_ranks_from(p, 0))
+                        .map(|p| p.id)
+                        .collect();
+                    let mut sels = Vec::new();
+                    t.search(&q, &mut sels);
+                    let mut ids = Vec::new();
+                    for s in &sels {
+                        crate::seq::sel_report(s, &mut ids);
+                    }
+                    let count: u64 = sels.iter().map(crate::seq::sel_count).sum();
+                    assert_eq!(count, want.len() as u64, "{q:?}");
+                    ids.sort_unstable();
+                    assert_eq!(ids, want, "{q:?}");
+                }
+            }
+        }
     }
 
     /// `n` real points whose rank in each dimension `j` is a permutation
