@@ -22,7 +22,9 @@ use ddrs_baselines::{
 use ddrs_bench::{hotspot_queries, print_table, selectivity_queries, time_ms, uniform_points};
 use ddrs_cgm::Machine;
 use ddrs_rangetree::dist::construct::construct;
-use ddrs_rangetree::dist::search::{balance_visits, hat_stage, search_cost, tree_for, QueryRec};
+use ddrs_rangetree::dist::search::{
+    balance_visits, hat_stage, report_visits, search_cost, tree_for, QueryRec,
+};
 use ddrs_rangetree::{
     heap, label, DistRangeTree, DynamicDistRangeTree, Point, QueryBatch, RankSpace, Rect,
     SeqRangeTree, Sum,
@@ -422,6 +424,7 @@ fn t4b() {
 /// Baseline comparison (Section 1 claims): range tree vs k-d tree vs
 /// layered vs brute force, sequential query times.
 fn b1() {
+    type Counter<'a> = &'a dyn Fn(&Rect<2>) -> u64;
     let mut rows = Vec::new();
     for &n in &[1usize << 12, 1 << 14, 1 << 16] {
         let pts: Vec<Point<2>> = uniform_points(6, n);
@@ -432,32 +435,38 @@ fn b1() {
         let brute = BruteForce::new(pts.clone());
         for &sel in &[0.0001, 0.01, 0.3] {
             let queries = selectivity_queries(&pts, 17, sel, 200);
-            let (rt, c1) = time_ms(|| queries.iter().map(|q| range.count(q)).sum::<u64>());
-            let (kt, c2) = time_ms(|| queries.iter().map(|q| kd.count(q)).sum::<u64>());
-            let (lt, c3) = time_ms(|| queries.iter().map(|q| layered.count(q)).sum::<u64>());
-            let (dt, c5) = time_ms(|| queries.iter().map(|q| dominance.count(q)).sum::<u64>());
-            let (bt, c4) = time_ms(|| queries.iter().map(|q| brute.count(q)).sum::<u64>());
-            assert!(c1 == c2 && c2 == c3 && c3 == c4 && c4 == c5, "baselines disagree");
-            rows.push(vec![
-                n.to_string(),
-                format!("{sel}"),
-                format!("{:.3}", rt / 200.0),
-                format!("{:.3}", lt / 200.0),
-                format!("{:.3}", dt / 200.0),
-                format!("{:.3}", kt / 200.0),
-                format!("{:.3}", bt / 200.0),
-            ]);
+            let per_query_us = |count: Counter| {
+                let (ms, counts) = time_ms(|| queries.iter().map(count).collect::<Vec<u64>>());
+                (ms * 1e3 / queries.len() as f64, counts)
+            };
+            let (bt, want) = per_query_us(&|q| brute.count(q));
+            let mut row = vec![n.to_string(), format!("{sel}")];
+            let structures: [(&str, Counter); 4] = [
+                ("range tree", &|q| range.count(q)),
+                ("layered", &|q| layered.count(q)),
+                ("dominance", &|q| dominance.count(q)),
+                ("k-d tree", &|q| kd.count(q)),
+            ];
+            for (name, count) in structures {
+                let (us, counts) = per_query_us(count);
+                assert_eq!(counts, want, "{name} disagrees with brute force, n = {n}, sel = {sel}");
+                row.push(format!("{us:.2}"));
+            }
+            row.push(format!("{bt:.2}"));
+            rows.push(row);
         }
     }
     print_table(
-        "B1 — §1 baselines: per-query count time (ms), d = 2",
+        "B1 — §1 baselines: per-query count time (µs), d = 2",
         &["n", "selectivity", "range tree", "layered", "dominance", "k-d tree", "brute"],
         &rows,
     );
     println!(
-        "\nclaim: tree structures win at low selectivity and large n (O(log^d n)\n\
-         vs O(√n) vs O(n)); layered ≤ range tree; brute competitive only when\n\
-         queries match large fractions."
+        "\nclaim: every structure's count equals brute force's, query by query. The\n\
+         range tree (rank translation included) is faster than the layered tree\n\
+         and the dominance counts in every cell; the k-d tree is close to it at\n\
+         selectivity 0.0001 and falls behind as outputs grow (O(√n + k)); brute\n\
+         force is an order of magnitude slower or more at every selectivity here."
     );
 }
 
@@ -816,16 +825,23 @@ fn steps() {
                 run(b);
             }
             machine.take_stats();
-            let mut slices = Vec::new();
-            for b in reads.iter().cycle().take(batches as usize * cycles) {
+            let visits: Vec<usize> = reads.iter().map(|b| forest_visits(&tree, b)).collect();
+            let (mut slices, mut ns_per_visit) = (Vec::new(), Vec::new());
+            for (b, visits) in reads.iter().zip(&visits).cycle().take(batches as usize * cycles) {
                 run(b);
-                slices.extend(machine.take_stats().timeline);
+                let timeline = machine.take_stats().timeline;
+                let finish: u64 =
+                    timeline.iter().filter(|s| s.round == 3).map(|s| s.compute_ns).sum();
+                ns_per_visit.push(finish as f64 / *visits as f64);
+                slices.extend(timeline);
             }
             slices.sort_by_key(|s| (s.round, s.rank));
             let median_us = |mut ns: Vec<u64>| {
                 ns.sort_unstable();
                 format!("{:.0}", ns[ns.len() / 2] as f64 / 1e3)
             };
+            ns_per_visit.sort_by(f64::total_cmp);
+            let per_visit = format!("{:.3}", ns_per_visit[ns_per_visit.len() / 2] / 1e3);
             let rows: Vec<Vec<String>> = slices
                 .chunk_by(|a, b| a.round == b.round)
                 .map(|round| {
@@ -834,14 +850,20 @@ fn steps() {
                         row.push(median_us(rank.iter().map(|s| s.compute_ns).collect()));
                         row.push(median_us(rank.iter().map(|s| s.barrier_ns).collect()));
                     }
+                    row.push(if round[0].round == 3 { per_visit.clone() } else { String::new() });
                     row
                 })
                 .collect();
             let header = ["step", "collective", "r0 compute µs", "r0 barrier µs"];
             let header = [&header[..], &["r1 compute µs", "r1 barrier µs"]].concat();
+            let header = [&header[..2 + 2 * p], &["µs / visit"]].concat();
+            let (fewest, most) = (visits.iter().min().unwrap(), visits.iter().max().unwrap());
             print_table(
-                &format!("STEPS — {name}, p = {p}, {batches}×{cycles} batches of 256"),
-                &header[..2 + 2 * p],
+                &format!(
+                    "STEPS — {name}, p = {p}, {batches}×{cycles} batches of 256, \
+                     {fewest}–{most} forest visits a batch"
+                ),
+                &header,
                 &rows,
             );
         }
@@ -849,6 +871,29 @@ fn steps() {
     println!(
         "\nsteps 0-2 are the balancing round: step 0's compute is each rank's own\n\
          translation and hat stage, step 3's the forest finish. A barrier\n\
-         column is the wait for the slowest rank plus the exchange itself."
+         column is the wait for the slowest rank plus the exchange itself.\n\
+         µs / visit is the median over batches of step 3's compute, summed over\n\
+         the ranks, divided by the batch's forest visits."
     );
+}
+
+/// The forest visits a mixed batch `[counts, aggregates, reports]` makes
+/// over every level of `tree`: what each rank's hat stages emit for its
+/// own `qid mod p` share, summed over the ranks. Balancing moves visits
+/// between ranks and never adds or drops one.
+fn forest_visits(tree: &DynamicDistRangeTree<2>, [c, a, r]: &[Vec<Rect<2>>; 3]) -> usize {
+    let n_ca = c.len() + a.len();
+    let mut visits = 0;
+    for level in tree.level_trees() {
+        let all = c.iter().chain(a).chain(r).map(|q| level.ranks().translate(q));
+        let recs: Vec<QueryRec<2>> = (0..).zip(all).collect();
+        let p = level.p();
+        for (me, state) in level.states().iter().enumerate() {
+            let mine: Vec<QueryRec<2>> = recs.iter().skip(me).step_by(p).copied().collect();
+            let (mine_ca, mine_r) =
+                mine.split_at(mine.partition_point(|(qid, _)| (*qid as usize) < n_ca));
+            visits += hat_stage(state, mine_ca).visits.len() + report_visits(state, mine_r).len();
+        }
+    }
+    visits
 }

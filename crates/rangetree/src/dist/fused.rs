@@ -251,8 +251,8 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
         let (copies, routed) = balance_visits(ctx, &states, visits);
 
         // (4) Forest finishes (local) for all three modes: binary searches
-        // over each routed tree's arrays. An aggregate is a fold over what
-        // was selected; `folds` runs Algorithm AssociativeFunction's step 1
+        // and filtered scans of each routed tree's arrays. An aggregate folds
+        // what was selected; `folds` runs Algorithm AssociativeFunction's step 1
         // only for a block the batch keeps coming back to.
         let mut folds: BlockFolds<'_, S, D> = BlockFolds::new();
         let mut report_pairs: Vec<(u32, u32)> = Vec::new();

@@ -64,8 +64,8 @@ enum Mode {
 }
 
 /// The balancing weight of one forest search in a group of `g = 2^h`
-/// points: `h²` (at least 1), a binary search of `O(h)` steps in each of
-/// the `O(h)` blocks of a two-dimensional canonical cover.
+/// points: `h²` (at least 1), the cover's `O(h)` blocks × `O(h)` steps; an
+/// upper bound since a small box scans one run instead, kept so no h-relation moves.
 pub fn search_cost(g: usize) -> u64 {
     u64::from(g.trailing_zeros()).pow(2).max(1)
 }
@@ -166,7 +166,7 @@ pub fn hat_stage<const D: usize>(state: &ProcState<D>, queries: &[QueryRec<D>]) 
 /// Report-mode hat stage: like [`hat_stage`] but final-dimension hat
 /// selections are expanded into visits of every non-empty group below,
 /// since their points must be enumerated, not just aggregated.
-pub(crate) fn report_visits<const D: usize>(
+pub fn report_visits<const D: usize>(
     state: &ProcState<D>,
     queries: &[QueryRec<D>],
 ) -> Vec<(u64, QueryRec<D>, u64)> {

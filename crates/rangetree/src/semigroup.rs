@@ -93,15 +93,13 @@ pub fn fold_points<S: Semigroup>(
     sg: &S,
     it: impl IntoIterator<Item = (u32, u64)>,
 ) -> Option<S::Val> {
-    let mut acc: Option<S::Val> = None;
-    for (id, w) in it {
+    it.into_iter().fold(None, |acc, (id, w)| {
         let v = sg.lift(id, w);
-        acc = Some(match acc {
+        Some(match acc {
             Some(a) => sg.comb(a, v),
             None => v,
-        });
-    }
-    acc
+        })
+    })
 }
 
 /// Combine two optional semigroup values.

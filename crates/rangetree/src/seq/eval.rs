@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use crate::heap;
-use crate::point::RPoint;
+use crate::point::{RPoint, RRect};
 use crate::semigroup::{comb_opt, fold_points, Semigroup};
 use crate::seq::tree::{block_at, DimTree, Sel};
 
@@ -12,6 +12,11 @@ use crate::seq::tree::{block_at, DimTree, Sel};
 pub fn sel_count<const D: usize>(sel: &Sel<'_, D>) -> u64 {
     match *sel {
         Sel::Span { lo, hi, .. } => (hi - lo) as u64,
+        Sel::Filtered { tree, lo, hi, a, b } => {
+            let (a, len) = (a as u32, (b - a) as u32);
+            let kept = tree.block_idx[lo..hi].iter().map(|&i| u32::from(i.wrapping_sub(a) < len));
+            kept.sum::<u32>().into()
+        }
         Sel::Leaves { a, b, .. } => (b - a) as u64,
         Sel::Point { .. } => 1,
     }
@@ -19,21 +24,27 @@ pub fn sel_count<const D: usize>(sel: &Sel<'_, D>) -> u64 {
 
 /// Append the point ids under a selection to `out`.
 pub fn sel_report<const D: usize>(sel: &Sel<'_, D>, out: &mut Vec<u32>) {
-    out.extend(sel_points(sel).map(|p| p.id));
+    sel_points(sel).for_each(|p| out.push(p.id));
 }
 
 /// Iterate the real points under a selection.
 pub fn sel_points<'t, const D: usize>(
     sel: &Sel<'t, D>,
 ) -> impl Iterator<Item = &'t RPoint<D>> + 't {
-    // A slab interval read in place, or block entries read through the
-    // slab; one of the two is empty.
-    let (direct, entries, slab): (&'t [RPoint<D>], &'t [u32], &'t [RPoint<D>]) = match *sel {
-        Sel::Span { tree, lo, hi } => (&[], &tree.block_idx[lo..hi], &tree.leaves),
-        Sel::Leaves { tree, a, b } => (&tree.leaves[a..b], &[], &[]),
-        Sel::Point { pt } => (std::slice::from_ref(pt), &[], &[]),
+    // A slab interval read in place, or block entries whose slab index is
+    // kept read through the slab; one of the two is empty.
+    let (direct, entries, slab, (a, len)) = match *sel {
+        Sel::Span { tree, lo, hi } => {
+            (&[][..], &tree.block_idx[lo..hi], &tree.leaves[..], (0, u32::MAX))
+        }
+        Sel::Filtered { tree, lo, hi, a, b } => {
+            (&[][..], &tree.block_idx[lo..hi], &tree.leaves[..], (a as u32, (b - a) as u32))
+        }
+        Sel::Leaves { tree, a, b } => (&tree.leaves[a..b], &[][..], &[][..], (0, 0)),
+        Sel::Point { pt } => (std::slice::from_ref(pt), &[][..], &[][..], (0, 0)),
     };
-    direct.iter().chain(entries.iter().map(move |&i| &slab[i as usize]))
+    let kept = entries.iter().filter(move |&&i| i.wrapping_sub(a) < len);
+    direct.iter().chain(kept.map(move |&i| &slab[i as usize]))
 }
 
 /// `⊗` of `f` over the points under a selection: one lift per point.
@@ -53,6 +64,8 @@ pub fn sel_fold<S: Semigroup, const D: usize>(sg: &S, sel: &Sel<'_, D>) -> Optio
 /// cost `O(log width)`. A selection no longer than that `log width` is
 /// folded directly and not counted, being within the bound either way. So
 /// a block never costs the batch more than `4·width + Q·log width`.
+/// A filtered scan counts as short up to `h²` (width `2^h`), its visit's
+/// search cost; a longer one is folded as the cover it stands in for.
 pub(crate) struct BlockFolds<'t, S: Semigroup, const D: usize> {
     /// Per touched block, keyed by `(tree, first entry)`. A tree's
     /// identity is its address, which the borrow `'t` keeps from being
@@ -74,12 +87,22 @@ impl<'t, S: Semigroup, const D: usize> BlockFolds<'t, S, D> {
     pub(crate) fn fold(&mut self, sg: &S, sel: &Sel<'t, D>) -> Option<S::Val> {
         // The selection as entries `lo..hi` of a block of its tree.
         let (tree, (start, width), lo, hi) = match *sel {
-            Sel::Span { tree, lo, hi } => (tree, block_at(tree.m as usize, lo), lo, hi),
+            Sel::Span { tree, lo, hi } | Sel::Filtered { tree, lo, hi, .. } => {
+                (tree, block_at(tree.m as usize, lo), lo, hi)
+            }
             Sel::Leaves { tree, a, b } => (tree, (0, tree.m as usize), a, b),
             Sel::Point { .. } => return sel_fold(sg, sel),
         };
-        if hi - lo <= width.ilog2() as usize {
+        let h = width.ilog2() as usize;
+        let short = if matches!(sel, Sel::Filtered { .. }) { h * h } else { h };
+        if hi - lo <= short {
             return sel_fold(sg, sel);
+        }
+        if let Sel::Filtered { a, b, .. } = *sel {
+            let (mut q, mut cover) = (RRect { lo: [0; D], hi: [u32::MAX; D] }, Vec::new());
+            (q.lo[D - 1], q.hi[D - 1]) = (tree.block_keys[lo], tree.block_keys[hi - 1]);
+            tree.cover(a, b, &q, &mut cover);
+            return cover.iter().fold(None, |acc, s| comb_opt(sg, acc, self.fold(sg, s)));
         }
         let (folded, vals) = self.blocks.entry((std::ptr::from_ref(tree), start)).or_default();
         if vals.is_empty() {

@@ -9,9 +9,11 @@
 //! second-to-last dimension is a merge-sort tree over one slab of points
 //! and a tree of the last is its sorted slab, so a query is binary
 //! searches (`O(log² n)` comparisons in d = 2, where no descendant is an
-//! object at all). `tree.rs` has the layout, why no query reaches a pad,
-//! and how the searches enumerate the nodes the paper's four cases select;
-//! `eval.rs` turns selections into counts, ids and folds.
+//! object at all), or, for a small box, one search and a filtered scan of
+//! one block. `tree.rs` has the layout, why no query reaches a pad, how
+//! the searches enumerate the nodes the paper's four cases select and
+//! when a scan replaces them; `eval.rs` turns selections into counts, ids
+//! and folds.
 
 mod eval;
 mod tree;

@@ -46,6 +46,18 @@
 //! visits. In each canonical block two more binary searches find the
 //! final-dimension interval. A contained leaf is a direct point test, not
 //! a chain of single-point descendants: the standard shortcut.
+//!
+//! # Filtering search
+//!
+//! In the second-to-last dimension, when `[a, b)` holds two or more real
+//! points, the lowest node `v` over it (the common prefix of heap leaves
+//! `m + a` and `m + b − 1`) holds every candidate in its block, and one
+//! binary search there finds the run of entries in the final interval. If
+//! `v` spans exactly `[a, b)` that run is the answer; else a run of at most
+//! `16·h²` entries (`v` of width `2^h`) is scanned, keeping slab indices in
+//! `[a, b)`: Chazelle's filtering search. `16·h²` `u32`s are `h²` cache
+//! lines, no more than the cover's `2h` blocks × 2 searches × `h` steps, and
+//! a longer run takes the cover, so a visit stays `O(log² m + k)`.
 
 use ddrs_cgm::Payload;
 
@@ -135,7 +147,7 @@ impl<const D: usize> DimTree<D> {
     /// The paper's search (Section 4, four cases), collecting into `out`
     /// the canonical structures its cases 1 and 2 select. The module doc
     /// says how two binary searches and a bottom-up walk enumerate exactly
-    /// the nodes at which those cases fire.
+    /// the nodes at which those cases fire, or filters one block instead.
     pub fn search<'t>(&'t self, q: &RRect<D>, out: &mut Vec<Sel<'t, D>>) {
         if q.is_empty() {
             return;
@@ -160,9 +172,41 @@ impl<const D: usize> DimTree<D> {
             out.push(Sel::Leaves { tree: self, a, b }); // case 2
             return;
         }
-        // Maximal nodes within [a, b), where a node padded out on its
-        // right is within as soon as its real points are.
+        if j + 2 == D && b - a >= 2 {
+            // The lowest node over [a, b) holds every candidate in its
+            // block: filter its final-dimension run if that is short (the
+            // module doc's filtering search).
+            let v = (m + a) >> (usize::BITS - ((m + a) ^ (m + b - 1)).leading_zeros());
+            let (lo, hi) = self.final_run(v, q);
+            let h = heap::level(m, v) as usize;
+            if lo == hi || self.real_span(v) == (a, b) {
+                out.extend((lo < hi).then_some(Sel::Span { tree: self, lo, hi })); // case 2
+                return;
+            }
+            if hi - lo <= 16 * h * h {
+                out.push(Sel::Filtered { tree: self, lo, hi, a, b });
+                return;
+            }
+        }
+        self.cover(a, b, q, out);
+    }
+
+    /// The canonical decomposition of real slab positions `[a, b)`: cases
+    /// 1 and 2 at the maximal nodes within it, where a node padded out on
+    /// its right is within as soon as its real points are.
+    pub(super) fn cover<'t>(&'t self, a: usize, b: usize, q: &RRect<D>, out: &mut Vec<Sel<'t, D>>) {
+        let (m, r) = (self.m as usize, self.r as usize);
         heap::cover(m, a, if b == r { m } else { b }, |v| self.contained(v, q, out));
+    }
+
+    /// Entries `[lo, hi)` of internal node `v`'s block (its real prefix)
+    /// whose final-dimension rank lies in the query's interval.
+    fn final_run(&self, v: usize, q: &RRect<D>) -> (usize, usize) {
+        let (a, b) = self.real_span(v);
+        let start = v.ilog2() as usize * self.m as usize + a;
+        let block = &self.block_keys[start..start + (b - a)];
+        let lo = start + block.partition_point(|&k| k < q.lo[D - 1]);
+        (lo, start + block.partition_point(|&k| k <= q.hi[D - 1]))
     }
 
     /// The slab in the order of dimension `dim + 1`, read off the root's
@@ -210,11 +254,7 @@ impl<const D: usize> DimTree<D> {
                 out.push(Sel::Point { pt });
             }
         } else if self.dim as usize + 2 == D {
-            // The real prefix of the node's block, in final-dimension order.
-            let start = v.ilog2() as usize * m + a;
-            let block = &self.block_keys[start..start + (b - a)];
-            let lo = start + block.partition_point(|&k| k < q.lo[D - 1]);
-            let hi = start + block.partition_point(|&k| k <= q.hi[D - 1]);
+            let (lo, hi) = self.final_run(v, q);
             if lo < hi {
                 out.push(Sel::Span { tree: self, lo, hi }); // case 2 in the block
             }
@@ -322,6 +362,21 @@ pub enum Sel<'t, const D: usize> {
         lo: usize,
         /// One past the last selected entry.
         hi: usize,
+    },
+    /// The entries among `lo..hi` of `tree`'s merge-sort arrays whose slab
+    /// index lies in `a..b`: the final-interval run of the lowest node over
+    /// `a..b`, at most `16·h²` entries, filtered (module doc).
+    Filtered {
+        /// The dimension-`d − 1` tree whose block holds the entries.
+        tree: &'t DimTree<D>,
+        /// First scanned entry.
+        lo: usize,
+        /// One past the last scanned entry.
+        hi: usize,
+        /// First slab position kept.
+        a: usize,
+        /// One past the last slab position kept.
+        b: usize,
     },
     /// Slab positions `a..b` of a final-dimension tree.
     Leaves {
@@ -439,7 +494,9 @@ mod tests {
         for s in &sels {
             match s {
                 Sel::Leaves { a, b, .. } => covered.extend((*a as u32)..(*b as u32)),
-                Sel::Span { .. } => unreachable!("a final-dimension tree has no blocks"),
+                Sel::Span { .. } | Sel::Filtered { .. } => {
+                    unreachable!("a final-dimension tree has no blocks")
+                }
                 Sel::Point { pt } => covered.push(pt.ranks[0]),
             }
         }
@@ -509,6 +566,153 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `Sum` that counts its lifts, per thread, so tests running side by
+    /// side do not see each other's lifts.
+    #[derive(Debug, Clone, Copy)]
+    struct Lifted;
+    std::thread_local!(static LIFTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+
+    impl crate::semigroup::Semigroup for Lifted {
+        type Val = u64;
+        fn lift(&self, _id: u32, weight: u64) -> u64 {
+            LIFTED.set(LIFTED.get() + 1);
+            weight
+        }
+        fn comb(&self, a: u64, b: u64) -> u64 {
+            a + b
+        }
+    }
+
+    /// Searches `t` with every box and checks count, ids and the `Sum`,
+    /// `MinId` and lift-counting folds, direct and through a batch's
+    /// memo, against brute force over the real points; every filtered
+    /// scan must respect its `16·h²` bound and lift only what it keeps.
+    /// Returns how many filtered and how many block selections it saw.
+    fn agrees_with_brute_force<const D: usize>(t: &DimTree<D>, boxes: &[RRect<D>]) -> [usize; 2] {
+        use crate::semigroup::{comb_opt, fold_points, MinId, Sum};
+        use crate::seq::{sel_count, sel_fold, sel_report, BlockFolds};
+        let mut seen = [0; 2];
+        let (mut sums, mut mins) = (BlockFolds::new(), BlockFolds::new());
+        let mut sels = Vec::new();
+        for q in boxes {
+            let matching: Vec<(u32, u64)> = t.leaves[..t.r as usize]
+                .iter()
+                .filter(|p| q.contains_ranks_from(p, 0))
+                .map(|p| (p.id, p.weight))
+                .collect();
+            let mut want: Vec<u32> = matching.iter().map(|&(id, _)| id).collect();
+            want.sort_unstable();
+            sels.clear();
+            t.search(q, &mut sels);
+            let mut ids = Vec::new();
+            let (mut sum, mut min, mut sum_memo, mut min_memo) = (None, None, None, None);
+            for s in &sels {
+                sel_report(s, &mut ids);
+                sum = comb_opt(&Sum, sum, sel_fold(&Sum, s));
+                min = comb_opt(&MinId, min, sel_fold(&MinId, s));
+                sum_memo = comb_opt(&Sum, sum_memo, sums.fold(&Sum, s));
+                min_memo = comb_opt(&MinId, min_memo, mins.fold(&MinId, s));
+                if let Sel::Filtered { tree, lo, hi, .. } = *s {
+                    let h = block_at(tree.m as usize, lo).1.ilog2() as usize;
+                    assert!(hi - lo <= 16 * h * h, "{q:?}: a run of {} at h = {h}", hi - lo);
+                    LIFTED.set(0);
+                    let k = sel_count(s);
+                    let folded = BlockFolds::new().fold(&Lifted, s);
+                    assert_eq!(LIFTED.get(), k, "{q:?}");
+                    assert_eq!(folded, sel_fold(&Sum, s), "{q:?}");
+                    seen[0] += 1;
+                } else if let Sel::Span { .. } = s {
+                    seen[1] += 1;
+                }
+            }
+            assert_eq!(sels.iter().map(sel_count).sum::<u64>(), want.len() as u64, "{q:?}");
+            ids.sort_unstable();
+            assert_eq!(ids, want, "{q:?}");
+            let want_sum = fold_points(&Sum, matching.iter().copied());
+            let want_min = fold_points(&MinId, matching);
+            assert_eq!((sum, sum_memo), (want_sum, want_sum), "{q:?}");
+            assert_eq!((min, min_memo), (want_min, want_min), "{q:?}");
+        }
+        seen
+    }
+
+    /// `n` points from `scattered`, weighted by id so `Sum` sees them, and
+    /// boxes drawn from `seed`: narrow, wide, inverted, reaching
+    /// `u32::MAX`, or the whole range, dimension by dimension.
+    fn weighted_tree_and_boxes<const D: usize>(
+        n: u32,
+        min_m: u32,
+        seeds: [u64; D],
+        seed: u64,
+    ) -> (DimTree<D>, Vec<RRect<D>>) {
+        let mut pts = scattered(n, min_m, seeds);
+        for p in pts.iter_mut().filter(|p| !p.is_pad()) {
+            p.weight = u64::from(p.id % 13) + 1;
+        }
+        let t = DimTree::<D>::build(0, pts);
+        let mut state = seed | 1;
+        let mut next = move |below: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(below)) as u32
+        };
+        let boxes = (0..40)
+            .map(|_| {
+                let (mut lo, mut hi) = ([0; D], [0; D]);
+                for j in 0..D {
+                    let x = next(n + 2);
+                    (lo[j], hi[j]) = match next(6) {
+                        0 => (x, x + next(4)),
+                        1 => (x, x + next(n / 8 + 2)),
+                        2 => (x / 4, n - x / 4),
+                        3 => (x + 1 + next(3), x),
+                        4 => (x, u32::MAX),
+                        _ => (0, u32::MAX),
+                    };
+                }
+                RRect { lo, hi }
+            })
+            .collect();
+        (t, boxes)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The filtering path and the bottom-up cover both answer as brute
+        /// force does, in d = 2 and in the merge-sort level of d = 3, with
+        /// pads, at sizes where a long run must fall back to the cover.
+        #[test]
+        fn filtered_and_covered_selections_agree_with_brute_force(
+            n in 1u32..4200,
+            pad in 0u32..600,
+            seeds in (1u64..u64::MAX, 1u64..u64::MAX, 1u64..u64::MAX),
+        ) {
+            let (t, boxes) = weighted_tree_and_boxes::<2>(n, n + pad, [0, seeds.0], seeds.2);
+            agrees_with_brute_force(&t, &boxes);
+            let (t, boxes) = weighted_tree_and_boxes::<3>(n, n + pad, [0, seeds.0, seeds.1], !seeds.2);
+            agrees_with_brute_force(&t, &boxes);
+        }
+    }
+
+    /// A box over every real slab position but the first and last, and the
+    /// whole final range: the lowest node is the root, its run is the whole
+    /// block, longer than `16·h²`, so the search falls back to the cover and
+    /// emits no filtered scan. Narrow boxes over the same tree do filter.
+    #[test]
+    fn a_long_run_falls_back_to_the_cover() {
+        let n = 4096;
+        let (t, mut boxes) = weighted_tree_and_boxes::<2>(n, n, [0, 0x2545_f491_4f6c_dd1d], 7);
+        let whole = RRect { lo: [1, 0], hi: [n - 2, u32::MAX] };
+        let mut sels = Vec::new();
+        t.search(&whole, &mut sels);
+        assert!(sels.iter().all(|s| !matches!(s, Sel::Filtered { .. })));
+        boxes.push(whole);
+        let [filtered, spans] = agrees_with_brute_force(&t, &boxes);
+        assert!(filtered > 0 && spans > 0, "{filtered} filtered, {spans} spans");
     }
 
     /// `n` real points whose rank in each dimension `j` is a permutation
