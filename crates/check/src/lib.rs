@@ -26,8 +26,10 @@
 //!    schedule enumerator used to exhaustively permute resolve/poll/drop
 //!    orderings of the `Ticket` waker protocol in tests.
 //!
-//! The canonical lock order the lints and the runtime both enforce is
-//! [`lint::CANONICAL_LOCK_ORDER`].
+//! The canonical lock order is [`lint::CANONICAL_LOCK_ORDER`]. The
+//! static pass enforces it, ranking each lock by the class it is built
+//! with; the runtime detector enforces no order, it reports any
+//! acquisition that closes a cycle between classes.
 
 #![warn(missing_docs)]
 

@@ -42,13 +42,16 @@
 //! into a scheduler) and above `ticket.state`, because a demux thread
 //! may resolve tickets from under its connection state.
 //!
-//! A lock's class is read off the field name the guard is taken from
-//! (`self.queue.lock()`, `lock(&self.stats)`), so a lock the pass must
-//! see has to keep its field name: the client's ticket mutex is taken
-//! through `state`, which ranks as `ticket.state` under `crates/client`
-//! (and as `shard.cross` elsewhere).
+//! A lock's class is read where the lock is built, as in kernel lockdep:
+//! a `TrackedMutex::new("class", ..)` bound by a struct-literal field, a
+//! `let` or a `static` (bare or in `Arc::new(..)`) ranks every guard taken
+//! through that name in the same crate, and a `TrackedCondvar::new()`
+//! binding makes the name a condvar. A class missing from the order, or
+//! one name bound to two different locks in a crate (a plain `Mutex`
+//! counts), is itself a `lock-order` finding, so a typo or a collision is
+//! loud. [`lint_source`] reads the declarations of the one file it gets.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -76,10 +79,7 @@ pub const CANONICAL_LOCK_ORDER: &[&str] = &[
     "metrics.registry",
     "trace.ring",
 ];
-
-/// Condvar field names; `arrived.wait(guard)` consuming its own guard is
-/// the legal blocking-under-lock form.
-const CONDVAR_FIELDS: &[&str] = &["arrived"];
+const ORDER_LINE: usize = line!() as usize - 1; // `CANONICAL_LOCK_ORDER`'s last line
 
 /// Method names that block the calling thread (L2).
 const BLOCKING_METHODS: &[&str] = &[
@@ -93,33 +93,6 @@ const BLOCKING_METHODS: &[&str] = &[
     "wait_until",
     "join",
 ];
-
-/// Map a lock field identifier to its `(rank, class name)`. The `state`
-/// field is `ticket.state` in the client crate and the `CrossOp` merge
-/// state in the shard router.
-fn classify(field: &str, path: &str) -> Option<(usize, &'static str)> {
-    match field {
-        "queue" => Some((0, "sched.queue")),
-        "stats" => Some((1, "shard.stats")),
-        "faults" => Some((2, "shard.faults")),
-        "append" => Some((3, "wal.append")),
-        "state" => {
-            if path.contains("client") {
-                Some((6, "ticket.state"))
-            } else {
-                Some((4, "shard.cross"))
-            }
-        }
-        // The network front-end's connection-scoped locks (`ddrs-net`):
-        // the server connection table and the client's per-connection
-        // pending map / write half all share one class, and none of
-        // them may nest inside another.
-        "conns" | "pending" | "stream" if path.contains("net") => Some((5, "net.conn")),
-        "registry" => Some((7, "metrics.registry")),
-        "ring" | "rings" => Some((8, "trace.ring")),
-        _ => None,
-    }
-}
 
 /// The four lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,13 +120,9 @@ impl Lint {
 
     /// Parse an allow-annotation name.
     pub fn from_name(name: &str) -> Option<Lint> {
-        match name {
-            "lock-order" => Some(Lint::LockOrder),
-            "blocking-while-locked" => Some(Lint::BlockingWhileLocked),
-            "unwrap" => Some(Lint::Unwrap),
-            "relaxed" => Some(Lint::Relaxed),
-            _ => None,
-        }
+        [Lint::LockOrder, Lint::BlockingWhileLocked, Lint::Unwrap, Lint::Relaxed]
+            .into_iter()
+            .find(|l| l.name() == name)
     }
 }
 
@@ -182,42 +151,21 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Which lints to run on a file.
+/// Which lints to run on a file: every one, or — the workspace policy
+/// for every crate but `shard` — only `lock-order` and `relaxed`.
 #[derive(Debug, Clone, Copy)]
 pub struct LintSet {
-    /// Run L1 (lock-order).
-    pub lock_order: bool,
-    /// Run L2 (blocking-while-locked).
-    pub blocking: bool,
-    /// Run L3 (unwrap/expect).
-    pub unwrap: bool,
-    /// Run L4 (Ordering::Relaxed).
-    pub relaxed: bool,
+    every: bool,
 }
 
 impl LintSet {
     /// Every lint on — used for explicit file arguments and fixtures.
     pub fn all() -> LintSet {
-        LintSet { lock_order: true, blocking: true, unwrap: true, relaxed: true }
-    }
-
-    /// The workspace policy for a source path. The scheduler crate
-    /// (`shard`) gets every lint; the other crates get the lock-order
-    /// and memory-ordering lints (the client's public API legitimately
-    /// exposes blocking waits, and `unwrap` is allowed outside the
-    /// serving hot path).
-    pub fn for_workspace_path(path: &str) -> LintSet {
-        let shard = path.contains("crates/shard");
-        LintSet { lock_order: true, blocking: shard, unwrap: shard, relaxed: true }
+        LintSet { every: true }
     }
 
     fn enabled(self, lint: Lint) -> bool {
-        match lint {
-            Lint::LockOrder => self.lock_order,
-            Lint::BlockingWhileLocked => self.blocking,
-            Lint::Unwrap => self.unwrap,
-            Lint::Relaxed => self.relaxed,
-        }
+        self.every || matches!(lint, Lint::LockOrder | Lint::Relaxed)
     }
 }
 
@@ -229,6 +177,8 @@ impl LintSet {
 enum Tok {
     Ident(String),
     Sym(char),
+    /// A string literal's text, escapes left as written.
+    Str(String),
 }
 
 #[derive(Debug, Clone)]
@@ -244,13 +194,16 @@ impl Token {
     fn ident(&self) -> Option<&str> {
         match &self.tok {
             Tok::Ident(s) => Some(s),
-            Tok::Sym(_) => None,
+            _ => None,
         }
     }
 }
 
 struct Scanned {
+    /// Every token outside `#[cfg(test)]` items.
     tokens: Vec<Token>,
+    /// Lines carrying at least one token (i.e. code, not comments).
+    code_lines: HashSet<usize>,
     /// line → lints waived on that line. An allow annotation covers its
     /// own line and the next *code* line below it (intervening
     /// comment-only/blank lines are skipped, so multi-line
@@ -307,28 +260,24 @@ fn scan(src: &str) -> Scanned {
                     i += 1;
                 }
             }
-        } else if c == '"' {
-            i = skip_string(&b, i, &mut line);
-        } else if (c == 'r' || c == 'b') && raw_string_hashes(&b, i).is_some() {
-            // r"…", r#"…"#, br"…", … — skip to the matching close quote.
-            let (start, hashes) = raw_string_hashes(&b, i).unwrap_or((i, 0));
-            i = start + 1;
-            loop {
-                if i >= b.len() {
-                    break;
-                }
-                if b[i] == '\n' {
-                    line += 1;
-                    i += 1;
-                } else if b[i] == '"' && closes_raw(&b, i, hashes) {
-                    i += 1 + hashes;
-                    break;
-                } else {
-                    i += 1;
-                }
+        } else if let Some((open, hashes)) = raw_string_hashes(&b, i) {
+            // r"…", r#"…"#, br"…", … — up to the matching close quote.
+            let open_line = line;
+            i = open + 1;
+            while i < b.len() && !(b[i] == '"' && closes_raw(&b, i, hashes)) {
+                line += usize::from(b[i] == '\n');
+                i += 1;
             }
-        } else if c == 'b' && b.get(i + 1) == Some(&'"') {
-            i = skip_string(&b, i + 1, &mut line);
+            tokens.push(Token { tok: Tok::Str(b[open + 1..i].iter().collect()), line: open_line });
+            i += 1 + hashes;
+        } else if c == '"' || (c == 'b' && b.get(i + 1) == Some(&'"')) {
+            let open = if c == 'b' { i + 1 } else { i };
+            let open_line = line;
+            i = skip_string(&b, open, &mut line);
+            tokens.push(Token {
+                tok: Tok::Str(b[open + 1..i - 1].iter().collect()),
+                line: open_line,
+            });
         } else if c == '\'' {
             // Char literal vs lifetime.
             if b.get(i + 1) == Some(&'\\') {
@@ -355,54 +304,180 @@ fn scan(src: &str) -> Scanned {
             i += 1;
         }
     }
-    Scanned { tokens, allows }
+    let code_lines = tokens.iter().map(|t| t.line).collect();
+    Scanned { tokens: strip_cfg_test(tokens), code_lines, allows }
+}
+
+/// `tokens` without the items under `#[cfg(test)]`, which no lint and
+/// no declaration reads.
+fn strip_cfg_test(tokens: Vec<Token>) -> Vec<Token> {
+    let mut kept = Vec::new();
+    let mut i = 0;
+    while let Some(t) = tokens.get(i) {
+        if at_cfg_test(&tokens, i) {
+            i = skip_cfg_test_item(&tokens, i);
+        } else {
+            kept.push(t.clone());
+            i += 1;
+        }
+    }
+    kept
+}
+
+/// Does `#[cfg(test)]` start at token `i`?
+fn at_cfg_test(tokens: &[Token], i: usize) -> bool {
+    let pat = ["#", "[", "cfg", "(", "test", ")", "]"];
+    pat.iter().enumerate().all(|(k, want)| match tokens.get(i + k).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => s == want,
+        Some(Tok::Sym(c)) => want.len() == 1 && want.starts_with(*c),
+        _ => false,
+    })
+}
+
+/// Skip the item following a `#[cfg(test)]` attribute at `i`: everything
+/// up to the first `;`, or the matching `}` of the first `{`.
+fn skip_cfg_test_item(tokens: &[Token], i: usize) -> usize {
+    let mut depth = 0;
+    for (j, t) in tokens.iter().enumerate().skip(i + 7) {
+        match t.tok {
+            Tok::Sym(';') if depth == 0 => return j + 1,
+            Tok::Sym('{') => depth += 1,
+            Tok::Sym('}') if depth > 0 => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len()
 }
 
 /// If position `i` starts a raw-string opener (`r`/`br` + hashes + `"`),
 /// return (index of the opening quote, number of hashes).
 fn raw_string_hashes(b: &[char], i: usize) -> Option<(usize, usize)> {
-    let mut j = i;
-    if b.get(j) == Some(&'b') {
-        j += 1;
-    }
-    if b.get(j) != Some(&'r') {
-        return None;
-    }
     // A preceding ident char means this `r` is inside an identifier.
     if i > 0 && (b[i - 1].is_alphanumeric() || b[i - 1] == '_') {
         return None;
     }
-    j += 1;
-    let mut hashes = 0;
-    while b.get(j) == Some(&'#') {
-        hashes += 1;
-        j += 1;
+    let r = i + usize::from(b[i] == 'b');
+    if b.get(r) != Some(&'r') {
+        return None;
     }
-    if b.get(j) == Some(&'"') {
-        Some((j, hashes))
-    } else {
-        None
-    }
+    let hashes = b[r + 1..].iter().take_while(|&&c| c == '#').count();
+    (b.get(r + 1 + hashes) == Some(&'"')).then_some((r + 1 + hashes, hashes))
 }
 
 fn closes_raw(b: &[char], i: usize, hashes: usize) -> bool {
     (1..=hashes).all(|k| b.get(i + k) == Some(&'#'))
 }
 
+/// The index past the string literal opening at `open`.
 fn skip_string(b: &[char], open: usize, line: &mut usize) -> usize {
     let mut i = open + 1;
-    while i < b.len() {
-        match b[i] {
-            '\\' => i += 2,
-            '\n' => {
-                *line += 1;
-                i += 1;
-            }
-            '"' => return i + 1,
-            _ => i += 1,
+    while i < b.len() && b[i] != '"' {
+        *line += usize::from(b[i] == '\n');
+        i += if b[i] == '\\' { 2 } else { 1 };
+    }
+    i.min(b.len()) + 1
+}
+
+// ---------------------------------------------------------------------------
+// Declarations
+// ---------------------------------------------------------------------------
+
+/// The lock a name is bound to where it is built.
+#[derive(Debug, Clone, PartialEq)]
+enum Lock {
+    /// `TrackedMutex::new("class", ..)`.
+    Tracked(String),
+    /// `TrackedCondvar::new()`.
+    Condvar,
+    /// A plain `Mutex::new(..)`: legal, never ranked.
+    Plain,
+}
+
+/// One name bound to a lock.
+#[derive(Debug, Clone)]
+struct Binding {
+    name: String,
+    lock: Lock,
+    path: String,
+    line: usize,
+}
+
+/// A crate's lock names, each with its first binding in path and line
+/// order.
+type Decls = HashMap<String, Binding>;
+
+fn declare(bindings: &[Binding]) -> Decls {
+    // Collected last to first, so a name's first binding is the one kept.
+    bindings.iter().rev().map(|b| (b.name.clone(), b.clone())).collect()
+}
+
+/// Every lock built in `tokens` and bound to a name: the constructor,
+/// bare or inside `Arc::new(..)`, is the whole value of a struct-literal
+/// field, a `let` or a `static`.
+fn bindings(path: &str, tokens: &[Token]) -> Vec<Binding> {
+    let mut out = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        let lock = match (t.ident(), tokens.get(i + 5).map(|t| &t.tok)) {
+            _ if !calls(tokens, i, "new") => continue,
+            (Some("TrackedMutex"), Some(Tok::Str(class))) => Lock::Tracked(class.clone()),
+            (Some("TrackedCondvar"), _) => Lock::Condvar,
+            (Some("Mutex"), _) => Lock::Plain,
+            _ => continue,
+        };
+        // Back over the constructor's path and any `Arc::new(` around it.
+        let mut s = path_start(tokens, i);
+        while s >= 2 && tokens[s - 1].is_sym('(') && tokens[s - 2].ident() == Some("new") {
+            s = path_start(tokens, s - 2);
         }
+        let name = match tokens.get(s.wrapping_sub(1)) {
+            Some(t) if t.is_sym(':') => tokens.get(s.wrapping_sub(2)).and_then(Token::ident),
+            Some(t) if t.is_sym('=') => {
+                let stmt = &tokens[..s - 1];
+                let start =
+                    stmt.iter().rposition(|t| t.is_sym(';') || t.is_sym('{') || t.is_sym('}'));
+                bound_by(&stmt[start.map_or(0, |k| k + 1)..])
+            }
+            _ => None,
+        };
+        out.extend(name.map(|n| Binding { name: n.into(), lock, path: path.into(), line: t.line }));
+    }
+    out
+}
+
+/// Is the type name at `i` followed by `::<method>(`?
+fn calls(tokens: &[Token], i: usize, method: &str) -> bool {
+    let sym = |k: usize, c: char| tokens.get(i + k).is_some_and(|t| t.is_sym(c));
+    sym(1, ':')
+        && sym(2, ':')
+        && tokens.get(i + 3).and_then(Token::ident) == Some(method)
+        && sym(4, '(')
+}
+
+/// The first token of the path ending at identifier `i`
+/// (`std::sync::Mutex` → `std`).
+fn path_start(tokens: &[Token], mut i: usize) -> usize {
+    while i >= 3
+        && tokens[i - 1].is_sym(':')
+        && tokens[i - 2].is_sym(':')
+        && tokens[i - 3].ident().is_some()
+    {
+        i -= 3;
     }
     i
+}
+
+/// The name bound by the `let` or `static` that opens `stmt`, unless an
+/// `=` comes first (a plain assignment binds nothing).
+fn bound_by(stmt: &[Token]) -> Option<&str> {
+    let at =
+        stmt.iter().position(|t| matches!(t.ident(), Some("let" | "static")) || t.is_sym('='))?;
+    stmt[at].ident()?;
+    stmt[at + 1..].iter().filter_map(Token::ident).find(|&v| v != "mut")
 }
 
 // ---------------------------------------------------------------------------
@@ -424,8 +499,8 @@ struct Analyzer<'a> {
     path: &'a str,
     tokens: &'a [Token],
     allows: &'a HashMap<usize, Vec<Lint>>,
-    /// Lines carrying at least one token (i.e. code, not comments).
-    code_lines: std::collections::HashSet<usize>,
+    code_lines: &'a HashSet<usize>,
+    decls: &'a Decls,
     set: LintSet,
     diags: Vec<Diagnostic>,
     guards: Vec<LiveGuard>,
@@ -436,18 +511,21 @@ struct Analyzer<'a> {
     stmt_start: usize,
 }
 
-/// Lint one source file. `path` is used for diagnostics and for the
-/// path-sensitive parts of the lock table (`state` disambiguation,
-/// workspace lint scoping when `set` came from
-/// [`LintSet::for_workspace_path`]).
+/// Lint one source file, ranking its guards by the locks it builds
+/// itself. `path` is used for diagnostics only.
 pub fn lint_source(path: &str, src: &str, set: LintSet) -> Vec<Diagnostic> {
     let scanned = scan(src);
-    let code_lines = scanned.tokens.iter().map(|t| t.line).collect();
+    lint_scanned(path, &scanned, &declare(&bindings(path, &scanned.tokens)), set)
+}
+
+/// Lint one scanned file against its crate's declarations.
+fn lint_scanned(path: &str, scanned: &Scanned, decls: &Decls, set: LintSet) -> Vec<Diagnostic> {
     let mut a = Analyzer {
         path,
         tokens: &scanned.tokens,
         allows: &scanned.allows,
-        code_lines,
+        code_lines: &scanned.code_lines,
+        decls,
         set,
         diags: Vec::new(),
         guards: Vec::new(),
@@ -455,29 +533,17 @@ pub fn lint_source(path: &str, src: &str, set: LintSet) -> Vec<Diagnostic> {
         paren: 0,
         stmt_start: 0,
     };
+    a.check_bindings();
     a.run();
     a.diags
 }
 
 impl Analyzer<'_> {
     fn allowed(&self, line: usize, lint: Lint) -> bool {
-        let hit = |l: usize| self.allows.get(&l).is_some_and(|v| v.contains(&lint));
-        if hit(line) {
-            return true;
-        }
-        // Walk upward through the comment block directly above the
-        // flagged line; the first code line ends the search.
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            if hit(l) {
-                return true;
-            }
-            if self.code_lines.contains(&l) {
-                return false;
-            }
-        }
-        false
+        // The flagged line and the comment block directly above it, up to
+        // and including the first code line.
+        let top = (1..line).rev().find(|l| self.code_lines.contains(l)).unwrap_or(1);
+        (top..=line).any(|l| self.allows.get(&l).is_some_and(|v| v.contains(&lint)))
     }
 
     fn flag(&mut self, line: usize, lint: Lint, message: String) {
@@ -486,14 +552,29 @@ impl Analyzer<'_> {
         }
     }
 
+    /// Flag this file's bindings whose class is not in the canonical
+    /// order, or whose name the crate first bound to another lock.
+    fn check_bindings(&mut self) {
+        for b in bindings(self.path, self.tokens) {
+            let first = &self.decls[&b.name];
+            let msg = match &b.lock {
+                Lock::Tracked(class) if !CANONICAL_LOCK_ORDER.contains(&class.as_str()) => {
+                    format!("lock class '{class}' is not in the canonical lock order")
+                }
+                lock if *lock != first.lock => format!(
+                    "'{}' is bound to {lock:?} here and to {:?} at {}:{} — a name must \
+                     build one lock per crate for its guards to be ranked",
+                    b.name, first.lock, first.path, first.line
+                ),
+                _ => continue,
+            };
+            self.flag(b.line, Lint::LockOrder, msg);
+        }
+    }
+
     fn run(&mut self) {
         let mut i = 0;
         while i < self.tokens.len() {
-            // Skip `#[cfg(test)]` items wholesale.
-            if self.at_cfg_test(i) {
-                i = self.skip_cfg_test_item(i);
-                continue;
-            }
             let t = self.tokens[i].clone();
             match &t.tok {
                 Tok::Sym('{') => {
@@ -534,17 +615,18 @@ impl Analyzer<'_> {
                     // Free-function form `lock(&self.field)`.
                     let is_method = i > 0 && self.tokens[i - 1].is_sym('.');
                     if !is_method && self.tokens.get(i + 1).is_some_and(|t| t.is_sym('(')) {
-                        if let Some((field, close)) = self.last_ident_in_parens(i + 1) {
+                        if let Some((ids, close)) = self.paren_group(i + 1) {
                             let terminal =
                                 self.tokens.get(close + 1).is_some_and(|t| t.is_sym(';'));
-                            self.acquire(&field, t.line, i, terminal);
+                            if let Some(field) = ids.last() {
+                                self.acquire(field, t.line, i, terminal);
+                            }
                         }
                     }
                 }
                 Tok::Ident(id) if id == "Relaxed" => {
-                    let line = t.line;
                     self.flag(
-                        line,
+                        t.line,
                         Lint::Relaxed,
                         "Ordering::Relaxed in the scheduler stack — commit-seq and \
                          consistency-gating atomics need acquire/release (or stronger); \
@@ -552,31 +634,22 @@ impl Analyzer<'_> {
                             .to_string(),
                     );
                 }
-                Tok::Ident(id) if id == "Machine" => {
-                    // `Machine::run(...)` / `Machine::try_run(...)`.
-                    if self.tokens.get(i + 1).is_some_and(|t| t.is_sym(':'))
-                        && self.tokens.get(i + 2).is_some_and(|t| t.is_sym(':'))
-                        && self
-                            .tokens
-                            .get(i + 3)
-                            .and_then(Token::ident)
-                            .is_some_and(|m| m == "run" || m == "try_run")
+                Tok::Ident(id)
+                    if id == "Machine"
                         && !self.guards.is_empty()
-                    {
-                        let line = t.line;
-                        let held = self.held_names();
-                        self.flag(
-                            line,
-                            Lint::BlockingWhileLocked,
-                            format!(
-                                "Machine::run while holding [{held}] — a machine run can \
-                                     block on sibling processors; release tracked guards first"
-                            ),
-                        );
-                    }
+                        && (calls(self.tokens, i, "run") || calls(self.tokens, i, "try_run")) =>
+                {
+                    let held = self.held_names();
+                    self.flag(
+                        t.line,
+                        Lint::BlockingWhileLocked,
+                        format!(
+                            "Machine::run while holding [{held}] — a machine run can \
+                                 block on sibling processors; release tracked guards first"
+                        ),
+                    );
                 }
-                Tok::Ident(_) => {}
-                Tok::Sym(_) => {}
+                _ => {}
             }
             i += 1;
         }
@@ -606,7 +679,7 @@ impl Analyzer<'_> {
             return i + 1;
         }
         if (m == "wait" || m == "wait_timeout")
-            && receiver.as_deref().is_some_and(|r| CONDVAR_FIELDS.contains(&r))
+            && receiver.and_then(|r| self.decls.get(&r)).is_some_and(|b| b.lock == Lock::Condvar)
         {
             // Condvar wait: consuming its own guard is legal; any OTHER
             // live guard means we block while holding it.
@@ -657,15 +730,13 @@ impl Analyzer<'_> {
     /// only then can a `let` bind the guard itself; a continued method
     /// chain consumes the guard as a statement temporary.
     fn acquire(&mut self, field: &str, line: usize, acq: usize, terminal: bool) {
-        let Some((rank, name)) = classify(field, self.path) else { return };
-        let conflicts: Vec<(String, bool)> = self
-            .guards
-            .iter()
-            .filter(|g| rank <= g.rank)
-            .map(|g| (g.name.to_string(), g.rank == rank && g.name == name))
-            .collect();
-        for (held, recursive) in conflicts {
-            let msg = if recursive {
+        let Some(Lock::Tracked(class)) = self.decls.get(field).map(|b| &b.lock) else { return };
+        let Some(rank) = CANONICAL_LOCK_ORDER.iter().position(|c| c == class) else { return };
+        let name = CANONICAL_LOCK_ORDER[rank];
+        let held: Vec<&str> =
+            self.guards.iter().filter(|g| rank <= g.rank).map(|g| g.name).collect();
+        for held in held {
+            let msg = if held == name {
                 format!(
                     "recursive acquisition of '{name}' — std::sync::Mutex self-deadlocks; \
                      restructure so one guard covers the whole critical section"
@@ -687,24 +758,7 @@ impl Analyzer<'_> {
     /// If the statement containing token `acq` is a `let` binding, the
     /// bound variable.
     fn let_binding_var(&self, acq: usize) -> Option<String> {
-        let mut it = self.tokens[self.stmt_start..acq].iter();
-        for t in it.by_ref() {
-            match t.ident() {
-                Some("let") => break,
-                // A `=` before any `let` means this is a plain
-                // assignment — not a fresh binding.
-                _ if t.is_sym('=') => return None,
-                _ => {}
-            }
-        }
-        for t in it {
-            match t.ident() {
-                Some("mut") => continue,
-                Some(v) => return Some(v.to_string()),
-                None => continue,
-            }
-        }
-        None
+        bound_by(&self.tokens[self.stmt_start..acq]).map(str::to_string)
     }
 
     /// Handle `drop(a)` / `drop((a, b))`: release the named guards.
@@ -714,91 +768,30 @@ impl Analyzer<'_> {
         if !self.tokens.get(i + 1).is_some_and(|t| t.is_sym('(')) {
             return None;
         }
-        let mut depth = 0usize;
-        let mut j = i + 1;
-        let mut dropped: Vec<String> = Vec::new();
-        while j < self.tokens.len() {
-            match &self.tokens[j].tok {
-                Tok::Sym('(') => depth += 1,
-                Tok::Sym(')') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                Tok::Ident(id) => dropped.push(id.clone()),
-                Tok::Sym(_) => {}
-            }
-            j += 1;
-        }
+        let (dropped, close) = self.paren_group(i + 1)?;
         self.guards.retain(|g| g.var.as_ref().is_none_or(|v| !dropped.contains(v)));
-        Some(j + 1)
+        Some(close + 1)
     }
 
-    /// The last identifier inside the paren group opening at `open`,
-    /// plus the index of the closing paren (used for
-    /// `lock(&self.field)`).
-    fn last_ident_in_parens(&self, open: usize) -> Option<(String, usize)> {
+    /// The identifiers inside the paren group opening at `open`, and the
+    /// index of its closing paren.
+    fn paren_group(&self, open: usize) -> Option<(Vec<String>, usize)> {
         let mut depth = 0usize;
-        let mut last = None;
-        let mut j = open;
-        while j < self.tokens.len() {
-            match &self.tokens[j].tok {
+        let mut ids = Vec::new();
+        for (j, t) in self.tokens.iter().enumerate().skip(open) {
+            match &t.tok {
                 Tok::Sym('(') => depth += 1,
                 Tok::Sym(')') => {
                     depth -= 1;
                     if depth == 0 {
-                        return last.map(|f| (f, j));
+                        return Some((ids, j));
                     }
                 }
-                Tok::Ident(id) => last = Some(id.clone()),
-                Tok::Sym(_) => {}
+                Tok::Ident(id) => ids.push(id.clone()),
+                _ => {}
             }
-            j += 1;
         }
         None
-    }
-
-    /// Does `#[cfg(test)]` start at token `i`?
-    fn at_cfg_test(&self, i: usize) -> bool {
-        let pat = ["#", "[", "cfg", "(", "test", ")", "]"];
-        pat.iter().enumerate().all(|(k, want)| match self.tokens.get(i + k) {
-            Some(t) => match &t.tok {
-                Tok::Ident(s) => s == want,
-                Tok::Sym(c) => want.len() == 1 && want.starts_with(*c),
-            },
-            None => false,
-        })
-    }
-
-    /// Skip the item following a `#[cfg(test)]` attribute: everything
-    /// up to the first `;`, or the matching `}` of the first `{`.
-    fn skip_cfg_test_item(&self, i: usize) -> usize {
-        let mut j = i + 7; // past `# [ cfg ( test ) ]`
-        while j < self.tokens.len() {
-            match &self.tokens[j].tok {
-                Tok::Sym(';') => return j + 1,
-                Tok::Sym('{') => {
-                    let mut depth = 0usize;
-                    while j < self.tokens.len() {
-                        match &self.tokens[j].tok {
-                            Tok::Sym('{') => depth += 1,
-                            Tok::Sym('}') => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    return j + 1;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    return j;
-                }
-                _ => j += 1,
-            }
-        }
-        j
     }
 }
 
@@ -806,28 +799,56 @@ impl Analyzer<'_> {
 // Workspace driver
 // ---------------------------------------------------------------------------
 
-/// The crates the workspace pass covers.
-const WORKSPACE_CRATES: &[&str] = &[
-    "crates/shard/src",
-    "crates/client/src",
-    "crates/trace/src",
-    "crates/wal/src",
-    "crates/net/src",
+/// The crates the workspace pass covers, each with whether every lint
+/// runs on it. The scheduler crate (`shard`) gets every lint; the
+/// others get `lock-order` and `relaxed` (the client's public API
+/// legitimately exposes blocking waits, and `unwrap` is allowed outside
+/// the serving hot path).
+const WORKSPACE_CRATES: &[(&str, bool)] = &[
+    ("crates/shard/src", true),
+    ("crates/client/src", false),
+    ("crates/trace/src", false),
+    ("crates/wal/src", false),
+    ("crates/net/src", false),
 ];
 
-/// Lint the scheduler-stack sources under `root` (the workspace root),
-/// applying the per-crate policy of [`LintSet::for_workspace_path`].
+/// Lint the scheduler-stack sources under `root` (the workspace root)
+/// with the per-crate policy of `WORKSPACE_CRATES`, each crate against
+/// the locks it builds. A class of [`CANONICAL_LOCK_ORDER`] that no
+/// crate builds is a finding too.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let mut files = Vec::new();
-    for dir in WORKSPACE_CRATES {
-        collect_rs(&root.join(dir), &mut files)?;
-    }
-    files.sort();
     let mut diags = Vec::new();
-    for file in files {
-        let src = std::fs::read_to_string(&file)?;
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_string_lossy().replace('\\', "/");
-        diags.extend(lint_source(&rel, &src, LintSet::for_workspace_path(&rel)));
+    let mut built = Vec::new();
+    for &(dir, every) in WORKSPACE_CRATES {
+        let mut files = Vec::new();
+        collect_rs(&root.join(dir), &mut files)?;
+        files.sort();
+        let mut scanned = Vec::new();
+        let mut bound = Vec::new();
+        for file in files {
+            let src = std::fs::read_to_string(&file)?;
+            let rel = file.strip_prefix(root).unwrap_or(&file).to_string_lossy().replace('\\', "/");
+            let s = scan(&src);
+            bound.extend(bindings(&rel, &s.tokens));
+            scanned.push((rel, s));
+        }
+        let decls = declare(&bound);
+        for (rel, s) in &scanned {
+            diags.extend(lint_scanned(rel, s, &decls, LintSet { every }));
+        }
+        built.extend(bound.into_iter().map(|b| b.lock));
+    }
+    for class in CANONICAL_LOCK_ORDER {
+        if !built.contains(&Lock::Tracked(class.to_string())) {
+            let message =
+                format!("'{class}' is in the canonical lock order but no crate builds it");
+            diags.push(Diagnostic {
+                path: file!().into(),
+                line: ORDER_LINE,
+                lint: Lint::LockOrder,
+                message,
+            });
+        }
     }
     Ok(diags)
 }
@@ -850,121 +871,4 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lints_of(src: &str) -> Vec<Lint> {
-        lint_source("crates/shard/src/fixture.rs", src, LintSet::all())
-            .into_iter()
-            .map(|d| d.lint)
-            .collect()
-    }
-
-    #[test]
-    fn inverted_order_is_flagged() {
-        let src = "fn f(&self) { let st = self.stats.lock(); let q = self.queue.lock(); }";
-        assert_eq!(lints_of(src), vec![Lint::LockOrder]);
-    }
-
-    #[test]
-    fn canonical_order_is_clean() {
-        let src = "fn f(&self) { let q = self.queue.lock(); let st = self.stats.lock(); }";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn guard_scope_ends_at_block_close() {
-        let src = "fn f(&self) { { let st = self.stats.lock(); } let q = self.queue.lock(); }";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn explicit_drop_releases() {
-        let src =
-            "fn f(&self) { let st = self.stats.lock(); drop(st); let q = self.queue.lock(); }";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn recv_under_guard_is_flagged() {
-        let src = "fn f(&self) { let st = self.stats.lock(); let x = rx.recv(); }";
-        assert_eq!(lints_of(src), vec![Lint::BlockingWhileLocked]);
-    }
-
-    #[test]
-    fn recv_after_temp_statement_is_clean() {
-        let src = "fn f(&self) { self.stats.lock().completed += 1; let x = rx.recv(); }";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn temp_guards_in_separate_args_do_not_overlap() {
-        let src = "fn f(&self) { g(|| self.stats.lock().a += 1, || self.stats.lock().b += 1); }";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn condvar_wait_with_own_guard_is_legal() {
-        let src = "fn f(&self) { let mut q = self.queue.lock(); q = self.arrived.wait(q); }";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn condvar_wait_with_extra_guard_is_flagged() {
-        let src = "fn f(&self) { let st = self.stats.lock(); let mut q = self.queue.lock(); \
-                   q = self.arrived.wait(q); }";
-        assert!(lints_of(src).contains(&Lint::BlockingWhileLocked));
-    }
-
-    #[test]
-    fn unwrap_and_expect_are_flagged_and_allowed() {
-        assert_eq!(lints_of("fn f() { x.unwrap(); }"), vec![Lint::Unwrap]);
-        assert_eq!(lints_of("fn f() { x.expect(\"m\"); }"), vec![Lint::Unwrap]);
-        let allowed = "fn f() {\n // ddrs-check: allow(unwrap) — infallible\n x.unwrap(); }";
-        assert!(lints_of(allowed).is_empty());
-    }
-
-    #[test]
-    fn relaxed_is_flagged_and_allowed() {
-        assert_eq!(lints_of("fn f() { a.swap(true, Ordering::Relaxed); }"), vec![Lint::Relaxed]);
-        let allowed =
-            "fn f() { a.swap(true, Ordering::Relaxed); // ddrs-check: allow(relaxed) — tally\n }";
-        assert!(lints_of(allowed).is_empty());
-    }
-
-    #[test]
-    fn cfg_test_items_are_skipped() {
-        let src = "#[cfg(test)]\nmod tests { fn f() { x.unwrap(); } }\nfn g() {}";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn comments_and_strings_do_not_tokenize() {
-        let src = "fn f() { let s = \".unwrap()\"; /* x.unwrap() */ // y.unwrap()\n }";
-        assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn helper_lock_form_is_tracked() {
-        let src = "fn f(&self) { let st = lock(&self.stats); let q = lock(&self.queue); }";
-        assert_eq!(lints_of(src), vec![Lint::LockOrder]);
-    }
-
-    #[test]
-    fn the_client_state_field_ranks_as_the_ticket_mutex() {
-        let lint = |src| lint_source("crates/client/src/ticket.rs", src, LintSet::all());
-        let inverted =
-            lint("fn f(&self) { let m = self.registry.lock(); let s = self.state.lock(); }");
-        assert_eq!(inverted.len(), 1);
-        assert_eq!(inverted[0].lint, Lint::LockOrder);
-        assert!(inverted[0].message.contains("acquiring 'ticket.state'"), "{}", inverted[0]);
-        let canonical = "fn f(&self) { let s = self.state.lock(); let m = self.registry.lock(); }";
-        assert!(lint(canonical).is_empty());
-    }
-
-    #[test]
-    fn machine_run_under_guard_is_flagged() {
-        let src = "fn f(&self) { let st = self.stats.lock(); Machine::run(&m, f); }";
-        assert!(lints_of(src).contains(&Lint::BlockingWhileLocked));
-    }
-}
+mod tests;

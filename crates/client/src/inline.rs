@@ -41,7 +41,7 @@ use crate::{ServiceError, SubmitError};
 pub struct InlineStore<S: Semigroup, const D: usize> {
     sg: S,
     machine: Machine,
-    state: Mutex<InlineState<D>>,
+    inner: Mutex<InlineState<D>>,
 }
 
 struct InlineState<const D: usize> {
@@ -63,14 +63,14 @@ impl<S: Semigroup, const D: usize> InlineStore<S, D> {
     /// Wrap a machine and a store. The store must have been built with
     /// this machine (or be empty); all further construction uses it.
     pub fn new(machine: Machine, tree: DynamicDistRangeTree<D>, sg: S) -> Self {
-        InlineStore { sg, machine, state: Mutex::new(InlineState { tree, next_seq: 0 }) }
+        InlineStore { sg, machine, inner: Mutex::new(InlineState { tree, next_seq: 0 }) }
     }
 
     /// Hand the machine and the store back.
     pub fn into_parts(self) -> (Machine, DynamicDistRangeTree<D>) {
         (
             self.machine,
-            self.state.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner).tree,
+            self.inner.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner).tree,
         )
     }
 
@@ -82,12 +82,12 @@ impl<S: Semigroup, const D: usize> InlineStore<S, D> {
     /// Number of commits performed so far (the next commit takes this
     /// sequence number).
     pub fn committed(&self) -> u64 {
-        lock(&self.state).next_seq
+        lock(&self.inner).next_seq
     }
 
     /// Live points in the store.
     pub fn len(&self) -> usize {
-        lock(&self.state).tree.len()
+        lock(&self.inner).tree.len()
     }
 
     /// True when the store holds no points.
@@ -100,7 +100,7 @@ impl<S: Semigroup, const D: usize> RangeStore<S, D> for InlineStore<S, D> {
     fn submit(&self, req: Request<S, D>) -> Result<Ticket<Response<S>>, SubmitError> {
         assert!(!req.is_empty(), "submitted an empty request");
         let planned = req.plan();
-        let mut st = lock(&self.state);
+        let mut st = lock(&self.inner);
         let mut qb = QueryBatch::new(self.sg);
         let mut slots: Vec<ReadSlot<S>> = Vec::new();
         let bound_err = |next_seq: u64| {
@@ -217,7 +217,7 @@ mod tests {
             assert_eq!(store.insert(pts).unwrap().wait(), Err(ServiceError::Rejected(verdict)));
         }
         assert_eq!(store.len(), 6);
-        assert!(lock(&store.state).tree.points().copied().eq(points));
+        assert!(lock(&store.inner).tree.points().copied().eq(points));
         assert_eq!(store.machine().stats().runs, runs, "a refused batch runs nothing");
         assert_eq!(store.committed(), 0);
         let ok = store.insert(vec![Point::new([9, 9], 7)]).unwrap().wait();

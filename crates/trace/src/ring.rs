@@ -13,7 +13,7 @@
 //! closed before any ring is locked) — same-class nesting would be an
 //! order cycle.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use ddrs_check::TrackedMutex;
 
@@ -48,15 +48,13 @@ impl Ring {
 
 /// All rings ever registered, including those of exited threads (the
 /// `Arc` keeps a dead thread's events capturable).
-fn rings() -> &'static TrackedMutex<Vec<Arc<TrackedMutex<Ring>>>> {
-    static RINGS: OnceLock<TrackedMutex<Vec<Arc<TrackedMutex<Ring>>>>> = OnceLock::new();
-    RINGS.get_or_init(|| TrackedMutex::new("trace.ring", Vec::new()))
-}
+static RINGS: TrackedMutex<Vec<Arc<TrackedMutex<Ring>>>> =
+    TrackedMutex::new("trace.ring", Vec::new());
 
 thread_local! {
     static LOCAL: Arc<TrackedMutex<Ring>> = {
         let ring = Arc::new(TrackedMutex::new("trace.ring", Ring::new()));
-        rings().lock().push(Arc::clone(&ring));
+        RINGS.lock().push(Arc::clone(&ring));
         ring
     };
 }
@@ -72,7 +70,7 @@ pub(crate) fn push(ev: Event) {
 /// Copy every ring's events (no draining: concurrent captures observe
 /// each other's spans rather than stealing them).
 pub(crate) fn snapshot() -> Vec<Event> {
-    let handles: Vec<Arc<TrackedMutex<Ring>>> = rings().lock().clone();
+    let handles: Vec<Arc<TrackedMutex<Ring>>> = RINGS.lock().clone();
     let mut out = Vec::new();
     for ring in handles {
         out.extend_from_slice(&ring.lock().events);

@@ -13,3 +13,7 @@ fn recv_after_release_is_fine(inner: &Inner, rx: &Receiver<u32>) {
     drop(st);
     let _reply = rx.recv();
 }
+
+fn new_inner() -> Inner {
+    Inner { stats: TrackedMutex::new("shard.stats", Stats::default()) }
+}

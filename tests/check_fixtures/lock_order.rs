@@ -16,3 +16,10 @@ fn consistent_nesting_is_fine(inner: &Inner) {
     drop(st);
     drop(q);
 }
+
+fn new_inner() -> Inner {
+    Inner {
+        queue: TrackedMutex::new("sched.queue", VecDeque::new()),
+        stats: TrackedMutex::new("shard.stats", Stats::default()),
+    }
+}
