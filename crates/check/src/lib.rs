@@ -3,7 +3,7 @@
 //! PRs 3–6 wrapped the paper's deterministic search structures in a
 //! substantial amount of hand-rolled concurrency: a shared scheduler
 //! core, per-shard worker threads with cross-shard merge countdowns,
-//! epoch barriers with rollback, waker-based `Ticket` futures, and
+//! all-or-nothing epoch barriers, waker-based `Ticket` futures, and
 //! poisoning/quarantine paths. This crate is the correctness-tooling
 //! layer that mechanically enforces the locking discipline those
 //! protocols rely on, in three complementary parts:

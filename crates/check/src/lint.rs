@@ -31,8 +31,8 @@
 //!
 //! `wal.append` is the per-shard write-ahead log's append mutex
 //! (`ddrs-wal`): the router appends committed epochs while holding no
-//! scheduler lock, so it ranks between the router-side fault set and
-//! the cross-shard merge state, and — like everything else — above the
+//! scheduler lock, so it ranks between the router's telemetry and the
+//! cross-shard merge state, and — like everything else — above the
 //! telemetry classes.
 //!
 //! `net.conn` covers every connection-scoped lock of the network
@@ -71,7 +71,6 @@ use std::path::{Path, PathBuf};
 pub const CANONICAL_LOCK_ORDER: &[&str] = &[
     "sched.queue",
     "shard.stats",
-    "shard.faults",
     "wal.append",
     "shard.cross",
     "net.conn",

@@ -7,15 +7,16 @@
 //! and interleave updates safely. [`ShardedService`] is that somebody.
 //! With one machine it is the whole serving layer of a single SPMD
 //! group; with `S` machines the id/key domain is partitioned across `S`
-//! *shard groups*, each owning its own [`Machine`], its own
-//! [`DynamicDistRangeTree`] and its own worker thread, behind the same
+//! *shard groups*, each with its own [`Machine`], its own
+//! [`DynamicDistRangeTree`] (whose committed version the router holds)
+//! and its own worker thread, behind the same
 //! `Ticket`/`Commit { value, seq }` API:
 //!
 //! ```text
 //!  client threads        router thread                 shard groups
 //!  ──────────────   ┌──────────────────────┐   ┌───────────────────────┐
 //!  count(q) ───┐    │ group-commit window  │   │ shard 0: Machine +    │
-//!  insert(b) ──┼──▶ │  (the `sched` core:  │──▶│  tree + worker thread │
+//!  insert(b) ──┼──▶ │  (the `sched` core:  │──▶│  worker thread        │
 //!  report(q) ──┘    │   max_batch /        │   ├───────────────────────┤
 //!     │             │   max_delay)         │   │ shard 1: Machine + …  │
 //!     ▼             │                      │   ├───────────────────────┤
@@ -24,7 +25,9 @@
 //!   commit seq)     │  scatter-gather      │   │ shard S-1             │
 //!                   │ writes → routed      │   └───────────────────────┘
 //!                   │  sub-epoch barrier   │     each sub-batch: ≤ 1
-//!                   └──────────────────────┘     Machine::run per shard
+//!                   │ versions: every      │     Machine::run per shard,
+//!                   │  shard's store       │     on the version it carries
+//!                   └──────────────────────┘
 //! ```
 //!
 //! ## Routing and merging
@@ -57,27 +60,29 @@
 //! * **Global sequence.** The router assigns every committed response a
 //!   position in one *global* commit order at planning time: replaying
 //!   committed requests in `seq` order through a sequential oracle
-//!   reproduces every response. The
-//!   invariant survives concurrent reads because each worker executes
-//!   its jobs in FIFO order and every write epoch is a router barrier:
-//!   a read planned between write epochs `W_k` and `W_{k+1}` reaches
-//!   every shard after `W_k`'s sub-epochs and before `W_{k+1}`'s, so it
-//!   observes exactly the post-`W_k` state its pre-assigned seq claims.
+//!   reproduces every response. The invariant survives concurrent reads
+//!   because the router holds every shard's committed store version and
+//!   a read sub-batch carries the version the router held when it was
+//!   planned: a read planned between write epochs `W_k` and `W_{k+1}`
+//!   runs on the post-`W_k` versions whenever its worker gets to it, so
+//!   it observes exactly the state its pre-assigned seq claims.
 //!
 //! ## Failure containment
 //!
 //! A simulated-processor panic during a *read* fails only the requests
 //! that needed the failing shard. A panic during a *write sub-epoch*
-//! aborts the whole epoch: every request in it fails, sub-epochs already
-//! applied on healthy shards are **rolled back**, and the failing shard
-//! is **poisoned** — quarantined from all further traffic while its
-//! siblings keep serving. Committed history is never contradicted.
-//! Undoing a write is no write: a worker applies a sub-epoch (or a
-//! split's extraction) to a clone of its store (shared `Arc` levels),
-//! swaps it in only on success and keeps the replaced version until its
-//! next job. A rollback puts that version back, which cannot fail; a
-//! failed job never swapped, so a poisoned store is the shard's last
-//! committed version.
+//! aborts the whole epoch: every request in it fails, no shard installs
+//! its sub-epoch, and the failing shard is **poisoned** — quarantined
+//! from all further traffic while its siblings keep serving. Committed
+//! history is never contradicted. An abort needs no message to any
+//! worker: a worker builds a sub-epoch (or a split's extraction) on a
+//! clone of the version its job carries (shared `Arc` levels) and
+//! replies with the version it built, and the router installs the
+//! replies only when the epoch or split commits. A poisoned store is the
+//! shard's last committed version. A failed log append aborts the same
+//! way: every log the epoch's or split's appends reached is cut back to
+//! its length before them, so no log holds a record that did not commit;
+//! only a log that cannot be cut back quarantines its shard.
 //!
 //! ## Rebalancing
 //!
@@ -105,12 +110,14 @@
 //!   telemetry publishing, shutdown.
 //! * `reads` — plans a read window into per-shard fused sub-batches and
 //!   settles their results; generic over the query mode's value type.
-//! * `writes` — the write epoch: validate, scatter, log, commit or roll
-//!   back; and the skew trigger.
+//! * `writes` — the write epoch: validate, scatter, log, then commit
+//!   (install the built versions) or abort (install nothing); and the
+//!   skew trigger.
 //! * `split` / `recover` — the two exclusive ops: migrate half a shard,
 //!   rebuild a quarantined shard from its write-ahead log.
 //! * `partition`, `stats`, `worker` — placement policies, telemetry, and
-//!   the per-shard thread that owns a machine and its store.
+//!   the per-shard thread that owns a machine and runs jobs on the
+//!   versions they carry.
 //!
 //! ## Example
 //!
@@ -154,7 +161,8 @@ mod writes;
 pub use partition::PartitionPolicy;
 pub use stats::{ShardSnapshot, ShardedStats};
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -244,7 +252,8 @@ pub struct RecoveryReport {
 
 /// The per-shard state handed back by [`ShardedService::dismantle`]:
 /// the group's machine, its store, and its quarantine reason if a write
-/// sub-epoch failed mid-apply (the store is then its pre-epoch version).
+/// sub-epoch failed mid-apply (the store is then its last committed
+/// version).
 #[derive(Debug)]
 pub struct ShardParts<const D: usize> {
     /// The shard group's machine.
@@ -331,13 +340,9 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
             }
             parts[sh].push(*p);
         }
-        let shard_len: Vec<usize> = parts.iter().map(Vec::len).collect();
-
-        let workers: Vec<WorkerHandle<S, D>> = machines
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| spawn_worker(i, m, DynamicDistRangeTree::<D>::new(capacity)))
-            .collect();
+        let workers: Vec<WorkerHandle<S, D>> =
+            machines.into_iter().enumerate().map(|(i, m)| spawn_worker(i, m)).collect();
+        let mut versions = vec![DynamicDistRangeTree::<D>::new(capacity); shards];
 
         // One write-ahead log per shard. Non-empty shards log their
         // initial bulk load as the first record, so a recovery replay
@@ -361,15 +366,17 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
                 // no clients exist yet, and a service whose log cannot
                 // record its own initial state must not start.
                 .expect("initial WAL append failed");
-            ShardJob::Write { deletes: Vec::new(), inserts, inject_fault: false, reply }
+            let tree = DynamicDistRangeTree::new(capacity);
+            ShardJob::Write { tree, deletes: Vec::new(), inserts, inject_fault: false, reply }
         })
         // ddrs-check: allow(unwrap) — construction-time bulk load: no
         // clients exist yet, and a worker dying before the service is
         // even built is unrecoverable.
         .expect("bulk load");
         for reply in loaded {
-            if let Err(e) = reply.result {
-                panic!("initial bulk load failed on shard {}: {e}", reply.shard);
+            match reply.result {
+                Ok(tree) => versions[reply.shard] = tree,
+                Err(e) => panic!("initial bulk load failed on shard {}: {e}", reply.shard),
             }
         }
 
@@ -384,13 +391,13 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
                     ..Default::default()
                 },
             ),
-            faults: TrackedMutex::new("shard.faults", HashSet::new()),
+            faults: (0..shards).map(|_| AtomicBool::new(false)).collect(),
         });
         let router_state = Router {
             workers,
+            versions,
             part,
             owner,
-            shard_len,
             poisoned: vec![None; shards],
             next_seq: 0,
             wals,
@@ -492,7 +499,7 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
     /// while its siblings keep serving.
     pub fn fail_next_write_epoch(&self, shard: usize) {
         assert!(shard < self.shards, "fail_next_write_epoch: no shard {shard}");
-        self.inner.faults.lock().insert(shard);
+        self.inner.faults[shard].store(true, Ordering::SeqCst);
     }
 
     /// Snapshot the service telemetry.

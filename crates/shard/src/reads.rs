@@ -243,7 +243,8 @@ pub(crate) fn dispatch_reads<S: Semigroup, const D: usize>(
         let complete: ReadComplete<S> = Box::new(move |result, run_stats, ran| {
             finish_shard_reads(&inner, s, result, run_stats, ran, slots, &tally);
         });
-        router.send(s, ShardJob::Reads { batch, complete });
+        let tree = router.versions[s].clone();
+        router.send(s, ShardJob::Reads { tree, batch, complete });
     }
 }
 

@@ -1,5 +1,7 @@
 //! Shard recovery: rebuild a quarantined shard from its write-ahead log
-//! and return it to service, between dispatches.
+//! and return it to service, between dispatches. The rebuilt store
+//! becomes the shard's version on the router, in place of its last
+//! committed one.
 
 use std::time::Instant;
 
@@ -19,14 +21,14 @@ use crate::RecoveryReport;
 ///    tail — exactly the committed records survive — and cut such a
 ///    tail off the log, so the epochs the rebuilt shard commits next are
 ///    appended behind the last good record, not behind the damage;
-/// 2. replay them into a fresh store on the shard's own machine (the
-///    worker swaps it in only if the whole replay succeeds);
+/// 2. replay them into a fresh store on the shard's own machine and
+///    install it as the shard's version;
 /// 3. re-derive the id→shard ownership index: drop every id still
 ///    mapped to the dead shard, claim the rebuilt store's live ids;
 /// 4. clear the quarantine and republish health.
 ///
-/// On any failure the shard stays quarantined, the ownership index is
-/// untouched, and the call can be retried.
+/// On any failure the shard stays quarantined, its version and the
+/// ownership index are untouched, and the call can be retried.
 pub(crate) fn do_recover<S: Semigroup, const D: usize>(
     inner: &Inner<S, D>,
     router: &mut Router<S, D>,
@@ -55,18 +57,17 @@ pub(crate) fn do_recover<S: Semigroup, const D: usize>(
     .map(sole)
     .map_err(|e| format!("recover failed: {e}"))?;
     inner.stats.lock().absorb_run(shard, &reply.stats);
-    let live = reply.result?;
+    let fresh = reply.result?;
     router.owner.retain(|_, sh| *sh != shard);
-    for id in &live {
-        router.owner.insert(*id, shard);
-    }
-    router.shard_len[shard] = live.len();
+    router.owner.extend(fresh.points().map(|p| (p.id, shard)));
+    let live = fresh.len();
+    router.versions[shard] = fresh;
     router.poisoned[shard] = None;
     let duration = t0.elapsed();
     {
         let mut st = inner.stats.lock();
         st.recoveries += 1;
-        st.recovered_points += live.len() as u64;
+        st.recovered_points += live as u64;
         st.recovery_us.record(duration.as_micros() as u64);
         // The rebuild is the recovery's window work — surfaced through
         // the always-on breakdown so the metrics registry sees the
@@ -76,7 +77,7 @@ pub(crate) fn do_recover<S: Semigroup, const D: usize>(
     Ok(RecoveryReport {
         shard,
         replayed_records: replayed,
-        live_points: live.len(),
+        live_points: live,
         clean_tail,
         duration,
     })

@@ -1,17 +1,19 @@
-//! The router thread: its state, the dispatch loop, the one worker
-//! round-trip helper every synchronous protocol step goes through, the
-//! one send for a reply-less job, telemetry publishing and shutdown.
+//! The router thread: its state (every shard's committed store version
+//! among it), the dispatch loop, the one worker round-trip helper every
+//! synchronous protocol step goes through, the one send for a read
+//! sub-batch, the all-or-nothing log append, publishing and shutdown.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ddrs_check::TrackedMutex;
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
-use ddrs_rangetree::Semigroup;
+use ddrs_rangetree::{DynamicDistRangeTree, Semigroup};
 use ddrs_trace::{SpanId, Stage};
-use ddrs_wal::EpochWal;
+use ddrs_wal::{EpochRecord, EpochWal};
 
 use crate::partition::Partitioner;
 use crate::reads::dispatch_reads;
@@ -71,30 +73,35 @@ pub(crate) struct Inner<S: Semigroup, const D: usize> {
     /// The group-commit scheduler core (admission, window firing,
     /// group-preserving carve, deadline expiry — see `sched`).
     pub core: SchedCore<Op<S, D>>,
-    /// Lock class `shard.stats` — before `shard.faults` and
+    /// Lock class `shard.stats` — before `wal.append` and
     /// `shard.cross` (see `ddrs_check`'s canonical order). The
     /// `submitted` and `overloaded` fields stay zero in here: admission
     /// counts them beside the queue and `ShardedService::stats` fills
     /// them into each snapshot.
     pub stats: TrackedMutex<ShardedStats>,
-    /// Shards whose next write sub-epoch should suffer an injected
+    /// One flag per shard: its next write sub-epoch suffers an injected
     /// mid-epoch processor panic (deterministic fault injection for the
-    /// test harness). Lock class `shard.faults`.
-    pub faults: TrackedMutex<HashSet<usize>>,
+    /// test harness). Armed and consumed with `SeqCst`.
+    pub faults: Vec<AtomicBool>,
 }
 
 pub(crate) struct Router<S: Semigroup, const D: usize> {
     pub workers: Vec<WorkerHandle<S, D>>,
+    /// Every shard's committed store version. A job carries a clone
+    /// (O(levels)); a mutation's reply is installed here only when its
+    /// epoch or split commits, so an abort leaves this untouched. A
+    /// poisoned shard's entry is its last committed version.
+    pub versions: Vec<DynamicDistRangeTree<D>>,
     pub part: Partitioner,
     /// Authoritative id → owning shard index for every live point.
     pub owner: HashMap<u32, usize>,
-    pub shard_len: Vec<usize>,
     pub poisoned: Vec<Option<String>>,
     pub next_seq: u64,
     /// One write-ahead log per shard (lock class `wal.append`): every
     /// committed epoch, bulk load and migration is appended before any
-    /// of its tickets resolve, so a quarantined shard can always be
-    /// rebuilt to its last committed state by `recover_shard`.
+    /// of its tickets resolve, and nothing else is (see [`Router::log`]),
+    /// so a quarantined shard can always be rebuilt to its last
+    /// committed state by `recover_shard`.
     pub wals: Vec<EpochWal<D>>,
     /// The rebuild-unit capacity every shard store was built with —
     /// recovery rebuilds with the same value.
@@ -141,7 +148,7 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
     }
 
     /// Hand `shard`'s worker a job that sends no reply back here: a read
-    /// sub-batch (it completes on the worker thread) or a `Rollback`.
+    /// sub-batch, which completes on the worker thread.
     pub(crate) fn send(&self, shard: usize, job: ShardJob<S, D>) {
         // ddrs-check: allow(unwrap) — a dead worker stays loud, as in `round_trip`.
         self.workers[shard].tx.send(job).expect("shard worker died outside the poisoning protocol");
@@ -175,12 +182,37 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
         replies
     }
 
+    /// Append `records` (an epoch's or a split's, one per shard) all or
+    /// none: if an append fails, every log this call reached is cut back
+    /// to its length before the call, and a log that cannot be cut back
+    /// quarantines its shard. The length is [`EpochWal::stats`], which is
+    /// the sink's length for every log the service writes: the service
+    /// starts each log itself and recovery re-bases the counters on its
+    /// cut.
+    pub(crate) fn log(&mut self, records: Vec<(usize, EpochRecord<D>)>) -> Result<(), String> {
+        let marks: Vec<_> = records.iter().map(|&(s, _)| self.wals[s].stats()).collect();
+        let Some((k, e)) = records
+            .iter()
+            .enumerate()
+            .find_map(|(k, (s, rec))| self.wals[*s].append_record(rec).err().map(|e| (k, e)))
+        else {
+            return Ok(());
+        };
+        for (&(s, _), mark) in records.iter().zip(&marks).take(k + 1) {
+            if let Err(cut) = self.wals[s].truncate(mark.bytes, mark.records) {
+                self.poisoned[s] =
+                    Some(format!("wal cut-back failed after a failed append: {cut}"));
+            }
+        }
+        Err(format!("shard {}: wal append failed: {e}", records[k].0))
+    }
+
     /// Publish per-shard health, sizes and WAL counters into the shared
     /// stats.
     pub(crate) fn publish(&self, inner: &Inner<S, D>) {
         let mut st = inner.stats.lock();
         for (i, snap) in st.per_shard.iter_mut().enumerate() {
-            snap.live_points = self.shard_len[i];
+            snap.live_points = self.versions[i].len();
             snap.poisoned = self.poisoned[i].clone();
             // `shard.stats` precedes `wal.append` in the canonical order, so
             // reading the log counters under the stats guard is legal.
@@ -312,17 +344,18 @@ fn stop_workers<S: Semigroup, const D: usize>(
     let all: Vec<usize> = (0..router.shards()).collect();
     let mut stopped = router.round_trip(inner, &all, |_, reply| ShardJob::Stop { reply });
     stopped.sort_unstable_by_key(|reply| reply.shard);
-    let Router { workers, poisoned, .. } = router;
+    let Router { workers, versions, poisoned, .. } = router;
     workers
         .into_iter()
+        .zip(versions)
         .zip(poisoned)
         .zip(stopped)
-        .map(|((handle, poisoned), reply)| {
+        .map(|(((handle, tree), poisoned), reply)| {
             // ddrs-check: allow(unwrap) — a worker panic is a worker bug;
             // surfacing it beats returning an inconsistent store silently.
             handle.join.join().expect("shard worker panicked");
-            let Ok((machine, tree)) = reply.result else {
-                unreachable!("the Stop job only moves the machine and the store into its reply")
+            let Ok(machine) = reply.result else {
+                unreachable!("the Stop job only moves the machine into its reply")
             };
             ShardParts { machine, tree, poisoned }
         })

@@ -1,5 +1,8 @@
 //! The split migration: move half of a shard's points to a lighter
-//! sibling, between dispatches.
+//! sibling, between dispatches. The donor's rest and the recipient's
+//! landing are built as new versions and installed together once both
+//! logs hold the migration; a split that fails anywhere before that
+//! installs nothing and logs nothing.
 
 use ddrs_rangetree::Semigroup;
 use ddrs_wal::{EpochRecord, RecordKind};
@@ -22,10 +25,10 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
     if let Some(reason) = &router.poisoned[donor] {
         return Err(format!("split impossible: donor {donor} is poisoned: {reason}"));
     }
-    if router.shard_len[donor] < 2 {
+    if router.versions[donor].len() < 2 {
         return Err(format!(
             "split impossible: donor {donor} holds {} point(s)",
-            router.shard_len[donor]
+            router.versions[donor].len()
         ));
     }
     // Pick the recipient: under the range policy only an adjacent shard
@@ -40,15 +43,18 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
     } else {
         (0..router.shards()).filter(|&s| s != donor && router.poisoned[s].is_none()).collect()
     };
-    let Some(&to) = candidates.iter().min_by_key(|&&s| router.shard_len[s]) else {
+    let Some(&to) = candidates.iter().min_by_key(|&&s| router.versions[s].len()) else {
         return Err(format!("split impossible: donor {donor} has no healthy sibling"));
     };
     let upper = to > donor;
 
     // Extraction failures travel as `Err` data in the reply.
-    let extraction =
-        sole(router.round_trip(inner, &[donor], |_, reply| ShardJob::SplitHalf { upper, reply }));
-    let (moved, boundary) = match extraction.result {
+    let extraction = sole(router.round_trip(inner, &[donor], |_, reply| ShardJob::SplitHalf {
+        tree: router.versions[donor].clone(),
+        upper,
+        reply,
+    }));
+    let (rest, moved, boundary) = match extraction.result {
         Ok(ok) => ok,
         Err(e) => {
             if !e.starts_with("split impossible") {
@@ -61,39 +67,32 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
 
     // Land the migrated points on the recipient.
     let landing = sole(router.round_trip(inner, &[to], |_, reply| ShardJob::Write {
+        tree: router.versions[to].clone(),
         deletes: Vec::new(),
         inserts: moved.clone(),
         inject_fault: false,
         reply,
     }));
-    if let Err(e) = landing.result {
-        router.poisoned[to] = Some(format!("migration landing failed: {e}"));
-        // The donor puts back the version that still holds the half.
-        router.send(donor, ShardJob::Rollback);
-        return Err(format!("split failed landing on shard {to}: {e}"));
-    }
+    let landed = match landing.result {
+        Ok(landed) => landed,
+        Err(e) => {
+            router.poisoned[to] = Some(format!("migration landing failed: {e}"));
+            return Err(format!("split failed landing on shard {to}: {e}"));
+        }
+    };
 
     // Log the migration on both shards' WALs before the routing state
     // changes (the same log-before-resolve discipline as write epochs:
     // by the time the split ticket resolves, both logs reproduce their
-    // stores). A failed landing logs nothing — the logs then still
-    // describe the consistent pre-split state recovery targets.
-    // An append IO failure quarantines both ends: whichever log kept
-    // the record no longer agrees with a store the other end rolled
-    // forward, so neither may serve until an operator recovers them.
+    // stores). A failed append leaves neither log holding the migration.
     let migrated_ids: Vec<u32> = moved.iter().map(|p| p.id).collect();
-    let out_rec =
-        EpochRecord::event(RecordKind::MigrateOut, router.next_seq, migrated_ids, Vec::new());
-    let in_rec =
-        EpochRecord::event(RecordKind::MigrateIn, router.next_seq, Vec::new(), moved.clone());
-    let append = router.wals[donor]
-        .append_record(&out_rec)
-        .and_then(|_| router.wals[to].append_record(&in_rec));
-    if let Err(e) = append {
-        router.poisoned[donor] = Some(format!("wal append failed during migration: {e}"));
-        router.poisoned[to] = Some(format!("wal append failed during migration: {e}"));
-        return Err(format!("split failed: wal append: {e}"));
-    }
+    let seq = router.next_seq;
+    router
+        .log(vec![
+            (donor, EpochRecord::event(RecordKind::MigrateOut, seq, migrated_ids, Vec::new())),
+            (to, EpochRecord::event(RecordKind::MigrateIn, seq, Vec::new(), moved.clone())),
+        ])
+        .map_err(|e| format!("split failed: {e}"))?;
 
     // Commit the migration in the routing state. Under the range policy
     // the shifted boundary re-describes residency exactly; under hash
@@ -101,11 +100,11 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
     // says, so degenerate-read routing must fall back to full fan-out
     // from now on (the ownership index is keyed by id, which a
     // coordinate rect cannot consult).
+    router.versions[donor] = rest;
+    router.versions[to] = landed;
     for p in &moved {
         router.owner.insert(p.id, to);
     }
-    router.shard_len[donor] -= moved.len();
-    router.shard_len[to] += moved.len();
     if router.part.bounds().is_some() {
         debug_assert!(donor.abs_diff(to) == 1, "range split picked a non-adjacent sibling");
         router.part.shift_boundary(donor, to, boundary);

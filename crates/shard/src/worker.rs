@@ -1,19 +1,21 @@
-//! The per-shard scheduler thread: one `Machine` + one
-//! `DynamicDistRangeTree`, executing the sub-batches the router plans.
+//! The per-shard scheduler thread: one `Machine`, executing the
+//! sub-batches the router plans on the store versions the router hands
+//! it.
 //!
-//! A worker is deliberately dumb: it owns its group's machine and store,
-//! receives fully planned jobs over a channel, executes them with
-//! panic containment, and replies with the result plus the run's
-//! [`RunStats`] so the router can account machine work per shard. All
-//! cross-shard reasoning (planning, merging, ordering, the verdict on an
-//! epoch, poisoning) lives in the router — the worker has no idea
+//! A worker is deliberately dumb: it owns its group's machine and
+//! nothing else, receives fully planned jobs over a channel, executes
+//! them with panic containment, and replies with the result plus the
+//! run's [`RunStats`] so the router can account machine work per shard.
+//! All cross-shard reasoning (planning, merging, ordering, the verdict
+//! on an epoch, poisoning) lives in the router — the worker has no idea
 //! siblings exist.
 //!
-//! A mutating job (`Write`, `SplitHalf`) runs on a clone of the store
-//! (O(levels), every level shared) that is swapped in only on success.
-//! The replaced version is kept until the next job, the router's verdict
-//! (mutations are router barriers, the channel is FIFO):
-//! [`ShardJob::Rollback`] puts it back, any other job drops it.
+//! The router holds every shard's committed store version. Each job
+//! carries the version it works on: a read runs on it, and a mutating
+//! job (`Write`, `SplitHalf`) builds a new version from it (a clone is
+//! O(levels), every level shared) and replies with that version. The
+//! router installs it only if the epoch or split commits, so an abort
+//! needs no message here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -38,43 +40,47 @@ pub(crate) type ReadComplete<S> =
 
 /// One planned unit of work for a shard group.
 pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
-    /// Execute a fused read sub-batch: at most one `Machine::run` (zero
-    /// when the sub-batch or the shard's store is empty), then hand the
-    /// outcome to `complete` on this worker thread. Read sub-batches
-    /// already queued behind this one ride the same run: writes are
-    /// router barriers and seqs are pre-assigned, so adjacent read
-    /// sub-batches observe the same store.
-    Reads { batch: QueryBatch<S, D>, complete: ReadComplete<S> },
-    /// Apply one write sub-epoch: delete `deletes`, then insert `inserts`.
-    /// `inject_fault` makes a simulated processor panic *between* the two
-    /// cascades via [`Machine::try_run`] — the deterministic mid-epoch fault
-    /// the test harness injects. On failure the store is its pre-job version.
+    /// Execute a fused read sub-batch on `tree`: at most one
+    /// `Machine::run` (zero when the sub-batch or the store is empty),
+    /// then hand the outcome to `complete` on this worker thread. Read
+    /// sub-batches already queued behind this one ride the same run:
+    /// every mutation is a round trip the router waits for, so the jobs
+    /// queued between two of them all carry the one version the router
+    /// held in between.
+    Reads { tree: DynamicDistRangeTree<D>, batch: QueryBatch<S, D>, complete: ReadComplete<S> },
+    /// Build one write sub-epoch's version from `tree`: delete
+    /// `deletes`, then insert `inserts`, and reply with the result.
+    /// `inject_fault` makes a simulated processor panic *between* the
+    /// two cascades via [`Machine::try_run`] — the deterministic
+    /// mid-epoch fault the test harness injects.
     Write {
+        tree: DynamicDistRangeTree<D>,
         deletes: Vec<u32>,
         inserts: Vec<Point<D>>,
         inject_fault: bool,
-        reply: mpsc::Sender<Reply<()>>,
+        reply: mpsc::Sender<Reply<DynamicDistRangeTree<D>>>,
     },
-    /// Extract one half of the store, split by the first coordinate
-    /// (ties kept together), for migration to a sibling group. Replies
-    /// with the migrated points and the axis-0 boundary separating them
-    /// from the points the donor kept.
-    SplitHalf { upper: bool, reply: mpsc::Sender<Reply<(Vec<Point<D>>, i64)>> },
-    /// Put back the version the last `Write` / `SplitHalf` replaced.
-    /// Reply-less; a no-op unless it directly follows that job.
-    Rollback,
-    /// Rebuild the store from the shard's write-ahead log: replay
-    /// `records` into a fresh tree and swap it in place of the current
-    /// (quarantined) one. The records are folded into level point sets
-    /// first and each level the log leaves occupied is built once, so the
-    /// job's machine runs are the rebuilt store's levels, not the log's
-    /// length. On failure the old store is kept
-    /// untouched, so the router can leave the shard quarantined and
-    /// retry later. Replies with the live point ids of the rebuilt
-    /// store (the router re-derives the ownership index from them).
-    Recover { capacity: usize, records: Vec<EpochRecord<D>>, reply: mpsc::Sender<Reply<Vec<u32>>> },
-    /// Hand the machine and store back and exit the thread.
-    Stop { reply: mpsc::Sender<Reply<(Machine, DynamicDistRangeTree<D>)>> },
+    /// Extract one half of `tree`, split by the first coordinate (ties
+    /// kept together), for migration to a sibling group. Replies with
+    /// the donor's rest, the migrated points and the axis-0 boundary
+    /// separating them from the points the donor kept.
+    SplitHalf {
+        tree: DynamicDistRangeTree<D>,
+        upper: bool,
+        reply: mpsc::Sender<Reply<(DynamicDistRangeTree<D>, Vec<Point<D>>, i64)>>,
+    },
+    /// Rebuild a store from the shard's write-ahead log: replay
+    /// `records` into a fresh tree and reply with it. The records are
+    /// folded into level point sets first and each level the log leaves
+    /// occupied is built once, so the job's machine runs are the rebuilt
+    /// store's levels, not the log's length.
+    Recover {
+        capacity: usize,
+        records: Vec<EpochRecord<D>>,
+        reply: mpsc::Sender<Reply<DynamicDistRangeTree<D>>>,
+    },
+    /// Hand the machine back and exit the thread.
+    Stop { reply: mpsc::Sender<Reply<Machine>> },
 }
 
 /// A worker's answer to one synchronous job: which shard, the job's
@@ -94,12 +100,11 @@ pub(crate) struct WorkerHandle<S: Semigroup, const D: usize> {
 pub(crate) fn spawn_worker<S: Semigroup, const D: usize>(
     shard: usize,
     machine: Machine,
-    tree: DynamicDistRangeTree<D>,
 ) -> WorkerHandle<S, D> {
     let (tx, rx) = mpsc::channel::<ShardJob<S, D>>();
     let join = std::thread::Builder::new()
         .name(format!("ddrs-shard-{shard}"))
-        .spawn(move || worker_loop(shard, machine, tree, &rx))
+        .spawn(move || worker_loop(shard, machine, &rx))
         // ddrs-check: allow(unwrap) — OS thread-spawn failure at service
         // construction; there is nothing to degrade gracefully yet.
         .expect("spawning a shard worker");
@@ -131,42 +136,18 @@ fn contain<T>(
     Reply { shard, result, stats }
 }
 
-/// [`contain`] a mutating job on a clone of `tree` that replaces it only
-/// on success; `prev` takes the replaced version.
-fn swap_version<T, const D: usize>(
-    shard: usize,
-    machine: &Machine,
-    tree: &mut DynamicDistRangeTree<D>,
-    prev: &mut Option<DynamicDistRangeTree<D>>,
-    job: impl FnOnce(&mut DynamicDistRangeTree<D>) -> Result<T, String>,
-) -> Reply<T> {
-    let mut next = tree.clone();
-    let reply = contain(shard, machine, || job(&mut next));
-    if reply.result.is_ok() {
-        *prev = Some(std::mem::replace(tree, next));
-    }
-    reply
-}
-
 fn worker_loop<S: Semigroup, const D: usize>(
     shard: usize,
     machine: Machine,
-    mut tree: DynamicDistRangeTree<D>,
     rx: &mpsc::Receiver<ShardJob<S, D>>,
 ) {
     // Start clean so every reply's stats cover exactly its own job.
     machine.take_stats();
     // A non-read job that ended a read drain; it runs next.
     let mut held: Option<ShardJob<S, D>> = None;
-    // The version the last job replaced, if it was a successful mutation;
-    // dropped before the next job runs, so at most one old version lives.
-    let mut prev: Option<DynamicDistRangeTree<D>> = None;
     while let Some(job) = held.take().or_else(|| rx.recv().ok()) {
-        if !matches!(job, ShardJob::Rollback) {
-            prev = None;
-        }
         match job {
-            ShardJob::Reads { mut batch, complete } => {
+            ShardJob::Reads { tree, mut batch, complete } => {
                 let lens = |b: &QueryBatch<S, D>| {
                     let (c, a, r) = b.parts();
                     (c.len(), a.len(), r.len())
@@ -174,7 +155,8 @@ fn worker_loop<S: Semigroup, const D: usize>(
                 let mut riders = vec![(lens(&batch), complete)];
                 while let Ok(next) = rx.try_recv() {
                     match next {
-                        ShardJob::Reads { batch: more, complete } => {
+                        // The same version as `tree` (see `ShardJob::Reads`).
+                        ShardJob::Reads { batch: more, complete, .. } => {
                             riders.push((lens(&more), complete));
                             batch.append(more);
                         }
@@ -204,8 +186,8 @@ fn worker_loop<S: Semigroup, const D: usize>(
                     complete(part, stats.take().unwrap_or_default(), ran);
                 }
             }
-            ShardJob::Write { deletes, inserts, inject_fault, reply } => {
-                let _ = reply.send(swap_version(shard, &machine, &mut tree, &mut prev, |tree| {
+            ShardJob::Write { mut tree, deletes, inserts, inject_fault, reply } => {
+                let _ = reply.send(contain(shard, &machine, || {
                     tree.delete_batch(&machine, &deletes).map_err(|e| e.to_string())?;
                     if inject_fault {
                         machine
@@ -217,31 +199,24 @@ fn worker_loop<S: Semigroup, const D: usize>(
                             })
                             .map_err(|e| cgm_error_string(&e))?;
                     }
-                    tree.insert_batch(&machine, &inserts).map_err(|e| e.to_string())
+                    tree.insert_batch(&machine, &inserts).map_err(|e| e.to_string())?;
+                    Ok(tree)
                 }));
             }
-            ShardJob::SplitHalf { upper, reply } => {
-                let _ = reply.send(swap_version(shard, &machine, &mut tree, &mut prev, |tree| {
-                    split_half(&machine, tree, upper)
-                }));
-            }
-            ShardJob::Rollback => tree = prev.take().unwrap_or(tree),
-            ShardJob::Recover { capacity, records, reply } => {
-                // The fresh store replaces the old one only if the whole
-                // replay succeeded.
+            ShardJob::SplitHalf { mut tree, upper, reply } => {
                 let _ = reply.send(contain(shard, &machine, || {
-                    let fresh = ddrs_wal::replay_into_store(&machine, capacity, &records)?;
-                    let live = fresh.points().map(|p| p.id).collect();
-                    tree = fresh;
-                    Ok(live)
+                    let (moved, boundary) = split_half(&machine, &mut tree, upper)?;
+                    Ok((tree, moved, boundary))
+                }));
+            }
+            ShardJob::Recover { capacity, records, reply } => {
+                let _ = reply.send(contain(shard, &machine, || {
+                    ddrs_wal::replay_into_store(&machine, capacity, &records)
                 }));
             }
             ShardJob::Stop { reply } => {
-                let _ = reply.send(Reply {
-                    shard,
-                    result: Ok((machine, tree)),
-                    stats: RunStats::default(),
-                });
+                let _ =
+                    reply.send(Reply { shard, result: Ok(machine), stats: RunStats::default() });
                 return;
             }
         }
@@ -298,7 +273,8 @@ fn split_half<const D: usize>(
 }
 
 // The worker's side of the version protocol, driven over its channel
-// with no router: the job after a mutation is the verdict on it.
+// with no router: every job carries its version, and a mutation replies
+// with the one it built.
 #[cfg(test)]
 mod tests {
     use std::sync::mpsc;
@@ -309,12 +285,7 @@ mod tests {
     use super::{spawn_worker, Reply, ShardJob, WorkerHandle};
     use crate::tests::pts;
 
-    fn worker() -> WorkerHandle<Sum, 2> {
-        let machine = Machine::new(2).unwrap();
-        let mut tree = DynamicDistRangeTree::new(8);
-        tree.insert_batch(&machine, &pts(0..20)).unwrap();
-        spawn_worker(0, machine, tree)
-    }
+    type Tree = DynamicDistRangeTree<2>;
 
     /// Send one job that replies and wait for its reply.
     fn ask<T>(
@@ -326,15 +297,24 @@ mod tests {
         rx.recv().unwrap().result
     }
 
-    fn write(w: &WorkerHandle<Sum, 2>, inject_fault: bool) -> Result<(), String> {
-        let (deletes, inserts) = (vec![0, 1], pts(100..104));
-        ask(w, |reply| ShardJob::Write { deletes, inserts, inject_fault, reply })
+    fn write(w: &WorkerHandle<Sum, 2>, tree: &Tree, inject_fault: bool) -> Result<Tree, String> {
+        let (tree, deletes, inserts) = (tree.clone(), vec![0, 1], pts(100..104));
+        ask(w, |reply| ShardJob::Write { tree, deletes, inserts, inject_fault, reply })
     }
 
-    /// Stop the worker and list the ids of the store it hands back.
-    fn stop(w: WorkerHandle<Sum, 2>) -> Vec<u32> {
-        let (_, tree) = ask(&w, |reply| ShardJob::Stop { reply }).unwrap();
-        w.join.join().unwrap();
+    /// The ids a read over everything reports on `tree`.
+    fn read(w: &WorkerHandle<Sum, 2>, tree: &Tree) -> Vec<u32> {
+        let (tx, rx) = mpsc::channel();
+        let all = vec![Rect::new([0, 0], [800, 600])];
+        let batch = QueryBatch::from_parts(Sum, vec![], vec![], all);
+        let complete = Box::new(move |out: Result<BatchResults<Sum>, String>, _, _| {
+            let _ = tx.send(out.unwrap().reports.remove(0));
+        });
+        w.tx.send(ShardJob::Reads { tree: tree.clone(), batch, complete }).unwrap();
+        rx.recv().unwrap()
+    }
+
+    fn ids(tree: &Tree) -> Vec<u32> {
         let mut ids: Vec<u32> = tree.points().map(|p| p.id).collect();
         ids.sort_unstable();
         assert_eq!(ids.len(), tree.len());
@@ -342,42 +322,39 @@ mod tests {
     }
 
     #[test]
-    fn the_job_after_a_mutation_is_the_verdict_on_it() {
+    fn a_mutation_replies_with_the_version_it_built() {
+        let machine = Machine::new(2).unwrap();
+        let mut base = Tree::new(8);
+        base.insert_batch(&machine, &pts(0..20)).unwrap();
+        let w = spawn_worker(0, machine);
         let original: Vec<u32> = (0..20).collect();
         let written: Vec<u32> = (2..20).chain(100..104).collect();
 
-        // Write, Rollback: the pre-write store.
-        let w = worker();
-        write(&w, false).unwrap();
-        w.tx.send(ShardJob::Rollback).unwrap();
-        assert_eq!(stop(w), original);
+        // A Write builds a new version and leaves its base as it was.
+        let next = write(&w, &base, false).unwrap();
+        assert_eq!(ids(&next), written);
+        assert_eq!(ids(&base), original);
 
-        // SplitHalf, Rollback: every point is back.
-        let w = worker();
-        let (moved, _) = ask(&w, |reply| ShardJob::SplitHalf { upper: true, reply }).unwrap();
-        assert!(!moved.is_empty() && moved.len() < 20);
-        w.tx.send(ShardJob::Rollback).unwrap();
-        assert_eq!(stop(w), original);
+        // A read sees the version it carries, old or new, in any order.
+        assert_eq!(read(&w, &next), written);
+        assert_eq!(read(&w, &base), original);
 
-        // Write, Reads, Rollback: the read committed the write, and the late
-        // Rollback finds nothing to put back.
-        let w = worker();
-        write(&w, false).unwrap();
-        let (seen_tx, seen) = mpsc::channel();
-        let batch =
-            QueryBatch::from_parts(Sum, vec![Rect::new([0, 0], [800, 600])], vec![], vec![]);
-        let complete = Box::new(move |out: Result<_, String>, _, _| {
-            let _ = seen_tx.send(out.map(|results: BatchResults<Sum>| results.counts));
-        });
-        w.tx.send(ShardJob::Reads { batch, complete }).unwrap();
-        w.tx.send(ShardJob::Rollback).unwrap();
-        assert_eq!(seen.recv().unwrap(), Ok(vec![22]));
-        assert_eq!(stop(w), written);
+        // SplitHalf hands back the donor's rest and the moved half.
+        let (rest, moved, _) =
+            ask(&w, |reply| ShardJob::SplitHalf { tree: base.clone(), upper: true, reply })
+                .unwrap();
+        assert!(!moved.is_empty() && !rest.is_empty());
+        let mut both: Vec<u32> = ids(&rest).into_iter().chain(moved.iter().map(|p| p.id)).collect();
+        both.sort_unstable();
+        assert_eq!(both, original);
+        assert_eq!(ids(&base), original);
 
-        // A Write that fails between its two cascades never swapped.
-        let w = worker();
-        let e = write(&w, true).unwrap_err();
+        // A Write that fails between its two cascades replies the failure.
+        let e = write(&w, &base, true).unwrap_err();
         assert!(e.contains("ProcessorPanicked"), "{e}");
-        assert_eq!(stop(w), original);
+        assert_eq!(read(&w, &base), original);
+
+        ask(&w, |reply| ShardJob::Stop { reply }).unwrap();
+        w.join.join().unwrap();
     }
 }

@@ -1,10 +1,12 @@
-//! The write path: validate a run of writes sequentially, apply it as
-//! one sub-epoch per touched shard, log it, and commit — or abort the
-//! whole epoch: healthy participants put back the version their
-//! sub-epoch replaced, failed ones (which never left theirs) are
+//! The write path: validate a run of writes sequentially, build one
+//! sub-epoch version per touched shard, log it, and commit by installing
+//! the built versions — or abort the whole epoch, which installs nothing
+//! and leaves no log record; a shard whose machine failed is
 //! quarantined. Also the skew trigger that runs after a committed epoch.
 
 use std::collections::{BTreeMap, HashSet};
+use std::mem::take;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
@@ -28,8 +30,8 @@ enum Verdict {
 
 /// Validate a run of writes sequentially, scatter them as one sub-epoch
 /// per touched shard, and either commit all of them under the global
-/// sequence or abort the whole epoch (healthy shards put their previous
-/// version back, failed ones are poisoned).
+/// sequence or abort the whole epoch (nothing is installed, and shards
+/// whose machine failed are poisoned).
 pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     inner: &Inner<S, D>,
     router: &mut Router<S, D>,
@@ -185,18 +187,23 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     for (r, _, _) in &outcomes {
         ddrs_trace::transition(r.span(), Stage::Window, Stage::MachineRun);
     }
-    let mut failed: Vec<Option<String>> = vec![None; router.shards()];
+    let mut built = Vec::with_capacity(involved.len());
+    let mut failed = Vec::new();
     let mut runs_total = 0u64;
     // Scatter the sub-epochs (consuming any injected faults), then
     // gather. The jobs get copies: the batches go on to the log records.
     for reply in router.round_trip(inner, &involved, |s, reply| ShardJob::Write {
+        tree: router.versions[s].clone(),
         deletes: tree_deleted[s].clone(),
         inserts: inserts[s].clone(),
-        inject_fault: inner.faults.lock().remove(&s),
+        inject_fault: inner.faults[s].swap(false, Ordering::SeqCst),
         reply,
     }) {
         runs_total += reply.stats.runs as u64;
-        failed[reply.shard] = reply.result.err();
+        match reply.result {
+            Ok(version) => built.push((reply.shard, version)),
+            Err(e) => failed.push((reply.shard, e)),
+        }
     }
     let t_gather = Instant::now();
     for (r, _, _) in &outcomes {
@@ -209,77 +216,45 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     }
     account(&outcomes, t_scatter, Some(t_gather));
 
-    let mut epoch_error: Option<String> =
-        involved.iter().find_map(|&s| failed[s].as_ref().map(|e| format!("shard {s}: {e}")));
+    let mut epoch_error =
+        failed.iter().min_by_key(|(s, _)| *s).map(|(s, e)| format!("shard {s}: {e}"));
+    for (s, e) in failed {
+        router.poisoned[s] = Some(e);
+    }
 
     // Log-before-resolve: a committed epoch reaches every involved
     // shard's WAL before any of its tickets resolve, so a crash between
     // commit and resolution never yields a response the log cannot
     // reproduce. The in-memory sink is infallible; a file sink's IO
-    // failure aborts the epoch, and any sibling whose log already
-    // carries the aborted record is quarantined (its log is ahead of
-    // the epoch outcome, so only an operator-driven recovery may touch
-    // it again).
+    // failure aborts the epoch, and `Router::log` cuts every log it
+    // reached back, so no log carries the aborted record.
     if epoch_error.is_none() {
-        let mut appended: Vec<usize> = Vec::with_capacity(involved.len());
-        for &s in &involved {
-            let rec = EpochRecord {
-                kind: RecordKind::Epoch,
-                first_seq: router.next_seq,
-                verdicts: wal_verdicts.clone(),
-                deletes: std::mem::take(&mut tree_deleted[s]),
-                inserts: std::mem::take(&mut inserts[s]),
-            };
-            match router.wals[s].append_record(&rec) {
-                Ok(_) => appended.push(s),
-                Err(e) => {
-                    epoch_error = Some(format!("shard {s}: wal append failed: {e}"));
-                    router.poisoned[s] = Some(format!("wal append failed: {e}"));
-                    for &a in &appended {
-                        router.poisoned[a] = Some(
-                            "wal carries an epoch that aborted on a sibling's log failure".into(),
-                        );
-                    }
-                    break;
-                }
-            }
-        }
+        let first_seq = router.next_seq;
+        let records = involved.iter().map(|&s| {
+            let (deletes, inserts) = (take(&mut tree_deleted[s]), take(&mut inserts[s]));
+            let verdicts = wal_verdicts.clone();
+            (s, EpochRecord { kind: RecordKind::Epoch, first_seq, verdicts, deletes, inserts })
+        });
+        epoch_error = router.log(records.collect()).err();
     }
 
-    match &epoch_error {
-        None => {
-            // Commit: fold the delta into the ownership index.
-            for (id, v) in delta {
-                match v {
-                    Some((_, sh)) => {
-                        if let Some(old) = router.owner.insert(id, sh) {
-                            router.shard_len[old] -= 1;
-                        }
-                        router.shard_len[sh] += 1;
-                    }
-                    None => {
-                        if let Some(old) = router.owner.remove(&id) {
-                            router.shard_len[old] -= 1;
-                        }
-                    }
-                }
-            }
-            maybe_rebalance(inner, router);
+    // Commit: install the built versions and fold the delta into the
+    // ownership index. An abort installs nothing. Either way the
+    // versions left over are dropped after the tickets resolve.
+    let retired: Vec<_> = if epoch_error.is_none() {
+        let replaced =
+            built.into_iter().map(|(s, v)| std::mem::replace(&mut router.versions[s], v)).collect();
+        for (id, v) in delta {
+            match v {
+                Some((_, sh)) => router.owner.insert(id, sh),
+                None => router.owner.remove(&id),
+            };
         }
-        Some(_) => {
-            // Abort: poison the failed shards; every other participant
-            // puts back the version its sub-epoch replaced, unless it is
-            // quarantined for a log that carries the aborted epoch (its
-            // store must not move out from under a log that disagrees).
-            for &s in &involved {
-                match failed[s].take() {
-                    Some(e) => router.poisoned[s] = Some(e),
-                    None if router.poisoned[s].is_none() => router.send(s, ShardJob::Rollback),
-                    None => {}
-                }
-            }
-        }
-    }
+        maybe_rebalance(inner, router);
+        replaced
+    } else {
+        built.into_iter().map(|(_, v)| v).collect()
+    };
     // Publish before resolution: a client that has observed its write
     // response must also observe the epoch's effects in the telemetry —
     // a skew-triggered migration it caused, or the quarantine behind its
@@ -298,6 +273,10 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
         st.stages.merge.record(us_between(t_gather, t_merge1));
         st.stages.resolve.record(us_between(t_merge1, t_resolve1));
     }
+    drop(st);
+    // Freeing the levels only the old versions held waits until here, so
+    // it never delays an acknowledgement.
+    drop(retired);
 }
 
 /// Run the skew trigger after a committed write epoch (the caller
@@ -306,11 +285,12 @@ fn maybe_rebalance<S: Semigroup, const D: usize>(inner: &Inner<S, D>, router: &m
     if inner.cfg.rebalance_factor <= 1.0 || router.shards() < 2 {
         return;
     }
-    let Some((donor, &max)) = router.shard_len.iter().enumerate().max_by_key(|(_, &n)| n) else {
+    let lens = router.versions.iter().map(|v| v.len());
+    let Some((donor, max)) = lens.clone().enumerate().max_by_key(|&(_, n)| n) else {
         return;
     };
     // An empty store never trips the trigger: 0 <= factor × 0.
-    let mean = router.shard_len.iter().sum::<usize>() as f64 / router.shards() as f64;
+    let mean = lens.sum::<usize>() as f64 / router.shards() as f64;
     if max < inner.cfg.rebalance_min || (max as f64) <= inner.cfg.rebalance_factor * mean {
         return;
     }

@@ -73,7 +73,7 @@ struct WalInner {
 
 /// One shard's write-ahead log: an append-only sequence of
 /// [`EpochRecord`] frames behind a tracked mutex (lock class
-/// `wal.append`, ordered after the router's `shard.faults` and before
+/// `wal.append`, ordered after the router's `shard.stats` and before
 /// every telemetry lock — see `ddrs-check`'s canonical order).
 pub struct EpochWal<const D: usize> {
     append: TrackedMutex<WalInner>,
