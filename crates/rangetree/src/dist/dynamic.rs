@@ -48,7 +48,6 @@
 //! same points in the same order, because the fold never looks at a tree.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use ddrs_cgm::Machine;
@@ -56,11 +55,12 @@ use ddrs_cgm::Machine;
 use crate::dist::fused::fused_query_batch;
 use crate::dist::{BuildError, DistRangeTree};
 use crate::point::{Point, Rect, PAD_ID};
+use crate::rank::{first_refused, id_order, live_in};
 use crate::semigroup::{Count, Semigroup};
 
 struct Level<const D: usize> {
     pts: Vec<Point<D>>,
-    /// The ids of `pts`, ascending: `contains_id` probes it.
+    /// The ids of `pts`, ascending: `live_in` probes it.
     ids: Vec<u32>,
     tree: DistRangeTree<D>,
 }
@@ -81,8 +81,7 @@ impl<'a, const D: usize> PointSet<'a, D> {
     /// The level over this point set: the base version's if the fold left
     /// it alone, else Algorithm Construct over the concatenated runs. The
     /// fold has refused every id `DistRangeTree::build` would, so the ids
-    /// are not hashed a second time: that they are distinct is the `ids`
-    /// column ascending strictly.
+    /// are not checked again: the `ids` column ascends strictly.
     fn build(self, machine: &Machine) -> Arc<Level<D>> {
         if let Some(level) = self.built {
             return Arc::clone(level);
@@ -125,14 +124,13 @@ impl<'a, const D: usize> Fold<'a, D> {
         self.capacity.saturating_mul(1usize << i.min(usize::BITS as usize - 2))
     }
 
-    fn contains_id(&self, id: u32) -> bool {
-        self.levels.iter().flatten().any(|set| set.ids.binary_search(&id).is_ok())
-    }
-
     /// Place a carry (its runs, its ids in any order) into the level
     /// structure, merging upward until a level can absorb it. No tree
-    /// stands on the level it lands in.
+    /// stands on the level it lands in. An empty carry places nothing.
     fn place(&mut self, mut runs: Vec<Cow<'a, [Point<D>]>>, mut ids: Vec<u32>) {
+        if ids.is_empty() {
+            return;
+        }
         let mut i = 0;
         loop {
             while ids.len() > self.cap(i) {
@@ -156,39 +154,33 @@ impl<'a, const D: usize> Fold<'a, D> {
         }
     }
 
-    /// Insert a batch of points (ids must be new and not the pad id).
+    /// Insert a batch of points, unless `first_refused` refuses one.
     fn insert(&mut self, pts: &'a [Point<D>]) -> Result<(), BuildError> {
-        if pts.is_empty() {
-            return Ok(());
+        let order = id_order(pts);
+        let ids: Vec<u32> = order.iter().map(|&(id, _)| id).collect();
+        let live = live_in(self.levels.iter().flatten().map(|set| &*set.ids), &ids);
+        if let Some((_, refusal)) = first_refused(&order, &live) {
+            return Err(refusal.into());
         }
-        let mut batch_ids = HashSet::with_capacity(pts.len());
-        for p in pts {
-            if p.id == PAD_ID {
-                return Err(BuildError::ReservedId);
-            }
-            if self.contains_id(p.id) || !batch_ids.insert(p.id) {
-                return Err(BuildError::DuplicateId(p.id));
-            }
-        }
-        self.place(vec![Cow::Borrowed(pts)], pts.iter().map(|p| p.id).collect());
+        self.place(vec![Cow::Borrowed(pts)], ids);
         Ok(())
     }
 
     /// Remove the points with these ids and hand them back; the survivors
     /// are repacked into one level. No level is touched when no id is live.
     fn extract(&mut self, ids: &[u32]) -> Vec<Point<D>> {
-        if !ids.iter().any(|&id| self.contains_id(id)) {
+        let mut dead = ids.to_vec();
+        dead.sort_unstable();
+        let dead = live_in(self.levels.iter().flatten().map(|set| &*set.ids), &dead);
+        if dead.is_empty() {
             return Vec::new();
         }
-        let dead: HashSet<u32> = ids.iter().copied().collect();
         let sets = std::mem::take(&mut self.levels);
         let points = sets.iter().flatten().flat_map(|set| &set.runs).flat_map(|run| run.iter());
         let (removed, live): (Vec<Point<D>>, Vec<Point<D>>) =
-            points.partition(|p| dead.contains(&p.id));
-        if !live.is_empty() {
-            let ids = live.iter().map(|p| p.id).collect();
-            self.place(vec![Cow::Owned(live)], ids);
-        }
+            points.partition(|p| dead.binary_search(&p.id).is_ok());
+        let ids = live.iter().map(|p| p.id).collect();
+        self.place(vec![Cow::Owned(live)], ids);
         removed
     }
 
@@ -288,10 +280,15 @@ impl<const D: usize> DynamicDistRangeTree<D> {
         self.len() == 0
     }
 
-    /// True when a point with this id is live in the store: one binary
-    /// search per occupied level.
+    /// The ids of `ids` (ascending) that are live in the store, ascending:
+    /// two comparisons per level the batch misses (`live_in`).
+    pub fn live_ids(&self, ids: &[u32]) -> Vec<u32> {
+        live_in(self.levels.iter().flatten().map(|level| &level.ids[..]), ids)
+    }
+
+    /// True when a point with this id is live: the one-id [`live_ids`](Self::live_ids).
     pub fn contains_id(&self, id: u32) -> bool {
-        self.levels.iter().flatten().any(|level| level.ids.binary_search(&id).is_ok())
+        !self.live_ids(&[id]).is_empty()
     }
 
     /// Number of non-empty levels (static trees queries fan out over).
@@ -663,6 +660,80 @@ mod tests {
                     proptest::prop_assert_eq!(&replayed, &eager);
                     refused.pop();
                 }
+            }
+        }
+    }
+
+    /// The sequential scan `Fold::insert` ran before `first_refused`, kept
+    /// as its oracle: the first point of the batch that is a pad, live in
+    /// the store (a scan of its points) or a repeat of an earlier one.
+    fn refused_by_scan(t: &DynamicDistRangeTree<2>, batch: &[Point<2>]) -> Option<BuildError> {
+        let mut seen = Vec::new();
+        for p in batch {
+            if p.id == PAD_ID {
+                return Some(BuildError::ReservedId);
+            }
+            if t.points().any(|q| q.id == p.id) || seen.contains(&p.id) {
+                return Some(BuildError::DuplicateId(p.id));
+            }
+            seen.push(p.id);
+        }
+        None
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// `insert_batch` refuses exactly what the sequential scan refuses,
+        /// with pads, in-batch repeats and ids live on any level planted
+        /// at random positions among fresh ids above every live one and
+        /// ids interleaved with the live ones; a refused batch leaves
+        /// every level as it was. `live_ids` agrees with a scan.
+        #[test]
+        fn insert_refuses_the_sequential_scans_first_offender(
+            waves in proptest::collection::vec(1u32..14, 1..5),
+            entries in proptest::collection::vec((0u8..16, 0u32..64), 0..14),
+        ) {
+            let machine = Machine::new(1).unwrap();
+            let mut t = DynamicDistRangeTree::<2>::new(4);
+            // Even ids are live, odd ones free, over several levels.
+            let mut top = 0u32;
+            for n in waves {
+                t.insert_batch(&machine, &pts(top..top + n).iter().map(|p| {
+                    Point::new(p.coords, 2 * p.id)
+                }).collect::<Vec<_>>()).unwrap();
+                top += n;
+            }
+            let live: Vec<u32> = (0..top).map(|i| 2 * i).collect();
+            let mut batch: Vec<Point<2>> = Vec::new();
+            for (kind, a) in entries {
+                let id = match kind {
+                    0 => PAD_ID,
+                    1 if !batch.is_empty() => batch[a as usize % batch.len()].id,
+                    2 => live[a as usize % live.len()],
+                    3..=8 => 2 * (a % top) + 1,
+                    _ => 2 * top + a,
+                };
+                batch.push(Point::new([i64::from(a), i64::from(kind)], id));
+            }
+
+            let mut ids: Vec<u32> = batch.iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            let scanned: Vec<u32> =
+                ids.iter().copied().filter(|&id| t.points().any(|q| q.id == id)).collect();
+            proptest::prop_assert_eq!(t.live_ids(&ids), scanned);
+            let expect = refused_by_scan(&t, &batch);
+            let level_ids = |t: &DynamicDistRangeTree<2>| -> Vec<Option<Vec<u32>>> {
+                t.levels.iter().map(|l| l.as_ref().map(|l| l.ids.clone())).collect()
+            };
+            let (len, before) = (t.len(), level_ids(&t));
+            let got = t.insert_batch(&machine, &batch).err();
+            proptest::prop_assert_eq!(&got, &expect);
+            if got.is_some() {
+                proptest::prop_assert_eq!(t.len(), len);
+                proptest::prop_assert_eq!(level_ids(&t), before);
+            } else {
+                proptest::prop_assert_eq!(t.len(), len + batch.len());
             }
         }
     }

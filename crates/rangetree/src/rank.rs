@@ -1,4 +1,6 @@
-//! Rank normalization and power-of-two padding.
+//! Rank normalization and power-of-two padding, and the id rules every
+//! write applies: the first offender in input order, and the probe of a
+//! batch's ids against sorted id columns.
 //!
 //! Maps user coordinates to the paper's normalized setting: every
 //! coordinate replaced by its rank (duplicates broken by record id, so
@@ -50,6 +52,60 @@ impl std::fmt::Display for RankError {
 
 impl std::error::Error for RankError {}
 
+/// `(id, position)` of every point, ascending: the order
+/// [`first_refused`] reads. Ids that already ascend, as most inputs' do,
+/// cost the sort one pass.
+pub fn id_order<const D: usize>(pts: &[Point<D>]) -> Vec<(u32, u32)> {
+    let mut order: Vec<(u32, u32)> = pts.iter().zip(0..).map(|(p, at)| (p.id, at)).collect();
+    order.sort_unstable();
+    order
+}
+
+/// The first offender in input order, and its position, among the ids of
+/// an [`id_order`]: a pad id where it stands, an id of `live` (ascending:
+/// the ids a store already holds) where it first stands, and a repeated
+/// id where it stands the second time. Every check that refuses a point
+/// set by its ids applies this one rule.
+pub fn first_refused(order: &[(u32, u32)], live: &[u32]) -> Option<(u32, RankError)> {
+    let mut live = live.iter().peekable();
+    let refusal = |(k, &(id, at)): (usize, &(u32, u32))| {
+        while live.next_if(|&&held| held < id).is_some() {}
+        if id == PAD_ID {
+            Some((at, RankError::ReservedId))
+        } else if live.peek() == Some(&&id) || k > 0 && order[k - 1].0 == id {
+            Some((at, RankError::DuplicateId(id)))
+        } else {
+            None
+        }
+    };
+    order.iter().enumerate().filter_map(refusal).min_by_key(|&(at, _)| at)
+}
+
+/// The ids of `ids` (ascending) that one of the disjoint ascending id
+/// `columns` holds, ascending. A column whose range misses the batch costs
+/// two comparisons; in one it overlaps, each id in the overlap costs one
+/// binary search of the column past the previous id's place.
+pub(crate) fn live_in<'c>(columns: impl Iterator<Item = &'c [u32]>, ids: &[u32]) -> Vec<u32> {
+    let (Some(&lo), Some(&hi)) = (ids.first(), ids.last()) else { return Vec::new() };
+    let mut live = Vec::new();
+    for col in columns {
+        let (Some(&first), Some(&last)) = (col.first(), col.last()) else { continue };
+        if last < lo || hi < first {
+            continue;
+        }
+        let mut rest = col;
+        let overlap = &ids[ids.partition_point(|&id| id < first)..];
+        for &id in &overlap[..overlap.partition_point(|&id| id <= last)] {
+            rest = &rest[rest.partition_point(|&held| held < id)..];
+            if rest.first() == Some(&id) {
+                live.push(id);
+            }
+        }
+    }
+    live.sort_unstable();
+    live
+}
+
 impl<const D: usize> RankSpace<D> {
     /// Build the rank space for `pts`, padding the size up to a power of
     /// two that is at least `min_size` (pass the processor count so the
@@ -64,15 +120,7 @@ impl<const D: usize> RankSpace<D> {
         if pts.is_empty() {
             return Err(RankError::Empty);
         }
-        // The first offender in input order: a pad id where it stands, a
-        // repeated id where it stands the second time. Ids that already
-        // ascend, as most inputs' do, cost the sort one pass.
-        let mut ids: Vec<(u32, u32)> = pts.iter().zip(0..).map(|(p, at)| (p.id, at)).collect();
-        ids.sort_unstable();
-        let pad = ids.iter().find(|e| e.0 == PAD_ID).map(|e| (e.1, RankError::ReservedId));
-        let repeats = ids.windows(2).filter(|w| w[0].0 == w[1].0);
-        let refused = repeats.map(|w| (w[1].1, RankError::DuplicateId(w[1].0))).chain(pad);
-        match refused.min_by_key(|&(at, _)| at) {
+        match first_refused(&id_order(pts), &[]) {
             Some((_, refusal)) => Err(refusal),
             None => Ok(Self::normalize_distinct(pts, min_size)),
         }

@@ -45,10 +45,11 @@
 //!   the (commutative) semigroup, report ids concatenate and sort
 //!   ascending — byte-identical to the unsharded answer.
 //! * **Writes.** Each write routes by key: inserts to the placement
-//!   policy's shard, deletes to the owning shard (the router keeps the
-//!   authoritative id → shard index). A write window applies as one
-//!   sub-epoch per touched shard, scattered in parallel and gathered as
-//!   a barrier before the next window dispatches.
+//!   policy's shard, deletes to the shard whose committed version holds
+//!   the id (one probe of every version's sorted id columns per request).
+//!   A write window applies as one sub-epoch per touched shard, scattered
+//!   in parallel and gathered as a barrier before the next window
+//!   dispatches.
 //! * **Concurrency.** Read windows never block the router: each shard's
 //!   fused sub-batch executes on that shard's own worker thread, which
 //!   also resolves the tickets (single-shard directly; cross-shard via a
@@ -88,8 +89,8 @@
 //!
 //! [`ShardedService::split_shard`] migrates the upper or lower half of a
 //! shard's points (split on the first axis, ties kept together) to a
-//! sibling, updating the ownership index — and, under the range policy,
-//! the slab boundary — atomically between dispatches, so in-flight
+//! sibling, installing both shards' new versions — and, under the range
+//! policy, the slab boundary — atomically between dispatches, so in-flight
 //! requests commit before or after the migration, never astride it. A
 //! skew trigger ([`ShardedConfig::rebalance_factor`]) runs the same
 //! migration automatically after a write epoch leaves a shard holding
@@ -97,8 +98,8 @@
 //! breaks the coordinate-mix residency invariant, so from the first
 //! hash-policy split onward degenerate point *reads* stop routing to a
 //! single shard and fan out fully — correctness over routing
-//! minimality; key-routed deletes still hit one shard via the ownership
-//! index.
+//! minimality; a delete still reaches only the shard whose version holds
+//! its id.
 //!
 //! ## Module map
 //!
@@ -161,7 +162,6 @@ mod writes;
 pub use partition::PartitionPolicy;
 pub use stats::{ShardSnapshot, ShardedStats};
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -170,7 +170,7 @@ use std::time::Duration;
 use ddrs_cgm::Machine;
 use ddrs_check::TrackedMutex;
 use ddrs_client::{ticket, RangeStore, Request, Resolver, Response, SubmitError, Ticket};
-use ddrs_rangetree::{BuildError, DynamicDistRangeTree, Point, Semigroup, PAD_ID};
+use ddrs_rangetree::{first_refused, id_order, BuildError, DynamicDistRangeTree, Point, Semigroup};
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, EpochWal, LogSink, MemSink, RecordKind};
 
@@ -328,17 +328,13 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         let shards = machines.len();
         let part = Partitioner::new(policy, shards);
 
-        let mut owner: HashMap<u32, usize> = HashMap::with_capacity(initial.len());
+        // The ids across all shards, refused as one insert would be.
+        if let Some((_, refusal)) = first_refused(&id_order(initial), &[]) {
+            return Err(refusal.into());
+        }
         let mut parts: Vec<Vec<Point<D>>> = vec![Vec::new(); shards];
         for p in initial {
-            if p.id == PAD_ID {
-                return Err(BuildError::ReservedId);
-            }
-            let sh = part.place(p);
-            if owner.insert(p.id, sh).is_some() {
-                return Err(BuildError::DuplicateId(p.id));
-            }
-            parts[sh].push(*p);
+            parts[part.place(p)].push(*p);
         }
         let workers: Vec<WorkerHandle<S, D>> =
             machines.into_iter().enumerate().map(|(i, m)| spawn_worker(i, m)).collect();
@@ -396,8 +392,8 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         let router_state = Router {
             workers,
             versions,
+            retired: Vec::new(),
             part,
-            owner,
             poisoned: vec![None; shards],
             next_seq: 0,
             wals,
@@ -441,9 +437,8 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
     /// Request recovery of quarantined shard `shard`: between two
     /// dispatches, the router replays the shard's write-ahead log into
     /// a fresh store on the shard's own machine (stopping cleanly at
-    /// any torn log tail), re-derives the id→shard ownership index from
-    /// the rebuilt live ids, clears the quarantine, and the shard
-    /// rejoins the service in place of its poisoned predecessor.
+    /// any torn log tail), installs it, clears the quarantine, and the
+    /// shard rejoins the service in place of its poisoned predecessor.
     ///
     /// Resolves with the [`RecoveryReport`], or
     /// [`ServiceError::Machine`] if the shard is not poisoned or the

@@ -17,9 +17,9 @@
 //! and the router clips each sub-query to the slab so shard answers are
 //! disjoint by construction.
 //!
-//! The policy decides *placement of new points* and *read fan-out*; the
-//! authoritative record of where a live id resides is the router's
-//! ownership index, which also absorbs rebalance migrations.
+//! The policy decides *placement of new points* and *read fan-out*.
+//! Where a live id resides, after any migration, is only in the shards'
+//! committed versions: a write finds it by probing their id columns.
 
 use ddrs_rangetree::{Point, Rect};
 
@@ -101,8 +101,8 @@ pub(crate) enum Partitioner {
         /// placement shard. While `false`, a degenerate query may trust
         /// the placement mix and route to one shard; once `true`, the
         /// mix no longer predicts residency and point lookups must fan
-        /// out like any other hash-policy read (the ownership index is
-        /// keyed by id, which a coordinate rect does not know).
+        /// out like any other hash-policy read (a coordinate rect names
+        /// no id to probe the versions for).
         moved: bool,
     },
     Range {

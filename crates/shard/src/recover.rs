@@ -21,14 +21,15 @@ use crate::RecoveryReport;
 ///    tail — exactly the committed records survive — and cut such a
 ///    tail off the log, so the epochs the rebuilt shard commits next are
 ///    appended behind the last good record, not behind the damage;
-/// 2. replay them into a fresh store on the shard's own machine and
-///    install it as the shard's version;
-/// 3. re-derive the id→shard ownership index: drop every id still
-///    mapped to the dead shard, claim the rebuilt store's live ids;
+/// 2. replay them into a fresh store on the shard's own machine;
+/// 3. install it as the shard's version, retiring the poisoned one. The
+///    versions are all the router knows of where an id lives (a write
+///    probes their id columns), so there is no id index to rebuild, and
+///    the ids of records lost to a damaged tail are simply absent;
 /// 4. clear the quarantine and republish health.
 ///
-/// On any failure the shard stays quarantined, its version and the
-/// ownership index are untouched, and the call can be retried.
+/// On any failure the shard stays quarantined, its version is
+/// untouched, and the call can be retried.
 pub(crate) fn do_recover<S: Semigroup, const D: usize>(
     inner: &Inner<S, D>,
     router: &mut Router<S, D>,
@@ -58,10 +59,8 @@ pub(crate) fn do_recover<S: Semigroup, const D: usize>(
     .map_err(|e| format!("recover failed: {e}"))?;
     inner.stats.lock().absorb_run(shard, &reply.stats);
     let fresh = reply.result?;
-    router.owner.retain(|_, sh| *sh != shard);
-    router.owner.extend(fresh.points().map(|p| (p.id, shard)));
     let live = fresh.len();
-    router.versions[shard] = fresh;
+    router.install(shard, fresh);
     router.poisoned[shard] = None;
     let duration = t0.elapsed();
     {

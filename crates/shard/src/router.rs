@@ -3,7 +3,6 @@
 //! synchronous protocol step goes through, the one send for a read
 //! sub-batch, the all-or-nothing log append, publishing and shutdown.
 
-use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -92,9 +91,11 @@ pub(crate) struct Router<S: Semigroup, const D: usize> {
     /// epoch or split commits, so an abort leaves this untouched. A
     /// poisoned shard's entry is its last committed version.
     pub versions: Vec<DynamicDistRangeTree<D>>,
+    /// Versions a dispatch replaced or built for nothing, dropped once
+    /// its tickets have resolved, so freeing their levels never delays
+    /// an acknowledgement.
+    pub retired: Vec<DynamicDistRangeTree<D>>,
     pub part: Partitioner,
-    /// Authoritative id → owning shard index for every live point.
-    pub owner: HashMap<u32, usize>,
     pub poisoned: Vec<Option<String>>,
     pub next_seq: u64,
     /// One write-ahead log per shard (lock class `wal.append`): every
@@ -139,6 +140,13 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
     /// The quarantine error of `shard`, if it is poisoned.
     pub(crate) fn quarantine(&self, shard: usize) -> Option<String> {
         self.poisoned[shard].as_ref().map(|reason| format!("shard {shard} is poisoned: {reason}"))
+    }
+
+    /// Install `version` as shard `s`'s committed one and retire the
+    /// version it replaces.
+    pub(crate) fn install(&mut self, s: usize, version: DynamicDistRangeTree<D>) {
+        let replaced = std::mem::replace(&mut self.versions[s], version);
+        self.retired.push(replaced);
     }
 
     /// Take the next position in the global commit order.
@@ -278,6 +286,8 @@ pub(crate) fn router_loop<S: Semigroup, const D: usize>(
                 }
             }
         }
+        // Every ticket of the dispatch has resolved.
+        router.retired.clear();
     }
 }
 

@@ -94,17 +94,13 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
         ])
         .map_err(|e| format!("split failed: {e}"))?;
 
-    // Commit the migration in the routing state. Under the range policy
-    // the shifted boundary re-describes residency exactly; under hash
-    // placement the moved points no longer live where the placement mix
-    // says, so degenerate-read routing must fall back to full fan-out
-    // from now on (the ownership index is keyed by id, which a
-    // coordinate rect cannot consult).
-    router.versions[donor] = rest;
-    router.versions[to] = landed;
-    for p in &moved {
-        router.owner.insert(p.id, to);
-    }
+    // Commit the migration: the two versions carry the moved ids. Under
+    // the range policy the shifted boundary re-describes residency
+    // exactly; under hash placement the moved points no longer live where
+    // the placement mix says, so degenerate-read routing must fall back
+    // to full fan-out from now on (a rect names no id to probe for).
+    router.install(donor, rest);
+    router.install(to, landed);
     if router.part.bounds().is_some() {
         debug_assert!(donor.abs_diff(to) == 1, "range split picked a non-adjacent sibling");
         router.part.shift_boundary(donor, to, boundary);

@@ -172,6 +172,17 @@ fn initial_load_validates_ids() {
     assert_eq!(err, Some(BuildError::DuplicateId(1)));
 }
 
+/// An id repeated on both sides of a range bound is refused as one
+/// repeated on one shard is: by its first repeat in input order.
+#[test]
+fn initial_load_refuses_an_id_repeated_across_shards() {
+    let mut bad = pts(0..4); // x = 0, 193, 386, 579: ids 0–2 left of 400, id 3 right
+    bad.extend([Point::weighted([0, 0], 3, 1), Point::weighted([1, 0], 1, 1)]);
+    let policy = PartitionPolicy::Range { bounds: vec![400] };
+    let start = ShardedService::start(machines(2, 1), 8, &bad, Sum, policy, Default::default());
+    assert_eq!(start.err(), Some(BuildError::DuplicateId(3)));
+}
+
 #[test]
 fn explicit_split_moves_points_and_boundary() {
     // Everything starts on shard 0: the boundary is far right.
@@ -263,6 +274,32 @@ fn hash_split_widens_point_routing_but_stays_exact() {
     assert_eq!(stats.read_ops_routed, 60);
     assert_eq!(stats.read_shards_touched, 120);
     assert_eq!(stats.total_points(), 60);
+    service.shutdown();
+}
+
+/// Deletes find hash-migrated ids on the shard the split moved them to:
+/// deleting every one drops the count by exactly them, and a re-inserted
+/// one is live again, so inserting it twice is refused.
+#[test]
+fn hash_split_then_deleting_every_migrated_id() {
+    let service = quick(2, PartitionPolicy::Hash);
+    let report = service.split_shard(0).unwrap().wait().unwrap().value;
+    let placed = crate::partition::Partitioner::new(PartitionPolicy::Hash, 2);
+    let upper = report.to > report.from;
+    let moved: Vec<Point<2>> = pts(0..60)
+        .into_iter()
+        .filter(|p| placed.place(p) == report.from && (p.coords[0] >= report.boundary) == upper)
+        .collect();
+    assert_eq!(moved.len(), report.moved);
+    let ids: Vec<u32> = moved.iter().map(|p| p.id).collect();
+    service.delete(ids.clone()).unwrap().wait().unwrap();
+    let all = Rect::new([0, 0], [800, 600]);
+    let left: Vec<u32> = (0..60).filter(|id| !ids.contains(id)).collect();
+    assert_eq!(service.report(all).unwrap().wait().unwrap().value, left);
+    service.insert(vec![moved[0]]).unwrap().wait().unwrap();
+    assert_eq!(service.count(all).unwrap().wait().unwrap().value, left.len() as u64 + 1);
+    let again = service.insert(vec![moved[0]]).unwrap().wait().unwrap_err();
+    assert_eq!(again, ServiceError::Rejected(BuildError::DuplicateId(moved[0].id)));
     service.shutdown();
 }
 
@@ -751,6 +788,43 @@ fn recovery_builds_each_surviving_level_once() {
         let (_, store) = service.shutdown().pop().unwrap();
         assert_eq!(recovery_runs, store.occupied_levels() as u64, "{epochs} epochs: {store:?}");
     }
+}
+
+/// A recovery whose log lost its last committed record to a corrupt tail
+/// forgets that record's ids: a delete of them is a no-op, and they are
+/// insertable again.
+#[test]
+fn ids_lost_to_a_corrupt_tail_are_absent_after_recovery() {
+    let path = std::env::temp_dir().join(format!("ddrs-shard-lost-{}.log", std::process::id()));
+    let sink: Box<dyn ddrs_wal::LogSink> = Box::new(ddrs_wal::FileSink::create(&path).unwrap());
+    let cfg = ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() };
+    let service = ShardedService::start_with_sinks(
+        machines(1, 1),
+        8,
+        &pts(0..20),
+        Sum,
+        PartitionPolicy::Hash,
+        cfg,
+        vec![sink],
+    )
+    .unwrap();
+    service.insert(pts(100..105)).unwrap().wait().unwrap();
+    // Flip the log's last byte: the record just committed fails its CRC.
+    let mut log = std::fs::read(&path).unwrap();
+    *log.last_mut().unwrap() ^= 0xff;
+    std::fs::write(&path, log).unwrap();
+    service.fail_next_write_epoch(0);
+    assert!(service.insert(pts(200..201)).unwrap().wait().is_err());
+    let report = service.recover_shard(0).unwrap().wait().unwrap().value;
+    assert_eq!((report.clean_tail, report.replayed_records, report.live_points), (false, 1, 20));
+
+    let all = Rect::new([0, 0], [800, 600]);
+    service.delete((100..105).collect()).unwrap().wait().unwrap();
+    assert_eq!(service.count(all).unwrap().wait().unwrap().value, 20);
+    service.insert(pts(100..105)).unwrap().wait().unwrap();
+    assert_eq!(service.count(all).unwrap().wait().unwrap().value, 25);
+    service.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Regression: `front.submitted + max_delay` overflowed on the router

@@ -4,13 +4,13 @@
 //! and leaves no log record; a shard whose machine failed is
 //! quarantined. Also the skew trigger that runs after a committed epoch.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::mem::take;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
-use ddrs_rangetree::{BuildError, Point, Semigroup, PAD_ID};
+use ddrs_rangetree::{first_refused, id_order, BuildError, DynamicDistRangeTree, Point, Semigroup};
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, RecordKind};
 
@@ -39,7 +39,7 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
 ) {
     let t_carve = Instant::now();
     // Epoch delta: Some((pt, shard)) = live, inserted this epoch at
-    // `shard`; None = dead. Ids absent defer to the ownership index.
+    // `shard`; None = dead. Ids absent defer to the committed versions.
     let mut delta: BTreeMap<u32, Option<(Point<D>, usize)>> = BTreeMap::new();
     let mut tree_deleted: Vec<Vec<u32>> = vec![Vec::new(); router.shards()];
     let mut outcomes: Vec<(Resolver<()>, Verdict, Instant)> = Vec::with_capacity(batch.len());
@@ -48,30 +48,21 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
         ddrs_trace::transition(p.op.span(), Stage::Queue, Stage::Window);
         match p.op {
             Op::Client(PlannedOp::Insert(pts, r)) => {
-                let mut verdict = Verdict::Commit;
-                let mut seen: HashSet<u32> = HashSet::with_capacity(pts.len());
-                let mut placements: Vec<usize> = Vec::with_capacity(pts.len());
-                for pt in &pts {
-                    if pt.id == PAD_ID {
-                        verdict = Verdict::Rejected(BuildError::ReservedId);
-                        break;
-                    }
-                    let live = match delta.get(&pt.id) {
-                        Some(Some(_)) => true,
-                        Some(None) => false,
-                        None => router.owner.contains_key(&pt.id),
-                    };
-                    if live || !seen.insert(pt.id) {
-                        verdict = Verdict::Rejected(BuildError::DuplicateId(pt.id));
-                        break;
-                    }
-                    let sh = router.part.place(pt);
-                    if let Some(quarantined) = router.quarantine(sh) {
-                        verdict = Verdict::Unavailable(quarantined);
-                        break;
-                    }
-                    placements.push(sh);
-                }
+                // The first offender in batch order decides: an id that
+                // `first_refused` refuses, or a quarantined placement.
+                let order = id_order(&pts);
+                let ids: Vec<u32> = order.iter().map(|&(id, _)| id).collect();
+                let owner = owners(router, &ids);
+                let live = |id: &u32| delta.get(id).map_or(owner(id).is_some(), Option::is_some);
+                let refused =
+                    first_refused(&order, &ids.iter().copied().filter(live).collect::<Vec<_>>());
+                let placements: Vec<usize> = pts.iter().map(|pt| router.part.place(pt)).collect();
+                let before = refused.as_ref().map_or(pts.len(), |&(at, _)| at as usize);
+                let unavailable = placements[..before].iter().find_map(|&sh| router.quarantine(sh));
+                let verdict = match unavailable {
+                    Some(quarantined) => Verdict::Unavailable(quarantined),
+                    None => refused.map_or(Verdict::Commit, |(_, e)| Verdict::Rejected(e.into())),
+                };
                 if matches!(verdict, Verdict::Commit) {
                     for (pt, sh) in pts.into_iter().zip(placements) {
                         delta.insert(pt.id, Some((pt, sh)));
@@ -80,12 +71,15 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
                 outcomes.push((r, verdict, p.submitted));
             }
             Op::Client(PlannedOp::Delete(ids, r)) => {
+                let mut sorted = ids.clone();
+                sorted.sort_unstable();
+                let owner = owners(router, &sorted);
                 // First pass: the delete must not touch a poisoned
                 // shard; if it would, it fails atomically (no partial
                 // application anywhere).
                 let bad = ids.iter().find_map(|id| match delta.get(id) {
                     Some(_) => None,
-                    None => router.owner.get(id).and_then(|&sh| router.quarantine(sh)),
+                    None => owner(id).and_then(|sh| router.quarantine(sh)),
                 });
                 if let Some(quarantined) = bad {
                     outcomes.push((r, Verdict::Unavailable(quarantined), p.submitted));
@@ -98,7 +92,7 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
                         }
                         Some(None) => {}
                         None => {
-                            if let Some(&sh) = router.owner.get(&id) {
+                            if let Some(sh) = owner(&id) {
                                 tree_deleted[sh].push(id);
                                 delta.insert(id, None);
                             }
@@ -238,23 +232,17 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
         epoch_error = router.log(records.collect()).err();
     }
 
-    // Commit: install the built versions and fold the delta into the
-    // ownership index. An abort installs nothing. Either way the
-    // versions left over are dropped after the tickets resolve.
-    let retired: Vec<_> = if epoch_error.is_none() {
-        let replaced =
-            built.into_iter().map(|(s, v)| std::mem::replace(&mut router.versions[s], v)).collect();
-        for (id, v) in delta {
-            match v {
-                Some((_, sh)) => router.owner.insert(id, sh),
-                None => router.owner.remove(&id),
-            };
+    // Commit: install the built versions. An abort installs nothing.
+    // Either way the versions left over are retired: dropped after the
+    // tickets resolve.
+    if epoch_error.is_none() {
+        for (s, version) in built {
+            router.install(s, version);
         }
         maybe_rebalance(inner, router);
-        replaced
     } else {
-        built.into_iter().map(|(_, v)| v).collect()
-    };
+        router.retired.extend(built.into_iter().map(|(_, version)| version));
+    }
     // Publish before resolution: a client that has observed its write
     // response must also observe the epoch's effects in the telemetry —
     // a skew-triggered migration it caused, or the quarantine behind its
@@ -273,10 +261,21 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
         st.stages.merge.record(us_between(t_gather, t_merge1));
         st.stages.resolve.record(us_between(t_merge1, t_resolve1));
     }
-    drop(st);
-    // Freeing the levels only the old versions held waits until here, so
-    // it never delays an acknowledgement.
-    drop(retired);
+}
+
+/// The shard whose committed version holds each of `ids` (ascending):
+/// one probe of every shard's version, a poisoned shard's (its last
+/// committed one) included.
+fn owners<S: Semigroup, const D: usize>(
+    router: &Router<S, D>,
+    ids: &[u32],
+) -> impl Fn(&u32) -> Option<usize> {
+    let on = |(s, version): (usize, &DynamicDistRangeTree<D>)| {
+        version.live_ids(ids).into_iter().map(move |id| (id, s))
+    };
+    let mut held: Vec<(u32, usize)> = router.versions.iter().enumerate().flat_map(on).collect();
+    held.sort_unstable();
+    move |id| held.binary_search_by_key(id, |&(id, _)| id).ok().map(|k| held[k].1)
 }
 
 /// Run the skew trigger after a committed write epoch (the caller

@@ -33,9 +33,10 @@
 //! live shard built after each epoch would be built here for nobody. The
 //! store is level for level the one the live shard held. `ddrs-shard`
 //! builds its `recover_shard()` on top of this: decode the quarantined
-//! shard's log, rebuild the store on the shard's own `Machine`, re-derive
-//! the id→shard ownership index from the live ids, and let the rebuilt
-//! shard rejoin the service. A log that ended in a torn or corrupt tail
+//! shard's log, rebuild the store on the shard's own `Machine`, install
+//! it as the shard's version and let the rebuilt shard rejoin the
+//! service. Nothing else is rebuilt: the router keeps no id index, and a
+//! write finds an id by probing the versions' sorted id columns. A log that ended in a torn or corrupt tail
 //! is cut back to its clean prefix first ([`EpochWal::truncate`]), so
 //! the epochs committed after the recovery stay reachable.
 
