@@ -36,16 +36,12 @@
 //! Construct on every level the fold left without a tree and keeps the
 //! `Arc` of every level it left alone.
 //!
-//! [`insert_batch`](DynamicDistRangeTree::insert_batch) /
-//! [`delete_batch`](DynamicDistRangeTree::delete_batch) /
-//! [`extract_batch`](DynamicDistRangeTree::extract_batch) are fold-then-build
-//! of one batch: a query may arrive before the next write, so every level
-//! must stand when the call returns.
-//! [`replay`](DynamicDistRangeTree::replay) folds a whole log and builds
-//! once: no query can arrive between two records of a log being replayed,
-//! so a tree built for a level that the next record's carry merges away
-//! would be built for nobody. Both end with the same levels holding the
-//! same points in the same order, because the fold never looks at a tree.
+//! [`insert_batch`](DynamicDistRangeTree::insert_batch) and its siblings
+//! fold and build one batch, since a query may arrive before the next
+//! write; [`replay`](DynamicDistRangeTree::replay) folds a whole log and
+//! builds once, so no tree is built for a level a later record merges
+//! away. Both leave the same levels holding the same points in the same
+//! order, because the fold never looks at a tree.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -55,7 +51,7 @@ use ddrs_cgm::Machine;
 use crate::dist::fused::fused_query_batch;
 use crate::dist::{BuildError, DistRangeTree};
 use crate::point::{Point, Rect, PAD_ID};
-use crate::rank::{first_refused, id_order, live_in};
+use crate::rank::check_ids;
 use crate::semigroup::{Count, Semigroup};
 
 struct Level<const D: usize> {
@@ -63,6 +59,24 @@ struct Level<const D: usize> {
     /// The ids of `pts`, ascending: `live_in` probes it.
     ids: Vec<u32>,
     tree: DistRangeTree<D>,
+}
+
+/// The ids of `ids` (ascending) that one of the disjoint ascending id
+/// `columns` holds, ascending. A column whose id range misses the batch
+/// costs two comparisons; in one it overlaps, each id from the column's
+/// first on costs one binary search of the column past the previous id.
+fn live_in<'c>(columns: impl Iterator<Item = &'c [u32]>, ids: &[u32]) -> Vec<u32> {
+    let mut live = Vec::new();
+    for mut col in columns.filter(|col| col.first() <= ids.last() && col.last() >= ids.first()) {
+        for &id in &ids[ids.partition_point(|&id| id < col[0])..] {
+            col = &col[col.partition_point(|&held| held < id)..];
+            if col.first() == Some(&id) {
+                live.push(id);
+            }
+        }
+    }
+    live.sort_unstable();
+    live
 }
 
 /// A level's point set while a write is being folded.
@@ -119,11 +133,6 @@ impl<'a, const D: usize> Fold<'a, D> {
         Fold { capacity: base.capacity, levels }
     }
 
-    /// Capacity of level `i`.
-    fn cap(&self, i: usize) -> usize {
-        self.capacity.saturating_mul(1usize << i.min(usize::BITS as usize - 2))
-    }
-
     /// Place a carry (its runs, its ids in any order) into the level
     /// structure, merging upward until a level can absorb it. No tree
     /// stands on the level it lands in. An empty carry places nothing.
@@ -133,7 +142,8 @@ impl<'a, const D: usize> Fold<'a, D> {
         }
         let mut i = 0;
         loop {
-            while ids.len() > self.cap(i) {
+            // Level `i` holds at most `capacity · 2^i` points.
+            while ids.len() > self.capacity.saturating_mul(1 << i.min(usize::BITS as usize - 2)) {
                 i += 1;
             }
             if self.levels.len() <= i {
@@ -154,14 +164,10 @@ impl<'a, const D: usize> Fold<'a, D> {
         }
     }
 
-    /// Insert a batch of points, unless `first_refused` refuses one.
+    /// Insert a batch of points, unless `check_ids` refuses one.
     fn insert(&mut self, pts: &'a [Point<D>]) -> Result<(), BuildError> {
-        let order = id_order(pts);
-        let ids: Vec<u32> = order.iter().map(|&(id, _)| id).collect();
-        let live = live_in(self.levels.iter().flatten().map(|set| &*set.ids), &ids);
-        if let Some((_, refusal)) = first_refused(&order, &live) {
-            return Err(refusal.into());
-        }
+        let live = |ids: &[u32]| live_in(self.levels.iter().flatten().map(|set| &*set.ids), ids);
+        let ids = check_ids(pts, live).map_err(|(_, refusal)| refusal)?;
         self.place(vec![Cow::Borrowed(pts)], ids);
         Ok(())
     }
@@ -244,14 +250,9 @@ impl<const D: usize> DynamicDistRangeTree<D> {
         self.extract_batch(machine, ids).map(|_| ())
     }
 
-    /// Delete points by id and hand the removed points back (ids not
-    /// present are ignored). The surviving points are repacked and
-    /// rebuilt exactly as by [`delete_batch`](Self::delete_batch).
-    ///
-    /// This is the donor side of shard migration (`ddrs-shard`): a
-    /// subtree of points leaves this store and is re-inserted into a
-    /// sibling store, so the extraction must return the full points —
-    /// coordinates, ids and weights — not just acknowledge the ids.
+    /// [`delete_batch`](Self::delete_batch), handing the removed points
+    /// back whole (coordinates, ids and weights): the donor side of a
+    /// `ddrs-shard` migration, which re-inserts them into a sibling store.
     pub fn extract_batch(
         &mut self,
         machine: &Machine,
@@ -280,8 +281,8 @@ impl<const D: usize> DynamicDistRangeTree<D> {
         self.len() == 0
     }
 
-    /// The ids of `ids` (ascending) that are live in the store, ascending:
-    /// two comparisons per level the batch misses (`live_in`).
+    /// The ids of `ids` (ascending) that are live in the store, ascending
+    /// (`live_in` over the levels' id columns).
     pub fn live_ids(&self, ids: &[u32]) -> Vec<u32> {
         live_in(self.levels.iter().flatten().map(|level| &level.ids[..]), ids)
     }
@@ -664,7 +665,7 @@ mod tests {
         }
     }
 
-    /// The sequential scan `Fold::insert` ran before `first_refused`, kept
+    /// The sequential scan `Fold::insert` ran before `check_ids`, kept
     /// as its oracle: the first point of the batch that is a pad, live in
     /// the store (a scan of its points) or a repeat of an earlier one.
     fn refused_by_scan(t: &DynamicDistRangeTree<2>, batch: &[Point<2>]) -> Option<BuildError> {

@@ -46,7 +46,7 @@ pub use dist::{
     FusedOutputs, StructureReport,
 };
 pub use point::{Point, RPoint, RRect, Rect, PAD_ID};
-pub use rank::{first_refused, id_order, RankError, RankSpace};
+pub use rank::{check_ids, RankError, RankSpace};
 pub use semigroup::{Count, MaxWeight, MinId, Semigroup, Sum};
 pub use seq::{DimTree, Sel, SeqRangeTree};
 

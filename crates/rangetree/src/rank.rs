@@ -1,6 +1,5 @@
-//! Rank normalization and power-of-two padding, and the id rules every
-//! write applies: the first offender in input order, and the probe of a
-//! batch's ids against sorted id columns.
+//! Rank normalization and power-of-two padding, and the id rule every
+//! build and write applies: the first offender in input order.
 //!
 //! Maps user coordinates to the paper's normalized setting: every
 //! coordinate replaced by its rank (duplicates broken by record id, so
@@ -52,58 +51,35 @@ impl std::fmt::Display for RankError {
 
 impl std::error::Error for RankError {}
 
-/// `(id, position)` of every point, ascending: the order
-/// [`first_refused`] reads. Ids that already ascend, as most inputs' do,
+/// The ids of `pts`, ascending, unless one is refused; then the first
+/// offender in input order and its position: a pad id where it stands, an
+/// id that `live` (handed the ids ascending, returning the live ones
+/// ascending) holds where it first stands, a repeated id where it stands
+/// the second time. Every check that refuses a point set by its ids
+/// applies this one rule. Ids that already ascend, as most inputs' do,
 /// cost the sort one pass.
-pub fn id_order<const D: usize>(pts: &[Point<D>]) -> Vec<(u32, u32)> {
+pub fn check_ids<const D: usize>(
+    pts: &[Point<D>],
+    live: impl FnOnce(&[u32]) -> Vec<u32>,
+) -> Result<Vec<u32>, (u32, RankError)> {
     let mut order: Vec<(u32, u32)> = pts.iter().zip(0..).map(|(p, at)| (p.id, at)).collect();
     order.sort_unstable();
-    order
-}
-
-/// The first offender in input order, and its position, among the ids of
-/// an [`id_order`]: a pad id where it stands, an id of `live` (ascending:
-/// the ids a store already holds) where it first stands, and a repeated
-/// id where it stands the second time. Every check that refuses a point
-/// set by its ids applies this one rule.
-pub fn first_refused(order: &[(u32, u32)], live: &[u32]) -> Option<(u32, RankError)> {
-    let mut live = live.iter().peekable();
+    let ids: Vec<u32> = order.iter().map(|&(id, _)| id).collect();
+    let mut live = live(&ids).into_iter().peekable();
     let refusal = |(k, &(id, at)): (usize, &(u32, u32))| {
-        while live.next_if(|&&held| held < id).is_some() {}
+        while live.next_if(|&held| held < id).is_some() {}
         if id == PAD_ID {
             Some((at, RankError::ReservedId))
-        } else if live.peek() == Some(&&id) || k > 0 && order[k - 1].0 == id {
+        } else if live.peek() == Some(&id) || k > 0 && order[k - 1].0 == id {
             Some((at, RankError::DuplicateId(id)))
         } else {
             None
         }
     };
-    order.iter().enumerate().filter_map(refusal).min_by_key(|&(at, _)| at)
-}
-
-/// The ids of `ids` (ascending) that one of the disjoint ascending id
-/// `columns` holds, ascending. A column whose range misses the batch costs
-/// two comparisons; in one it overlaps, each id in the overlap costs one
-/// binary search of the column past the previous id's place.
-pub(crate) fn live_in<'c>(columns: impl Iterator<Item = &'c [u32]>, ids: &[u32]) -> Vec<u32> {
-    let (Some(&lo), Some(&hi)) = (ids.first(), ids.last()) else { return Vec::new() };
-    let mut live = Vec::new();
-    for col in columns {
-        let (Some(&first), Some(&last)) = (col.first(), col.last()) else { continue };
-        if last < lo || hi < first {
-            continue;
-        }
-        let mut rest = col;
-        let overlap = &ids[ids.partition_point(|&id| id < first)..];
-        for &id in &overlap[..overlap.partition_point(|&id| id <= last)] {
-            rest = &rest[rest.partition_point(|&held| held < id)..];
-            if rest.first() == Some(&id) {
-                live.push(id);
-            }
-        }
+    match order.iter().enumerate().filter_map(refusal).min_by_key(|&(at, _)| at) {
+        Some(refused) => Err(refused),
+        None => Ok(ids),
     }
-    live.sort_unstable();
-    live
 }
 
 impl<const D: usize> RankSpace<D> {
@@ -120,9 +96,9 @@ impl<const D: usize> RankSpace<D> {
         if pts.is_empty() {
             return Err(RankError::Empty);
         }
-        match first_refused(&id_order(pts), &[]) {
-            Some((_, refusal)) => Err(refusal),
-            None => Ok(Self::normalize_distinct(pts, min_size)),
+        match check_ids(pts, |_| Vec::new()) {
+            Err((_, refusal)) => Err(refusal),
+            Ok(_) => Ok(Self::normalize_distinct(pts, min_size)),
         }
     }
 

@@ -170,7 +170,7 @@ use std::time::Duration;
 use ddrs_cgm::Machine;
 use ddrs_check::TrackedMutex;
 use ddrs_client::{ticket, RangeStore, Request, Resolver, Response, SubmitError, Ticket};
-use ddrs_rangetree::{first_refused, id_order, BuildError, DynamicDistRangeTree, Point, Semigroup};
+use ddrs_rangetree::{check_ids, BuildError, DynamicDistRangeTree, Point, Semigroup};
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, EpochWal, LogSink, MemSink, RecordKind};
 
@@ -329,7 +329,7 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         let part = Partitioner::new(policy, shards);
 
         // The ids across all shards, refused as one insert would be.
-        if let Some((_, refusal)) = first_refused(&id_order(initial), &[]) {
+        if let Err((_, refusal)) = check_ids(initial, |_| Vec::new()) {
             return Err(refusal.into());
         }
         let mut parts: Vec<Vec<Point<D>>> = vec![Vec::new(); shards];

@@ -10,7 +10,7 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
-use ddrs_rangetree::{first_refused, id_order, BuildError, DynamicDistRangeTree, Point, Semigroup};
+use ddrs_rangetree::{check_ids, BuildError, DynamicDistRangeTree, Point, Semigroup};
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, RecordKind};
 
@@ -49,13 +49,13 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
         match p.op {
             Op::Client(PlannedOp::Insert(pts, r)) => {
                 // The first offender in batch order decides: an id that
-                // `first_refused` refuses, or a quarantined placement.
-                let order = id_order(&pts);
-                let ids: Vec<u32> = order.iter().map(|&(id, _)| id).collect();
-                let owner = owners(router, &ids);
-                let live = |id: &u32| delta.get(id).map_or(owner(id).is_some(), Option::is_some);
-                let refused =
-                    first_refused(&order, &ids.iter().copied().filter(live).collect::<Vec<_>>());
+                // `check_ids` refuses, or a quarantined placement.
+                let live = |ids: &[u32]| {
+                    let held = owners(router, ids);
+                    let live = |id: &u32| delta.get(id).map_or(held(id).is_some(), Option::is_some);
+                    ids.iter().copied().filter(live).collect()
+                };
+                let refused = check_ids(&pts, live).err();
                 let placements: Vec<usize> = pts.iter().map(|pt| router.part.place(pt)).collect();
                 let before = refused.as_ref().map_or(pts.len(), |&(at, _)| at as usize);
                 let unavailable = placements[..before].iter().find_map(|&sh| router.quarantine(sh));

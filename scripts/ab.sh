@@ -5,27 +5,14 @@
 # first alternates from pair to pair, and a side's numbers are the median
 # and quartiles over its runs plus the pairs it won.
 #
-#   scripts/ab.sh [--smoke] [--reference REF_BIN] PARENT_BIN CHANGE_BIN PAIRS [PARENT_LABEL CHANGE_LABEL]
-#
-# --reference REF_BIN: a third arm, a stackbench built from one fixed
-# commit, runs in every pair; the arms rotate (parent, change, reference;
-# then change, reference, parent; ...), so each goes first equally often
-# over a multiple of three pairs. Each row then carries `ref_median`, the
-# reference's median of the same metric, workload and seed in the same
-# session, and the summary on stderr prints parent/ref and change/ref:
-# ratios to a fixed binary are what compares across sessions, where raw
-# medians of identical code drift by more than a claimed gain. Rows
-# without `ref_median` (all rows written before this option existed) do
-# not compare across sessions.
+#   scripts/ab.sh [--smoke] PARENT_BIN CHANGE_BIN PAIRS [PARENT_LABEL CHANGE_LABEL]
 #
 # Every workload of BENCHMARK.json, at the default and the held-out seed,
 # untraced. Appends one JSON line per side per workload per seed per
 # bounded end-to-end metric to BENCH_history.jsonl at the root of this
 # checkout: median, q1, q3 (Python's statistics.quantiles, which the
 # benchmark driver uses), runs, pairs, wins, ties, failed / attempted, and
-# the host block stackbench wrote for that side, and `cpu_s`: the median
-# over the side's runs of the child's user + sys seconds (getrusage),
-# steadier than wall time on a shared host. A side's `label` is its
+# the host block stackbench wrote for that side. A side's `label` is its
 # `host.commit` unless given: a change is measured before it is committed,
 # when its checkout's HEAD is still the parent.
 #
@@ -36,41 +23,23 @@
 # `host.commit` names its own commit.
 #
 # --smoke: one-second runs, and the lines go to stdout instead of the
-# history file. CI runs it with one binary on all three arms so the
-# script cannot rot.
+# history file. CI runs it with one binary on both sides so the script
+# cannot rot.
 set -euo pipefail
 
-usage() {
+smoke=""
+if [ "${1:-}" = "--smoke" ]; then
+    smoke="--smoke"
+    shift
+fi
+if [ $# -ne 3 ] && [ $# -ne 5 ]; then
     sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2
     exit 2
-}
-smoke=""
-ref_bin=""
-while [ $# -gt 0 ]; do
-    case "$1" in
-    --smoke)
-        smoke="--smoke"
-        shift
-        ;;
-    --reference)
-        [ $# -ge 2 ] || usage
-        ref_bin=$(realpath "$2")
-        shift 2
-        ;;
-    *) break ;;
-    esac
-done
-if [ $# -ne 3 ] && [ $# -ne 5 ]; then
-    usage
 fi
 parent_bin=$(realpath "$1")
 change_bin=$(realpath "$2")
 pairs=$3
 labels="${4:-} ${5:-}"
-arms=(parent change)
-if [ -n "$ref_bin" ]; then
-    arms+=(reference)
-fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 raw=$(mktemp -d)
 trap 'rm -rf "$raw"' EXIT
@@ -80,59 +49,39 @@ import json, sys
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))
 ' "$root/BENCHMARK.json")
 
-# The child's user + sys seconds, written to the file named first, for
-# the command that follows it.
-cpu_time='
-import resource, subprocess, sys
-code = subprocess.run(sys.argv[2:]).returncode
-used = resource.getrusage(resource.RUSAGE_CHILDREN)
-open(sys.argv[1], "w").write(str(used.ru_utime + used.ru_stime))
-sys.exit(code)
-'
-
-# One run of one side: the result file stackbench writes and the run's
-# CPU seconds, kept per pair.
+# One run of one side: the result file stackbench writes, kept per pair.
 run_side() { # side bin workload seed pair
     local out="$raw/$1"
     (cd "$(dirname "$2")" &&
-        python3 -c "$cpu_time" "$raw/$1.$3.$4.$5.cpu" \
-            "$2" run --workload "$3" --seed "$4" --trace 0 --out "$out" $smoke >/dev/null 2>&1) ||
+        "$2" run --workload "$3" --seed "$4" --trace 0 --out "$out" $smoke >/dev/null 2>&1) ||
         echo "ab.sh: $1 exited $? on $3 seed $4 pair $5" >&2
     if [ -f "$out/$3.seed$4.trace0.json" ]; then
         mv "$out/$3.seed$4.trace0.json" "$raw/$1.$3.$4.$5.json"
     fi
 }
 
-bin_of() { # arm
-    case "$1" in
-    parent) echo "$parent_bin" ;;
-    change) echo "$change_bin" ;;
-    reference) echo "$ref_bin" ;;
-    esac
-}
-
 for seed in 11 1997; do
     for workload in $workloads; do
         for pair in $(seq 1 "$pairs"); do
-            # Pair k starts at arm (k - 1) mod arms: with two arms, the
-            # parent goes first in odd pairs.
-            for k in $(seq 0 $((${#arms[@]} - 1))); do
-                arm=${arms[$(((pair - 1 + k) % ${#arms[@]}))]}
-                run_side "$arm" "$(bin_of "$arm")" "$workload" "$seed" "$pair"
-            done
+            if [ $((pair % 2)) -eq 1 ]; then
+                run_side parent "$parent_bin" "$workload" "$seed" "$pair"
+                run_side change "$change_bin" "$workload" "$seed" "$pair"
+            else
+                run_side change "$change_bin" "$workload" "$seed" "$pair"
+                run_side parent "$parent_bin" "$workload" "$seed" "$pair"
+            fi
             echo "ab.sh: $workload seed $seed pair $pair/$pairs" >&2
         done
     done
 done
 
-summary=$(python3 - "$root/BENCHMARK.json" "$raw" "$pairs" "${arms[*]}" $labels <<'EOF'
+summary=$(python3 - "$root/BENCHMARK.json" "$raw" "$pairs" $labels <<'EOF'
 import json, statistics, sys
 from pathlib import Path
 
 bench = json.load(open(sys.argv[1]))
 raw, pairs = Path(sys.argv[2]), int(sys.argv[3])
-with_ref = "reference" in sys.argv[4].split()
-labels = dict(zip(("parent", "change"), sys.argv[5:7]))
+labels = dict(zip(("parent", "change"), sys.argv[4:6]))
 
 
 def load(side, workload, seed, pair):
@@ -140,23 +89,13 @@ def load(side, workload, seed, pair):
     return json.load(open(path)) if path.exists() else None
 
 
-def cpu(side, workload, seed):
-    paths = (raw / f"{side}.{workload}.{seed}.{i}.cpu" for i in range(1, pairs + 1))
-    used = [float(p.read_text()) for p in paths if p.exists()]
-    return round(statistics.median(used), 3) if used else None
-
-
 for seed in (11, 1997):
     for workload in (w["name"] for w in bench["workloads"]):
-        arms = ("parent", "change", "reference") if with_ref else ("parent", "change")
-        runs = {s: [load(s, workload, seed, i) for i in range(1, pairs + 1)] for s in arms}
+        runs = {s: [load(s, workload, seed, i) for i in range(1, pairs + 1)] for s in ("parent", "change")}
         for metric in bench["end_to_end"]:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             values = {s: [r and r["metrics"].get(name) for r in rs] for s, rs in runs.items()}
             both = [(a, b) for a, b in zip(values["parent"], values["change"]) if a is not None and b is not None]
-            ref = [v for v in values.get("reference", []) if v is not None]
-            ref_median = statistics.median(ref) if ref else None
-            ratios = []
             for side, other in (("parent", "change"), ("change", "parent")):
                 mine = [v for v in values[side] if v is not None]
                 done = [r for r in runs[side] if r]
@@ -164,9 +103,7 @@ for seed in (11, 1997):
                     continue
                 flip = sign if side == "change" else -sign
                 q = statistics.quantiles(mine, n=4) if len(mine) > 1 else [mine[0]] * 3
-                if ref_median:
-                    ratios.append(f"{side}/ref {statistics.median(mine) / ref_median:.3f}")
-                row = {
+                print(json.dumps({
                     "label": labels.get(side, done[-1]["host"]["commit"]),
                     "side": side, "against": labels.get(other, other), "workload": workload, "seed": seed,
                     "metric": name, "unit": metric["unit"], "better": metric["better"],
@@ -177,13 +114,7 @@ for seed in (11, 1997):
                     "failed": sum(r["failed"] for r in done),
                     "attempted": sum(r["attempted"] for r in done),
                     "host": done[-1]["host"],
-                    "cpu_s": cpu(side, workload, seed),
-                }
-                if with_ref:
-                    row["ref_median"] = ref_median
-                print(json.dumps(row))
-            if ratios:
-                print(f"ab.sh: {workload} seed {seed} {name}: {', '.join(ratios)}", file=sys.stderr)
+                }))
 EOF
 )
 
