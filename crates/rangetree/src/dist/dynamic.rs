@@ -28,20 +28,24 @@
 //! ## A write is a fold, then a build
 //!
 //! The **fold** (`Fold`) only moves point sets between levels: an insert
-//! is the carry loop of `Fold::place`, a delete the partition-and-repack
-//! of `Fold::extract`, and both see a level as its points and its sorted
-//! id column whether or not a tree stands on it. It runs no machine
-//! program and refuses a batch (`ReservedId`, `DuplicateId`) before it
-//! moves a point. The **build** (`Fold::build`) then runs Algorithm
-//! Construct on every level the fold left without a tree and keeps the
-//! `Arc` of every level it left alone.
+//! is the carry loop of `Fold::place`, a delete the filter-and-repack of
+//! `Fold::extract`, and both see a level as its points and its sorted id
+//! column whether or not a tree stands on it. It runs no machine program,
+//! and a batch it refuses (`ReservedId`, `DuplicateId`) ends the write
+//! before anything is built, the version it started from untouched. The
+//! **build** (`Fold::build`) then runs Algorithm Construct on every level
+//! the fold left without a tree and keeps the `Arc` of every level it
+//! left alone.
 //!
-//! [`insert_batch`](DynamicDistRangeTree::insert_batch) and its siblings
-//! fold and build one batch, since a query may arrive before the next
-//! write; [`replay`](DynamicDistRangeTree::replay) folds a whole log and
-//! builds once, so no tree is built for a level a later record merges
-//! away. Both leave the same levels holding the same points in the same
-//! order, because the fold never looks at a tree.
+//! [`apply`](DynamicDistRangeTree::apply) folds any number of
+//! `(deletes, inserts)` batches onto a version and builds once, so no tree
+//! is built for a level a later batch merges away: a shard's write
+//! sub-epoch, its initial load, both sides of a split and a log replay
+//! are each one `apply`. [`insert_batch`](DynamicDistRangeTree::insert_batch)
+//! and [`delete_batch`](DynamicDistRangeTree::delete_batch) are its
+//! one-batch cases. However the batches are grouped, the same levels hold
+//! the same points in the same order, because the fold never looks at a
+//! tree.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -172,22 +176,21 @@ impl<'a, const D: usize> Fold<'a, D> {
         Ok(())
     }
 
-    /// Remove the points with these ids and hand them back; the survivors
-    /// are repacked into one level. No level is touched when no id is live.
-    fn extract(&mut self, ids: &[u32]) -> Vec<Point<D>> {
+    /// Remove the points with these ids and repack the survivors into one
+    /// level. No level is touched when no id is live.
+    fn extract(&mut self, ids: &[u32]) {
         let mut dead = ids.to_vec();
         dead.sort_unstable();
         let dead = live_in(self.levels.iter().flatten().map(|set| &*set.ids), &dead);
         if dead.is_empty() {
-            return Vec::new();
+            return;
         }
         let sets = std::mem::take(&mut self.levels);
         let points = sets.iter().flatten().flat_map(|set| &set.runs).flat_map(|run| run.iter());
-        let (removed, live): (Vec<Point<D>>, Vec<Point<D>>) =
-            points.partition(|p| dead.binary_search(&p.id).is_ok());
+        let live: Vec<Point<D>> =
+            points.filter(|p| dead.binary_search(&p.id).is_err()).copied().collect();
         let ids = live.iter().map(|p| p.id).collect();
         self.place(vec![Cow::Owned(live)], ids);
-        removed
     }
 
     /// Build every level the fold left without a tree.
@@ -215,20 +218,20 @@ impl<const D: usize> DynamicDistRangeTree<D> {
         DynamicDistRangeTree { capacity: capacity.max(1), levels: Vec::new() }
     }
 
-    /// The store a log of `(deletes, inserts)` batches leaves behind,
-    /// each batch's deletes applied before its inserts: level for level
-    /// and point for point what [`delete_batch`](Self::delete_batch) then
+    /// The version `batches` of `(deletes, inserts)` leave behind this
+    /// one, each batch's deletes applied before its inserts (absent ids
+    /// are ignored): level for level and point for point what
+    /// [`delete_batch`](Self::delete_batch) then
     /// [`insert_batch`](Self::insert_batch) per batch leave, at one
-    /// Algorithm Construct per surviving level (see the module docs).
-    /// An `Err` carries the index of the batch whose insert the fold
-    /// refused.
-    pub fn replay<'a>(
+    /// Algorithm Construct per level the fold left without a tree (see
+    /// the module docs). `self` is untouched. An `Err` carries the index
+    /// of the batch whose insert the fold refused.
+    pub fn apply<'a>(
+        &self,
         machine: &Machine,
-        capacity: usize,
         batches: impl IntoIterator<Item = (&'a [u32], &'a [Point<D>])>,
     ) -> Result<Self, (usize, BuildError)> {
-        let empty = Self::new(capacity);
-        let mut fold = Fold::of(&empty);
+        let mut fold = Fold::of(self);
         for (at, (deletes, inserts)) in batches.into_iter().enumerate() {
             fold.extract(deletes);
             fold.insert(inserts).map_err(|e| (at, e))?;
@@ -238,30 +241,15 @@ impl<const D: usize> DynamicDistRangeTree<D> {
 
     /// Insert a batch of points (ids must be new and not the pad id).
     pub fn insert_batch(&mut self, machine: &Machine, pts: &[Point<D>]) -> Result<(), BuildError> {
-        let mut fold = Fold::of(self);
-        fold.insert(pts)?;
-        *self = fold.build(machine);
+        *self = self.apply(machine, [(&[][..], pts)]).map_err(|(_, e)| e)?;
         Ok(())
     }
 
     /// Delete points by id (ids not present are ignored). The surviving
     /// points are repacked and rebuilt, keeping every query mode exact.
     pub fn delete_batch(&mut self, machine: &Machine, ids: &[u32]) -> Result<(), BuildError> {
-        self.extract_batch(machine, ids).map(|_| ())
-    }
-
-    /// [`delete_batch`](Self::delete_batch), handing the removed points
-    /// back whole (coordinates, ids and weights): the donor side of a
-    /// `ddrs-shard` migration, which re-inserts them into a sibling store.
-    pub fn extract_batch(
-        &mut self,
-        machine: &Machine,
-        ids: &[u32],
-    ) -> Result<Vec<Point<D>>, BuildError> {
-        let mut fold = Fold::of(self);
-        let removed = fold.extract(ids);
-        *self = fold.build(machine);
-        Ok(removed)
+        *self = self.apply(machine, [(ids, &[][..])]).map_err(|(_, e)| e)?;
+        Ok(())
     }
 
     /// All live points, in unspecified order. A read-only snapshot used
@@ -450,14 +438,19 @@ mod tests {
         assert_eq!(machine.take_stats().runs, 3);
     }
 
+    /// A migration's donor side: the points are read off `points()`,
+    /// then deleted; missing ids are ignored.
     #[test]
     fn extract_returns_the_removed_points() {
         let machine = Machine::new(2).unwrap();
         let mut t = DynamicDistRangeTree::<2>::new(8);
         let all = pts(0..20);
         t.insert_batch(&machine, &all).unwrap();
-        let mut removed = t.extract_batch(&machine, &[3, 7, 11, 999]).unwrap();
+        let ids = [3, 7, 11, 999];
+        let mut removed: Vec<Point<2>> =
+            t.points().filter(|p| ids.contains(&p.id)).copied().collect();
         removed.sort_unstable_by_key(|p| p.id);
+        t.delete_batch(&machine, &ids).unwrap();
         assert_eq!(removed.len(), 3, "missing ids are ignored");
         for (p, id) in removed.iter().zip([3u32, 7, 11]) {
             assert_eq!(p.id, id);
@@ -470,6 +463,29 @@ mod tests {
         assert_eq!(t.len(), 20);
         let q = Rect::new([0, 0], [800, 600]);
         assert_eq!(t.count_batch(&machine, &[q]), vec![20]);
+    }
+
+    /// One `apply` batch whose inserts carry into the level its deletes
+    /// repacked builds that level once, where `delete_batch` then
+    /// `insert_batch` build the 19-point repack at level 2 only to merge
+    /// it into level 3: one machine run against two, the same levels.
+    #[test]
+    fn a_mixed_write_builds_each_level_once() {
+        let machine = Machine::new(1).unwrap();
+        let mut base = DynamicDistRangeTree::<2>::new(8);
+        base.insert_batch(&machine, &pts(0..20)).unwrap();
+        let inserts = pts(100..120);
+        let mut eager = base.clone();
+        machine.take_stats();
+        eager.delete_batch(&machine, &[0]).unwrap();
+        eager.insert_batch(&machine, &inserts).unwrap();
+        assert_eq!(machine.take_stats().runs, 2);
+        let t = base.apply(&machine, [(&[0][..], &inserts[..])]).unwrap();
+        assert_eq!(machine.take_stats().runs, 1);
+        assert_eq!(format!("{t:?}"), format!("{eager:?}"));
+        assert!(format!("{t:?}").contains("level_sizes: [0, 0, 0, 39]"), "{t:?}");
+        assert!(t.points().eq(eager.points()));
+        assert_eq!(base.len(), 20, "the base version is untouched");
     }
 
     #[test]
@@ -544,7 +560,7 @@ mod tests {
         let before = t.clone();
         machine.take_stats();
         t.delete_batch(&machine, &[1000]).unwrap();
-        assert!(t.extract_batch(&machine, &[2000, 3000]).unwrap().is_empty());
+        t = t.apply(&machine, [(&[2000, 3000][..], &[][..]), (&[4000][..], &[][..])]).unwrap();
         assert_eq!(machine.take_stats().runs, 0);
         assert_eq!(t.occupied_levels(), 2);
         assert_eq!(t.levels.len(), before.levels.len());
@@ -556,33 +572,43 @@ mod tests {
         }
     }
 
-    /// One log, `(deletes, inserts)` per batch, through both write paths:
-    /// `delete_batch` then `insert_batch` per batch, and one `replay`.
+    /// A log's batches as `apply` takes them.
+    fn batches(
+        log: &[(Vec<u32>, Vec<Point<2>>)],
+    ) -> impl Iterator<Item = (&[u32], &[Point<2>])> + '_ {
+        log.iter().map(|(deletes, inserts)| (&deletes[..], &inserts[..]))
+    }
+
+    /// One log, `(deletes, inserts)` per batch, through both write paths
+    /// from the version `base`: `delete_batch` then `insert_batch` per
+    /// batch, and one `apply`.
     fn both_paths(
         machine: &Machine,
-        capacity: usize,
+        base: &DynamicDistRangeTree<2>,
         log: &[(Vec<u32>, Vec<Point<2>>)],
     ) -> [Result<DynamicDistRangeTree<2>, (usize, BuildError)>; 2] {
         let eager = || {
-            let mut t = DynamicDistRangeTree::new(capacity);
+            let mut t = base.clone();
             for (i, (deletes, inserts)) in log.iter().enumerate() {
                 t.delete_batch(machine, deletes).map_err(|e| (i, e))?;
                 t.insert_batch(machine, inserts).map_err(|e| (i, e))?;
             }
             Ok(t)
         };
-        let batches = log.iter().map(|(deletes, inserts)| (&deletes[..], &inserts[..]));
-        [eager(), DynamicDistRangeTree::replay(machine, capacity, batches)]
+        [eager(), base.apply(machine, batches(log))]
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// `replay` leaves level for level and point for point the store
-        /// the per-batch writes leave, and refuses the batch they refuse.
+        /// `apply` leaves level for level and point for point the store
+        /// the per-batch writes leave, and refuses the batch they refuse,
+        /// from an empty store (a log replay) and from the version the
+        /// log's first `cut` batches leave, which it leaves untouched.
         #[test]
         fn replay_agrees_with_the_eager_fold(
             steps in proptest::collection::vec((0usize..7, 0usize..64, 0usize..12), 1..14),
+            cut in 0usize..14,
         ) {
             use crate::semigroup::Sum;
             const CAPACITY: usize = 4;
@@ -627,10 +653,15 @@ mod tests {
             }
 
             let qs = [Rect::new([0, 0], [800, 600]), Rect::new([100, 100], [500, 300])];
-            let mut refused = log.clone();
-            for p in [1, 2, 4] {
+            let runs = [1, 2, 4].into_iter().flat_map(|p| [(p, 0), (p, cut % (log.len() + 1))]);
+            for (p, from) in runs {
                 let machine = Machine::new(p).unwrap();
-                let [eager, replayed] = both_paths(&machine, CAPACITY, &log).map(Result::unwrap);
+                let base = DynamicDistRangeTree::new(CAPACITY);
+                let base = base.apply(&machine, batches(&log[..from])).unwrap();
+                let was: Vec<Point<2>> = base.points().copied().collect();
+                let was_levels = format!("{base:?}");
+                let [eager, replayed] =
+                    both_paths(&machine, &base, &log[from..]).map(Result::unwrap);
                 proptest::prop_assert_eq!(format!("{replayed:?}"), format!("{eager:?}"));
                 proptest::prop_assert!(replayed.points().eq(eager.points()));
                 proptest::prop_assert_eq!(replayed.len(), live.len());
@@ -649,18 +680,21 @@ mod tests {
 
                 // One more batch that must be refused, by both paths alike.
                 let bad = live.first().map_or(PAD_ID, |p| p.id);
+                let mut refused = log[from..].to_vec();
                 for id in [bad, PAD_ID] {
                     refused.push((vec![], vec![at(fresh, 1), at(id, 1)]));
-                    let [eager, replayed] = both_paths(&machine, CAPACITY, &refused).map(Result::err);
+                    let [eager, replayed] = both_paths(&machine, &base, &refused).map(Result::err);
                     let expect = if id == PAD_ID {
                         BuildError::ReservedId
                     } else {
                         BuildError::DuplicateId(id)
                     };
-                    proptest::prop_assert_eq!(&replayed, &Some((log.len(), expect)));
+                    proptest::prop_assert_eq!(&replayed, &Some((log.len() - from, expect)));
                     proptest::prop_assert_eq!(&replayed, &eager);
                     refused.pop();
                 }
+                proptest::prop_assert_eq!(format!("{base:?}"), was_levels);
+                proptest::prop_assert!(base.points().eq(&was));
             }
         }
     }

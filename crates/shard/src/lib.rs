@@ -76,10 +76,11 @@
 //! its sub-epoch, and the failing shard is **poisoned** — quarantined
 //! from all further traffic while its siblings keep serving. Committed
 //! history is never contradicted. An abort needs no message to any
-//! worker: a worker builds a sub-epoch (or a split's extraction) on a
-//! clone of the version its job carries (shared `Arc` levels) and
-//! replies with the version it built, and the router installs the
-//! replies only when the epoch or split commits. A poisoned store is the
+//! worker: every mutation (a sub-epoch, either side of a split, a
+//! recovery) is one job that folds its batches onto a clone of the
+//! version it carries (shared `Arc` levels) and replies with the version
+//! it built, and the router installs the replies only when the epoch or
+//! split commits. A poisoned store is the
 //! shard's last committed version. A failed log append aborts the same
 //! way: every log the epoch's or split's appends reached is cut back to
 //! its length before them, so no log holds a record that did not commit;
@@ -362,8 +363,9 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
                 // no clients exist yet, and a service whose log cannot
                 // record its own initial state must not start.
                 .expect("initial WAL append failed");
-            let tree = DynamicDistRangeTree::new(capacity);
-            ShardJob::Write { tree, deletes: Vec::new(), inserts, inject_fault: false, reply }
+            let (tree, batches) =
+                (DynamicDistRangeTree::new(capacity), vec![(Vec::new(), inserts)]);
+            ShardJob::Apply { tree, batches, inject_fault: false, reply }
         })
         // ddrs-check: allow(unwrap) — construction-time bulk load: no
         // clients exist yet, and a worker dying before the service is
@@ -489,9 +491,9 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
 
     /// Deterministic fault injection for tests and harnesses: the next
     /// write sub-epoch dispatched to `shard` executes an SPMD program in
-    /// which one simulated processor panics *between* the delete and
-    /// insert cascades (via `Machine::try_run`), poisoning that shard
-    /// while its siblings keep serving.
+    /// which one simulated processor panics *before* the sub-epoch's fold
+    /// (via `Machine::try_run`), poisoning that shard while its siblings
+    /// keep serving.
     pub fn fail_next_write_epoch(&self, shard: usize) {
         assert!(shard < self.shards, "fail_next_write_epoch: no shard {shard}");
         self.inner.faults[shard].store(true, Ordering::SeqCst);

@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use ddrs_rangetree::Semigroup;
+use ddrs_rangetree::{DynamicDistRangeTree, Semigroup};
 use ddrs_wal::LogTail;
 
 use crate::router::{exchange, sole, Inner, Router};
@@ -21,7 +21,9 @@ use crate::RecoveryReport;
 ///    tail — exactly the committed records survive — and cut such a
 ///    tail off the log, so the epochs the rebuilt shard commits next are
 ///    appended behind the last good record, not behind the damage;
-/// 2. replay them into a fresh store on the shard's own machine;
+/// 2. fold them onto an empty store and build it on the shard's own
+///    machine, one `Apply` job (the fold `ddrs_wal::replay_into_store`
+///    runs);
 /// 3. install it as the shard's version, retiring the poisoned one. The
 ///    versions are all the router knows of where an id lives (a write
 ///    probes their id columns), so there is no id index to rebuild, and
@@ -39,7 +41,7 @@ pub(crate) fn do_recover<S: Semigroup, const D: usize>(
         return Err(format!("recover impossible: shard {shard} is not poisoned"));
     }
     let t0 = Instant::now();
-    let (mut records, tail) =
+    let (records, tail) =
         router.wals[shard].replay().map_err(|e| format!("recover failed: wal unreadable: {e}"))?;
     let replayed = records.len();
     let clean_tail = matches!(tail, LogTail::Clean);
@@ -50,15 +52,18 @@ pub(crate) fn do_recover<S: Semigroup, const D: usize>(
     }
     // A dead worker is a soft error here, not a panic: the shard is
     // already quarantined, and stays so.
-    let reply = exchange(&router.workers, &[shard], |_, reply| ShardJob::Recover {
-        capacity: router.capacity,
-        records: std::mem::take(&mut records),
+    let mut batches = records.into_iter().map(|rec| (rec.deletes, rec.inserts)).collect();
+    let reply = exchange(&router.workers, &[shard], |_, reply| ShardJob::Apply {
+        tree: DynamicDistRangeTree::new(router.capacity),
+        batches: std::mem::take(&mut batches),
+        inject_fault: false,
         reply,
     })
     .map(sole)
     .map_err(|e| format!("recover failed: {e}"))?;
     inner.stats.lock().absorb_run(shard, &reply.stats);
-    let fresh = reply.result?;
+    // A refused batch is named by its record's index in the log.
+    let fresh = reply.result.map_err(|e| format!("recover failed: wal replay: {e}"))?;
     let live = fresh.len();
     router.install(shard, fresh);
     router.poisoned[shard] = None;

@@ -78,9 +78,10 @@ pub(crate) struct Inner<S: Semigroup, const D: usize> {
     /// counts them beside the queue and `ShardedService::stats` fills
     /// them into each snapshot.
     pub stats: TrackedMutex<ShardedStats>,
-    /// One flag per shard: its next write sub-epoch suffers an injected
-    /// mid-epoch processor panic (deterministic fault injection for the
-    /// test harness). Armed and consumed with `SeqCst`.
+    /// One flag per shard: its next write sub-epoch's `Apply` job
+    /// suffers an injected processor panic before its fold
+    /// (deterministic fault injection for the test harness). Armed and
+    /// consumed with `SeqCst`.
     pub faults: Vec<AtomicBool>,
 }
 

@@ -1,13 +1,15 @@
 //! The split migration: move half of a shard's points to a lighter
-//! sibling, between dispatches. The donor's rest and the recipient's
-//! landing are built as new versions and installed together once both
-//! logs hold the migration; a split that fails anywhere before that
+//! sibling, between dispatches. The router picks the half from the
+//! donor's committed version and refuses an impossible split before any
+//! worker hears of it; the donor's rest and the recipient's landing are
+//! then built in parallel, one `Apply` each, and installed together once
+//! both logs hold the migration. A split that fails anywhere before that
 //! installs nothing and logs nothing.
 
-use ddrs_rangetree::Semigroup;
+use ddrs_rangetree::{DynamicDistRangeTree, Point, Semigroup};
 use ddrs_wal::{EpochRecord, RecordKind};
 
-use crate::router::{sole, Inner, Router};
+use crate::router::{Inner, Router};
 use crate::worker::ShardJob;
 use crate::SplitReport;
 
@@ -46,46 +48,41 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
     let Some(&to) = candidates.iter().min_by_key(|&&s| router.versions[s].len()) else {
         return Err(format!("split impossible: donor {donor} has no healthy sibling"));
     };
-    let upper = to > donor;
+    let (moved, boundary) = halve(&router.versions[donor], to > donor)?;
 
-    // Extraction failures travel as `Err` data in the reply.
-    let extraction = sole(router.round_trip(inner, &[donor], |_, reply| ShardJob::SplitHalf {
-        tree: router.versions[donor].clone(),
-        upper,
-        reply,
-    }));
-    let (rest, moved, boundary) = match extraction.result {
-        Ok(ok) => ok,
-        Err(e) => {
-            if !e.starts_with("split impossible") {
-                // The donor's machine failed mid-rebuild.
-                router.poisoned[donor] = Some(format!("split extraction failed: {e}"));
-            }
-            return Err(e);
-        }
-    };
-
-    // Land the migrated points on the recipient.
-    let landing = sole(router.round_trip(inner, &[to], |_, reply| ShardJob::Write {
-        tree: router.versions[to].clone(),
-        deletes: Vec::new(),
-        inserts: moved.clone(),
+    // Build the donor's rest and the recipient's landing in parallel; a
+    // failed build poisons only its own shard.
+    let migrated_ids: Vec<u32> = moved.iter().map(|p| p.id).collect();
+    let mut replies = router.round_trip(inner, &[donor, to], |s, reply| ShardJob::Apply {
+        tree: router.versions[s].clone(),
+        batches: if s == donor {
+            vec![(migrated_ids.clone(), Vec::new())]
+        } else {
+            vec![(Vec::new(), moved.clone())]
+        },
         inject_fault: false,
         reply,
-    }));
-    let landed = match landing.result {
-        Ok(landed) => landed,
-        Err(e) => {
-            router.poisoned[to] = Some(format!("migration landing failed: {e}"));
-            return Err(format!("split failed landing on shard {to}: {e}"));
+    });
+    replies.sort_unstable_by_key(|reply| reply.shard);
+    let (mut built, mut failure) = (Vec::new(), None);
+    for reply in replies {
+        match reply.result {
+            Ok(version) => built.push((reply.shard, version)),
+            Err(e) => {
+                router.poisoned[reply.shard] = Some(format!("split rebuild failed: {e}"));
+                failure = failure.or(Some(format!("split failed on shard {}: {e}", reply.shard)));
+            }
         }
-    };
+    }
+    if let Some(e) = failure {
+        router.retired.extend(built.into_iter().map(|(_, version)| version));
+        return Err(e);
+    }
 
     // Log the migration on both shards' WALs before the routing state
     // changes (the same log-before-resolve discipline as write epochs:
     // by the time the split ticket resolves, both logs reproduce their
     // stores). A failed append leaves neither log holding the migration.
-    let migrated_ids: Vec<u32> = moved.iter().map(|p| p.id).collect();
     let seq = router.next_seq;
     router
         .log(vec![
@@ -99,8 +96,9 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
     // exactly; under hash placement the moved points no longer live where
     // the placement mix says, so degenerate-read routing must fall back
     // to full fan-out from now on (a rect names no id to probe for).
-    router.install(donor, rest);
-    router.install(to, landed);
+    for (s, version) in built {
+        router.install(s, version);
+    }
     if router.part.bounds().is_some() {
         debug_assert!(donor.abs_diff(to) == 1, "range split picked a non-adjacent sibling");
         router.part.shift_boundary(donor, to, boundary);
@@ -113,4 +111,41 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
         st.rebalance_moved += moved.len() as u64;
     }
     Ok(SplitReport { from: donor, to, moved: moved.len(), boundary })
+}
+
+/// The upper (or lower) half of `donor`'s points by axis 0, equal first
+/// coordinates kept together, and the boundary `b` that separates them:
+/// every moved point is `>= b` (upper) or `< b` (lower) on axis 0, and
+/// every point the donor keeps is on the other side. Reads the version
+/// only, which must hold a point.
+pub(crate) fn halve<const D: usize>(
+    donor: &DynamicDistRangeTree<D>,
+    upper: bool,
+) -> Result<(Vec<Point<D>>, i64), String> {
+    let mut pts: Vec<Point<D>> = donor.points().copied().collect();
+    pts.sort_unstable_by_key(|p| (p.coords[0], p.id));
+    let median = pts[pts.len() / 2].coords[0];
+    // The first point at or past the median coordinate. When the median
+    // is a plateau reaching the lowest coordinate, that is every point, so
+    // the boundary retreats to the smallest coordinate strictly above the
+    // plateau: the upper side then peels a proper subset off the right
+    // end, and the lower side moves the plateau itself.
+    let k = match pts.partition_point(|p| p.coords[0] < median) {
+        0 => pts.partition_point(|p| p.coords[0] <= median),
+        k => k,
+    };
+    if k == pts.len() {
+        return Err(format!(
+            "split impossible: all {} points share the splitting coordinate {median}",
+            pts.len()
+        ));
+    }
+    let boundary = pts[k].coords[0];
+    let moved = if upper {
+        pts.split_off(k)
+    } else {
+        pts.truncate(k);
+        pts
+    };
+    Ok((moved, boundary))
 }

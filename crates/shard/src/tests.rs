@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use ddrs_cgm::Machine;
 use ddrs_client::{RangeStore, Request, ServiceError, SubmitError, WaitFor};
-use ddrs_rangetree::{BuildError, Point, Rect, Semigroup, Sum};
+use ddrs_rangetree::{BuildError, DynamicDistRangeTree, Point, Rect, Semigroup, Sum};
 
 use crate::sched::{carve, gate_reads, Kind, Mode, Pending, Queued, SchedCore, Window};
 use crate::{PartitionPolicy, ShardedConfig, ShardedService};
@@ -248,6 +248,41 @@ fn split_retreats_past_a_median_plateau() {
         other => panic!("expected split-impossible, got {other:?}"),
     }
     service.shutdown();
+}
+
+/// A split's half is picked on the router, from the donor's committed
+/// version, without a machine run: the moved half and the rest the donor
+/// keeps partition its ids on either side of the boundary, the moved
+/// points keep their coordinates and weights, and the version is
+/// untouched.
+#[test]
+fn a_split_halves_the_donor_on_the_router() {
+    let machine = Machine::new(2).unwrap();
+    let all: Vec<Point<2>> = pts(0..20)
+        .iter()
+        .map(|p| Point::weighted(p.coords, p.id, 1 + u64::from(p.id) % 4))
+        .collect();
+    let mut base = DynamicDistRangeTree::<2>::new(8);
+    base.insert_batch(&machine, &all).unwrap();
+    let held: Vec<Point<2>> = base.points().copied().collect();
+    machine.take_stats();
+    for upper in [true, false] {
+        let (moved, boundary) = crate::split::halve(&base, upper).unwrap();
+        assert!(!moved.is_empty() && moved.len() < all.len(), "{} moved", moved.len());
+        let rest: Vec<&Point<2>> =
+            base.points().filter(|p| moved.iter().all(|m| m.id != p.id)).collect();
+        let mut ids: Vec<u32> =
+            rest.iter().map(|p| p.id).chain(moved.iter().map(|p| p.id)).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..20).collect::<Vec<u32>>(), "rest and moved partition the ids");
+        for p in &moved {
+            assert_eq!(*p, all[p.id as usize], "a moved point keeps its coordinates and weight");
+            assert_eq!(p.coords[0] >= boundary, upper);
+        }
+        assert!(rest.iter().all(|p| (p.coords[0] >= boundary) != upper));
+    }
+    assert_eq!(machine.take_stats().runs, 0, "the halving runs nothing");
+    assert!(base.points().eq(&held), "the base version is untouched");
 }
 
 /// Regression (review): a hash-policy split migrates points away

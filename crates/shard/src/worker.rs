@@ -7,15 +7,17 @@
 //! them with panic containment, and replies with the result plus the
 //! run's [`RunStats`] so the router can account machine work per shard.
 //! All cross-shard reasoning (planning, merging, ordering, the verdict
-//! on an epoch, poisoning) lives in the router — the worker has no idea
-//! siblings exist.
+//! on an epoch, which half of a shard a split moves, poisoning) lives in
+//! the router — the worker has no idea siblings exist.
 //!
 //! The router holds every shard's committed store version. Each job
-//! carries the version it works on: a read runs on it, and a mutating
-//! job (`Write`, `SplitHalf`) builds a new version from it (a clone is
-//! O(levels), every level shared) and replies with that version. The
-//! router installs it only if the epoch or split commits, so an abort
-//! needs no message here.
+//! carries the version it works on: a read runs on it, and the one
+//! mutating job, `Apply`, folds its batches onto it (a clone is
+//! O(levels), every level shared), builds once and replies with the new
+//! version. A write sub-epoch, the initial load, a recovery and either
+//! side of a split are each one `Apply`. The router installs the reply
+//! only if the epoch, split or recovery commits, so an abort needs no
+//! message here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -23,7 +25,6 @@ use std::thread::JoinHandle;
 
 use ddrs_cgm::{panic_message, CgmError, Machine, RunStats};
 use ddrs_rangetree::{BatchResults, DynamicDistRangeTree, Point, QueryBatch, Semigroup};
-use ddrs_wal::EpochRecord;
 
 /// What a read sub-batch does with its outcome: invoked on the worker
 /// thread with the fused results (or the failure), the run's stats, and
@@ -33,8 +34,8 @@ use ddrs_wal::EpochRecord;
 /// so absorbing every callback's stats counts the run once.
 /// The router builds these to resolve tickets and account telemetry
 /// without ever blocking on the read — reads gather asynchronously,
-/// while writes and splits keep their synchronous reply channels
-/// (the router *must* barrier on those to order the epoch protocol).
+/// while an `Apply` keeps its synchronous reply channel (the router
+/// *must* barrier on those to order the epoch protocol).
 pub(crate) type ReadComplete<S> =
     Box<dyn FnOnce(Result<BatchResults<S>, String>, RunStats, bool) + Send>;
 
@@ -48,35 +49,16 @@ pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
     /// queued between two of them all carry the one version the router
     /// held in between.
     Reads { tree: DynamicDistRangeTree<D>, batch: QueryBatch<S, D>, complete: ReadComplete<S> },
-    /// Build one write sub-epoch's version from `tree`: delete
-    /// `deletes`, then insert `inserts`, and reply with the result.
-    /// `inject_fault` makes a simulated processor panic *between* the
-    /// two cascades via [`Machine::try_run`] — the deterministic
+    /// Fold `batches` of `(deletes, inserts)` onto `tree`, each batch's
+    /// deletes before its inserts, build every level the fold left
+    /// without a tree and reply with the new version; a refused batch
+    /// replies its index. `inject_fault` makes a simulated processor
+    /// panic via [`Machine::try_run`] before the fold: the deterministic
     /// mid-epoch fault the test harness injects.
-    Write {
+    Apply {
         tree: DynamicDistRangeTree<D>,
-        deletes: Vec<u32>,
-        inserts: Vec<Point<D>>,
+        batches: Vec<(Vec<u32>, Vec<Point<D>>)>,
         inject_fault: bool,
-        reply: mpsc::Sender<Reply<DynamicDistRangeTree<D>>>,
-    },
-    /// Extract one half of `tree`, split by the first coordinate (ties
-    /// kept together), for migration to a sibling group. Replies with
-    /// the donor's rest, the migrated points and the axis-0 boundary
-    /// separating them from the points the donor kept.
-    SplitHalf {
-        tree: DynamicDistRangeTree<D>,
-        upper: bool,
-        reply: mpsc::Sender<Reply<(DynamicDistRangeTree<D>, Vec<Point<D>>, i64)>>,
-    },
-    /// Rebuild a store from the shard's write-ahead log: replay
-    /// `records` into a fresh tree and reply with it. The records are
-    /// folded into level point sets first and each level the log leaves
-    /// occupied is built once, so the job's machine runs are the rebuilt
-    /// store's levels, not the log's length.
-    Recover {
-        capacity: usize,
-        records: Vec<EpochRecord<D>>,
         reply: mpsc::Sender<Reply<DynamicDistRangeTree<D>>>,
     },
     /// Hand the machine back and exit the thread.
@@ -186,9 +168,8 @@ fn worker_loop<S: Semigroup, const D: usize>(
                     complete(part, stats.take().unwrap_or_default(), ran);
                 }
             }
-            ShardJob::Write { mut tree, deletes, inserts, inject_fault, reply } => {
+            ShardJob::Apply { tree, batches, inject_fault, reply } => {
                 let _ = reply.send(contain(shard, &machine, || {
-                    tree.delete_batch(&machine, &deletes).map_err(|e| e.to_string())?;
                     if inject_fault {
                         machine
                             .try_run(|ctx| {
@@ -199,19 +180,10 @@ fn worker_loop<S: Semigroup, const D: usize>(
                             })
                             .map_err(|e| cgm_error_string(&e))?;
                     }
-                    tree.insert_batch(&machine, &inserts).map_err(|e| e.to_string())?;
-                    Ok(tree)
-                }));
-            }
-            ShardJob::SplitHalf { mut tree, upper, reply } => {
-                let _ = reply.send(contain(shard, &machine, || {
-                    let (moved, boundary) = split_half(&machine, &mut tree, upper)?;
-                    Ok((tree, moved, boundary))
-                }));
-            }
-            ShardJob::Recover { capacity, records, reply } => {
-                let _ = reply.send(contain(shard, &machine, || {
-                    ddrs_wal::replay_into_store(&machine, capacity, &records)
+                    let batches =
+                        batches.iter().map(|(deletes, inserts)| (&deletes[..], &inserts[..]));
+                    tree.apply(&machine, batches)
+                        .map_err(|(at, e)| format!("batch {at} refused: {e}"))
                 }));
             }
             ShardJob::Stop { reply } => {
@@ -221,55 +193,6 @@ fn worker_loop<S: Semigroup, const D: usize>(
             }
         }
     }
-}
-
-/// Extract the upper (or lower) half of the store by axis 0, keeping
-/// equal first coordinates together so the result is a clean slab split:
-/// every migrated point is `>= b` (upper) or `< b` (lower) on axis 0,
-/// where `b` is the returned boundary.
-fn split_half<const D: usize>(
-    machine: &Machine,
-    tree: &mut DynamicDistRangeTree<D>,
-    upper: bool,
-) -> Result<(Vec<Point<D>>, i64), String> {
-    let mut pts: Vec<Point<D>> = tree.points().copied().collect();
-    if pts.len() < 2 {
-        return Err(format!("split impossible: shard holds {} point(s)", pts.len()));
-    }
-    pts.sort_unstable_by_key(|p| (p.coords[0], p.id));
-    let mut b = pts[pts.len() / 2].coords[0];
-    let moved_of = |b: i64| -> Vec<u32> {
-        if upper {
-            pts.iter().filter(|p| p.coords[0] >= b).map(|p| p.id).collect()
-        } else {
-            pts.iter().filter(|p| p.coords[0] < b).map(|p| p.id).collect()
-        }
-    };
-    let mut moved_ids = moved_of(b);
-    if moved_ids.is_empty() || moved_ids.len() == pts.len() {
-        // The median coordinate is a plateau reaching one end of the
-        // shard (upper: everything >= b; lower: nothing < b). The split
-        // is still possible as long as a second distinct coordinate
-        // exists: retreat the boundary to the smallest coordinate
-        // strictly above the plateau, which peels a non-empty proper
-        // subset off the right end (upper) or moves the plateau itself
-        // (lower).
-        match pts.iter().map(|p| p.coords[0]).find(|&c| c > b) {
-            Some(next) => {
-                b = next;
-                moved_ids = moved_of(b);
-            }
-            None => {
-                return Err(format!(
-                    "split impossible: all {} points share the splitting coordinate {b}",
-                    pts.len()
-                ));
-            }
-        }
-    }
-    debug_assert!(!moved_ids.is_empty() && moved_ids.len() < pts.len());
-    let moved = tree.extract_batch(machine, &moved_ids).map_err(|e| e.to_string())?;
-    Ok((moved, b))
 }
 
 // The worker's side of the version protocol, driven over its channel
@@ -298,8 +221,8 @@ mod tests {
     }
 
     fn write(w: &WorkerHandle<Sum, 2>, tree: &Tree, inject_fault: bool) -> Result<Tree, String> {
-        let (tree, deletes, inserts) = (tree.clone(), vec![0, 1], pts(100..104));
-        ask(w, |reply| ShardJob::Write { tree, deletes, inserts, inject_fault, reply })
+        let (tree, batches) = (tree.clone(), vec![(vec![0, 1], pts(100..104))]);
+        ask(w, |reply| ShardJob::Apply { tree, batches, inject_fault, reply })
     }
 
     /// The ids a read over everything reports on `tree`.
@@ -330,7 +253,7 @@ mod tests {
         let original: Vec<u32> = (0..20).collect();
         let written: Vec<u32> = (2..20).chain(100..104).collect();
 
-        // A Write builds a new version and leaves its base as it was.
+        // An Apply builds a new version and leaves its base as it was.
         let next = write(&w, &base, false).unwrap();
         assert_eq!(ids(&next), written);
         assert_eq!(ids(&base), original);
@@ -339,19 +262,22 @@ mod tests {
         assert_eq!(read(&w, &next), written);
         assert_eq!(read(&w, &base), original);
 
-        // SplitHalf hands back the donor's rest and the moved half.
-        let (rest, moved, _) =
-            ask(&w, |reply| ShardJob::SplitHalf { tree: base.clone(), upper: true, reply })
-                .unwrap();
-        assert!(!moved.is_empty() && !rest.is_empty());
-        let mut both: Vec<u32> = ids(&rest).into_iter().chain(moved.iter().map(|p| p.id)).collect();
-        both.sort_unstable();
-        assert_eq!(both, original);
-        assert_eq!(ids(&base), original);
-
-        // A Write that fails between its two cascades replies the failure.
+        // An Apply whose injected fault fires before the fold replies the
+        // failure.
         let e = write(&w, &base, true).unwrap_err();
         assert!(e.contains("ProcessorPanicked"), "{e}");
+        assert_eq!(read(&w, &base), original);
+
+        // A refused batch is named by its index; its version is untouched.
+        let batches = vec![(vec![], pts(200..201)), (vec![], pts(5..6))];
+        let e = ask(&w, |reply| ShardJob::Apply {
+            tree: base.clone(),
+            batches,
+            inject_fault: false,
+            reply,
+        })
+        .unwrap_err();
+        assert_eq!(e, "batch 1 refused: duplicate point id 5");
         assert_eq!(read(&w, &base), original);
 
         ask(&w, |reply| ShardJob::Stop { reply }).unwrap();

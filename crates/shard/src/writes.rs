@@ -186,10 +186,9 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     let mut runs_total = 0u64;
     // Scatter the sub-epochs (consuming any injected faults), then
     // gather. The jobs get copies: the batches go on to the log records.
-    for reply in router.round_trip(inner, &involved, |s, reply| ShardJob::Write {
+    for reply in router.round_trip(inner, &involved, |s, reply| ShardJob::Apply {
         tree: router.versions[s].clone(),
-        deletes: tree_deleted[s].clone(),
-        inserts: inserts[s].clone(),
+        batches: vec![(tree_deleted[s].clone(), inserts[s].clone())],
         inject_fault: inner.faults[s].swap(false, Ordering::SeqCst),
         reply,
     }) {

@@ -26,19 +26,20 @@
 //! [`replay_into_store`] folds a decoded record sequence into a fresh
 //! `DynamicDistRangeTree`, applying each record's deletes before its
 //! inserts (the same order the live shard used). It is one
-//! `DynamicDistRangeTree::replay`: the records only move point sets
-//! between the logarithmic method's levels, and Algorithm Construct runs
-//! once per level the whole log leaves occupied, not once per record: no
-//! query can arrive between two records of a replay, so the trees the
-//! live shard built after each epoch would be built here for nobody. The
-//! store is level for level the one the live shard held. `ddrs-shard`
-//! builds its `recover_shard()` on top of this: decode the quarantined
-//! shard's log, rebuild the store on the shard's own `Machine`, install
-//! it as the shard's version and let the rebuilt shard rejoin the
-//! service. Nothing else is rebuilt: the router keeps no id index, and a
-//! write finds an id by probing the versions' sorted id columns. A log that ended in a torn or corrupt tail
-//! is cut back to its clean prefix first ([`EpochWal::truncate`]), so
-//! the epochs committed after the recovery stay reachable.
+//! `DynamicDistRangeTree::apply` onto an empty store: the records only
+//! move point sets between the logarithmic method's levels, and Algorithm
+//! Construct runs once per level the whole log leaves occupied, not once
+//! per record: no query can arrive between two records of a replay, so
+//! the trees the live shard built after each epoch would be built here for
+//! nobody. The store is level for level the one the live shard held.
+//! `ddrs-shard`'s `recover_shard()` hands a quarantined shard's decoded
+//! records to its worker as the same `apply`, built on the shard's own
+//! `Machine`, installs the result as the shard's version and lets the
+//! rebuilt shard rejoin the service. Nothing else is rebuilt: the router
+//! keeps no id index, and a write finds an id by probing the versions'
+//! sorted id columns. A log that ended in a torn or corrupt tail is cut
+//! back to its clean prefix first ([`EpochWal::truncate`]), so the epochs
+//! committed after the recovery stay reachable.
 
 #![forbid(unsafe_code)]
 
@@ -168,7 +169,8 @@ pub fn replay_into_store<const D: usize>(
     records: &[EpochRecord<D>],
 ) -> Result<DynamicDistRangeTree<D>, String> {
     let batches = records.iter().map(|rec| (&rec.deletes[..], &rec.inserts[..]));
-    DynamicDistRangeTree::replay(machine, capacity, batches)
+    DynamicDistRangeTree::new(capacity)
+        .apply(machine, batches)
         .map_err(|(i, e)| format!("wal replay: insert batch of record {i} failed: {e}"))
 }
 

@@ -1,6 +1,6 @@
 //! Fault-injection harness for the sharded service: a simulated
 //! processor panics *mid-epoch* in one shard (injected through
-//! `Machine::try_run` between the delete and insert cascades), and the
+//! `Machine::try_run` before the sub-epoch's fold), and the
 //! blast radius must stop at that shard's boundary:
 //!
 //! * sibling shards keep serving reads and writes,
