@@ -856,13 +856,15 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
+        // `tests.rs` is the file form of a `#[cfg(test)] mod tests` item,
+        // which `lint_source` skips wholesale, and a `tests/` directory
+        // beside it holds that module's submodules.
+        if path.file_name().is_some_and(|n| n == "tests.rs" || n == "tests") {
+            continue;
+        }
         if path.is_dir() {
             collect_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs")
-            // `tests.rs` is the file form of a `#[cfg(test)] mod tests`
-            // item, which `lint_source` skips wholesale.
-            && path.file_name().is_some_and(|n| n != "tests.rs")
-        {
+        } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
     }

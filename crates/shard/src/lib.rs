@@ -75,16 +75,18 @@
 //! aborts the whole epoch: every request in it fails, no shard installs
 //! its sub-epoch, and the failing shard is **poisoned** — quarantined
 //! from all further traffic while its siblings keep serving. Committed
-//! history is never contradicted. An abort needs no message to any
-//! worker: every mutation (a sub-epoch, either side of a split, a
-//! recovery) is one job that folds its batches onto a clone of the
-//! version it carries (shared `Arc` levels) and replies with the version
-//! it built, and the router installs the replies only when the epoch or
-//! split commits. A poisoned store is the
-//! shard's last committed version. A failed log append aborts the same
-//! way: every log the epoch's or split's appends reached is cut back to
-//! its length before them, so no log holds a record that did not commit;
-//! only a log that cannot be cut back quarantines its shard.
+//! history is never contradicted. Every mutation (a write epoch, a
+//! split, a recovery, the initial load) commits through one protocol:
+//! each shard's part is one job that folds its batches onto a clone of
+//! the version it carries (shared `Arc` levels) and replies with the
+//! version it built; a shard whose job failed is poisoned; and only if
+//! every job built are the mutation's log records appended and the built
+//! versions installed. So an abort needs no message to any worker, a
+//! poisoned store is the shard's last committed version, and a refused
+//! recovery leaves the shard quarantined on it. A failed log append
+//! aborts the same way: every log the mutation's appends reached is cut
+//! back to its length before them, so no log holds a record that did not
+//! commit; only a log that cannot be cut back quarantines its shard.
 //!
 //! ## Rebalancing
 //!
@@ -108,13 +110,12 @@
 //!   dispatch (bounded-queue admission, window firing, the
 //!   group-preserving carve, deadline expiry, the consistency gate).
 //! * `router` — the router thread: its state, the dispatch loop that
-//!   *executes* a carved window, the one worker round-trip helper,
-//!   telemetry publishing, shutdown.
+//!   *executes* a carved window, `commit` (the one protocol that builds,
+//!   logs and installs a mutation), telemetry publishing, shutdown.
 //! * `reads` — plans a read window into per-shard fused sub-batches and
 //!   settles their results; generic over the query mode's value type.
-//! * `writes` — the write epoch: validate, scatter, log, then commit
-//!   (install the built versions) or abort (install nothing); and the
-//!   skew trigger.
+//! * `writes` — the write epoch: validate, then one `commit` of every
+//!   touched shard's sub-epoch; and the skew trigger.
 //! * `split` / `recover` — the two exclusive ops: migrate half a shard,
 //!   rebuild a quarantined shard from its write-ahead log.
 //! * `partition`, `stats`, `worker` — placement policies, telemetry, and
@@ -176,9 +177,9 @@ use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, EpochWal, LogSink, MemSink, RecordKind};
 
 use partition::Partitioner;
-use router::{exchange, router_loop, Inner, Op, Router};
+use router::{router_loop, Change, Inner, Op, Router};
 use sched::{Mode, SchedCore};
-use worker::{spawn_worker, ShardJob, WorkerHandle};
+use worker::spawn_worker;
 
 /// Tuning knobs of the sharded serving layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -337,77 +338,61 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         for p in initial {
             parts[part.place(p)].push(*p);
         }
-        let workers: Vec<WorkerHandle<S, D>> =
-            machines.into_iter().enumerate().map(|(i, m)| spawn_worker(i, m)).collect();
-        let mut versions = vec![DynamicDistRangeTree::<D>::new(capacity); shards];
-
-        // One write-ahead log per shard. Non-empty shards log their
-        // initial bulk load as the first record, so a recovery replay
-        // starts from the same state the worker does.
-        let wals: Vec<EpochWal<D>> = sinks.into_iter().map(EpochWal::with_sink).collect();
-
-        // Parallel bulk load; construction statistics are not part of
-        // the service telemetry, which covers exactly its own dispatches.
-        // Each shard starts building as soon as its own record is logged.
-        let loading: Vec<usize> = (0..shards).filter(|&sh| !parts[sh].is_empty()).collect();
-        let loaded = exchange(&workers, &loading, |sh, reply| {
-            let inserts = std::mem::take(&mut parts[sh]);
-            wals[sh]
-                .append_record(&EpochRecord::event(
-                    RecordKind::Load,
-                    0,
-                    Vec::new(),
-                    inserts.clone(),
-                ))
-                // ddrs-check: allow(unwrap) — construction-time append:
-                // no clients exist yet, and a service whose log cannot
-                // record its own initial state must not start.
-                .expect("initial WAL append failed");
-            let (tree, batches) =
-                (DynamicDistRangeTree::new(capacity), vec![(Vec::new(), inserts)]);
-            ShardJob::Apply { tree, batches, inject_fault: false, reply }
-        })
-        // ddrs-check: allow(unwrap) — construction-time bulk load: no
-        // clients exist yet, and a worker dying before the service is
-        // even built is unrecoverable.
-        .expect("bulk load");
-        for reply in loaded {
-            match reply.result {
-                Ok(tree) => versions[reply.shard] = tree,
-                Err(e) => panic!("initial bulk load failed on shard {}: {e}", reply.shard),
-            }
-        }
-
-        let inner = Arc::new(Inner {
+        let fresh = || ShardedStats {
+            per_shard: vec![ShardSnapshot::default(); shards],
+            ..Default::default()
+        };
+        let inner = Inner {
             cfg,
             sg,
             core: SchedCore::new(cfg),
-            stats: TrackedMutex::new(
-                "shard.stats",
-                ShardedStats {
-                    per_shard: vec![ShardSnapshot::default(); shards],
-                    ..Default::default()
-                },
-            ),
+            stats: TrackedMutex::new("shard.stats", fresh()),
             faults: (0..shards).map(|_| AtomicBool::new(false)).collect(),
-        });
-        let router_state = Router {
-            workers,
-            versions,
+        };
+        let mut router = Router {
+            workers: machines.into_iter().enumerate().map(|(i, m)| spawn_worker(i, m)).collect(),
+            versions: vec![DynamicDistRangeTree::new(capacity); shards],
             retired: Vec::new(),
             part,
             poisoned: vec![None; shards],
             next_seq: 0,
-            wals,
+            wals: sinks.into_iter().map(EpochWal::with_sink).collect(),
             capacity,
         };
+
+        // The parallel bulk load, one commit: built, then logged as each
+        // non-empty shard's first record, so a recovery replay starts
+        // from the same state the worker does. No clients exist yet, and
+        // a service that cannot build or log its own initial state must
+        // not start.
+        let loading: Vec<usize> = (0..shards).filter(|&sh| !parts[sh].is_empty()).collect();
+        let changes: Vec<_> = loading
+            .iter()
+            .map(|&sh| Change {
+                shard: sh,
+                base: DynamicDistRangeTree::new(capacity),
+                batches: vec![(Vec::new(), parts[sh].clone())],
+                inject_fault: false,
+            })
+            .collect();
+        let records = loading.iter().map(|&sh| {
+            let inserts = std::mem::take(&mut parts[sh]);
+            (sh, EpochRecord::event(RecordKind::Load, 0, Vec::new(), inserts))
+        });
+        if let Err(e) = router.commit(&inner, changes, records.collect(), |_| {}) {
+            panic!("initial bulk load failed on {e}");
+        }
+        // Construction statistics are not part of the service telemetry,
+        // which covers exactly its own dispatches.
+        *inner.stats.lock() = fresh();
+        let inner = Arc::new(inner);
         // Sizes, slab bounds and the bulk-load records already in the
         // logs: a store that is only ever read must still report them.
-        router_state.publish(&inner);
+        router.publish(&inner);
         let sched_inner = Arc::clone(&inner);
         let router = std::thread::Builder::new()
             .name("ddrs-shard-router".into())
-            .spawn(move || router_loop(&sched_inner, router_state))
+            .spawn(move || router_loop(&sched_inner, router))
             // ddrs-check: allow(unwrap) — OS thread-spawn failure at
             // startup; there is no running service to keep alive.
             .expect("spawning the shard router");

@@ -8,8 +8,7 @@ use std::time::Instant;
 use ddrs_rangetree::{DynamicDistRangeTree, Semigroup};
 use ddrs_wal::LogTail;
 
-use crate::router::{exchange, sole, Inner, Router};
-use crate::worker::ShardJob;
+use crate::router::{Change, Inner, Router};
 use crate::RecoveryReport;
 
 /// Rebuild quarantined shard `shard` from its write-ahead log and
@@ -21,14 +20,15 @@ use crate::RecoveryReport;
 ///    tail — exactly the committed records survive — and cut such a
 ///    tail off the log, so the epochs the rebuilt shard commits next are
 ///    appended behind the last good record, not behind the damage;
-/// 2. fold them onto an empty store and build it on the shard's own
-///    machine, one `Apply` job (the fold `ddrs_wal::replay_into_store`
-///    runs);
-/// 3. install it as the shard's version, retiring the poisoned one. The
-///    versions are all the router knows of where an id lives (a write
-///    probes their id columns), so there is no id index to rebuild, and
-///    the ids of records lost to a damaged tail are simply absent;
-/// 4. clear the quarantine and republish health.
+/// 2. fold them onto an empty store, build it on the shard's own
+///    machine and install it as the shard's version, retiring the
+///    poisoned one: one `Router::commit` of one `Apply` job (the fold
+///    `ddrs_wal::replay_into_store` runs) and no records, since the log
+///    already holds them. The versions are all the router knows of where
+///    an id lives (a write probes their id columns), so there is no id
+///    index to rebuild, and the ids of records lost to a damaged tail are
+///    simply absent;
+/// 3. clear the quarantine and republish health.
 ///
 /// On any failure the shard stays quarantined, its version is
 /// untouched, and the call can be retried.
@@ -50,22 +50,15 @@ pub(crate) fn do_recover<S: Semigroup, const D: usize>(
             .truncate(offset as u64, replayed as u64)
             .map_err(|e| format!("recover failed: cannot cut the damaged log tail: {e}"))?;
     }
-    // A dead worker is a soft error here, not a panic: the shard is
-    // already quarantined, and stays so.
-    let mut batches = records.into_iter().map(|rec| (rec.deletes, rec.inserts)).collect();
-    let reply = exchange(&router.workers, &[shard], |_, reply| ShardJob::Apply {
-        tree: DynamicDistRangeTree::new(router.capacity),
-        batches: std::mem::take(&mut batches),
-        inject_fault: false,
-        reply,
-    })
-    .map(sole)
-    .map_err(|e| format!("recover failed: {e}"))?;
-    inner.stats.lock().absorb_run(shard, &reply.stats);
-    // A refused batch is named by its record's index in the log.
-    let fresh = reply.result.map_err(|e| format!("recover failed: wal replay: {e}"))?;
-    let live = fresh.len();
-    router.install(shard, fresh);
+    // A refused batch is named by its record's index in the log. A
+    // refused replay re-poisons the shard with the replay's error.
+    let batches = records.into_iter().map(|rec| (rec.deletes, rec.inserts)).collect();
+    let base = DynamicDistRangeTree::new(router.capacity);
+    let change = Change { shard, base, batches, inject_fault: false };
+    router
+        .commit(inner, vec![change], Vec::new(), |_| {})
+        .map_err(|e| format!("recover failed: wal replay: {e}"))?;
+    let live = router.versions[shard].len();
     router.poisoned[shard] = None;
     let duration = t0.elapsed();
     {

@@ -1,7 +1,7 @@
 //! The router thread: its state (every shard's committed store version
-//! among it), the dispatch loop, the one worker round-trip helper every
-//! synchronous protocol step goes through, the one send for a read
-//! sub-batch, the all-or-nothing log append, publishing and shutdown.
+//! among it), the dispatch loop, the one commit protocol every mutation
+//! goes through ([`Router::commit`]), the one send for a read sub-batch,
+//! the all-or-nothing log append, publishing and shutdown.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use ddrs_check::TrackedMutex;
 use ddrs_client::{Commit, PlannedOp, Resolver, ServiceError};
-use ddrs_rangetree::{DynamicDistRangeTree, Semigroup};
+use ddrs_rangetree::{DynamicDistRangeTree, Point, Semigroup};
 use ddrs_trace::{SpanId, Stage};
 use ddrs_wal::{EpochRecord, EpochWal};
 
@@ -88,9 +88,9 @@ pub(crate) struct Inner<S: Semigroup, const D: usize> {
 pub(crate) struct Router<S: Semigroup, const D: usize> {
     pub workers: Vec<WorkerHandle<S, D>>,
     /// Every shard's committed store version. A job carries a clone
-    /// (O(levels)); a mutation's reply is installed here only when its
-    /// epoch or split commits, so an abort leaves this untouched. A
-    /// poisoned shard's entry is its last committed version.
+    /// (O(levels)); a mutation's reply is installed here only by a
+    /// [`Router::commit`] that succeeds, so an abort leaves this
+    /// untouched. A poisoned shard's entry is its last committed version.
     pub versions: Vec<DynamicDistRangeTree<D>>,
     /// Versions a dispatch replaced or built for nothing, dropped once
     /// its tickets have resolved, so freeing their levels never delays
@@ -110,27 +110,14 @@ pub(crate) struct Router<S: Semigroup, const D: usize> {
     pub capacity: usize,
 }
 
-/// Scatter one job per listed shard — `job(shard, reply_sender)` builds
-/// it — and gather exactly one reply each: parallel across the shards, a
-/// barrier for the caller. `Err` only when a worker thread is gone; job
-/// failures travel as `Err` *data* inside the replies.
-pub(crate) fn exchange<S: Semigroup, T, const D: usize>(
-    workers: &[WorkerHandle<S, D>],
-    shards: &[usize],
-    mut job: impl FnMut(usize, mpsc::Sender<Reply<T>>) -> ShardJob<S, D>,
-) -> Result<Vec<Reply<T>>, String> {
-    let (tx, rx) = mpsc::channel();
-    for &s in shards {
-        workers[s]
-            .tx
-            .send(job(s, tx.clone()))
-            .map_err(|_| format!("shard {s}'s worker is gone"))?;
-    }
-    drop(tx);
-    shards
-        .iter()
-        .map(|_| rx.recv().map_err(|_| "a shard worker dropped its reply".to_string()))
-        .collect()
+/// One shard's part of a [`Router::commit`]: the version `base` its
+/// worker folds `batches` of `(deletes, inserts)` onto, and whether an
+/// injected fault fires first.
+pub(crate) struct Change<const D: usize> {
+    pub shard: usize,
+    pub base: DynamicDistRangeTree<D>,
+    pub batches: Vec<(Vec<u32>, Vec<Point<D>>)>,
+    pub inject_fault: bool,
 }
 
 impl<S: Semigroup, const D: usize> Router<S, D> {
@@ -159,42 +146,71 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
     /// Hand `shard`'s worker a job that sends no reply back here: a read
     /// sub-batch, which completes on the worker thread.
     pub(crate) fn send(&self, shard: usize, job: ShardJob<S, D>) {
-        // ddrs-check: allow(unwrap) — a dead worker stays loud, as in `round_trip`.
+        // ddrs-check: allow(unwrap) — a dead worker stays loud, as in `commit`.
         self.workers[shard].tx.send(job).expect("shard worker died outside the poisoning protocol");
     }
 
-    /// The router's synchronous worker round trip: an [`exchange`] whose
-    /// replies' machine stats are absorbed into the telemetry, globally
-    /// and per shard. Replies come back in arrival order; match them to
-    /// shards by `Reply::shard`.
+    /// The one commit protocol, shared by a write epoch, a split, a
+    /// recovery and the initial load: send each change's `Apply` to its
+    /// worker and gather the replies, absorbing their machine stats, and
+    /// hand `gathered` the machine runs they cost. A shard whose job
+    /// failed is poisoned with that job's error. Only if every job built
+    /// are `records` appended through [`Router::log`] and every built
+    /// version installed; otherwise nothing is installed, every built
+    /// version is retired, and the error names the lowest-numbered
+    /// failing shard.
     ///
     /// # Panics
     /// If a worker thread is gone.
-    pub(crate) fn round_trip<T>(
-        &self,
+    pub(crate) fn commit(
+        &mut self,
         inner: &Inner<S, D>,
-        shards: &[usize],
-        job: impl FnMut(usize, mpsc::Sender<Reply<T>>) -> ShardJob<S, D>,
-    ) -> Vec<Reply<T>> {
-        let replies = exchange(&self.workers, shards, job)
-            // ddrs-check: allow(unwrap) — workers only exit via the Stop
-            // job the router itself sends at shutdown and report every
-            // failure as `Err` data, so a dead channel means a worker
-            // panicked outside the poisoning protocol; that must stay
-            // loud rather than fabricate a reply.
-            .expect("shard worker died outside the poisoning protocol");
+        changes: Vec<Change<D>>,
+        records: Vec<(usize, EpochRecord<D>)>,
+        gathered: impl FnOnce(u64),
+    ) -> Result<(), String> {
+        let ((tx, rx), jobs) = (mpsc::channel(), changes.len());
+        for Change { shard, base, batches, inject_fault } in changes {
+            let reply = tx.clone();
+            self.send(shard, ShardJob::Apply { tree: base, batches, inject_fault, reply });
+        }
+        drop(tx);
+        let mut replies: Vec<Reply<_>> = (0..jobs)
+            // ddrs-check: allow(unwrap) — workers report every failure as
+            // `Err` data and exit only when the router drops their channel,
+            // so a lost reply means a worker panicked outside the poisoning
+            // protocol; that must stay loud rather than fabricate a reply.
+            .map(|_| rx.recv().expect("shard worker died outside the poisoning protocol"))
+            .collect();
         let mut st = inner.stats.lock();
         for reply in &replies {
             st.absorb_run(reply.shard, &reply.stats);
         }
         drop(st);
-        replies
+        gathered(replies.iter().map(|reply| reply.stats.runs as u64).sum());
+        replies.sort_unstable_by_key(|reply| reply.shard);
+        let (mut built, mut failed) = (Vec::with_capacity(replies.len()), None);
+        for Reply { shard, result, .. } in replies {
+            match result {
+                Ok(version) => built.push((shard, version)),
+                Err(e) => {
+                    failed = failed.or_else(|| Some(format!("shard {shard}: {e}")));
+                    self.poisoned[shard] = Some(e);
+                }
+            }
+        }
+        let outcome = failed.map_or_else(|| self.log(records), Err);
+        match outcome {
+            Ok(()) => built.into_iter().for_each(|(s, version)| self.install(s, version)),
+            Err(_) => self.retired.extend(built.into_iter().map(|(_, version)| version)),
+        }
+        outcome
     }
 
-    /// Append `records` (an epoch's or a split's, one per shard) all or
-    /// none: if an append fails, every log this call reached is cut back
-    /// to its length before the call, and a log that cannot be cut back
-    /// quarantines its shard. The length is [`EpochWal::stats`], which is
+    /// Append `records` (an epoch's, a split's or the initial load's,
+    /// one per shard) all or none: if an append fails, every log this
+    /// call reached is cut back to its length before the call, and a log
+    /// that cannot be cut back quarantines its shard. The length is [`EpochWal::stats`], which is
     /// the sink's length for every log the service writes: the service
     /// starts each log itself and recovery re-bases the counters on its
     /// cut.
@@ -233,12 +249,6 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
     }
 }
 
-/// The reply of a one-job round trip.
-pub(crate) fn sole<T>(mut replies: Vec<Reply<T>>) -> Reply<T> {
-    debug_assert_eq!(replies.len(), 1, "one job, one reply");
-    replies.swap_remove(0)
-}
-
 pub(crate) fn router_loop<S: Semigroup, const D: usize>(
     inner: &Arc<Inner<S, D>>,
     mut router: Router<S, D>,
@@ -252,7 +262,7 @@ pub(crate) fn router_loop<S: Semigroup, const D: usize>(
                 // stop_workers joins every worker thread, so all
                 // in-flight read callbacks finish before we return the
                 // shard parts.
-                return stop_workers(inner, router);
+                return stop_workers(router);
             }
             Window::Dispatch { batch, expired } => (batch, expired),
         };
@@ -348,26 +358,21 @@ fn run_exclusive<S: Semigroup, V, const D: usize>(
     settle(resolver, Stage::Window, outcome.map_err(ServiceError::Machine));
 }
 
-fn stop_workers<S: Semigroup, const D: usize>(
-    inner: &Inner<S, D>,
-    router: Router<S, D>,
-) -> Vec<ShardParts<D>> {
-    let all: Vec<usize> = (0..router.shards()).collect();
-    let mut stopped = router.round_trip(inner, &all, |_, reply| ShardJob::Stop { reply });
-    stopped.sort_unstable_by_key(|reply| reply.shard);
+/// Close every worker's channel, so each leaves its loop after the jobs
+/// already queued (every in-flight read callback included), and join
+/// them, taking their machines back.
+fn stop_workers<S: Semigroup, const D: usize>(router: Router<S, D>) -> Vec<ShardParts<D>> {
     let Router { workers, versions, poisoned, .. } = router;
-    workers
+    let (txs, joins): (Vec<_>, Vec<_>) = workers.into_iter().map(|w| (w.tx, w.join)).unzip();
+    drop(txs);
+    joins
         .into_iter()
         .zip(versions)
         .zip(poisoned)
-        .zip(stopped)
-        .map(|(((handle, tree), poisoned), reply)| {
+        .map(|((join, tree), poisoned)| {
             // ddrs-check: allow(unwrap) — a worker panic is a worker bug;
             // surfacing it beats returning an inconsistent store silently.
-            handle.join.join().expect("shard worker panicked");
-            let Ok(machine) = reply.result else {
-                unreachable!("the Stop job only moves the machine into its reply")
-            };
+            let machine = join.join().expect("shard worker panicked");
             ShardParts { machine, tree, poisoned }
         })
         .collect()

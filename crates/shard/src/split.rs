@@ -2,15 +2,14 @@
 //! sibling, between dispatches. The router picks the half from the
 //! donor's committed version and refuses an impossible split before any
 //! worker hears of it; the donor's rest and the recipient's landing are
-//! then built in parallel, one `Apply` each, and installed together once
-//! both logs hold the migration. A split that fails anywhere before that
-//! installs nothing and logs nothing.
+//! then one `Router::commit`: built in parallel, one `Apply` each, and
+//! installed together once both logs hold the migration. A split that
+//! fails anywhere before that installs nothing and logs nothing.
 
 use ddrs_rangetree::{DynamicDistRangeTree, Point, Semigroup};
 use ddrs_wal::{EpochRecord, RecordKind};
 
-use crate::router::{Inner, Router};
-use crate::worker::ShardJob;
+use crate::router::{Change, Inner, Router};
 use crate::SplitReport;
 
 /// Migrate half of `donor`'s points to a lighter sibling. Runs between
@@ -50,55 +49,35 @@ pub(crate) fn do_split<S: Semigroup, const D: usize>(
     };
     let (moved, boundary) = halve(&router.versions[donor], to > donor)?;
 
-    // Build the donor's rest and the recipient's landing in parallel; a
-    // failed build poisons only its own shard.
+    // Build the donor's rest and the recipient's landing in parallel (a
+    // failed build poisons only its own shard) and log the migration on
+    // both shards' WALs before the routing state changes (the same
+    // log-before-resolve discipline as write epochs: by the time the
+    // split ticket resolves, both logs reproduce their stores). A split
+    // that fails installs nothing, and neither log holds the migration.
     let migrated_ids: Vec<u32> = moved.iter().map(|p| p.id).collect();
-    let mut replies = router.round_trip(inner, &[donor, to], |s, reply| ShardJob::Apply {
-        tree: router.versions[s].clone(),
-        batches: if s == donor {
-            vec![(migrated_ids.clone(), Vec::new())]
-        } else {
-            vec![(Vec::new(), moved.clone())]
-        },
-        inject_fault: false,
-        reply,
-    });
-    replies.sort_unstable_by_key(|reply| reply.shard);
-    let (mut built, mut failure) = (Vec::new(), None);
-    for reply in replies {
-        match reply.result {
-            Ok(version) => built.push((reply.shard, version)),
-            Err(e) => {
-                router.poisoned[reply.shard] = Some(format!("split rebuild failed: {e}"));
-                failure = failure.or(Some(format!("split failed on shard {}: {e}", reply.shard)));
-            }
-        }
-    }
-    if let Some(e) = failure {
-        router.retired.extend(built.into_iter().map(|(_, version)| version));
-        return Err(e);
-    }
-
-    // Log the migration on both shards' WALs before the routing state
-    // changes (the same log-before-resolve discipline as write epochs:
-    // by the time the split ticket resolves, both logs reproduce their
-    // stores). A failed append leaves neither log holding the migration.
     let seq = router.next_seq;
-    router
-        .log(vec![
-            (donor, EpochRecord::event(RecordKind::MigrateOut, seq, migrated_ids, Vec::new())),
-            (to, EpochRecord::event(RecordKind::MigrateIn, seq, Vec::new(), moved.clone())),
-        ])
-        .map_err(|e| format!("split failed: {e}"))?;
+    let change = |shard, batch| Change {
+        shard,
+        base: router.versions[shard].clone(),
+        batches: vec![batch],
+        inject_fault: false,
+    };
+    let changes = vec![
+        change(donor, (migrated_ids.clone(), Vec::new())),
+        change(to, (Vec::new(), moved.clone())),
+    ];
+    let records = vec![
+        (donor, EpochRecord::event(RecordKind::MigrateOut, seq, migrated_ids, Vec::new())),
+        (to, EpochRecord::event(RecordKind::MigrateIn, seq, Vec::new(), moved.clone())),
+    ];
+    router.commit(inner, changes, records, |_| {}).map_err(|e| format!("split failed: {e}"))?;
 
-    // Commit the migration: the two versions carry the moved ids. Under
-    // the range policy the shifted boundary re-describes residency
-    // exactly; under hash placement the moved points no longer live where
-    // the placement mix says, so degenerate-read routing must fall back
-    // to full fan-out from now on (a rect names no id to probe for).
-    for (s, version) in built {
-        router.install(s, version);
-    }
+    // The two committed versions carry the moved ids. Under the range
+    // policy the shifted boundary re-describes residency exactly; under
+    // hash placement the moved points no longer live where the placement
+    // mix says, so degenerate-read routing must fall back to full fan-out
+    // from now on (a rect names no id to probe for).
     if router.part.bounds().is_some() {
         debug_assert!(donor.abs_diff(to) == 1, "range split picked a non-adjacent sibling");
         router.part.shift_boundary(donor, to, boundary);

@@ -10,14 +10,14 @@
 //! on an epoch, which half of a shard a split moves, poisoning) lives in
 //! the router — the worker has no idea siblings exist.
 //!
-//! The router holds every shard's committed store version. Each job
-//! carries the version it works on: a read runs on it, and the one
-//! mutating job, `Apply`, folds its batches onto it (a clone is
-//! O(levels), every level shared), builds once and replies with the new
-//! version. A write sub-epoch, the initial load, a recovery and either
-//! side of a split are each one `Apply`. The router installs the reply
-//! only if the epoch, split or recovery commits, so an abort needs no
-//! message here.
+//! A worker runs two kinds of job, each carrying the version it works
+//! on: `Reads` runs a read sub-batch on it, and `Apply` folds its
+//! batches onto it (a clone is O(levels), every level shared), builds
+//! once and replies with the new version. Every mutation is `Apply`
+//! jobs sent by `Router::commit`, which installs the replies only if the
+//! whole commit succeeds, so an abort needs no message here. A worker
+//! leaves its loop when the router drops its channel, after the jobs
+//! already queued, and its thread hands the machine back.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -35,7 +35,7 @@ use ddrs_rangetree::{BatchResults, DynamicDistRangeTree, Point, QueryBatch, Semi
 /// The router builds these to resolve tickets and account telemetry
 /// without ever blocking on the read — reads gather asynchronously,
 /// while an `Apply` keeps its synchronous reply channel (the router
-/// *must* barrier on those to order the epoch protocol).
+/// *must* barrier on those to order its commits).
 pub(crate) type ReadComplete<S> =
     Box<dyn FnOnce(Result<BatchResults<S>, String>, RunStats, bool) + Send>;
 
@@ -45,7 +45,7 @@ pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
     /// `Machine::run` (zero when the sub-batch or the store is empty),
     /// then hand the outcome to `complete` on this worker thread. Read
     /// sub-batches already queued behind this one ride the same run:
-    /// every mutation is a round trip the router waits for, so the jobs
+    /// every mutation is a `Router::commit` the router waits for, so the jobs
     /// queued between two of them all carry the one version the router
     /// held in between.
     Reads { tree: DynamicDistRangeTree<D>, batch: QueryBatch<S, D>, complete: ReadComplete<S> },
@@ -61,13 +61,11 @@ pub(crate) enum ShardJob<S: Semigroup, const D: usize> {
         inject_fault: bool,
         reply: mpsc::Sender<Reply<DynamicDistRangeTree<D>>>,
     },
-    /// Hand the machine back and exit the thread.
-    Stop { reply: mpsc::Sender<Reply<Machine>> },
 }
 
-/// A worker's answer to one synchronous job: which shard, the job's
-/// outcome (a failure — a machine error or a contained panic — travels
-/// as `Err` data), and the stats of exactly the machine runs it cost.
+/// A worker's answer to one job: which shard, the job's outcome (a
+/// failure — a machine error or a contained panic — travels as `Err`
+/// data), and the stats of exactly the machine runs it cost.
 pub(crate) struct Reply<T> {
     pub shard: usize,
     pub result: Result<T, String>,
@@ -76,7 +74,8 @@ pub(crate) struct Reply<T> {
 
 pub(crate) struct WorkerHandle<S: Semigroup, const D: usize> {
     pub tx: mpsc::Sender<ShardJob<S, D>>,
-    pub join: JoinHandle<()>,
+    /// Hands the machine back once the worker has left its loop.
+    pub join: JoinHandle<Machine>,
 }
 
 pub(crate) fn spawn_worker<S: Semigroup, const D: usize>(
@@ -122,7 +121,7 @@ fn worker_loop<S: Semigroup, const D: usize>(
     shard: usize,
     machine: Machine,
     rx: &mpsc::Receiver<ShardJob<S, D>>,
-) {
+) -> Machine {
     // Start clean so every reply's stats cover exactly its own job.
     machine.take_stats();
     // A non-read job that ended a read drain; it runs next.
@@ -186,13 +185,9 @@ fn worker_loop<S: Semigroup, const D: usize>(
                         .map_err(|(at, e)| format!("batch {at} refused: {e}"))
                 }));
             }
-            ShardJob::Stop { reply } => {
-                let _ =
-                    reply.send(Reply { shard, result: Ok(machine), stats: RunStats::default() });
-                return;
-            }
         }
     }
+    machine
 }
 
 // The worker's side of the version protocol, driven over its channel
@@ -225,8 +220,9 @@ mod tests {
         ask(w, |reply| ShardJob::Apply { tree, batches, inject_fault, reply })
     }
 
-    /// The ids a read over everything reports on `tree`.
-    fn read(w: &WorkerHandle<Sum, 2>, tree: &Tree) -> Vec<u32> {
+    /// Queue a read over everything on `tree`; the ids it reports arrive
+    /// on the returned channel.
+    fn send_read(w: &WorkerHandle<Sum, 2>, tree: &Tree) -> mpsc::Receiver<Vec<u32>> {
         let (tx, rx) = mpsc::channel();
         let all = vec![Rect::new([0, 0], [800, 600])];
         let batch = QueryBatch::from_parts(Sum, vec![], vec![], all);
@@ -234,7 +230,12 @@ mod tests {
             let _ = tx.send(out.unwrap().reports.remove(0));
         });
         w.tx.send(ShardJob::Reads { tree: tree.clone(), batch, complete }).unwrap();
-        rx.recv().unwrap()
+        rx
+    }
+
+    /// The ids a read over everything reports on `tree`.
+    fn read(w: &WorkerHandle<Sum, 2>, tree: &Tree) -> Vec<u32> {
+        send_read(w, tree).recv().unwrap()
     }
 
     fn ids(tree: &Tree) -> Vec<u32> {
@@ -280,7 +281,22 @@ mod tests {
         assert_eq!(e, "batch 1 refused: duplicate point id 5");
         assert_eq!(read(&w, &base), original);
 
-        ask(&w, |reply| ShardJob::Stop { reply }).unwrap();
+        drop(w.tx);
         w.join.join().unwrap();
+    }
+
+    /// A worker leaves its loop when the router drops its channel, only
+    /// after the jobs already queued, and hands its machine back.
+    #[test]
+    fn a_closed_channel_stops_the_worker_after_its_queued_jobs() {
+        let machine = Machine::new(2).unwrap();
+        let mut tree = Tree::new(8);
+        tree.insert_batch(&machine, &pts(0..20)).unwrap();
+        let w = spawn_worker(0, machine);
+        let answer = send_read(&w, &tree);
+        drop(w.tx);
+        let machine = w.join.join().unwrap();
+        assert_eq!(machine.p(), 2);
+        assert_eq!(answer.try_recv().unwrap(), (0..20).collect::<Vec<u32>>());
     }
 }

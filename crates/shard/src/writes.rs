@@ -1,8 +1,9 @@
-//! The write path: validate a run of writes sequentially, build one
-//! sub-epoch version per touched shard, log it, and commit by installing
-//! the built versions — or abort the whole epoch, which installs nothing
-//! and leaves no log record; a shard whose machine failed is
-//! quarantined. Also the skew trigger that runs after a committed epoch.
+//! The write path: validate a run of writes sequentially, then commit
+//! one sub-epoch per touched shard through `Router::commit` — which
+//! builds, logs and installs them all, or aborts the whole epoch,
+//! installing nothing and leaving no log record, with a shard whose
+//! machine failed quarantined. Also the skew trigger that runs after a
+//! committed epoch.
 
 use std::collections::BTreeMap;
 use std::mem::take;
@@ -14,10 +15,9 @@ use ddrs_rangetree::{check_ids, BuildError, DynamicDistRangeTree, Point, Semigro
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, RecordKind};
 
-use crate::router::{settle, us_between, Inner, Op, Router};
+use crate::router::{settle, us_between, Change, Inner, Op, Router};
 use crate::sched::Pending;
 use crate::split::do_split;
-use crate::worker::ShardJob;
 
 /// Per-request validation verdict inside a write epoch.
 enum Verdict {
@@ -181,66 +181,46 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     for (r, _, _) in &outcomes {
         ddrs_trace::transition(r.span(), Stage::Window, Stage::MachineRun);
     }
-    let mut built = Vec::with_capacity(involved.len());
-    let mut failed = Vec::new();
-    let mut runs_total = 0u64;
-    // Scatter the sub-epochs (consuming any injected faults), then
-    // gather. The jobs get copies: the batches go on to the log records.
-    for reply in router.round_trip(inner, &involved, |s, reply| ShardJob::Apply {
-        tree: router.versions[s].clone(),
-        batches: vec![(tree_deleted[s].clone(), inserts[s].clone())],
-        inject_fault: inner.faults[s].swap(false, Ordering::SeqCst),
-        reply,
-    }) {
-        runs_total += reply.stats.runs as u64;
-        match reply.result {
-            Ok(version) => built.push((reply.shard, version)),
-            Err(e) => failed.push((reply.shard, e)),
-        }
-    }
-    let t_gather = Instant::now();
-    for (r, _, _) in &outcomes {
-        ddrs_trace::transition(r.span(), Stage::MachineRun, Stage::Merge);
-    }
-    if runs_total > 0 {
-        let mut st = inner.stats.lock();
-        st.write_epochs += 1;
-        st.write_shards_touched += involved.len() as u64;
-    }
-    account(&outcomes, t_scatter, Some(t_gather));
-
-    let mut epoch_error =
-        failed.iter().min_by_key(|(s, _)| *s).map(|(s, e)| format!("shard {s}: {e}"));
-    for (s, e) in failed {
-        router.poisoned[s] = Some(e);
-    }
-
+    // The jobs get copies (consuming any injected faults): the batches
+    // go on to the log records.
+    let changes: Vec<_> = involved
+        .iter()
+        .map(|&s| Change {
+            shard: s,
+            base: router.versions[s].clone(),
+            batches: vec![(tree_deleted[s].clone(), inserts[s].clone())],
+            inject_fault: inner.faults[s].swap(false, Ordering::SeqCst),
+        })
+        .collect();
+    let first_seq = router.next_seq;
+    let records = involved.iter().map(|&s| {
+        let (deletes, inserts) = (take(&mut tree_deleted[s]), take(&mut inserts[s]));
+        let verdicts = wal_verdicts.clone();
+        (s, EpochRecord { kind: RecordKind::Epoch, first_seq, verdicts, deletes, inserts })
+    });
     // Log-before-resolve: a committed epoch reaches every involved
     // shard's WAL before any of its tickets resolve, so a crash between
     // commit and resolution never yields a response the log cannot
-    // reproduce. The in-memory sink is infallible; a file sink's IO
-    // failure aborts the epoch, and `Router::log` cuts every log it
-    // reached back, so no log carries the aborted record.
+    // reproduce. A failed build or append aborts the epoch: nothing is
+    // installed, no log carries its record, and a shard whose machine
+    // failed is quarantined.
+    let mut t_gather = t_scatter;
+    let epoch_error = router
+        .commit(inner, changes, records.collect(), |runs| {
+            t_gather = Instant::now();
+            for (r, _, _) in &outcomes {
+                ddrs_trace::transition(r.span(), Stage::MachineRun, Stage::Merge);
+            }
+            if runs > 0 {
+                let mut st = inner.stats.lock();
+                st.write_epochs += 1;
+                st.write_shards_touched += involved.len() as u64;
+            }
+            account(&outcomes, t_scatter, Some(t_gather));
+        })
+        .err();
     if epoch_error.is_none() {
-        let first_seq = router.next_seq;
-        let records = involved.iter().map(|&s| {
-            let (deletes, inserts) = (take(&mut tree_deleted[s]), take(&mut inserts[s]));
-            let verdicts = wal_verdicts.clone();
-            (s, EpochRecord { kind: RecordKind::Epoch, first_seq, verdicts, deletes, inserts })
-        });
-        epoch_error = router.log(records.collect()).err();
-    }
-
-    // Commit: install the built versions. An abort installs nothing.
-    // Either way the versions left over are retired: dropped after the
-    // tickets resolve.
-    if epoch_error.is_none() {
-        for (s, version) in built {
-            router.install(s, version);
-        }
         maybe_rebalance(inner, router);
-    } else {
-        router.retired.extend(built.into_iter().map(|(_, version)| version));
     }
     // Publish before resolution: a client that has observed its write
     // response must also observe the epoch's effects in the telemetry —
