@@ -17,9 +17,9 @@
 //!  ──────────────   ┌──────────────────────┐   ┌───────────────────────┐
 //!  count(q) ───┐    │ group-commit window  │   │ shard 0: Machine +    │
 //!  insert(b) ──┼──▶ │  (the `sched` core:  │──▶│  worker thread        │
-//!  report(q) ──┘    │   max_batch /        │   ├───────────────────────┤
-//!     │             │   max_delay)         │   │ shard 1: Machine + …  │
-//!     ▼             │                      │   ├───────────────────────┤
+//!  report(q) ──┘    │   idle: at once;     │   ├───────────────────────┤
+//!     │             │   busy: max_batch,   │   │ shard 1: Machine + …  │
+//!     ▼             │   max_delay, settle) │   ├───────────────────────┤
 //!  Ticket::wait ◀───│ reads → routed fused │   │ …                     │
 //!  (value, global   │  sub-batches, async  │   ├───────────────────────┤
 //!   commit seq)     │  scatter-gather      │   │ shard S-1             │
@@ -53,11 +53,11 @@
 //! * **Concurrency.** Read windows never block the router: each shard's
 //!   fused sub-batch executes on that shard's own worker thread, which
 //!   also resolves the tickets (single-shard directly; cross-shard via a
-//!   shared countdown merging the partials). The router carves and
-//!   scatters the next window while earlier reads are still running, so
-//!   shards with independent work proceed in parallel. Write epochs and
-//!   splits stay synchronous on the router thread — that barrier *is*
-//!   the epoch protocol.
+//!   shared countdown merging the partials). While reads are in flight
+//!   the next window gathers company until the last one settles (or
+//!   `max_delay`, or `max_batch`); an idle service dispatches at once.
+//!   Write epochs and splits stay synchronous on the router thread —
+//!   that barrier *is* the epoch protocol.
 //! * **Global sequence.** The router assigns every committed response a
 //!   position in one *global* commit order at planning time: replaying
 //!   committed requests in `seq` order through a sequential oracle
@@ -189,8 +189,9 @@ pub struct ShardedConfig {
     /// cap: a request carrying more reads than `max_batch` still
     /// dispatches as one fused window per shard.
     pub max_batch: usize,
-    /// Dispatch once the oldest pending request has waited this long
-    /// (`Duration::MAX`: never; only `max_batch` fires a window).
+    /// The longest a request waits for company while a read it could
+    /// ride is still in flight; with none in flight a window fires at
+    /// once (`Duration::MAX`: only `max_batch` fires a busy window).
     pub max_delay: Duration,
     /// Admission bound: submissions beyond this queue depth are rejected
     /// with [`SubmitError::Overloaded`]; a single request carrying more
@@ -452,11 +453,8 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
     }
 
     /// Admission shared by the exclusive ops and the [`RangeStore`]
-    /// `submit` impl, delegated to the scheduler core: ops of one
-    /// request are admitted all-or-nothing and enqueued contiguously
-    /// under one fresh group id. `make` lowers the request only once
-    /// admission is certain; it runs under the core's queue lock and
-    /// must not take locks of its own.
+    /// `submit` impl: the scheduler core's `submit_ops` (all-or-nothing,
+    /// one group id, `make` under the queue lock), opening op spans.
     fn enqueue_ops(
         &self,
         n_ops: usize,

@@ -63,15 +63,10 @@ impl PartitionPolicy {
         assert!(shards >= 1, "need at least one shard");
         let mut xs: Vec<i64> = sample.iter().map(|p| p.coords[0]).collect();
         xs.sort_unstable();
-        let bounds = (1..shards)
-            .map(|i| {
-                if xs.is_empty() {
-                    i as i64
-                } else {
-                    xs[(xs.len() * i / shards).min(xs.len() - 1)]
-                }
-            })
-            .collect();
+        // `i < shards` keeps the index in range; an empty sample gives 1, 2, …
+        let bounds =
+            (1..shards).map(|i| xs.get(xs.len() * i / shards).copied().unwrap_or(i as i64));
+        let bounds = bounds.collect();
         PartitionPolicy::Range { bounds }
     }
 }
@@ -97,12 +92,8 @@ fn mix_coords<const D: usize>(coords: &[i64; D]) -> u64 {
 pub(crate) enum Partitioner {
     Hash {
         shards: usize,
-        /// Whether any rebalance has migrated points away from their
-        /// placement shard. While `false`, a degenerate query may trust
-        /// the placement mix and route to one shard; once `true`, the
-        /// mix no longer predicts residency and point lookups must fan
-        /// out like any other hash-policy read (a coordinate rect names
-        /// no id to probe the versions for).
+        /// Whether a rebalance has moved points off their placement
+        /// shard ([`Partitioner::note_hash_migration`]).
         moved: bool,
     },
     Range {
@@ -134,16 +125,8 @@ impl Partitioner {
         }
     }
 
-    /// The inclusive shard interval a query's extent overlaps.
-    /// Empty rects fan out to no shard (the router answers them locally).
-    /// Under hash placement a *degenerate* query (one coordinate on every
-    /// axis) recomputes the placement mix and visits exactly one shard —
-    /// unless a migration has moved points off their placement shard
-    /// ([`Partitioner::note_hash_migration`]), after which even point
-    /// lookups fan out everywhere; any wider interval must always visit
-    /// all shards, because coordinate hashing destroys locality. Under
-    /// the range policy the fan-out is the slabs the axis-0 interval
-    /// overlaps.
+    /// The inclusive shard interval a query's extent overlaps (see the
+    /// module docs); an empty rect fans out to no shard.
     pub(crate) fn read_fanout<const D: usize>(
         &self,
         q: &Rect<D>,
@@ -199,13 +182,10 @@ impl Partitioner {
         }
     }
 
-    /// Record that a migration has moved hash-placed points away from
-    /// their placement shard (range policy: no-op — the shifted boundary
-    /// already re-describes residency exactly). From here on the
-    /// placement mix no longer predicts where a coordinate's point
-    /// lives, so [`read_fanout`](Partitioner::read_fanout) stops routing
-    /// degenerate queries to a single shard and falls back to full
-    /// fan-out, keeping answers byte-identical to the unsharded store.
+    /// Record that a migration has moved hash-placed points off their
+    /// placement shard: the mix no longer predicts residency, so point
+    /// lookups fan out everywhere from here on. A no-op under the range
+    /// policy, whose shifted boundary re-describes residency exactly.
     pub(crate) fn note_hash_migration(&mut self) {
         if let Partitioner::Hash { moved, .. } = self {
             *moved = true;

@@ -21,7 +21,7 @@ use ddrs_rangetree::{BatchResults, QueryBatch, Rect, Semigroup};
 use ddrs_trace::{SpanId, Stage};
 
 use crate::partition::Partitioner;
-use crate::router::{settle, us_between, Inner, Op, Router};
+use crate::router::{resolve_timed, settle, us_between, Inner, Op, Router};
 use crate::sched::Pending;
 use crate::worker::{ReadComplete, ShardJob};
 use crate::ShardedStats;
@@ -78,9 +78,8 @@ impl<V: Default> CrossOp<V> {
 }
 
 /// Where one query of a shard's fused sub-batch delivers its result: a
-/// single-shard op resolves its ticket directly on the worker thread
-/// (no `Arc`, no mutex); a cross-shard op folds into its shared
-/// countdown.
+/// single-shard op resolves its ticket directly on the worker thread; a
+/// cross-shard op folds into its shared countdown.
 enum Slot<V> {
     Solo(Resolver<V>, u64, Instant),
     Cross(Arc<CrossOp<V>>),
@@ -135,18 +134,14 @@ struct SubBatchSlots<S: Semigroup> {
 }
 
 /// Window-level read telemetry, shared by every shard callback of one
-/// scattered window: `dispatches` counts *windows* that reached at least
-/// one machine (not sub-batches), and the batch-size histogram records
-/// client queries per window. The first shard to finish after a real run
-/// claims the count — its own run or one it shared with sub-batches
-/// queued next to it (`ran`), so a window counts the same whether or not
-/// it ran alone.
+/// window: `dispatches` counts *windows* that reached a machine, and the
+/// batch-size histogram client queries per window. The first shard to
+/// finish after a run (its own or one it shared, `ran`) claims the count.
 struct WindowTally {
     routed: u64,
     counted: AtomicBool,
     /// When the router carved this window (Queue → Window boundary of
-    /// every op it routed) — the always-on stage-breakdown clock shared
-    /// by all shard callbacks.
+    /// every op it routed), for the always-on stage breakdown.
     carve: Instant,
     /// When the router finished planning and began the scatter
     /// (Window → MachineRun boundary).
@@ -157,8 +152,8 @@ struct WindowTally {
 /// *touched* shard and scatter the sub-batches to the shard workers —
 /// without waiting for any of them. Sequence numbers are pre-assigned
 /// here on the router thread (planning order is the global order);
-/// ticket resolution happens on the worker threads as each shard
-/// finishes, so the router is immediately free to carve the next window.
+/// tickets resolve on the worker threads as each shard finishes, while
+/// the router gathers the next window.
 pub(crate) fn dispatch_reads<S: Semigroup, const D: usize>(
     inner: &Arc<Inner<S, D>>,
     router: &mut Router<S, D>,
@@ -239,12 +234,24 @@ pub(crate) fn dispatch_reads<S: Semigroup, const D: usize>(
         let batch = QueryBatch::from_parts(inner.sg, counts.rects, aggs.rects, reports.rects);
         let slots =
             SubBatchSlots { counts: counts.slots, aggs: aggs.slots, reports: reports.slots };
-        let (inner, tally) = (Arc::clone(inner), Arc::clone(&tally));
+        inner.core.read_sent();
+        let (sent, tally) = (InFlight(Arc::clone(inner)), Arc::clone(&tally));
         let complete: ReadComplete<S> = Box::new(move |result, run_stats, ran| {
-            finish_shard_reads(&inner, s, result, run_stats, ran, slots, &tally);
+            finish_shard_reads(&sent.0, s, result, run_stats, ran, slots, &tally);
         });
         let tree = router.versions[s].clone();
         router.send(s, ShardJob::Reads { tree, batch, complete });
+    }
+}
+
+/// One read sub-batch in flight, from its send until its completion
+/// drops this: after releasing `shard.stats`, or while a client
+/// callback's panic unwinds.
+struct InFlight<S: Semigroup, const D: usize>(Arc<Inner<S, D>>);
+
+impl<S: Semigroup, const D: usize> Drop for InFlight<S, D> {
+    fn drop(&mut self) {
+        self.0.core.read_settled();
     }
 }
 
@@ -305,17 +312,13 @@ impl Settling<'_> {
 }
 
 /// Worker-thread completion of one shard's fused read sub-batch: absorb
-/// the run's stats (empty when an earlier sub-batch of the same run
-/// already reported them), resolve single-shard tickets directly, and fold
-/// cross-shard partials into their shared countdowns (the last shard to
-/// arrive resolves). Stats mutation and partial-folding happen in one
-/// critical section — so a final cross arrival always observes every
-/// earlier shard's run already absorbed, and counters are bumped
-/// *before* each resolution (a client that has observed its response
-/// also observes it as completed in any telemetry snapshot) — but the
-/// resolutions themselves are deferred until the guard is dropped:
-/// client wakeups must not serialize other shards' read completions on
-/// the global stats mutex under high fan-in.
+/// the run's stats (empty when a sub-batch sharing the run reported
+/// them), decide solo tickets and fold cross-shard partials (the last
+/// arrival decides), all in one stats critical section — so counters are
+/// bumped *before* each resolution, and a client that saw its response
+/// sees it completed in any snapshot — then resolve after the guard
+/// drops, so client wakeups do not serialize other shards' completions
+/// on the stats mutex.
 fn finish_shard_reads<S: Semigroup, const D: usize>(
     inner: &Inner<S, D>,
     shard: usize,
@@ -351,21 +354,7 @@ fn finish_shard_reads<S: Semigroup, const D: usize>(
     settling.lane(reports, slots.reports, |acc, part| acc.extend(part), |ids| ids.sort_unstable());
     let resolutions = settling.resolutions;
     drop(st);
-    let t_merge1 = Instant::now();
-    let n_res = resolutions.len();
-    for resolve in resolutions {
-        resolve();
-    }
-    if n_res > 0 {
-        let t_resolve1 = Instant::now();
-        // Merge/resolve durations are only knowable after the resolutions
-        // ran, so they land in a second stats acquisition — a deliberate
-        // relaxation of the stats-before-resolve rule: their duration IS
-        // the resolution work itself.
-        let mut st = inner.stats.lock();
-        for _ in 0..n_res {
-            st.stages.merge.record(us_between(settle_now, t_merge1));
-            st.stages.resolve.record(us_between(t_merge1, t_resolve1));
-        }
-    }
+    resolve_timed(inner, settle_now, resolutions.len(), || {
+        resolutions.into_iter().for_each(|r| r())
+    });
 }

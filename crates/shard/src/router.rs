@@ -69,8 +69,7 @@ pub(crate) fn us_between(from: Instant, to: Instant) -> u64 {
 pub(crate) struct Inner<S: Semigroup, const D: usize> {
     pub cfg: ShardedConfig,
     pub sg: S,
-    /// The group-commit scheduler core (admission, window firing,
-    /// group-preserving carve, deadline expiry — see `sched`).
+    /// The group-commit scheduler core (see `sched`).
     pub core: SchedCore<Op<S, D>>,
     /// Lock class `shard.stats` — before `wal.append` and
     /// `shard.cross` (see `ddrs_check`'s canonical order). The
@@ -130,8 +129,7 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
         self.poisoned[shard].as_ref().map(|reason| format!("shard {shard} is poisoned: {reason}"))
     }
 
-    /// Install `version` as shard `s`'s committed one and retire the
-    /// version it replaces.
+    /// Install shard `s`'s committed `version`, retiring the old one.
     pub(crate) fn install(&mut self, s: usize, version: DynamicDistRangeTree<D>) {
         let replaced = std::mem::replace(&mut self.versions[s], version);
         self.retired.push(replaced);
@@ -210,10 +208,9 @@ impl<S: Semigroup, const D: usize> Router<S, D> {
     /// Append `records` (an epoch's, a split's or the initial load's,
     /// one per shard) all or none: if an append fails, every log this
     /// call reached is cut back to its length before the call, and a log
-    /// that cannot be cut back quarantines its shard. The length is [`EpochWal::stats`], which is
-    /// the sink's length for every log the service writes: the service
-    /// starts each log itself and recovery re-bases the counters on its
-    /// cut.
+    /// that cannot be cut back quarantines its shard. The length is
+    /// [`EpochWal::stats`], the sink's length for every log the service
+    /// writes (it starts each log, and recovery re-bases on its cut).
     pub(crate) fn log(&mut self, records: Vec<(usize, EpochRecord<D>)>) -> Result<(), String> {
         let marks: Vec<_> = records.iter().map(|&(s, _)| self.wals[s].stats()).collect();
         let Some((k, e)) = records
@@ -316,6 +313,30 @@ fn fail_queued<S: Semigroup, const D: usize>(
         ddrs_trace::end_err(p.op.span(), Stage::Queue);
         let e = error(&p);
         p.op.fail(e);
+    }
+}
+
+/// Run `n` ticket resolutions and record each one's merge (from
+/// `merge0`) and resolve durations. These are only knowable after the
+/// resolutions ran, so they land in a second stats acquisition — a
+/// deliberate relaxation of the stats-before-resolve rule: their
+/// duration IS the resolution work itself.
+pub(crate) fn resolve_timed<S: Semigroup, const D: usize>(
+    inner: &Inner<S, D>,
+    merge0: Instant,
+    n: usize,
+    resolve: impl FnOnce(),
+) {
+    let t_merge1 = Instant::now();
+    resolve();
+    if n == 0 {
+        return;
+    }
+    let t_resolve1 = Instant::now();
+    let mut st = inner.stats.lock();
+    for _ in 0..n {
+        st.stages.merge.record(us_between(merge0, t_merge1));
+        st.stages.resolve.record(us_between(t_merge1, t_resolve1));
     }
 }
 

@@ -2,11 +2,23 @@
 //! the router dispatches.
 //!
 //! Client requests coalesce in a bounded FIFO of pending ops with
-//! admission control, `max_batch`/`max_delay` window firing, deadline
-//! expiry in the queue, a carve that pops the dispatchable prefix, and an
-//! `AtLeast` consistency gate judged at dispatch time. [`SchedCore`] is
-//! that policy; `router` keeps only how a carved window is *executed*
-//! (per-shard scatter-gather).
+//! admission control, window firing, deadline expiry in the queue, a
+//! carve that pops the dispatchable prefix, and an `AtLeast` consistency
+//! gate judged at dispatch time. [`SchedCore`] is that policy; `router`
+//! keeps only how a carved window is *executed* (per-shard
+//! scatter-gather).
+//!
+//! ## When a window fires
+//!
+//! At once when no read sub-batch is in flight: a lone request never
+//! waits for company that is not coming. Otherwise when the last
+//! in-flight sub-batch settles, when the oldest request has waited
+//! `max_delay`, or at `max_batch` pending, whichever comes first, so what
+//! queued while the shards were busy rides one batch. Only reads can be
+//! in flight: write epochs and exclusive ops block the router until they
+//! commit. The router counts each sub-batch sent
+//! ([`SchedCore::read_sent`]); a guard its completion owns settles it
+//! ([`SchedCore::read_settled`]) on drop, a panicking callback's too.
 //!
 //! ## The carve invariants
 //!
@@ -106,6 +118,8 @@ struct SchedQueue<O> {
     /// [`SchedCore::fill_admission`].
     submitted: u64,
     overloaded: u64,
+    /// Read sub-batches sent to a worker and not yet settled.
+    in_flight: usize,
 }
 
 /// The scheduler state: one bounded pending queue, its mode, and the
@@ -120,7 +134,7 @@ pub(crate) struct SchedCore<O> {
 }
 
 impl<O: Queued> SchedCore<O> {
-    /// Build a core that fires windows by `cfg`'s `max_batch` /
+    /// Build a core that fires busy windows by `cfg`'s `max_batch` /
     /// `max_delay` and admits up to its `queue_capacity`.
     pub fn new(cfg: ShardedConfig) -> Self {
         SchedCore {
@@ -133,6 +147,7 @@ impl<O: Queued> SchedCore<O> {
                     group_counter: 0,
                     submitted: 0,
                     overloaded: 0,
+                    in_flight: 0,
                 },
             ),
             arrived: TrackedCondvar::new(),
@@ -210,6 +225,20 @@ impl<O: Queued> SchedCore<O> {
         self.arrived.notify_all();
     }
 
+    /// A read sub-batch was sent (see "When a window fires").
+    pub fn read_sent(&self) {
+        self.queue.lock().in_flight += 1;
+    }
+
+    /// A read sub-batch settled; the last one wakes a held window.
+    pub fn read_settled(&self) {
+        let mut q = self.queue.lock();
+        q.in_flight -= 1;
+        if q.in_flight == 0 {
+            self.arrived.notify_all();
+        }
+    }
+
     /// Block until there is something to do and say what: a carved
     /// window to dispatch, or a shutdown.
     pub fn next_window(&self) -> Window<O> {
@@ -230,7 +259,7 @@ impl<O: Queued> SchedCore<O> {
                         q = self.arrived.wait(q);
                         continue;
                     };
-                    if q.q.len() >= self.cfg.max_batch {
+                    if q.in_flight == 0 || q.q.len() >= self.cfg.max_batch {
                         break;
                     }
                     // `None`: a delay too long to represent never fires.

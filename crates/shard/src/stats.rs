@@ -101,22 +101,16 @@ impl ShardedStats {
     /// Queries answered per machine run across all shards — the
     /// coalescing leverage of the router (0 before any run).
     pub fn coalescing_factor(&self) -> f64 {
-        if self.machine.runs == 0 {
-            0.0
-        } else {
-            self.queries_coalesced as f64 / self.machine.runs as f64
-        }
+        // No run, no coalesced query: 0 / 1.
+        self.queries_coalesced as f64 / self.machine.runs.max(1) as f64
     }
 
     /// Mean shards touched per routed read op (0 before any routed
     /// read). 1.0 = perfectly minimal routing; `S` = everything fans
     /// out everywhere.
     pub fn mean_read_fanout(&self) -> f64 {
-        if self.read_ops_routed == 0 {
-            0.0
-        } else {
-            self.read_shards_touched as f64 / self.read_ops_routed as f64
-        }
+        // No routed read, no shard touched: 0 / 1.
+        self.read_shards_touched as f64 / self.read_ops_routed.max(1) as f64
     }
 
     /// Median request latency in µs (bucket upper bound).

@@ -99,10 +99,13 @@ fn insert_delete_reinsert_in_one_epoch() {
         ShardedConfig { max_delay: Duration::from_millis(50), ..Default::default() },
     )
     .unwrap();
-    // Delete id 3, then re-insert it at a new location.
+    // Delete id 3, then re-insert it at a new location. A read in
+    // flight holds the first write until the second has queued.
     let moved = vec![Point::weighted([700, 500], 3, 9)];
+    service.inner.core.read_sent();
     let t1 = service.delete(vec![3]).unwrap();
     let t2 = service.insert(moved).unwrap();
+    service.inner.core.read_settled();
     let s1 = t1.wait().unwrap().seq;
     let s2 = t2.wait().unwrap().seq;
     assert!(s1 < s2, "epoch preserves arrival order in commit seqs");
@@ -436,9 +439,11 @@ fn queued_read_windows_share_one_machine_run() {
     )
     .unwrap();
     let all = Rect::new([0, 0], [800, 600]);
-    // Window 0: its first ticket's callback runs on the worker thread
-    // and parks it there (registered before the window can fire — one
-    // op is below max_batch — so it cannot run on this thread).
+    // A read in flight, so every window waits for max_batch. Window 0:
+    // its first ticket's callback runs on the worker thread and parks it
+    // there (registered before the window can fire — one op is below
+    // max_batch — so it cannot run on this thread).
+    service.inner.core.read_sent();
     let (entered_tx, entered) = mpsc::channel::<u64>();
     let (release, gate) = mpsc::channel::<()>();
     service.count(all).unwrap().on_resolve(move |out| {
@@ -495,6 +500,8 @@ fn abort_rejects_pending_requests() {
         ShardedConfig { max_batch: 1024, max_delay: Duration::from_secs(5), ..Default::default() },
     )
     .unwrap();
+    // A read in flight: the queued counts wait for company.
+    service.inner.core.read_sent();
     let tickets: Vec<_> =
         (0..10).map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap()).collect();
     let parts = service.abort();
@@ -519,9 +526,8 @@ fn queued_deadline_expires_without_touching_any_machine() {
         },
     )
     .unwrap();
-    let doomed = service
-        .count_within(Rect::new([0, 0], [800, 600]), Some(Duration::from_millis(1)))
-        .unwrap();
+    // A zero deadline has passed by the carve, however soon it fires.
+    let doomed = service.count_within(Rect::new([0, 0], [800, 600]), Some(Duration::ZERO)).unwrap();
     assert_eq!(doomed.wait(), Err(ServiceError::DeadlineExpired));
     let stats = service.stats();
     assert_eq!(stats.expired, 1);
@@ -547,6 +553,8 @@ fn backpressure_rejects_beyond_capacity() {
     )
     .unwrap();
     let q = Rect::new([0, 0], [800, 600]);
+    // A read in flight, so the window waits and these all hit the queue.
+    service.inner.core.read_sent();
     let mut admitted = Vec::new();
     let mut overloaded = 0;
     for _ in 0..6 {
@@ -619,8 +627,11 @@ fn read_failure_fails_only_the_ops_that_needed_the_shard() {
     a.count(everything);
     let mut b = Request::new();
     let b_count = b.count(left);
+    // A read in flight holds A's window until B has queued behind it.
+    service.inner.core.read_sent();
     let ta = service.submit(a).unwrap();
     let tb = service.submit(b).unwrap();
+    service.inner.core.read_settled();
 
     match ta.wait() {
         Err(ServiceError::Machine(msg)) => {
@@ -718,6 +729,8 @@ fn an_unrepresentable_max_delay_fires_the_window_on_max_batch_only() {
     )
     .unwrap();
     let all = Rect::new([0, 0], [800, 600]);
+    // A read in flight, so a window below max_batch waits for company.
+    service.inner.core.read_sent();
     let first = service.count(all).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     assert!(!first.is_done(), "one op is below max_batch and the delay never fires");
@@ -863,8 +876,9 @@ fn window_fires_on_batch_size_and_on_delay() {
         }
         Window::Shutdown { .. } => panic!("expected dispatch at max_batch"),
     }
-    // One op below the cap: fires only after max_delay.
+    // One op below the cap, a read in flight: fires only after max_delay.
     let quick = core_with(64, Duration::from_millis(2), 8);
+    quick.read_sent();
     quick.submit_ops(1, || (vec![1], None, None)).unwrap();
     let t0 = Instant::now();
     match quick.next_window() {
@@ -872,4 +886,37 @@ fn window_fires_on_batch_size_and_on_delay() {
         Window::Shutdown { .. } => panic!("expected dispatch after max_delay"),
     }
     assert!(t0.elapsed() >= Duration::from_millis(2));
+}
+
+#[test]
+fn an_idle_core_fires_a_lone_op_at_once() {
+    let core = core_with(64, Duration::from_secs(10), 8);
+    core.submit_ops(1, || (vec![1], None, None)).unwrap();
+    let t0 = Instant::now();
+    match core.next_window() {
+        Window::Dispatch { batch, .. } => assert_eq!(batch.len(), 1),
+        Window::Shutdown { .. } => panic!("expected dispatch"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(5), "an idle core waited for max_delay");
+}
+
+#[test]
+fn a_busy_core_holds_its_window_until_the_last_read_settles() {
+    let core = core_with(64, Duration::from_secs(60), 8);
+    let last = AtomicBool::new(false);
+    core.read_sent();
+    core.read_sent();
+    core.submit_ops(1, || (vec![1], None, None)).unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            core.read_settled();
+            last.store(true, Ordering::SeqCst);
+            core.read_settled();
+        });
+        match core.next_window() {
+            Window::Dispatch { batch, .. } => assert_eq!(batch.len(), 1),
+            Window::Shutdown { .. } => panic!("expected dispatch"),
+        }
+        assert!(last.load(Ordering::SeqCst), "the window fired with a read still in flight");
+    });
 }

@@ -32,10 +32,8 @@ use ddrs_rangetree::{BatchResults, DynamicDistRangeTree, Point, QueryBatch, Semi
 /// shared one run (see [`ShardJob::Reads`]) all see `ran == true`, but
 /// only the first is handed the run's stats — the rest get empty ones,
 /// so absorbing every callback's stats counts the run once.
-/// The router builds these to resolve tickets and account telemetry
-/// without ever blocking on the read — reads gather asynchronously,
-/// while an `Apply` keeps its synchronous reply channel (the router
-/// *must* barrier on those to order its commits).
+/// The router builds these so it never blocks on a read; an `Apply`
+/// keeps a reply channel, since the router orders its commits on it.
 pub(crate) type ReadComplete<S> =
     Box<dyn FnOnce(Result<BatchResults<S>, String>, RunStats, bool) + Send>;
 

@@ -15,7 +15,7 @@ use ddrs_rangetree::{check_ids, BuildError, DynamicDistRangeTree, Point, Semigro
 use ddrs_trace::Stage;
 use ddrs_wal::{EpochRecord, RecordKind};
 
-use crate::router::{settle, us_between, Change, Inner, Op, Router};
+use crate::router::{resolve_timed, settle, us_between, Change, Inner, Op, Router};
 use crate::sched::Pending;
 use crate::split::do_split;
 
@@ -227,19 +227,9 @@ pub(crate) fn dispatch_write_epoch<S: Semigroup, const D: usize>(
     // a skew-triggered migration it caused, or the quarantine behind its
     // abort.
     router.publish(inner);
-    let n_ops = outcomes.len();
-    let t_merge1 = Instant::now();
-    resolve_all(outcomes, router, epoch_error.as_ref(), Stage::Merge);
-    let t_resolve1 = Instant::now();
-    // Merge/resolve durations are only knowable after the resolutions
-    // ran, so they land in a second stats acquisition — a deliberate
-    // relaxation of the stats-before-resolve rule: their duration IS the
-    // resolution work itself.
-    let mut st = inner.stats.lock();
-    for _ in 0..n_ops {
-        st.stages.merge.record(us_between(t_gather, t_merge1));
-        st.stages.resolve.record(us_between(t_merge1, t_resolve1));
-    }
+    resolve_timed(inner, t_gather, outcomes.len(), || {
+        resolve_all(outcomes, router, epoch_error.as_ref(), Stage::Merge);
+    });
 }
 
 /// The shard whose committed version holds each of `ids` (ascending):

@@ -5,12 +5,14 @@
 # first alternates from pair to pair, and a side's numbers are the median
 # and quartiles over its runs plus the pairs it won.
 #
-#   scripts/ab.sh [--smoke] PARENT_BIN CHANGE_BIN PAIRS [PARENT_LABEL CHANGE_LABEL]
+#   scripts/ab.sh [--smoke] [--workloads A,B] [--seeds 11[,1997]] [--keep DIR]
+#                 PARENT_BIN CHANGE_BIN PAIRS [PARENT_LABEL CHANGE_LABEL]
 #
 # Every workload of BENCHMARK.json, at the default and the held-out seed,
-# untraced. Appends one JSON line per side per workload per seed per
-# bounded end-to-end metric to BENCH_history.jsonl at the root of this
-# checkout: median, q1, q3 (Python's statistics.quantiles, which the
+# untraced; --workloads runs only the named ones (in BENCHMARK.json's
+# order) and --seeds only the listed seeds. Appends one JSON line per
+# side per workload per seed per bounded end-to-end metric to
+# BENCH_history.jsonl at the root of this checkout: median, q1, q3 (Python's statistics.quantiles, which the
 # benchmark driver uses), runs, pairs, wins, ties, failed / attempted, and
 # the host block stackbench wrote for that side. A side's `label` is its
 # `host.commit` unless given: a change is measured before it is committed,
@@ -25,29 +27,55 @@
 # --smoke: one-second runs, and the lines go to stdout instead of the
 # history file. CI runs it with one binary on both sides so the script
 # cannot rot.
+#
+# --keep DIR: keep every run's result file, as
+# DIR/{parent,change}.WORKLOAD.SEED.PAIR.json, so per-layer readings
+# (cgm.runs, wal.records, ...) can be read after the summary; without
+# it they go to a temporary directory that is removed on exit.
 set -euo pipefail
 
-smoke=""
-if [ "${1:-}" = "--smoke" ]; then
-    smoke="--smoke"
-    shift
-fi
-if [ $# -ne 3 ] && [ $# -ne 5 ]; then
+usage() {
     sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2
     exit 2
+}
+smoke="" only="" seeds="11 1997" keep=""
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --smoke) smoke="--smoke" && shift ;;
+        --workloads) [ $# -ge 2 ] || usage && only=$2 && shift 2 ;;
+        --seeds) [ $# -ge 2 ] || usage && seeds=${2//,/ } && shift 2 ;;
+        --keep) [ $# -ge 2 ] || usage && keep=$2 && shift 2 ;;
+        *) break ;;
+    esac
+done
+if [ $# -ne 3 ] && [ $# -ne 5 ]; then
+    usage
 fi
+for seed in $seeds; do
+    case "$seed" in '' | *[!0-9]*) echo "ab.sh: bad seed '$seed'" >&2 && exit 2 ;; esac
+done
 parent_bin=$(realpath "$1")
 change_bin=$(realpath "$2")
 pairs=$3
 labels="${4:-} ${5:-}"
 root=$(cd "$(dirname "$0")/.." && pwd)
-raw=$(mktemp -d)
-trap 'rm -rf "$raw"' EXIT
+if [ -n "$keep" ]; then
+    mkdir -p "$keep"
+    raw=$(realpath "$keep")
+else
+    raw=$(mktemp -d)
+    trap 'rm -rf "$raw"' EXIT
+fi
 
 workloads=$(python3 -c '
 import json, sys
-print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))
-' "$root/BENCHMARK.json")
+names = [w["name"] for w in json.load(open(sys.argv[1]))["workloads"]]
+only = sys.argv[2].split(",") if sys.argv[2] else names
+unknown = [n for n in only if n not in names]
+if unknown:
+    sys.exit("ab.sh: unknown workload(s): " + ", ".join(unknown))
+print(" ".join(n for n in names if n in only))
+' "$root/BENCHMARK.json" "$only")
 
 # One run of one side: the result file stackbench writes, kept per pair.
 run_side() { # side bin workload seed pair
@@ -60,7 +88,7 @@ run_side() { # side bin workload seed pair
     fi
 }
 
-for seed in 11 1997; do
+for seed in $seeds; do
     for workload in $workloads; do
         for pair in $(seq 1 "$pairs"); do
             if [ $((pair % 2)) -eq 1 ]; then
@@ -75,13 +103,14 @@ for seed in 11 1997; do
     done
 done
 
-summary=$(python3 - "$root/BENCHMARK.json" "$raw" "$pairs" $labels <<'EOF'
+summary=$(python3 - "$root/BENCHMARK.json" "$raw" "$pairs" "$seeds" "$workloads" $labels <<'EOF'
 import json, statistics, sys
 from pathlib import Path
 
 bench = json.load(open(sys.argv[1]))
 raw, pairs = Path(sys.argv[2]), int(sys.argv[3])
-labels = dict(zip(("parent", "change"), sys.argv[4:6]))
+seeds, workloads = [int(s) for s in sys.argv[4].split()], sys.argv[5].split()
+labels = dict(zip(("parent", "change"), sys.argv[6:8]))
 
 
 def load(side, workload, seed, pair):
@@ -89,8 +118,8 @@ def load(side, workload, seed, pair):
     return json.load(open(path)) if path.exists() else None
 
 
-for seed in (11, 1997):
-    for workload in (w["name"] for w in bench["workloads"]):
+for seed in seeds:
+    for workload in workloads:
         runs = {s: [load(s, workload, seed, i) for i in range(1, pairs + 1)] for s in ("parent", "change")}
         for metric in bench["end_to_end"]:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1

@@ -1,7 +1,8 @@
 //! The sequential oracle the differential suites share: a naive,
 //! obviously correct model of the store (a flat vector of points with
 //! the validation rules of `DynamicDistRangeTree`), the committed-event
-//! transcript the serving tests record, and its seq-ordered replay.
+//! transcript the serving tests record, its seq-ordered replay, and the
+//! real-time check of the same run ([`History`]).
 //!
 //! ROADMAP aim 3 calls this oracle "the contract": every backend and
 //! every failure path must reproduce it. It is defined once so that no
@@ -11,6 +12,8 @@
 #![allow(dead_code)]
 
 use std::collections::HashSet;
+use std::sync::{mpsc, Mutex};
+use std::time::Instant;
 
 use ddrs::prelude::*;
 use ddrs::rangetree::{BuildError, PAD_ID};
@@ -137,4 +140,138 @@ pub fn replay(initial: &[Point<2>], mut events: Vec<(u64, Event)>) -> Oracle<2> 
         }
     }
     oracle
+}
+
+/// One committed op as its client saw it: when it was invoked, when its
+/// response arrived, and the commit seq the response carries.
+#[derive(Clone, Copy)]
+struct Timed {
+    invoked: Instant,
+    responded: Instant,
+    seq: u64,
+}
+
+/// The real-time record of a concurrent run. The seq replay proves the
+/// responses agree with *some* serial order; this proves that order
+/// respects real time: an op invoked after another op's response
+/// commits after it (the other half of linearizability).
+#[derive(Default)]
+pub struct History(Mutex<Vec<Timed>>);
+
+impl History {
+    /// Record a committed op invoked at `invoked` whose response has
+    /// just arrived. Only committed ops are recorded: a rejected or
+    /// expired op carries no seq, so it has no place in the order.
+    pub fn record(&self, invoked: Instant, seq: u64) {
+        let op = Timed { invoked, responded: Instant::now(), seq };
+        self.0.lock().unwrap().push(op);
+    }
+
+    /// Sort by invoke time and keep the largest seq among the responses
+    /// that ended before each invoke: every op's seq must be above it.
+    pub fn check_real_time(&self) {
+        let mut ops = self.0.lock().unwrap().clone();
+        ops.sort_by_key(|op| op.invoked);
+        let mut ended: Vec<(Instant, u64)> = ops.iter().map(|op| (op.responded, op.seq)).collect();
+        ended.sort_unstable();
+        let (mut next, mut floor) = (0, None);
+        for op in &ops {
+            while next < ended.len() && ended[next].0 < op.invoked {
+                floor = floor.max(Some(ended[next].1));
+                next += 1;
+            }
+            if let Some(floor) = floor {
+                assert!(
+                    op.seq > floor,
+                    "an op invoked after a response with seq {floor} committed at seq {}",
+                    op.seq
+                );
+            }
+        }
+    }
+}
+
+/// `threads` clients, each `ops` requests mixing the three reads with
+/// inserts of fresh ids (from its own range) and deletes of its own
+/// earlier inserts, every response recorded for the seq replay and the
+/// real-time check. The points fit `[0, 777) × [0, 555)`.
+pub fn mixed_clients<R: RangeStore<Sum, 2> + Sync>(
+    store: &R,
+    threads: u32,
+    ops: u32,
+) -> (Vec<(u64, Event)>, History) {
+    let (events, history) = (Mutex::new(Vec::new()), History::default());
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (events, history) = (&events, &history);
+            s.spawn(move || {
+                let mut rng = TestRng(t as u64 * 4099 + 5);
+                let (mut owned, mut next_id, mut local) = (Vec::new(), 20_000 + t * 1_000, vec![]);
+                for i in 0..ops {
+                    let invoked = Instant::now();
+                    let (seq, event) = if i % 4 == 3 {
+                        let batch: Vec<Point<2>> = (next_id..next_id + 3)
+                            .map(|id| {
+                                let at = [(rng.next() % 777) as i64, (rng.next() % 555) as i64];
+                                Point::weighted(at, id, 1 + id as u64 % 5)
+                            })
+                            .collect();
+                        next_id += 3;
+                        owned.extend(batch.iter().map(|p| p.id));
+                        (
+                            store.insert(batch.clone()).unwrap().wait().unwrap().seq,
+                            Event::Insert(batch),
+                        )
+                    } else if i % 8 == 6 && owned.len() >= 2 {
+                        let ids: Vec<u32> = owned.drain(..2).collect();
+                        (store.delete(ids.clone()).unwrap().wait().unwrap().seq, Event::Delete(ids))
+                    } else {
+                        let q = rng.rect();
+                        match i % 3 {
+                            0 => {
+                                let c = store.count(q).unwrap().wait().unwrap();
+                                (c.seq, Event::Count(q, c.value))
+                            }
+                            1 => {
+                                let a = store.aggregate(q).unwrap().wait().unwrap();
+                                (a.seq, Event::Aggregate(q, a.value))
+                            }
+                            _ => {
+                                let r = store.report(q).unwrap().wait().unwrap();
+                                (r.seq, Event::Report(q, r.value))
+                            }
+                        }
+                    };
+                    history.record(invoked, seq);
+                    local.push((seq, event));
+                }
+                events.lock().unwrap().extend(local);
+            });
+        }
+    });
+    (events.into_inner().unwrap(), history)
+}
+
+/// Park the worker of the one shard that answers `q` inside a count's
+/// `on_resolve` until the returned sender fires or drops: a read in
+/// flight, so the windows behind it wait for `max_batch`, `max_delay` or
+/// the release. An idle service fires the count at once, so it may
+/// resolve before the callback is registered; the callback then runs on
+/// this thread, and we try again.
+pub fn park_worker<R: RangeStore<Sum, 2>>(store: &R, q: Rect<2>) -> mpsc::Sender<()> {
+    let me = std::thread::current().id();
+    loop {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        store.count(q).unwrap().on_resolve(move |_| {
+            let parked = std::thread::current().id() != me;
+            entered_tx.send(parked).unwrap();
+            if parked {
+                let _ = gate.recv();
+            }
+        });
+        if entered.recv().unwrap() {
+            return release;
+        }
+    }
 }

@@ -20,7 +20,7 @@ use ddrs::prelude::*;
 use ddrs::rangetree::BuildError;
 
 mod common;
-use common::{replay, Event, Oracle, TestRng};
+use common::{mixed_clients, park_worker, replay, Event, Oracle, TestRng};
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
     range
@@ -274,8 +274,13 @@ fn abort_rejects_pending_requests() {
             ..Default::default()
         },
     );
+    let release = park_worker(&service, Rect::new([0, 0], [800, 600]));
     let tickets: Vec<_> =
         (0..20).map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap()).collect();
+    // One more queued count frees the worker when the abort rejects it.
+    service.count(Rect::new([0, 0], [800, 600])).unwrap().on_resolve(move |_| {
+        let _ = release.send(());
+    });
     let (_, tree) = service.abort().pop().unwrap();
     for t in tickets {
         assert_eq!(t.wait(), Err(ServiceError::ShuttingDown));
@@ -297,11 +302,8 @@ fn queued_deadline_expires_without_touching_the_machine() {
             ..Default::default()
         },
     );
-    // Deadline far shorter than the group-commit window, and no other
-    // traffic to fill the batch early.
-    let doomed = service
-        .count_within(Rect::new([0, 0], [800, 600]), Some(Duration::from_millis(1)))
-        .unwrap();
+    // A zero deadline has passed by the carve, however soon it fires.
+    let doomed = service.count_within(Rect::new([0, 0], [800, 600]), Some(Duration::ZERO)).unwrap();
     assert_eq!(doomed.wait(), Err(ServiceError::DeadlineExpired));
     let stats = service.stats();
     assert_eq!(stats.expired, 1);
@@ -326,9 +328,11 @@ fn backpressure_rejects_beyond_capacity() {
         },
     );
     let q = Rect::new([0, 0], [800, 600]);
+    // A read in flight, so the scheduler holds dispatch for 300ms and
+    // these all hit the queue.
+    let release = park_worker(&service, Rect::new([0, 0], [800, 600]));
     let mut tickets = Vec::new();
     let mut overloaded = 0;
-    // The scheduler holds dispatch for 300ms, so these all hit the queue.
     for _ in 0..6 {
         match service.count(q) {
             Ok(t) => tickets.push(t),
@@ -341,6 +345,7 @@ fn backpressure_rejects_beyond_capacity() {
     }
     assert_eq!(tickets.len(), 4, "exactly queue_capacity submissions are admitted");
     assert_eq!(overloaded, 2);
+    drop(release);
     for t in tickets {
         assert_eq!(t.wait().unwrap().value, 64);
     }
@@ -386,33 +391,36 @@ fn a_full_window_coalesces_into_one_dispatch() {
         ShardedConfig { max_batch: 32, max_delay: Duration::from_secs(2), ..Default::default() },
     );
     let mut rng = TestRng(42);
-    let tickets: Vec<_> = (0..32)
+    // One request: its ops form one group, so they are one window.
+    let mut req = Request::new();
+    let handles: Vec<_> = (0..32)
         .map(|i| match i % 3 {
             0 => {
                 let q = rng.rect();
-                let t = service.count(q).unwrap();
-                (q, Some(t), None, None)
+                let h = req.count(q);
+                (q, Some(h), None, None)
             }
             1 => {
                 let q = rng.rect();
-                (q, None, Some(service.aggregate(q).unwrap()), None)
+                (q, None, Some(req.aggregate(q)), None)
             }
             _ => {
                 let q = rng.rect();
-                (q, None, None, Some(service.report(q).unwrap()))
+                (q, None, None, Some(req.report(q)))
             }
         })
         .collect();
+    let resp = service.submit(req).unwrap().wait().unwrap().value;
     let oracle = Oracle::new(&initial);
-    for (q, c, a, r) in tickets {
-        if let Some(t) = c {
-            assert_eq!(t.wait().unwrap().value, oracle.count(&q));
+    for (q, c, a, r) in handles {
+        if let Some(h) = c {
+            assert_eq!(resp.count(h), oracle.count(&q));
         }
-        if let Some(t) = a {
-            assert_eq!(t.wait().unwrap().value, oracle.aggregate(&q));
+        if let Some(h) = a {
+            assert_eq!(*resp.aggregate(h), oracle.aggregate(&q));
         }
-        if let Some(t) = r {
-            assert_eq!(t.wait().unwrap().value, oracle.report(&q));
+        if let Some(h) = r {
+            assert_eq!(resp.report(h), oracle.report(&q));
         }
     }
     let stats = service.stats();
@@ -420,4 +428,41 @@ fn a_full_window_coalesces_into_one_dispatch() {
     assert_eq!(stats.machine.runs, 1, "one dispatch is one fused machine run");
     assert_eq!(stats.mean_batch_size(), 32.0);
     assert_eq!(stats.coalescing_factor(), 32.0);
+}
+
+/// A lone request on an idle service dispatches at once: the window
+/// waits for company only while a read it could ride is in flight.
+#[test]
+fn a_lone_request_on_an_idle_service_fires_at_once() {
+    let initial = pts(0..64);
+    let service = start_service(
+        2,
+        &initial,
+        ShardedConfig { max_batch: 1024, max_delay: Duration::from_secs(5), ..Default::default() },
+    );
+    match service.count(Rect::new([0, 0], [800, 600])).unwrap().wait_for(Duration::from_secs(1)) {
+        WaitFor::Ready(outcome) => assert_eq!(outcome.unwrap().value, 64),
+        WaitFor::TimedOut(_) => panic!("a lone count on an idle service waited for max_delay"),
+    }
+    service.shutdown();
+}
+
+/// 8 threads mixing reads and writes: the responses replay through the
+/// oracle in seq order, and that order respects real time.
+#[test]
+fn mixed_clients_commit_in_real_time_order() {
+    let initial = pts(0..200);
+    let service = start_service(
+        2,
+        &initial,
+        ShardedConfig {
+            max_batch: 16,
+            max_delay: Duration::from_micros(300),
+            ..Default::default()
+        },
+    );
+    let (events, history) = mixed_clients(&service, 8, 48);
+    replay(&initial, events);
+    history.check_real_time();
+    service.shutdown();
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use ddrs::prelude::*;
 
 mod common;
-use common::{replay, Event};
+use common::{park_worker, replay, Event};
 
 fn machines(s: usize, p: usize) -> Vec<Machine> {
     (0..s).map(|_| Machine::new(p).unwrap()).collect()
@@ -74,13 +74,16 @@ fn mid_epoch_panic_poisons_one_shard_and_siblings_keep_serving() {
 
     // Arm the fault, then submit one epoch that spans shard 0 (healthy)
     // and shard 1 (faulted): two inserts and a delete coalesced into the
-    // same write window thanks to the wide delay.
+    // same write window, held by a read in flight on shard 2 until all
+    // three have queued.
     service.fail_next_write_epoch(1);
+    let release = park_worker(&service, slab_rect(2));
     let ins0 = vec![Point::weighted([10, 50], 1000, 2)]; // → shard 0
     let ins1 = vec![Point::weighted([150, 50], 1001, 2)]; // → shard 1
     let t_del = service.delete(vec![0, 20]).unwrap(); // shard 0 + shard 1
     let t0 = service.insert(ins0).unwrap();
     let t1 = service.insert(ins1).unwrap();
+    drop(release);
     let e_del = t_del.wait().unwrap_err();
     let e0 = t0.wait().unwrap_err();
     let e1 = t1.wait().unwrap_err();

@@ -19,7 +19,7 @@ use ddrs::prelude::*;
 use ddrs::rangetree::BuildError;
 
 mod common;
-use common::Oracle;
+use common::{mixed_clients, replay, Oracle};
 
 type RawPoint = (i64, i64, i64, u64);
 type RawRect = ((i64, i64, i64), (i64, i64, i64));
@@ -281,26 +281,29 @@ fn mixed_cross_shard_window_costs_at_most_s_runs() {
         Rect::new([20, 0], [60, 63]), // three slabs
         Rect::new([50, 0], [63, 63]), // one slab
     ];
+    // One request: its ops form one group, so they are one window.
+    let mut req = Request::new();
     let mut tickets_c = Vec::new();
     let mut tickets_a = Vec::new();
     let mut tickets_r = Vec::new();
     for i in 0..12usize {
         let q = spans[i % 4];
         match i % 3 {
-            0 => tickets_c.push((q, service.count(q).unwrap())),
-            1 => tickets_a.push((q, service.aggregate(q).unwrap())),
-            _ => tickets_r.push((q, service.report(q).unwrap())),
+            0 => tickets_c.push((q, req.count(q))),
+            1 => tickets_a.push((q, req.aggregate(q))),
+            _ => tickets_r.push((q, req.report(q))),
         }
     }
+    let resp = service.submit(req).unwrap().wait().unwrap().value;
     let oracle = Oracle::new(&initial);
-    for (q, t) in tickets_c {
-        assert_eq!(t.wait().unwrap().value, oracle.count(&q));
+    for (q, h) in tickets_c {
+        assert_eq!(resp.count(h), oracle.count(&q));
     }
-    for (q, t) in tickets_a {
-        assert_eq!(t.wait().unwrap().value, oracle.aggregate(&q));
+    for (q, h) in tickets_a {
+        assert_eq!(*resp.aggregate(h), oracle.aggregate(&q));
     }
-    for (q, t) in tickets_r {
-        assert_eq!(t.wait().unwrap().value, oracle.report(&q));
+    for (q, h) in tickets_r {
+        assert_eq!(resp.report(h), oracle.report(&q));
     }
     let stats = service.stats();
     assert_eq!(stats.dispatches, 1, "12 queries, one window, one scatter-gather dispatch");
@@ -312,5 +315,33 @@ fn mixed_cross_shard_window_costs_at_most_s_runs() {
     assert_eq!(stats.machine.runs, 4, "every slab was hit, so exactly one fused run per shard");
     assert_eq!(stats.queries_coalesced, 12);
     assert_eq!(stats.mean_batch_size(), 12.0);
+    service.shutdown();
+}
+
+/// 8 threads mixing reads and writes on a 2-shard range-partitioned
+/// service: the responses replay through the oracle in seq order, and
+/// that order respects real time across shards.
+#[test]
+fn two_range_shards_commit_in_real_time_order() {
+    let initial: Vec<Point<2>> = (0..200u32)
+        .map(|i| Point::weighted([((i * 193) % 777) as i64, ((i * 71) % 555) as i64], i, 1))
+        .collect();
+    let machines: Vec<Machine> = (0..2).map(|_| Machine::new(1).unwrap()).collect();
+    let service = ShardedService::start(
+        machines,
+        16,
+        &initial,
+        Sum,
+        PartitionPolicy::range_uniform(2, 0, 777),
+        ShardedConfig {
+            max_batch: 16,
+            max_delay: Duration::from_micros(300),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let (events, history) = mixed_clients(&service, 8, 48);
+    replay(&initial, events);
+    history.check_real_time();
     service.shutdown();
 }
