@@ -183,7 +183,7 @@ fn t2() {
     let pts: Vec<Point<2>> = uniform_points(2, n);
     let (seq_ms, seq_tree) = time_ms(|| SeqRangeTree::build(&pts).unwrap());
     let mut seq_row = vec!["seq".into(), format!("{seq_ms:.1}"), seq_tree.size_nodes().to_string()];
-    seq_row.resize(11, "-".into());
+    seq_row.resize(12, "-".into());
     let mut rows = vec![seq_row];
     let mut ids: Vec<u32> = pts.iter().map(|p| p.id).collect();
     ids.sort_unstable();
@@ -232,6 +232,7 @@ fn t2() {
             step(0),
             step(1),
             step(2),
+            if p == 1 { format!("{:.2}", ms / seq_ms) } else { "-".into() },
         ]);
         if p >= 2 {
             rounds.push(stats.supersteps());
@@ -266,6 +267,7 @@ fn t2() {
             "coll. sort",
             "deal+group",
             "local build",
+            "p1/seq",
         ],
         &rows,
     );
@@ -277,11 +279,13 @@ fn t2() {
          single-core host they are purely time-sliced); the theorem's\n\
          quantities are the measured work shares and round counts. \"sort\n\
          share\" is the largest post-sort share of any phase over the even\n\
-         share ⌈|S^j|/p⌉ (asserted ≤ 1.25: regular sampling). The last\n\
+         share ⌈|S^j|/p⌉ (asserted ≤ 1.25: regular sampling). The next\n\
          four columns split the wall: the host's rank sorts, then each\n\
          step of Algorithm Construct on the processor it took longest on\n\
-         (step 1; steps 2, 3, 5 with their exchanges; step 4). p = 1 runs\n\
-         6 rounds, not 10: a one-processor sort has no sample and no exchange."
+         (step 1; steps 2, 3, 5 with their exchanges and the records of\n\
+         each S^j; step 4). p = 1 runs 6 rounds, not 10: a one-processor\n\
+         sort has no sample and no exchange. \"p1/seq\" is the p = 1 wall\n\
+         over the seq build's: at p = 1 Construct is the sequential build."
     );
     assert!(broken.is_empty(), "t2 does not hold: {broken:#?}");
 }

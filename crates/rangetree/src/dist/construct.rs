@@ -15,17 +15,20 @@
 //!    numbering (trees in label order, see [`crate::dist::hat`]; groups
 //!    of `g = n/p` in rank order);
 //! 3. **deal**: route every record to the home of its group,
-//!    `owner(fid) = fid mod p` — the round-robin deal of the forest;
+//!    `owner(fid) = fid mod p` — the round-robin deal of the forest. A
+//!    group travels as runs, one piece per sender, which the model meters
+//!    as the `(tree, group, point)` records it carries;
 //! 4. locally build each received group's forest subtree (a
 //!    `(d-j)`-dimensional [`DimTree`] on `g` points, pads included so
-//!    sizes stay exact powers of two);
+//!    sizes stay exact powers of two) on its pieces, end to end;
 //! 5. **summary broadcast**: all-gather per-group summaries `(interval,
 //!    real count, fid)`, from which every processor assembles the
 //!    identical hat replica for this dimension; then locally emit
 //!    `S^(j+1)` — each owned group's points, once per internal hat
 //!    ancestor of its leaf (the descendant structures of hat nodes), in
 //!    dimension `j+1` order: step 1 never meets an unsorted run (`S^0` is
-//!    dealt in dimension-0 order), so its sort is a scan and a merge.
+//!    dealt in dimension-0 order), so its sort is a scan and a merge. A
+//!    one-leaf hat tree's group (every group at `p = 1`) emits nothing.
 //!
 //! That is 5 supersteps per dimension (sample, sort, deal, scan,
 //! summary), `5d` in total — the constant-round bound of Corollary 1 —
@@ -35,7 +38,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ddrs_cgm::{Ctx, Payload};
+use ddrs_cgm::{shallow_words, Ctx, Payload};
 
 use crate::dist::hat::HatTree;
 use crate::heap;
@@ -64,9 +67,8 @@ pub struct ForestEntry<const D: usize> {
 
 impl<const D: usize> Payload for ForestEntry<D> {
     fn words(&self) -> u64 {
-        // Id/dim header plus the whole subtree payload — what a
-        // real machine would serialize when shipping a congestion copy,
-        // however the simulator hands the copy over.
+        // Id/dim header plus the whole subtree payload: what a real machine
+        // would serialize to ship a congestion copy, however it is handed over.
         2 + self.tree.payload_words()
     }
 }
@@ -89,8 +91,8 @@ pub struct ProcState<const D: usize> {
     /// what `repro t2` holds to the sort's balance bound.
     pub sorted_records: Vec<u64>,
     /// Wall time this processor spent in step 1 (the collective sorts), in
-    /// steps 2, 3 and 5 (scan, deal, summaries) and in step 4 (its local
-    /// builds), summed over the phases: what `repro t2` prints.
+    /// steps 2, 3 and 5 (scan, deal, summaries, each `S^j`'s records made)
+    /// and in step 4 (its local builds), summed over the phases: `repro t2`.
     pub step_wall: [Duration; 3],
     /// Padded global point count (a power of two).
     pub m: usize,
@@ -115,6 +117,15 @@ impl<const D: usize> ProcState<D> {
 /// dimension-`j` tree it belongs to.
 type PhaseRec<const D: usize> = (u32, RPoint<D>);
 
+/// One sender's run of one group in the deal, `(tree, group, points)`:
+/// metered as the `(tree, group, point)` records it carries.
+struct Piece<const D: usize>(u32, u32, Vec<RPoint<D>>);
+impl<const D: usize> Payload for Piece<D> {
+    fn words(&self) -> u64 {
+        self.2.len() as u64 * (2 + shallow_words::<RPoint<D>>())
+    }
+}
+
 /// SPMD body of Algorithm Construct.
 ///
 /// Every processor passes its `m/p`-point share of the rank-space input
@@ -126,7 +137,7 @@ type PhaseRec<const D: usize> = (u32, RPoint<D>);
 /// Panics if `m` is not a positive power of two divisible by `p`.
 pub fn construct<const D: usize>(
     ctx: &mut Ctx<'_>,
-    local: Vec<RPoint<D>>,
+    local: impl IntoIterator<Item = RPoint<D>>,
     m: usize,
 ) -> ProcState<D> {
     let p = ctx.p();
@@ -136,8 +147,7 @@ pub fn construct<const D: usize>(
 
     let mut hat: Vec<HatTree> = Vec::new();
     let mut forest: Vec<Arc<ForestEntry<D>>> = Vec::new();
-    let mut phase_records: Vec<u64> = Vec::with_capacity(D);
-    let mut sorted_records: Vec<u64> = Vec::with_capacity(D);
+    let (mut phase_records, mut sorted_records) = (Vec::with_capacity(D), Vec::with_capacity(D));
     let mut next_fid: u32 = 0;
     let (mut step_wall, mut clock) = ([Duration::ZERO; 3], Instant::now());
     let mut lap =
@@ -145,6 +155,7 @@ pub fn construct<const D: usize>(
 
     // S^0: every input point belongs to the primary tree.
     let mut records: Vec<PhaseRec<D>> = local.into_iter().map(|pt| (0, pt)).collect();
+    lap(1);
     // Phase j's trees are hat indices `first..next`.
     let (mut first, mut next) = (0u32, 1u32);
 
@@ -167,9 +178,7 @@ pub fn construct<const D: usize>(
             for &(t, c) in counts {
                 let entry = &mut table[(t - first) as usize];
                 entry.0 += c;
-                if rank < ctx.rank() {
-                    entry.1 += c;
-                }
+                entry.1 += if rank < ctx.rank() { c } else { 0 };
             }
         }
         phase_records.push(table.iter().map(|&(total, ..)| total).sum());
@@ -179,32 +188,32 @@ pub fn construct<const D: usize>(
             next_fid += (*total / g as u64) as u32;
         }
 
-        // (3) Deal: route each record to its group's home processor. The
-        // run is sorted by (tree, rank), so a tree's records are one
-        // stretch of it and their positions in the tree count up.
-        let mut outgoing: Vec<Vec<(u32, u32, RPoint<D>)>> =
-            (0..p).map(|_| Vec::with_capacity(sorted.len().div_ceil(p))).collect();
+        // (3) Deal: ship each group's run to its home processor. The run
+        // is sorted by (tree, rank), so a tree's records are one stretch
+        // of it, positions `lo..hi` in the tree, cut at group boundaries.
+        let mut outgoing: Vec<Vec<Piece<D>>> = (0..p).map(|_| Vec::new()).collect();
         for stretch in sorted.chunk_by(|a, b| a.0 == b.0) {
             let t = stretch[0].0;
-            let (_, offset, base) = table[(t - first) as usize];
-            for (pos, (_, pt)) in (offset..).zip(stretch) {
-                let gidx = (pos / g as u64) as u32;
-                outgoing[(base + gidx) as usize % p].push((t, gidx, *pt));
+            let (_, lo, base) = table[(t - first) as usize];
+            let (lo, hi) = (lo as usize, lo as usize + stretch.len());
+            for gidx in lo / g..hi.div_ceil(g) {
+                let run = &stretch[(gidx * g).max(lo) - lo..(gidx * g + g).min(hi) - lo];
+                let piece = Piece(t, gidx as u32, run.iter().map(|&(_, pt)| pt).collect());
+                outgoing[(base as usize + gidx) % p].push(piece);
             }
         }
         let mut received = ctx.all_to_all(outgoing).into_iter().flatten().peekable();
 
-        // (4) Build owned forest subtrees locally. Every sender's records
-        // are in (tree, group, rank) order and the senders are in rank
-        // order, so a group is the next run of records with one header,
-        // already sorted (`DimTree::build` asserts that in debug builds).
+        // (4) Build owned forest subtrees locally. The senders hold
+        // consecutive stretches of the sorted order, so a group is the next
+        // pieces with one header, and end to end they are sorted
+        // (`DimTree::build` asserts that in debug builds).
         lap(1);
         let mut summaries: Vec<(u32, u32, u32, u32, u32, u32)> = Vec::new();
-        while let Some(&(t, gidx, _)) = received.peek() {
+        while let Some(Piece(t, gidx, mut pts)) = received.next() {
             debug_assert!(summaries.last().is_none_or(|s| (s.0, s.1) < (t, gidx)));
-            let mut pts: Vec<RPoint<D>> = Vec::with_capacity(g);
-            let group = std::iter::from_fn(|| received.next_if(|r| (r.0, r.1) == (t, gidx)));
-            pts.extend(group.map(|r| r.2));
+            let more = std::iter::from_fn(|| received.next_if(|pc| (pc.0, pc.1) == (t, gidx)));
+            pts.extend(more.flat_map(|Piece(.., run)| run));
             debug_assert_eq!(pts.len(), g, "every group holds exactly g records");
             let fid = table[(t - first) as usize].2 + gidx;
             debug_assert_eq!(fid as usize, forest.len() * p + ctx.rank(), "forest ids are dense");
@@ -219,8 +228,7 @@ pub fn construct<const D: usize>(
 
         // (5) Summary broadcast: assemble the dimension-j hat replica and
         // number the next dimension's trees, (tree, heap node) in order.
-        let all_summaries: Vec<(u32, u32, u32, u32, u32, u32)> =
-            ctx.all_gather(summaries).into_iter().flatten().collect();
+        let all_summaries: Vec<_> = ctx.all_gather(summaries).into_iter().flatten().collect();
         let mut child_base = next;
         for &(total, _, base) in &table {
             let nleaves = (total / g as u64) as usize;
@@ -230,9 +238,7 @@ pub fn construct<const D: usize>(
         for &(t, gidx, _, lo, hi, cnt) in &all_summaries {
             hat[t as usize].set_leaf(gidx as usize, lo, hi, cnt);
         }
-        for t in &mut hat[first as usize..] {
-            t.fill_internal();
-        }
+        hat[first as usize..].iter_mut().for_each(HatTree::fill_internal);
         (first, next) = (next, child_base);
 
         // Emit S^(j+1): each owned group's points, once per internal hat
@@ -240,7 +246,7 @@ pub fn construct<const D: usize>(
         // next dimension's order: a sorted run per tree for its sort.
         records = Vec::new();
         let mine = all_summaries.iter().filter(|s| j + 1 < D && s.2 as usize % p == ctx.rank());
-        for &(t, gidx, fid, ..) in mine {
+        for &(t, gidx, fid, ..) in mine.filter(|s| hat[s.0 as usize].nleaves > 1) {
             let t = &hat[t as usize];
             let pts = forest[fid as usize / p].tree.in_next_dimension();
             for anc in heap::internal_ancestors(t.nleaves as usize, gidx as usize) {

@@ -70,9 +70,7 @@ impl HatTree {
     /// Fill the leaf for group `i` from its summary.
     pub(crate) fn set_leaf(&mut self, i: usize, lo: u32, hi: u32, cnt: u32) {
         let slot = self.nleaves as usize + i;
-        self.lo[slot] = lo;
-        self.hi[slot] = hi;
-        self.cnt[slot] = cnt;
+        (self.lo[slot], self.hi[slot], self.cnt[slot]) = (lo, hi, cnt);
     }
 
     /// Fill internal nodes bottom-up from the leaves.

@@ -39,7 +39,7 @@ pub use construct::{construct as construct_spmd, ForestEntry, ProcState};
 pub use dynamic::DynamicDistRangeTree;
 pub use fused::{fused_query_batch, try_fused_query_batch, FusedOutputs};
 
-use crate::point::{Point, RPoint, Rect};
+use crate::point::{Point, RPoint, Rect, PAD_ID};
 use crate::rank::{RankError, RankSpace};
 use crate::semigroup::{Count, Semigroup};
 
@@ -60,9 +60,7 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::Empty => write!(f, "cannot build over an empty point set"),
             BuildError::DuplicateId(id) => write!(f, "duplicate point id {id}"),
-            BuildError::ReservedId => {
-                write!(f, "point id {} is reserved for pads", crate::point::PAD_ID)
-            }
+            BuildError::ReservedId => write!(f, "point id {PAD_ID} is reserved for pads"),
         }
     }
 }
@@ -123,24 +121,22 @@ impl<const D: usize> DistRangeTree<D> {
     /// divisible by `p`, each processor is dealt an `m/p`-point share,
     /// and the SPMD construction runs in `5d` supersteps.
     pub fn build(machine: &Machine, pts: &[Point<D>]) -> Result<Self, BuildError> {
-        let (ranks, rpts) = RankSpace::normalize(pts, machine.p())?;
-        Ok(Self::construct(machine, ranks, &rpts))
+        Ok(Self::construct(machine, RankSpace::normalize(pts, machine.p())?))
     }
 
     /// [`build`](Self::build) over points the caller has already checked:
     /// at least one, no pad id, no id twice.
     pub(super) fn build_distinct(machine: &Machine, pts: &[Point<D>]) -> Self {
-        let (ranks, rpts) = RankSpace::normalize_distinct(pts, machine.p());
-        Self::construct(machine, ranks, &rpts)
+        Self::construct(machine, RankSpace::normalize_distinct(pts, machine.p()))
     }
 
     /// Deal each processor its share (a run in dimension-0 order) and run
     /// Algorithm Construct.
-    fn construct(machine: &Machine, ranks: RankSpace<D>, rpts: &[RPoint<D>]) -> Self {
+    fn construct(machine: &Machine, (ranks, rpts): (RankSpace<D>, Vec<RPoint<D>>)) -> Self {
         let (m, share) = (ranks.m(), ranks.m() / machine.p());
         let states = machine.run(|ctx| {
             let lo = ctx.rank() * share;
-            construct::construct(ctx, rpts[lo..lo + share].to_vec(), m)
+            construct::construct(ctx, rpts[lo..lo + share].iter().copied(), m)
         });
         DistRangeTree { ranks, states, hat_values: Mutex::default() }
     }

@@ -7,6 +7,10 @@
 //! power of two with sentinel points whose ranks exceed every real rank in
 //! every dimension. Queries are translated to inclusive rank intervals by
 //! binary search, so sentinel pads are unreachable by any query.
+//!
+//! The ranks come from [`radix_sort`]: the points are put in id order
+//! once, then sorted stably by each coordinate in turn, so equal
+//! coordinates keep their id order: the `(coordinate, id)` order.
 
 use crate::point::{Point, RPoint, RRect, Rect, PAD_ID};
 
@@ -62,23 +66,75 @@ pub fn check_ids<const D: usize>(
     pts: &[Point<D>],
     live: impl FnOnce(&[u32]) -> Vec<u32>,
 ) -> Result<Vec<u32>, (u32, RankError)> {
-    let mut order: Vec<(u32, u32)> = pts.iter().zip(0..).map(|(p, at)| (p.id, at)).collect();
-    order.sort_unstable();
-    let ids: Vec<u32> = order.iter().map(|&(id, _)| id).collect();
+    let mut keys: Vec<u64> = pts.iter().map(|p| u64::from(p.id)).collect();
+    let mut order: Vec<u32> = (0..pts.len() as u32).collect();
+    radix_sort(&mut keys, &mut order);
+    let ids: Vec<u32> = keys.iter().map(|&id| id as u32).collect();
     let mut live = live(&ids).into_iter().peekable();
-    let refusal = |(k, &(id, at)): (usize, &(u32, u32))| {
+    let refusal = |(k, (&id, &at)): (usize, (&u32, &u32))| {
         while live.next_if(|&held| held < id).is_some() {}
         if id == PAD_ID {
             Some((at, RankError::ReservedId))
-        } else if live.peek() == Some(&id) || k > 0 && order[k - 1].0 == id {
+        } else if live.peek() == Some(&id) || k > 0 && ids[k - 1] == id {
             Some((at, RankError::DuplicateId(id)))
         } else {
             None
         }
     };
-    match order.iter().enumerate().filter_map(refusal).min_by_key(|&(at, _)| at) {
+    match ids.iter().zip(&order).enumerate().filter_map(refusal).min_by_key(|&(at, _)| at) {
         Some(refused) => Err(refused),
         None => Ok(ids),
+    }
+}
+
+/// Inputs shorter than this take the standard library's stable sort: a
+/// radix pass clears and sums its counters whatever the input's length,
+/// and below 32 keys that costs more than the comparisons it saves (on a
+/// 2-vCPU Xeon, for spans of `2^8` to `2^20`).
+const RADIX_MIN_LEN: usize = 32;
+
+/// Sort `pos` stably by `keys`, `keys[i]` being the key of `pos[i]`, and
+/// `keys` with it: an LSD radix sort over the bits in which the keys
+/// differ from the least of them, so keys spanning `2^b` cost `⌈b / 11⌉`
+/// passes of a count and a scatter (at most `2^11` counters, which stay in
+/// L1). Keys that already ascend cost one scan.
+pub(crate) fn radix_sort(keys: &mut Vec<u64>, pos: &mut Vec<u32>) {
+    debug_assert_eq!(keys.len(), pos.len());
+    if keys.is_sorted() {
+        return;
+    }
+    let n = keys.len();
+    if n < RADIX_MIN_LEN {
+        let mut pairs: Vec<(u64, u32)> = keys.iter().copied().zip(pos.iter().copied()).collect();
+        pairs.sort_by_key(|&(k, _)| k);
+        for ((k, p), pair) in keys.iter_mut().zip(pos.iter_mut()).zip(pairs) {
+            (*k, *p) = pair;
+        }
+        return;
+    }
+    let (lo, hi) = keys.iter().fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let bits = u64::BITS - (hi - lo).leading_zeros();
+    let passes = bits.div_ceil(11);
+    let width = bits.div_ceil(passes);
+    let (mut keys_to, mut pos_to) = (vec![0u64; n], vec![0u32; n]);
+    let mut at = vec![0usize; 1 << width];
+    for shift in (0..passes).map(|pass| pass * width) {
+        let digit = |k: u64| ((k - lo) >> shift) as usize & ((1 << width) - 1);
+        at.fill(0);
+        for &k in keys.iter() {
+            at[digit(k)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            (sum, *slot) = (sum + *slot, sum);
+        }
+        for (&k, &p) in keys.iter().zip(pos.iter()) {
+            let to = &mut at[digit(k)];
+            (keys_to[*to], pos_to[*to]) = (k, p);
+            *to += 1;
+        }
+        std::mem::swap(keys, &mut keys_to);
+        std::mem::swap(pos, &mut pos_to);
     }
 }
 
@@ -103,37 +159,38 @@ impl<const D: usize> RankSpace<D> {
     }
 
     /// [`normalize`](RankSpace::normalize) for a caller that has already
-    /// refused an empty set, a pad id and a repeated id: one sort per
-    /// dimension and nothing else above linear.
+    /// refused an empty set, a pad id and a repeated id: a radix sort by id
+    /// and one per dimension, and nothing else above linear.
     pub(crate) fn normalize_distinct(pts: &[Point<D>], min_size: usize) -> (Self, Vec<RPoint<D>>) {
         let n = pts.len();
         let m = n.max(min_size).max(1).next_power_of_two();
-        // `order[r]`: the input index of the point of dimension-0 rank `r`,
-        // the identity until dimension 0 is sorted. Where a point stands in
-        // it rides through each sort, which then knows that point's rank.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut col: Vec<(i64, u32, u32)> = Vec::with_capacity(n);
+        // The input positions in id order: a stable sort by a coordinate
+        // leaves equal coordinates in it.
+        let mut keys: Vec<u64> = pts.iter().map(|p| u64::from(p.id)).collect();
+        let mut by_id: Vec<u32> = (0..n as u32).collect();
+        radix_sort(&mut keys, &mut by_id);
+        // `rank0[i]`: the dimension-0 rank of input point `i`, which is
+        // where that point stands in `rpts`.
+        let mut rank0 = vec![0u32; n];
         let mut rpts: Vec<RPoint<D>> = Vec::with_capacity(m);
+        // A coordinate with its sign bit flipped: `u64` order is `i64` order.
+        const SIGN: u64 = 1 << 63;
         let sorted = (0..D)
             .map(|j| {
-                let entry = |(&i, at)| (pts[i as usize].coords[j], pts[i as usize].id, at);
-                col.clear();
-                col.extend(order.iter().zip(0..).map(entry));
-                col.sort_unstable();
-                if j == 0 {
-                    order = col.iter().map(|&(_, _, at)| at).collect();
-                    let point = |(&(_, id, at), rank): (&(i64, u32, u32), u32)| RPoint {
-                        ranks: [rank; D],
-                        id,
-                        weight: pts[at as usize].weight,
-                    };
-                    rpts.extend(col.iter().zip(0..).map(point));
-                } else {
-                    for (&(_, _, at), rank) in col.iter().zip(0..) {
-                        rpts[at as usize].ranks[j] = rank;
+                keys.clear();
+                keys.extend(by_id.iter().map(|&i| pts[i as usize].coords[j] as u64 ^ SIGN));
+                let mut order = by_id.clone();
+                radix_sort(&mut keys, &mut order);
+                for (rank, &i) in (0..).zip(&order) {
+                    if j == 0 {
+                        rank0[i as usize] = rank;
+                        let Point { id, weight, .. } = pts[i as usize];
+                        rpts.push(RPoint { ranks: [rank; D], id, weight });
+                    } else {
+                        rpts[rank0[i as usize] as usize].ranks[j] = rank;
                     }
                 }
-                col.iter().map(|&(c, _, _)| c).collect()
+                keys.iter().map(|&k| (k ^ SIGN) as i64).collect()
             })
             .collect();
         rpts.extend((n..m).map(|t| RPoint { ranks: [t as u32; D], id: PAD_ID, weight: 0 }));
@@ -301,5 +358,136 @@ mod tests {
         pts[0].id = PAD_ID;
         assert!(matches!(RankSpace::normalize(&pts, 1), Err(RankError::ReservedId)));
         assert!(matches!(RankSpace::<2>::normalize(&[], 1), Err(RankError::Empty)));
+    }
+
+    /// The normalization before the radix sorts, kept as the reference:
+    /// per dimension one comparison sort of `(coordinate, id, dimension-0
+    /// rank)`, gathered through the dimension-0 order.
+    fn comparison_sort_normalize<const D: usize>(
+        pts: &[Point<D>],
+        min_size: usize,
+    ) -> (Vec<Vec<i64>>, usize, usize, Vec<RPoint<D>>) {
+        let n = pts.len();
+        let m = n.max(min_size).max(1).next_power_of_two();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut rpts: Vec<RPoint<D>> = Vec::with_capacity(m);
+        let mut sorted = Vec::new();
+        for j in 0..D {
+            let entry = |(&i, at)| (pts[i as usize].coords[j], pts[i as usize].id, at);
+            let mut col: Vec<(i64, u32, u32)> = order.iter().zip(0..).map(entry).collect();
+            col.sort_unstable();
+            if j == 0 {
+                order = col.iter().map(|&(_, _, at)| at).collect();
+                for (&(_, id, at), rank) in col.iter().zip(0..) {
+                    rpts.push(RPoint { ranks: [rank; D], id, weight: pts[at as usize].weight });
+                }
+            } else {
+                for (&(_, _, at), rank) in col.iter().zip(0..) {
+                    rpts[at as usize].ranks[j] = rank;
+                }
+            }
+            sorted.push(col.iter().map(|&(c, _, _)| c).collect());
+        }
+        rpts.extend((n..m).map(|t| RPoint { ranks: [t as u32; D], id: PAD_ID, weight: 0 }));
+        (sorted, n, m, rpts)
+    }
+
+    /// `normalize` and the comparison-sort reference agree on every column,
+    /// size and point.
+    fn agrees_with_the_comparison_sorts<const D: usize>(pts: &[Point<D>], min_size: usize) {
+        let (rs, rpts) = RankSpace::normalize(pts, min_size).unwrap();
+        let want = comparison_sort_normalize(pts, min_size);
+        assert_eq!((rs.sorted, rs.n, rs.m, rpts), want, "n = {}, min_size = {min_size}", pts.len());
+    }
+
+    /// `n` points of distinct, sparse ids (up to `PAD_ID − 1`, in no
+    /// order), drawn from `seed`: dimension 0 mixes `i64::MIN`, `i64::MAX`,
+    /// negative and repeated coordinates, dimension 1 is one coordinate
+    /// throughout, and dimension 2 spans under `2^20`, as served inputs do.
+    fn edge_points(n: usize, seed: u64) -> Vec<Point<3>> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let edges = [i64::MIN, i64::MIN + 1, -5, -1, 0, 3, i64::MAX - 1, i64::MAX];
+        // Ascending ids with random gaps, the last `PAD_ID − 1`, then shuffled.
+        let mut ids: Vec<u32> = (0..n as u32).map(|_| 1 + (next() % 50_000) as u32).collect();
+        ids.iter_mut().fold(0u32, |sum, gap| {
+            *gap += sum;
+            *gap
+        });
+        let shift = PAD_ID - 1 - ids[n - 1];
+        for k in (1..n).rev() {
+            ids.swap(k, next() as usize % (k + 1));
+        }
+        let coord = |r: u64| match r % 3 {
+            0 => edges[(r >> 8) as usize % edges.len()],
+            1 => (r >> 8) as i64 % 7 - 3,
+            _ => (r >> 3) as i64,
+        };
+        (0..n)
+            .map(|k| {
+                let c = [coord(next()), -42, (next() % (1 << 20)) as i64];
+                Point::weighted(c, ids[k] + shift, next() % 9)
+            })
+            .collect()
+    }
+
+    /// Single points, sizes that are not powers of two and a `min_size`
+    /// past `n`, through the radix sorts and their short-input sort alike.
+    #[test]
+    fn normalize_on_edge_inputs_is_the_comparison_sorts() {
+        for (n, min_size) in [(1, 1), (1, 8), (3, 4), (31, 1), (32, 1), (33, 100), (1000, 5000)] {
+            agrees_with_the_comparison_sorts(&edge_points(n, 0x9e37_79b9 + n as u64), min_size);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The radix-sorted ranks, points and columns are bit for bit the
+        /// comparison sorts', in one, two and three dimensions.
+        #[test]
+        fn normalize_is_the_comparison_sort_normalization(
+            n in 1usize..700,
+            min_size in 1usize..1500,
+            seed in 1u64..u64::MAX,
+        ) {
+            let pts = edge_points(n, seed);
+            agrees_with_the_comparison_sorts(&pts, min_size);
+            let fewer = |k: usize| -> Vec<Point<2>> {
+                pts.iter().map(|p| Point::weighted([p.coords[k], p.coords[2]], p.id, p.weight)).collect()
+            };
+            agrees_with_the_comparison_sorts(&fewer(0), min_size);
+            agrees_with_the_comparison_sorts(&fewer(1), min_size);
+            let line: Vec<Point<1>> = pts.iter().map(|p| Point::new([p.coords[0]], p.id)).collect();
+            agrees_with_the_comparison_sorts(&line, min_size);
+        }
+
+        /// `radix_sort` is the standard library's stable sort by key, for
+        /// keys spanning a few values to all 64 bits, on either side of the
+        /// short-input cut.
+        #[test]
+        fn radix_sort_is_a_stable_sort_by_key(
+            n in 0usize..600,
+            span_bits in 1u32..65,
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut state = seed;
+            let mut key = move || {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state ^ state >> 29).checked_shr(64 - span_bits).unwrap_or(0) ^ seed >> 40
+            };
+            let mut keys: Vec<u64> = (0..n).map(|_| key()).collect();
+            let mut pos: Vec<u32> = (0..n as u32).rev().collect();
+            let mut want: Vec<(u64, u32)> = keys.iter().copied().zip(pos.iter().copied()).collect();
+            want.sort_by_key(|&(k, _)| k);
+            radix_sort(&mut keys, &mut pos);
+            let got: Vec<(u64, u32)> = keys.into_iter().zip(pos).collect();
+            assert_eq!(got, want);
+        }
     }
 }

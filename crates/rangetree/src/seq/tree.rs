@@ -63,6 +63,7 @@ use ddrs_cgm::Payload;
 
 use crate::heap;
 use crate::point::{RPoint, RRect};
+use crate::rank::radix_sort;
 
 /// One segment tree of the range tree, in dimension `dim`, together with
 /// the descendant structures of its internal nodes (Definition 1), laid
@@ -284,18 +285,19 @@ pub(super) fn block_at(m: usize, at: usize) -> (usize, usize) {
 
 /// The merge-sort tree of `pts` (in slab order) on `ranks[by]`: for each
 /// depth `0..h`, every node's block of `(rank, slab index)` sorted by
-/// rank. Depth 0 is one sort; below it a node's block is its parent's, in
-/// order, without the other half of the parent's slab interval: a stable
-/// partition, whose stores wait on no compare as a merge's loads do.
+/// rank. Depth 0 is one radix sort; below it a node's block is its
+/// parent's, in order, without the other half of the parent's slab
+/// interval: a stable partition, whose stores wait on no compare as a
+/// merge's loads do.
 fn merge_sort_tree<const D: usize>(pts: &[RPoint<D>], by: usize) -> (Vec<u32>, Vec<u32>) {
     let m = pts.len();
     let h = m.ilog2() as usize;
     let (mut keys, mut idx) = (vec![0u32; h * m], vec![0u32; h * m]);
-    let mut order: Vec<u64> =
-        pts.iter().zip(0..).map(|(p, i)| u64::from(p.ranks[by]) << 32 | i).collect();
-    order.sort_unstable();
-    for ((k, i), entry) in keys.iter_mut().zip(&mut idx).zip(&order) {
-        (*k, *i) = ((entry >> 32) as u32, *entry as u32);
+    let mut ranks: Vec<u64> = pts.iter().map(|p| u64::from(p.ranks[by])).collect();
+    let mut order: Vec<u32> = (0..m as u32).collect();
+    radix_sort(&mut ranks, &mut order);
+    for ((k, i), (&rank, &at)) in keys.iter_mut().zip(&mut idx).zip(ranks.iter().zip(&order)) {
+        (*k, *i) = (rank as u32, at);
     }
     for depth in 1..h {
         let (above_k, dst_k) = keys[(depth - 1) * m..].split_at_mut(m);
@@ -739,6 +741,44 @@ mod tests {
             .collect();
         pts.extend((n..m).map(|t| RPoint { ranks: [t; D], id: PAD_ID, weight: 0 }));
         pts
+    }
+
+    /// The merge-sort tree's rows as the definition gives them: each
+    /// node's block of `(rank, slab index)`, sorted with `sort_unstable`.
+    fn sorted_blocks<const D: usize>(pts: &[RPoint<D>], by: usize) -> (Vec<u32>, Vec<u32>) {
+        let m = pts.len();
+        let mut rows: Vec<(u32, u32)> = Vec::new();
+        for width in (0..m.ilog2()).map(|depth| m >> depth) {
+            for a in (0..m).step_by(width) {
+                let mut block: Vec<(u32, u32)> =
+                    (a..a + width).map(|i| (pts[i].ranks[by], i as u32)).collect();
+                block.sort_unstable();
+                rows.extend(block);
+            }
+        }
+        rows.into_iter().unzip()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The radix-sorted depth-0 row and the partitions below it equal
+        /// the per-block comparison sorts: in d = 2, and in every
+        /// descendant of a d = 3 tree, whose sizes run from 2 to `m / 2`.
+        #[test]
+        fn merge_sort_rows_equal_the_sorted_blocks(
+            n in 1u32..2500,
+            min_m in 1u32..3000,
+            seeds in (1u64..u64::MAX, 1u64..u64::MAX),
+        ) {
+            let t = DimTree::<2>::build(0, scattered(n, min_m, [0, seeds.0]));
+            assert_eq!((t.block_keys, t.block_idx), sorted_blocks(&t.leaves, 1));
+            let t = DimTree::<3>::build(0, scattered(n % 300 + 1, min_m % 300, [0, seeds.0, seeds.1]));
+            for dt in t.desc.iter().flatten() {
+                let (keys, idx) = sorted_blocks(&dt.leaves, 2);
+                assert_eq!((&dt.block_keys, &dt.block_idx), (&keys, &idx), "m = {}", dt.m);
+            }
+        }
     }
 
     /// `(words, nodes)` of the conceptual tree of Definition 1, counted

@@ -9,15 +9,19 @@ fn build(p: usize, n: u32, seed: u64) -> (Vec<ProcState<2>>, usize) {
     build_d(p, n, seed)
 }
 
-fn build_d<const D: usize>(p: usize, n: u32, seed: u64) -> (Vec<ProcState<D>>, usize) {
+fn input<const D: usize>(n: u32, seed: u64) -> Vec<Point<D>> {
     let (mul, add, modulus) = ([7919, 104729, 1299709], [1, 31, 97], [10007, 10009, 10037]);
-    let pts: Vec<Point<D>> = (0..n)
+    (0..n)
         .map(|i| {
             let c =
                 std::array::from_fn(|j| ((i as i64) * mul[j] + seed as i64 * add[j]) % modulus[j]);
             Point::new(c, i)
         })
-        .collect();
+        .collect()
+}
+
+fn build_d<const D: usize>(p: usize, n: u32, seed: u64) -> (Vec<ProcState<D>>, usize) {
+    let pts: Vec<Point<D>> = input(n, seed);
     let machine = Machine::new(p).unwrap();
     let (ranks, rpts) = RankSpace::normalize(&pts, p).unwrap();
     let m = ranks.m();
@@ -216,4 +220,42 @@ fn construction_is_deterministic() {
             sb.forest.iter().map(|e| e.fid).collect::<std::collections::BTreeSet<_>>()
         );
     }
+}
+
+/// A share of the input per processor as uneven as `cuts` make it (rank
+/// `r` gets the points of dimension-0 rank `cuts[r]..cuts[r + 1]`) builds
+/// what the even deal builds: hat, forest and phase volumes. The sort
+/// keeps such slices where they are, so group 0 arrives in pieces from
+/// three or more senders and step 4 concatenates them.
+fn straddled_deal_builds_the_even_deal<const D: usize>(p: usize, cuts: &[usize]) {
+    let (even, m) = build_d::<D>(p, 300, 12);
+    let (_, rpts) = RankSpace::normalize(&input::<D>(300, 12), p).unwrap();
+    assert_eq!((cuts.len(), cuts[p]), (p + 1, m));
+    let machine = Machine::new(p).unwrap();
+    let uneven = machine.run(|ctx| {
+        let r = ctx.rank();
+        construct(ctx, rpts[cuts[r]..cuts[r + 1]].iter().copied(), m)
+    });
+    // Senders of group 0, positions 0..g of the primary tree: the ranks
+    // whose sorted share of S^0 is not empty and starts below g.
+    let shares: Vec<u64> = uneven.iter().map(|s| s.sorted_records[0]).collect();
+    let starts = shares.iter().scan(0, |at, &len| Some(std::mem::replace(at, *at + len)));
+    let senders = starts.zip(&shares).filter(|&(at, &len)| len > 0 && at < (m / p) as u64);
+    assert!(senders.count() >= 3, "p = {p}: group 0 comes from fewer than three senders");
+    for (a, b) in even.iter().zip(&uneven) {
+        assert_eq!(a.hat, b.hat, "p = {p}, d = {D}");
+        assert_eq!(a.forest, b.forest, "p = {p}, d = {D}");
+        assert_eq!(a.phase_records, b.phase_records, "p = {p}, d = {D}");
+    }
+}
+
+#[test]
+fn a_group_dealt_from_three_senders_builds_as_the_even_deal() {
+    // m = 512 at both sizes: groups of 128 at p = 4 and of 64 at p = 8.
+    let four = [0, 20, 30, 400, 512];
+    let eight = [0, 5, 15, 40, 300, 350, 400, 450, 512];
+    straddled_deal_builds_the_even_deal::<2>(4, &four);
+    straddled_deal_builds_the_even_deal::<3>(4, &four);
+    straddled_deal_builds_the_even_deal::<2>(8, &eight);
+    straddled_deal_builds_the_even_deal::<3>(8, &eight);
 }
