@@ -181,9 +181,12 @@ fn t1() {
 fn t2() {
     let n = 1 << 15;
     let pts: Vec<Point<2>> = uniform_points(2, n);
+    let faults_before = minor_faults();
     let (seq_ms, seq_tree) = time_ms(|| SeqRangeTree::build(&pts).unwrap());
+    let seq_faults = faults_since(faults_before);
     let mut seq_row = vec!["seq".into(), format!("{seq_ms:.1}"), seq_tree.size_nodes().to_string()];
     seq_row.resize(12, "-".into());
+    seq_row.push(seq_faults);
     let mut rows = vec![seq_row];
     let mut ids: Vec<u32> = pts.iter().map(|p| p.id).collect();
     ids.sort_unstable();
@@ -194,7 +197,9 @@ fn t2() {
         // The rank sorts are the host's, before the machine runs: timed
         // by making the same call `build` opens with.
         let (rank_ms, _) = time_ms(|| RankSpace::normalize(&pts, p).unwrap());
+        let faults_before = minor_faults();
         let (ms, tree) = time_ms(|| DistRangeTree::<2>::build(&machine, &pts).unwrap());
+        let faults = faults_since(faults_before);
         let stats = machine.take_stats();
         let rep = tree.structure_report();
         // Local construction work per processor = the nodes it builds
@@ -233,6 +238,7 @@ fn t2() {
             step(1),
             step(2),
             if p == 1 { format!("{:.2}", ms / seq_ms) } else { "-".into() },
+            faults,
         ]);
         if p >= 2 {
             rounds.push(stats.supersteps());
@@ -268,6 +274,7 @@ fn t2() {
             "deal+group",
             "local build",
             "p1/seq",
+            "minor faults",
         ],
         &rows,
     );
@@ -285,9 +292,28 @@ fn t2() {
          (step 1; steps 2, 3, 5 with their exchanges and the records of\n\
          each S^j; step 4). p = 1 runs 6 rounds, not 10: a one-processor\n\
          sort has no sample and no exchange. \"p1/seq\" is the p = 1 wall\n\
-         over the seq build's: at p = 1 Construct is the sequential build."
+         over the seq build's: at p = 1 Construct is the sequential build.\n\
+         \"minor faults\" are the process's minor page faults during the\n\
+         build (the rank sorts included; `-` where /proc/self/stat cannot\n\
+         be read): fresh pages each build touches first."
     );
     assert!(broken.is_empty(), "t2 does not hold: {broken:#?}");
+}
+
+/// Minor page faults of this process so far, field 10 of
+/// `/proc/self/stat` (the fields after the parenthesized command name
+/// start at field 3); `None` where that file cannot be read.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    stat.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// The minor faults since `before` as a table cell, `-` when unreadable.
+fn faults_since(before: Option<u64>) -> String {
+    match (before, minor_faults()) {
+        (Some(a), Some(b)) => (b - a).to_string(),
+        _ => "-".into(),
+    }
 }
 
 /// Theorem 3 / Corollary 2: n queries in O(s log n / p) + O(1) rounds.

@@ -68,14 +68,21 @@ impl Ctx<'_> {
                 let below = data.partition_point(|t| key(t) < *k) as u64;
                 let through = data.partition_point(|t| key(t) <= *k) as u64;
                 let cut = tie.saturating_sub(base).clamp(below, through) as usize;
-                buckets[b] = data.split_off(cut);
+                buckets[b] = if cut == 0 { std::mem::take(&mut data) } else { data.split_off(cut) };
             }
         }
         buckets[0] = data;
 
         // Each inbound run is sorted and the runs arrive in source-rank
-        // order: the stable sort finds them and merges.
-        let mut merged: Vec<T> = self.exchange("sort", buckets).into_iter().flatten().collect();
+        // order: the stable sort finds them and merges. A lone run is the
+        // result, in the buffer it left its sender in.
+        let mut runs = self.exchange("sort", buckets);
+        runs.retain(|run| !run.is_empty());
+        let mut merged: Vec<T> = if runs.len() == 1 {
+            runs.swap_remove(0)
+        } else {
+            runs.into_iter().flatten().collect()
+        };
         merged.sort_by_key(&key);
         merged
     }

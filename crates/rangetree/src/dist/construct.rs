@@ -8,7 +8,9 @@
 //!
 //! 1. **sort** `S^j` by `(tree, rank_j)`, so every tree's points are
 //!    contiguous and ordered (one sample all-gather + one bucket
-//!    exchange);
+//!    exchange), and hold each tree's run as a stretch of points. `S^0`'s
+//!    records are the bare points: a share dealt in dimension-0 order
+//!    stays where it is, in the buffer it came in;
 //! 2. **scan**: all-gather the per-processor per-tree counts, from which
 //!    every processor derives — identically — each tree's total size,
 //!    its own offset inside each tree, and the global forest-id
@@ -17,10 +19,13 @@
 //! 3. **deal**: route every record to the home of its group,
 //!    `owner(fid) = fid mod p` — the round-robin deal of the forest. A
 //!    group travels as runs, one piece per sender, which the model meters
-//!    as the `(tree, group, point)` records it carries;
+//!    as the `(tree, group, point)` records it carries. A stretch inside
+//!    one group is moved, not copied: each share of `S^0` in the even
+//!    deal is its own group `r` of tree 0, whose home is `r`;
 //! 4. locally build each received group's forest subtree (a
 //!    `(d-j)`-dimensional [`DimTree`] on `g` points, pads included so
-//!    sizes stay exact powers of two) on its pieces, end to end;
+//!    sizes stay exact powers of two) on its pieces: a lone piece is the
+//!    tree's leaves, several are put end to end into `g` points;
 //! 5. **summary broadcast**: all-gather per-group summaries `(interval,
 //!    real count, fid)`, from which every processor assembles the
 //!    identical hat replica for this dimension; then locally emit
@@ -35,6 +40,7 @@
 //! and the phase volumes `|S^j| = n log^j p` of the paper's Section 5
 //! caveat, recorded in [`ProcState::phase_records`].
 
+use std::mem::{replace, take};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -113,10 +119,6 @@ impl<const D: usize> ProcState<D> {
     }
 }
 
-/// Record of phase `j`: a point tagged with the hat index of the
-/// dimension-`j` tree it belongs to.
-type PhaseRec<const D: usize> = (u32, RPoint<D>);
-
 /// One sender's run of one group in the deal, `(tree, group, points)`:
 /// metered as the `(tree, group, point)` records it carries.
 struct Piece<const D: usize>(u32, u32, Vec<RPoint<D>>);
@@ -129,7 +131,8 @@ impl<const D: usize> Payload for Piece<D> {
 /// SPMD body of Algorithm Construct.
 ///
 /// Every processor passes its `m/p`-point share of the rank-space input
-/// (any order; a run sorted by `ranks[0]` costs step 1 least) and the
+/// (any order; a run sorted by `ranks[0]` costs step 1 least, and a `Vec`
+/// that is its own group of that order becomes the group's leaves) and the
 /// padded global size `m`; all processors must call with the same `m`.
 /// Returns this processor's [`ProcState`].
 ///
@@ -140,38 +143,42 @@ pub fn construct<const D: usize>(
     local: impl IntoIterator<Item = RPoint<D>>,
     m: usize,
 ) -> ProcState<D> {
-    let p = ctx.p();
+    let (p, g) = (ctx.p(), m / ctx.p());
     assert!(m.is_power_of_two(), "padded size must be a power of two");
     assert!(m >= p && m.is_multiple_of(p), "padded size must be divisible by p");
-    let g = m / p;
 
-    let mut hat: Vec<HatTree> = Vec::new();
-    let mut forest: Vec<Arc<ForestEntry<D>>> = Vec::new();
+    let (mut hat, mut forest, mut next_fid) = (Vec::new(), Vec::new(), 0u32);
     let (mut phase_records, mut sorted_records) = (Vec::with_capacity(D), Vec::with_capacity(D));
-    let mut next_fid: u32 = 0;
     let (mut step_wall, mut clock) = ([Duration::ZERO; 3], Instant::now());
-    let mut lap =
-        |step: usize| step_wall[step] += std::mem::replace(&mut clock, Instant::now()).elapsed();
+    let mut lap = |step: usize| step_wall[step] += replace(&mut clock, Instant::now()).elapsed();
 
-    // S^0: every input point belongs to the primary tree.
-    let mut records: Vec<PhaseRec<D>> = local.into_iter().map(|pt| (0, pt)).collect();
-    lap(1);
-    // Phase j's trees are hat indices `first..next`.
-    let (mut first, mut next) = (0u32, 1u32);
+    // S^0 is the input, every point in the primary tree: left untagged (a
+    // `Vec` is collected in place), its sort key `(0, rank)` a tagged
+    // phase's, so its samples are too. Phase j's hat trees: `first..next`.
+    let mut share = Some(local.into_iter().collect::<Vec<_>>());
+    let (mut records, mut first, mut next) = (Vec::<(u32, RPoint<D>)>::new(), 0u32, 1u32);
 
     for j in 0..D {
-        // (1) Sort S^j by (tree, rank in dimension j). Ranks are unique
-        // within a tree, so the global order is fully determined.
-        let sorted = ctx.sort_by_key(records, move |(t, pt): &PhaseRec<D>| (*t, pt.ranks[j]));
-        sorted_records.push(sorted.len() as u64);
+        // (1) Sort S^j by (tree, rank in dimension j), then hold it as a
+        // stretch of points per tree. Ranks are unique within a tree, so
+        // the global order is fully determined.
+        let mut stretches: Vec<(u32, Vec<RPoint<D>>)> = match share.take() {
+            Some(s0) => vec![(0, ctx.sort_by_key(s0, |pt| (0u32, pt.ranks[0])))],
+            None => {
+                let sorted = ctx.sort_by_key(records, move |&(t, pt)| (t, pt.ranks[j]));
+                let trees = sorted.chunk_by(|a, b| a.0 == b.0);
+                trees.map(|tree| (tree[0].0, tree.iter().map(|rec| rec.1).collect())).collect()
+            }
+        };
+        stretches.retain(|(_, pts)| !pts.is_empty());
+        sorted_records.push(stretches.iter().map(|(_, pts)| pts.len() as u64).sum());
         lap(0);
 
         // (2) Scan: per-tree local counts, all-gathered. Every processor
         // derives the identical tree table: total sizes, own offsets,
         // forest-id bases (trees in hat order, phases consecutive).
-        let local_counts: Vec<(u32, u64)> =
-            sorted.chunk_by(|a, b| a.0 == b.0).map(|tree| (tree[0].0, tree.len() as u64)).collect();
-        let gathered = ctx.all_gather(local_counts);
+        let gathered =
+            ctx.all_gather(stretches.iter().map(|(t, pts)| (*t, pts.len() as u64)).collect());
         // By tree - first: (total, my_offset, base).
         let mut table: Vec<(u64, u64, u32)> = vec![(0, 0, 0); (next - first) as usize];
         for (rank, counts) in gathered.iter().enumerate() {
@@ -188,32 +195,33 @@ pub fn construct<const D: usize>(
             next_fid += (*total / g as u64) as u32;
         }
 
-        // (3) Deal: ship each group's run to its home processor. The run
-        // is sorted by (tree, rank), so a tree's records are one stretch
-        // of it, positions `lo..hi` in the tree, cut at group boundaries.
+        // (3) Deal: ship each group's run to its home processor. A tree's
+        // stretch holds positions `lo..hi` in the tree, cut at group
+        // boundaries. A stretch inside one group goes as it is: a share of
+        // S^0 in the even deal is its group, and its home is its holder.
         let mut outgoing: Vec<Vec<Piece<D>>> = (0..p).map(|_| Vec::new()).collect();
-        for stretch in sorted.chunk_by(|a, b| a.0 == b.0) {
-            let t = stretch[0].0;
+        for (t, mut pts) in stretches {
             let (_, lo, base) = table[(t - first) as usize];
-            let (lo, hi) = (lo as usize, lo as usize + stretch.len());
+            let (lo, hi) = (lo as usize, lo as usize + pts.len());
             for gidx in lo / g..hi.div_ceil(g) {
-                let run = &stretch[(gidx * g).max(lo) - lo..(gidx * g + g).min(hi) - lo];
-                let piece = Piece(t, gidx as u32, run.iter().map(|&(_, pt)| pt).collect());
-                outgoing[(base as usize + gidx) % p].push(piece);
+                let (a, b) = ((gidx * g).max(lo) - lo, (gidx * g + g).min(hi) - lo);
+                let run = if b - a < pts.len() { pts[a..b].to_vec() } else { take(&mut pts) };
+                outgoing[(base as usize + gidx) % p].push(Piece(t, gidx as u32, run));
             }
         }
         let mut received = ctx.all_to_all(outgoing).into_iter().flatten().peekable();
 
         // (4) Build owned forest subtrees locally. The senders hold
         // consecutive stretches of the sorted order, so a group is the next
-        // pieces with one header, and end to end they are sorted
-        // (`DimTree::build` asserts that in debug builds).
+        // pieces with one header, sorted end to end (`DimTree::build` checks
+        // in debug builds). A lone piece is the leaves; several fill `g`.
         lap(1);
         let mut summaries: Vec<(u32, u32, u32, u32, u32, u32)> = Vec::new();
-        while let Some(Piece(t, gidx, mut pts)) = received.next() {
+        while let Some(Piece(t, gidx, pts)) = received.next() {
             debug_assert!(summaries.last().is_none_or(|s| (s.0, s.1) < (t, gidx)));
             let more = std::iter::from_fn(|| received.next_if(|pc| (pc.0, pc.1) == (t, gidx)));
-            pts.extend(more.flat_map(|Piece(.., run)| run));
+            let mut runs: Vec<_> = std::iter::once(pts).chain(more.map(|pc| pc.2)).collect();
+            let pts = if runs.len() == 1 { runs.swap_remove(0) } else { runs.concat() };
             debug_assert_eq!(pts.len(), g, "every group holds exactly g records");
             let fid = table[(t - first) as usize].2 + gidx;
             debug_assert_eq!(fid as usize, forest.len() * p + ctx.rank(), "forest ids are dense");

@@ -190,11 +190,8 @@ pub(super) fn search_program<S: Semigroup, const D: usize>(
             let mut root_vals: Vec<(u64, Option<S::Val>)> = Vec::new();
             for (li, state) in states.iter().enumerate().filter(|(li, _)| kept[*li].is_none()) {
                 for entry in state.forest.iter().filter(|e| e.start_dim as usize == D - 1) {
-                    let real = entry.tree.r as usize;
-                    let fold = fold_points(
-                        &sg,
-                        entry.tree.leaves[..real].iter().map(|pt| (pt.id, pt.weight)),
-                    );
+                    let leaves = &entry.tree.leaves[..entry.tree.r as usize];
+                    let fold = fold_points(&sg, leaves.iter().map(|pt| (pt.id, pt.weight)));
                     root_vals.push((compose(li, entry.fid), fold));
                 }
             }

@@ -130,13 +130,17 @@ impl<const D: usize> DistRangeTree<D> {
         Self::construct(machine, RankSpace::normalize_distinct(pts, machine.p()))
     }
 
-    /// Deal each processor its share (a run in dimension-0 order) and run
-    /// Algorithm Construct.
-    fn construct(machine: &Machine, (ranks, rpts): (RankSpace<D>, Vec<RPoint<D>>)) -> Self {
-        let (m, share) = (ranks.m(), ranks.m() / machine.p());
+    /// Deal each processor its share (a run in dimension-0 order, its own
+    /// `Vec`: rank 0's is `rpts`, cut down to it) and run Algorithm Construct.
+    fn construct(machine: &Machine, (ranks, mut rpts): (RankSpace<D>, Vec<RPoint<D>>)) -> Self {
+        let (m, p) = (ranks.m(), machine.p());
+        let mut shares: Vec<_> = (1..p).rev().map(|r| rpts.split_off(r * m / p)).collect();
+        rpts.shrink_to_fit();
+        shares.push(rpts);
+        let shares: Vec<_> = shares.into_iter().rev().map(Mutex::new).collect();
         let states = machine.run(|ctx| {
-            let lo = ctx.rank() * share;
-            construct::construct(ctx, rpts[lo..lo + share].iter().copied(), m)
+            let share = std::mem::take(&mut *shares[ctx.rank()].lock().expect("never poisoned"));
+            construct::construct(ctx, share, m)
         });
         DistRangeTree { ranks, states, hat_values: Mutex::default() }
     }
@@ -158,11 +162,7 @@ impl<const D: usize> DistRangeTree<D> {
     }
 
     fn assert_machine(&self, machine: &Machine) {
-        assert_eq!(
-            machine.p(),
-            self.states.len(),
-            "query machine size differs from the build machine"
-        );
+        assert_eq!(machine.p(), self.p(), "query machine size differs from the build machine");
     }
 
     /// Batched counting: the number of points in each query box; a query
@@ -225,13 +225,8 @@ impl<const D: usize> DistRangeTree<D> {
             .collect();
         let forest_trees: Vec<usize> = self.states.iter().map(|s| s.forest.len()).collect();
         let total_nodes = hat_nodes + forest_nodes.iter().sum::<u64>();
-        StructureReport {
-            hat_nodes,
-            forest_nodes,
-            forest_trees,
-            total_nodes,
-            real_points: self.ranks.n() as u64,
-        }
+        let real_points = self.ranks.n() as u64;
+        StructureReport { hat_nodes, forest_nodes, forest_trees, total_nodes, real_points }
     }
 
     /// Global record volumes `|S^j|` of the construction phases (the

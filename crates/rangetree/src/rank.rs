@@ -81,10 +81,8 @@ pub fn check_ids<const D: usize>(
             None
         }
     };
-    match ids.iter().zip(&order).enumerate().filter_map(refusal).min_by_key(|&(at, _)| at) {
-        Some(refused) => Err(refused),
-        None => Ok(ids),
-    }
+    let first = ids.iter().zip(&order).enumerate().filter_map(refusal).min_by_key(|&(at, _)| at);
+    first.map_or(Ok(ids), Err)
 }
 
 /// Inputs shorter than this take the standard library's stable sort: a
@@ -97,7 +95,8 @@ const RADIX_MIN_LEN: usize = 32;
 /// `keys` with it: an LSD radix sort over the bits in which the keys
 /// differ from the least of them, so keys spanning `2^b` cost `⌈b / 11⌉`
 /// passes of a count and a scatter (at most `2^11` counters, which stay in
-/// L1). Keys that already ascend cost one scan.
+/// L1). Keys that already ascend cost one scan. A merge-sort row whose
+/// keys are a run of distinct ranks does not come here: it is placed.
 pub(crate) fn radix_sort(keys: &mut Vec<u64>, pos: &mut Vec<u32>) {
     debug_assert_eq!(keys.len(), pos.len());
     if keys.is_sorted() {
@@ -152,10 +151,8 @@ impl<const D: usize> RankSpace<D> {
         if pts.is_empty() {
             return Err(RankError::Empty);
         }
-        match check_ids(pts, |_| Vec::new()) {
-            Err((_, refusal)) => Err(refusal),
-            Ok(_) => Ok(Self::normalize_distinct(pts, min_size)),
-        }
+        check_ids(pts, |_| Vec::new()).map_err(|(_, refusal)| refusal)?;
+        Ok(Self::normalize_distinct(pts, min_size))
     }
 
     /// [`normalize`](RankSpace::normalize) for a caller that has already

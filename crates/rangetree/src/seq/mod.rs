@@ -47,21 +47,13 @@ impl<const D: usize> SeqRangeTree<D> {
 
     /// Number of points matching `q`.
     pub fn count(&self, q: &Rect<D>) -> u64 {
-        let rq = self.ranks.translate(q);
-        let mut sels = Vec::new();
-        self.root.search(&rq, &mut sels);
-        sels.iter().map(sel_count).sum()
+        self.select(q).iter().map(sel_count).sum()
     }
 
     /// Ids of the points matching `q`, in ascending id order.
     pub fn report(&self, q: &Rect<D>) -> Vec<u32> {
-        let rq = self.ranks.translate(q);
-        let mut sels = Vec::new();
-        self.root.search(&rq, &mut sels);
         let mut out = Vec::new();
-        for s in &sels {
-            sel_report(s, &mut out);
-        }
+        self.select(q).iter().for_each(|s| sel_report(s, &mut out));
         out.sort_unstable();
         out
     }
@@ -71,10 +63,14 @@ impl<const D: usize> SeqRangeTree<D> {
     /// matches, so the answer is a fold over the selections: one lift per
     /// matching point.
     pub fn aggregate<S: Semigroup>(&self, sg: &S, q: &Rect<D>) -> Option<S::Val> {
-        let rq = self.ranks.translate(q);
+        self.select(q).iter().fold(None, |acc, s| comb_opt(sg, acc, sel_fold(sg, s)))
+    }
+
+    /// The selections the search of `q` makes.
+    fn select(&self, q: &Rect<D>) -> Vec<Sel<'_, D>> {
         let mut sels = Vec::new();
-        self.root.search(&rq, &mut sels);
-        sels.iter().fold(None, |acc, s| comb_opt(sg, acc, sel_fold(sg, s)))
+        self.root.search(&self.ranks.translate(q), &mut sels);
+        sels
     }
 
     /// Total number of tree nodes (all dimensions), the `s`-measure the

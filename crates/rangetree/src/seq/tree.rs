@@ -285,19 +285,26 @@ pub(super) fn block_at(m: usize, at: usize) -> (usize, usize) {
 
 /// The merge-sort tree of `pts` (in slab order) on `ranks[by]`: for each
 /// depth `0..h`, every node's block of `(rank, slab index)` sorted by
-/// rank. Depth 0 is one radix sort; below it a node's block is its
-/// parent's, in order, without the other half of the parent's slab
-/// interval: a stable partition, whose stores wait on no compare as a
-/// merge's loads do.
+/// rank. Depth 0 is one pass when the `m` (distinct) ranks are a run
+/// `lo..lo + m` (a one-processor root), else one radix sort. Below it a
+/// node's block is its parent's, in order, minus the other half of its
+/// slab interval: a stable partition, whose stores wait on no compare.
 fn merge_sort_tree<const D: usize>(pts: &[RPoint<D>], by: usize) -> (Vec<u32>, Vec<u32>) {
     let m = pts.len();
     let h = m.ilog2() as usize;
     let (mut keys, mut idx) = (vec![0u32; h * m], vec![0u32; h * m]);
-    let mut ranks: Vec<u64> = pts.iter().map(|p| u64::from(p.ranks[by])).collect();
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    radix_sort(&mut ranks, &mut order);
-    for ((k, i), (&rank, &at)) in keys.iter_mut().zip(&mut idx).zip(ranks.iter().zip(&order)) {
-        (*k, *i) = (rank as u32, at);
+    let lo = pts.iter().map(|p| p.ranks[by]).min().unwrap_or(0);
+    if m > 1 && pts.iter().all(|p| ((p.ranks[by] - lo) as usize) < m) {
+        for (at, k) in (0..).zip(pts.iter().map(|p| p.ranks[by])) {
+            (keys[(k - lo) as usize], idx[(k - lo) as usize]) = (k, at);
+        }
+    } else {
+        let mut ranks: Vec<u64> = pts.iter().map(|p| u64::from(p.ranks[by])).collect();
+        let mut order: Vec<u32> = (0..m as u32).collect();
+        radix_sort(&mut ranks, &mut order);
+        for ((k, i), (&rank, &at)) in keys.iter_mut().zip(&mut idx).zip(ranks.iter().zip(&order)) {
+            (*k, *i) = (rank as u32, at);
+        }
     }
     for depth in 1..h {
         let (above_k, dst_k) = keys[(depth - 1) * m..].split_at_mut(m);
@@ -777,6 +784,38 @@ mod tests {
             for dt in t.desc.iter().flatten() {
                 let (keys, idx) = sorted_blocks(&dt.leaves, 2);
                 assert_eq!((&dt.block_keys, &dt.block_idx), (&keys, &idx), "m = {}", dt.m);
+            }
+        }
+    }
+
+    /// A depth-0 row whose ranks are a run is placed, not sorted, and
+    /// equals the per-block sorts: at every `m = 2^k` up to `2^16` (where a
+    /// radix scatter's 256 buckets start 2 KB apart), the run starting at 0
+    /// or above it, all real or dense reals followed by pads. Pads above a
+    /// gap leave no run, and that row takes the radix sort.
+    #[test]
+    fn dense_rows_equal_the_sorted_blocks() {
+        let perm = |r: u32| {
+            let mut ranks: Vec<u32> = (0..r).collect();
+            ranks.sort_unstable_by_key(|&i| (u64::from(i) + 1).wrapping_mul(0x9e37_79b9) >> 7);
+            ranks
+        };
+        for k in 0..=16 {
+            let m = 1u32 << k;
+            for (lo, r, gap) in [(0, m, 0), (77, m, 0), (5, m - m / 3, 0), (5, m - m / 3, 9)] {
+                let mut pts: Vec<RPoint<2>> = (perm(r).into_iter().zip(0..))
+                    .map(|(rank, i)| RPoint { ranks: [i, lo + rank], id: i, weight: 1 })
+                    .collect();
+                let pads =
+                    (r..m).map(|t| RPoint { ranks: [t, lo + t + gap], id: PAD_ID, weight: 0 });
+                pts.extend(pads);
+                let t = DimTree::<2>::build(0, pts);
+                let want = sorted_blocks(&t.leaves, 1);
+                assert_eq!(
+                    (t.block_keys, t.block_idx),
+                    want,
+                    "m = {m}, lo = {lo}, r = {r}, gap = {gap}"
+                );
             }
         }
     }

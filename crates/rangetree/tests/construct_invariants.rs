@@ -3,7 +3,9 @@
 
 use ddrs_cgm::{log2_exact, Machine};
 use ddrs_rangetree::dist::construct::{construct, ProcState};
-use ddrs_rangetree::{heap, Point, RankSpace};
+use std::sync::Mutex;
+
+use ddrs_rangetree::{heap, Point, RPoint, RankSpace};
 
 fn build(p: usize, n: u32, seed: u64) -> (Vec<ProcState<2>>, usize) {
     build_d(p, n, seed)
@@ -258,4 +260,34 @@ fn a_group_dealt_from_three_senders_builds_as_the_even_deal() {
     straddled_deal_builds_the_even_deal::<3>(4, &four);
     straddled_deal_builds_the_even_deal::<2>(8, &eight);
     straddled_deal_builds_the_even_deal::<3>(8, &eight);
+}
+
+/// A share handed to `construct` as a `Vec` that is exactly its
+/// processor's group of `S^0` (the even deal of the dimension-0 order)
+/// becomes that group's leaves as it is: the phase-0 forest entry holds
+/// the very allocation the processor was handed, at every `p`.
+fn a_share_that_is_its_group_is_not_copied<const D: usize>(p: usize) {
+    let (ranks, rpts) = RankSpace::normalize(&input::<D>(300, 4), p).unwrap();
+    let m = ranks.m();
+    let shares: Vec<Mutex<Vec<RPoint<D>>>> =
+        rpts.chunks(m / p).map(|share| Mutex::new(share.to_vec())).collect();
+    let handed: Vec<usize> = shares.iter().map(|s| s.lock().unwrap().as_ptr() as usize).collect();
+    let states = Machine::new(p).unwrap().run(|ctx| {
+        let share = std::mem::take(&mut *shares[ctx.rank()].lock().unwrap());
+        construct(ctx, share, m)
+    });
+    for (r, state) in states.iter().enumerate() {
+        let entry = &state.forest[0];
+        assert_eq!((entry.fid, entry.start_dim), (r as u32, 0), "p = {p}, d = {D}");
+        let leaves = entry.tree.leaves.as_ptr() as usize;
+        assert_eq!(leaves, handed[r], "p = {p}, d = {D}: rank {r}'s share was copied");
+    }
+}
+
+#[test]
+fn a_share_that_is_its_group_becomes_its_leaves_uncopied() {
+    for p in [1, 2, 4] {
+        a_share_that_is_its_group_is_not_copied::<2>(p);
+        a_share_that_is_its_group_is_not_copied::<3>(p);
+    }
 }
